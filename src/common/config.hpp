@@ -97,19 +97,19 @@ struct SimConfig {
   /// congested (hysteresis: pause above `on`, resume below `off`). This is
   /// the simplest member of the family the paper defers to future work; it
   /// prevents the network-wide buffer pinning that lets sustained deep
-  /// overload collapse onto the escape ring (see bench/fig9_reduced_vcs
-  /// and bench/ablation_congestion).
+  /// overload collapse onto the escape ring (see the fig9 and
+  /// ablation_congestion presets in bench/presets.cpp).
   bool congestion_throttle = false;
   double throttle_on = 0.60;   ///< pause injection above this occupancy
   double throttle_off = 0.45;  ///< resume injection below this occupancy
 
   // ---- sharded cycle kernel (DESIGN.md §10) ----
   /// Number of contiguous router shards the cycle kernel is partitioned
-  /// into. This is a SEMANTIC knob, not an execution knob: K > 1 selects the
-  /// staged-commit kernel, whose per-seed results are bit-identical across
-  /// any worker-thread count but differ from the K = 1 sequential kernel
-  /// (policy RNGs draw from per-shard lanes). It therefore participates in
-  /// experiment content keys. Clamped to the router count at construction.
+  /// into. This is a SEMANTIC knob, not an execution knob: per-seed results
+  /// are bit-identical across any worker-thread count but differ between
+  /// values of K (policy RNGs draw from per-shard lanes). It therefore
+  /// participates in experiment content keys. Clamped to the router count
+  /// at construction.
   u32 sim_shards = 1;
 
   /// Align shard boundaries to group multiples (group-major partitioning):

@@ -4,7 +4,7 @@
 // phases, where a shard may touch only shard-owned state, and serial
 // sections, where cross-shard effects are committed in shard-ascending
 // order. Those rules are what make per-seed results bit-identical at any
-// sim_threads — and until now they lived only in comments and a regex lint.
+// sim_threads.
 //
 // The macros below encode the contract in the source itself as
 // [[clang::annotate]] markers. They expand to nothing on GCC (and any
@@ -19,15 +19,11 @@
 //
 //  OFAR_PARALLEL_PHASE  Function may execute concurrently on shard workers
 //                       (a parallel-phase root or a function audited as
-//                       safe to reach from one). Bodies may contain
-//                       `if constexpr (kStaged)` branches: the analyzer
-//                       knows the non-staged branch only runs in the K = 1
-//                       sequential kernel and exempts it.
+//                       safe to reach from one).
 //  OFAR_SERIAL_ONLY     Function or data member that only the serial
 //                       sections of a cycle may call/write (commit paths,
-//                       injection, stats/trace emission, the global RNG,
-//                       the event wheels). On a class it covers every
-//                       member function.
+//                       injection, stats/trace emission, the global RNG).
+//                       On a class it covers every member function.
 //  OFAR_SHARD_LOCAL     Data member partitioned by shard ownership:
 //                       parallel-phase code may touch it, but only the
 //                       slice its shard owns (routers of the shard, the

@@ -209,16 +209,20 @@ void CheckpointIO::write_state(CkptWriter& w, const Network& net) {
   w.put_bool(net.active_nodes_sorted_);
 
   // ---- event wheels, slot-verbatim (slot index = cycle % wheel size,
-  // preserved because now_ is saved) ----
+  // preserved because now_ is saved). Each slot is written as one list:
+  // the shards' events for that slot, in shard order ----
   w.put_u32(net.wheel_size_);
-  for (const auto& slot : net.phit_wheel_) {
-    w.put_u64(slot.size());
-    w.put_pod_span(slot.data(), slot.size());
-  }
-  for (const auto& slot : net.credit_wheel_) {
-    w.put_u64(slot.size());
-    w.put_pod_span(slot.data(), slot.size());
-  }
+  const auto write_wheel = [&w, &net](auto wheel) {
+    for (u32 slot = 0; slot < net.wheel_size_; ++slot) {
+      u64 n = 0;
+      for (const auto& sh : net.shards_) n += (sh.*wheel)[slot].size();
+      w.put_u64(n);
+      for (const auto& sh : net.shards_)
+        w.put_pod_span((sh.*wheel)[slot].data(), (sh.*wheel)[slot].size());
+    }
+  };
+  write_wheel(&Network::ShardState::phit_wheel);
+  write_wheel(&Network::ShardState::credit_wheel);
 
   // ---- lifetime link loads (sparse at scale) ----
   u64 loaded = 0;
@@ -377,23 +381,24 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
     set_error(error, "wheel size mismatch");
     return false;
   }
-  for (auto& slot : net.phit_wheel_) {
-    const u64 n = r.get_u64();
-    if (!r.ok() || n > (u64{1} << 40)) {
-      set_error(error, "corrupt phit wheel");
-      return false;
+  // A slot's events may sit in any one shard's wheel: delivery scans every
+  // shard's slot and each event is applied by the shard that owns it.
+  const auto read_wheel = [&r](auto& wheel) {
+    for (auto& slot : wheel) {
+      const u64 n = r.get_u64();
+      if (!r.ok() || n > (u64{1} << 40)) return false;
+      slot.assign(static_cast<std::size_t>(n), {});
+      r.get_pod_span(slot.data(), slot.size());
     }
-    slot.assign(static_cast<std::size_t>(n), {});
-    r.get_pod_span(slot.data(), slot.size());
+    return true;
+  };
+  if (!read_wheel(net.shards_[0].phit_wheel)) {
+    set_error(error, "corrupt phit wheel");
+    return false;
   }
-  for (auto& slot : net.credit_wheel_) {
-    const u64 n = r.get_u64();
-    if (!r.ok() || n > (u64{1} << 40)) {
-      set_error(error, "corrupt credit wheel");
-      return false;
-    }
-    slot.assign(static_cast<std::size_t>(n), {});
-    r.get_pod_span(slot.data(), slot.size());
+  if (!read_wheel(net.shards_[0].credit_wheel)) {
+    set_error(error, "corrupt credit wheel");
+    return false;
   }
 
   // ---- link loads ----

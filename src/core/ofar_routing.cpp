@@ -13,7 +13,7 @@ OfarPolicy::OfarPolicy(const SimConfig& cfg, bool allow_local)
       ring_(cfg),
       allow_local_(allow_local),
       seed_(cfg.seed ^ 0x4F464152ULL) {
-  lanes_.emplace_back(seed_);  // lane 0: the legacy sequential stream
+  lanes_.emplace_back(seed_);  // lane 0: the sim_shards = 1 stream
 }
 
 void OfarPolicy::bind_lanes(u32 lanes) {

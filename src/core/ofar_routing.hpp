@@ -48,9 +48,9 @@ class OfarPolicy final : public RoutingPolicy {
 
  private:
   /// Per-shard route() state: the candidate RNG and its scratch list.
-  /// route() is called concurrently from different shards in the sharded
-  /// kernel, so each lane owns both; lane 0 keeps the legacy sequential
-  /// stream so K = 1 runs replay the sequential kernel's draws exactly.
+  /// route() runs concurrently on different shards, so each lane owns
+  /// both. Lane 0 is the stream the sim_shards = 1 golden digests were
+  /// recorded with.
   struct Lane {
     explicit Lane(u64 seed) : rng(seed) {}
     OFAR_LANE_RNG Rng rng;

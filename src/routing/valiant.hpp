@@ -35,8 +35,8 @@ class ValiantPolicy : public RoutingPolicy {
   void assign_intermediate(Network& net, Packet& pkt, RouterId at);
 
   /// RNG stream for route()-time draws of shard `lane` (PAR's UGAL probe).
-  /// Lane 0 is rng_ itself — the legacy sequential stream — so K = 1
-  /// sharded runs replay the sequential kernel's draws exactly. The phases
+  /// Lane 0 is rng_ itself, the stream the sim_shards = 1 golden digests
+  /// were recorded with. The phases
   /// that draw from lane 0 via route() (parallel allocation) and via
   /// on_inject (serial injection) never overlap, so sharing is safe.
   OFAR_LANE_RNG Rng& route_rng(u32 lane) noexcept {

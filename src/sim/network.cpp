@@ -25,9 +25,10 @@ namespace {
 constexpr u32 kEjectionLatency = 1;
 constexpr u32 kEjectionCredits = 1u << 30;  // sink: effectively infinite
 constexpr Cycle kWatchdogPeriod = 4096;
-// Warm start for the event-wheel slots: enough for moderate loads, so the
-// steady-state hot loop never grows a slot vector (clear() keeps capacity,
-// so any later growth also happens at most once per slot).
+// Warm start for the event-wheel slots, divided among the shards' wheels:
+// enough for moderate loads, so the steady-state hot loop never grows a slot
+// vector (clear() keeps capacity, so any later growth also happens at most
+// once per slot).
 constexpr std::size_t kWheelSlotReserve = 64;
 }  // namespace
 
@@ -66,14 +67,19 @@ Network::Network(const SimConfig& cfg)
 
   // ---- shard partition (DESIGN.md §10) ----
   // Contiguous router ranges; nodes follow their router. K = 1 (the
-  // default) is the sequential kernel. The partition depends only on
-  // (routers, sim_shards, shard_group_major), never on thread count. It is
-  // computed before router construction because the per-VC hot state lives
-  // in per-shard arenas (sim/flat_state.hpp).
+  // default) is one shard holding every router. The partition depends only
+  // on (routers, sim_shards, shard_group_major), never on thread count. It
+  // is computed before router construction because the per-VC hot state
+  // lives in per-shard arenas (sim/flat_state.hpp).
   const u32 shard_count =
       std::min(std::max(cfg_.sim_shards, 1u), num_routers);
   shards_.resize(shard_count);
   shard_of_router_.assign(num_routers, 0);
+  wheel_size_ =
+      std::max({cfg_.local_latency, cfg_.global_latency, kEjectionLatency}) +
+      1;
+  const std::size_t slot_reserve =
+      (kWheelSlotReserve + shard_count - 1) / shard_count;
   for (u32 s = 0; s < shard_count; ++s) {
     ShardState& sh = shards_[s];
     if (cfg_.shard_group_major) {
@@ -97,11 +103,11 @@ Network::Network(const SimConfig& cfg)
     sh.active_routers.reserve(sh.router_end - sh.router_begin);
     sh.alloc = std::make_unique<SeparableAllocator>(ports);
     sh.reqs.reserve(static_cast<std::size_t>(ports) * 8);
-    if (shard_count > 1) {
-      sh.phit_out.reserve(kWheelSlotReserve);
-      sh.credit_out.reserve(kWheelSlotReserve);
-      sh.delivered.reserve(kWheelSlotReserve);
-    }
+    sh.phit_wheel.resize(wheel_size_);
+    sh.credit_wheel.resize(wheel_size_);
+    for (auto& slot : sh.phit_wheel) slot.reserve(slot_reserve);
+    for (auto& slot : sh.credit_wheel) slot.reserve(slot_reserve);
+    sh.delivered.reserve(slot_reserve);
   }
 
   // ---- routers ----
@@ -128,14 +134,6 @@ Network::Network(const SimConfig& cfg)
   router_in_worklist_.assign(num_routers, 0);
   node_in_worklist_.assign(topo_.nodes(), 0);
   active_nodes_.reserve(topo_.nodes());
-
-  wheel_size_ =
-      std::max({cfg_.local_latency, cfg_.global_latency, kEjectionLatency}) +
-      1;
-  phit_wheel_.resize(wheel_size_);
-  credit_wheel_.resize(wheel_size_);
-  for (auto& slot : phit_wheel_) slot.reserve(kWheelSlotReserve);
-  for (auto& slot : credit_wheel_) slot.reserve(kWheelSlotReserve);
 }
 
 Network::~Network() = default;
@@ -589,60 +587,6 @@ void Network::place_packet(NodeId src, const Offer& offer) {
 // cycle phases
 // ---------------------------------------------------------------------------
 
-void Network::schedule_phit(ChannelId ch, PacketId pkt, VcId vc, bool head,
-                            bool tail, u32 latency) {
-  OFAR_DCHECK(latency >= 1 && latency < wheel_size_);
-  phit_wheel_[(now_ + latency) % wheel_size_].push_back(
-      {ch, pkt, vc, head ? u8{1} : u8{0}, tail ? u8{1} : u8{0}});
-}
-
-void Network::schedule_credit(ChannelId ch, VcId vc, u32 latency) {
-  OFAR_DCHECK(latency >= 1 && latency < wheel_size_);
-  credit_wheel_[(now_ + latency) % wheel_size_].push_back({ch, vc});
-}
-
-void Network::deliver_events() {
-  const u32 slot = static_cast<u32>(now_ % wheel_size_);
-  for (const PhitEvent& e : phit_wheel_[slot]) {
-    const Channel ch = channel(e.ch);
-    if (ch.is_ejection()) {
-      OFAR_DCHECK(ch.dst_node == pool_.get(e.pkt).dst);
-      if (e.tail) deliver_packet(e.pkt);
-      continue;
-    }
-    ensure_router_built(ch.dst_router);  // first phit ever to reach it
-    Router& dst = routers_[ch.dst_router];
-    VcFifo& fifo = dst.inputs[ch.dst_port].vcs[e.vc];
-    if (e.head) {
-      if (fifo.empty()) ++dst.routable_heads;  // becomes a head
-      fifo.push_packet(e.pkt);
-      ++dst.buffered_packets;
-      dst.input_mask[ch.dst_port] |= static_cast<u8>(1u << e.vc);
-      // Continuation phits never need a mark: a FIFO entry is only popped
-      // once all its phits arrived (cut-through pop requires sent<=arrived),
-      // so their head's mark is still in force when they land.
-      mark_router_active(ch.dst_router);
-    } else {
-      fifo.push_phit();
-    }
-    ++dst.buffered_phits;
-    OFAR_DCHECK(fifo.stored_phits() <= fifo.capacity());
-  }
-  phit_wheel_[slot].clear();
-  for (const CreditEvent& e : credit_wheel_[slot]) {
-    // Only src_router/src_port are needed — a plain divmod on the dense id.
-    const RouterId src_r = static_cast<RouterId>(e.ch / ports_per_router_);
-    const PortId src_p = static_cast<PortId>(e.ch % ports_per_router_);
-    OFAR_DCHECK(built_[src_r] != 0);  // credits only return to senders
-    Router& src = routers_[src_r];
-    OutputPort& out = src.outputs[src_p];
-    OFAR_DCHECK(e.vc < out.credits.size());
-    ++out.credits[e.vc];
-    OFAR_DCHECK(out.credits[e.vc] <= out.credit_cap[e.vc]);
-  }
-  credit_wheel_[slot].clear();
-}
-
 void Network::deliver_packet(PacketId id) {
   const Packet& pkt = pool_.get(id);
   ++delivered_total_;
@@ -664,9 +608,8 @@ void Network::deliver_packet(PacketId id) {
     ev.src = pkt.src;
     ev.dst = pkt.dst;
     ev.seq = pkt.seq;
-    // Serial phase: sequential kernel delivers in wheel-slot order, the
-    // sharded kernel in shard-ascending order (commit_shard_deliveries),
-    // which is the same order.
+    // Serial phase: commit_shard_deliveries runs deliveries in
+    // shard-ascending order.
     tracer_(ev);  // lint: allow(trace-emit)
   }
   pool_.destroy(id);
@@ -689,7 +632,6 @@ void Network::mark_node_pending(NodeId n) {
   active_nodes_.push_back(n);
 }
 
-template <bool kStaged>
 void Network::advance_transfers(ShardState& sh) {
   // The worklist prune is fused into this pass so the list is only walked
   // once before allocation: restore sorted order (marks append out of
@@ -702,6 +644,14 @@ void Network::advance_transfers(ShardState& sh) {
     std::sort(sh.active_routers.begin(), sh.active_routers.end());
     sh.sorted = true;
   }
+  // Wheel slot of an event `latency` cycles ahead (1 <= latency <
+  // wheel_size_), without a division per event.
+  const u32 now_slot = static_cast<u32>(now_ % wheel_size_);
+  const auto slot_after = [this, now_slot](u32 latency) {
+    OFAR_DCHECK(latency >= 1 && latency < wheel_size_);
+    const u32 slot = now_slot + latency;
+    return slot >= wheel_size_ ? slot - wheel_size_ : slot;
+  };
   std::size_t w = 0;
   for (const RouterId id : sh.active_routers) {
     Router& r = routers_[id];
@@ -727,29 +677,14 @@ void Network::advance_transfers(ShardState& sh) {
       const bool tail = out.phits_left == 1;
       const bool popped = fifo.pop_phit(size);
       OFAR_DCHECK(popped == tail);
-      if (in.in_channel != kInvalidChannel) {
-        const u32 latency = in.in_latency;  // cached at wiring time
-        if constexpr (kStaged) {
-          OFAR_DCHECK(latency >= 1 && latency < wheel_size_);
-          sh.credit_out.push_back(
-              {static_cast<u32>((now_ + latency) % wheel_size_),
-               {in.in_channel, out.src_vc}});
-        } else {
-          schedule_credit(in.in_channel, out.src_vc, latency);
-        }
-      }
+      // Latencies are cached at wiring time.
+      if (in.in_channel != kInvalidChannel)
+        sh.credit_wheel[slot_after(in.in_latency)].push_back(
+            {in.in_channel, out.src_vc});
       ++channel_phits_[out.channel];  // flat counter; shard owns src router
-      const u32 out_latency = out.latency;  // cached at wiring time
-      if constexpr (kStaged) {
-        OFAR_DCHECK(out_latency >= 1 && out_latency < wheel_size_);
-        sh.phit_out.push_back(
-            {static_cast<u32>((now_ + out_latency) % wheel_size_),
-             {out.channel, out.active, out.active_vc, head ? u8{1} : u8{0},
-              tail ? u8{1} : u8{0}}});
-      } else {
-        schedule_phit(out.channel, out.active, out.active_vc, head, tail,
-                      out_latency);
-      }
+      sh.phit_wheel[slot_after(out.latency)].push_back(
+          {out.channel, out.active, out.active_vc, head ? u8{1} : u8{0},
+           tail ? u8{1} : u8{0}});
       --out.phits_left;
       --r.buffered_phits;
       if (popped) {
@@ -774,7 +709,6 @@ void Network::advance_transfers(ShardState& sh) {
   sh.active_routers.resize(w);
 }
 
-template <bool kStaged>
 void Network::do_allocation(ShardState& sh, u32 lane) {
   // Provenance is only materialised for traced heads (sparse side buffer),
   // so one record is reused across the scan and reset only when a traced
@@ -851,7 +785,7 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
       if (pi < sh.provs.size() && sh.provs[pi].first == i)
         prov = &sh.provs[pi].second;
       if (rq.granted) {
-        commit_grant<kStaged>(sh, r, rq, prov);
+        commit_grant(sh, r, rq, prov);
       } else if (telem_) {
         telem_->note_alloc_stall(r.id, rq.in_port, rq.in_vc);
       }
@@ -859,7 +793,6 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
   }
 }
 
-template <bool kStaged>
 void Network::commit_grant(ShardState& sh, Router& r, const AllocRequest& rq,
                            const RouteProvenance* prov) {
   OutputPort& out = r.outputs[rq.choice.out_port];
@@ -887,42 +820,29 @@ void Network::commit_grant(ShardState& sh, Router& r, const AllocRequest& rq,
 
   const bool ring_move =
       rq.choice.enter_ring || (pkt.in_ring && !rq.choice.exit_ring);
+  // Stats writes would race across shards: count here, and let
+  // commit_shard_staging fold the counts into stats_ in shard order.
   if (rq.choice.enter_ring) {
     pkt.in_ring = true;
-    if constexpr (kStaged) {
-      // Stats writes race across shards; stage counts (commit_shard_staging
-      // folds them in shard order, matching on_ring_enter's semantics).
-      if (pkt.ring_entered)
-        ++sh.ring_reentries;
-      else
-        ++sh.ring_first_entries;
-    } else {
-      stats_.on_ring_enter(!pkt.ring_entered);
-    }
+    if (pkt.ring_entered)
+      ++sh.ring_reentries;
+    else
+      ++sh.ring_first_entries;
     pkt.ring_entered = true;
   } else if (rq.choice.exit_ring) {
     pkt.in_ring = false;
     ++pkt.ring_exits;
-    if constexpr (kStaged)
-      ++sh.ring_exits;
-    else
-      stats_.on_ring_exit();
+    ++sh.ring_exits;
   }
   switch (rq.choice.misroute) {
     case MisrouteKind::kLocal:
       pkt.local_misrouted = true;
       pkt.flag_group = topo_.group_of(r.id);
-      if constexpr (kStaged)
-        ++sh.local_misroutes;
-      else
-        stats_.on_local_misroute();
+      ++sh.local_misroutes;
       break;
     case MisrouteKind::kGlobal:
       pkt.global_misrouted = true;
-      if constexpr (kStaged)
-        ++sh.global_misroutes;
-      else
-        stats_.on_global_misroute();
+      ++sh.global_misroutes;
       break;
     case MisrouteKind::kNone:
       break;
@@ -945,20 +865,14 @@ void Network::commit_grant(ShardState& sh, Router& r, const AllocRequest& rq,
     ev.queue_wait = static_cast<u32>(
         std::min<Cycle>(queue_wait, ~u32{0}));
     if (prov != nullptr) ev.prov = *prov;
-    if constexpr (kStaged)
-      sh.traces.push_back(ev);  // flushed serially, in shard order
-    else
-      tracer_(ev);  // K = 1: the serial kernel IS the commit order  // lint: allow(trace-emit)
+    sh.traces.push_back(ev);  // flushed serially, in shard order
     // Ring transitions get explicit marker events right after the grant,
     // so consumers need not re-derive them from the grant flags.
     if (rq.choice.enter_ring || rq.choice.exit_ring) {
       ev.kind = rq.choice.enter_ring ? TraceEvent::Kind::kRingEnter
                                      : TraceEvent::Kind::kRingExit;
       ev.ring_move = true;
-      if constexpr (kStaged)
-        sh.traces.push_back(ev);
-      else
-        tracer_(ev);  // lint: allow(trace-emit)
+      sh.traces.push_back(ev);
     }
   }
   if (!ring_move) {
@@ -1049,62 +963,6 @@ void Network::run_watchdog() {
   if (trace_ && stalled > 0) trace_->on_deadlock(now_, stalled, worst);
 }
 
-void Network::step() {
-  // Re-evaluated every cycle: tracing/telemetry can be toggled between
-  // runs, and the blocked-scan skip must never drop their per-head
-  // observations (see do_allocation).
-  skip_blocked_scans_ = policy_->blocked_route_is_pure() &&
-                        tracer_ == nullptr && telem_ == nullptr;
-  if (telem_ != nullptr) {
-    step_instrumented();
-    return;
-  }
-  if (shards_.size() > 1) {
-    step_sharded();
-    return;
-  }
-  deliver_events();
-  policy_->tick(*this);
-  advance_transfers<false>(shards_[0]);  // also prunes + sorts the worklist
-  do_allocation<false>(shards_[0], 0);
-  do_injection();
-  if (now_ % kWatchdogPeriod == 0 && now_ != 0) run_watchdog();
-  ++now_;
-  if (now_ >= next_audit_) [[unlikely]] run_audit();
-}
-
-void Network::step_instrumented() {
-  if (shards_.size() > 1) {
-    step_sharded_instrumented();
-    return;
-  }
-  PhaseProfiler& prof = telem_->profiler();
-  prof.start_cycle(now_);
-  deliver_events();
-  prof.phase_done(SimPhase::kEventDelivery);
-  policy_->tick(*this);
-  prof.phase_done(SimPhase::kPolicyTick);
-  advance_transfers<false>(shards_[0]);
-  prof.phase_done(SimPhase::kTransfers);
-  do_allocation<false>(shards_[0], 0);
-  prof.phase_done(SimPhase::kAllocation);
-  do_injection();
-  prof.phase_done(SimPhase::kInjection);
-  const bool watchdog = now_ % kWatchdogPeriod == 0 && now_ != 0;
-  if (watchdog) {
-    run_watchdog();
-    prof.phase_done(SimPhase::kWatchdog);
-  }
-  prof.end_cycle(watchdog);
-  ++now_;
-  if (now_ >= next_audit_) [[unlikely]] run_audit();
-  telem_->maybe_sample(*this, now_);
-}
-
-// ---------------------------------------------------------------------------
-// sharded cycle kernel (num_shards() > 1; see DESIGN.md §10)
-// ---------------------------------------------------------------------------
-
 void Network::run_shard_phase(const std::function<void(u32)>& fn) {
   if (shard_pool_ != nullptr) {
     shard_pool_->parallel_phase(num_shards(), fn);
@@ -1118,51 +976,64 @@ void Network::run_shard_phase(const std::function<void(u32)>& fn) {
 }
 
 void Network::deliver_events_shard(ShardState& sh, u32 shard) {
-  // Every shard scans the full slot and applies only the events it owns:
-  // a phit event belongs to the destination router's shard (it fills that
-  // router's input FIFO), an ejection to the source router's shard (its
-  // effect — the delivery — is staged anyway), a credit to the source
-  // router's shard (it replenishes that router's output credits). The scan
-  // itself is read-only and the slot is cleared serially afterwards, so
-  // shards share it safely.
+  // Every shard scans the current slot of every shard's wheels and applies
+  // only the events it owns: a phit event belongs to the destination
+  // router's shard (it fills that router's input FIFO), an ejection to the
+  // source router's shard (its effect — the delivery — is staged anyway), a
+  // credit to the source router's shard (it replenishes that router's
+  // output credits). The scan itself is read-only and the slots are cleared
+  // serially afterwards, so shards share them safely. The events of one
+  // slot go to distinct (channel, VC) targets, so only the order of the
+  // ejections matters: all of them were generated one cycle ago by their
+  // source router's shard, so scanning the wheels in shard order stages
+  // them in generation order.
   const u32 slot = static_cast<u32>(now_ % wheel_size_);
-  for (const PhitEvent& e : phit_wheel_[slot]) {
-    const Channel ch = channel(e.ch);
-    if (ch.is_ejection()) {
-      if (shard_of_router_[ch.src_router] != shard) continue;
-      OFAR_DCHECK(ch.dst_node == pool_.get(e.pkt).dst);
-      if (e.tail) sh.delivered.push_back(e.pkt);
-      continue;
+  for (const ShardState& from : shards_) {
+    for (const PhitEvent& e : from.phit_wheel[slot]) {
+      const Channel ch = channel(e.ch);
+      if (ch.is_ejection()) {
+        if (shard_of_router_[ch.src_router] != shard) continue;
+        OFAR_DCHECK(ch.dst_node == pool_.get(e.pkt).dst);
+        if (e.tail) sh.delivered.push_back(e.pkt);
+        continue;
+      }
+      if (shard_of_router_[ch.dst_router] != shard) continue;
+      // Lazy build is parallel-legal here: the destination router belongs
+      // to this shard, and everything build_router writes (router shell,
+      // arena chunks, built_ flag, shard built counter) is shard-local.
+      ensure_router_built(ch.dst_router);
+      Router& dst = routers_[ch.dst_router];
+      VcFifo& fifo = dst.inputs[ch.dst_port].vcs[e.vc];
+      if (e.head) {
+        if (fifo.empty()) ++dst.routable_heads;  // becomes a head
+        fifo.push_packet(e.pkt);
+        ++dst.buffered_packets;
+        dst.input_mask[ch.dst_port] |= static_cast<u8>(1u << e.vc);
+        // Continuation phits never need a mark: a FIFO entry is only
+        // popped once all its phits arrived (cut-through pop requires
+        // sent<=arrived), so their head's mark is still in force when they
+        // land.
+        mark_router_active(ch.dst_router);
+      } else {
+        fifo.push_phit();
+      }
+      ++dst.buffered_phits;
+      OFAR_DCHECK(fifo.stored_phits() <= fifo.capacity());
     }
-    if (shard_of_router_[ch.dst_router] != shard) continue;
-    // Lazy build is parallel-legal here: the destination router belongs to
-    // this shard, and everything build_router writes (router shell, arena
-    // chunks, built_ flag, shard built counter) is shard-local.
-    ensure_router_built(ch.dst_router);
-    Router& dst = routers_[ch.dst_router];
-    VcFifo& fifo = dst.inputs[ch.dst_port].vcs[e.vc];
-    if (e.head) {
-      if (fifo.empty()) ++dst.routable_heads;  // becomes a head
-      fifo.push_packet(e.pkt);
-      ++dst.buffered_packets;
-      dst.input_mask[ch.dst_port] |= static_cast<u8>(1u << e.vc);
-      mark_router_active(ch.dst_router);
-    } else {
-      fifo.push_phit();
-    }
-    ++dst.buffered_phits;
-    OFAR_DCHECK(fifo.stored_phits() <= fifo.capacity());
   }
-  for (const CreditEvent& e : credit_wheel_[slot]) {
-    const RouterId src_r = static_cast<RouterId>(e.ch / ports_per_router_);
-    if (shard_of_router_[src_r] != shard) continue;
-    OFAR_DCHECK(built_[src_r] != 0);  // credits only return to senders
-    Router& src = routers_[src_r];
-    OutputPort& out =
-        src.outputs[static_cast<PortId>(e.ch % ports_per_router_)];
-    OFAR_DCHECK(e.vc < out.credits.size());
-    ++out.credits[e.vc];
-    OFAR_DCHECK(out.credits[e.vc] <= out.credit_cap[e.vc]);
+  for (const ShardState& from : shards_) {
+    for (const CreditEvent& e : from.credit_wheel[slot]) {
+      // Only src_router/src_port are needed — a plain divmod on the id.
+      const RouterId src_r = static_cast<RouterId>(e.ch / ports_per_router_);
+      if (shard_of_router_[src_r] != shard) continue;
+      OFAR_DCHECK(built_[src_r] != 0);  // credits only return to senders
+      Router& src = routers_[src_r];
+      OutputPort& out =
+          src.outputs[static_cast<PortId>(e.ch % ports_per_router_)];
+      OFAR_DCHECK(e.vc < out.credits.size());
+      ++out.credits[e.vc];
+      OFAR_DCHECK(out.credits[e.vc] <= out.credit_cap[e.vc]);
+    }
   }
 }
 
@@ -1171,9 +1042,9 @@ void Network::commit_shard_deliveries() {
   // touches the wheels, and no event can target the current slot (every
   // latency is >= 1 and wheel_size_ >= 2).
   const u32 slot = static_cast<u32>(now_ % wheel_size_);
-  phit_wheel_[slot].clear();
-  credit_wheel_[slot].clear();
   for (ShardState& sh : shards_) {
+    sh.phit_wheel[slot].clear();
+    sh.credit_wheel[slot].clear();
     for (const PacketId id : sh.delivered) deliver_packet(id);
     sh.delivered.clear();
   }
@@ -1193,20 +1064,19 @@ void Network::commit_shard_staging() {
     stats_.on_global_misroutes(sh.global_misroutes);
     sh.ring_first_entries = sh.ring_reentries = sh.ring_exits = 0;
     sh.local_misroutes = sh.global_misroutes = 0;
-    // Within a shard the outbox is in generation order (router-ascending),
-    // so the shard-ascending flush reproduces the global router-ascending
-    // order a sequential scan would have pushed — commit order is a
-    // function of ids, never of thread arrival.
-    for (const StagedPhit& sp : sh.phit_out)
-      phit_wheel_[sp.slot].push_back(sp.ev);
-    sh.phit_out.clear();
-    for (const StagedCredit& sc : sh.credit_out)
-      credit_wheel_[sc.slot].push_back(sc.ev);
-    sh.credit_out.clear();
   }
 }
 
-void Network::step_sharded() {
+void Network::step() {
+  // Re-evaluated every cycle: tracing/telemetry can be toggled between
+  // runs, and the blocked-scan skip must never drop their per-head
+  // observations (see do_allocation).
+  skip_blocked_scans_ = policy_->blocked_route_is_pure() &&
+                        tracer_ == nullptr && telem_ == nullptr;
+  if (telem_ != nullptr) {
+    step_instrumented();
+    return;
+  }
   run_shard_phase([this](u32 s) { deliver_events_shard(shards_[s], s); });
   commit_shard_deliveries();
   policy_->tick(*this);
@@ -1215,8 +1085,8 @@ void Network::step_sharded() {
   // state only the same shard's transfers touch), so no barrier is needed
   // between them within a shard program.
   run_shard_phase([this](u32 s) {
-    advance_transfers<true>(shards_[s]);
-    do_allocation<true>(shards_[s], s);
+    advance_transfers(shards_[s]);  // also prunes + sorts the worklist
+    do_allocation(shards_[s], s);
   });
   commit_shard_staging();
   do_injection();
@@ -1225,8 +1095,8 @@ void Network::step_sharded() {
   if (now_ >= next_audit_) [[unlikely]] run_audit();
 }
 
-void Network::step_sharded_instrumented() {
-  // Identical staging content and commit order as step_sharded(); the only
+void Network::step_instrumented() {
+  // Identical staging content and commit order as step(); the only
   // difference is an extra barrier between transfers and allocation so the
   // profiler can attribute their time separately. Digests are unaffected.
   PhaseProfiler& prof = telem_->profiler();
@@ -1236,9 +1106,9 @@ void Network::step_sharded_instrumented() {
   prof.phase_done(SimPhase::kEventDelivery);
   policy_->tick(*this);
   prof.phase_done(SimPhase::kPolicyTick);
-  run_shard_phase([this](u32 s) { advance_transfers<true>(shards_[s]); });
+  run_shard_phase([this](u32 s) { advance_transfers(shards_[s]); });
   prof.phase_done(SimPhase::kTransfers);
-  run_shard_phase([this](u32 s) { do_allocation<true>(shards_[s], s); });
+  run_shard_phase([this](u32 s) { do_allocation(shards_[s], s); });
   commit_shard_staging();
   prof.phase_done(SimPhase::kAllocation);
   do_injection();
@@ -1322,10 +1192,12 @@ bool Network::check_quiescent() const {
           return false;
     }
   }
-  for (const auto& slot : phit_wheel_)
-    if (!slot.empty()) return false;
-  for (const auto& slot : credit_wheel_)
-    if (!slot.empty()) return false;
+  for (const ShardState& sh : shards_) {
+    for (const auto& slot : sh.phit_wheel)
+      if (!slot.empty()) return false;
+    for (const auto& slot : sh.credit_wheel)
+      if (!slot.empty()) return false;
+  }
   return true;
 }
 

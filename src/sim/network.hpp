@@ -117,9 +117,9 @@ class Network {
 
   // ---- sharded cycle kernel (DESIGN.md §10) ----
   /// Number of contiguous router shards the kernel was partitioned into
-  /// (cfg.sim_shards clamped to the router count). 1 selects the original
-  /// sequential kernel; K > 1 selects the staged-commit kernel whose
-  /// per-seed results are identical at ANY worker-thread count.
+  /// (cfg.sim_shards clamped to the router count). Every K runs the same
+  /// staged-commit kernel (K = 1 is a one-shard run of it), whose per-seed
+  /// results are identical at ANY worker-thread count.
   u32 num_shards() const noexcept;
   /// Sets the number of worker threads driving the sharded kernel's
   /// parallel phases (clamped to [1, num_shards()]). Purely an execution
@@ -261,9 +261,9 @@ class Network {
   /// callback runs synchronously inside the cycle loop; keep it light.
   /// Only packets selected by the trace sampler emit events; the default
   /// sampling of 1 (every packet, decided at injection) preserves the
-  /// historical "trace everything" behaviour. In the sharded kernel every
-  /// grant-phase event is staged per shard and flushed in shard-ascending
-  /// order, so the event stream is bit-identical at any sim_threads.
+  /// historical "trace everything" behaviour. Every grant-phase event is
+  /// staged per shard and flushed in shard-ascending order, so the event
+  /// stream is bit-identical at any sim_threads.
   void set_tracer(std::function<void(const TraceEvent&)> tracer) {
     tracer_ = std::move(tracer);
   }
@@ -362,26 +362,15 @@ class Network {
     std::size_t head_ = 0;  // index of front(); entries before it are dead
   };
 
-  /// An event staged in a shard outbox during a parallel phase, with its
-  /// wheel slot precomputed so the serial commit is a plain push.
-  struct StagedPhit {
-    u32 slot;
-    PhitEvent ev;
-  };
-  struct StagedCredit {
-    u32 slot;
-    CreditEvent ev;
-  };
-
   /// Per-shard kernel state (DESIGN.md §10). Routers are partitioned into
   /// contiguous id ranges; nodes follow their router (router_of_node is
   /// n / p), so a shard owns [router_begin * p, router_end * p) nodes too.
   /// During a parallel phase a shard touches only its own routers plus this
-  /// struct; every cross-shard effect (phit/credit events, stats, traces,
-  /// deliveries) is staged here and committed serially in shard-ascending
-  /// order — which equals router-ascending generation order, i.e. exactly
-  /// the order the sequential kernel would have produced. Never commit by
-  /// thread-arrival order.
+  /// struct. Phit and credit events go into the shard's own event wheels;
+  /// every other cross-shard effect (stats, traces, deliveries) is staged
+  /// here and committed serially in shard-ascending order, which equals
+  /// router-ascending generation order. Never commit by thread-arrival
+  /// order.
   struct ShardState {
     RouterId router_begin = 0;
     RouterId router_end = 0;
@@ -412,9 +401,15 @@ class Network {
     };
     std::vector<HeadRef> heads;
 
-    // Outboxes and staged side effects, only used when num_shards() > 1.
-    std::vector<StagedPhit> phit_out;
-    std::vector<StagedCredit> credit_out;
+    // Event wheels indexed by cycle % wheel size. The transfer phase pushes
+    // every phit and credit event this shard generates into its own wheels
+    // (every latency is >= 1, so never into the slot being delivered); the
+    // delivery phase reads the current slot of every shard's wheels, and
+    // the serial commit clears those slots.
+    std::vector<std::vector<PhitEvent>> phit_wheel;
+    std::vector<std::vector<CreditEvent>> credit_wheel;
+
+    // Staged side effects, committed serially in shard order.
     std::vector<PacketId> delivered;  ///< ejected tails, slot-scan order
     std::vector<TraceEvent> traces;
     /// Routing-decision provenance for traced heads, keyed by the index of
@@ -447,23 +442,16 @@ class Network {
     if (built_[r] == 0) build_router(r);
   }
 
-  OFAR_SERIAL_ONLY void deliver_events();
   OFAR_SERIAL_ONLY void update_throttle();
-  /// Transfer/allocation phases, per shard. kStaged = false writes events,
-  /// stats and traces directly (the K = 1 sequential kernel, bit-identical
-  /// to the pre-shard implementation); kStaged = true routes every
-  /// cross-shard effect through the shard's outbox for the serial commit.
-  /// ofar_lint exempts the `if constexpr (!kStaged)` branches from the
-  /// parallel-phase rules: they only instantiate into the serial kernel.
-  template <bool kStaged>
+  /// Transfer/allocation phases, per shard: phit and credit events go into
+  /// the shard's own wheels, stats counts and trace events into its
+  /// staging for the serial commit.
   OFAR_PARALLEL_PHASE void advance_transfers(ShardState& sh);
-  template <bool kStaged>
   OFAR_PARALLEL_PHASE void do_allocation(ShardState& sh, u32 lane);
   /// True when router `r`'s escape-ring output could move one whole packet
   /// this cycle (wired, transfer-idle, a packet of credits on some escape
   /// VC). Conservative upper bound for entry, which needs the bubble too.
   OFAR_PARALLEL_PHASE bool ring_can_take_packet(const Router& r) const;
-  template <bool kStaged>
   OFAR_PARALLEL_PHASE void commit_grant(ShardState& sh, Router& r,
                                         const AllocRequest& rq,
                                         const RouteProvenance* prov);
@@ -476,24 +464,21 @@ class Network {
   /// report on any violation. Reschedules itself audit_interval_ ahead.
   OFAR_SERIAL_ONLY void run_audit();
 
-  // ---- sharded kernel (num_shards() > 1 only) ----
-  /// One shard's slice of event delivery: scans the full wheel slot and
-  /// applies only the events it owns (phit: the destination router's shard;
-  /// ejection and credit: the source router's shard). Read-shared /
-  /// write-own, so shards need no locks; the slot is cleared serially
-  /// afterwards in commit_shard_deliveries().
+  /// One shard's slice of event delivery: scans the current slot of every
+  /// shard's wheels, in shard order, and applies only the events it owns
+  /// (phit: the destination router's shard; ejection and credit: the source
+  /// router's shard). Read-shared / write-own, so shards need no locks; the
+  /// slots are cleared serially afterwards in commit_shard_deliveries().
   OFAR_PARALLEL_PHASE void deliver_events_shard(ShardState& sh, u32 shard);
-  /// Serial: clears the current wheel slot and performs the staged packet
+  /// Serial: clears the current wheel slots and performs the staged packet
   /// deliveries (stats doubles, tracer, pool destroy) in shard order.
   OFAR_SERIAL_ONLY void commit_shard_deliveries();
-  /// Serial: flushes staged traces/stat counters and commits the event
-  /// outboxes into the wheels, in shard-ascending order.
+  /// Serial: flushes staged traces and stat counters in shard-ascending
+  /// order.
   OFAR_SERIAL_ONLY void commit_shard_staging();
   /// Dispatches fn(shard) for every shard on the worker pool (or inline
   /// when single-threaded) and waits for all of them.
   OFAR_SERIAL_ONLY void run_shard_phase(const std::function<void(u32)>& fn);
-  OFAR_SERIAL_ONLY void step_sharded();
-  OFAR_SERIAL_ONLY void step_sharded_instrumented();
 
   // ---- activity worklists ----
   /// Adds router r to the active worklist (idempotent). Called whenever a
@@ -511,10 +496,6 @@ class Network {
   OFAR_SERIAL_ONLY void place_packet(NodeId src, const Offer& offer);
   /// Final delivery at the destination node.
   OFAR_SERIAL_ONLY void deliver_packet(PacketId id);
-
-  OFAR_SERIAL_ONLY void schedule_phit(ChannelId ch, PacketId pkt, VcId vc,
-                                      bool head, bool tail, u32 latency);
-  OFAR_SERIAL_ONLY void schedule_credit(ChannelId ch, VcId vc, u32 latency);
 
   // Topology/config members carry no phase annotation: they are written
   // only during construction and read-only afterwards, so any phase may
@@ -570,9 +551,8 @@ class Network {
   //    queue after each do_injection.
   // The sorted flags let marks append out of order; the per-cycle
   // refresh/drain re-sorts before any phase iterates. The router worklist
-  // lives inside ShardState (one list per shard; K = 1 keeps the single
-  // list of the sequential kernel); the node worklist stays global because
-  // injection is always a serial phase.
+  // lives inside ShardState (one list per shard); the node worklist stays
+  // global because injection is always a serial phase.
   OFAR_SHARD_LOCAL std::vector<ShardState> shards_;
   std::vector<u32> shard_of_router_;  // built once, read-only afterwards
   OFAR_SHARD_LOCAL std::vector<u8> router_in_worklist_;
@@ -585,13 +565,9 @@ class Network {
   OFAR_SERIAL_ONLY std::unique_ptr<ShardPool> shard_pool_;
   OFAR_SERIAL_ONLY unsigned sim_threads_ = 1;
 
-  // Event wheels indexed by cycle % wheel size. Global (not per shard):
-  // every event has latency >= 1, so shards only ever read the current
-  // slot concurrently and push to future slots through their outboxes —
-  // hence SERIAL_ONLY: parallel phases may read but never write these.
-  OFAR_SERIAL_ONLY std::vector<std::vector<PhitEvent>> phit_wheel_;
-  OFAR_SERIAL_ONLY std::vector<std::vector<CreditEvent>> credit_wheel_;
-  u32 wheel_size_ = 0;  // built once, read-only afterwards
+  // Slots per event wheel (ShardState::phit_wheel/credit_wheel): the
+  // longest latency plus one. Built once, read-only afterwards.
+  u32 wheel_size_ = 0;
 
   OFAR_SERIAL_ONLY Cycle now_ = 0;
 

@@ -1,11 +1,12 @@
 // Fixture: range-for over a std::unordered_* container must be flagged
 // even when the container type is hidden behind a typedef/using chain;
-// an explicit waiver suppresses the finding.
+// an explicit waiver suppresses the finding. (The declaration itself is
+// banned too; see the unordered_container fixture.)
 
 #include <unordered_map>
 #include <vector>
 
-using PendingMap = std::unordered_map<int, int>;
+using PendingMap = std::unordered_map<int, int>;  // expect: unordered-container
 using PendingAlias = PendingMap;
 
 struct Table {

@@ -1,8 +1,10 @@
 // Fixture: wall-clock reads must be flagged everywhere (simulation state
 // must advance on Network::now()), including when the clock type is
-// laundered through a using-alias.
+// laundered through a using-alias, and the C library's time()/clock() in
+// any spelling; a member that happens to be called `time` is fine.
 
 #include <chrono>
+#include <ctime>
 
 using WallClock = std::chrono::steady_clock;
 
@@ -16,3 +18,16 @@ void Timer::tick() {
   (void)a;
   (void)b;
 }
+
+struct Span {
+  long time() const;
+};
+
+long libc_clocks(const Span& s) {
+  long a = time(nullptr);     // expect: wall-clock
+  long b = std::time(NULL);   // expect: wall-clock
+  long c = clock();           // expect: wall-clock
+  return a + b + c + s.time();  // fine: a member, not the C library
+}
+
+static const long kBoot = ::time(0);  // expect: wall-clock

@@ -8,7 +8,10 @@
 //  1. Golden stats: the four perf_core matrix points must reproduce stat
 //     digests captured from the pre-worklist full-scan implementation
 //     (seed commit) exactly — including latency accumulators compared as
-//     doubles with zero tolerance.
+//     doubles with zero tolerance. Every routing mechanism and the
+//     embedded ring have their own goldens on a small saturated network,
+//     and the sharded-kernel configs below carry absolute goldens on top of
+//     their thread-count comparisons.
 //  2. Replay: the same config+seed run twice yields byte-identical stats.
 //  3. Thread-independence: run_load_sweep at 1 and 4 worker threads gives
 //     identical per-point results (each point owns its RNGs; threads only
@@ -97,6 +100,26 @@ Digest run_sat(const TrafficPattern& pattern, double load) {
   return digest(net);
 }
 
+/// Small network (h=2: 36 routers, 72 nodes) so a saturated run stays fast.
+SimConfig sharded_config(u32 shards, RingKind ring) {
+  SimConfig cfg;
+  cfg.h = 2;
+  cfg.seed = 12345;
+  cfg.routing = RoutingKind::kOfar;
+  cfg.ring = ring;
+  cfg.sim_shards = shards;
+  return cfg;
+}
+
+Digest run_sharded_sat(const SimConfig& cfg, unsigned sim_threads,
+                       const TrafficPattern& pattern, double load) {
+  Network net(cfg);
+  net.set_sim_threads(sim_threads);
+  net.set_traffic(std::make_unique<BernoulliSource>(pattern, load, cfg.seed));
+  net.run(3000);
+  return digest(net);
+}
+
 // ---------------------------------------------------------------------------
 // 1. Golden stats captured from the seed (pre-worklist) implementation.
 //    Hex-float literals so the comparison is exact. Regenerate only if the
@@ -129,6 +152,55 @@ TEST(GoldenStats, AdversarialSaturation) {
   expect_digest_eq(d, {277320, 184021, 92427, 739416, 0x1.9402fecp+26,
                        0x1.199a89e638p+37, 142220, 147991, 14964, 10268,
                        0x1.0a4501716b2b9p+2, 17, false});
+}
+
+// Every mechanism, plus OFAR on the embedded ring, at sim_shards = 1 on the
+// small network under saturated ADV+1: misrouting, the escape ring and each
+// policy's own route() path all run. Recorded with the separate sequential
+// kernel that K = 1 used to run, so they pin that the one-shard staged
+// kernel reproduces it bit for bit.
+TEST(GoldenStats, EveryMechanismSaturatedSmallNetwork) {
+  struct Golden {
+    RoutingKind routing;
+    RingKind ring;
+    Digest digest;
+  };
+  const Golden goldens[] = {
+      {RoutingKind::kMin, RingKind::kNone,
+       {18986, 4233, 3089, 24712, 0x1.e1452p+21, 0x1.8261c0ccp+32, 0, 0, 0,
+        0, 0x1.2ae33e12baccbp+1, 3, false}},
+      {RoutingKind::kVal, RingKind::kNone,
+       {18986, 12440, 9894, 79152, 0x1.e96f4p+22, 0x1.d96df63ap+32, 0, 0, 0,
+        0, 0x1.f36983e83217bp+1, 5, false}},
+      {RoutingKind::kPb, RingKind::kNone,
+       {18986, 13782, 11361, 90888, 0x1.cf6dcp+22, 0x1.7b8c7bf4p+32, 0, 0, 0,
+        0, 0x1.d5ce78d2bb122p+1, 5, false}},
+      {RoutingKind::kUgal, RingKind::kNone,
+       {18986, 10622, 9097, 72776, 0x1.7005b4p+22, 0x1.96560495p+32, 0, 0, 0,
+        0, 0x1.d253b1179c449p+1, 5, false}},
+      {RoutingKind::kPar, RingKind::kNone,
+       {18986, 12567, 10076, 80608, 0x1.d61ab8p+22, 0x1.bb1dcacap+32, 0, 0, 0,
+        0, 0x1.cf2e3d961aa06p+1, 6, false}},
+      {RoutingKind::kOfar, RingKind::kPhysical,
+       {18986, 16847, 11293, 90344, 0x1.e7f73cp+22, 0x1.aa32e0b7p+32, 11054,
+        10820, 4002, 3574, 0x1.08e5c5a67532cp+2, 15, false}},
+      {RoutingKind::kOfarL, RingKind::kPhysical,
+       {18986, 16050, 13425, 107400, 0x1.80069cp+22, 0x1.0b356e19p+32, 0,
+        10345, 3784, 3573, 0x1.a0dff1f71d28p+1, 9, false}},
+      {RoutingKind::kOfar, RingKind::kEmbedded,
+       {18986, 12504, 6044, 48352, 0x1.490144p+22, 0x1.795fc435p+32, 7795,
+        8813, 1098, 802, 0x1.fb6784a8bf1c5p+1, 11, false}},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(to_string(g.routing));
+    SCOPED_TRACE(to_string(g.ring));
+    SimConfig cfg = sharded_config(1, g.ring);
+    cfg.routing = g.routing;
+    if (g.routing == RoutingKind::kPar) cfg.vcs_local = 4;
+    expect_digest_eq(
+        run_sharded_sat(cfg, 1, TrafficPattern::adversarial(1), 0.7),
+        g.digest);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -214,26 +286,6 @@ TEST(Invariants, WorklistsConsistentMidFlight) {
 //    job's --gtest_filter picks them up.
 // ---------------------------------------------------------------------------
 
-/// Small network (h=2: 36 routers, 72 nodes) so a saturated run stays fast.
-SimConfig sharded_config(u32 shards, RingKind ring) {
-  SimConfig cfg;
-  cfg.h = 2;
-  cfg.seed = 12345;
-  cfg.routing = RoutingKind::kOfar;
-  cfg.ring = ring;
-  cfg.sim_shards = shards;
-  return cfg;
-}
-
-Digest run_sharded_sat(const SimConfig& cfg, unsigned sim_threads,
-                       const TrafficPattern& pattern, double load) {
-  Network net(cfg);
-  net.set_sim_threads(sim_threads);
-  net.set_traffic(std::make_unique<BernoulliSource>(pattern, load, cfg.seed));
-  net.run(3000);
-  return digest(net);
-}
-
 TEST(ShardedKernel, SaturatedPhysicalRingIdenticalAcrossThreadCounts) {
   const SimConfig cfg = sharded_config(4, RingKind::kPhysical);
   const Digest one =
@@ -241,6 +293,9 @@ TEST(ShardedKernel, SaturatedPhysicalRingIdenticalAcrossThreadCounts) {
   // Saturated adversarial traffic exercises misroutes and the escape ring;
   // a commit ordered by thread arrival instead of shard index would diverge
   // here within a few cycles.
+  expect_digest_eq(one, {18986, 16659, 11087, 88696, 0x1.d8a6e4p+22,
+                         0x1.952c9c03p+32, 10895, 10788, 3979, 3571,
+                         0x1.08e6b761b1b98p+2, 21, false});
   expect_digest_eq(one,
                    run_sharded_sat(cfg, 2, TrafficPattern::adversarial(1),
                                    0.7));
@@ -253,6 +308,9 @@ TEST(ShardedKernel, SaturatedEmbeddedRingIdenticalAcrossThreadCounts) {
   const SimConfig cfg = sharded_config(4, RingKind::kEmbedded);
   const Digest one =
       run_sharded_sat(cfg, 1, TrafficPattern::adversarial(1), 0.7);
+  expect_digest_eq(one, {18986, 12752, 6287, 50296, 0x1.5c7dap+22,
+                         0x1.9335052ep+32, 7905, 9012, 1042, 728,
+                         0x1.f91e55eabea56p+1, 11, false});
   expect_digest_eq(one,
                    run_sharded_sat(cfg, 2, TrafficPattern::adversarial(1),
                                    0.7));
@@ -264,6 +322,9 @@ TEST(ShardedKernel, SaturatedEmbeddedRingIdenticalAcrossThreadCounts) {
 TEST(ShardedKernel, UniformSaturationIdenticalAcrossThreadCounts) {
   const SimConfig cfg = sharded_config(4, RingKind::kPhysical);
   const Digest one = run_sharded_sat(cfg, 1, TrafficPattern::uniform(), 1.0);
+  expect_digest_eq(one, {27054, 21269, 17703, 141624, 0x1.2c3b02p+23,
+                         0x1.adfd5d55p+32, 6450, 1148, 76, 61,
+                         0x1.69c084587141dp+1, 11, false});
   expect_digest_eq(one,
                    run_sharded_sat(cfg, 4, TrafficPattern::uniform(), 1.0));
 }
@@ -271,11 +332,14 @@ TEST(ShardedKernel, UniformSaturationIdenticalAcrossThreadCounts) {
 TEST(ShardedKernel, GroupStraddlingShardBoundariesIdenticalAcrossThreads) {
   // 36 routers / 7 shards puts every shard boundary inside a group
   // (boundaries at routers 5,10,15,20,25,30; groups are 4 routers wide), so
-  // intra-group traffic constantly crosses shards. Exercises the staged
-  // outbox commit far harder than group-aligned partitions.
+  // intra-group traffic constantly crosses shards. Exercises cross-shard
+  // event delivery far harder than group-aligned partitions.
   const SimConfig cfg = sharded_config(7, RingKind::kPhysical);
   const Digest one =
       run_sharded_sat(cfg, 1, TrafficPattern::adversarial(1), 0.7);
+  expect_digest_eq(one, {18986, 16729, 11320, 90560, 0x1.e47dfcp+22,
+                         0x1.a5a10967p+32, 10981, 10793, 4080, 3682,
+                         0x1.08f77f2f94e56p+2, 17, false});
   expect_digest_eq(one,
                    run_sharded_sat(cfg, 2, TrafficPattern::adversarial(1),
                                    0.7));

@@ -1,22 +1,21 @@
-"""ofar_lint: semantic phase-discipline analyzer for the sharded kernel.
+"""ofar_lint: phase-discipline and determinism analyzer for the kernel.
 
 Checks the concurrency/determinism contracts of DESIGN.md §10 against the
 annotation vocabulary of src/common/phase.hpp (OFAR_PARALLEL_PHASE,
 OFAR_SERIAL_ONLY, OFAR_SHARD_LOCAL, OFAR_LANE_RNG): it walks the call
 graph from every parallel-phase root and rejects serial-only calls and
-writes, off-lane RNG draws, unordered-container iteration (through
-typedefs and auto) and wall-clock reads reachable from a parallel phase.
+writes, off-lane RNG draws and unstaged trace emission reachable from a
+parallel phase. Over every file it bans the constructs that make a run
+depend on anything but (config, seed): C library and hardware RNGs,
+wall-clock reads, unordered containers and their iteration, raw threads
+outside common/parallel, and trace emission outside reviewed serial
+sites.
 
-Two frontends produce the same semantic model (ofar_lint.model):
+The frontend is a dependency-free C++ tokenizer/parser (ofar_lint.lexer,
+ofar_lint.frontend_builtin); the analyzer needs nothing beyond the Python
+standard library.
 
-  * builtin — a dependency-free C++ tokenizer/parser (ofar_lint.lexer,
-    ofar_lint.frontend_builtin). Always available; the one CI and ctest
-    run.
-  * clang — libclang over the CMake-exported compile_commands.json
-    (ofar_lint.frontend_clang). Used automatically when the `clang`
-    Python bindings are importable; exact on templates and overload sets.
-
-Run:  python3 -m ofar_lint [--root REPO] [--engine auto|builtin|clang]
+Run:  python3 -m ofar_lint [--root REPO]
 """
 
 __version__ = "1.0"

@@ -9,6 +9,7 @@ import os
 import sys
 
 from . import __version__
+from .frontend_builtin import load_program
 from .model import Finding  # noqa: F401  (re-export for embedders)
 from .rules import RULES, analyze
 
@@ -41,37 +42,14 @@ def collect_files(root, dirs=DEFAULT_DIRS):
     return out
 
 
-def load_program(root, files, engine):
-    """Builds the semantic model with the requested engine.
-    Returns (program, engine_used)."""
-    if engine in ("auto", "clang"):
-        try:
-            from . import frontend_clang
-            if frontend_clang.available():
-                return frontend_clang.load_program(root, files), "clang"
-            if engine == "clang":
-                raise RuntimeError(
-                    "libclang bindings or compile_commands.json not "
-                    "available")
-        except ImportError:
-            if engine == "clang":
-                raise RuntimeError("libclang Python bindings not installed")
-    from . import frontend_builtin
-    return frontend_builtin.load_program(root, files), "builtin"
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="ofar_lint",
-        description="Semantic phase-discipline analyzer for the OFAR "
-                    "sharded kernel (DESIGN.md §10/§12).")
+        description="Phase-discipline and determinism analyzer for the "
+                    "OFAR cycle kernel (DESIGN.md §10/§12).")
     ap.add_argument("--root", default=None,
                     help="repository root (default: auto-detect upward "
                          "from cwd)")
-    ap.add_argument("--engine", choices=("auto", "builtin", "clang"),
-                    default="auto",
-                    help="frontend: libclang when importable, else the "
-                         "dependency-free builtin parser (default: auto)")
     ap.add_argument("--rule", action="append", choices=RULES,
                     help="restrict to the given rule(s); repeatable")
     ap.add_argument("--list-waivers", action="store_true",
@@ -98,11 +76,7 @@ def main(argv=None):
         print(f"ofar_lint: no sources under {root}/src", file=sys.stderr)
         return 2
 
-    try:
-        program, engine = load_program(root, files, args.engine)
-    except RuntimeError as e:
-        print(f"ofar_lint: {e}", file=sys.stderr)
-        return 2
+    program = load_program(root, files)
 
     if args.list_waivers:
         for (path, line), rule_set in sorted(program.waivers.items()):
@@ -146,10 +120,9 @@ def main(argv=None):
     for f in findings:
         print(f.format())
     if findings:
-        print(f"\nofar_lint ({engine} engine): {len(findings)} finding(s)",
-              file=sys.stderr)
+        print(f"\nofar_lint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print(f"ofar_lint ({engine} engine): OK — {len(files)} files, "
+    print(f"ofar_lint: OK — {len(files)} files, "
           f"{sum(len(v) for v in program.functions.values())} functions "
           "analyzed")
     return 0

@@ -5,17 +5,13 @@ recovers exactly the structure rules.py needs — it is NOT a C++ parser:
 
   * namespaces / class definitions (bases, member + method annotations);
   * typedef / using aliases (for unordered-container and clock resolution
-    through names, where the regex lint is provably blind);
+    through names);
   * function definitions with tokenized bodies, parameter names/types and
     best-effort local variable types;
-  * `if constexpr (kStaged)` / `(!kStaged)` branch classification: the
-    branch that only instantiates into the K = 1 sequential kernel is
-    marked serial-excluded so the parallel-phase rules skip it.
+  * the whole token stream of every file, for the file-wide bans.
 
 Anything it cannot classify it skips — unknown constructs degrade into
-missed edges (possible false negatives), never into crashes. The libclang
-frontend (frontend_clang.py) trades this robustness for exactness when the
-bindings are available.
+missed edges (possible false negatives), never into crashes.
 """
 
 import os
@@ -355,10 +351,8 @@ class _FileParser:
             if depth >= 1:
                 group.append(tk)
         self._parse_params(group, fn)
-        body = [Token(text=t, line=ln) for t, ln in toks[open_brace + 1:
-                                                        close]]
-        _mark_kstaged(body)
-        fn.body = body
+        fn.body = [Token(text=t, line=ln) for t, ln in toks[open_brace + 1:
+                                                           close]]
         _collect_local_types(fn)
         self.program.functions.setdefault(qual, []).append(fn)
 
@@ -447,40 +441,6 @@ class _FileParser:
         self.program.aliases[alias] = target
 
 
-def _mark_kstaged(body):
-    """Marks `if constexpr` branches that only instantiate into the K = 1
-    sequential kernel as serial-excluded."""
-    texts = [t.text for t in body]
-    i = 0
-    n = len(body)
-    while i < n - 3:
-        if texts[i] == "if" and texts[i + 1] == "constexpr" and \
-                texts[i + 2] == "(":
-            close = _match(texts, i + 2, "(", ")")
-            cond = texts[i + 3:close]
-            then_excluded = None
-            if cond == ["kStaged"]:
-                then_excluded = False
-            elif cond == ["!", "kStaged"]:
-                then_excluded = True
-            if then_excluded is not None:
-                then_start = close + 1
-                then_end = _stmt_end(texts, then_start)
-                if then_excluded:
-                    for k in range(then_start, then_end + 1):
-                        body[k].serial_excluded = True
-                j = then_end + 1
-                if j < n and texts[j] == "else":
-                    else_start = j + 1
-                    else_end = _stmt_end(texts, else_start)
-                    if not then_excluded:
-                        for k in range(else_start, else_end + 1):
-                            body[k].serial_excluded = True
-            i = close + 1
-            continue
-        i += 1
-
-
 def _match(texts, open_index, op, cl):
     depth = 0
     for i in range(open_index, len(texts)):
@@ -490,25 +450,6 @@ def _match(texts, open_index, op, cl):
             depth -= 1
             if depth == 0:
                 return i
-    return len(texts) - 1
-
-
-def _stmt_end(texts, start):
-    """Index of the last token of the statement starting at `start` (a
-    braced block or a single statement up to ';')."""
-    if start >= len(texts):
-        return len(texts) - 1
-    if texts[start] == "{":
-        return _match(texts, start, "{", "}")
-    depth = 0
-    for i in range(start, len(texts)):
-        t = texts[i]
-        if t in ("(", "{", "["):
-            depth += 1
-        elif t in (")", "}", "]"):
-            depth -= 1
-        elif t == ";" and depth == 0:
-            return i
     return len(texts) - 1
 
 
@@ -569,5 +510,6 @@ def load_program(root, files):
             continue
         lexer.collect_waivers(text, rel, program.waivers)
         toks = lexer.strip_and_tokenize(text)
+        program.files[rel] = [Token(text=t, line=ln) for t, ln in toks]
         _FileParser(program, rel).parse(toks)
     return program

@@ -1,24 +1,25 @@
-"""Semantic model shared by the ofar_lint frontends.
+"""Semantic model built by the ofar_lint frontend.
 
-A frontend reduces the C++ sources to:
+The frontend reduces the C++ sources to:
 
   * classes: name -> ClassInfo (bases, member annotations, class-level
     annotation);
   * functions: qualified name -> [FunctionDef] (annotations + the token
-    stream of the body, with serial-excluded `if constexpr (!kStaged)`
-    regions marked);
+    stream of the body);
   * aliases: typedef/using chains, for unordered-container and clock
-    resolution through names.
+    resolution through names;
+  * files: path -> the whole token stream, for the bans that apply to
+    every declaration and statement alike.
 
 rules.py then walks the call graph from the parallel-phase roots and
-applies the discipline checks to every reachable body region.
+applies the discipline checks to every reachable body, and the
+determinism bans to every file.
 """
 
 from dataclasses import dataclass, field
 
-# Annotation spellings (the macro names; the builtin frontend reads the
-# macros themselves, the clang frontend reads the expanded
-# [[clang::annotate]] strings).
+# Annotation spellings: the frontend reads the macro names of
+# src/common/phase.hpp and maps them to these.
 PARALLEL_PHASE = "parallel_phase"
 SERIAL_ONLY = "serial_only"
 SHARD_LOCAL = "shard_local"
@@ -31,22 +32,11 @@ MACRO_TO_ANNOTATION = {
     "OFAR_LANE_RNG": LANE_RNG,
 }
 
-ANNOTATE_TO_ANNOTATION = {
-    "ofar::parallel_phase": PARALLEL_PHASE,
-    "ofar::serial_only": SERIAL_ONLY,
-    "ofar::shard_local": SHARD_LOCAL,
-    "ofar::lane_rng": LANE_RNG,
-}
-
 
 @dataclass
 class Token:
     text: str
     line: int
-    # True inside a region that only instantiates into the sequential
-    # kernel (`if constexpr (!kStaged)` branches): the parallel-phase
-    # rules skip these tokens.
-    serial_excluded: bool = False
 
 
 @dataclass
@@ -89,6 +79,8 @@ class Program:
     free_fn_annotations: dict = field(default_factory=dict)
     # (file, line) -> set of waived rule names, from `// lint: allow(rule)`
     waivers: dict = field(default_factory=dict)
+    # path -> [Token] of the whole file (comments and literals stripped)
+    files: dict = field(default_factory=dict)
 
     def class_annotation(self, cls_name):
         ci = self.classes.get(cls_name)

@@ -1,10 +1,11 @@
 """Mutation self-test for the ofar_lint analyzer.
 
-Seeds known phase-discipline violations into a scratch copy of the real
-source tree — one at a time — and asserts that the analyzer flags each
-mutant with the expected rule in the expected file, and that the clean
-tree stays clean. This is the evidence that a green `ofar-lint` run means
-something: every rule is backed by a mutant it demonstrably kills.
+Seeds known phase-discipline and determinism violations into a scratch
+copy of the real source tree — one at a time — and asserts that the
+analyzer flags each mutant with the expected rule in the expected file,
+and that the clean tree stays clean. This is the evidence that a green
+`ofar-lint` run means something: every rule is backed by a mutant it
+demonstrably kills (the check fails if a rule has none).
 
 Run:  python3 -m ofar_lint.mutation_check [--root REPO]
 Exit: 0 when the clean tree is clean and every mutant is killed.
@@ -17,7 +18,7 @@ import sys
 import tempfile
 
 from .cli import collect_files, load_program
-from .rules import analyze
+from .rules import RULES, analyze
 
 # Each mutation: a list of (anchor, replacement) edits applied to copies
 # of real files. Anchors are verified unique so a refactor that moves
@@ -25,22 +26,21 @@ from .rules import analyze
 MUTATIONS = [
     {
         "name": "serial-call-direct",
-        "why": "parallel transfer phase calls the serial event scheduler "
-               "instead of staging the credit in ShardState",
+        "why": "parallel delivery phase completes an ejected packet "
+               "directly instead of staging it in ShardState::delivered",
         "edits": [("src/sim/network.cpp",
-                   "++channel_phits_[out.channel];",
-                   "++channel_phits_[out.channel];\n      "
-                   "schedule_credit(out.channel, out.src_vc, 1);")],
+                   "if (e.tail) sh.delivered.push_back(e.pkt);",
+                   "if (e.tail) deliver_packet(e.pkt);")],
         "rule": "serial-call",
         "file": "src/sim/network.cpp",
     },
     {
         "name": "serial-call-cross-class",
-        "why": "a routing policy drives Network's serial pipeline from "
+        "why": "a routing policy drives Network's serial injection from "
                "inside route()",
         "edits": [("src/routing/par.cpp",
                    "const UgalPaths paths = evaluate_ugal_paths",
-                   "net.deliver_events();\n    "
+                   "net.do_injection();\n    "
                    "const UgalPaths paths = evaluate_ugal_paths")],
         "rule": "serial-call",
         "file": "src/routing/par.cpp",
@@ -70,7 +70,7 @@ MUTATIONS = [
         "name": "off-lane-rng-transitive",
         "why": "route() regrows the Valiant intermediate via "
                "assign_intermediate, whose draws use the serial stream "
-               "(two calls deep — regex lint cannot see this)",
+               "(two calls deep)",
         "edits": [("src/routing/valiant.cpp",
                    "const PortId out = valiant_next_port(net, at, pkt);",
                    "assign_intermediate(net, pkt, at);\n  "
@@ -121,8 +121,8 @@ MUTATIONS = [
     },
     {
         "name": "wall-clock-aliased",
-        "why": "real-time clock laundered through a using-alias (regex "
-               "lint cannot see this)",
+        "why": "real-time clock laundered through a using-alias (a text "
+               "match on clock names cannot see this)",
         "edits": [("src/sim/network.cpp",
                    "namespace ofar {",
                    "namespace ofar {\n"
@@ -137,7 +137,7 @@ MUTATIONS = [
     {
         "name": "unordered-iter-aliased",
         "why": "iteration order of a std::unordered_map hidden behind a "
-               "typedef (regex lint cannot see this)",
+               "typedef (a text match on the loop cannot see this)",
         "edits": [("src/sim/network.cpp",
                    "namespace ofar {",
                    "namespace ofar {\n"
@@ -150,12 +150,87 @@ MUTATIONS = [
         "rule": "unordered-iter",
         "file": "src/sim/network.cpp",
     },
+    {
+        "name": "wall-clock-libc-time",
+        "why": "traffic source seeds itself from the C library clock",
+        "edits": [("src/traffic/generator.cpp",
+                   "rng_(seed ^ 0x5452414646494353ULL) {}",
+                   "rng_(seed ^ 0x5452414646494353ULL) {\n"
+                   "  rng_ = Rng(static_cast<u64>(std::time(nullptr)));\n}")],
+        "rule": "wall-clock",
+        "file": "src/traffic/generator.cpp",
+    },
+    {
+        "name": "wall-clock-libc-clock",
+        "why": "serial injection phase reads processor time",
+        "edits": [("src/sim/network.cpp",
+                   "void Network::do_injection() {",
+                   "void Network::do_injection() {\n"
+                   "  if (clock() % 2 == 0) return;")],
+        "rule": "wall-clock",
+        "file": "src/sim/network.cpp",
+    },
+    {
+        "name": "libc-rng-draw",
+        "why": "traffic source draws from the C library RNG instead of its "
+               "seeded stream",
+        "edits": [("src/traffic/generator.cpp",
+                   "rng_(seed ^ 0x5452414646494353ULL) {}",
+                   "rng_(seed ^ 0x5452414646494353ULL) {\n"
+                   "  load_ += std::rand() % 2 == 0 ? 0.0 : 1e-9;\n}")],
+        "rule": "libc-rng",
+        "file": "src/traffic/generator.cpp",
+    },
+    {
+        "name": "random-device-seed",
+        "why": "RNG default-seeded from hardware entropy",
+        "edits": [("src/common/rng.hpp",
+                   "Rng() noexcept : Rng(0x0FA20FA20FA20FA2ULL) {}",
+                   "Rng() : Rng(std::random_device{}()) {}")],
+        "rule": "random-device",
+        "file": "src/common/rng.hpp",
+    },
+    {
+        "name": "unordered-container-member",
+        "why": "a per-node map declared as std::unordered_map (its order "
+               "leaks into any later iteration or dump)",
+        "edits": [("src/sim/network.hpp",
+                   "OFAR_SERIAL_ONLY u64 delivered_total_ = 0;",
+                   "OFAR_SERIAL_ONLY u64 delivered_total_ = 0;\n"
+                   "  std::unordered_map<NodeId, u64> delivered_by_node_;")],
+        "rule": "unordered-container",
+        "file": "src/sim/network.hpp",
+    },
+    {
+        "name": "raw-thread-sweep",
+        "why": "load sweep spawns its own threads instead of going "
+               "through common/parallel",
+        "edits": [("src/core/experiment.cpp",
+                   "  std::vector<SweepPoint> points(loads.size());\n"
+                   "  parallel_for(",
+                   "  std::vector<SweepPoint> points(loads.size());\n"
+                   "  std::thread([] {}).join();\n"
+                   "  parallel_for(")],
+        "rule": "raw-thread",
+        "file": "src/core/experiment.cpp",
+    },
+    {
+        "name": "trace-emit-unreviewed",
+        "why": "serial injection phase fires the trace callback at a site "
+               "no one reviewed for commit order",
+        "edits": [("src/sim/network.cpp",
+                   "void Network::do_injection() {",
+                   "void Network::do_injection() {\n"
+                   "  if (tracer_) tracer_(TraceEvent{});")],
+        "rule": "trace-emit",
+        "file": "src/sim/network.cpp",
+    },
 ]
 
 
 def run_analyzer(root):
     files = collect_files(root)
-    program, _engine = load_program(root, files, "builtin")
+    program = load_program(root, files)
     return analyze(program)
 
 
@@ -185,6 +260,11 @@ def main(argv=None):
                 print("  " + f.format())
             return 1
         print(f"clean tree: 0 findings ({len(MUTATIONS)} mutants to kill)")
+
+        unguarded = sorted(set(RULES) - {m["rule"] for m in MUTATIONS})
+        if unguarded:
+            print("FAIL: rules without a mutant: " + ", ".join(unguarded))
+            return 1
 
         failures = 0
         for mut in MUTATIONS:

@@ -3,9 +3,8 @@
 Reachability: every function whose effective annotation is
 OFAR_PARALLEL_PHASE is a root; the walk follows calls (receiver-typed
 where possible, virtual dispatch over the class hierarchy) into
-unannotated functions, skipping tokens of serial-excluded
-`if constexpr (!kStaged)` regions. On that parallel-reachable region the
-analyzer enforces:
+unannotated functions. On that parallel-reachable region the analyzer
+enforces:
 
   serial-call        call into an OFAR_SERIAL_ONLY function (or a method
                      of a serial-only class, e.g. Stats::on_delivered)
@@ -17,13 +16,30 @@ analyzer enforces:
   off-lane-rng       RNG draw whose stream is not a bound lane (not a
                      parameter, not OFAR_LANE_RNG state/accessor)
 
-Checked everywhere (not just parallel-reachable), resolving typedef /
-using chains the regex lint cannot see:
+Checked in every function body, resolving typedef / using chains:
 
   unordered-iter     range-for over a type that expands to a std::
                      unordered_* container
-  wall-clock         wall-clock read outside src/stats/ (aliased clocks
-                     included)
+
+Checked over every token of every file (declarations, initializers and
+bodies alike), because each construct breaks "results are a pure function
+of (config, seed)" wherever it appears:
+
+  libc-rng             calls of rand() / srand() / random(); all
+                       randomness flows through common/rng.hpp seeded
+                       from SimConfig
+  random-device        std::random_device (hardware entropy)
+  wall-clock           real-time clock read (std::chrono clocks, aliased
+                       ones included, calls of time() and clock(),
+                       gettimeofday, clock_gettime) outside src/stats/
+  unordered-container  any std::unordered_* container: its iteration order
+                       varies across libstdc++ versions and runs
+  raw-thread           std::thread / std::jthread / std::async outside
+                       src/common/parallel, whose phase barriers are what
+                       make shard-ordered commits possible
+  trace-emit           any `tracer_(` call: trace events must be staged
+                       per shard and flushed in shard order; reviewed
+                       serial-phase sites carry a waiver
 
 A finding on a line carrying `// lint: allow(<rule>)` is suppressed.
 """
@@ -53,13 +69,27 @@ _CLOCK_RE = re.compile(
     r"steady_clock|system_clock|high_resolution_clock|gettimeofday|"
     r"clock_gettime")
 
-# Path prefixes exempt from wall-clock (telemetry may timestamp records;
-# mirrors lint_determinism.ALLOWED_PREFIXES).
-WALL_CLOCK_EXEMPT = ("src/stats/",)
+_LIBC_RNG = {"rand", "srand", "random"}
+_LIBC_CLOCKS = {"time", "clock"}
+_RAW_THREADS = {"thread", "jthread", "async"}
+# Keywords that may directly precede a call expression; any other
+# identifier before `name(` makes it a declaration (`long time() const;`).
+_EXPR_KEYWORDS = {"return", "else", "case", "throw", "co_return", "co_yield",
+                  "do", "sizeof", "new", "delete", "not", "and", "or"}
+
+# Path prefixes exempt from a file-wide rule: telemetry may timestamp its
+# records with real time, which never feeds back into the simulation;
+# common/parallel is the one place allowed to own threads (it is the layer
+# raw-thread funnels everyone else into).
+EXEMPT = {
+    "wall-clock": ("src/stats/",),
+    "raw-thread": ("src/common/parallel",),
+}
 
 RULES = ("serial-call", "unstaged-trace", "serial-write",
          "cross-shard-write", "off-lane-rng", "unordered-iter",
-         "wall-clock")
+         "wall-clock", "libc-rng", "random-device", "unordered-container",
+         "raw-thread", "trace-emit")
 
 _WRAPPERS = ("unique_ptr", "shared_ptr", "vector", "deque", "array",
              "optional", "span")
@@ -101,6 +131,8 @@ class Analyzer:
         for defs in self.p.functions.values():
             for fn in defs:
                 self._check_everywhere(fn)
+        for path, toks in sorted(self.p.files.items()):
+            self._check_file(path, toks)
         self.findings.sort(key=lambda f: (f.file, f.line, f.rule))
         return self.findings
 
@@ -127,8 +159,6 @@ class Analyzer:
         body = fn.body
         texts = [t.text for t in body]
         for i, tok in enumerate(body):
-            if tok.serial_excluded:
-                continue
             if tok.text != "(" or i == 0:
                 continue
             name_tok = body[i - 1]
@@ -259,15 +289,13 @@ class Analyzer:
         texts = [t.text for t in body]
         n = len(body)
         for i, tok in enumerate(body):
-            if tok.serial_excluded:
-                continue
             t = tok.text
             if not (t and (t[0].isalpha() or t[0] == "_")):
                 continue
             prev = texts[i - 1] if i > 0 else ""
             nxt = texts[i + 1] if i + 1 < n else ""
             # ---- serial-only / unresolved-annotation calls ----
-            # Runs for explicit-receiver calls too (`net.deliver_events()`,
+            # Runs for explicit-receiver calls too (`net.do_injection()`,
             # `stats_.on_delivered(...)`): _check_call resolves the
             # receiver's class itself.
             if nxt == "(" and t not in _CALL_KEYWORDS:
@@ -459,22 +487,6 @@ class Analyzer:
         n = len(body)
         for i, tok in enumerate(body):
             t = tok.text
-            # wall-clock: aliased or direct clock reads outside src/stats.
-            if not fn.file.startswith(WALL_CLOCK_EXEMPT):
-                resolved = None
-                if _CLOCK_RE.search(t):
-                    resolved = t
-                elif t in self.p.aliases and \
-                        _CLOCK_RE.search(self.p.resolve_alias(t)):
-                    resolved = self.p.resolve_alias(t)
-                if resolved is not None and (
-                        i + 1 < n and texts[i + 1] in ("::", "(")):
-                    self._emit(
-                        "wall-clock", fn.file, tok.line,
-                        f"wall-clock read (`{t}` resolves to a real-time "
-                        "clock); simulation decisions must use "
-                        "Network::now() — telemetry timestamps belong in "
-                        "src/stats/")
             # unordered-iter: range-for over an (aliased) unordered type.
             if t == "for" and i + 1 < n and texts[i + 1] == "(":
                 close = self._match_from(texts, i + 1, "(", ")")
@@ -524,6 +536,85 @@ class Analyzer:
             return False
         resolved = self.p.resolve_alias(t)
         return bool(_UNORDERED_RE.search(resolved))
+
+
+    # -- file-wide determinism bans ---------------------------------------
+
+    def _check_file(self, path, toks):
+        texts = [t.text for t in toks]
+        n = len(texts)
+
+        def emit(rule, line, message):
+            if not path.startswith(EXEMPT.get(rule, ())):
+                self._emit(rule, path, line, message)
+
+        for i, tok in enumerate(toks):
+            t = tok.text
+            if not (t and (t[0].isalpha() or t[0] == "_")):
+                continue
+            prev = texts[i - 1] if i > 0 else ""
+            nxt = texts[i + 1] if i + 1 < n else ""
+            # `std::name` and `::name` are the library's; `x.name`,
+            # `x->name` and `Cls::name` are some other entity's member, and
+            # `Type name(` declares something of that name.
+            member = prev in (".", "->") or (
+                prev == "::" and i >= 2 and texts[i - 2] != "std"
+                and (texts[i - 2][0].isalpha() or texts[i - 2][0] == "_"))
+            declared = bool(prev) and (prev[0].isalpha() or prev[0] == "_") \
+                and prev not in _EXPR_KEYWORDS
+            not_libc = member or declared
+            std_name = prev == "::" and i >= 2 and texts[i - 2] == "std"
+            if t in _LIBC_RNG and nxt == "(" and not not_libc:
+                emit("libc-rng", tok.line,
+                     f"C library RNG `{t}()`; use common/rng.hpp seeded "
+                     "from SimConfig")
+            elif t == "random_device":
+                emit("random-device", tok.line,
+                     "hardware entropy source (std::random_device); use "
+                     "common/rng.hpp seeded from SimConfig")
+            elif _UNORDERED_RE.fullmatch(t):
+                emit("unordered-container", tok.line,
+                     f"`{t}`: iteration order is not deterministic across "
+                     "libstdc++ versions and runs; use a vector indexed by "
+                     "dense ids (or sort before iterating)")
+            elif t in _RAW_THREADS and std_name and not (
+                    t == "thread" and nxt == "::" and i + 2 < n
+                    and texts[i + 2] == "hardware_concurrency"):
+                emit("raw-thread", tok.line,
+                     f"raw threading primitive std::{t}; all simulation "
+                     "parallelism must go through common/parallel "
+                     "(ShardPool / parallel_for), whose phase barriers are "
+                     "what make shard-ordered commits possible")
+            elif t == "tracer_" and nxt == "(" and (
+                    prev not in (".", "->")
+                    or (prev == "->" and i >= 2 and texts[i - 2] == "this")):
+                emit("trace-emit", tok.line,
+                     "direct TraceEvent emission: trace events must be "
+                     "staged in ShardState::traces and flushed by "
+                     "commit_shard_staging in shard order, or the trace "
+                     "stream stops being bit-identical across sim_threads "
+                     "(DESIGN.md §11); reviewed serial-phase sites carry "
+                     "`// lint: allow(trace-emit)`")
+            elif self._is_clock_read(texts, i, not_libc):
+                emit("wall-clock", tok.line,
+                     f"wall-clock read (`{t}` resolves to a real-time "
+                     "clock); simulation decisions must use "
+                     "Network::now() — telemetry timestamps belong in "
+                     "src/stats/")
+
+    def _is_clock_read(self, texts, i, not_libc):
+        """True when texts[i] starts a real-time clock read: a chrono clock
+        (or an alias of one) used as `Clock::` / `Clock(`, or a call of the
+        C library's time() / clock()."""
+        t = texts[i]
+        nxt = texts[i + 1] if i + 1 < len(texts) else ""
+        if t in _LIBC_CLOCKS:
+            return nxt == "(" and not not_libc
+        if _CLOCK_RE.search(t) is None:
+            if t not in self.p.aliases or \
+                    _CLOCK_RE.search(self.p.resolve_alias(t)) is None:
+                return False
+        return nxt in ("::", "(")
 
 
 def analyze(program):
