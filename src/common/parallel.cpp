@@ -43,18 +43,43 @@ void parallel_for(std::size_t count,
 // ShardPool
 // ---------------------------------------------------------------------------
 
+namespace {
+
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+}  // namespace
+
+// Every field a waiting thread polls is atomic. The caller publishes fn and
+// count, then bumps `generation` (release); a worker that sees the new
+// generation (acquire) reads them and runs its shards. The worker that takes
+// `pending` to zero releases the caller. The mutex exists only for parking:
+// a waker takes it between changing the polled atomic and notifying, so a
+// thread that re-checked the atomic under the mutex and is about to wait
+// cannot miss the wake-up.
 struct ShardPool::Impl {
-  tsa::Mutex mutex;
-  std::condition_variable start_cv;   // workers wait here between phases
-  std::condition_variable done_cv;    // the caller waits here for the barrier
-  u64 generation OFAR_GUARDED_BY(mutex) = 0;   // bumped per phase
-  u32 count OFAR_GUARDED_BY(mutex) = 0;        // shard count of active phase
-  const std::function<void(u32)>* fn OFAR_GUARDED_BY(mutex) = nullptr;
-  unsigned pending OFAR_GUARDED_BY(mutex) = 0; // workers still in the phase
-  bool shutdown OFAR_GUARDED_BY(mutex) = false;
+  alignas(64) std::atomic<u64> generation{0};  // bumped per phase
+  const std::function<void(u32)>* fn = nullptr;  // published by generation
+  u32 count = 0;                                 // published by generation
+  std::atomic<bool> shutdown{false};             // published by generation
+  alignas(64) std::atomic<unsigned> pending{0};  // workers still in a phase
+  alignas(64) tsa::Mutex mutex;
+  std::condition_variable start_cv;  // parked workers wait here
+  std::condition_variable done_cv;   // a parked caller waits here
   // Written only before any worker runs (ctor) and after all are woken for
-  // shutdown (dtor join) — never concurrently, so not guarded.
+  // shutdown (dtor join) — never concurrently.
   std::vector<std::thread> workers;
+
+  void wake(std::condition_variable& cv) {
+    mutex.lock();
+    mutex.unlock();
+    cv.notify_all();
+  }
 };
 
 ShardPool::ShardPool(unsigned threads)
@@ -68,42 +93,49 @@ ShardPool::ShardPool(unsigned threads)
 
 ShardPool::~ShardPool() {
   if (impl_ == nullptr) return;
-  {
-    std::lock_guard<tsa::Mutex> lock(impl_->mutex);
-    impl_->shutdown = true;
-  }
-  impl_->start_cv.notify_all();
+  impl_->shutdown.store(true, std::memory_order_relaxed);
+  impl_->generation.fetch_add(1, std::memory_order_release);
+  impl_->wake(impl_->start_cv);
   for (auto& t : impl_->workers) t.join();
   delete impl_;
 }
 
 void ShardPool::worker_loop(unsigned worker_index) {
+  Impl& im = *impl_;
   u64 seen = 0;
   for (;;) {
-    const std::function<void(u32)>* fn = nullptr;
-    u32 count = 0;
-    {
-      std::unique_lock<std::mutex> lock(impl_->mutex.native());
-      impl_->start_cv.wait(lock, [&] {
-        return impl_->shutdown || impl_->generation != seen;
+    u64 gen = im.generation.load(std::memory_order_acquire);
+    for (u32 spin = 0; gen == seen && spin < kSpinIterations; ++spin) {
+      cpu_relax();
+      gen = im.generation.load(std::memory_order_acquire);
+    }
+    if (gen == seen) {
+      std::unique_lock<std::mutex> lock(im.mutex.native());
+      im.start_cv.wait(lock, [&] {
+        gen = im.generation.load(std::memory_order_acquire);
+        return gen != seen;
       });
-      if (impl_->shutdown) return;
-      seen = impl_->generation;
-      fn = impl_->fn;
-      count = impl_->count;
     }
+    if (im.shutdown.load(std::memory_order_relaxed)) return;
+    seen = gen;
+    const std::function<void(u32)>& fn = *im.fn;
+    const u32 count = im.count;
     // Static stride partition: worker w takes shards w, w+N, w+2N, ...
-    for (u32 i = worker_index; i < count; i += threads_) (*fn)(i);
-    {
-      std::lock_guard<std::mutex> lock(impl_->mutex.native());
-      if (--impl_->pending == 0) impl_->done_cv.notify_one();
-    }
+    for (u32 i = worker_index; i < count; i += threads_) fn(i);
+    if (im.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      im.wake(im.done_cv);
   }
 }
 
 void ShardPool::wait_done() {
-  std::unique_lock<std::mutex> lock(impl_->mutex.native());
-  impl_->done_cv.wait(lock, [&] { return impl_->pending == 0; });
+  Impl& im = *impl_;
+  for (u32 spin = 0; spin < kSpinIterations; ++spin) {
+    if (im.pending.load(std::memory_order_acquire) == 0) return;
+    cpu_relax();
+  }
+  std::unique_lock<std::mutex> lock(im.mutex.native());
+  im.done_cv.wait(
+      lock, [&] { return im.pending.load(std::memory_order_acquire) == 0; });
 }
 
 void ShardPool::parallel_phase(u32 count, const std::function<void(u32)>& fn) {
@@ -112,14 +144,12 @@ void ShardPool::parallel_phase(u32 count, const std::function<void(u32)>& fn) {
     for (u32 i = 0; i < count; ++i) fn(i);
     return;
   }
-  {
-    std::lock_guard<tsa::Mutex> lock(impl_->mutex);
-    impl_->fn = &fn;
-    impl_->count = count;
-    impl_->pending = static_cast<unsigned>(impl_->workers.size());
-    ++impl_->generation;
-  }
-  impl_->start_cv.notify_all();
+  impl_->fn = &fn;
+  impl_->count = count;
+  impl_->pending.store(static_cast<unsigned>(impl_->workers.size()),
+                       std::memory_order_relaxed);
+  impl_->generation.fetch_add(1, std::memory_order_release);
+  impl_->wake(impl_->start_cv);
   // The caller is worker 0.
   for (u32 i = 0; i < count; i += threads_) fn(i);
   wait_done();

@@ -1,6 +1,8 @@
 #include "core/checkpoint.hpp"
 
 #include <cstdio>
+#include <type_traits>
+#include <vector>
 
 #include "common/ckpt_stream.hpp"
 #include "core/spec.hpp"
@@ -210,15 +212,21 @@ void CheckpointIO::write_state(CkptWriter& w, const Network& net) {
 
   // ---- event wheels, slot-verbatim (slot index = cycle % wheel size,
   // preserved because now_ is saved). Each slot is written as one list:
-  // the shards' events for that slot, in shard order ----
+  // the shards' events for that slot, in shard order, each shard's in
+  // owner-bucket order ----
   w.put_u32(net.wheel_size_);
-  const auto write_wheel = [&w, &net](auto wheel) {
+  const std::size_t shard_count = net.shards_.size();
+  const auto write_wheel = [&w, &net, shard_count](auto wheel) {
     for (u32 slot = 0; slot < net.wheel_size_; ++slot) {
+      const std::size_t first = std::size_t{slot} * shard_count;
       u64 n = 0;
-      for (const auto& sh : net.shards_) n += (sh.*wheel)[slot].size();
+      for (const auto& sh : net.shards_)
+        for (std::size_t b = first; b < first + shard_count; ++b)
+          n += (sh.*wheel)[b].size();
       w.put_u64(n);
       for (const auto& sh : net.shards_)
-        w.put_pod_span((sh.*wheel)[slot].data(), (sh.*wheel)[slot].size());
+        for (std::size_t b = first; b < first + shard_count; ++b)
+          w.put_pod_span((sh.*wheel)[b].data(), (sh.*wheel)[b].size());
     }
   };
   write_wheel(&Network::ShardState::phit_wheel);
@@ -373,6 +381,9 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
       return false;
     }
     net.node_in_worklist_[n] = 1;
+    // Probe readiness is not saved: probing every backlogged node once
+    // more is exact (a probe that fails changes nothing).
+    net.node_ready_[n] = 1;
   }
 
   // ---- event wheels ----
@@ -381,22 +392,58 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
     set_error(error, "wheel size mismatch");
     return false;
   }
-  // A slot's events may sit in any one shard's wheel: delivery scans every
-  // shard's slot and each event is applied by the shard that owns it.
-  const auto read_wheel = [&r](auto& wheel) {
-    for (auto& slot : wheel) {
+  // Every field that indexes live state is checked before use: the
+  // channel (in range and wired), the VC (below the channel's VC count),
+  // the packet of a phit (live), the router a credit returns to (built).
+  // The owner shard of a valid event then follows from its channel.
+  const auto phit_owner = [&net](const Network::PhitEvent& e, u32& owner) {
+    if (!net.channel_wired(e.ch) || !net.pool_.is_live(e.pkt)) return false;
+    const Channel ch = net.channel(e.ch);
+    u32 vcs = 1, cap = 0;  // an ejection channel has one lane
+    if (!ch.is_ejection())
+      net.input_shape(ch.dst_router, ch.dst_port, vcs, cap);
+    owner = net.shard_of_router_[ch.is_ejection() ? ch.src_router
+                                                  : ch.dst_router];
+    return e.vc < vcs;
+  };
+  const auto credit_owner = [&net](const Network::CreditEvent& e,
+                                   u32& owner) {
+    if (!net.channel_wired(e.ch)) return false;
+    const Channel ch = net.channel(e.ch);
+    if (ch.is_ejection() || !net.router_built(ch.src_router)) return false;
+    u32 vcs = 0, cap = 0;
+    net.input_shape(ch.dst_router, ch.dst_port, vcs, cap);
+    owner = net.shard_of_router_[ch.src_router];
+    return e.vc < vcs;
+  };
+  // A slot's events all go into shard 0's wheel, each into the bucket of
+  // the shard that applies it. Every owner then meets its events in file
+  // order, which keeps its ejections in generation order; nothing else in
+  // delivery depends on the order or on the wheel an event sits in.
+  const auto read_wheel = [&r, shard_count](auto& wheel,
+                                            const auto& owner_of) {
+    using Event =
+        typename std::decay_t<decltype(wheel)>::value_type::value_type;
+    std::vector<Event> events;
+    for (std::size_t first = 0; first < wheel.size(); first += shard_count) {
       const u64 n = r.get_u64();
       if (!r.ok() || n > (u64{1} << 40)) return false;
-      slot.assign(static_cast<std::size_t>(n), {});
-      r.get_pod_span(slot.data(), slot.size());
+      events.assign(static_cast<std::size_t>(n), Event{});
+      r.get_pod_span(events.data(), events.size());
+      if (!r.ok()) return false;
+      for (const Event& e : events) {
+        u32 owner = 0;
+        if (!owner_of(e, owner)) return false;
+        wheel[first + owner].push_back(e);
+      }
     }
     return true;
   };
-  if (!read_wheel(net.shards_[0].phit_wheel)) {
+  if (!read_wheel(net.shards_[0].phit_wheel, phit_owner)) {
     set_error(error, "corrupt phit wheel");
     return false;
   }
-  if (!read_wheel(net.shards_[0].credit_wheel)) {
+  if (!read_wheel(net.shards_[0].credit_wheel, credit_owner)) {
     set_error(error, "corrupt credit wheel");
     return false;
   }

@@ -25,11 +25,6 @@ namespace {
 constexpr u32 kEjectionLatency = 1;
 constexpr u32 kEjectionCredits = 1u << 30;  // sink: effectively infinite
 constexpr Cycle kWatchdogPeriod = 4096;
-// Warm start for the event-wheel slots, divided among the shards' wheels:
-// enough for moderate loads, so the steady-state hot loop never grows a slot
-// vector (clear() keeps capacity, so any later growth also happens at most
-// once per slot).
-constexpr std::size_t kWheelSlotReserve = 64;
 }  // namespace
 
 Network::Network(const SimConfig& cfg)
@@ -78,8 +73,8 @@ Network::Network(const SimConfig& cfg)
   wheel_size_ =
       std::max({cfg_.local_latency, cfg_.global_latency, kEjectionLatency}) +
       1;
-  const std::size_t slot_reserve =
-      (kWheelSlotReserve + shard_count - 1) / shard_count;
+  OFAR_CHECK_MSG(u64{wheel_size_} * shard_count <= ~u32{0},
+                 "event wheel buckets must fit 32-bit offsets");
   for (u32 s = 0; s < shard_count; ++s) {
     ShardState& sh = shards_[s];
     if (cfg_.shard_group_major) {
@@ -103,11 +98,10 @@ Network::Network(const SimConfig& cfg)
     sh.active_routers.reserve(sh.router_end - sh.router_begin);
     sh.alloc = std::make_unique<SeparableAllocator>(ports);
     sh.reqs.reserve(static_cast<std::size_t>(ports) * 8);
-    sh.phit_wheel.resize(wheel_size_);
-    sh.credit_wheel.resize(wheel_size_);
-    for (auto& slot : sh.phit_wheel) slot.reserve(slot_reserve);
-    for (auto& slot : sh.credit_wheel) slot.reserve(slot_reserve);
-    sh.delivered.reserve(slot_reserve);
+    // Buckets start empty and grow to their own high-water mark once
+    // (clear() keeps capacity): a warm start would cost K^2 reservations.
+    sh.phit_wheel.resize(std::size_t{wheel_size_} * shard_count);
+    sh.credit_wheel.resize(std::size_t{wheel_size_} * shard_count);
   }
 
   // ---- routers ----
@@ -133,6 +127,7 @@ Network::Network(const SimConfig& cfg)
 
   router_in_worklist_.assign(num_routers, 0);
   node_in_worklist_.assign(topo_.nodes(), 0);
+  node_ready_.assign(topo_.nodes(), 0);
   active_nodes_.reserve(topo_.nodes());
 }
 
@@ -362,7 +357,11 @@ void Network::build_router(RouterId rid) {
   router.input_mask.assign(ports, 0);
 
   // Input side: FIFOs (packet-granularity ring sizing) and the incoming
-  // channel id + latency per port (the credit-return path).
+  // channel id + wheel offset per port (the credit-return path).
+  const u32 shard_count = num_shards();
+  const auto offset = [this, shard_count](u32 latency, RouterId applier) {
+    return latency * shard_count + shard_of_router_[applier];
+  };
   u32 max_vcs = 1;
   for (PortId port = 0; port < ports; ++port) {
     u32 vcs = 0, cap = 0;
@@ -380,7 +379,7 @@ void Network::build_router(RouterId rid) {
         const RouterId src = topo_.router_at(topo_.group_of(rid), peer);
         const PortId src_port = topo_.local_port(peer, topo_.local_of(rid));
         in.in_channel = static_cast<ChannelId>(src * ports + src_port);
-        in.in_latency = cfg_.local_latency;
+        in.credit_offset = offset(cfg_.local_latency, src);
         break;
       }
       case PortClass::kGlobal: {
@@ -389,15 +388,17 @@ void Network::build_router(RouterId rid) {
         // port is the peer endpoint's output channel.
         const auto far = topo_.global_peer(rid, port);
         in.in_channel = static_cast<ChannelId>(far.router * ports + far.port);
-        in.in_latency = cfg_.global_latency;
+        in.credit_offset = offset(cfg_.global_latency, far.router);
         break;
       }
       case PortClass::kRing: {
         const RouterId pred = ring_->predecessor(rid);
         in.in_channel =
             static_cast<ChannelId>(pred * ports + topo_.ring_port());
-        in.in_latency = ring_->step_crosses_group(pred) ? cfg_.global_latency
-                                                        : cfg_.local_latency;
+        in.credit_offset =
+            offset(ring_->step_crosses_group(pred) ? cfg_.global_latency
+                                                   : cfg_.local_latency,
+                   pred);
         break;
       }
     }
@@ -412,7 +413,8 @@ void Network::build_router(RouterId rid) {
     const Channel ch = resolve_channel(id);
     OutputPort& out = router.outputs[port];
     out.channel = id;
-    out.latency = ch.latency;
+    out.wheel_offset =
+        offset(ch.latency, ch.is_ejection() ? rid : ch.dst_router);
     if (ch.is_ejection()) {
       sh.arena.bind_credits(router, port, 1, kEjectionCredits);
     } else {
@@ -516,7 +518,9 @@ u32 Network::injection_free_phits(NodeId node) const {
 void Network::offer(NodeId src, NodeId dst, u16 tag) {
   OFAR_DCHECK(src != dst && dst < topo_.nodes());
   stats_.on_generated(tag, cfg_.packet_size);
-  pending_[src].push_back({dst, tag, now_});
+  OfferQueue& queue = pending_[src];
+  if (queue.empty()) node_ready_[src] = 1;  // just became pending
+  queue.push_back({dst, tag, now_});
   ++pending_total_;
   mark_node_pending(src);
 }
@@ -587,15 +591,14 @@ void Network::place_packet(NodeId src, const Offer& offer) {
 // cycle phases
 // ---------------------------------------------------------------------------
 
-void Network::deliver_packet(PacketId id) {
-  const Packet& pkt = pool_.get(id);
+void Network::deliver_packet(const Delivery& d) {
   ++delivered_total_;
-  stats_.on_delivered(pkt.pattern_tag, pkt.size, now_ - pkt.birth, pkt.birth,
-                      pkt.total_hops);
-  if (tracer_ && pkt.traced) {
+  stats_.on_delivered(d.tag, d.size, now_ - d.birth, d.birth, d.hops);
+  if (tracer_ && d.traced) {
+    const Packet& pkt = pool_.get(d.id);
     TraceEvent ev;
     ev.kind = TraceEvent::Kind::kDeliver;
-    ev.packet = id;
+    ev.packet = d.id;
     ev.cycle = now_;
     ev.router = pkt.dst_router;
     // Delivery happens over the ejection port; fill the kGrant-shaped
@@ -612,7 +615,7 @@ void Network::deliver_packet(PacketId id) {
     // shard-ascending order.
     tracer_(ev);  // lint: allow(trace-emit)
   }
-  pool_.destroy(id);
+  pool_.destroy(d.id);
 }
 
 void Network::mark_router_active(RouterId r) {
@@ -632,7 +635,7 @@ void Network::mark_node_pending(NodeId n) {
   active_nodes_.push_back(n);
 }
 
-void Network::advance_transfers(ShardState& sh) {
+void Network::advance_transfers(ShardState& sh, u32 slot) {
   // The worklist prune is fused into this pass so the list is only walked
   // once before allocation: restore sorted order (marks append out of
   // order), then in one sweep drop routers that went idle since the last
@@ -644,14 +647,24 @@ void Network::advance_transfers(ShardState& sh) {
     std::sort(sh.active_routers.begin(), sh.active_routers.end());
     sh.sorted = true;
   }
-  // Wheel slot of an event `latency` cycles ahead (1 <= latency <
-  // wheel_size_), without a division per event.
-  const u32 now_slot = static_cast<u32>(now_ % wheel_size_);
-  const auto slot_after = [this, now_slot](u32 latency) {
-    OFAR_DCHECK(latency >= 1 && latency < wheel_size_);
-    const u32 slot = now_slot + latency;
-    return slot >= wheel_size_ ? slot - wheel_size_ : slot;
+  // The current slot was delivered in the phase before: empty this
+  // shard's buckets of it. No event pushed below can target it (every
+  // latency is >= 1 and wheel_size_ >= 2).
+  const std::size_t shard_count = shards_.size();
+  const std::size_t current = std::size_t{slot} * shard_count;
+  for (std::size_t b = current; b < current + shard_count; ++b) {
+    sh.phit_wheel[b].clear();
+    sh.credit_wheel[b].clear();
+  }
+  // Bucket of an event with a cached port offset (latency * K + owner,
+  // 1 <= latency < wheel_size_), without a division per event.
+  const std::size_t buckets = sh.phit_wheel.size();
+  const auto bucket_at = [current, buckets, shard_count](u32 offset) {
+    OFAR_DCHECK(offset >= shard_count && offset < buckets);
+    const std::size_t b = current + offset;
+    return b >= buckets ? b - buckets : b;
   };
+  const u32 node_ports = topo_.p();  // ports [0, p) are injection ports
   std::size_t w = 0;
   for (const RouterId id : sh.active_routers) {
     Router& r = routers_[id];
@@ -677,12 +690,16 @@ void Network::advance_transfers(ShardState& sh) {
       const bool tail = out.phits_left == 1;
       const bool popped = fifo.pop_phit(size);
       OFAR_DCHECK(popped == tail);
-      // Latencies are cached at wiring time.
-      if (in.in_channel != kInvalidChannel)
-        sh.credit_wheel[slot_after(in.in_latency)].push_back(
+      // Latencies and event owners are cached at wiring time.
+      if (in.in_channel != kInvalidChannel) {
+        sh.credit_wheel[bucket_at(in.credit_offset)].push_back(
             {in.in_channel, out.src_vc});
+      } else if (out.src_port < node_ports) {
+        // A phit left an injection FIFO: its node may fit a packet again.
+        node_ready_[topo_.node_at(id, out.src_port)] = 1;
+      }
       ++channel_phits_[out.channel];  // flat counter; shard owns src router
-      sh.phit_wheel[slot_after(out.latency)].push_back(
+      sh.phit_wheel[bucket_at(out.wheel_offset)].push_back(
           {out.channel, out.active, out.active_vc, head ? u8{1} : u8{0},
            tail ? u8{1} : u8{0}});
       --out.phits_left;
@@ -908,7 +925,11 @@ void Network::update_throttle() {
       const double occ = static_cast<double>(r.buffered_phits) /
                          static_cast<double>(r.buffer_capacity_phits);
       if (r.throttled) {
-        if (occ < cfg_.throttle_off) r.throttled = false;
+        if (occ < cfg_.throttle_off) {
+          r.throttled = false;
+          for (u32 slot = 0; slot < topo_.p(); ++slot)  // may fit again
+            node_ready_[topo_.node_at(id, slot)] = 1;
+        }
       } else if (occ > cfg_.throttle_on) {
         r.throttled = true;
       }
@@ -924,29 +945,38 @@ void Network::do_injection() {
     std::sort(active_nodes_.begin(), active_nodes_.end());
     active_nodes_sorted_ = true;
   }
+  // Only ready nodes are probed. Any other listed node failed its last
+  // probe and nothing that could make it pass has happened since: its
+  // injection FIFOs gain space only when a phit leaves them, its router's
+  // latch releases only in update_throttle, and both mark it ready.
+  // Skipping it places exactly the packets a full scan would, in the same
+  // node order.
   std::size_t w = 0;
   for (const NodeId n : active_nodes_) {
-    auto& queue = pending_[n];
-    while (!queue.empty()) {
-      // place_packet requires space; probe with the same best-fit rule the
-      // placement uses (InputPort::best_fit_vc), so probe and placement
-      // cannot diverge.
-      const RouterId rid = topo_.router_of_node(n);
-      ensure_router_built(rid);  // serial phase
-      const Router& r = routers_[rid];
-      if (r.throttled) break;
-      const InputPort& in = r.inputs[topo_.node_port(topo_.node_slot(n))];
-      u32 vc;
-      if (!in.best_fit_vc(cfg_.packet_size, vc)) break;
-      place_packet(n, queue.front());
-      queue.pop_front();
-      --pending_total_;
+    if (node_ready_[n] != 0) {
+      node_ready_[n] = 0;
+      auto& queue = pending_[n];
+      while (!queue.empty()) {
+        // place_packet requires space; probe with the same best-fit rule
+        // the placement uses (InputPort::best_fit_vc), so probe and
+        // placement cannot diverge.
+        const RouterId rid = topo_.router_of_node(n);
+        ensure_router_built(rid);  // serial phase
+        const Router& r = routers_[rid];
+        if (r.throttled) break;
+        const InputPort& in = r.inputs[topo_.node_port(topo_.node_slot(n))];
+        u32 vc;
+        if (!in.best_fit_vc(cfg_.packet_size, vc)) break;
+        place_packet(n, queue.front());
+        queue.pop_front();
+        --pending_total_;
+      }
+      if (queue.empty()) {
+        node_in_worklist_[n] = 0;
+        continue;
+      }
     }
-    if (queue.empty()) {
-      node_in_worklist_[n] = 0;
-    } else {
-      active_nodes_[w++] = n;
-    }
+    active_nodes_[w++] = n;
   }
   active_nodes_.resize(w);
 }
@@ -975,29 +1005,34 @@ void Network::run_shard_phase(const std::function<void(u32)>& fn) {
   }
 }
 
-void Network::deliver_events_shard(ShardState& sh, u32 shard) {
-  // Every shard scans the current slot of every shard's wheels and applies
-  // only the events it owns: a phit event belongs to the destination
-  // router's shard (it fills that router's input FIFO), an ejection to the
-  // source router's shard (its effect — the delivery — is staged anyway), a
-  // credit to the source router's shard (it replenishes that router's
-  // output credits). The scan itself is read-only and the slots are cleared
-  // serially afterwards, so shards share them safely. The events of one
-  // slot go to distinct (channel, VC) targets, so only the order of the
-  // ejections matters: all of them were generated one cycle ago by their
-  // source router's shard, so scanning the wheels in shard order stages
-  // them in generation order.
-  const u32 slot = static_cast<u32>(now_ % wheel_size_);
+void Network::deliver_events_shard(ShardState& sh, u32 shard, u32 slot) {
+  // Shard s reads bucket (slot, s) of every shard's wheels, in shard order:
+  // exactly the events it owns, in the order a scan of whole slots would
+  // have met them. A phit event belongs to the destination router's shard
+  // (it fills that router's input FIFO), an ejection to the source
+  // router's shard (its effect, the delivery, is staged anyway), a credit
+  // to the source router's shard (it replenishes that router's output
+  // credits). Buckets are only read here; each shard empties its own in
+  // its next transfer phase.
+  // The events of one slot go to distinct (channel, VC) targets, so only
+  // the order of the ejections matters: all of them were generated one
+  // cycle ago by the source router's shard, so they stage in generation
+  // order.
+  const std::size_t bucket = std::size_t{slot} * shards_.size() + shard;
   for (const ShardState& from : shards_) {
-    for (const PhitEvent& e : from.phit_wheel[slot]) {
+    for (const PhitEvent& e : from.phit_wheel[bucket]) {
       const Channel ch = channel(e.ch);
       if (ch.is_ejection()) {
-        if (shard_of_router_[ch.src_router] != shard) continue;
-        OFAR_DCHECK(ch.dst_node == pool_.get(e.pkt).dst);
-        if (e.tail) sh.delivered.push_back(e.pkt);
+        OFAR_DCHECK(shard_of_router_[ch.src_router] == shard);
+        // The packet line was last written by this shard's grant.
+        const Packet& pkt = pool_.get(e.pkt);
+        OFAR_DCHECK(ch.dst_node == pkt.dst);
+        if (e.tail)
+          sh.delivered.push_back({e.pkt, pkt.pattern_tag, pkt.size,
+                                  pkt.birth, pkt.total_hops, pkt.traced});
         continue;
       }
-      if (shard_of_router_[ch.dst_router] != shard) continue;
+      OFAR_DCHECK(shard_of_router_[ch.dst_router] == shard);
       // Lazy build is parallel-legal here: the destination router belongs
       // to this shard, and everything build_router writes (router shell,
       // arena chunks, built_ flag, shard built counter) is shard-local.
@@ -1022,10 +1057,10 @@ void Network::deliver_events_shard(ShardState& sh, u32 shard) {
     }
   }
   for (const ShardState& from : shards_) {
-    for (const CreditEvent& e : from.credit_wheel[slot]) {
+    for (const CreditEvent& e : from.credit_wheel[bucket]) {
       // Only src_router/src_port are needed — a plain divmod on the id.
       const RouterId src_r = static_cast<RouterId>(e.ch / ports_per_router_);
-      if (shard_of_router_[src_r] != shard) continue;
+      OFAR_DCHECK(shard_of_router_[src_r] == shard);
       OFAR_DCHECK(built_[src_r] != 0);  // credits only return to senders
       Router& src = routers_[src_r];
       OutputPort& out =
@@ -1038,16 +1073,21 @@ void Network::deliver_events_shard(ShardState& sh, u32 shard) {
 }
 
 void Network::commit_shard_deliveries() {
-  // Safe to clear before the deliveries commit: deliver_packet never
-  // touches the wheels, and no event can target the current slot (every
-  // latency is >= 1 and wheel_size_ >= 2).
-  const u32 slot = static_cast<u32>(now_ % wheel_size_);
   for (ShardState& sh : shards_) {
-    sh.phit_wheel[slot].clear();
-    sh.credit_wheel[slot].clear();
-    for (const PacketId id : sh.delivered) deliver_packet(id);
+    for (const Delivery& d : sh.delivered) deliver_packet(d);
     sh.delivered.clear();
   }
+}
+
+bool Network::shard_work_due(u32 slot) const {
+  const std::size_t first = std::size_t{slot} * shards_.size();
+  for (const ShardState& sh : shards_) {
+    if (!sh.active_routers.empty()) return true;
+    for (std::size_t b = first; b < first + shards_.size(); ++b)
+      if (!sh.phit_wheel[b].empty() || !sh.credit_wheel[b].empty())
+        return true;
+  }
+  return false;
 }
 
 void Network::commit_shard_staging() {
@@ -1077,18 +1117,27 @@ void Network::step() {
     step_instrumented();
     return;
   }
-  run_shard_phase([this](u32 s) { deliver_events_shard(shards_[s], s); });
-  commit_shard_deliveries();
+  const u32 slot = static_cast<u32>(now_ % wheel_size_);
+  // No event due and no active router: the shard phases and their commits
+  // would do nothing, so a drained cycle dispatches no pool phase.
+  const bool shard_work = shard_work_due(slot);
+  if (shard_work) {
+    run_shard_phase(
+        [this, slot](u32 s) { deliver_events_shard(shards_[s], s, slot); });
+    commit_shard_deliveries();
+  }
   policy_->tick(*this);
   // Transfers and allocation fuse into one parallel phase: during both, a
   // shard reads and writes only its own routers (allocation consumes credit
   // state only the same shard's transfers touch), so no barrier is needed
   // between them within a shard program.
-  run_shard_phase([this](u32 s) {
-    advance_transfers(shards_[s]);  // also prunes + sorts the worklist
-    do_allocation(shards_[s], s);
-  });
-  commit_shard_staging();
+  if (shard_work) {
+    run_shard_phase([this, slot](u32 s) {
+      advance_transfers(shards_[s], slot);  // also prunes + sorts the list
+      do_allocation(shards_[s], s);
+    });
+    commit_shard_staging();
+  }
   do_injection();
   if (now_ % kWatchdogPeriod == 0 && now_ != 0) run_watchdog();
   ++now_;
@@ -1101,15 +1150,25 @@ void Network::step_instrumented() {
   // profiler can attribute their time separately. Digests are unaffected.
   PhaseProfiler& prof = telem_->profiler();
   prof.start_cycle(now_);
-  run_shard_phase([this](u32 s) { deliver_events_shard(shards_[s], s); });
-  commit_shard_deliveries();
+  const u32 slot = static_cast<u32>(now_ % wheel_size_);
+  const bool shard_work = shard_work_due(slot);
+  if (shard_work) {
+    run_shard_phase(
+        [this, slot](u32 s) { deliver_events_shard(shards_[s], s, slot); });
+    commit_shard_deliveries();
+  }
   prof.phase_done(SimPhase::kEventDelivery);
   policy_->tick(*this);
   prof.phase_done(SimPhase::kPolicyTick);
-  run_shard_phase([this](u32 s) { advance_transfers(shards_[s]); });
+  if (shard_work) {
+    run_shard_phase(
+        [this, slot](u32 s) { advance_transfers(shards_[s], slot); });
+  }
   prof.phase_done(SimPhase::kTransfers);
-  run_shard_phase([this](u32 s) { do_allocation(shards_[s], s); });
-  commit_shard_staging();
+  if (shard_work) {
+    run_shard_phase([this](u32 s) { do_allocation(shards_[s], s); });
+    commit_shard_staging();
+  }
   prof.phase_done(SimPhase::kAllocation);
   do_injection();
   prof.phase_done(SimPhase::kInjection);

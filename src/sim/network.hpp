@@ -319,6 +319,17 @@ class Network {
     ChannelId ch;
     VcId vc;
   };
+  /// An ejected tail, staged by value: the owning shard copies what the
+  /// delivery needs while the packet line is still in its cache, so the
+  /// serial commit reads the pool only for traced packets and to free ids.
+  struct Delivery {
+    PacketId id;
+    u16 tag;
+    u16 size;
+    Cycle birth;
+    u8 hops;
+    bool traced;
+  };
   struct Offer {
     NodeId dst;
     u16 tag;
@@ -366,11 +377,11 @@ class Network {
   /// contiguous id ranges; nodes follow their router (router_of_node is
   /// n / p), so a shard owns [router_begin * p, router_end * p) nodes too.
   /// During a parallel phase a shard touches only its own routers plus this
-  /// struct. Phit and credit events go into the shard's own event wheels;
-  /// every other cross-shard effect (stats, traces, deliveries) is staged
-  /// here and committed serially in shard-ascending order, which equals
-  /// router-ascending generation order. Never commit by thread-arrival
-  /// order.
+  /// struct. Phit and credit events go into the shard's own event wheels,
+  /// bucketed by the shard that will apply them; every other cross-shard
+  /// effect (stats, traces, deliveries) is staged here and committed
+  /// serially in shard-ascending order, which equals router-ascending
+  /// generation order. Never commit by thread-arrival order.
   struct ShardState {
     RouterId router_begin = 0;
     RouterId router_end = 0;
@@ -401,16 +412,18 @@ class Network {
     };
     std::vector<HeadRef> heads;
 
-    // Event wheels indexed by cycle % wheel size. The transfer phase pushes
-    // every phit and credit event this shard generates into its own wheels
-    // (every latency is >= 1, so never into the slot being delivered); the
-    // delivery phase reads the current slot of every shard's wheels, and
-    // the serial commit clears those slots.
+    // Event wheels of owner buckets: bucket slot * K + owner holds the
+    // events this shard generated for cycle % wheel size == slot that shard
+    // `owner` applies. Only this shard writes them: its transfer phase
+    // first empties the current slot's buckets (delivered in the phase
+    // before), then pushes every phit and credit event it generates (every
+    // latency is >= 1, so never into the current slot). Shard s's delivery
+    // reads bucket (slot, s) of every shard's wheels.
     std::vector<std::vector<PhitEvent>> phit_wheel;
     std::vector<std::vector<CreditEvent>> credit_wheel;
 
     // Staged side effects, committed serially in shard order.
-    std::vector<PacketId> delivered;  ///< ejected tails, slot-scan order
+    std::vector<Delivery> delivered;  ///< ejected tails, generation order
     std::vector<TraceEvent> traces;
     /// Routing-decision provenance for traced heads, keyed by the index of
     /// the matching entry in `reqs` (sparse: only traced packets record).
@@ -444,9 +457,10 @@ class Network {
 
   OFAR_SERIAL_ONLY void update_throttle();
   /// Transfer/allocation phases, per shard: phit and credit events go into
-  /// the shard's own wheels, stats counts and trace events into its
-  /// staging for the serial commit.
-  OFAR_PARALLEL_PHASE void advance_transfers(ShardState& sh);
+  /// the owner buckets of the shard's own wheels, stats counts and trace
+  /// events into its staging for the serial commit. `slot` is the current
+  /// wheel slot (now % wheel size).
+  OFAR_PARALLEL_PHASE void advance_transfers(ShardState& sh, u32 slot);
   OFAR_PARALLEL_PHASE void do_allocation(ShardState& sh, u32 lane);
   /// True when router `r`'s escape-ring output could move one whole packet
   /// this cycle (wired, transfer-idle, a packet of credits on some escape
@@ -464,15 +478,20 @@ class Network {
   /// report on any violation. Reschedules itself audit_interval_ ahead.
   OFAR_SERIAL_ONLY void run_audit();
 
-  /// One shard's slice of event delivery: scans the current slot of every
-  /// shard's wheels, in shard order, and applies only the events it owns
-  /// (phit: the destination router's shard; ejection and credit: the source
-  /// router's shard). Read-shared / write-own, so shards need no locks; the
-  /// slots are cleared serially afterwards in commit_shard_deliveries().
-  OFAR_PARALLEL_PHASE void deliver_events_shard(ShardState& sh, u32 shard);
-  /// Serial: clears the current wheel slots and performs the staged packet
-  /// deliveries (stats doubles, tracer, pool destroy) in shard order.
+  /// One shard's slice of event delivery: reads its own bucket of the
+  /// current slot of every shard's wheels, in shard order, and applies the
+  /// events (phit: the destination router is this shard's; ejection and
+  /// credit: the source router is). Read-shared / write-own, so shards need
+  /// no locks; each shard empties its own buckets in advance_transfers().
+  OFAR_PARALLEL_PHASE void deliver_events_shard(ShardState& sh, u32 shard,
+                                                u32 slot);
+  /// Serial: performs the staged packet deliveries (stats doubles, tracer,
+  /// pool destroy) in shard order.
   OFAR_SERIAL_ONLY void commit_shard_deliveries();
+  /// True unless every shard's worklist and every bucket of wheel slot
+  /// `slot` are empty. A cycle without shard work skips the shard phases
+  /// and their commits, which would change nothing.
+  bool shard_work_due(u32 slot) const;
   /// Serial: flushes staged traces and stat counters in shard-ascending
   /// order.
   OFAR_SERIAL_ONLY void commit_shard_staging();
@@ -495,7 +514,7 @@ class Network {
   /// Creates the packet object for an accepted injection.
   OFAR_SERIAL_ONLY void place_packet(NodeId src, const Offer& offer);
   /// Final delivery at the destination node.
-  OFAR_SERIAL_ONLY void deliver_packet(PacketId id);
+  OFAR_SERIAL_ONLY void deliver_packet(const Delivery& d);
 
   // Topology/config members carry no phase annotation: they are written
   // only during construction and read-only afterwards, so any phase may
@@ -548,7 +567,10 @@ class Network {
   //    list may additionally hold routers that went idle since the last
   //    refresh);
   //  - active_nodes_ holds exactly the nodes with a non-empty pending_
-  //    queue after each do_injection.
+  //    queue after each do_injection;
+  //  - a listed node whose node_ready_ flag is clear fails the injection
+  //    fits-probe (throttled router, or no injection VC with a packet of
+  //    free space), so the drain may skip it.
   // The sorted flags let marks append out of order; the per-cycle
   // refresh/drain re-sorts before any phase iterates. The router worklist
   // lives inside ShardState (one list per shard); the node worklist stays
@@ -559,14 +581,21 @@ class Network {
   OFAR_SERIAL_ONLY std::vector<NodeId> active_nodes_;
   OFAR_SERIAL_ONLY std::vector<u8> node_in_worklist_;
   OFAR_SERIAL_ONLY bool active_nodes_sorted_ = true;
+  /// Per node: probe it in the next injection drain. Set when its queue
+  /// turns non-empty, when a phit leaves one of its injection FIFOs (by
+  /// the shard owning its router, during transfers), when its router's
+  /// throttle latch releases, and for every listed node on restore;
+  /// cleared by the probe.
+  OFAR_SHARD_LOCAL std::vector<u8> node_ready_;
 
   // Worker pool for the sharded kernel's parallel phases; null when
   // sim_threads_ == 1 (phases run inline on the calling thread).
   OFAR_SERIAL_ONLY std::unique_ptr<ShardPool> shard_pool_;
   OFAR_SERIAL_ONLY unsigned sim_threads_ = 1;
 
-  // Slots per event wheel (ShardState::phit_wheel/credit_wheel): the
-  // longest latency plus one. Built once, read-only afterwards.
+  // Slots per event wheel (ShardState::phit_wheel/credit_wheel hold
+  // wheel_size_ * K owner buckets): the longest latency plus one. Built
+  // once, read-only afterwards.
   u32 wheel_size_ = 0;
 
   OFAR_SERIAL_ONLY Cycle now_ = 0;

@@ -28,8 +28,12 @@ namespace ofar {
 
 struct OutputPort {
   ChannelId channel = kInvalidChannel;  ///< invalid on unwired global ports
-  u32 latency = 1;  ///< wire latency of `channel`, cached at wiring time so
-                    ///< the transfer loop never resolves a descriptor
+  /// latency * K + owner, cached at wiring time: a phit sent at wheel slot
+  /// s goes to bucket (s * K + wheel_offset) mod (wheel size * K) of the
+  /// sending shard's phit wheel, where `owner` is the shard that applies it
+  /// (the destination router's; the source's for ejection). The transfer
+  /// loop never resolves a descriptor.
+  u32 wheel_offset = 0;
   Span<u32> credits;                    ///< per downstream VC, phits free
   Span<u32> credit_cap;                 ///< per downstream VC, buffer size
 
@@ -85,7 +89,10 @@ struct OutputPort {
 
 struct InputPort {
   ChannelId in_channel = kInvalidChannel;  ///< invalid for injection ports
-  u32 in_latency = 1;  ///< wire latency of `in_channel` (credit return path)
+  /// latency * K + owner of the credit return path, cached at wiring time
+  /// like OutputPort::wheel_offset; the owner is the upstream router's
+  /// shard.
+  u32 credit_offset = 0;
   Span<VcFifo> vcs;
   Span<u8> head_busy;  ///< per VC: head packet is mid-transfer
 

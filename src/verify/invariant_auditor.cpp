@@ -374,6 +374,26 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
                  node_listed[n] ? "" : "not "));
     }
   }
+  // The injection drain skips listed nodes that are not ready; that is
+  // exact only if each of them would fail the fits-probe now.
+  const u32 packet = net_.cfg_.packet_size;
+  for (NodeId n = 0; n < net_.pending_.size(); ++n) {
+    if (!node_listed[n] || net_.node_ready_[n] != 0) continue;
+    const RouterId r = net_.topo_.router_of_node(n);
+    u32 vc = 0;
+    const bool fits =
+        !net_.router_built(r) ||
+        (!net_.routers_[r].throttled &&
+         net_.routers_[r]
+             .inputs[net_.topo_.node_port(net_.topo_.node_slot(n))]
+             .best_fit_vc(packet, vc));
+    if (fits) {
+      add(rep, Invariant::kWorklists,
+          format("node %u has room for a packet but is not marked ready — "
+                 "the injection drain would skip it",
+                 n));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
@@ -325,6 +328,77 @@ TEST(Parallel, ShardPoolSingleThreadRunsInline) {
   std::vector<u32> order;
   pool.parallel_phase(5, [&](u32 i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<u32>{0, 1, 2, 3, 4}));
+}
+
+// The dispatch protocol under the loads the sharded kernel puts on it: a
+// flood of back-to-back phases (workers never leave the spin), gaps long
+// enough that every waiting thread parks, and teardown in either state.
+// A sleep of 50 ms is far beyond kSpinIterations pauses on any host.
+constexpr auto kPastSpinBudget = std::chrono::milliseconds(50);
+
+TEST(Parallel, ShardPoolBackToBackEmptyPhases) {
+  ShardPool pool(4);
+  std::atomic<u64> calls{0};
+  const u32 phases = 100'000;
+  for (u32 p = 0; p < phases; ++p)
+    pool.parallel_phase(8, [&](u32) {
+      calls.fetch_add(1, std::memory_order_relaxed);
+    });
+  EXPECT_EQ(calls.load(), u64{phases} * 8);
+}
+
+TEST(Parallel, ShardPoolWakesParkedWorkersAfterLongGaps) {
+  ShardPool pool(4);
+  std::vector<u32> hits(8, 0);  // plain ints: the barrier orders the reads
+  for (u32 phase = 1; phase <= 4; ++phase) {
+    std::this_thread::sleep_for(kPastSpinBudget);
+    pool.parallel_phase(8, [&](u32 i) { ++hits[i]; });
+    for (u32 i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i], phase) << "shard " << i;
+  }
+}
+
+TEST(Parallel, ShardPoolCallerParksOnALongPhase) {
+  // One shard outlasts the spin budget, so the caller parks in the barrier
+  // and must be woken by the worker that finishes last.
+  ShardPool pool(4);
+  std::atomic<int> done{0};
+  pool.parallel_phase(4, [&](u32 i) {
+    if (i == 3) std::this_thread::sleep_for(kPastSpinBudget);
+    done.fetch_add(1);
+  });
+  EXPECT_EQ(done.load(), 4);
+}
+
+TEST(Parallel, ShardPoolCountsBelowAndOffTheThreadCount) {
+  ShardPool pool(4);
+  for (const u32 count : {1u, 2u, 3u, 5u, 6u, 7u, 9u, 13u}) {
+    std::vector<u32> hits(count, 0);
+    pool.parallel_phase(count, [&](u32 i) { ++hits[i]; });
+    EXPECT_EQ(hits, std::vector<u32>(count, 1)) << "count " << count;
+  }
+}
+
+TEST(Parallel, ShardPoolDestroyedWhileWorkersSpin) {
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> hits{0};
+    {
+      ShardPool pool(4);
+      pool.parallel_phase(4, [&](u32) { hits.fetch_add(1); });
+    }  // workers are still inside their spin budget here
+    EXPECT_EQ(hits.load(), 4);
+  }
+  ShardPool never_dispatched(4);  // destroyed before any phase ran
+}
+
+TEST(Parallel, ShardPoolDestroyedWhileWorkersParked) {
+  std::atomic<int> hits{0};
+  {
+    ShardPool pool(4);
+    pool.parallel_phase(4, [&](u32) { hits.fetch_add(1); });
+    std::this_thread::sleep_for(kPastSpinBudget);
+  }
+  EXPECT_EQ(hits.load(), 4);
 }
 
 }  // namespace

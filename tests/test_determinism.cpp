@@ -357,6 +357,101 @@ TEST(ShardedKernel, ReplayWithThreadsIsByteIdentical) {
   expect_digest_eq(a, b);
 }
 
+// ---------------------------------------------------------------------------
+// 6. Edge cases of the delivery, injection and drained-cycle paths, pinned
+//    at K = 1 and K = 4 and reproduced at sim_threads 1 and 4:
+//    - injection FIFOs that hold 2.5 packets, so injection space returns to
+//      a backlogged node one phit at a time, mid-packet;
+//    - the congestion throttle, whose latches set and release;
+//    - traffic switched off until the network drains, then back on.
+// ---------------------------------------------------------------------------
+
+struct ShardGoldens {
+  Digest k1;  ///< sim_shards = 1
+  Digest k4;  ///< sim_shards = 4
+};
+
+template <typename MakeTraffic>
+void expect_edge_goldens(SimConfig cfg, Cycle cycles,
+                         const MakeTraffic& make_traffic,
+                         const ShardGoldens& golden) {
+  for (const u32 shards : {1u, 4u}) {
+    cfg.sim_shards = shards;
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "sim_shards " << shards << ", sim_threads " << threads);
+      Network net(cfg);
+      net.set_sim_threads(threads);
+      net.set_traffic(make_traffic(cfg));
+      net.run(cycles);
+      EXPECT_TRUE(net.check_worklists());
+      expect_digest_eq(digest(net), shards == 1 ? golden.k1 : golden.k4);
+    }
+  }
+}
+
+TEST(GoldenStats, InjectionSpaceReturnsMidPacket) {
+  SimConfig cfg = sharded_config(1, RingKind::kPhysical);
+  cfg.fifo_injection = 20;  // 2.5 packets of 8 phits
+  expect_edge_goldens(
+      cfg, 3000,
+      [](const SimConfig& c) {
+        return std::make_unique<BernoulliSource>(TrafficPattern::uniform(),
+                                                 1.0, c.seed);
+      },
+      {{27054, 20943, 17560, 140480, 0x1.2be196p+23, 0x1.b0fd317dp+32, 6475,
+        1121, 118, 88, 0x1.6a84b934d5328p+1, 16, false},
+       {27054, 20786, 17638, 141104, 0x1.2c9d96p+23, 0x1.aceed19dp+32, 6524,
+        1100, 105, 96, 0x1.6bc64ab7fb1f9p+1, 26, false}});
+}
+
+TEST(GoldenStats, ThrottleLatchesSetAndRelease) {
+  SimConfig cfg = sharded_config(1, RingKind::kPhysical);
+  cfg.congestion_throttle = true;
+  expect_edge_goldens(
+      cfg, 3000,
+      [](const SimConfig& c) {
+        return std::make_unique<BernoulliSource>(
+            TrafficPattern::adversarial(1), 0.7, c.seed);
+      },
+      {{18986, 16600, 11810, 94480, 0x1.fa93f4p+22, 0x1.b2d7bc89p+32, 11486,
+        10994, 3990, 3642, 0x1.0a00f42a23a2ep+2, 17, false},
+       {18986, 16548, 11792, 94336, 0x1.fda3dcp+22, 0x1.b44b38fbp+32, 11512,
+        10886, 4114, 3770, 0x1.0a3f37ec8c54cp+2, 15, false}});
+}
+
+TEST(GoldenStats, TrafficOffDrainsThenResumes) {
+  // Saturating UN until 1500, nothing until 5000, then UN again. The
+  // network drains during the gap (checked below), so drained cycles, and
+  // nodes whose queues emptied and refill, are both on the path.
+  const auto make_traffic = [](const SimConfig& c) {
+    std::vector<PhasedSource::Phase> phases(3);
+    phases[0].pattern = TrafficPattern::uniform();
+    phases[0].load_phits = 0.9;
+    phases[0].until = 1500;
+    phases[1].pattern = TrafficPattern::uniform();
+    phases[1].load_phits = 0.0;
+    phases[1].until = 5000;
+    phases[2].pattern = TrafficPattern::uniform();
+    phases[2].load_phits = 0.9;
+    return std::make_unique<PhasedSource>(std::move(phases), c.seed);
+  };
+  SimConfig cfg = sharded_config(1, RingKind::kPhysical);
+  for (const u32 shards : {1u, 4u}) {
+    cfg.sim_shards = shards;
+    Network net(cfg);
+    net.set_traffic(make_traffic(cfg));
+    net.run(5000);
+    EXPECT_TRUE(net.drained()) << "sim_shards " << shards;
+  }
+  expect_edge_goldens(
+      cfg, 6500, make_traffic,
+      {{24480, 23705, 20806, 166448, 0x1.94d178p+22, 0x1.474d8aa4p+31, 6538,
+        1450, 31, 30, 0x1.6341ecf404092p+1, 15, false},
+       {24480, 23754, 20883, 167064, 0x1.9900d4p+22, 0x1.4be503d6p+31, 6556,
+        1538, 33, 33, 0x1.63f08dcf3c0e4p+1, 9, false}});
+}
+
 TEST(ShardedKernel, DrainedShardedNetworkIsConsistentAcrossThreads) {
   // Burst then drain on the sharded kernel: structural invariants must hold
   // and the drained digest must match a single-threaded run.

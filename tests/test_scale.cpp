@@ -17,7 +17,9 @@
 //     to the unbounded history.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -205,6 +207,91 @@ TEST(CheckpointRestart, RejectsConfigMismatch) {
   std::string err;
   EXPECT_FALSE(CheckpointIO::restore(b, path, &err));
   EXPECT_FALSE(err.empty());
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointRestart, RejectsCorruptWheelEvents) {
+  // A trimmed topology (5 of 9 groups at h=2) so unwired channel ids exist.
+  SimConfig cfg;
+  cfg.h = 2;
+  cfg.groups = 5;
+  cfg.seed = 12345;
+  cfg.routing = RoutingKind::kOfar;
+  cfg.ring = RingKind::kPhysical;
+  cfg.sim_shards = 4;
+  Network a(cfg);
+  a.set_traffic(saturating_traffic(cfg));
+  a.run(300);
+  const std::string path = ckpt_path("wheel");
+  ASSERT_TRUE(CheckpointIO::save(a, path));
+
+  // A transfer that already sent a phit over a router-to-router channel
+  // has that phit's event on the wheel: (channel, packet, VC) are its
+  // first nine bytes. Nothing else in the file spells that sequence.
+  struct Target {
+    ChannelId ch;
+    PacketId pkt;
+    VcId vc;
+  };
+  std::vector<Target> targets;
+  for (RouterId r = 0; r < a.topo().routers(); ++r) {
+    if (!a.router_built(r)) continue;
+    for (const OutputPort& out : a.router(r).outputs)
+      if (out.busy() && out.phits_left < out.active_size &&
+          !a.channel(out.channel).is_ejection())
+        targets.push_back({out.channel, out.active, out.active_vc});
+  }
+  ASSERT_FALSE(targets.empty());
+  ChannelId unwired = kInvalidChannel;
+  for (ChannelId c = 0; c < a.num_channels() && unwired == kInvalidChannel;
+       ++c)
+    if (!a.channel_wired(c)) unwired = c;
+  ASSERT_NE(unwired, kInvalidChannel);
+
+  std::vector<char> bytes;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
+      bytes.insert(bytes.end(), buf, buf + n);
+    std::fclose(f);
+  }
+  const Target& t = targets.front();
+  char pattern[9];
+  std::memcpy(pattern, &t.ch, 4);
+  std::memcpy(pattern + 4, &t.pkt, 4);
+  std::memcpy(pattern + 8, &t.vc, 1);
+  const auto hit = std::search(bytes.begin(), bytes.end(), pattern,
+                               pattern + sizeof pattern);
+  ASSERT_NE(hit, bytes.end());
+  const std::size_t at = static_cast<std::size_t>(hit - bytes.begin());
+
+  const auto restore_with = [&](std::size_t offset, const void* value,
+                                std::size_t size) {
+    std::vector<char> bad = bytes;
+    std::memcpy(bad.data() + offset, value, size);
+    const std::string bad_path = ckpt_path("wheel_bad");
+    std::FILE* f = std::fopen(bad_path.c_str(), "wb");
+    EXPECT_EQ(std::fwrite(bad.data(), 1, bad.size(), f), bad.size());
+    std::fclose(f);
+    Network b(cfg);
+    b.set_traffic(saturating_traffic(cfg));
+    std::string err;
+    const bool ok = CheckpointIO::restore(b, bad_path, &err);
+    std::remove(bad_path.c_str());
+    return ok ? std::string() : err;
+  };
+  // The untouched bytes restore; each corrupted field fails cleanly.
+  const u32 same = t.ch;
+  EXPECT_EQ(restore_with(at, &same, 4), "");
+  const ChannelId past_end = static_cast<ChannelId>(a.num_channels());
+  EXPECT_EQ(restore_with(at, &past_end, 4), "corrupt phit wheel");
+  EXPECT_EQ(restore_with(at, &unwired, 4), "corrupt phit wheel");
+  const VcId bad_vc = 7;  // no port of this config has 8 VCs
+  EXPECT_EQ(restore_with(at + 8, &bad_vc, 1), "corrupt phit wheel");
+  const PacketId dead = ~PacketId{0} - 1;
+  EXPECT_EQ(restore_with(at + 4, &dead, 4), "corrupt phit wheel");
   std::remove(path.c_str());
 }
 

@@ -29,8 +29,8 @@ MUTATIONS = [
         "why": "parallel delivery phase completes an ejected packet "
                "directly instead of staging it in ShardState::delivered",
         "edits": [("src/sim/network.cpp",
-                   "if (e.tail) sh.delivered.push_back(e.pkt);",
-                   "if (e.tail) deliver_packet(e.pkt);")],
+                   "sh.delivered.push_back({e.pkt, pkt.pattern_tag, pkt.size,",
+                   "deliver_packet({e.pkt, pkt.pattern_tag, pkt.size,")],
         "rule": "serial-call",
         "file": "src/sim/network.cpp",
     },
@@ -112,8 +112,10 @@ MUTATIONS = [
         "name": "wall-clock-direct",
         "why": "simulation phase reads real time",
         "edits": [("src/sim/network.cpp",
-                   "void Network::advance_transfers(ShardState& sh) {",
-                   "void Network::advance_transfers(ShardState& sh) {\n"
+                   "void Network::advance_transfers(ShardState& sh, "
+                   "u32 slot) {",
+                   "void Network::advance_transfers(ShardState& sh, "
+                   "u32 slot) {\n"
                    "  const auto wall = std::chrono::steady_clock::now(); "
                    "(void)wall;")],
         "rule": "wall-clock",
@@ -128,8 +130,10 @@ MUTATIONS = [
                    "namespace ofar {\n"
                    "using TickSource = std::chrono::steady_clock;"),
                   ("src/sim/network.cpp",
-                   "void Network::advance_transfers(ShardState& sh) {",
-                   "void Network::advance_transfers(ShardState& sh) {\n"
+                   "void Network::advance_transfers(ShardState& sh, "
+                   "u32 slot) {",
+                   "void Network::advance_transfers(ShardState& sh, "
+                   "u32 slot) {\n"
                    "  const auto wall = TickSource::now(); (void)wall;")],
         "rule": "wall-clock",
         "file": "src/sim/network.cpp",
@@ -143,8 +147,10 @@ MUTATIONS = [
                    "namespace ofar {\n"
                    "using PendingMap = std::unordered_map<u32, u32>;"),
                   ("src/sim/network.cpp",
-                   "void Network::advance_transfers(ShardState& sh) {",
-                   "void Network::advance_transfers(ShardState& sh) {\n"
+                   "void Network::advance_transfers(ShardState& sh, "
+                   "u32 slot) {",
+                   "void Network::advance_transfers(ShardState& sh, "
+                   "u32 slot) {\n"
                    "  PendingMap pm;\n"
                    "  for (const auto& kv : pm) { (void)kv; }")],
         "rule": "unordered-iter",
