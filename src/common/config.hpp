@@ -119,15 +119,6 @@ struct SimConfig {
   /// contiguous split. Participates in experiment content keys.
   bool shard_group_major = false;
 
-  // ---- wiring mode (scale work, DESIGN.md §"Scale") ----
-  /// Debug/reference mode: materialize the dense channel table and build
-  /// every router eagerly at construction, exactly like the pre-implicit
-  /// simulator. The default (false) resolves channels arithmetically on the
-  /// fly and builds router state lazily on first touch. NOT semantic — both
-  /// modes produce bit-identical results (tested) — so it is excluded from
-  /// experiment content keys.
-  bool wiring_table = false;
-
   // ---- bookkeeping ----
   u64 seed = 1;
   u32 deadlock_timeout = 200'000;  ///< watchdog: max cycles a head may stall

@@ -1,5 +1,6 @@
 #include "core/checkpoint.hpp"
 
+#include <bit>
 #include <cstdio>
 #include <type_traits>
 #include <vector>
@@ -44,6 +45,49 @@ bool CheckpointIO::read_fifo(CkptReader& r, VcFifo& f) {
   for (u32 i = 0; i < count; ++i)
     r.get_pod_span(&f.entries_[(f.head_ + i) & f.mask_], 1);
   return r.ok();
+}
+
+const char* CheckpointIO::check_router(const Network& net,
+                                       const Router& router) {
+  const u32 ports = net.ports_per_router_;
+  const PacketPool& pool = net.pool_;
+  for (u64 mask = router.active_out_mask; mask != 0; mask &= mask - 1) {
+    const u32 port = static_cast<u32>(std::countr_zero(mask));
+    if (port >= ports || !router.outputs[port].wired())
+      return "corrupt active output mask";
+  }
+  // A port streams a live packet exactly when its mask bit is set, from
+  // the head of its source FIFO. The source fields of an idle port keep
+  // its last transfer's values, which were in range too; only an active
+  // transfer has a length.
+  for (PortId port = 0; port < ports; ++port) {
+    const OutputPort& out = router.outputs[port];
+    const bool active = (router.active_out_mask >> port & 1u) != 0;
+    if (active ? !pool.is_live(out.active) : out.active != kInvalidPacket)
+      return "corrupt active transfer";
+    if (out.src_port >= ports) return "corrupt transfer source port";
+    const Span<VcFifo>& src = router.inputs[out.src_port].vcs;
+    if (out.src_vc >= src.size() ||
+        (active && (src[out.src_vc].empty() ||
+                    src[out.src_vc].head() != out.active)))
+      return "corrupt transfer source VC";
+    if (active && (out.active_size != net.cfg_.packet_size ||
+                   out.phits_left == 0 || out.phits_left > out.active_size))
+      return "corrupt transfer length";
+  }
+  for (PortId port = 0; port < ports; ++port) {
+    const InputPort& in = router.inputs[port];
+    u32 non_empty = 0;
+    for (u32 v = 0; v < in.vcs.size(); ++v) {
+      const VcFifo& f = in.vcs[v];
+      if (!f.empty()) non_empty |= 1u << v;
+      for (u32 i = f.head_; i != f.tail_; ++i)
+        if (!pool.is_live(f.entries_[i & f.mask_].packet))
+          return "corrupt FIFO packet";
+    }
+    if (router.input_mask[port] != non_empty) return "corrupt input mask";
+  }
+  return nullptr;
 }
 
 void CheckpointIO::write_series(CkptWriter& w, const TimeSeries& ts) {
@@ -296,6 +340,10 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
     for (u64 i = 0; i < count; ++i) {
       Network::Offer o{};
       r.get_pod_span(&o, 1);
+      if (!r.ok() || o.dst >= net.pending_.size() || o.dst == node) {
+        set_error(error, "corrupt offer destination");
+        return false;
+      }
       queue.push_back(o);
     }
   }
@@ -342,6 +390,14 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
     router.throttled = r.get_bool();
     router.active_out_mask = r.get_u64();
     r.get_pod_span(router.input_mask.data(), router.input_mask.size());
+    if (!r.ok()) {
+      set_error(error, "truncated checkpoint");
+      return false;
+    }
+    if (const char* bad = check_router(net, router)) {
+      set_error(error, bad);
+      return false;
+    }
   }
 
   // ---- worklists ----

@@ -28,6 +28,7 @@
 namespace ofar {
 
 class Network;
+struct Router;
 class CkptWriter;
 class CkptReader;
 class VcFifo;
@@ -61,6 +62,9 @@ class CheckpointIO {
   static bool read_series(CkptReader& r, TimeSeries& ts);
   static void write_stats(CkptWriter& w, const Stats& s);
   static bool read_stats(CkptReader& r, Stats& s);
+  /// Checks every id a restored router holds before the kernel indexes
+  /// with it; returns the error, or nullptr when the router is consistent.
+  static const char* check_router(const Network& net, const Router& router);
 };
 
 }  // namespace ofar

@@ -132,8 +132,6 @@ void append_config(std::string& out, const SimConfig& cfg) {
   append_u64(out, cfg.sim_shards);
   out += ";sgm=";
   out += cfg.shard_group_major ? '1' : '0';
-  // cfg.wiring_table is deliberately absent: it is a debug/reference
-  // execution mode with bit-identical results, not a semantic knob.
   out += '}';
 }
 
@@ -552,8 +550,6 @@ bool apply_config_json(const JsonValue& obj, SimConfig& cfg,
       ok = get_u32(value, key, cfg.sim_shards, error);
     else if (key == "shard_group_major")
       ok = get_bool(value, key, cfg.shard_group_major, error);
-    else if (key == "wiring_table")
-      ok = get_bool(value, key, cfg.wiring_table, error);
     else if (key == "thresholds")
       ok = parse_thresholds_json(value, cfg.thresholds, error);
     else {

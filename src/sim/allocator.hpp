@@ -5,23 +5,20 @@
 // (paper uses 3). Grants are per packet ("batch"): the winner streams its
 // whole packet before the ports rejoin arbitration.
 //
-// Two implementations of the identical arbitration:
+// SeparableAllocator keeps request/match state in packed bitmask words
+// (one u64 of input ports per output, one u8 of VCs per input) scanned with
+// countr_zero, so an arbiter round is a few word operations instead of
+// nested per-port vector walks. It is equivalent to the original
+// per-port-vector implementation, which tests/reference_allocator.hpp keeps
+// as the executable specification: LRS picks are order-independent (strict
+// min over (last_grant, index) — see LrsArbiter::pick_mask) and stage 1
+// forwards at most one request per input per iteration, making stage-2
+// outputs independent within an iteration. tests/test_alloc_equiv.cpp pits
+// the two against each other over randomized and exhaustive-small request
+// matrices.
 //
-//   * SeparableAllocator — the hot-path kernel. Request/match state is kept
-//     in packed bitmask words (one u64 of input ports per output, one u8 of
-//     VCs per input) scanned with countr_zero, so an arbiter round is a few
-//     word operations instead of nested per-port vector walks. Equivalence
-//     holds because LRS picks are order-independent (strict min over
-//     (last_grant, index) — see LrsArbiter::pick_mask) and stage 1 forwards
-//     at most one request per input per iteration, making stage-2 outputs
-//     independent within an iteration.
-//   * ReferenceAllocator — the original per-port-vector implementation,
-//     retained verbatim as the executable specification. Not used on the
-//     hot path; tests/test_alloc_equiv.cpp pits the packed kernel against
-//     it over randomized and exhaustive-small request matrices.
-//
-// Both own reusable scratch — allocation runs for every active router every
-// cycle, so neither touches the heap in steady state.
+// The allocator owns reusable scratch — allocation runs for every active
+// router every cycle, so it never touches the heap in steady state.
 #pragma once
 
 #include <vector>
@@ -71,28 +68,6 @@ class OFAR_SHARD_LOCAL SeparableAllocator {
   // Stage-1 forwards of the current iteration:
   std::vector<u64> fwd_mask_;  // [out] -> bitmask of forwarding input ports
   std::vector<u16> fwd_req_;   // [out * max_ports + in] -> index into reqs
-};
-
-// The pre-packed implementation, kept as the executable spec for the
-// equivalence suite (see file comment). Shard-local for the same ownership
-// reason as SeparableAllocator, though only tests construct it today.
-class OFAR_SHARD_LOCAL ReferenceAllocator {
- public:
-  explicit ReferenceAllocator(u32 max_ports);
-
-  OFAR_PARALLEL_PHASE void run(Router& router,
-                               std::vector<AllocRequest>& reqs,
-                               u32 iterations, Cycle now);
-
- private:
-  std::vector<std::vector<u32>> by_input_;   // request idx per input port
-  std::vector<std::vector<u32>> by_output_;  // request idx per output port
-  std::vector<u8> matched_in_;
-  std::vector<u8> matched_out_;
-  std::vector<u32> touched_inputs_;   // input ports with requests this cycle
-  std::vector<u32> touched_outputs_;  // output ports forwarded to, stage 2
-  std::vector<u32> vc_candidates_;
-  std::vector<u32> in_candidates_;
 };
 
 }  // namespace ofar

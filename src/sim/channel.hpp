@@ -23,10 +23,9 @@ enum class ChannelClass : u8 {
 
 const char* to_string(ChannelClass c) noexcept;
 
-// Plain value type: resolved arithmetically per query in implicit-wiring
-// mode, or read from the reference table in wiring-table mode. Either way a
-// descriptor is immutable data — the shard-ownership story lives with the
-// flat utilisation counters in Network.
+// Plain value type, resolved arithmetically per query: a descriptor is
+// immutable data — the shard-ownership story lives with the flat
+// utilisation counters in Network.
 struct Channel {
   RouterId src_router = 0;
   PortId src_port = 0;

@@ -108,19 +108,14 @@ Network::Network(const SimConfig& cfg)
   // Shells only: a router's FIFO/credit/arbiter state binds lazily on its
   // first touch (build_router), so untouched routers cost nothing beyond
   // the shell — the difference between ~2 GB of idle FIFO rings and a few
-  // hundred MB of actually-used state at h=16. cfg.wiring_table (the
-  // debug/reference mode) materializes the channel table and builds every
-  // router eagerly, replicating the historical constructor.
+  // hundred MB of actually-used state at h=16.
   routers_.resize(num_routers);
   for (RouterId r = 0; r < num_routers; ++r) routers_[r].id = r;
   built_.assign(num_routers, 0);
   channel_phits_.assign(std::size_t{num_routers} * ports, 0);
-  if (cfg_.wiring_table) {
-    build_channels();
-    for (RouterId r = 0; r < num_routers; ++r) build_router(r);
-  }
 
   policy_ = make_policy(cfg_);
+  skip_blocked_scans_ = policy_->blocked_route_is_pure();
   pending_.resize(topo_.nodes());
   policy_->bind_lanes(shard_count);
   for (ShardState& sh : shards_) sh.view.init(*this);
@@ -196,65 +191,6 @@ void Network::build_ring() {
   }
 }
 
-void Network::build_channels() {
-  // Debug/reference mode only (cfg.wiring_table): materialize the dense-
-  // indexed descriptor table with the historical per-class derivation. It
-  // is kept deliberately separate from resolve_channel so the two wiring
-  // derivations stay independent — the mode-equivalence test compares them
-  // descriptor by descriptor and digest by digest.
-  const u32 ports = ports_per_router_;
-  channels_.assign(num_channels(), Channel{});
-  auto add_channel = [this, ports](const Channel& ch) {
-    channels_[std::size_t{ch.src_router} * ports + ch.src_port] = ch;
-  };
-
-  for (RouterId r = 0; r < topo_.routers(); ++r) {
-    for (PortId port = 0; port < ports; ++port) {
-      Channel ch;
-      ch.src_router = r;
-      ch.src_port = port;
-      switch (topo_.port_class(port)) {
-        case PortClass::kNode:
-          ch.cls = ChannelClass::kEjection;
-          ch.dst_node = topo_.node_at(r, port);
-          ch.latency = kEjectionLatency;
-          add_channel(ch);
-          break;
-        case PortClass::kLocal: {
-          const u32 peer = topo_.local_peer(topo_.local_of(r), port);
-          ch.cls = ChannelClass::kLocal;
-          ch.dst_router = topo_.router_at(topo_.group_of(r), peer);
-          ch.dst_port = topo_.local_port(peer, topo_.local_of(r));
-          ch.latency = cfg_.local_latency;
-          add_channel(ch);
-          break;
-        }
-        case PortClass::kGlobal: {
-          if (!topo_.global_port_wired(r, port)) break;  // trimmed topology
-          const auto far = topo_.global_peer(r, port);
-          ch.cls = ChannelClass::kGlobal;
-          ch.dst_router = far.router;
-          ch.dst_port = far.port;
-          ch.latency = cfg_.global_latency;
-          add_channel(ch);
-          break;
-        }
-        case PortClass::kRing: {
-          const RouterId succ = ring_->successor(r);
-          const bool crosses = ring_->step_crosses_group(r);
-          ch.cls = crosses ? ChannelClass::kRingGlobal
-                           : ChannelClass::kRingLocal;
-          ch.dst_router = succ;
-          ch.dst_port = topo_.ring_port();
-          ch.latency = crosses ? cfg_.global_latency : cfg_.local_latency;
-          add_channel(ch);
-          break;
-        }
-      }
-    }
-  }
-}
-
 bool Network::channel_wired(ChannelId c) const noexcept {
   if (c >= num_channels()) return false;
   const PortId port = static_cast<PortId>(c % ports_per_router_);
@@ -263,11 +199,11 @@ bool Network::channel_wired(ChannelId c) const noexcept {
       static_cast<RouterId>(c / ports_per_router_), port);
 }
 
-Channel Network::resolve_channel(ChannelId c) const {
+Channel Network::channel(ChannelId c) const {
+  OFAR_DCHECK(channel_wired(c));
   const u32 ports = ports_per_router_;
   const RouterId r = static_cast<RouterId>(c / ports);
   const PortId port = static_cast<PortId>(c % ports);
-  OFAR_DCHECK(r < routers_.size());
   Channel ch;
   ch.src_router = r;
   ch.src_port = port;
@@ -286,7 +222,6 @@ Channel Network::resolve_channel(ChannelId c) const {
       break;
     }
     case PortClass::kGlobal: {
-      OFAR_DCHECK(topo_.global_port_wired(r, port));
       const auto far = topo_.global_peer(r, port);
       ch.cls = ChannelClass::kGlobal;
       ch.dst_router = far.router;
@@ -410,7 +345,7 @@ void Network::build_router(RouterId rid) {
   for (PortId port = 0; port < ports; ++port) {
     const ChannelId id = static_cast<ChannelId>(rid * ports + port);
     if (!channel_wired(id)) continue;  // unwired global slot (trimmed)
-    const Channel ch = resolve_channel(id);
+    const Channel ch = channel(id);
     OutputPort& out = router.outputs[port];
     out.channel = id;
     out.wheel_offset =
@@ -726,6 +661,24 @@ void Network::advance_transfers(ShardState& sh, u32 slot) {
   sh.active_routers.resize(w);
 }
 
+namespace {
+/// Calls fn(port, vc) for every routable head of `r` (Router::has_head), in
+/// ascending (port, VC) order. The one definition of the heads a cycle
+/// routes: the allocation scan gathers exactly these, and a skipped scan
+/// notes one credit stall for each.
+template <typename Fn>
+void for_each_routable_head(const Router& r, Fn&& fn) {
+  for (PortId port = 0; port < r.inputs.size(); ++port) {
+    const InputPort& in = r.inputs[port];
+    for (u8 mask = r.input_mask[port]; mask != 0;
+         mask &= static_cast<u8>(mask - 1)) {
+      const VcId vc = static_cast<VcId>(__builtin_ctz(mask));
+      if (in.has_head(vc)) fn(port, vc);
+    }
+  }
+}
+}  // namespace
+
 void Network::do_allocation(ShardState& sh, u32 lane) {
   // Provenance is only materialised for traced heads (sparse side buffer),
   // so one record is reused across the scan and reset only when a traced
@@ -749,30 +702,27 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
     // Saturated fast path: when no output could take a whole packet and
     // the escape ring cannot move one either, every route() call below
     // would return none — and for pure-when-blocked policies a failing
-    // call draws no RNG and touches nothing, so the scan itself can be
-    // skipped. Telemetry and tracing observe the failing calls (per-head
-    // stall attribution, provenance events), so either disables the skip.
+    // call draws no RNG, touches nothing and stages no trace, so the scan
+    // itself can be skipped. Telemetry still notes the credit stall each
+    // failing call would have noted.
     if (skip_blocked_scans_ && sh.view.avail_mask() == 0 &&
-        !ring_can_take_packet(r))
+        !ring_can_take_packet(r)) {
+      if (telem_)
+        for_each_routable_head(r, [&](PortId port, VcId vc) {
+          telem_->note_credit_stall(r.id, port, vc);
+        });
       continue;
+    }
     // Pass 1: gather routable heads from the flat FIFO arena and prefetch
     // each head packet's cache line. Head packets are scattered across the
     // pool, so letting the loads overlap here (instead of stalling pass 2
     // one miss at a time) is worth a second, purely local walk.
     sh.heads.clear();
-    for (PortId port = 0; port < r.inputs.size(); ++port) {
-      u8 mask = r.input_mask[port];
-      if (mask == 0) continue;
-      const InputPort& in = r.inputs[port];
-      while (mask != 0) {
-        const VcId vc = static_cast<VcId>(__builtin_ctz(mask));
-        mask &= static_cast<u8>(mask - 1);
-        if (!in.has_head(vc)) continue;
-        const PacketId pid = in.vcs[vc].head();
-        __builtin_prefetch(&pool_.get(pid));
-        sh.heads.push_back({port, vc, pid});
-      }
-    }
+    for_each_routable_head(r, [&](PortId port, VcId vc) {
+      const PacketId pid = r.inputs[port].vcs[vc].head();
+      __builtin_prefetch(&pool_.get(pid));
+      sh.heads.push_back({port, vc, pid});
+    });
     // Pass 2: one route() call per head, in the same port/VC order.
     for (const ShardState::HeadRef& h : sh.heads) {
       Packet& pkt = pool_.get(h.pid);
@@ -1108,25 +1058,23 @@ void Network::commit_shard_staging() {
 }
 
 void Network::step() {
-  // Re-evaluated every cycle: tracing/telemetry can be toggled between
-  // runs, and the blocked-scan skip must never drop their per-head
-  // observations (see do_allocation).
-  skip_blocked_scans_ = policy_->blocked_route_is_pure() &&
-                        tracer_ == nullptr && telem_ == nullptr;
-  if (telem_ != nullptr) {
-    step_instrumented();
-    return;
-  }
+  // Every run executes this one body. Telemetry only observes it: the
+  // phase profiler reads the clock at the serial phase boundaries, and
+  // the sampler runs after the cycle.
+  PhaseProfiler* const prof = telem_ ? &telem_->profiler() : nullptr;
+  if (prof) prof->start_cycle(now_);
   const u32 slot = static_cast<u32>(now_ % wheel_size_);
   // No event due and no active router: the shard phases and their commits
   // would do nothing, so a drained cycle dispatches no pool phase.
   const bool shard_work = shard_work_due(slot);
-  if (shard_work) {
+  if (shard_work)
     run_shard_phase(
         [this, slot](u32 s) { deliver_events_shard(shards_[s], s, slot); });
-    commit_shard_deliveries();
-  }
+  if (prof) prof->phase_done(SimPhase::kEventDelivery);
+  if (shard_work) commit_shard_deliveries();
+  if (prof) prof->phase_done(SimPhase::kDeliveryCommit);
   policy_->tick(*this);
+  if (prof) prof->phase_done(SimPhase::kPolicyTick);
   // Transfers and allocation fuse into one parallel phase: during both, a
   // shard reads and writes only its own routers (allocation consumes credit
   // state only the same shard's transfers touch), so no barrier is needed
@@ -1136,51 +1084,21 @@ void Network::step() {
       advance_transfers(shards_[s], slot);  // also prunes + sorts the list
       do_allocation(shards_[s], s);
     });
-    commit_shard_staging();
   }
+  if (prof) prof->phase_done(SimPhase::kTransfersAllocation);
+  if (shard_work) commit_shard_staging();
+  if (prof) prof->phase_done(SimPhase::kStagingCommit);
   do_injection();
-  if (now_ % kWatchdogPeriod == 0 && now_ != 0) run_watchdog();
-  ++now_;
-  if (now_ >= next_audit_) [[unlikely]] run_audit();
-}
-
-void Network::step_instrumented() {
-  // Identical staging content and commit order as step(); the only
-  // difference is an extra barrier between transfers and allocation so the
-  // profiler can attribute their time separately. Digests are unaffected.
-  PhaseProfiler& prof = telem_->profiler();
-  prof.start_cycle(now_);
-  const u32 slot = static_cast<u32>(now_ % wheel_size_);
-  const bool shard_work = shard_work_due(slot);
-  if (shard_work) {
-    run_shard_phase(
-        [this, slot](u32 s) { deliver_events_shard(shards_[s], s, slot); });
-    commit_shard_deliveries();
-  }
-  prof.phase_done(SimPhase::kEventDelivery);
-  policy_->tick(*this);
-  prof.phase_done(SimPhase::kPolicyTick);
-  if (shard_work) {
-    run_shard_phase(
-        [this, slot](u32 s) { advance_transfers(shards_[s], slot); });
-  }
-  prof.phase_done(SimPhase::kTransfers);
-  if (shard_work) {
-    run_shard_phase([this](u32 s) { do_allocation(shards_[s], s); });
-    commit_shard_staging();
-  }
-  prof.phase_done(SimPhase::kAllocation);
-  do_injection();
-  prof.phase_done(SimPhase::kInjection);
+  if (prof) prof->phase_done(SimPhase::kInjection);
   const bool watchdog = now_ % kWatchdogPeriod == 0 && now_ != 0;
   if (watchdog) {
     run_watchdog();
-    prof.phase_done(SimPhase::kWatchdog);
+    if (prof) prof->phase_done(SimPhase::kWatchdog);
   }
-  prof.end_cycle(watchdog);
+  if (prof) prof->end_cycle(watchdog);
   ++now_;
   if (now_ >= next_audit_) [[unlikely]] run_audit();
-  telem_->maybe_sample(*this, now_);
+  if (telem_) telem_->maybe_sample(*this, now_);
 }
 
 void Network::enable_telemetry(const TelemetryConfig& tcfg) {

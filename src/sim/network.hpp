@@ -149,8 +149,8 @@ class Network {
   const HamiltonianRing* ring() const noexcept { return ring_.get(); }
   /// Mutating access builds the router on first touch (serial contexts:
   /// drivers and tests crafting router state). The const overload returns
-  /// the shell as-is — callers iterating structure must either check
-  /// router_built() or opt into cfg.wiring_table's eager construction.
+  /// the shell as-is — callers iterating structure must check
+  /// router_built().
   Router& router(RouterId r) {
     ensure_router_built(r);
     return routers_[r];
@@ -159,17 +159,13 @@ class Network {
 
   // ---- channel id scheme (implicit wiring) ----
   // Channel ids are dense: id = src_router * ports_per_router + src_port.
-  // In the default implicit mode a descriptor is resolved arithmetically on
-  // the fly; cfg.wiring_table materializes the table once (debug/reference
-  // mode) and serves lookups from it. Both modes use identical ids, and for
-  // untrimmed topologies they coincide with the historical sequential ids.
-  /// Resolved descriptor of a *wired* channel id (by value: there may be no
+  // No channel table exists: a descriptor is resolved arithmetically from
+  // the topology on every lookup. For untrimmed topologies the ids
+  // coincide with the historical sequential ids.
+  /// Resolved descriptor of a *wired* channel id (by value: there is no
   /// stored object behind it). Binding the result to a const reference at
   /// call sites is fine (lifetime extension).
-  Channel channel(ChannelId c) const {
-    OFAR_DCHECK(channel_wired(c));
-    return channels_.empty() ? resolve_channel(c) : channels_[c];
-  }
+  Channel channel(ChannelId c) const;
   /// True when the dense id maps to an existing link. The only holes are
   /// unwired global slots of trimmed (groups < max) topologies.
   bool channel_wired(ChannelId c) const noexcept;
@@ -187,7 +183,7 @@ class Network {
   const Stats& stats() const noexcept { return stats_; }
   RoutingPolicy& policy() noexcept { return *policy_; }
 
-  // ---- lazy construction (implicit mode; see DESIGN.md §"Scale") ----
+  // ---- lazy construction (see DESIGN.md §"Scale") ----
   /// True when router r's FIFO/credit/arbiter state has been bound. Unbuilt
   /// routers are empty shells (no packet ever touched them); read-only
   /// consumers (telemetry, auditor, policy ticks) must treat them as
@@ -439,12 +435,7 @@ class Network {
     u64 built_count = 0;
   };
 
-  void build_channels();
   void build_ring();
-
-  /// Arithmetic channel resolution (implicit mode); also the single source
-  /// of truth the wiring-table mode materializes from.
-  Channel resolve_channel(ChannelId c) const;
 
   /// Binds router r's FIFO/credit/arbiter state onto its shard arena and
   /// wires its ports (channel ids, cached latencies, credit caps sized from
@@ -471,9 +462,6 @@ class Network {
                                         const RouteProvenance* prov);
   OFAR_SERIAL_ONLY void do_injection();
   OFAR_SERIAL_ONLY void run_watchdog();
-  /// step() with the phase profiler wrapped around each phase; selected by
-  /// a single telem_ null test so the plain path stays instrumentation-free.
-  OFAR_SERIAL_ONLY void step_instrumented();
   /// Periodic auditor driver: runs the full check suite and aborts with the
   /// report on any violation. Reschedules itself audit_interval_ ahead.
   OFAR_SERIAL_ONLY void run_audit();
@@ -526,11 +514,6 @@ class Network {
   // parallel phase touches only the slice its shard owns (a packet is owned
   // by the router currently buffering it).
   OFAR_SHARD_LOCAL std::vector<Router> routers_;
-  /// Materialized descriptor table, dense-indexed; EMPTY in the default
-  /// implicit mode (descriptors are resolved arithmetically on demand) and
-  /// populated only under cfg.wiring_table (debug/reference mode). Either
-  /// way it is written once at construction and read-only afterwards.
-  std::vector<Channel> channels_;
   u32 ports_per_router_ = 0;  ///< cached topo_.ports_per_router()
   /// Lifetime phits carried per dense channel id. Shard-local: a channel's
   /// counter is only bumped by its source router's shard.
@@ -546,11 +529,10 @@ class Network {
   OFAR_SERIAL_ONLY Rng rng_;  ///< parallel phases draw via policy lane RNGs
   OFAR_SERIAL_ONLY Stats stats_;  ///< parallel phases stage in ShardState
   std::unique_ptr<RoutingPolicy> policy_;
-  /// Per-cycle constant, latched serially at the top of step(): true when
-  /// do_allocation may skip a router's whole request scan once its
-  /// availability mask is empty and the ring cannot move (requires a
-  /// pure-when-blocked policy and no tracer/telemetry observing the
-  /// failing calls). Read-only during parallel phases.
+  /// Set once at construction from the policy: true when do_allocation
+  /// may skip a router's whole request scan once its availability mask is
+  /// empty and the ring cannot move (a pure-when-blocked policy, whose
+  /// failing calls change nothing). No observer turns it off.
   bool skip_blocked_scans_ = false;
   OFAR_SERIAL_ONLY std::unique_ptr<TrafficSource> traffic_;
   OFAR_SERIAL_ONLY std::function<void(const TraceEvent&)> tracer_;

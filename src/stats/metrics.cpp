@@ -11,23 +11,15 @@ namespace ofar {
 const char* to_string(SimPhase p) noexcept {
   switch (p) {
     case SimPhase::kEventDelivery: return "event_delivery";
+    case SimPhase::kDeliveryCommit: return "delivery_commit";
     case SimPhase::kPolicyTick: return "policy_tick";
-    case SimPhase::kTransfers: return "transfers";
-    case SimPhase::kAllocation: return "allocation";
+    case SimPhase::kTransfersAllocation: return "transfers_allocation";
+    case SimPhase::kStagingCommit: return "staging_commit";
     case SimPhase::kInjection: return "injection";
     case SimPhase::kWatchdog: return "watchdog";
   }
   return "?";
 }
-
-namespace {
-
-constexpr SimPhase kAllPhases[kNumSimPhases] = {
-    SimPhase::kEventDelivery, SimPhase::kPolicyTick, SimPhase::kTransfers,
-    SimPhase::kAllocation,    SimPhase::kInjection,  SimPhase::kWatchdog,
-};
-
-}  // namespace
 
 Telemetry::Telemetry(const Network& net, TelemetryConfig cfg)
     : cfg_(std::move(cfg)), net_(&net), prof_(cfg_.phase_sample_period) {
@@ -104,7 +96,8 @@ void Telemetry::define_metrics() {
   id_wd_stalled_ = gauge("watchdog.stalled", "packets");
   id_wd_worst_ = gauge("watchdog.worst_stall", "cycles");
   for (u32 i = 0; i < kNumSimPhases; ++i) {
-    const std::string base = std::string("phase.") + to_string(kAllPhases[i]);
+    const std::string base =
+        std::string("phase.") + to_string(static_cast<SimPhase>(i));
     id_phase_secs_[i] =
         reg_.define(base + ".seconds", "seconds", MetricKind::kCounter);
     id_phase_calls_[i] =
@@ -259,9 +252,9 @@ void Telemetry::sample_tail(const Network& net, const Stats& st, Cycle now,
   reg_.set(id_wd_worst_, static_cast<double>(st.worst_stall()));
 
   for (u32 i = 0; i < kNumSimPhases; ++i) {
-    reg_.set(id_phase_secs_[i], prof_.estimated_total_seconds(kAllPhases[i]));
-    reg_.set(id_phase_calls_[i],
-             static_cast<double>(prof_.invocations(kAllPhases[i])));
+    const SimPhase p = static_cast<SimPhase>(i);
+    reg_.set(id_phase_secs_[i], prof_.estimated_total_seconds(p));
+    reg_.set(id_phase_calls_[i], static_cast<double>(prof_.invocations(p)));
   }
 
   if (cfg_.sink != nullptr) {
@@ -615,10 +608,10 @@ void Telemetry::write_summary(const Network& net) {
     row("stalls.credit_cycles", static_cast<double>(credit_stall_cycles()));
     row("stalls.alloc_cycles", static_cast<double>(alloc_stall_cycles()));
     for (u32 i = 0; i < kNumSimPhases; ++i) {
+      const SimPhase p = static_cast<SimPhase>(i);
       char name[64];
-      std::snprintf(name, sizeof name, "phase.%s.seconds",
-                    to_string(kAllPhases[i]));
-      row(name, prof_.estimated_total_seconds(kAllPhases[i]));
+      std::snprintf(name, sizeof name, "phase.%s.seconds", to_string(p));
+      row(name, prof_.estimated_total_seconds(p));
     }
     return;
   }
@@ -674,7 +667,7 @@ void Telemetry::write_summary(const Network& net) {
 
   w.key("phases").begin_array();
   for (u32 i = 0; i < kNumSimPhases; ++i) {
-    const SimPhase p = kAllPhases[i];
+    const SimPhase p = static_cast<SimPhase>(i);
     w.begin_object();
     w.key("name").value(to_string(p));
     w.key("invocations").value(prof_.invocations(p));

@@ -5,9 +5,10 @@
 //
 // Contract with the cycle kernel (see DESIGN.md "Observability"):
 //
-//  - Strictly opt-in. A Network without enable_telemetry() performs zero
-//    telemetry work: one null-pointer test in step() selects the plain
-//    cycle path, and no telemetry allocation exists.
+//  - Strictly opt-in, and one kernel. Network::step() is the same code
+//    with telemetry on or off: each observation site (a phase boundary,
+//    a stall hook, the post-cycle sampler) is a null-pointer test, and
+//    without enable_telemetry() no telemetry allocation exists.
 //  - Read-only with respect to the simulation. Telemetry never draws from
 //    the Network's RNG, never mutates router/packet/channel state, and the
 //    per-seed stat digests (tests/test_determinism.cpp) are bit-identical
@@ -114,28 +115,31 @@ class OFAR_SERIAL_ONLY MetricsRegistry {
 
 /// The phases of Network::step, in execution order.
 enum class SimPhase : u8 {
-  kEventDelivery,  ///< phit/credit wheel delivery
-  kPolicyTick,     ///< routing-policy per-cycle hook (PB broadcast)
-  kTransfers,      ///< crossbar streaming + worklist prune
-  kAllocation,     ///< routing decisions + separable allocation
-  kInjection,      ///< traffic tick + pending-queue drain
-  kWatchdog,       ///< periodic deadlock scan
+  kEventDelivery,        ///< shard phase: phit/credit wheel delivery
+  kDeliveryCommit,       ///< serial: staged packet deliveries
+  kPolicyTick,           ///< routing-policy per-cycle hook (PB broadcast)
+  kTransfersAllocation,  ///< shard phase: crossbar streaming, worklist
+                         ///< prune, routing decisions + allocation
+  kStagingCommit,        ///< serial: staged traces and stat counts
+  kInjection,            ///< traffic tick + pending-queue drain
+  kWatchdog,             ///< periodic deadlock scan
 };
-inline constexpr u32 kNumSimPhases = 6;
+inline constexpr u32 kNumSimPhases = 7;
 
 const char* to_string(SimPhase p) noexcept;
 
 /// Accumulates wall-clock time per kernel phase on a sampling basis: every
-/// `sample_period`-th cycle is fully timed (6 clock reads), all others only
-/// bump the cycle counter. Invocation counts are exact; accumulated seconds
-/// cover only the sampled cycles, and estimated_total_seconds() scales them
-/// by the sampling ratio. sample_period == 1 times every cycle;
+/// `sample_period`-th cycle is fully timed (one clock read at its start and
+/// one per phase boundary), all others only bump the cycle counter.
+/// Invocation counts are exact; accumulated seconds cover only the sampled
+/// cycles, and estimated_total_seconds() scales them by the sampling
+/// ratio. sample_period == 1 times every cycle;
 /// sample_period == 0 disables timing entirely (counts remain).
 class PhaseProfiler {
  public:
   explicit PhaseProfiler(u32 sample_period) : period_(sample_period) {}
 
-  // ---- hot-path hooks (called by Network::step, instrumented path) ----
+  // ---- hot-path hooks (called by Network::step at its phase boundaries) ----
   // A countdown (not `cycle % period`) selects the sampled cycles: the
   // integer divide would cost more than the rest of the disabled-phase
   // bookkeeping combined.
@@ -274,7 +278,8 @@ class Telemetry {
   // The run totals are derived by summation in credit/alloc_stall_cycles()
   // instead of a shared counter, which would race.
   /// A routable head at (r, p, v) produced no grantable route this cycle
-  /// (minimal and every eligible non-minimal output busy or out of credits).
+  /// (minimal and every eligible non-minimal output busy or out of credits),
+  /// whether route() ran or the kernel skipped a scan no route could pass.
   OFAR_PARALLEL_PHASE void note_credit_stall(RouterId r, PortId p, VcId v) {
     ++vc_credit_stall_[vc_index(r, p, v)];
   }

@@ -168,8 +168,13 @@ void PacketTracer::export_journeys() const {
 
 std::string PacketTracer::link_label(ChannelId ch) const {
   const Channel c = net_.channel(ch);
-  return "r" + std::to_string(c.src_router) + ".p" +
-         std::to_string(c.src_port) + "." + to_string(c.cls);
+  std::string label = "r";
+  label += std::to_string(c.src_router);
+  label += ".p";
+  label += std::to_string(c.src_port);
+  label += '.';
+  label += to_string(c.cls);
+  return label;
 }
 
 std::FILE* PacketTracer::links_file() {

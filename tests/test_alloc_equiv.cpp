@@ -1,5 +1,6 @@
 // Equivalence suite: SeparableAllocator (packed-bitmask hot path) vs
-// ReferenceAllocator (retained per-port-vector specification).
+// ReferenceAllocator (retained per-port-vector specification,
+// tests/reference_allocator.hpp).
 //
 // The two implementations must be indistinguishable: for any request
 // matrix and any starting arbiter state, they produce identical grant
@@ -23,6 +24,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "reference_allocator.hpp"
 #include "sim/allocator.hpp"
 #include "sim/router.hpp"
 

@@ -7,6 +7,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -225,56 +226,111 @@ TEST(PhaseProfiler, ExactCountsAndMonotonicSeconds) {
   for (Cycle c = 0; c < 10; ++c) {
     prof.start_cycle(c);
     prof.phase_done(SimPhase::kEventDelivery);
+    prof.phase_done(SimPhase::kDeliveryCommit);
     prof.phase_done(SimPhase::kPolicyTick);
-    prof.phase_done(SimPhase::kTransfers);
-    prof.phase_done(SimPhase::kAllocation);
+    prof.phase_done(SimPhase::kTransfersAllocation);
+    prof.phase_done(SimPhase::kStagingCommit);
     prof.phase_done(SimPhase::kInjection);
     const bool watchdog = (c == 7);
     if (watchdog) prof.phase_done(SimPhase::kWatchdog);
     prof.end_cycle(watchdog);
-    if (c == 4) secs_mid = prof.seconds(SimPhase::kTransfers);
+    if (c == 4) secs_mid = prof.seconds(SimPhase::kTransfersAllocation);
   }
 
   EXPECT_EQ(prof.cycles(), 10u);
   EXPECT_EQ(prof.sampled_cycles(), 10u);  // period 1: every cycle timed
-  EXPECT_EQ(prof.invocations(SimPhase::kAllocation), 10u);
+  EXPECT_EQ(prof.invocations(SimPhase::kTransfersAllocation), 10u);
   EXPECT_EQ(prof.invocations(SimPhase::kWatchdog), 1u);
   EXPECT_EQ(prof.sampled_invocations(SimPhase::kWatchdog), 1u);
 
   // steady_clock is monotonic: accumulated time never decreases and the
   // final value is at least the mid-run reading.
   EXPECT_GE(secs_mid, 0.0);
-  EXPECT_GE(prof.seconds(SimPhase::kTransfers), secs_mid);
+  EXPECT_GE(prof.seconds(SimPhase::kTransfersAllocation), secs_mid);
   // With every invocation sampled the estimate *is* the measurement.
-  EXPECT_DOUBLE_EQ(prof.estimated_total_seconds(SimPhase::kTransfers),
-                   prof.seconds(SimPhase::kTransfers));
+  EXPECT_DOUBLE_EQ(
+      prof.estimated_total_seconds(SimPhase::kTransfersAllocation),
+      prof.seconds(SimPhase::kTransfersAllocation));
 }
 
 TEST(PhaseProfiler, SamplingScalesEstimate) {
   PhaseProfiler prof(/*sample_period=*/4);
   for (Cycle c = 0; c < 16; ++c) {
     prof.start_cycle(c);
-    prof.phase_done(SimPhase::kTransfers);
+    prof.phase_done(SimPhase::kTransfersAllocation);
     prof.end_cycle(false);
   }
   EXPECT_EQ(prof.cycles(), 16u);
   EXPECT_EQ(prof.sampled_cycles(), 4u);  // cycles 0, 4, 8, 12
   // estimate = sampled seconds * 16/4.
-  EXPECT_DOUBLE_EQ(prof.estimated_total_seconds(SimPhase::kTransfers),
-                   prof.seconds(SimPhase::kTransfers) * 4.0);
+  EXPECT_DOUBLE_EQ(
+      prof.estimated_total_seconds(SimPhase::kTransfersAllocation),
+      prof.seconds(SimPhase::kTransfersAllocation) * 4.0);
 }
 
 TEST(PhaseProfiler, PeriodZeroCountsOnly) {
   PhaseProfiler prof(0);
   for (Cycle c = 0; c < 5; ++c) {
     prof.start_cycle(c);
-    prof.phase_done(SimPhase::kAllocation);
+    prof.phase_done(SimPhase::kTransfersAllocation);
     prof.end_cycle(false);
   }
   EXPECT_EQ(prof.cycles(), 5u);
   EXPECT_EQ(prof.sampled_cycles(), 0u);
-  EXPECT_DOUBLE_EQ(prof.seconds(SimPhase::kAllocation), 0.0);
-  EXPECT_DOUBLE_EQ(prof.estimated_total_seconds(SimPhase::kAllocation), 0.0);
+  EXPECT_DOUBLE_EQ(prof.seconds(SimPhase::kTransfersAllocation), 0.0);
+  EXPECT_DOUBLE_EQ(
+      prof.estimated_total_seconds(SimPhase::kTransfersAllocation), 0.0);
+}
+
+TEST(PhaseProfiler, StepTimesEveryPhaseItRuns) {
+  // The profiler lives inside the one Network::step(): every cycle passes
+  // each phase boundary once (drained cycles too, with near-zero time),
+  // and only the watchdog phase is periodic.
+  TempFile tmp("test_metrics_phases.jsonl");
+  constexpr Cycle kCycles = 4'100;  // the watchdog runs at cycle 4096
+  {
+    auto sink = MetricsSink::open(tmp.path);
+    ASSERT_NE(sink, nullptr);
+    Network net(small_config(11));
+    TelemetryConfig tc;
+    tc.sink = sink.get();
+    tc.interval = 10'000;  // no interval record: the summary is the subject
+    tc.phase_sample_period = 1;
+    net.enable_telemetry(tc);
+    net.set_traffic(std::make_unique<BernoulliSource>(
+        TrafficPattern::uniform(), 0.2, 11));
+    net.run(kCycles);
+    const PhaseProfiler& prof = net.telemetry()->profiler();
+    EXPECT_EQ(prof.cycles(), kCycles);
+    EXPECT_EQ(prof.sampled_cycles(), kCycles);
+    for (u32 i = 0; i < kNumSimPhases; ++i) {
+      const SimPhase p = static_cast<SimPhase>(i);
+      EXPECT_EQ(prof.invocations(p), p == SimPhase::kWatchdog ? 1u : kCycles)
+          << to_string(p);
+      EXPECT_EQ(prof.sampled_invocations(p), prof.invocations(p))
+          << to_string(p);
+    }
+    net.telemetry()->write_summary(net);
+  }
+
+  std::string summary;
+  for (const auto& line : read_lines(tmp.path))
+    if (record_type(line) == "summary") summary = line;
+  ASSERT_FALSE(summary.empty());
+  const char* const names[] = {
+      "event_delivery", "delivery_commit", "policy_tick",
+      "transfers_allocation", "staging_commit", "injection", "watchdog"};
+  ASSERT_EQ(std::size(names), std::size_t{kNumSimPhases});
+  std::size_t at = summary.find("\"phases\":[");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* name : names) {
+    const std::string entry =
+        std::string("{\"name\":\"") + name + "\",\"invocations\":" +
+        (std::string(name) == "watchdog" ? "1" : std::to_string(kCycles));
+    const std::size_t next = summary.find(entry, at);
+    ASSERT_NE(next, std::string::npos) << entry << " after offset " << at;
+    at = next;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -506,6 +562,70 @@ TEST(Telemetry, EnablingTelemetryPreservesDeterminism) {
       << " vs " << on.delivered << ")";
   EXPECT_GT(off.delivered, 0u);
 }
+
+// Exact stall totals, pinned so that telemetry keeps counting what the
+// per-head route() calls would count even where the kernel skips a
+// blocked router's scan (OFAR at saturation, at one shard and at four on
+// one and on four threads). PAR is impure when blocked, so its scans are
+// never skipped.
+struct StallGolden {
+  const char* name;
+  RoutingKind routing;
+  bool adversarial;  ///< ADV+1 at 0.8 instead of UN at 1.0
+  u32 shards;
+  unsigned threads;
+  u64 credit_stalls;
+  u64 alloc_stalls;
+};
+
+void PrintTo(const StallGolden& g, std::ostream* os) { *os << g.name; }
+
+class TelemetryStallGolden : public ::testing::TestWithParam<StallGolden> {};
+
+TEST_P(TelemetryStallGolden, CountsMatchRecordedTotals) {
+  const StallGolden& g = GetParam();
+  SimConfig cfg;
+  cfg.h = 3;
+  cfg.seed = 777;
+  cfg.routing = g.routing;
+  cfg.ring = g.routing == RoutingKind::kOfar ? RingKind::kPhysical
+                                             : RingKind::kNone;
+  if (g.routing == RoutingKind::kPar) cfg.vcs_local = 4;
+  cfg.sim_shards = g.shards;
+  Network net(cfg);
+  net.set_sim_threads(g.threads);
+  net.enable_telemetry(TelemetryConfig{});
+  net.set_traffic(std::make_unique<BernoulliSource>(
+      g.adversarial ? TrafficPattern::adversarial(1)
+                    : TrafficPattern::uniform(),
+      g.adversarial ? 0.8 : 1.0, cfg.seed));
+  net.run(2'000);
+  EXPECT_EQ(net.telemetry()->credit_stall_cycles(), g.credit_stalls);
+  EXPECT_EQ(net.telemetry()->alloc_stall_cycles(), g.alloc_stalls);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Saturated, TelemetryStallGolden,
+    ::testing::Values(
+        StallGolden{"OFAR_UN_K1", RoutingKind::kOfar, false, 1, 1,
+                    2948325, 490681},
+        StallGolden{"OFAR_ADV1_K1", RoutingKind::kOfar, true, 1, 1,
+                    4022315, 857230},
+        StallGolden{"OFAR_UN_K4_T1", RoutingKind::kOfar, false, 4, 1,
+                    2915413, 481699},
+        StallGolden{"OFAR_UN_K4_T4", RoutingKind::kOfar, false, 4, 4,
+                    2915413, 481699},
+        StallGolden{"OFAR_ADV1_K4_T1", RoutingKind::kOfar, true, 4, 1,
+                    3992427, 869046},
+        StallGolden{"OFAR_ADV1_K4_T4", RoutingKind::kOfar, true, 4, 4,
+                    3992427, 869046},
+        StallGolden{"PAR_UN_K1", RoutingKind::kPar, false, 1, 1,
+                    3331386, 245956},
+        StallGolden{"PAR_ADV1_K1", RoutingKind::kPar, true, 1, 1,
+                    2616406, 141262}),
+    [](const ::testing::TestParamInfo<StallGolden>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Telemetry, StallCountersAccumulateUnderLoad) {
   Network net(small_config(5));

@@ -3,15 +3,17 @@
 // The million-endpoint work is only admissible if it changes *nothing*
 // observable at paper scale:
 //
-//  1. Implicit arithmetic wiring must be indistinguishable from the
-//     materialized-table reference (cfg.wiring_table) — pinned by digest
-//     equality at h=4 across every routing mechanism.
+//  1. Implicit arithmetic wiring must be indistinguishable from a
+//     materialized reference table derived here, per link class: every
+//     descriptor, and every built router's port wiring, across every
+//     routing mechanism, every ring kind, trimmed topologies and a ring
+//     stride other than 1.
 //  2. Checkpoint/restart must resume bit-identically: save mid-run,
 //     restore into a fresh network, and the continuation's stats equal an
 //     uninterrupted run's — at every sim_threads split.
 //  3. Lazy router construction must build only touched routers, and a
-//     fully exercised network must still match eager behaviour (covered
-//     by 1: the table path constructs eagerly).
+//     router built on demand mid-run must be wired exactly like the
+//     reference (covered by 1).
 //  4. The windowed TimeSeries must stream retired buckets through its
 //     flush sink such that flushed + resident together are bit-identical
 //     to the unbounded history.
@@ -21,7 +23,9 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -82,23 +86,160 @@ void expect_digest_eq(const Digest& a, const Digest& b) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Implicit wiring == materialized table, every mechanism.
+// 1. Implicit wiring == a materialized reference table.
 // ---------------------------------------------------------------------------
+
+/// Reference wiring table: every link derived per port class and stored
+/// under its dense id (src_router * ports + src_port). Unwired
+/// global slots of trimmed topologies have no entry. Written separately
+/// from Network::channel() so that the two derivations check each other.
+std::vector<std::optional<Channel>> reference_wiring(const Network& net) {
+  const SimConfig& cfg = net.config();
+  const Dragonfly& topo = net.topo();
+  const HamiltonianRing* ring = net.ring();
+  const u32 ports = topo.ports_per_router();
+  std::vector<std::optional<Channel>> table(net.num_channels());
+  for (RouterId r = 0; r < topo.routers(); ++r) {
+    for (PortId port = 0; port < ports; ++port) {
+      Channel ch;
+      ch.src_router = r;
+      ch.src_port = port;
+      switch (topo.port_class(port)) {
+        case PortClass::kNode:
+          ch.cls = ChannelClass::kEjection;
+          ch.dst_node = topo.node_at(r, port);
+          ch.latency = 1;
+          break;
+        case PortClass::kLocal: {
+          const u32 peer = topo.local_peer(topo.local_of(r), port);
+          ch.cls = ChannelClass::kLocal;
+          ch.dst_router = topo.router_at(topo.group_of(r), peer);
+          ch.dst_port = topo.local_port(peer, topo.local_of(r));
+          ch.latency = cfg.local_latency;
+          break;
+        }
+        case PortClass::kGlobal: {
+          if (!topo.global_port_wired(r, port)) continue;
+          const auto far = topo.global_peer(r, port);
+          ch.cls = ChannelClass::kGlobal;
+          ch.dst_router = far.router;
+          ch.dst_port = far.port;
+          ch.latency = cfg.global_latency;
+          break;
+        }
+        case PortClass::kRing: {
+          const bool crosses = ring->step_crosses_group(r);
+          ch.cls =
+              crosses ? ChannelClass::kRingGlobal : ChannelClass::kRingLocal;
+          ch.dst_router = ring->successor(r);
+          ch.dst_port = topo.ring_port();
+          ch.latency = crosses ? cfg.global_latency : cfg.local_latency;
+          break;
+        }
+      }
+      table[std::size_t{r} * ports + port] = ch;
+    }
+  }
+  return table;
+}
+
+/// Every dense id resolves to its reference descriptor (or is unwired
+/// exactly where the table has no entry), and every router built so far is
+/// wired like the table says: its output channel ids, the channel feeding
+/// each input port, and credit counters shaped like the downstream FIFOs.
+void expect_wiring_matches_reference(Network& net) {
+  const auto table = reference_wiring(net);
+  const u32 ports = net.topo().ports_per_router();
+  std::vector<ChannelId> feeding(net.num_channels(), kInvalidChannel);
+  for (ChannelId c = 0; c < table.size(); ++c) {
+    ASSERT_EQ(net.channel_wired(c), table[c].has_value()) << "channel " << c;
+    if (!table[c]) continue;
+    const Channel want = *table[c];
+    const Channel got = net.channel(c);
+    EXPECT_EQ(got.cls, want.cls) << "channel " << c;
+    EXPECT_EQ(got.src_router, want.src_router) << "channel " << c;
+    EXPECT_EQ(got.src_port, want.src_port) << "channel " << c;
+    EXPECT_EQ(got.latency, want.latency) << "channel " << c;
+    if (want.is_ejection()) {
+      EXPECT_EQ(got.dst_node, want.dst_node) << "channel " << c;
+      continue;
+    }
+    EXPECT_EQ(got.dst_router, want.dst_router) << "channel " << c;
+    EXPECT_EQ(got.dst_port, want.dst_port) << "channel " << c;
+    feeding[std::size_t{want.dst_router} * ports + want.dst_port] = c;
+  }
+  for (RouterId r = 0; r < net.topo().routers(); ++r) {
+    if (!net.router_built(r)) continue;
+    const Router& router = std::as_const(net).router(r);
+    for (PortId port = 0; port < ports; ++port) {
+      const ChannelId id = static_cast<ChannelId>(r * ports + port);
+      const OutputPort& out = router.outputs[port];
+      EXPECT_EQ(out.channel, table[id] ? id : kInvalidChannel)
+          << "router " << r << " output " << port;
+      EXPECT_EQ(router.inputs[port].in_channel, feeding[id])
+          << "router " << r << " input " << port;
+      if (!table[id] || table[id]->is_ejection()) continue;
+      const Channel& ch = *table[id];
+      u32 vcs = 0, cap = 0;
+      net.input_shape(ch.dst_router, ch.dst_port, vcs, cap);
+      ASSERT_EQ(out.credit_cap.size(), vcs)
+          << "router " << r << " output " << port;
+      for (u32 v = 0; v < vcs; ++v) EXPECT_EQ(out.credit_cap[v], cap);
+    }
+  }
+}
+
+/// Builds every router (the mutating accessor builds on first touch).
+void build_all_routers(Network& net) {
+  for (RouterId r = 0; r < net.topo().routers(); ++r) net.router(r);
+}
 
 class WiringEquivalence : public ::testing::TestWithParam<RoutingKind> {};
 
 TEST_P(WiringEquivalence, ImplicitMatchesTable) {
-  Digest d[2];
-  for (int table = 0; table < 2; ++table) {
-    SimConfig cfg = scale_config(GetParam());
-    cfg.wiring_table = table != 0;
-    Network net(cfg);
-    net.set_traffic(std::make_unique<BernoulliSource>(
-        TrafficPattern::adversarial(1), 0.5, cfg.seed));
-    net.run(2000);
-    d[table] = digest(net);
+  // Routers built on demand inside a run (by the delivery phase that
+  // first fills them) and routers built afterwards both match the table.
+  const SimConfig cfg = scale_config(GetParam());
+  Network net(cfg);
+  net.set_traffic(std::make_unique<BernoulliSource>(
+      TrafficPattern::adversarial(1), 0.5, cfg.seed));
+  net.run(2000);
+  ASSERT_GT(net.built_router_count(), 0u);
+  expect_wiring_matches_reference(net);
+  build_all_routers(net);
+  expect_wiring_matches_reference(net);
+}
+
+TEST(WiringEquivalence, EveryRingKindTrimAndStride) {
+  // No ring, the physical ring and the embedded ring, on full and trimmed
+  // (groups < max) topologies, with the paper's ring stride and stride 2.
+  for (const u32 h : {2u, 3u}) {
+    for (const u32 groups : {0u, 2 * h + 1}) {
+      for (const RingKind ring :
+           {RingKind::kNone, RingKind::kPhysical, RingKind::kEmbedded}) {
+        for (const u32 stride : {1u, 2u}) {
+          if (ring == RingKind::kNone && stride != 1) continue;
+          SimConfig cfg;
+          cfg.h = h;
+          cfg.groups = groups;
+          cfg.routing = ring == RingKind::kNone ? RoutingKind::kMin
+                                                : RoutingKind::kOfar;
+          cfg.ring = ring;
+          cfg.ring_stride = stride;
+          SCOPED_TRACE(cfg.summary());
+          Network net(cfg);
+          build_all_routers(net);
+          expect_wiring_matches_reference(net);
+          if (groups != 0) {
+            u64 unwired = 0;
+            for (ChannelId c = 0; c < net.num_channels(); ++c)
+              unwired += net.channel_wired(c) ? 0 : 1;
+            EXPECT_GT(unwired, 0u);  // the trim leaves global slots empty
+          }
+        }
+      }
+    }
   }
-  expect_digest_eq(d[0], d[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -210,20 +351,159 @@ TEST(CheckpointRestart, RejectsConfigMismatch) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointRestart, RejectsCorruptWheelEvents) {
-  // A trimmed topology (5 of 9 groups at h=2) so unwired channel ids exist.
+// ---- corrupt checkpoints: every id restore() trusts is checked first ----
+
+/// A saturated run on a trimmed topology (5 of 9 groups at h=2, so unwired
+/// channel ids exist) at four shards, saved mid-flight. Node 0 also holds a
+/// backlog of offers to kOfferDst made at cycle kOfferCycle, so the file
+/// has offers whose bytes can be found.
+struct SavedRun {
+  static constexpr NodeId kOfferDst = 17;
+  static constexpr u16 kOfferTag = 3;
+  static constexpr Cycle kOfferCycle = 123;
+
   SimConfig cfg;
-  cfg.h = 2;
-  cfg.groups = 5;
-  cfg.seed = 12345;
-  cfg.routing = RoutingKind::kOfar;
-  cfg.ring = RingKind::kPhysical;
-  cfg.sim_shards = 4;
-  Network a(cfg);
-  a.set_traffic(saturating_traffic(cfg));
-  a.run(300);
-  const std::string path = ckpt_path("wheel");
-  ASSERT_TRUE(CheckpointIO::save(a, path));
+  std::unique_ptr<Network> net;  ///< the saved network, for its state
+  std::vector<char> bytes;       ///< the checkpoint file
+};
+
+/// A file tag unique to the running test: ctest runs tests in parallel
+/// processes that share the temp directory.
+std::string test_tag(const char* what) {
+  return std::string(
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+         "_" + what;
+}
+
+SavedRun saved_run() {
+  SavedRun run;
+  run.cfg.h = 2;
+  run.cfg.groups = 5;
+  run.cfg.seed = 12345;
+  run.cfg.routing = RoutingKind::kOfar;
+  run.cfg.ring = RingKind::kPhysical;
+  run.cfg.sim_shards = 4;
+  run.net = std::make_unique<Network>(run.cfg);
+  Network& net = *run.net;
+  net.set_traffic(saturating_traffic(run.cfg));
+  net.run(SavedRun::kOfferCycle);
+  for (int i = 0; i < 64; ++i)
+    net.offer(0, SavedRun::kOfferDst, SavedRun::kOfferTag);
+  net.run(300 - SavedRun::kOfferCycle);
+  const std::string path = ckpt_path(test_tag("src").c_str());
+  EXPECT_TRUE(CheckpointIO::save(net, path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  char buf[4096];
+  for (std::size_t n;
+       f != nullptr && (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
+    run.bytes.insert(run.bytes.end(), buf, buf + n);
+  if (f != nullptr) std::fclose(f);
+  std::remove(path.c_str());
+  return run;
+}
+
+/// Restores the saved file with `size` bytes at `offset` replaced by
+/// `value` into a fresh network; returns the error, "" on success.
+std::string restore_patched(const SavedRun& run, std::size_t offset,
+                            const void* value, std::size_t size) {
+  std::vector<char> bad = run.bytes;
+  std::memcpy(bad.data() + offset, value, size);
+  const std::string path = ckpt_path(test_tag("bad").c_str());
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_EQ(std::fwrite(bad.data(), 1, bad.size(), f), bad.size());
+  std::fclose(f);
+  Network net(run.cfg);
+  net.set_traffic(saturating_traffic(run.cfg));
+  std::string err;
+  const bool ok = CheckpointIO::restore(net, path, &err);
+  std::remove(path.c_str());
+  return ok ? std::string() : err;
+}
+
+/// The raw bytes of `values`, in order, as CkptWriter writes them.
+template <typename... T>
+std::string bytes_of(const T&... values) {
+  std::string out;
+  (out.append(reinterpret_cast<const char*>(&values), sizeof values), ...);
+  return out;
+}
+
+/// Offset of the only occurrence of `pattern` in `bytes`; npos when it is
+/// absent or occurs more than once.
+std::size_t find_unique(const std::vector<char>& bytes,
+                        const std::string& pattern) {
+  const auto first = std::search(bytes.begin(), bytes.end(), pattern.begin(),
+                                 pattern.end());
+  if (first == bytes.end()) return std::string::npos;
+  if (std::search(first + 1, bytes.end(), pattern.begin(), pattern.end()) !=
+      bytes.end())
+    return std::string::npos;
+  return static_cast<std::size_t>(first - bytes.begin());
+}
+
+/// The serialized transfer fields (active .. active_size) of an output port.
+std::string transfer_bytes(const OutputPort& out) {
+  return bytes_of(u32{out.active}, u8{out.active_vc}, u16{out.src_port},
+                  u8{out.src_vc}, u32{out.phits_left}, u16{out.active_size});
+}
+
+/// The serialized tail of a router record: its counters, active_out_mask
+/// and input_mask.
+std::string router_tail_bytes(const Router& r) {
+  std::string out =
+      bytes_of(u32{r.buffered_packets}, u32{r.buffered_phits},
+               u32{r.routable_heads}, u32{r.active_transfers},
+               static_cast<u8>(r.throttled), u64{r.active_out_mask});
+  out.append(reinterpret_cast<const char*>(r.input_mask.data()),
+             r.input_mask.size());
+  return out;
+}
+
+/// File offset of the transfer fields of some busy output port (unique in
+/// the file), and that port.
+struct TransferAt {
+  std::size_t offset = std::string::npos;
+  const OutputPort* out = nullptr;
+  RouterId router = 0;
+};
+TransferAt find_transfer(const SavedRun& run) {
+  const Network& net = *run.net;
+  for (RouterId r = 0; r < net.topo().routers(); ++r) {
+    if (!net.router_built(r)) continue;
+    for (const OutputPort& out : net.router(r).outputs) {
+      if (!out.busy()) continue;
+      const std::size_t at = find_unique(run.bytes, transfer_bytes(out));
+      if (at != std::string::npos) return {at, &out, r};
+    }
+  }
+  return {};
+}
+
+/// File offset of the active_out_mask of a router that has an unwired
+/// output port (trimmed global slot) and buffers packets.
+struct RouterTailAt {
+  std::size_t mask_offset = std::string::npos;
+  RouterId router = 0;
+};
+RouterTailAt find_router_tail(const SavedRun& run, bool need_unwired) {
+  const Network& net = *run.net;
+  for (RouterId r = 0; r < net.topo().routers(); ++r) {
+    if (!net.router_built(r)) continue;
+    const Router& router = net.router(r);
+    if (router.buffered_packets == 0) continue;
+    bool unwired = false;
+    for (const OutputPort& out : router.outputs) unwired |= !out.wired();
+    if (need_unwired && !unwired) continue;
+    const std::size_t at = find_unique(run.bytes, router_tail_bytes(router));
+    if (at != std::string::npos) return {at + 17, r};  // 4 u32 + bool
+  }
+  return {};
+}
+
+TEST(CheckpointRestart, RejectsCorruptWheelEvents) {
+  const SavedRun run = saved_run();
+  const Network& a = *run.net;
 
   // A transfer that already sent a phit over a router-to-router channel
   // has that phit's event on the wheel: (channel, packet, VC) are its
@@ -248,51 +528,161 @@ TEST(CheckpointRestart, RejectsCorruptWheelEvents) {
     if (!a.channel_wired(c)) unwired = c;
   ASSERT_NE(unwired, kInvalidChannel);
 
-  std::vector<char> bytes;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
-      bytes.insert(bytes.end(), buf, buf + n);
-    std::fclose(f);
-  }
   const Target& t = targets.front();
-  char pattern[9];
-  std::memcpy(pattern, &t.ch, 4);
-  std::memcpy(pattern + 4, &t.pkt, 4);
-  std::memcpy(pattern + 8, &t.vc, 1);
-  const auto hit = std::search(bytes.begin(), bytes.end(), pattern,
-                               pattern + sizeof pattern);
-  ASSERT_NE(hit, bytes.end());
-  const std::size_t at = static_cast<std::size_t>(hit - bytes.begin());
+  const std::string pattern = bytes_of(t.ch, t.pkt, t.vc);
+  const auto hit = std::search(run.bytes.begin(), run.bytes.end(),
+                               pattern.begin(), pattern.end());
+  ASSERT_NE(hit, run.bytes.end());
+  const std::size_t at = static_cast<std::size_t>(hit - run.bytes.begin());
 
-  const auto restore_with = [&](std::size_t offset, const void* value,
-                                std::size_t size) {
-    std::vector<char> bad = bytes;
-    std::memcpy(bad.data() + offset, value, size);
-    const std::string bad_path = ckpt_path("wheel_bad");
-    std::FILE* f = std::fopen(bad_path.c_str(), "wb");
-    EXPECT_EQ(std::fwrite(bad.data(), 1, bad.size(), f), bad.size());
-    std::fclose(f);
-    Network b(cfg);
-    b.set_traffic(saturating_traffic(cfg));
-    std::string err;
-    const bool ok = CheckpointIO::restore(b, bad_path, &err);
-    std::remove(bad_path.c_str());
-    return ok ? std::string() : err;
-  };
   // The untouched bytes restore; each corrupted field fails cleanly.
   const u32 same = t.ch;
-  EXPECT_EQ(restore_with(at, &same, 4), "");
+  EXPECT_EQ(restore_patched(run, at, &same, 4), "");
   const ChannelId past_end = static_cast<ChannelId>(a.num_channels());
-  EXPECT_EQ(restore_with(at, &past_end, 4), "corrupt phit wheel");
-  EXPECT_EQ(restore_with(at, &unwired, 4), "corrupt phit wheel");
+  EXPECT_EQ(restore_patched(run, at, &past_end, 4), "corrupt phit wheel");
+  EXPECT_EQ(restore_patched(run, at, &unwired, 4), "corrupt phit wheel");
   const VcId bad_vc = 7;  // no port of this config has 8 VCs
-  EXPECT_EQ(restore_with(at + 8, &bad_vc, 1), "corrupt phit wheel");
+  EXPECT_EQ(restore_patched(run, at + 8, &bad_vc, 1), "corrupt phit wheel");
   const PacketId dead = ~PacketId{0} - 1;
-  EXPECT_EQ(restore_with(at + 4, &dead, 4), "corrupt phit wheel");
-  std::remove(path.c_str());
+  EXPECT_EQ(restore_patched(run, at + 4, &dead, 4), "corrupt phit wheel");
+}
+
+TEST(CheckpointRestart, RejectsActiveTransferWithoutLivePacket) {
+  const SavedRun run = saved_run();
+  const TransferAt t = find_transfer(run);
+  ASSERT_NE(t.offset, std::string::npos);
+  EXPECT_EQ(restore_patched(run, t.offset, &t.out->active, 4), "");
+  // The mask bit is set, so the port must stream a live packet.
+  EXPECT_EQ(restore_patched(run, t.offset, &kInvalidPacket, 4),
+            "corrupt active transfer");
+  const PacketId dead = ~PacketId{0} - 1;
+  EXPECT_EQ(restore_patched(run, t.offset, &dead, 4),
+            "corrupt active transfer");
+}
+
+TEST(CheckpointRestart, RejectsActiveMaskBitOfUnwiredPort) {
+  const SavedRun run = saved_run();
+  const RouterTailAt tail = find_router_tail(run, /*need_unwired=*/true);
+  ASSERT_NE(tail.mask_offset, std::string::npos);
+  const Router& router = run.net->router(tail.router);
+  EXPECT_EQ(
+      restore_patched(run, tail.mask_offset, &router.active_out_mask, 8), "");
+  u64 unwired_bit = 0;
+  for (PortId p = 0; p < router.outputs.size(); ++p)
+    if (!router.outputs[p].wired()) unwired_bit = u64{1} << p;
+  ASSERT_NE(unwired_bit, 0u);
+  const u64 on_unwired = router.active_out_mask | unwired_bit;
+  EXPECT_EQ(restore_patched(run, tail.mask_offset, &on_unwired, 8),
+            "corrupt active output mask");
+  const u64 past_ports = router.active_out_mask | u64{1} << 63;
+  EXPECT_EQ(restore_patched(run, tail.mask_offset, &past_ports, 8),
+            "corrupt active output mask");
+}
+
+TEST(CheckpointRestart, RejectsTransferSourcePortOutOfRange) {
+  const SavedRun run = saved_run();
+  const TransferAt t = find_transfer(run);
+  ASSERT_NE(t.offset, std::string::npos);
+  const PortId ports =
+      static_cast<PortId>(run.net->topo().ports_per_router());
+  EXPECT_EQ(restore_patched(run, t.offset + 5, &ports, 2),
+            "corrupt transfer source port");
+}
+
+TEST(CheckpointRestart, RejectsTransferSourceVcOutOfRange) {
+  const SavedRun run = saved_run();
+  const TransferAt t = find_transfer(run);
+  ASSERT_NE(t.offset, std::string::npos);
+  const VcId vcs = static_cast<VcId>(
+      run.net->router(t.router).inputs[t.out->src_port].vcs.size());
+  EXPECT_EQ(restore_patched(run, t.offset + 7, &vcs, 1),
+            "corrupt transfer source VC");
+}
+
+TEST(CheckpointRestart, RejectsTransferLengthOtherThanPacket) {
+  const SavedRun run = saved_run();
+  const TransferAt t = find_transfer(run);
+  ASSERT_NE(t.offset, std::string::npos);
+  const u32 too_long = u32{t.out->active_size} + 1;
+  EXPECT_EQ(restore_patched(run, t.offset + 8, &too_long, 4),
+            "corrupt transfer length");
+  const u32 none_left = 0;
+  EXPECT_EQ(restore_patched(run, t.offset + 8, &none_left, 4),
+            "corrupt transfer length");
+  const u16 other_size = static_cast<u16>(run.cfg.packet_size + 1);
+  EXPECT_EQ(restore_patched(run, t.offset + 12, &other_size, 2),
+            "corrupt transfer length");
+}
+
+TEST(CheckpointRestart, RejectsInputMaskOtherThanNonEmptyFifos) {
+  const SavedRun run = saved_run();
+  const RouterTailAt tail = find_router_tail(run, /*need_unwired=*/false);
+  ASSERT_NE(tail.mask_offset, std::string::npos);
+  const Router& router = run.net->router(tail.router);
+  for (PortId p = 0; p < router.inputs.size(); ++p) {
+    const u8 mask = router.input_mask[p];
+    if (mask == 0) continue;
+    const std::size_t at = tail.mask_offset + 8 + p;
+    EXPECT_EQ(restore_patched(run, at, &mask, 1), "");
+    const u8 cleared = static_cast<u8>(mask & (mask - 1));  // drop a FIFO
+    EXPECT_EQ(restore_patched(run, at, &cleared, 1), "corrupt input mask");
+    const u8 extra = static_cast<u8>(mask | 0x80);  // no port has 8 VCs
+    EXPECT_EQ(restore_patched(run, at, &extra, 1), "corrupt input mask");
+    return;
+  }
+  FAIL() << "router " << tail.router << " buffers packets but no FIFO";
+}
+
+TEST(CheckpointRestart, RejectsFifoEntryOfDeadPacket) {
+  const SavedRun run = saved_run();
+  const Network& net = *run.net;
+  for (RouterId r = 0; r < net.topo().routers(); ++r) {
+    if (!net.router_built(r)) continue;
+    for (const InputPort& in : net.router(r).inputs) {
+      for (u32 v = 0; v < in.vcs.size(); ++v) {
+        // A waiting head: no transfer names it, so only the FIFO check can
+        // catch a dead id there.
+        const VcFifo& f = in.vcs[v];
+        if (f.empty() || in.head_busy[v] != 0) continue;
+        const std::size_t at = find_unique(
+            run.bytes,
+            bytes_of(u32{f.head()}, static_cast<u16>(f.head_arrived()),
+                     static_cast<u16>(f.head_sent())));
+        if (at == std::string::npos) continue;
+        const PacketId live = f.head();
+        EXPECT_EQ(restore_patched(run, at, &live, 4), "");
+        const PacketId dead = ~PacketId{0} - 1;
+        EXPECT_EQ(restore_patched(run, at, &dead, 4), "corrupt FIFO packet");
+        return;
+      }
+    }
+  }
+  FAIL() << "no FIFO entry with a unique byte pattern";
+}
+
+TEST(CheckpointRestart, RejectsOfferToItsOwnSourceOrNoNode) {
+  const SavedRun run = saved_run();
+  // An offer is {dst u32, tag u16, padding, birth u64}; match around the
+  // padding, whose bytes are unspecified.
+  const std::string head = bytes_of(u32{SavedRun::kOfferDst},
+                                     u16{SavedRun::kOfferTag});
+  const std::string birth = bytes_of(u64{SavedRun::kOfferCycle});
+  std::size_t at = std::string::npos;
+  for (std::size_t i = 0; i + 16 <= run.bytes.size(); ++i) {
+    if (std::memcmp(run.bytes.data() + i, head.data(), head.size()) == 0 &&
+        std::memcmp(run.bytes.data() + i + 8, birth.data(), 8) == 0) {
+      at = i;
+      break;
+    }
+  }
+  ASSERT_NE(at, std::string::npos) << "node 0 has no queued offer left";
+  const NodeId other = 1;
+  EXPECT_EQ(restore_patched(run, at, &other, 4), "");
+  const NodeId self = 0;
+  EXPECT_EQ(restore_patched(run, at, &self, 4), "corrupt offer destination");
+  const NodeId no_node = static_cast<NodeId>(run.net->topo().nodes());
+  EXPECT_EQ(restore_patched(run, at, &no_node, 4),
+            "corrupt offer destination");
 }
 
 TEST(CheckpointRestart, MissingFileIsNotAnError) {

@@ -360,8 +360,11 @@ TEST(ShardArena, InputBindingIsContiguousAndPortMajor) {
       EXPECT_NE(f.slots(), nullptr);
       EXPECT_TRUE(f.empty());
       for (u32 q = 0; q < 3; ++q)
-        for (u32 w = 0; w < 2; ++w)
-          if (q != p || w != v) EXPECT_NE(f.slots(), r.inputs[q].vcs[w].slots());
+        for (u32 w = 0; w < 2; ++w) {
+          if (q != p || w != v) {
+            EXPECT_NE(f.slots(), r.inputs[q].vcs[w].slots());
+          }
+        }
     }
 }
 

@@ -175,6 +175,23 @@ TEST(Spec, RejectsTyposLoudly) {
   doc = parse_ok(R"({"kind": "steady", "patterns": ["UN"], "loads": [0.1]})");
   EXPECT_FALSE(spec_from_json(doc, spec, error));
   EXPECT_NE(error.find("mechanisms"), std::string::npos) << error;
+
+  // `wiring_table` is not a config key, per mechanism or in the shared
+  // config.
+  doc = parse_ok(
+      R"({"kind": "steady", "patterns": ["UN"], "loads": [0.1],
+          "mechanisms": [{"routing": "OFAR", "wiring_table": true}]})");
+  EXPECT_FALSE(spec_from_json(doc, spec, error));
+  EXPECT_NE(error.find("unknown config key 'wiring_table'"),
+            std::string::npos)
+      << error;
+  doc = parse_ok(R"({"kind": "steady", "patterns": ["UN"], "loads": [0.1],
+                     "config": {"wiring_table": false},
+                     "mechanisms": [{"routing": "OFAR"}]})");
+  EXPECT_FALSE(spec_from_json(doc, spec, error));
+  EXPECT_NE(error.find("unknown config key 'wiring_table'"),
+            std::string::npos)
+      << error;
 }
 
 TEST(Spec, LoadsTransientAndBurstSpecs) {
@@ -289,10 +306,6 @@ TEST(Spec, PointKeyIgnoresInstrumentationAndLabels) {
   // sim_threads is execution policy: any thread count yields bit-identical
   // results for a given sim_shards, so it must hit the same cache entry.
   q.run.sim_threads = 4;
-  EXPECT_EQ(point_key(q), k);
-  // wiring_table is a debug/reference execution mode with bit-identical
-  // results (tested in test_scale.cpp) — it must hit the same cache entry.
-  q.cfg.wiring_table = true;
   EXPECT_EQ(point_key(q), k);
   q = p;
   q.mechanism = "renamed";
