@@ -13,16 +13,16 @@
 //   --sim-threads N worker threads inside each simulation (sharded cycle
 //                   kernel; 0 = auto split of the --threads budget).
 //                   Effective only when the config runs sim_shards > 1.
-//   --metrics-out F       stream telemetry records to F (.jsonl or .csv)
+//   --metrics-out F       stream telemetry records to F (JSONL, whatever
+//                         the extension)
 //   --metrics-interval C  cycles between interval snapshots (default 1000)
-//   --metrics-full        also dump per-channel / per-VC records
+//   --metrics-full        also dump per-channel records (exact per-link
+//                         utilisation) and per-VC records
 //   --audit               run the invariant auditor every 4096 cycles
 //   --audit-interval C    audit every C cycles (implies --audit)
 //   --trace-out F     packet-journey Chrome trace JSON (chrome://tracing /
 //                     ui.perfetto.dev); per-point file names when the run
 //                     executes more than one point
-//   --trace-links F   per-link utilisation / credit-stall series (.csv or
-//                     JSONL by extension)
 //   --trace-sample N  trace 1 in N packets (default 64; 1 traces all)
 //   --cache-dir D   content-addressed result cache + resume journal
 //                   (default .ofar-cache)
@@ -59,21 +59,14 @@ struct BenchOptions {
   unsigned threads = 0;
   unsigned sim_threads = 0;  ///< intra-sim workers (0 = auto; see above)
 
-  // Telemetry sink shared by every simulation this bench runs (thread-safe;
-  // parallel sweep points interleave whole records). Null when --metrics-out
-  // was not given. The orchestrator labels each record "<case>|<mechanism>".
+  // Auditing, telemetry and tracing of every executed point; never part
+  // of cached point keys.
+  Instrumentation instrumentation;
+  // Owner of instrumentation.metrics_sink, shared by every simulation this
+  // bench runs (thread-safe; parallel sweep points interleave whole
+  // records). Null when --metrics-out was not given. The orchestrator
+  // labels each record "<case>|<mechanism>".
   std::shared_ptr<MetricsSink> metrics;
-  Cycle metrics_interval = 1'000;
-  bool metrics_full = false;
-
-  // Invariant-audit period (0 = off), applied to every executed point.
-  Cycle audit_interval = 0;
-
-  // Packet tracing (src/trace, DESIGN.md §11), applied to every executed
-  // point. Instrumentation only: never part of cached point keys.
-  std::string trace_out;    ///< "" = journey tracing off
-  std::string trace_links;  ///< "" = link series off
-  u32 trace_sample = 64;    ///< 1-in-N deterministic packet sampling
 
   // Orchestrator knobs: every bench executes through run_points() now.
   std::string cache_dir;  ///< "" = caching off (unless a default applies)
@@ -93,21 +86,22 @@ struct BenchOptions {
     o.csv_dir = cli.get_string("csv-dir", ".");
     o.threads = static_cast<unsigned>(cli.get_uint("threads", 0));
     o.sim_threads = static_cast<unsigned>(cli.get_uint("sim-threads", 0));
+    Instrumentation& in = o.instrumentation;
     const std::string metrics_out = cli.get_string("metrics-out", "");
-    o.metrics_interval = cli.get_uint("metrics-interval", 1'000);
-    o.metrics_full = cli.get_flag("metrics-full");
+    in.metrics_interval = cli.get_uint("metrics-interval", 1'000);
+    in.metrics_full = cli.get_flag("metrics-full");
     if (!metrics_out.empty()) {
       o.metrics = MetricsSink::open(metrics_out);
       if (o.metrics == nullptr)
         std::fprintf(stderr, "warning: could not open %s; telemetry disabled\n",
                      metrics_out.c_str());
+      in.metrics_sink = o.metrics.get();
     }
-    o.audit_interval = cli.get_uint("audit-interval", 0);
-    if (cli.get_flag("audit") && o.audit_interval == 0)
-      o.audit_interval = 4'096;
-    o.trace_out = cli.get_string("trace-out", "");
-    o.trace_links = cli.get_string("trace-links", "");
-    o.trace_sample = static_cast<u32>(cli.get_uint("trace-sample", 64));
+    in.audit_interval = cli.get_uint("audit-interval", 0);
+    if (cli.get_flag("audit") && in.audit_interval == 0)
+      in.audit_interval = 4'096;
+    in.trace_out = cli.get_string("trace-out", "");
+    in.trace_sample = static_cast<u32>(cli.get_uint("trace-sample", 64));
     o.cache_dir = cli.get_string("cache-dir", "");
     o.no_cache = cli.get_flag("no-cache");
     o.checkpoint_dir = cli.get_string("checkpoint-dir", "");

@@ -28,7 +28,7 @@ void usage() {
       "  ofar_run --spec FILE   [--csv-dir D] [--threads T] [--sim-threads N]\n"
       "                         [--cache-dir D]\n"
       "                         [--no-cache] [--stop-after N] [--metrics-out F]\n"
-      "                         [--trace-out F] [--trace-links F]\n"
+      "                         [--metrics-full] [--trace-out F]\n"
       "                         [--trace-sample N]\n"
       "  ofar_run --preset NAME [preset flags...]\n"
       "  ofar_run --list\n"

@@ -889,13 +889,7 @@ int run_units(const std::vector<PresetUnit>& units, const BenchOptions& opts,
   oo.cache_dir = opts.no_cache ? std::string() : opts.cache_dir;
   oo.threads = opts.threads;
   oo.sim_threads = opts.sim_threads;
-  oo.audit_interval = opts.audit_interval;
-  oo.metrics_sink = opts.metrics.get();
-  oo.metrics_interval = opts.metrics_interval;
-  oo.metrics_full = opts.metrics_full;
-  oo.trace_out = opts.trace_out;
-  oo.trace_links = opts.trace_links;
-  oo.trace_sample = opts.trace_sample;
+  oo.instrumentation = opts.instrumentation;
   oo.checkpoint_dir = opts.checkpoint_dir;
   oo.checkpoint_interval = opts.checkpoint_interval;
   oo.stop_flag = opts.stop_flag;

@@ -38,7 +38,7 @@ bool CheckpointIO::read_fifo(CkptReader& r, VcFifo& f) {
   f.tail_ = r.get_u32();
   f.stored_ = r.get_u32();
   const u32 count = f.tail_ - f.head_;
-  if (!r.ok() || count > f.mask_ + 1) {
+  if (!r.ok() || count > f.mask_ + 1 || f.stored_ > f.capacity_) {
     r.fail();
     return false;
   }
@@ -75,6 +75,23 @@ const char* CheckpointIO::check_router(const Network& net,
                    out.phits_left == 0 || out.phits_left > out.active_size))
       return "corrupt transfer length";
   }
+  // head_busy flags exactly the sources of the active transfers, and no
+  // head streams to two outputs at once.
+  std::vector<u32> first_vc(ports + 1, 0);
+  for (PortId port = 0; port < ports; ++port)
+    first_vc[port + 1] = first_vc[port] + router.inputs[port].vcs.size();
+  std::vector<u8> streaming(first_vc[ports], 0);
+  for (u64 mask = router.active_out_mask; mask != 0; mask &= mask - 1) {
+    const OutputPort& out =
+        router.outputs[static_cast<u32>(std::countr_zero(mask))];
+    u8& source = streaming[first_vc[out.src_port] + out.src_vc];
+    if (source != 0) return "corrupt head busy flags";
+    source = 1;
+  }
+  // The counters the kernel's skips trust: a router whose count says it
+  // holds no packet leaves the worklist, and one with no routable head is
+  // never allocated.
+  u32 packets = 0, phits = 0, heads = 0;
   for (PortId port = 0; port < ports; ++port) {
     const InputPort& in = router.inputs[port];
     u32 non_empty = 0;
@@ -84,16 +101,30 @@ const char* CheckpointIO::check_router(const Network& net,
       for (u32 i = f.head_; i != f.tail_; ++i)
         if (!pool.is_live(f.entries_[i & f.mask_].packet))
           return "corrupt FIFO packet";
+      if (in.head_busy[v] != streaming[first_vc[port] + v])
+        return "corrupt head busy flags";
+      packets += f.tail_ - f.head_;
+      phits += f.stored_;
+      if (in.has_head(static_cast<VcId>(v))) ++heads;
     }
     if (router.input_mask[port] != non_empty) return "corrupt input mask";
   }
+  if (router.buffered_packets != packets)
+    return "corrupt buffered packet count";
+  if (router.buffered_phits != phits) return "corrupt buffered phit count";
+  if (router.active_transfers !=
+      static_cast<u32>(std::popcount(router.active_out_mask)))
+    return "corrupt active transfer count";
+  if (router.routable_heads != heads) return "corrupt routable head count";
   return nullptr;
 }
 
+// The u64 after the bucket width is a retired slot, kept so the byte
+// format is unchanged: it is always written 0 and must read back 0.
 void CheckpointIO::write_series(CkptWriter& w, const TimeSeries& ts) {
   w.put_u64(ts.start_);
   w.put_u32(ts.bucket_width_);
-  w.put_u64(ts.base_);
+  w.put_u64(0);
   w.put_u64(ts.buckets_.size());
   w.put_pod_span(ts.buckets_.data(), ts.buckets_.size());
 }
@@ -101,9 +132,9 @@ void CheckpointIO::write_series(CkptWriter& w, const TimeSeries& ts) {
 bool CheckpointIO::read_series(CkptReader& r, TimeSeries& ts) {
   ts.start_ = r.get_u64();
   ts.bucket_width_ = r.get_u32();
-  ts.base_ = r.get_u64();
+  const u64 retired = r.get_u64();
   const u64 n = r.get_u64();
-  if (!r.ok() || n > (u64{1} << 32)) {
+  if (!r.ok() || retired != 0 || n > (u64{1} << 32)) {
     r.fail();
     return false;
   }

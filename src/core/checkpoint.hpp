@@ -63,7 +63,9 @@ class CheckpointIO {
   static void write_stats(CkptWriter& w, const Stats& s);
   static bool read_stats(CkptReader& r, Stats& s);
   /// Checks every id a restored router holds before the kernel indexes
-  /// with it; returns the error, or nullptr when the router is consistent.
+  /// with it, and every counter and flag the kernel trusts against the
+  /// state it summarises; returns the error, or nullptr when the router is
+  /// consistent.
   static const char* check_router(const Network& net, const Router& router);
 };
 

@@ -15,6 +15,9 @@ namespace ofar {
 
 namespace {
 
+/// Flight-recorder events kept per router in every traced run.
+constexpr u32 kFlightDepth = 64;
+
 std::string compose_label(const std::string& base,
                           const std::string& suffix) {
   if (base.empty()) return suffix;
@@ -47,29 +50,25 @@ std::string per_point_path(const std::string& path, const std::string& label,
 
 void ExperimentCommon::arm(Network& net, const std::string& label_suffix)
     const {
+  const Instrumentation& in = instrumentation;
   net.set_sim_threads(sim_threads);
-  if (audit_interval > 0) net.enable_audit(audit_interval);
+  if (in.audit_interval > 0) net.enable_audit(in.audit_interval);
   const std::string label = compose_label(metrics_label, label_suffix);
-  if (!trace_out.empty() || !trace_links.empty()) {
+  if (!in.trace_out.empty()) {
     trace::TracerConfig tc;
     tc.out_path = trace_per_point
-                      ? per_point_path(trace_out, label, net.config().seed)
-                      : trace_out;
-    tc.links_path = trace_per_point
-                        ? per_point_path(trace_links, label,
-                                         net.config().seed)
-                        : trace_links;
-    tc.sample = trace_sample;
-    tc.link_bucket = trace_link_bucket;
-    tc.flight_depth = trace_flight_depth;
+                      ? per_point_path(in.trace_out, label, net.config().seed)
+                      : in.trace_out;
+    tc.sample = in.trace_sample;
+    tc.flight_depth = kFlightDepth;
     tc.label = label;
     net.enable_tracing(tc);
   }
-  if (metrics_sink == nullptr) return;
+  if (in.metrics_sink == nullptr) return;
   TelemetryConfig tc;
-  tc.sink = metrics_sink;
-  tc.interval = metrics_interval;
-  tc.full_dump = metrics_full;
+  tc.sink = in.metrics_sink;
+  tc.interval = in.metrics_interval;
+  tc.full_dump = in.metrics_full;
   tc.label = label;
   net.enable_telemetry(tc);
 }

@@ -24,36 +24,34 @@ namespace ofar {
 class MetricsSink;
 class Network;
 
-/// Knobs shared by every experiment protocol: invariant auditing and
-/// opt-in telemetry. Both are read-only instrumentation — results are
-/// bit-identical per seed whether they are enabled or not. A new shared
-/// knob is added here once and every protocol (steady, transient, burst)
-/// picks it up.
-struct ExperimentCommon {
+/// Read-only instrumentation of a run: invariant auditing, telemetry and
+/// packet tracing. Per-seed results are bit-identical with any of it on or
+/// off, so none of these knobs belong in a cached point key. Declared once
+/// and copied whole: BenchOptions -> OrchestratorOptions -> ExperimentCommon.
+struct Instrumentation {
   /// Cycles between invariant-auditor runs (Network::enable_audit);
-  /// 0 disables. Auditing is read-only: the run just aborts with a report
-  /// if an invariant breaks.
+  /// 0 disables. The run just aborts with a report if an invariant breaks.
   Cycle audit_interval = 0;
 
-  // ---- optional telemetry (stats/metrics.hpp); active when sink != null.
+  // ---- telemetry (stats/metrics.hpp); active when metrics_sink != null.
   // The sink is shared, not owned: a sweep points every run at one file and
-  // each record carries `metrics_label` (plus a per-run suffix) to tell the
-  // runs apart.
+  // each record carries the run's label to tell the runs apart.
   MetricsSink* metrics_sink = nullptr;
   Cycle metrics_interval = 1'000;
-  std::string metrics_label;
-  bool metrics_full = false;
+  bool metrics_full = false;  ///< also per-channel and per-VC records
 
-  // ---- optional packet tracing (trace/tracer.hpp, DESIGN.md §11); active
-  // when trace_out or trace_links is non-empty. Like telemetry it is
-  // read-only, deterministic instrumentation: per-seed results are
-  // bit-identical with tracing on or off, so none of these knobs belong in
-  // a cached point key.
-  std::string trace_out;    ///< Chrome trace-event JSON (chrome://tracing)
-  std::string trace_links;  ///< per-link util/stall series, .csv or JSONL
-  u32 trace_sample = 64;    ///< trace 1-in-N packets by hash(seq); <=1: all
-  Cycle trace_link_bucket = 256;  ///< link-series bucket width, cycles
-  u32 trace_flight_depth = 64;    ///< flight-recorder events/router; 0: off
+  // ---- packet tracing (trace/tracer.hpp, DESIGN.md §11); active when
+  // trace_out is non-empty.
+  std::string trace_out;  ///< Chrome trace-event JSON (chrome://tracing)
+  u32 trace_sample = 64;  ///< trace 1-in-N packets by hash(seq); <=1: all
+};
+
+/// Knobs shared by every experiment protocol. A new shared knob is added
+/// here once and every protocol (steady, transient, burst) picks it up.
+struct ExperimentCommon {
+  Instrumentation instrumentation;
+  /// Telemetry record and trace label (plus a per-run suffix).
+  std::string metrics_label;
 
   /// Rewrite trace paths per run ("t.json" -> "t.<label>-s<seed>.json") so
   /// the parallel points of a sweep sharing one params object do not

@@ -360,18 +360,10 @@ RunReport run_points(const std::vector<RunPoint>& points,
       const std::string label =
           p.case_name.empty() ? p.mechanism : p.case_name + "|" + p.mechanism;
       const auto arm_common = [&](ExperimentCommon& c) {
-        c.audit_interval = opts.audit_interval;
-        c.metrics_sink = opts.metrics_sink;
-        c.metrics_interval = opts.metrics_interval;
-        c.metrics_full = opts.metrics_full;
+        c.instrumentation = opts.instrumentation;
         c.metrics_label = label;
-        c.sim_threads = inner;
-        c.trace_out = opts.trace_out;
-        c.trace_links = opts.trace_links;
-        c.trace_sample = opts.trace_sample;
-        c.trace_link_bucket = opts.trace_link_bucket;
-        c.trace_flight_depth = opts.trace_flight_depth;
         c.trace_per_point = todo.size() > 1;
+        c.sim_threads = inner;
       };
       switch (p.kind) {
         case RunKind::kSteady: {

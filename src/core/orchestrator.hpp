@@ -28,8 +28,6 @@
 
 namespace ofar {
 
-class MetricsSink;
-
 struct OrchestratorOptions {
   /// Directory for the result cache + journal; "" disables caching (every
   /// point executes). Created if missing.
@@ -49,23 +47,11 @@ struct OrchestratorOptions {
   unsigned sim_threads = 0;
 
   // Instrumentation applied to every *executed* point (cache hits ran
-  // without it, which is equivalent: both are result-invariant).
-  Cycle audit_interval = 0;
-  MetricsSink* metrics_sink = nullptr;
-  Cycle metrics_interval = 1'000;
-  bool metrics_full = false;
-
-  // Packet tracing for executed points (ExperimentCommon trace_* knobs;
-  // result- and cache-key-invariant like the rest of the block above).
-  // When the run executes more than one point, output paths get a
-  // per-point "<case>|<mechanism>|..." + seed tag so parallel points never
-  // overwrite each other; a single executed point writes the paths
-  // verbatim.
-  std::string trace_out;          ///< Chrome trace-event JSON path
-  std::string trace_links;        ///< per-link util/stall series path
-  u32 trace_sample = 64;          ///< trace 1-in-N packets; <=1 traces all
-  Cycle trace_link_bucket = 256;  ///< link-series bucket width, cycles
-  u32 trace_flight_depth = 64;    ///< flight-recorder events/router
+  // without it, which is equivalent: both are result-invariant). When the
+  // run executes more than one point, the trace path gets a per-point
+  // "<case>|<mechanism>|..." + seed tag so parallel points never overwrite
+  // each other's file; a single executed point writes it verbatim.
+  Instrumentation instrumentation;
 
   // Mid-point checkpoint/restart (core/checkpoint.hpp) for steady points:
   // each executing point snapshots its full simulation state to

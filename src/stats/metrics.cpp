@@ -264,28 +264,6 @@ void Telemetry::sample_tail(const Network& net, const Stats& st, Cycle now,
 }
 
 void Telemetry::emit_interval(const Network& net, Cycle now, Cycle width) {
-  MetricsSink& sink = *cfg_.sink;
-  if (sink.format() == MetricsSink::Format::kCsv) {
-    for (MetricsRegistry::Id i = 0; i < reg_.size(); ++i)
-      sink.write_csv_row(cfg_.label, "interval", now, reg_.def(i).name,
-                         reg_.value(i));
-    if (hot_.channel != kInvalidChannel) {
-      sink.write_csv_row(cfg_.label, "interval", now, "hot_link.channel",
-                         static_cast<double>(hot_.channel));
-      sink.write_csv_row(cfg_.label, "interval", now, "hot_link.util",
-                         hot_.link_util);
-    }
-    sink.write_csv_row(cfg_.label, "interval", now, "hot_vc.router",
-                       static_cast<double>(hot_.vc_router));
-    sink.write_csv_row(cfg_.label, "interval", now, "hot_vc.port",
-                       static_cast<double>(hot_.vc_port));
-    sink.write_csv_row(cfg_.label, "interval", now, "hot_vc.vc",
-                       static_cast<double>(hot_.vc_vc));
-    sink.write_csv_row(cfg_.label, "interval", now, "hot_vc.occupancy",
-                       hot_.vc_occ);
-    return;
-  }
-
   JsonWriter w;
   w.begin_object();
   w.key("type").value("interval");
@@ -313,58 +291,43 @@ void Telemetry::emit_interval(const Network& net, Cycle now, Cycle width) {
   w.key("occupancy").value(hot_.vc_occ);
   w.end_object();
   w.end_object();
-  sink.write_line(w.str());
+  cfg_.sink->write_line(w.str());
 }
 
 void Telemetry::emit_full_dump(const Network& net, Cycle now, Cycle width) {
-  MetricsSink& sink = *cfg_.sink;
-  const bool csv = sink.format() == MetricsSink::Format::kCsv;
-
   // Per-channel utilisation (idle channels omitted to bound the record).
   JsonWriter lw;
-  if (!csv) {
-    lw.begin_object();
-    lw.key("type").value("links");
-    lw.key("label").value(cfg_.label);
-    lw.key("cycle").value(now);
-    lw.key("links").begin_array();
-  }
+  lw.begin_object();
+  lw.key("type").value("links");
+  lw.key("label").value(cfg_.label);
+  lw.key("cycle").value(now);
+  lw.key("links").begin_array();
   for (ChannelId c = 0; c < net.num_channels(); ++c) {
     const u64 d = delta_scratch_[c];
     if (d == 0) continue;  // unwired slots never accumulate a delta
     const Channel ch = net.channel(c);
     const double util =
         width == 0 ? 0.0 : static_cast<double>(d) / static_cast<double>(width);
-    if (csv) {
-      char name[64];
-      std::snprintf(name, sizeof name, "link.%u.util", c);
-      sink.write_csv_row(cfg_.label, "links", now, name, util);
-    } else {
-      lw.begin_object();
-      lw.key("channel").value(c);
-      lw.key("src_router").value(ch.src_router);
-      lw.key("src_port").value(static_cast<u32>(ch.src_port));
-      lw.key("class").value(to_string(ch.cls));
-      lw.key("phits").value(d);
-      lw.key("util").value(util);
-      lw.end_object();
-    }
-  }
-  if (!csv) {
-    lw.end_array();
+    lw.begin_object();
+    lw.key("channel").value(c);
+    lw.key("src_router").value(ch.src_router);
+    lw.key("src_port").value(static_cast<u32>(ch.src_port));
+    lw.key("class").value(to_string(ch.cls));
+    lw.key("phits").value(d);
+    lw.key("util").value(util);
     lw.end_object();
-    sink.write_line(lw.str());
   }
+  lw.end_array();
+  lw.end_object();
+  cfg_.sink->write_line(lw.str());
 
   // Per-VC occupancy and cumulative stall counters (idle VCs omitted).
   JsonWriter vw;
-  if (!csv) {
-    vw.begin_object();
-    vw.key("type").value("vcs");
-    vw.key("label").value(cfg_.label);
-    vw.key("cycle").value(now);
-    vw.key("vcs").begin_array();
-  }
+  vw.begin_object();
+  vw.key("type").value("vcs");
+  vw.key("label").value(cfg_.label);
+  vw.key("cycle").value(now);
+  vw.key("vcs").begin_array();
   for (RouterId r = 0; r < net.topo().routers(); ++r) {
     if (!net.router_built(r)) continue;  // untouched: nothing stored, no stalls
     const Router& router = net.router(r);
@@ -380,30 +343,21 @@ void Telemetry::emit_full_dump(const Network& net, Cycle now, Cycle width) {
         const double occ =
             cap == 0 ? 0.0
                      : static_cast<double>(stored) / static_cast<double>(cap);
-        if (csv) {
-          char name[64];
-          std::snprintf(name, sizeof name, "vc.%u.%u.%u.occupancy", r,
-                        static_cast<u32>(p), v);
-          sink.write_csv_row(cfg_.label, "vcs", now, name, occ);
-        } else {
-          vw.begin_object();
-          vw.key("router").value(r);
-          vw.key("port").value(static_cast<u32>(p));
-          vw.key("vc").value(v);
-          vw.key("stored_phits").value(stored);
-          vw.key("occupancy").value(occ);
-          vw.key("credit_stall_cycles").value(cstall);
-          vw.key("alloc_stalls").value(astall);
-          vw.end_object();
-        }
+        vw.begin_object();
+        vw.key("router").value(r);
+        vw.key("port").value(static_cast<u32>(p));
+        vw.key("vc").value(v);
+        vw.key("stored_phits").value(stored);
+        vw.key("occupancy").value(occ);
+        vw.key("credit_stall_cycles").value(cstall);
+        vw.key("alloc_stalls").value(astall);
+        vw.end_object();
       }
     }
   }
-  if (!csv) {
-    vw.end_array();
-    vw.end_object();
-    sink.write_line(vw.str());
-  }
+  vw.end_array();
+  vw.end_object();
+  cfg_.sink->write_line(vw.str());
 }
 
 void Telemetry::collect_edges(const Network& net, Cycle now,
@@ -479,42 +433,11 @@ void Telemetry::on_watchdog_trip(const Network& net, u64 stalled,
   u64 total = 0;
   collect_edges(net, net.now(), last_edges_, total);
   if (cfg_.sink != nullptr)
-    emit_forensics(net, net.now(), stalled, worst_stall, total);
+    emit_forensics(net.now(), stalled, worst_stall, total);
 }
 
-void Telemetry::emit_forensics(const Network& net, Cycle now, u64 stalled,
-                               u64 worst_stall, u64 total_edges) {
-  (void)net;
-  MetricsSink& sink = *cfg_.sink;
-  const u64 truncated = total_edges - last_edges_.size();
-
-  if (sink.format() == MetricsSink::Format::kCsv) {
-    sink.write_csv_row(cfg_.label, "forensics", now, "stalled_packets",
-                       static_cast<double>(stalled));
-    sink.write_csv_row(cfg_.label, "forensics", now, "worst_stall",
-                       static_cast<double>(worst_stall));
-    sink.write_csv_row(cfg_.label, "forensics", now, "truncated_edges",
-                       static_cast<double>(truncated));
-    for (std::size_t i = 0; i < last_edges_.size(); ++i) {
-      const StallEdge& e = last_edges_[i];
-      char name[64];
-      const auto row = [&](const char* field, double v) {
-        std::snprintf(name, sizeof name, "edge%zu.%s", i, field);
-        sink.write_csv_row(cfg_.label, "forensics", now, name, v);
-      };
-      row("router", e.router);
-      row("port", e.in_port);
-      row("vc", e.in_vc);
-      row("packet", e.packet);
-      row("age", static_cast<double>(e.age));
-      row("in_ring", e.in_ring ? 1.0 : 0.0);
-      row("wait_port", e.wait_port);
-      row("wait_busy", e.wait_busy ? 1.0 : 0.0);
-      row("wait_credits", e.wait_credits);
-    }
-    return;
-  }
-
+void Telemetry::emit_forensics(Cycle now, u64 stalled, u64 worst_stall,
+                               u64 total_edges) {
   JsonWriter w;
   w.begin_object();
   w.key("type").value("forensics");
@@ -542,9 +465,9 @@ void Telemetry::emit_forensics(const Network& net, Cycle now, u64 stalled,
     w.end_object();
   }
   w.end_array();
-  w.key("truncated").value(truncated);
+  w.key("truncated").value(total_edges - last_edges_.size());
   w.end_object();
-  sink.write_line(w.str());
+  cfg_.sink->write_line(w.str());
 }
 
 void Telemetry::write_summary(const Network& net) {
@@ -553,8 +476,6 @@ void Telemetry::write_summary(const Network& net) {
   if (cfg_.sink == nullptr) return;
 
   const Stats& st = net.stats();
-  const Cycle now = net.now();
-  MetricsSink& sink = *cfg_.sink;
 
   // Top stalled input VCs, by combined credit + alloc stalls. Ties resolve
   // to the lower flat index, so the report is deterministic.
@@ -589,38 +510,11 @@ void Telemetry::write_summary(const Network& net) {
   const LatencyAccum& lat = st.latency();
   const LatencyHistogram& hist = st.latency_histogram();
 
-  if (sink.format() == MetricsSink::Format::kCsv) {
-    const auto row = [&](const char* metric, double v) {
-      sink.write_csv_row(cfg_.label, "summary", now, metric, v);
-    };
-    row("samples", static_cast<double>(samples_));
-    row("stats.generated_packets", static_cast<double>(st.generated_packets()));
-    row("stats.delivered_packets", static_cast<double>(st.delivered_packets()));
-    row("stats.delivered_phits", static_cast<double>(st.delivered_phits()));
-    row("stats.latency_mean", lat.mean());
-    row("stats.latency_p50", static_cast<double>(hist.percentile(0.50)));
-    row("stats.latency_p99", static_cast<double>(hist.percentile(0.99)));
-    row("stats.latency_overflow", static_cast<double>(hist.overflow_count()));
-    row("stats.ring_entries", static_cast<double>(st.ring_entries()));
-    row("stats.ring_packets", static_cast<double>(st.ring_packets()));
-    row("stats.ring_reentries", static_cast<double>(st.ring_reentries()));
-    row("stats.ring_use_fraction", st.ring_use_fraction());
-    row("stalls.credit_cycles", static_cast<double>(credit_stall_cycles()));
-    row("stalls.alloc_cycles", static_cast<double>(alloc_stall_cycles()));
-    for (u32 i = 0; i < kNumSimPhases; ++i) {
-      const SimPhase p = static_cast<SimPhase>(i);
-      char name[64];
-      std::snprintf(name, sizeof name, "phase.%s.seconds", to_string(p));
-      row(name, prof_.estimated_total_seconds(p));
-    }
-    return;
-  }
-
   JsonWriter w;
   w.begin_object();
   w.key("type").value("summary");
   w.key("label").value(cfg_.label);
-  w.key("cycle").value(now);
+  w.key("cycle").value(net.now());
   w.key("samples").value(samples_);
   w.key("forensic_dumps").value(forensic_dumps_);
 
@@ -685,7 +579,7 @@ void Telemetry::write_summary(const Network& net) {
   w.end_object();
 
   w.end_object();
-  sink.write_line(w.str());
+  cfg_.sink->write_line(w.str());
 }
 
 }  // namespace ofar

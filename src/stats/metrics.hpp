@@ -1,7 +1,7 @@
 // Opt-in telemetry layer: a registry of named counters/gauges sampled on a
 // fixed cycle interval, a wall-clock profiler of the Network::step phases,
 // and structured deadlock forensics — all streamed through a MetricsSink
-// (see sink.hpp) as JSONL/CSV records.
+// (see sink.hpp) as JSONL records.
 //
 // Contract with the cycle kernel (see DESIGN.md "Observability"):
 //
@@ -348,8 +348,8 @@ class Telemetry {
   void emit_full_dump(const Network& net, Cycle now, Cycle width);
   void collect_edges(const Network& net, Cycle now,
                      std::vector<StallEdge>& edges, u64& total) const;
-  void emit_forensics(const Network& net, Cycle now, u64 stalled,
-                      u64 worst_stall, u64 total_edges);
+  void emit_forensics(Cycle now, u64 stalled, u64 worst_stall,
+                      u64 total_edges);
 
   TelemetryConfig cfg_;
   const Network* net_;  ///< for the destructor's summary safety net

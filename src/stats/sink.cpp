@@ -1,9 +1,7 @@
 #include "stats/sink.hpp"
 
 #include <charconv>
-#include <cinttypes>
 #include <cmath>
-#include <cstring>
 
 namespace ofar {
 
@@ -82,37 +80,13 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-namespace {
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-std::string csv_quote(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (const char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-MetricsSink::MetricsSink(std::FILE* f, Format format, std::string path)
-    : file_(f), format_(format), path_(std::move(path)) {}
+MetricsSink::MetricsSink(std::FILE* f, std::string path)
+    : file_(f), path_(std::move(path)) {}
 
 std::unique_ptr<MetricsSink> MetricsSink::open(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return nullptr;
-  const Format fmt = ends_with(path, ".csv") ? Format::kCsv : Format::kJsonl;
-  auto sink =
-      std::unique_ptr<MetricsSink>(new MetricsSink(f, fmt, path));
-  if (fmt == Format::kCsv) sink->write_line("label,type,cycle,metric,value");
-  return sink;
+  return std::unique_ptr<MetricsSink>(new MetricsSink(f, path));
 }
 
 MetricsSink::~MetricsSink() {
@@ -124,23 +98,6 @@ void MetricsSink::write_line(const std::string& line) {
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fputc('\n', file_);
   ++lines_;
-}
-
-void MetricsSink::write_csv_row(const std::string& label, const char* type,
-                                Cycle cycle, const std::string& metric,
-                                double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, ",%" PRIu64 ",", static_cast<u64>(cycle));
-  std::string row = csv_quote(label);
-  row += ',';
-  row += type;
-  row += buf;
-  row += csv_quote(metric);
-  row += ',';
-  char val[32];
-  const auto res = std::to_chars(val, val + sizeof val, value);
-  row.append(val, res.ptr);
-  write_line(row);
 }
 
 }  // namespace ofar

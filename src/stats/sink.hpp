@@ -1,12 +1,7 @@
-// Streaming metrics sink: one self-contained record per line, appended to a
-// file as the simulation runs. Two formats, selected by file extension:
-//
-//  - JSONL (default): each record is one JSON object, e.g.
-//      {"type":"interval","label":"OFAR","cycle":2000,"metrics":{...}}
-//  - CSV (".csv"): long format with a fixed header
-//      label,type,cycle,metric,value
-//    (structured records — forensics edges, phase tables — are flattened to
-//    one row per scalar field).
+// Streaming metrics sink: one self-contained JSON record per line (JSONL),
+// appended to a file as the simulation runs, e.g.
+//   {"type":"interval","label":"OFAR","cycle":2000,"metrics":{...}}
+// JSONL is the only format, whatever the file's extension.
 //
 // The sink is shared by every simulation of a sweep: write_line is
 // thread-safe (one mutex, one fwrite per record), so parallel sweep points
@@ -105,35 +100,26 @@ std::string json_escape(const std::string& s);
 
 class MetricsSink {
  public:
-  enum class Format : u8 { kJsonl, kCsv };
-
-  /// Opens (truncates) `path`; format is CSV when the path ends in ".csv",
-  /// JSONL otherwise. Returns nullptr when the file cannot be created.
+  /// Opens (truncates) `path`. Returns nullptr when the file cannot be
+  /// created.
   static std::unique_ptr<MetricsSink> open(const std::string& path);
 
   ~MetricsSink();
   MetricsSink(const MetricsSink&) = delete;
   MetricsSink& operator=(const MetricsSink&) = delete;
 
-  Format format() const noexcept { return format_; }
   const std::string& path() const noexcept { return path_; }
 
   /// Appends one complete record (without trailing newline) atomically with
   /// respect to other threads writing to the same sink.
   void write_line(const std::string& line);
 
-  /// Convenience for CSV rows: label,type,cycle,metric,value. `label` and
-  /// `metric` are escaped (quoted when they contain commas or quotes).
-  void write_csv_row(const std::string& label, const char* type, Cycle cycle,
-                     const std::string& metric, double value);
-
   u64 lines_written() const noexcept { return lines_; }
 
  private:
-  MetricsSink(std::FILE* f, Format format, std::string path);
+  MetricsSink(std::FILE* f, std::string path);
 
   std::FILE* file_;
-  Format format_;
   std::string path_;
   std::mutex mutex_;
   u64 lines_ = 0;

@@ -1,45 +1,14 @@
 #include "stats/timeseries.hpp"
 
-#include "stats/sink.hpp"
-
 namespace ofar {
 
-void TimeSeries::flush_front(u64 new_base) {
-  const u64 resident_end = base_ + buckets_.size();
-  const u64 stop = new_base < resident_end ? new_base : resident_end;
-  for (u64 i = base_; i < stop; ++i) {
-    const Bucket& b = buckets_[i - base_];
-    if (b.count != 0 && flush_)
-      flush_(start_ + i * bucket_width_ + bucket_width_ / 2, b);
-  }
-  buckets_.erase(buckets_.begin(),
-                 buckets_.begin() + static_cast<std::ptrdiff_t>(stop - base_));
-  base_ = new_base;
-}
-
-void TimeSeries::dump_csv(std::FILE* f, const std::string& label) const {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const Bucket& b = buckets_[i];
-    if (b.count == 0) continue;
-    std::fprintf(f, "%s,%llu,%.17g,%llu\n", label.c_str(),
-                 static_cast<unsigned long long>(bucket_mid(i)), b.mean(),
-                 static_cast<unsigned long long>(b.count));
-  }
-}
-
-void TimeSeries::dump_jsonl(std::FILE* f, const std::string& label) const {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const Bucket& b = buckets_[i];
-    if (b.count == 0) continue;
-    JsonWriter w;
-    w.begin_object();
-    w.key("label").value(label);
-    w.key("cycle").value(static_cast<u64>(bucket_mid(i)));
-    w.key("mean").value(b.mean());
-    w.key("count").value(b.count);
-    w.end_object();
-    std::fprintf(f, "%s\n", w.str().c_str());
-  }
+void TimeSeries::record(Cycle at, double value) {
+  if (at < start_) return;
+  const u64 idx = (at - start_) / bucket_width_;
+  if (idx >= buckets_.size()) return;
+  Bucket& b = buckets_[idx];
+  b.sum += value;
+  ++b.count;
 }
 
 }  // namespace ofar

@@ -4,9 +4,6 @@
 // was *sent* (generated), not the cycle it arrived.
 #pragma once
 
-#include <cstdio>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -33,95 +30,25 @@ class TimeSeries {
     double mean() const { return count == 0 ? 0.0 : sum / count; }
   };
 
-  /// Flush sink for windowed series: receives the retired bucket's centre
-  /// cycle and its aggregate, oldest-first, exactly once per non-empty
-  /// retired bucket.
-  using FlushFn = std::function<void(Cycle mid, const Bucket& b)>;
+  /// Adds `value` to the bucket covering cycle `at`; defined in
+  /// timeseries.cpp, where GCC 12 raises no spurious -Warray-bounds on
+  /// constant-folded out-of-window cycles in test code.
+  void record(Cycle at, double value);
 
-  /// Bounds the series at `max_buckets` resident buckets (>= 1). When
-  /// record_extending would grow past the bound, the oldest buckets are
-  /// flushed through `flush` (empty buckets silently) and dropped, turning
-  /// the unbounded history vector into a sliding window + stream. Series
-  /// that never overflow never flush, so their dumps stay bit-identical to
-  /// the unwindowed form. `flush` may be nullptr to drop retired buckets
-  /// (they are still counted by flushed_buckets()).
-  void set_window(u32 max_buckets, FlushFn flush) {
-    OFAR_CHECK(max_buckets >= 1);
-    max_buckets_ = max_buckets;
-    flush_ = std::move(flush);
-  }
-
-  void record(Cycle at, double value) {
-    Bucket* b = bucket_for(at);
-    if (b == nullptr) return;
-    b->sum += value;
-    ++b->count;
-  }
-
-  /// record() variant that grows the window to cover `at` instead of
-  /// dropping it. Used by sinks whose horizon is unknown up front (the
-  /// per-link trace series); the fixed-window record() stays the transient
-  /// experiments' contract. Under set_window, growth past the bound
-  /// retires the oldest buckets through the flush sink; events older than
-  /// the already-flushed prefix are dropped (the stream cannot rewind).
-  void record_extending(Cycle at, double value) {
-    if (at < start_) return;
-    const u64 idx = (at - start_) / bucket_width_;
-    if (idx < base_) return;  // behind the flushed prefix
-    if (max_buckets_ != 0 && idx - base_ >= max_buckets_)
-      flush_front(idx - max_buckets_ + 1);
-    const u64 rel = idx - base_;
-    if (rel >= buckets_.size()) buckets_.resize(rel + 1);
-    Bucket* b = buckets_.data() + rel;
-    b->sum += value;
-    ++b->count;
-  }
-
-  /// Resident (unflushed) buckets. Under a window this is the tail of the
-  /// series; the flushed prefix has already left through the sink.
   std::size_t num_buckets() const noexcept { return buckets_.size(); }
   const Bucket& bucket(std::size_t i) const { return buckets_[i]; }
-  /// Cycle at the centre of resident bucket i.
+  /// Cycle at the centre of bucket i.
   Cycle bucket_mid(std::size_t i) const {
-    return start_ + (base_ + i) * bucket_width_ + bucket_width_ / 2;
+    return start_ + i * bucket_width_ + bucket_width_ / 2;
   }
   u32 bucket_width() const noexcept { return bucket_width_; }
-  /// Buckets retired through the flush sink so far (empty ones included).
-  u64 flushed_buckets() const noexcept { return base_; }
-
-  /// Appends one CSV row per non-empty bucket: label,cycle,mean,count
-  /// (cycle is the bucket centre). The caller owns the stream and any
-  /// header line.
-  void dump_csv(std::FILE* f, const std::string& label) const;
-  /// Appends one JSONL record per non-empty bucket:
-  /// {"label":...,"cycle":...,"mean":...,"count":...}
-  void dump_jsonl(std::FILE* f, const std::string& label) const;
 
  private:
-  friend class CheckpointIO;  // serializes buckets_/base_ (not the sink)
-
-  /// Bucket covering cycle `at`, or nullptr when `at` falls outside the
-  /// window. The single guarded pointer computation replaces an operator[]
-  /// that GCC 12 flagged with a spurious -Warray-bounds on constant-folded
-  /// out-of-window cycles in test code.
-  Bucket* bucket_for(Cycle at) noexcept {
-    if (at < start_) return nullptr;
-    const u64 idx = (at - start_) / bucket_width_;
-    if (idx < base_) return nullptr;
-    const u64 rel = idx - base_;
-    return rel < buckets_.size() ? buckets_.data() + rel : nullptr;
-  }
-
-  /// Retires buckets [base_, new_base) through the flush sink and drops
-  /// them; defined in timeseries.cpp.
-  void flush_front(u64 new_base);
+  friend class CheckpointIO;  // serializes start_/bucket_width_/buckets_
 
   Cycle start_ = 0;
   u32 bucket_width_ = 1;
-  u64 base_ = 0;        ///< global index of buckets_[0] (flushed prefix size)
-  u32 max_buckets_ = 0; ///< 0 = unbounded (no window installed)
   std::vector<Bucket> buckets_;
-  FlushFn flush_;
 };
 
 }  // namespace ofar

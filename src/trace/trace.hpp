@@ -3,8 +3,8 @@
 // The tracing subsystem (DESIGN.md §11) records the full lifecycle of a
 // deterministically sampled subset of packets — injection, every allocator
 // grant with the routing-decision provenance behind it, escape-ring
-// entry/exit, delivery — plus per-link utilisation series and a bounded
-// flight recorder for post-mortem forensics. Everything here is read-only
+// entry/exit, delivery — plus a bounded flight recorder for post-mortem
+// forensics. Everything here is read-only
 // instrumentation: enabling a tracer changes no simulation outcome and
 // consumes no simulation RNG draws (the sampler hashes the packet sequence
 // number instead of drawing).
@@ -32,20 +32,9 @@ struct TracerConfig {
   std::string out_path;
   /// Sample 1 in `sample` injected packets (deterministic, hash-based).
   u32 sample = 1;
-  /// Per-link utilisation / credit-stall TimeSeries output path (empty:
-  /// no link export). ".csv" selects CSV, anything else JSONL.
-  std::string links_path;
-  /// Cycles per link-series bucket.
-  Cycle link_bucket = 256;
-  /// Resident-bucket cap per link series (TimeSeries::set_window). Buckets
-  /// retired past the cap stream straight into the links file, so a
-  /// week-long run holds O(link_window) memory per traced link instead of
-  /// O(run length). Paper-scale runs never overflow the default, keeping
-  /// their exports bit-identical to the unwindowed form. 0 = unbounded.
-  u32 link_window = 1u << 14;
   /// Flight recorder depth: last N events retained per router (0 disables
   /// the recorder). Dumped on InvariantAuditor failure or deadlock
-  /// forensics alongside <out_path>.flight.json (or ofar_flight.json when
+  /// forensics alongside <out_path>.flight.json (or ofar_trace.flight.json when
   /// out_path is empty).
   u32 flight_depth = 0;
   /// Label stamped into exported metadata (experiment case name).

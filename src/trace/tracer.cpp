@@ -19,7 +19,6 @@ std::string event_args_json(const TraceEvent& ev) {
 PacketTracer::PacketTracer(const Network& net, TracerConfig cfg)
     : net_(net), cfg_(std::move(cfg)) {
   if (cfg_.sample == 0) cfg_.sample = 1;
-  if (cfg_.link_bucket == 0) cfg_.link_bucket = 256;
   if (cfg_.flight_depth > 0)
     recorder_ = std::make_unique<FlightRecorder>(net_.topo().routers(),
                                                  cfg_.flight_depth);
@@ -40,28 +39,7 @@ void PacketTracer::on_event(const TraceEvent& ev) {
       j.inject = ev.cycle;
       return;
     }
-    case TraceEvent::Kind::kGrant: {
-      // Per-link series: only real network links (skip ejection sinks).
-      if (!cfg_.links_path.empty()) {
-        const ChannelId ch =
-            net_.router(ev.router).outputs[ev.out_port].channel;
-        if (ch != kInvalidChannel && !net_.channel(ch).is_ejection()) {
-          auto it = links_.find(ch);
-          if (it == links_.end()) {
-            it = links_
-                     .emplace(ch,
-                              LinkSeries{TimeSeries(0, 0, cfg_.link_bucket),
-                                         TimeSeries(0, 0, cfg_.link_bucket)})
-                     .first;
-            init_link_series(ch, it->second);
-          }
-          it->second.util.record_extending(ev.cycle,
-                                           net_.config().packet_size);
-          it->second.stall.record_extending(ev.cycle, ev.queue_wait);
-        }
-      }
-      break;
-    }
+    case TraceEvent::Kind::kGrant:
     case TraceEvent::Kind::kRingEnter:
     case TraceEvent::Kind::kRingExit:
       break;
@@ -166,90 +144,10 @@ void PacketTracer::export_journeys() const {
   writer.write_file(cfg_.out_path);
 }
 
-std::string PacketTracer::link_label(ChannelId ch) const {
-  const Channel c = net_.channel(ch);
-  std::string label = "r";
-  label += std::to_string(c.src_router);
-  label += ".p";
-  label += std::to_string(c.src_port);
-  label += '.';
-  label += to_string(c.cls);
-  return label;
-}
-
-std::FILE* PacketTracer::links_file() {
-  if (links_file_ != nullptr) return links_file_;
-  links_file_ = std::fopen(cfg_.links_path.c_str(), "wb");
-  if (links_file_ == nullptr) return nullptr;
-  const bool csv = cfg_.links_path.size() >= 4 &&
-                   cfg_.links_path.compare(cfg_.links_path.size() - 4, 4,
-                                           ".csv") == 0;
-  if (csv) std::fputs("label,cycle,mean,count\n", links_file_);
-  return links_file_;
-}
-
-void PacketTracer::init_link_series(ChannelId ch, LinkSeries& series) {
-  if (cfg_.link_window == 0) return;  // unbounded (legacy behaviour)
-  const bool csv = cfg_.links_path.size() >= 4 &&
-                   cfg_.links_path.compare(cfg_.links_path.size() - 4, 4,
-                                           ".csv") == 0;
-  // Retired buckets stream straight into the links file in the exact row
-  // format dump_csv/dump_jsonl would emit at export; series that never
-  // overflow the window never open the file early, so short runs stay
-  // byte-identical to the unwindowed export.
-  const auto sink = [this, csv](const std::string& label) {
-    return [this, csv, label](Cycle mid, const TimeSeries::Bucket& b) {
-      std::FILE* f = links_file();
-      if (f == nullptr) return;
-      if (csv) {
-        std::fprintf(f, "%s,%llu,%.17g,%llu\n", label.c_str(),
-                     static_cast<unsigned long long>(mid), b.mean(),
-                     static_cast<unsigned long long>(b.count));
-      } else {
-        JsonWriter w;
-        w.begin_object();
-        w.key("label").value(label);
-        w.key("cycle").value(static_cast<u64>(mid));
-        w.key("mean").value(b.mean());
-        w.key("count").value(b.count);
-        w.end_object();
-        std::fprintf(f, "%s\n", w.str().c_str());
-      }
-    };
-  };
-  const std::string base = link_label(ch);
-  series.util.set_window(cfg_.link_window, sink(base + ".util"));
-  series.stall.set_window(cfg_.link_window, sink(base + ".stall"));
-}
-
-void PacketTracer::export_links() {
-  std::FILE* f = links_file();
-  if (f == nullptr) return;
-  const bool csv = cfg_.links_path.size() >= 4 &&
-                   cfg_.links_path.compare(cfg_.links_path.size() - 4, 4,
-                                           ".csv") == 0;
-  for (const auto& [ch, series] : links_) {
-    const std::string base = link_label(ch);
-    // util: mean phits per sampled grant (count = sampled grants per
-    // bucket; multiply mean*count*sample for an absolute-phit estimate).
-    // stall: mean queue-wait of the grants that entered the link.
-    if (csv) {
-      series.util.dump_csv(f, base + ".util");
-      series.stall.dump_csv(f, base + ".stall");
-    } else {
-      series.util.dump_jsonl(f, base + ".util");
-      series.stall.dump_jsonl(f, base + ".stall");
-    }
-  }
-  std::fclose(f);
-  links_file_ = nullptr;
-}
-
 void PacketTracer::finish() {
   if (finished_) return;
   finished_ = true;
   if (!cfg_.out_path.empty()) export_journeys();
-  if (!cfg_.links_path.empty()) export_links();
 }
 
 }  // namespace ofar::trace

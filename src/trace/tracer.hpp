@@ -1,16 +1,17 @@
 // PacketTracer: the tracing subsystem's event consumer (DESIGN.md §11).
 //
 // Installed by Network::enable_tracing as the TraceEvent callback, it
-// assembles the sampled packets' per-hop journeys, feeds the per-link
-// utilisation / credit-stall TimeSeries sink and the bounded flight
-// recorder, and writes the exporters on finish() (or destruction):
+// assembles the sampled packets' per-hop journeys, feeds the bounded
+// flight recorder, and writes the exporters:
 //
 //  - cfg.out_path: Chrome trace-event JSON — one Perfetto process per
 //    packet, one thread per visited router, spans carrying the
-//    routing-decision provenance (perfetto.hpp);
-//  - cfg.links_path: per-link TimeSeries (utilisation in phits/bucket and
-//    mean queue-wait), CSV or JSONL by extension;
+//    routing-decision provenance (perfetto.hpp) — on finish() (or
+//    destruction);
 //  - on_audit_failure / on_deadlock: flight-recorder JSON post-mortems.
+//
+// Exact per-link utilisation is telemetry's job (the `links` records of
+// TelemetryConfig::full_dump), not the tracer's.
 //
 // The tracer is strictly read-only instrumentation fed by a
 // deterministically ordered event stream (shard-staged commits), so its
@@ -25,7 +26,6 @@
 #include "common/phase.hpp"
 #include "common/thread_annotations.hpp"
 #include "sim/network.hpp"
-#include "stats/timeseries.hpp"
 #include "trace/flight_recorder.hpp"
 #include "trace/trace.hpp"
 
@@ -71,23 +71,7 @@ class OFAR_SERIAL_ONLY PacketTracer {
     std::vector<TraceEvent> hops;  ///< kGrant/kRing*/kDeliver, in order
   };
 
-  /// Per-link series, fed by sampled grants. Utilisation is therefore an
-  /// estimator: multiply by the sampling denominator for absolute phits.
-  struct LinkSeries {
-    TimeSeries util;   ///< phits entering the link per bucket (sum)
-    TimeSeries stall;  ///< mean queue-wait of grants onto the link
-  };
-
   void export_journeys() const;
-  void export_links();
-  /// Lazily opens cfg.links_path (header included for CSV). Shared by the
-  /// windowed series' flush sinks — which stream retired buckets during
-  /// the run — and the final export. Returns nullptr on open failure.
-  std::FILE* links_file();
-  /// Label prefix for channel `ch`'s series rows ("r<N>.p<M>.<class>").
-  std::string link_label(ChannelId ch) const;
-  /// Installs the windowed flush sinks for a fresh LinkSeries.
-  void init_link_series(ChannelId ch, LinkSeries& series);
   std::string flight_dump_path(const char* suffix) const;
 
   const Network& net_;
@@ -96,8 +80,6 @@ class OFAR_SERIAL_ONLY PacketTracer {
   u64 completed_ = 0;
   std::map<u64, Journey> open_;   ///< seq -> in-flight journey (ordered)
   std::vector<Journey> done_;     ///< completed journeys, delivery order
-  std::map<ChannelId, LinkSeries> links_;  ///< ordered by channel id
-  std::FILE* links_file_ = nullptr;  ///< open once a windowed series spills
   std::unique_ptr<FlightRecorder> recorder_;
   u32 forensic_dumps_ = 0;
   bool finished_ = false;

@@ -1,19 +1,22 @@
 // Tests for the opt-in telemetry layer (stats/metrics.*, stats/sink.*):
-// registry round-trips, phase-profiler accounting, JSONL/CSV record
-// validity, deadlock forensics on a wedged network, and the determinism
-// guard (telemetry must never perturb the simulation).
+// registry round-trips, phase-profiler accounting, JSONL record validity,
+// exact per-link records, deadlock forensics on a wedged network, and the
+// determinism guard (telemetry must never perturb the simulation).
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/json.hpp"
 #include "sim/network.hpp"
 #include "stats/metrics.hpp"
 #include "stats/sink.hpp"
@@ -342,7 +345,6 @@ TEST(Telemetry, JsonlRecordsAreValidJson) {
   {
     auto sink = MetricsSink::open(tmp.path);
     ASSERT_NE(sink, nullptr);
-    EXPECT_EQ(sink->format(), MetricsSink::Format::kJsonl);
 
     Network net(small_config(42));
     TelemetryConfig tc;
@@ -403,35 +405,97 @@ TEST(Telemetry, RegistryTracksNetworkState) {
   EXPECT_EQ(net.telemetry()->samples_taken(), 4u);
 }
 
-TEST(Telemetry, CsvSinkEmitsHeaderAndRows) {
-  TempFile tmp("test_metrics_out.csv");
+TEST(Telemetry, LinkRecordsAreExact) {
+  // The `links` records of a full dump are the one source of per-link
+  // utilisation. Summed over the run, each channel's phits must equal the
+  // kernel's exact counter; each interval's class gauges must equal that
+  // class's phits over (wired links x interval).
+  TempFile tmp("test_metrics_links.jsonl");
+  SimConfig cfg;
+  cfg.h = 3;
+  cfg.seed = 5;
+  cfg.routing = RoutingKind::kOfar;
+  cfg.ring = RingKind::kPhysical;
+  constexpr Cycle kEnableAt = 300;
+  constexpr Cycle kInterval = 250;
+  constexpr u64 kIntervals = 4;
+  std::vector<u64> sent;  // per channel, phits carried while enabled
+  std::vector<ChannelClass> cls;
+  u64 wired_local = 0, wired_global = 0;
   {
     auto sink = MetricsSink::open(tmp.path);
     ASSERT_NE(sink, nullptr);
-    EXPECT_EQ(sink->format(), MetricsSink::Format::kCsv);
-
-    Network net(small_config(9));
+    Network net(cfg);
+    net.set_traffic(std::make_unique<BernoulliSource>(
+        TrafficPattern::adversarial(1), 0.5, cfg.seed));
+    net.run(kEnableAt);
+    for (ChannelId c = 0; c < net.num_channels(); ++c)
+      sent.push_back(net.channel_phits(c));
     TelemetryConfig tc;
     tc.sink = sink.get();
-    tc.interval = 400;
-    tc.label = "csv";
+    tc.interval = kInterval;
+    tc.full_dump = true;
     net.enable_telemetry(tc);
-    net.set_traffic(std::make_unique<BernoulliSource>(
-        TrafficPattern::uniform(), 0.3, 9));
-    net.run(900);
-    net.telemetry()->write_summary(net);
+    net.run(kInterval * kIntervals);
+    ASSERT_EQ(net.telemetry()->samples_taken(), kIntervals);
+    for (ChannelId c = 0; c < net.num_channels(); ++c) {
+      sent[c] = net.channel_phits(c) - sent[c];
+      // An unwired slot has no descriptor and carries nothing; the class
+      // it gets here is never counted.
+      cls.push_back(net.channel_wired(c) ? net.channel(c).cls
+                                         : ChannelClass::kEjection);
+      if (!net.channel_wired(c)) continue;
+      wired_local += cls[c] == ChannelClass::kLocal ? 1 : 0;
+      wired_global += cls[c] == ChannelClass::kGlobal ? 1 : 0;
+    }
+  }
+  ASSERT_GT(wired_local, 0u);
+  ASSERT_GT(wired_global, 0u);
+
+  std::vector<u64> summed(sent.size(), 0);
+  // cycle -> phits carried that interval by local / global links
+  std::map<u64, std::pair<u64, u64>> class_phits;
+  std::map<u64, std::pair<double, double>> gauges;  // cycle -> local, global
+  for (const std::string& line : read_lines(tmp.path)) {
+    JsonValue rec;
+    std::string error;
+    ASSERT_TRUE(json_parse(line, rec, error)) << error << ": " << line;
+    const std::string type = rec.find("type")->as_string();
+    const u64 cycle = static_cast<u64>(rec.find("cycle")->as_int());
+    if (type == "links") {
+      auto& [local, global] = class_phits[cycle];
+      for (const JsonValue& l : rec.find("links")->items()) {
+        const auto c = static_cast<ChannelId>(l.find("channel")->as_int());
+        const auto phits = static_cast<u64>(l.find("phits")->as_int());
+        ASSERT_LT(c, summed.size());
+        summed[c] += phits;
+        local += cls[c] == ChannelClass::kLocal ? phits : 0;
+        global += cls[c] == ChannelClass::kGlobal ? phits : 0;
+      }
+    } else if (type == "interval") {
+      const JsonValue& m = *rec.find("metrics");
+      gauges[cycle] = {m.find("link.util.local")->as_double(),
+                       m.find("link.util.global")->as_double()};
+    }
   }
 
-  const auto lines = read_lines(tmp.path);
-  ASSERT_GT(lines.size(), 1u);
-  EXPECT_EQ(lines[0], "label,type,cycle,metric,value");
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    // Simple shape check: 5 fields (no quoted field in this run contains a
-    // comma), label first.
-    std::size_t commas = 0;
-    for (char c : lines[i]) commas += (c == ',');
-    EXPECT_EQ(commas, 4u) << lines[i];
-    EXPECT_EQ(lines[i].rfind("csv,", 0), 0u) << lines[i];
+  u64 total = 0;
+  for (ChannelId c = 0; c < sent.size(); ++c) {
+    EXPECT_EQ(summed[c], sent[c]) << "channel " << c;
+    total += summed[c];
+  }
+  EXPECT_GT(total, 0u);
+  ASSERT_EQ(gauges.size(), kIntervals);
+  ASSERT_EQ(class_phits.size(), kIntervals);
+  const auto util = [&](u64 phits, u64 links) {
+    return static_cast<double>(phits) /
+           (static_cast<double>(links) * static_cast<double>(kInterval));
+  };
+  for (const auto& [cycle, g] : gauges) {
+    ASSERT_EQ(class_phits.count(cycle), 1u) << "cycle " << cycle;
+    const auto& [local, global] = class_phits[cycle];
+    EXPECT_EQ(g.first, util(local, wired_local)) << "cycle " << cycle;
+    EXPECT_EQ(g.second, util(global, wired_global)) << "cycle " << cycle;
   }
 }
 

@@ -292,16 +292,17 @@ TEST(Spec, PointKeyChangesWithEverySemanticField) {
 }
 
 TEST(Spec, PointKeyIgnoresInstrumentationAndLabels) {
-  // Audit and telemetry are read-only; labels and grid indices are
+  // Audit, telemetry and tracing are read-only; labels and grid indices are
   // presentation. None of them may affect the cache key, or cache hits
   // would depend on how the experiment was driven rather than what it was.
   const RunPoint p = base_point();
   const std::string k = point_key(p);
 
   RunPoint q = p;
-  q.run.audit_interval = 512;
-  q.run.metrics_interval = 17;
-  q.run.metrics_full = true;
+  q.run.instrumentation.audit_interval = 512;
+  q.run.instrumentation.metrics_interval = 17;
+  q.run.instrumentation.metrics_full = true;
+  q.run.instrumentation.trace_out = "trace.json";
   q.run.metrics_label = "curve A";
   // sim_threads is execution policy: any thread count yields bit-identical
   // results for a given sim_shards, so it must hit the same cache entry.

@@ -6,12 +6,10 @@
 //  - routing-decision provenance: on a crafted congested router the
 //    recorded OFAR condition matches the misroute kind the policy chose;
 //  - flight recorder: bounded depth, oldest-first snapshots, JSON dumps;
-//  - PacketTracer end to end: Perfetto JSON + link series files written,
-//    journeys assembled, instrumentation invisible to orchestrator results;
-//  - TimeSeries growth (record_extending) and CSV/JSONL dumps.
+//  - PacketTracer end to end: Perfetto JSON written, journeys assembled,
+//    instrumentation invisible to orchestrator results.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -25,7 +23,6 @@
 #include "sim/flat_state.hpp"
 #include "sim/network.hpp"
 #include "stats/sink.hpp"
-#include "stats/timeseries.hpp"
 #include "trace/flight_recorder.hpp"
 #include "trace/trace.hpp"
 #include "trace/tracer.hpp"
@@ -342,7 +339,6 @@ TEST(PacketTracerTest, WritesPerfettoJsonAndLinkSeries) {
   cfg.ring = RingKind::kPhysical;
   trace::TracerConfig tc;
   tc.out_path = (dir / "trace.json").string();
-  tc.links_path = (dir / "links.csv").string();
   tc.sample = 1;
   tc.flight_depth = 8;
   tc.label = "unit|OFAR";
@@ -364,11 +360,6 @@ TEST(PacketTracerTest, WritesPerfettoJsonAndLinkSeries) {
   EXPECT_NE(trace.find("\"condition\""), std::string::npos);
   EXPECT_NE(trace.find("minimal"), std::string::npos);
   EXPECT_NE(trace.find("\"label\":\"unit|OFAR\""), std::string::npos);
-  const std::string links = slurp(tc.links_path);
-  ASSERT_FALSE(links.empty());
-  EXPECT_EQ(links.rfind("label,cycle,mean,count\n", 0), 0u);
-  EXPECT_NE(links.find(".util,"), std::string::npos);
-  EXPECT_NE(links.find(".stall,"), std::string::npos);
 }
 
 TEST(PacketTracerTest, DisabledTracingLeavesResultsIdentical) {
@@ -426,18 +417,16 @@ TEST(TraceOrchestration, TraceKnobsDoNotChangeKeysOrResults) {
   const RunReport a = run_points(points, plain);
 
   OrchestratorOptions traced = plain;
-  traced.trace_out = (dir / "trace.json").string();
-  traced.trace_links = (dir / "links.csv").string();
-  traced.trace_sample = 1;
+  traced.instrumentation.trace_out = (dir / "trace.json").string();
+  traced.instrumentation.trace_sample = 1;
   const RunReport b = run_points(points, traced);
 
   ASSERT_TRUE(a.complete());
   ASSERT_TRUE(b.complete());
   EXPECT_EQ(a.outcomes[0].key, b.outcomes[0].key);
   EXPECT_EQ(results_digest(points, a), results_digest(points, b));
-  // A single executed point writes the requested paths verbatim.
+  // A single executed point writes the requested path verbatim.
   EXPECT_TRUE(fs::exists(dir / "trace.json"));
-  EXPECT_TRUE(fs::exists(dir / "links.csv"));
 }
 
 TEST(TraceOrchestration, MultiPointRunsWritePerPointFiles) {
@@ -445,8 +434,8 @@ TEST(TraceOrchestration, MultiPointRunsWritePerPointFiles) {
   fs::create_directories(dir);
   const std::vector<RunPoint> points{steady_point(5), steady_point(6)};
   OrchestratorOptions oo;
-  oo.trace_out = (dir / "trace.json").string();
-  oo.trace_sample = 4;
+  oo.instrumentation.trace_out = (dir / "trace.json").string();
+  oo.instrumentation.trace_sample = 4;
   const RunReport r = run_points(points, oo);
   ASSERT_TRUE(r.complete());
   // The verbatim path must NOT be used (parallel points would race on it);
@@ -459,45 +448,6 @@ TEST(TraceOrchestration, MultiPointRunsWritePerPointFiles) {
     ++files;
   }
   EXPECT_EQ(files, 2u);
-}
-
-// ---- TimeSeries growth + dumps (satellite of the link sink) ----
-
-TEST(TimeSeriesExtending, GrowsToCoverLateCycles) {
-  TimeSeries ts(0, 0, 100);
-  EXPECT_EQ(ts.num_buckets(), 0u);
-  ts.record_extending(250, 2.0);
-  ASSERT_EQ(ts.num_buckets(), 3u);
-  EXPECT_EQ(ts.bucket(2).count, 1u);
-  ts.record_extending(10, 4.0);  // earlier cycle: no shrink, correct bucket
-  EXPECT_EQ(ts.bucket(0).count, 1u);
-  EXPECT_EQ(ts.bucket(0).sum, 4.0);
-  // The fixed-window record() still drops out-of-window cycles.
-  ts.record(100000, 1.0);
-  EXPECT_EQ(ts.num_buckets(), 3u);
-}
-
-TEST(TimeSeriesExtending, DumpsCsvAndJsonl) {
-  TimeSeries ts(0, 0, 10);
-  ts.record_extending(5, 3.0);
-  ts.record_extending(25, 7.0);
-  const fs::path dir = fs::path(::testing::TempDir());
-  const std::string csv_path = (dir / "series.csv").string();
-  std::FILE* f = std::fopen(csv_path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ts.dump_csv(f, "lbl");
-  std::fclose(f);
-  EXPECT_EQ(slurp(csv_path), "lbl,5,3,1\nlbl,25,7,1\n");
-
-  const std::string jsonl_path = (dir / "series.jsonl").string();
-  f = std::fopen(jsonl_path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ts.dump_jsonl(f, "lbl");
-  std::fclose(f);
-  const std::string jsonl = slurp(jsonl_path);
-  EXPECT_NE(jsonl.find("\"label\":\"lbl\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"cycle\":5"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"count\":1"), std::string::npos);
 }
 
 }  // namespace

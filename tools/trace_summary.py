@@ -10,19 +10,22 @@ aggregate story:
   * packets traced / delivered, hop and queue-wait distributions;
   * a histogram of routing conditions (minimal, misroute-local/global,
     ring enter/ride/exit, waits) over every hop span;
-  * the slowest packets end-to-end and the hops that queued longest.
+  * the slowest packets end-to-end and the hops that queued longest;
+  * the output ports with the most sampled grants and with the longest
+    mean queue-wait, from the router / out_port / queue_wait args of the
+    hop spans.
 
-With --links F it additionally summarises a per-link series file written
-by --trace-links (.csv or JSONL) and prints the busiest / most stalled
-links.
+Exact per-link utilisation is not estimated here: telemetry's "links"
+records (--metrics-out F --metrics-full) carry it.
 
 --check switches to validation mode for CI: the file must parse as JSON,
 carry a well-formed traceEvents list, and every traced packet must have a
-named process, hop spans with provenance args, and cycle-ordered events.
-Exits 0 when valid, 1 with a diagnostic otherwise.
+named process, hop spans with provenance args (including the out_port and
+queue_wait the port rankings read), and cycle-ordered events. Exits 0 when
+valid, 1 with a diagnostic otherwise.
 
 Usage:
-  tools/trace_summary.py TRACE.json [--links LINKS.csv] [--top N] [--check]
+  tools/trace_summary.py TRACE.json [--top N] [--check]
 """
 
 import argparse
@@ -32,7 +35,8 @@ import sys
 from collections import defaultdict
 
 REQUIRED_SPAN_KEYS = ("ph", "pid", "tid", "name", "ts")
-PROVENANCE_KEYS = ("condition", "router", "cycle", "seq")
+PROVENANCE_KEYS = ("condition", "router", "cycle", "seq", "out_port",
+                   "queue_wait")
 
 
 def fail(msg):
@@ -131,11 +135,17 @@ def summarise(doc, events, top):
     conditions = defaultdict(int)
     journeys = []  # (end-to-end cycles, queued cycles, hops, pid, name)
     worst_queues = []  # (wait, router tid, pid)
+    ports = defaultdict(lambda: [0, 0])  # (router, port) -> [grants, wait]
     for pid, p in traced.items():
         hops = [s for s in p["spans"] if s["name"] != "queued"]
         queued = sum(s["dur"] for s in p["spans"] if s["name"] == "queued")
         for s in hops:
             conditions[s["name"]] += 1
+            args = s.get("args") or {}
+            if {"router", "out_port", "queue_wait"} <= args.keys():
+                port = ports[(args["router"], args["out_port"])]
+                port[0] += 1
+                port[1] += args["queue_wait"]
         for s in p["spans"]:
             if s["name"] == "queued":
                 worst_queues.append((s["dur"], s["tid"], pid))
@@ -167,51 +177,26 @@ def summarise(doc, events, top):
         print("longest per-hop queue waits:")
         for wait, tid, pid in worst_queues[:top]:
             print(f"  router {tid:<5} pkt pid={pid:<8} {wait} cycles")
-    return 0
-
-
-def summarise_links(path, top):
-    """Per-link series from --trace-links: label,cycle,mean,count rows."""
-    rows = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("label,"):
-                continue
-            if line.startswith("{"):
-                rec = json.loads(line)
-                rows.append((rec["label"], float(rec["mean"]),
-                             int(rec["count"])))
-            else:
-                parts = line.split(",")
-                if len(parts) != 4:
-                    continue
-                rows.append((parts[0], float(parts[2]), int(parts[3])))
-    totals = defaultdict(lambda: [0.0, 0])  # label -> [sum, count]
-    for label, mean, count in rows:
-        totals[label][0] += mean * count
-        totals[label][1] += count
-    util = {k: v for k, v in totals.items() if k.endswith(".util")}
-    stall = {k: v for k, v in totals.items() if k.endswith(".stall")}
-    if util:
-        print("busiest links (sampled phits):")
-        for k, (s, _) in sorted(util.items(), key=lambda kv: -kv[1][0])[:top]:
-            print(f"  {k:<32} {s:>10.0f}")
-    if stall:
-        print("most stalled links (mean queue-wait, cycles):")
-        ranked = sorted(
-            ((s / c if c else 0.0, k) for k, (s, c) in stall.items()),
-            reverse=True,
+    if ports:
+        print("busiest output ports (sampled grants):")
+        busiest = sorted(ports.items(), key=lambda kv: (-kv[1][0], kv[0]))
+        for (router, port), (grants, _) in busiest[:top]:
+            print(f"  router {router:<5} port {port:<3} {grants:>8}")
+        print("slowest output ports (mean queue-wait, cycles):")
+        slowest = sorted(
+            ((wait / grants, grants, key) for key, (grants, wait)
+             in ports.items()),
+            key=lambda t: (-t[0], t[2]),
         )
-        for mean, k in ranked[:top]:
-            print(f"  {k:<32} {mean:>10.2f}")
+        for mean, grants, (router, port) in slowest[:top]:
+            print(f"  router {router:<5} port {port:<3} {mean:>10.2f}  "
+                  f"({grants} grants)")
     return 0
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trace", help="Chrome trace JSON from --trace-out")
-    ap.add_argument("--links", help="per-link series file from --trace-links")
     ap.add_argument("--top", type=int, default=10, metavar="N",
                     help="rows per ranking (default 10)")
     ap.add_argument("--check", action="store_true",
@@ -225,10 +210,7 @@ def main():
 
     if args.check:
         return check(doc, events, args.trace)
-    rc = summarise(doc, events, args.top)
-    if rc == 0 and args.links:
-        rc = summarise_links(args.links, args.top)
-    return rc
+    return summarise(doc, events, args.top)
 
 
 if __name__ == "__main__":
