@@ -6,7 +6,6 @@
 namespace ofar {
 
 CommandLine::CommandLine(int argc, const char* const* argv) {
-  if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {

@@ -37,10 +37,7 @@ class CommandLine {
   /// Positional (non --key) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  const std::string& program_name() const { return program_; }
-
  private:
-  std::string program_;
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> used_;
   std::vector<std::string> positional_;

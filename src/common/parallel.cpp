@@ -30,15 +30,6 @@ void run_parallel(const std::vector<std::function<void()>>& jobs,
   for (auto& t : pool) t.join();
 }
 
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& fn,
-                  unsigned threads) {
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) jobs.emplace_back([&fn, i] { fn(i); });
-  run_parallel(jobs, threads);
-}
-
 // ---------------------------------------------------------------------------
 // ShardPool
 // ---------------------------------------------------------------------------

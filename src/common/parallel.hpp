@@ -19,10 +19,6 @@ namespace ofar {
 void run_parallel(const std::vector<std::function<void()>>& jobs,
                   unsigned threads = 0);
 
-/// Convenience: invokes fn(i) for i in [0, count) in parallel.
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
-                  unsigned threads = 0);
-
 /// Persistent worker pool for the sharded cycle kernel (DESIGN.md §10).
 ///
 /// `run_parallel` spawns threads per call, which is fine for sweeps where a

@@ -1,6 +1,5 @@
 #include "core/checkpoint.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <type_traits>
 #include <vector>
@@ -8,6 +7,7 @@
 #include "common/ckpt_stream.hpp"
 #include "core/spec.hpp"
 #include "sim/network.hpp"
+#include "verify/invariant_auditor.hpp"
 
 namespace ofar {
 
@@ -45,78 +45,6 @@ bool CheckpointIO::read_fifo(CkptReader& r, VcFifo& f) {
   for (u32 i = 0; i < count; ++i)
     r.get_pod_span(&f.entries_[(f.head_ + i) & f.mask_], 1);
   return r.ok();
-}
-
-const char* CheckpointIO::check_router(const Network& net,
-                                       const Router& router) {
-  const u32 ports = net.ports_per_router_;
-  const PacketPool& pool = net.pool_;
-  for (u64 mask = router.active_out_mask; mask != 0; mask &= mask - 1) {
-    const u32 port = static_cast<u32>(std::countr_zero(mask));
-    if (port >= ports || !router.outputs[port].wired())
-      return "corrupt active output mask";
-  }
-  // A port streams a live packet exactly when its mask bit is set, from
-  // the head of its source FIFO. The source fields of an idle port keep
-  // its last transfer's values, which were in range too; only an active
-  // transfer has a length.
-  for (PortId port = 0; port < ports; ++port) {
-    const OutputPort& out = router.outputs[port];
-    const bool active = (router.active_out_mask >> port & 1u) != 0;
-    if (active ? !pool.is_live(out.active) : out.active != kInvalidPacket)
-      return "corrupt active transfer";
-    if (out.src_port >= ports) return "corrupt transfer source port";
-    const Span<VcFifo>& src = router.inputs[out.src_port].vcs;
-    if (out.src_vc >= src.size() ||
-        (active && (src[out.src_vc].empty() ||
-                    src[out.src_vc].head() != out.active)))
-      return "corrupt transfer source VC";
-    if (active && (out.active_size != net.cfg_.packet_size ||
-                   out.phits_left == 0 || out.phits_left > out.active_size))
-      return "corrupt transfer length";
-  }
-  // head_busy flags exactly the sources of the active transfers, and no
-  // head streams to two outputs at once.
-  std::vector<u32> first_vc(ports + 1, 0);
-  for (PortId port = 0; port < ports; ++port)
-    first_vc[port + 1] = first_vc[port] + router.inputs[port].vcs.size();
-  std::vector<u8> streaming(first_vc[ports], 0);
-  for (u64 mask = router.active_out_mask; mask != 0; mask &= mask - 1) {
-    const OutputPort& out =
-        router.outputs[static_cast<u32>(std::countr_zero(mask))];
-    u8& source = streaming[first_vc[out.src_port] + out.src_vc];
-    if (source != 0) return "corrupt head busy flags";
-    source = 1;
-  }
-  // The counters the kernel's skips trust: a router whose count says it
-  // holds no packet leaves the worklist, and one with no routable head is
-  // never allocated.
-  u32 packets = 0, phits = 0, heads = 0;
-  for (PortId port = 0; port < ports; ++port) {
-    const InputPort& in = router.inputs[port];
-    u32 non_empty = 0;
-    for (u32 v = 0; v < in.vcs.size(); ++v) {
-      const VcFifo& f = in.vcs[v];
-      if (!f.empty()) non_empty |= 1u << v;
-      for (u32 i = f.head_; i != f.tail_; ++i)
-        if (!pool.is_live(f.entries_[i & f.mask_].packet))
-          return "corrupt FIFO packet";
-      if (in.head_busy[v] != streaming[first_vc[port] + v])
-        return "corrupt head busy flags";
-      packets += f.tail_ - f.head_;
-      phits += f.stored_;
-      if (in.has_head(static_cast<VcId>(v))) ++heads;
-    }
-    if (router.input_mask[port] != non_empty) return "corrupt input mask";
-  }
-  if (router.buffered_packets != packets)
-    return "corrupt buffered packet count";
-  if (router.buffered_phits != phits) return "corrupt buffered phit count";
-  if (router.active_transfers !=
-      static_cast<u32>(std::popcount(router.active_out_mask)))
-    return "corrupt active transfer count";
-  if (router.routable_heads != heads) return "corrupt routable head count";
-  return nullptr;
 }
 
 // The u64 after the bucket width is a retired slot, kept so the byte
@@ -425,10 +353,6 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
       set_error(error, "truncated checkpoint");
       return false;
     }
-    if (const char* bad = check_router(net, router)) {
-      set_error(error, bad);
-      return false;
-    }
   }
 
   // ---- worklists ----
@@ -481,11 +405,13 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
   }
   // Every field that indexes live state is checked before use: the
   // channel (in range and wired), the VC (below the channel's VC count),
-  // the packet of a phit (live), the router a credit returns to (built).
-  // The owner shard of a valid event then follows from its channel.
+  // the packet of a phit (live), the router that sent a phit or that a
+  // credit returns to (built, so it holds the channel's credits). The
+  // owner shard of a valid event then follows from its channel.
   const auto phit_owner = [&net](const Network::PhitEvent& e, u32& owner) {
     if (!net.channel_wired(e.ch) || !net.pool_.is_live(e.pkt)) return false;
     const Channel ch = net.channel(e.ch);
+    if (!net.router_built(ch.src_router)) return false;
     u32 vcs = 1, cap = 0;  // an ejection channel has one lane
     if (!ch.is_ejection())
       net.input_shape(ch.dst_router, ch.dst_port, vcs, cap);
@@ -610,15 +536,24 @@ bool CheckpointIO::restore(Network& net, const std::string& path,
   } else if (net.now_ != 0 || !net.drained()) {
     set_error(error, "restore target is not a fresh network");
   } else if (read_state(r, net, error)) {
-    if (r.get_u64() == kTrailer && r.ok()) {
-      ok = true;
-    } else {
+    if (r.get_u64() != kTrailer || !r.ok()) {
       set_error(error, "truncated checkpoint");
+    } else {
+      // Every id is in range; whether the state is one the kernel can run
+      // is the invariant auditor's call, as it is mid-run.
+      const verify::AuditReport report =
+          verify::InvariantAuditor(net).run_all();
+      ok = report.ok();
+      if (!ok && error != nullptr) {
+        const verify::Violation& v = report.violations.front();
+        *error = std::string("[") + verify::to_string(v.invariant) + "] " +
+                 v.detail;
+      }
     }
   }
   std::fclose(f);
   // A failed restore can leave `net` partially written; callers must treat
-  // it as unusable and rebuild (the drivers construct a fresh Network).
+  // it as unusable and rebuild (run_steady constructs a fresh Network).
   return ok;
 }
 

@@ -28,7 +28,6 @@
 namespace ofar {
 
 class Network;
-struct Router;
 class CkptWriter;
 class CkptReader;
 class VcFifo;
@@ -45,9 +44,15 @@ class CheckpointIO {
 
   /// Restores a checkpoint into `net`, which must be freshly constructed
   /// from the same SimConfig (same seed included) with its traffic source
-  /// already installed. Returns false without touching `net` when the file
-  /// is missing; aborts the restore (false + error) on a signature or
-  /// format mismatch.
+  /// already installed. Restore is read + audit: it reads the state,
+  /// checking every size and id before it indexes with it, then runs
+  /// verify::InvariantAuditor::run_all() on the result. Returns false
+  /// without touching `net` when the file is missing; otherwise returns
+  /// false (error filled when non-null) on a signature or format mismatch,
+  /// an out-of-range id, or an audit that is not clean, whose first
+  /// violation becomes the error ("[invariant] detail"). After any failure
+  /// but a missing file `net` may be partly written: discard it and start
+  /// the run on a fresh network, as run_steady does (with a warning).
   static bool restore(Network& net, const std::string& path,
                       std::string* error = nullptr);
 
@@ -62,11 +67,6 @@ class CheckpointIO {
   static bool read_series(CkptReader& r, TimeSeries& ts);
   static void write_stats(CkptWriter& w, const Stats& s);
   static bool read_stats(CkptReader& r, Stats& s);
-  /// Checks every id a restored router holds before the kernel indexes
-  /// with it, and every counter and flag the kernel trusts against the
-  /// state it summarises; returns the error, or nullptr when the router is
-  /// consistent.
-  static const char* check_router(const Network& net, const Router& router);
 };
 
 }  // namespace ofar

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 
-#include "common/parallel.hpp"
 #include "core/checkpoint.hpp"
 #include "sim/network.hpp"
 #include "stats/sink.hpp"
@@ -75,19 +75,34 @@ void ExperimentCommon::arm(Network& net, const std::string& label_suffix)
 
 SteadyResult run_steady(const SimConfig& cfg, const TrafficPattern& pattern,
                         double load, const RunParams& params) {
-  Network net(cfg);
-  net.set_traffic(
-      std::make_unique<BernoulliSource>(pattern, load, cfg.seed));
+  const auto fresh = [&] {
+    auto net = std::make_unique<Network>(cfg);
+    net->set_traffic(
+        std::make_unique<BernoulliSource>(pattern, load, cfg.seed));
+    return net;
+  };
+  std::unique_ptr<Network> built = fresh();
+  // Checkpoint/restart (core/checkpoint.hpp): resume from an existing
+  // snapshot if one matches, then run in interval-sized chunks with a
+  // refresh between chunks. A snapshot that exists but is rejected leaves
+  // a partly written network, so the point restarts on a fresh one. A cold
+  // run with no checkpoint path takes the two plain run() calls below —
+  // same cycles, same results.
+  const bool ckpt = !params.checkpoint_path.empty();
+  std::string error;
+  if (ckpt && !CheckpointIO::restore(*built, params.checkpoint_path, &error) &&
+      std::filesystem::exists(params.checkpoint_path)) {
+    std::fprintf(stderr,
+                 "warning: checkpoint %s rejected (%s); restarting the "
+                 "point from cycle 0\n",
+                 params.checkpoint_path.c_str(), error.c_str());
+    built = fresh();
+  }
+  Network& net = *built;
   char suffix[32];
   std::snprintf(suffix, sizeof suffix, "load=%g", load);
   params.arm(net, suffix);
 
-  // Checkpoint/restart (core/checkpoint.hpp): resume from an existing
-  // snapshot if one matches, then run in interval-sized chunks with a
-  // refresh between chunks. A cold run with no checkpoint path takes the
-  // two plain run() calls below — same cycles, same results.
-  const bool ckpt = !params.checkpoint_path.empty();
-  if (ckpt) CheckpointIO::restore(net, params.checkpoint_path);
   const auto run_to = [&](Cycle target) {
     while (net.now() < target) {
       Cycle chunk = target - net.now();
@@ -122,22 +137,6 @@ SteadyResult run_steady(const SimConfig& cfg, const TrafficPattern& pattern,
   out.worst_stall = s.worst_stall();
   out.mean_hops = s.mean_hops();
   return out;
-}
-
-std::vector<SweepPoint> run_load_sweep(const SimConfig& cfg,
-                                       const TrafficPattern& pattern,
-                                       const std::vector<double>& loads,
-                                       const RunParams& params,
-                                       unsigned threads) {
-  std::vector<SweepPoint> points(loads.size());
-  parallel_for(
-      loads.size(),
-      [&](std::size_t i) {
-        points[i].load = loads[i];
-        points[i].result = run_steady(cfg, pattern, loads[i], params);
-      },
-      threads);
-  return points;
 }
 
 TransientResult run_transient(const SimConfig& cfg,

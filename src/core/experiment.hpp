@@ -1,8 +1,8 @@
 // High-level experiment drivers: the three measurement protocols of the
 // paper's evaluation (§VI) as reusable library calls.
 //
-//  - run_steady / run_load_sweep: warm-up then windowed measurement of
-//    latency and accepted throughput at fixed offered load (Figs. 3-5, 8, 9);
+//  - run_steady: warm-up then windowed measurement of latency and
+//    accepted throughput at fixed offered load (Figs. 3-5, 8, 9);
 //  - run_transient: pattern switch at a cycle boundary, latency accounted
 //    to the cycle each packet was sent (Fig. 6);
 //  - run_burst: fixed per-node packet budget injected as fast as possible,
@@ -69,9 +69,10 @@ struct ExperimentCommon {
   // only (the big-topology protocol); a checkpointed run restored mid-way
   // continues bit-identically, so results and cache keys are unchanged.
   /// Checkpoint file for this run; "" disables. When the file exists and
-  /// matches the config, the run resumes from it instead of starting at
-  /// cycle 0; it is refreshed every checkpoint_interval cycles and deleted
-  /// once the run completes.
+  /// restores (CheckpointIO::restore), the run resumes from it instead of
+  /// starting at cycle 0; a file it rejects gets a warning on stderr and
+  /// the run starts at cycle 0. It is refreshed every checkpoint_interval
+  /// cycles and deleted once the run completes.
   std::string checkpoint_path;
   /// Cycles between checkpoint refreshes (0: only the warmup-boundary
   /// snapshot is written).
@@ -116,18 +117,6 @@ struct SteadyResult {
 /// One steady-state point: fresh network, Bernoulli traffic at `load`.
 SteadyResult run_steady(const SimConfig& cfg, const TrafficPattern& pattern,
                         double load, const RunParams& params = {});
-
-struct SweepPoint {
-  double load = 0.0;
-  SteadyResult result;
-};
-
-/// Load sweep; points run in parallel worker threads when available.
-std::vector<SweepPoint> run_load_sweep(const SimConfig& cfg,
-                                       const TrafficPattern& pattern,
-                                       const std::vector<double>& loads,
-                                       const RunParams& params = {},
-                                       unsigned threads = 0);
 
 struct TransientParams : ExperimentCommon {
   Cycle warmup = 30'000;      ///< cycles of pattern A before the switch

@@ -118,6 +118,11 @@ class OFAR_SHARD_LOCAL VcFifo {
     OFAR_DCHECK(!empty());
     return entries_[head_ & mask_].sent;
   }
+  /// The i-th queued entry, counted from the head (i < num_packets()).
+  const Entry& entry(u32 i) const noexcept {
+    OFAR_DCHECK(i < num_packets());
+    return entries_[(head_ + i) & mask_];
+  }
 
   /// A new packet's head phit arrived (tail entry created).
   void push_packet(PacketId id) {

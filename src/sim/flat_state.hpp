@@ -135,6 +135,10 @@ class HeadView {
   PacketId head(VcId v) const noexcept { return in_->vcs[v].head(); }
   u32 head_arrived(VcId v) const noexcept { return in_->vcs[v].head_arrived(); }
   u32 head_sent(VcId v) const noexcept { return in_->vcs[v].head_sent(); }
+  /// The i-th queued entry of VC v, counted from its head.
+  const VcFifo::Entry& entry(VcId v, u32 i) const noexcept {
+    return in_->vcs[v].entry(i);
+  }
   bool head_in_flight(VcId v) const noexcept { return in_->head_busy[v] != 0; }
   /// Head present, fully routable, and not mid-transfer (== has_head).
   bool routable(VcId v) const noexcept { return in_->has_head(v); }

@@ -281,8 +281,10 @@ class Network {
   trace::PacketTracer* packet_tracer() noexcept { return trace_.get(); }
 
   /// Deep flow-control conservation check: true iff the network is fully
-  /// drained AND every FIFO is empty, every credit counter restored to
-  /// capacity, and no event is in flight. Used by tests after drain.
+  /// drained, no event is in flight, and the invariant auditor passes —
+  /// which, with no packet live, means every FIFO is empty, every output
+  /// idle and every credit counter restored to capacity. Used by tests
+  /// after drain.
   bool check_quiescent() const;
 
   /// Mid-run credit-conservation audit. For every (channel, VC):

@@ -14,6 +14,7 @@
 namespace ofar {
 
 class CheckpointIO;
+namespace verify { class InvariantAuditor; }
 
 class PacketPool {
  public:
@@ -52,6 +53,7 @@ class PacketPool {
   // reproduce it exactly for packet ids (and everything keyed by them) to
   // stay bit-identical.
   friend class CheckpointIO;
+  friend class verify::InvariantAuditor;  // audits the free list
 
   std::vector<Packet> slots_;
   std::vector<bool> live_bits_;

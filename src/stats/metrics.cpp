@@ -360,78 +360,14 @@ void Telemetry::emit_full_dump(const Network& net, Cycle now, Cycle width) {
   cfg_.sink->write_line(vw.str());
 }
 
-void Telemetry::collect_edges(const Network& net, Cycle now,
-                              std::vector<StallEdge>& edges,
-                              u64& total) const {
-  const Dragonfly& topo = net.topo();
-  const u32 timeout = net.config().deadlock_timeout;
-  total = 0;
-  for (RouterId r = 0; r < topo.routers(); ++r) {
-    if (!net.router_built(r)) continue;  // untouched: no resident heads
-    const Router& router = net.router(r);
-    for (PortId p = 0; p < ports_; ++p) {
-      const HeadView in(router.inputs[p]);
-      for (u32 v = 0; v < in.num_vcs(); ++v) {
-        if (in.empty(static_cast<VcId>(v))) continue;
-        // Streaming heads are making progress, not stalled.
-        if (in.head_in_flight(static_cast<VcId>(v))) continue;
-        const PacketId id = in.head(static_cast<VcId>(v));
-        const Packet& pkt = net.packets().get(id);
-        const u64 age = now - pkt.last_progress;
-        if (age <= timeout) continue;
-        ++total;
-        if (edges.size() >= cfg_.max_forensic_edges) continue;
-
-        StallEdge e;
-        e.router = r;
-        e.in_port = p;
-        e.in_vc = static_cast<VcId>(v);
-        e.packet = id;
-        e.src = pkt.src;
-        e.dst = pkt.dst;
-        e.dst_router = pkt.dst_router;
-        e.age = age;
-        e.in_ring = pkt.in_ring;
-        e.arrived_phits = in.head_arrived(static_cast<VcId>(v));
-
-        // The output this head structurally waits for: the ring output for
-        // in-ring packets, ejection at the destination router, else the
-        // minimal-path port. Derived from the topology only — the routing
-        // policy is never consulted, so no RNG draw can occur.
-        u32 first = 0, count = 0;
-        if (pkt.in_ring && net.ring() != nullptr) {
-          const Network::RingOut& ro = net.ring_out(r);
-          e.wait_port = ro.port;
-          first = ro.first_vc;
-          count = ro.num_vcs;
-        } else if (r == pkt.dst_router) {
-          e.wait_port = topo.node_port(topo.node_slot(pkt.dst));
-          count = 1;
-        } else {
-          e.wait_port = topo.min_next_port(r, pkt.dst_router);
-          net.base_vc_range(r, e.wait_port, first, count);
-        }
-        const OutputPort& out = router.outputs[e.wait_port];
-        e.wait_busy = out.busy();
-        e.held_by = out.active;
-        u32 best = 0;
-        for (u32 vv = first; vv < first + count && vv < out.credits.size();
-             ++vv)
-          best = std::max(best, out.credits[vv]);
-        e.wait_credits = best;
-        edges.push_back(e);
-      }
-    }
-  }
-}
-
 void Telemetry::on_watchdog_trip(const Network& net, u64 stalled,
                                  u64 worst_stall) {
-  if (forensic_dumps_ >= cfg_.max_forensic_dumps) return;
+  if (forensic_dumps_ >= verify::kMaxForensicDumps) return;
   ++forensic_dumps_;
-  last_edges_.clear();
-  u64 total = 0;
-  collect_edges(net, net.now(), last_edges_, total);
+  last_edges_ = verify::stalled_heads(net);
+  const u64 total = last_edges_.size();
+  if (total > verify::kMaxForensicEdges)
+    last_edges_.resize(verify::kMaxForensicEdges);
   if (cfg_.sink != nullptr)
     emit_forensics(net.now(), stalled, worst_stall, total);
 }
@@ -446,7 +382,7 @@ void Telemetry::emit_forensics(Cycle now, u64 stalled, u64 worst_stall,
   w.key("stalled_packets").value(stalled);
   w.key("worst_stall").value(worst_stall);
   w.key("edges").begin_array();
-  for (const StallEdge& e : last_edges_) {
+  for (const verify::StallEdge& e : last_edges_) {
     w.begin_object();
     w.key("router").value(e.router);
     w.key("port").value(static_cast<u32>(e.in_port));

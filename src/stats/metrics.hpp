@@ -30,6 +30,7 @@
 #include "common/phase.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/types.hpp"
+#include "verify/wait_graph.hpp"
 
 namespace ofar {
 
@@ -230,29 +231,6 @@ struct TelemetryConfig {
   /// At 64 the amortised clock cost is a few ns/cycle, invisible even on
   /// mostly-idle drain workloads where cycles themselves are ~100 ns.
   u32 phase_sample_period = 64;
-  /// Forensics dumps are rate-limited to this many per run, and each dump
-  /// reports at most max_forensic_edges hold/wait edges.
-  u32 max_forensic_dumps = 4;
-  u32 max_forensic_edges = 64;
-};
-
-/// One stalled head and the output it structurally waits for (see
-/// Telemetry::on_watchdog_trip).
-struct StallEdge {
-  RouterId router = 0;
-  PortId in_port = 0;
-  VcId in_vc = 0;
-  PacketId packet = kInvalidPacket;
-  NodeId src = 0;
-  NodeId dst = 0;
-  RouterId dst_router = 0;
-  u64 age = 0;             ///< cycles since the packet's last grant
-  bool in_ring = false;
-  u32 arrived_phits = 0;   ///< phits of the head physically present
-  PortId wait_port = kInvalidPort;  ///< minimal-path (or ring) output waited on
-  bool wait_busy = false;           ///< that output is streaming another packet
-  PacketId held_by = kInvalidPacket;  ///< the packet streaming through it
-  u32 wait_credits = 0;    ///< most credits on any candidate VC of wait_port
 };
 
 class Telemetry {
@@ -301,12 +279,12 @@ class Telemetry {
   OFAR_SERIAL_ONLY void sample(const Network& net, Cycle now);
 
   /// Deadlock forensics: called by the watchdog when at least one packet
-  /// exceeded the deadlock timeout. Scans every input-VC head whose packet
-  /// is over the timeout and emits the hold/wait chain: where the head sits
+  /// exceeded the deadlock timeout. Emits the hold/wait chain of the wait
+  /// graph's stalled heads (verify::stalled_heads): where each head sits
   /// (router, port, VC), how old it is, and which output it structurally
-  /// waits on (the ring output for in-ring packets, the minimal-path port
-  /// otherwise — computed from the topology only, so no RNG is consumed).
-  /// Rate-limited to cfg.max_forensic_dumps per run.
+  /// waits on — computed from the topology only, so no RNG is consumed.
+  /// At most verify::kMaxForensicDumps dumps per run, each listing at most
+  /// verify::kMaxForensicEdges heads.
   OFAR_SERIAL_ONLY void on_watchdog_trip(const Network& net, u64 stalled,
                                          u64 worst_stall);
 
@@ -331,7 +309,7 @@ class Telemetry {
   u64 samples_taken() const noexcept { return samples_; }
   u64 forensic_dumps() const noexcept { return forensic_dumps_; }
   /// Edges of the most recent forensics dump (empty before the first trip).
-  const std::vector<StallEdge>& last_forensics() const noexcept {
+  const std::vector<verify::StallEdge>& last_forensics() const noexcept {
     return last_edges_;
   }
 
@@ -346,8 +324,6 @@ class Telemetry {
                    Cycle width);
   void emit_interval(const Network& net, Cycle now, Cycle width);
   void emit_full_dump(const Network& net, Cycle now, Cycle width);
-  void collect_edges(const Network& net, Cycle now,
-                     std::vector<StallEdge>& edges, u64& total) const;
   void emit_forensics(Cycle now, u64 stalled, u64 worst_stall,
                       u64 total_edges);
 
@@ -372,7 +348,7 @@ class Telemetry {
   bool prev_sample_idle_ = false;   ///< live==0 && pending==0 at last sample
   u64 prev_sample_generated_ = 0;   ///< generated_packets() at last sample
   u32 forensic_dumps_ = 0;
-  std::vector<StallEdge> last_edges_;
+  std::vector<verify::StallEdge> last_edges_;
   bool summary_written_ = false;
 
   // Registry ids, grouped as defined in define_metrics().

@@ -118,26 +118,13 @@ class OFAR_SERIAL_ONLY Stats {
   void on_generated(u16 tag, u32 phits);
   void on_injected();
   void on_delivered(u16 tag, u32 phits, u64 latency, Cycle birth, u32 hops);
-  void on_local_misroute() { ++local_misroutes_; }
-  void on_global_misroute() { ++global_misroutes_; }
-  /// A packet was granted onto the escape ring. `first_entry` is true when
-  /// this packet had never been on the ring before (Packet::ring_entered):
-  /// ring_entries() counts every entry, ring_packets() counts distinct
-  /// packets, and ring_reentries() the difference.
-  void on_ring_enter(bool first_entry) {
-    ++ring_entries_;
-    if (first_entry) {
-      ++ring_packets_;
-    } else {
-      ++ring_reentries_;
-    }
-  }
-  void on_ring_exit() { ++ring_exits_; }
 
   // ---- bulk hooks (sharded kernel's serial commit; DESIGN.md §10) ----
-  // Per-shard staged counts folded in shard order. Each is the exact sum
-  // of the per-event hook above over the staged events, so a sharded run
-  // and a sequential replay of the same grants agree on every counter.
+  // Per-shard staged counts folded in shard order. A packet granted onto
+  // the escape ring is a first entry when it had never been on the ring
+  // before (Packet::ring_entered), a re-entry otherwise: ring_entries()
+  // counts both, ring_packets() the first entries (distinct packets), and
+  // ring_reentries() the rest.
   void on_ring_enters(u64 first_entries, u64 reentries) {
     ring_entries_ += first_entries + reentries;
     ring_packets_ += first_entries;

@@ -48,7 +48,6 @@ class Dragonfly {
   u32 routers() const noexcept { return groups_ * a(); }
   u32 nodes() const noexcept { return routers() * p(); }
   u32 max_groups() const noexcept { return a() * h_ + 1; }
-  bool has_ring_port() const noexcept { return physical_ring_; }
 
   /// Entity-count trait for id sizing. Everything is computed in u64 so
   /// callers can validate a requested topology against the compact 32-bit

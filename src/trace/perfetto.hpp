@@ -35,8 +35,6 @@ class ChromeTraceWriter {
   void instant_event(u64 pid, u64 tid, const std::string& name, Cycle ts,
                      const std::string& args_json);
 
-  std::size_t num_events() const noexcept { return events_.size(); }
-
   /// Writes {"traceEvents":[...],"displayTimeUnit":"ms","otherData":{...}}.
   /// Returns false when the file cannot be created or written.
   bool write_file(const std::string& path) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "trace/perfetto.hpp"
+#include "verify/wait_graph.hpp"
 
 namespace ofar::trace {
 
@@ -86,7 +87,7 @@ void PacketTracer::on_audit_failure(Cycle now,
 }
 
 void PacketTracer::on_deadlock(Cycle now, u64 stalled, u64 worst_wait) {
-  if (!recorder_ || forensic_dumps_ >= 3) return;
+  if (!recorder_ || forensic_dumps_ >= verify::kMaxForensicDumps) return;
   ++forensic_dumps_;
   JsonWriter ctx;
   ctx.begin_object();

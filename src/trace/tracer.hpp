@@ -50,7 +50,7 @@ class OFAR_SERIAL_ONLY PacketTracer {
 
   /// Flight-recorder post-mortems. `context_json` is embedded verbatim.
   void on_audit_failure(Cycle now, const std::string& report_json);
-  /// Rate-limited (at most 3 dumps per run) deadlock forensics hook.
+  /// Deadlock forensics hook (at most verify::kMaxForensicDumps per run).
   void on_deadlock(Cycle now, u64 stalled, u64 worst_wait);
 
   const TracerConfig& config() const noexcept { return cfg_; }

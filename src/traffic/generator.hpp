@@ -42,10 +42,6 @@ class BernoulliSource : public TrafficSource {
   BernoulliSource(TrafficPattern pattern, double load_phits, u64 seed);
   void tick(Network& net) override;
 
-  /// In-place pattern/load change (simple transient experiments).
-  void set_pattern(TrafficPattern pattern) { pattern_ = std::move(pattern); }
-  void set_load(double load_phits) { load_ = load_phits; }
-
   void save_state(CkptWriter& w) const override;
   void load_state(CkptReader& r) override;
 

@@ -109,6 +109,19 @@ AuditReport InvariantAuditor::run_all() const {
   return rep;
 }
 
+bool header_valid(const Network& net, const Packet& pkt) noexcept {
+  const Dragonfly& topo = net.topo();
+  const auto group_or_unset = [&topo](GroupId g) {
+    return g < topo.groups() || g == kInvalidGroup;
+  };
+  return pkt.src < topo.nodes() && pkt.dst < topo.nodes() &&
+         pkt.dst_router == topo.router_of_node(pkt.dst) &&
+         group_or_unset(pkt.inter_group) && group_or_unset(pkt.flag_group) &&
+         (pkt.inter_router < topo.routers() ||
+          pkt.inter_router == kInvalidRouter) &&
+         pkt.size == net.config().packet_size;
+}
+
 // ---------------------------------------------------------------------------
 // credit conservation (VCT flow control, paper §V)
 // ---------------------------------------------------------------------------
@@ -134,6 +147,8 @@ void InvariantAuditor::check_credit_conservation(AuditReport& rep) const {
     wire_phits[c].assign(vcs, 0);
     wire_credits[c].assign(vcs, 0);
   }
+  // Restore checks that every event's channel is wired, its VC below the
+  // channel's and its sender built, so these indices are in range.
   for (const Network::ShardState& sh : net_.shards_) {
     for (const auto& slot : sh.phit_wheel)
       for (const Network::PhitEvent& e : slot) ++wire_phits[e.ch][e.vc];
@@ -180,12 +195,17 @@ void InvariantAuditor::check_credit_conservation(AuditReport& rep) const {
 //
 // Lifetime totals (never reset by Stats measurement windows): every injected
 // packet is live until delivered, so live == injected − delivered, and the
-// pool's liveness bitmap must agree with its own counter.
+// pool's liveness bitmap must agree with its own counter. The free list
+// holds exactly the dead slots, each once (create() pops it, so a live or
+// repeated id would be handed out twice, an out-of-range one written past
+// the pool); every live packet's header is well-formed (header_valid); and
+// every packet a FIFO queues is live.
 void InvariantAuditor::check_packet_conservation(AuditReport& rep) const {
   ++rep.checks_run;
+  const PacketPool& pool = net_.pool_;
   const u64 injected = net_.injected_total_;
   const u64 delivered = net_.delivered_total_;
-  const u64 live = net_.pool_.live_count();
+  const u64 live = pool.live_count();
   if (delivered > injected || live != injected - delivered) {
     add(rep, Invariant::kPacketConservation,
         format("pool holds %llu live packets, but injected %llu - "
@@ -196,13 +216,53 @@ void InvariantAuditor::check_packet_conservation(AuditReport& rep) const {
                static_cast<unsigned long long>(injected - delivered)));
   }
   u64 bitmap_live = 0;
-  net_.pool_.for_each_live([&](PacketId, const Packet&) { ++bitmap_live; });
+  pool.for_each_live([&](PacketId id, const Packet& pkt) {
+    ++bitmap_live;
+    if (header_valid(net_, pkt)) return;
+    add(rep, Invariant::kPacketConservation,
+        format("live packet %u has a malformed header: src %u dst %u "
+               "dst_router %u inter_group %u inter_router %u flag_group %u "
+               "size %u", id, pkt.src, pkt.dst, pkt.dst_router,
+               pkt.inter_group, pkt.inter_router, pkt.flag_group,
+               static_cast<u32>(pkt.size)));
+  });
   if (bitmap_live != live) {
     add(rep, Invariant::kPacketConservation,
         format("PacketPool bitmap marks %llu packets live, counter says "
                "%llu",
                static_cast<unsigned long long>(bitmap_live),
                static_cast<unsigned long long>(live)));
+  }
+  const std::size_t slots = pool.slots_.size();
+  std::vector<u8> freed(slots, 0);
+  for (const PacketId id : pool.free_list_) {
+    const bool dead = id < slots && !pool.live_bits_[id];
+    if (dead && freed[id] == 0) {
+      freed[id] = 1;
+      continue;
+    }
+    add(rep, Invariant::kPacketConservation,
+        format("free list holds %s packet id %u",
+               id >= slots ? "out-of-range" : dead ? "repeated" : "live",
+               id));
+  }
+  if (pool.free_list_.size() + bitmap_live != slots) {
+    add(rep, Invariant::kPacketConservation,
+        format("pool has %zu slots but %zu free and %llu live", slots,
+               pool.free_list_.size(),
+               static_cast<unsigned long long>(bitmap_live)));
+  }
+  for (const Router& r : net_.routers_) {
+    for (PortId p = 0; p < r.inputs.size(); ++p) {
+      const HeadView in(r.inputs[p]);
+      for (VcId v = 0; v < in.num_vcs(); ++v)
+        for (u32 i = 0; i < in.num_packets(v); ++i)
+          if (!pool.is_live(in.entry(v, i).packet))
+            add(rep, Invariant::kPacketConservation,
+                format("r%u.p%uv%u queues packet %u, which is not live",
+                       r.id, static_cast<u32>(p), static_cast<u32>(v),
+                       in.entry(v, i).packet));
+    }
   }
 }
 
@@ -215,33 +275,49 @@ void InvariantAuditor::check_packet_conservation(AuditReport& rep) const {
 // Between cycles (now = N means cycles 0..N−1 executed) an active transfer
 // therefore satisfies  size − phits_left == (N−1) − last_progress  — the
 // head occupies its output for exactly packet_size cycles, no more, no
-// less, and all transfer-tracking state must agree on which head that is.
+// less — and all transfer-tracking state must agree on which head that is:
+// active_out_mask names exactly the busy outputs, each wired and streaming
+// a live packet on an existing downstream VC from the head of an existing
+// input VC, whose sent count matches; head_busy flags exactly those heads.
 void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
   ++rep.checks_run;
   const Cycle now = net_.now_;
+  std::vector<u32> first_vc;  // per input port: flat index of its VC 0
+  std::vector<u8> streams;    // per flat input VC: outputs streaming it
   for (const Router& r : net_.routers_) {
+    const u32 ports = static_cast<u32>(r.outputs.size());  // 0 if unbuilt
+    first_vc.assign(ports + 1, 0);
+    for (PortId p = 0; p < ports; ++p)
+      first_vc[p + 1] = first_vc[p] + r.inputs[p].vcs.size();
+    streams.assign(first_vc[ports], 0);
+    if (ports < 64 && (r.active_out_mask >> ports) != 0) {
+      add(rep, Invariant::kVctAtomicity,
+          format("r%u: active_out_mask %llx names ports past its %u", r.id,
+                 static_cast<unsigned long long>(r.active_out_mask), ports));
+    }
     u32 busy_ports = 0;
-    for (PortId port = 0; port < r.outputs.size(); ++port) {
+    for (PortId port = 0; port < ports; ++port) {
       const OutputPort& out = r.outputs[port];
       const bool mask_bit = (r.active_out_mask >> port) & 1u;
-      if (out.busy() != mask_bit) {
+      // An idle output keeps its last transfer's source: it must exist too.
+      if (out.src_port >= ports ||
+          out.src_vc >= r.inputs[out.src_port].vcs.size() ||
+          out.busy() != mask_bit ||
+          (mask_bit && (!out.wired() || !net_.pool_.is_live(out.active)))) {
         add(rep, Invariant::kVctAtomicity,
-            format("r%u.p%u: active_out_mask bit %u but output %s busy",
+            format("r%u.p%u: active_out_mask bit %u, but the %s output "
+                   "streams packet %u from p%uv%u",
                    r.id, static_cast<u32>(port), mask_bit ? 1u : 0u,
-                   out.busy() ? "is" : "is not"));
+                   out.wired() ? "wired" : "unwired", out.active,
+                   static_cast<u32>(out.src_port),
+                   static_cast<u32>(out.src_vc)));
+        continue;
       }
       if (!out.busy()) continue;
       ++busy_ports;
-      if (!net_.pool_.is_live(out.active)) {
-        add(rep, Invariant::kVctAtomicity,
-            format("r%u.p%u: active transfer references dead packet %u",
-                   r.id, static_cast<u32>(port), out.active));
-        continue;
-      }
       const Packet& pkt = net_.pool_.get(out.active);
       const HeadView in(r.inputs[out.src_port]);
-      if (out.src_vc >= in.num_vcs() || in.empty(out.src_vc) ||
-          in.head(out.src_vc) != out.active) {
+      if (in.empty(out.src_vc) || in.head(out.src_vc) != out.active) {
         add(rep, Invariant::kVctAtomicity,
             format("r%u.p%u: transfer source r%u.p%uv%u does not hold "
                    "packet %u at its head",
@@ -250,40 +326,40 @@ void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
                    static_cast<u32>(out.src_vc), out.active));
         continue;
       }
-      if (!in.head_in_flight(out.src_vc)) {
+      ++streams[first_vc[out.src_port] + out.src_vc];
+      const u64 sent = in.head_sent(out.src_vc);
+      if (out.active_vc >= out.credits.size() ||
+          out.active_size != pkt.size || out.phits_left == 0 ||
+          sent + out.phits_left != pkt.size ||
+          sent != now - 1 - pkt.last_progress) {
         add(rep, Invariant::kVctAtomicity,
-            format("r%u.p%uv%u: head packet %u is streaming to p%u but "
-                   "head_busy is clear — the head could be granted twice",
-                   r.id, static_cast<u32>(out.src_port),
-                   static_cast<u32>(out.src_vc), out.active,
-                   static_cast<u32>(port)));
-      }
-      if (out.phits_left == 0 || out.phits_left > pkt.size) {
-        add(rep, Invariant::kVctAtomicity,
-            format("r%u.p%u: packet %u has %u phits left of a %u-phit "
-                   "packet",
-                   r.id, static_cast<u32>(port), out.active, out.phits_left,
-                   static_cast<u32>(pkt.size)));
-        continue;
-      }
-      const u64 sent = pkt.size - out.phits_left;
-      const u64 held = now - 1 - pkt.last_progress;
-      if (sent != held) {
-        add(rep, Invariant::kVctAtomicity,
-            format("r%u.p%u: packet %u granted at cycle %llu has held the "
-                   "output %llu cycles but sent %llu phits — transfers "
-                   "must stream one phit per cycle for exactly "
-                   "packet_size cycles",
+            format("r%u.p%u: packet %u of %u phits, granted at cycle %llu, "
+                   "streams as %u phits on VC %u of %u with %llu sent and "
+                   "%u left — transfers must stream one phit per cycle for "
+                   "exactly packet_size cycles",
                    r.id, static_cast<u32>(port), out.active,
+                   static_cast<u32>(pkt.size),
                    static_cast<unsigned long long>(pkt.last_progress),
-                   static_cast<unsigned long long>(held),
-                   static_cast<unsigned long long>(sent)));
+                   static_cast<u32>(out.active_size),
+                   static_cast<u32>(out.active_vc), out.credits.size(),
+                   static_cast<unsigned long long>(sent), out.phits_left));
       }
     }
     if (busy_ports != r.active_transfers) {
       add(rep, Invariant::kVctAtomicity,
           format("r%u: %u outputs are streaming but active_transfers=%u",
                  r.id, busy_ports, r.active_transfers));
+    }
+    for (PortId p = 0; p < ports; ++p) {
+      for (VcId v = 0; v < r.inputs[p].vcs.size(); ++v) {
+        const u32 n = streams[first_vc[p] + v];
+        if (n == r.inputs[p].head_busy[v]) continue;
+        add(rep, Invariant::kVctAtomicity,
+            format("r%u.p%uv%u: head_busy %u but %u outputs stream its "
+                   "head — a head must be granted exactly once",
+                   r.id, static_cast<u32>(p), static_cast<u32>(v),
+                   static_cast<u32>(r.inputs[p].head_busy[v]), n));
+      }
     }
   }
 }
@@ -320,34 +396,65 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
     }
   }
   for (RouterId r = 0; r < net_.routers_.size(); ++r) {
+    const Router& router = net_.routers_[r];
     if (listed[r] != net_.router_in_worklist_[r]) {
       add(rep, Invariant::kWorklists,
           format("r%u: in_worklist flag %u but %slisted", r,
                  static_cast<u32>(net_.router_in_worklist_[r]),
                  listed[r] ? "" : "not "));
     }
-    if (net_.routers_[r].has_activity() && !listed[r]) {
+    if (router.has_activity() && !listed[r]) {
       add(rep, Invariant::kWorklists,
           format("r%u has %u buffered packets / out-mask %llx but is "
                  "missing from the active-router worklist — its packets "
                  "would never advance",
-                 r, net_.routers_[r].buffered_packets,
-                 static_cast<unsigned long long>(
-                     net_.routers_[r].active_out_mask)));
+                 r, router.buffered_packets,
+                 static_cast<unsigned long long>(router.active_out_mask)));
     }
-    // routable_heads must count exactly the (port, vc) heads the
-    // allocation scan could request for.
-    u32 heads = 0;
-    for (const InputPort& port : net_.routers_[r].inputs) {
-      const HeadView in(port);
-      for (VcId v = 0; v < in.num_vcs(); ++v)
-        if (in.routable(v)) ++heads;
+    // The counters and masks the kernel's skips trust summarise the FIFOs
+    // exactly: routable_heads counts the (port, vc) heads the allocation
+    // scan could request for, input_mask the non-empty VCs, and each
+    // FIFO stores the phits its entries have arrived and not sent.
+    u32 heads = 0, packets = 0;
+    u64 phits = 0;
+    for (PortId p = 0; p < router.inputs.size(); ++p) {
+      const HeadView in(router.inputs[p]);
+      u32 non_empty = 0;
+      for (VcId v = 0; v < in.num_vcs(); ++v) {
+        heads += in.routable(v) ? 1 : 0;
+        non_empty |= in.empty(v) ? 0u : 1u << v;
+        packets += in.num_packets(v);
+        phits += in.stored_phits(v);
+        u64 held = 0;  // an entry that sent more than arrived: never equal
+        for (u32 i = 0; i < in.num_packets(v); ++i) {
+          const VcFifo::Entry& e = in.entry(v, i);
+          held += e.sent <= e.arrived ? e.arrived - e.sent : u64{1} << 32;
+        }
+        if (held != in.stored_phits(v)) {
+          add(rep, Invariant::kWorklists,
+              format("r%u.p%uv%u stores %u phits, but its entries hold "
+                     "%llu arrived and unsent",
+                     r, static_cast<u32>(p), static_cast<u32>(v),
+                     in.stored_phits(v),
+                     static_cast<unsigned long long>(held)));
+        }
+      }
+      if (router.input_mask[p] != non_empty) {
+        add(rep, Invariant::kWorklists,
+            format("r%u.p%u: input_mask %x but non-empty VCs %x", r,
+                   static_cast<u32>(p),
+                   static_cast<u32>(router.input_mask[p]), non_empty));
+      }
     }
-    if (heads != net_.routers_[r].routable_heads) {
+    if (heads != router.routable_heads || packets != router.buffered_packets ||
+        phits != router.buffered_phits) {
       add(rep, Invariant::kWorklists,
-          format("r%u: %u routable heads present but counter says %u — "
-                 "the allocation skip would starve or over-scan", r, heads,
-                 net_.routers_[r].routable_heads));
+          format("r%u: FIFOs hold %u routable heads, %u packets and %llu "
+                 "phits but the counters say %u, %u and %u — the kernel's "
+                 "skips would starve or over-scan",
+                 r, heads, packets, static_cast<unsigned long long>(phits),
+                 router.routable_heads, router.buffered_packets,
+                 router.buffered_phits));
     }
   }
   // Node list: after do_injection's compaction it holds exactly the nodes
@@ -442,7 +549,7 @@ void InvariantAuditor::check_ring_bubble(AuditReport& rep) const {
   }
   for (const Router& r : net_.routers_) {
     for (const OutputPort& out : r.outputs) {
-      if (!out.busy()) continue;
+      if (!out.busy() || !out.wired()) continue;  // see check_vct_atomicity
       const Channel ch = net_.channel(out.channel);
       if (ch.is_ejection()) continue;
       if (net_.is_ring_input(ch.dst_router, ch.dst_port, out.active_vc) &&

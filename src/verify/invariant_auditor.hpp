@@ -15,6 +15,11 @@
 // flags — and intended for CI workloads and bug hunts, not production
 // sweeps. On a violation the periodic driver prints the report and aborts;
 // tests call the individual checks and inspect the report instead.
+//
+// It is also the only judge of a restored checkpoint (core/checkpoint.hpp):
+// CheckpointIO::restore bounds-checks what it reads, then rejects any state
+// run_all() does not pass. The auditor therefore reads untrusted state and
+// never indexes with a value it has not range-checked first.
 #pragma once
 
 #include <string>
@@ -24,6 +29,7 @@
 
 namespace ofar {
 class Network;
+struct Packet;
 }  // namespace ofar
 
 namespace ofar::verify {
@@ -31,16 +37,25 @@ namespace ofar::verify {
 enum class Invariant : u8 {
   kCreditConservation,  ///< per (channel, VC): credits + in-flight + stored
                         ///< + reserved == downstream capacity
-  kPacketConservation,  ///< live packets == injected − delivered, and the
-                        ///< PacketPool's bitmap agrees with its live count
+  kPacketConservation,  ///< live packets == injected − delivered, the
+                        ///< PacketPool's bitmap, counter and free list
+                        ///< agree, every live header is well-formed and
+                        ///< every queued FIFO entry is live
   kVctAtomicity,        ///< a granted head holds its output exactly
                         ///< packet_size cycles; transfer state is coherent
-  kWorklists,           ///< activity-worklist soundness/completeness
+  kWorklists,           ///< activity-worklist soundness/completeness, and
+                        ///< the per-router counters and masks the kernel's
+                        ///< skips trust match the FIFO contents
   kRingBubble,          ///< escape ring keeps >= one packet of free space
   kWaitGraph,           ///< no wait cycle lies entirely inside ring VCs
 };
 
 const char* to_string(Invariant inv) noexcept;
+
+/// kPacketConservation's header relation: src and dst are nodes, dst_router
+/// is dst's router, every group or router field is one or unset, and size
+/// is the packet size. Topology lookups on a header need it to hold.
+bool header_valid(const Network& net, const Packet& pkt) noexcept;
 
 struct Violation {
   Invariant invariant = Invariant::kCreditConservation;

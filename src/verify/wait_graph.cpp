@@ -5,8 +5,70 @@
 
 #include "sim/flat_state.hpp"
 #include "sim/network.hpp"
+#include "verify/invariant_auditor.hpp"
 
 namespace ofar::verify {
+
+std::vector<StallEdge> stalled_heads(const Network& net) {
+  const Dragonfly& topo = net.topo();
+  const PacketPool& pool = net.packets();
+  const Cycle now = net.now();
+  const u32 timeout = net.config().deadlock_timeout;
+  std::vector<StallEdge> edges;
+  for (RouterId r = 0; r < topo.routers(); ++r) {
+    if (!net.router_built(r)) continue;  // untouched: no resident heads
+    const Router& router = net.router(r);
+    for (PortId p = 0; p < topo.ports_per_router(); ++p) {
+      const HeadView in(router.inputs[p]);
+      for (u32 v = 0; v < in.num_vcs(); ++v) {
+        if (in.empty(static_cast<VcId>(v))) continue;
+        // Streaming heads are making progress, not stalled.
+        if (in.head_in_flight(static_cast<VcId>(v))) continue;
+        const PacketId id = in.head(static_cast<VcId>(v));
+        if (!pool.is_live(id) || !header_valid(net, pool.get(id))) continue;
+        const Packet& pkt = pool.get(id);
+        const u64 age = now - pkt.last_progress;
+        if (age <= timeout) continue;
+
+        StallEdge e;
+        e.router = r;
+        e.in_port = p;
+        e.in_vc = static_cast<VcId>(v);
+        e.packet = id;
+        e.src = pkt.src;
+        e.dst = pkt.dst;
+        e.dst_router = pkt.dst_router;
+        e.age = age;
+        e.in_ring = pkt.in_ring;
+        e.arrived_phits = in.head_arrived(static_cast<VcId>(v));
+        // The structural wait port (see the header): topology only.
+        if (pkt.in_ring && net.ring() != nullptr) {
+          const Network::RingOut& ro = net.ring_out(r);
+          e.wait_port = ro.port;
+          e.wait_first_vc = ro.first_vc;
+          e.wait_vcs = ro.num_vcs;
+        } else if (r == pkt.dst_router) {
+          e.wait_port = topo.node_port(topo.node_slot(pkt.dst));
+          e.wait_vcs = 1;
+        } else {
+          e.wait_port = topo.min_next_port(r, pkt.dst_router);
+          net.base_vc_range(r, e.wait_port, e.wait_first_vc, e.wait_vcs);
+        }
+        // Candidate VCs past the port's credit counters (an unwired port
+        // has none) are dropped.
+        const OutputPort& out = router.outputs[e.wait_port];
+        const u32 vcs = out.credits.size();
+        e.wait_vcs = std::min(e.wait_vcs, vcs - std::min(e.wait_first_vc, vcs));
+        e.wait_busy = out.busy();
+        e.held_by = out.active;
+        for (u32 w = e.wait_first_vc; w < e.wait_first_vc + e.wait_vcs; ++w)
+          e.wait_credits = std::max(e.wait_credits, out.credits[w]);
+        edges.push_back(e);
+      }
+    }
+  }
+  return edges;
+}
 
 WaitGraph::WaitGraph(const Network& net) : net_(net) {}
 
@@ -22,6 +84,11 @@ WaitGraph::Node WaitGraph::node_at(u32 index) const noexcept {
   return n;
 }
 
+bool WaitGraph::is_ring(u32 index) const {
+  const Node n = node_at(index);
+  return net_.is_ring_input(n.router, n.port, n.vc);
+}
+
 void WaitGraph::build() {
   const Dragonfly& topo = net_.topo();
   ports_ = topo.ports_per_router();
@@ -35,64 +102,23 @@ void WaitGraph::build() {
   const std::size_t total =
       static_cast<std::size_t>(topo.routers()) * ports_ * max_vcs_;
   adj_.assign(total, {});
-  is_ring_node_.assign(total, 0);
   num_edges_ = 0;
 
-  const Cycle now = net_.now();
-  const u32 timeout = net_.config().deadlock_timeout;
-  const u32 need = net_.config().packet_size;
-
-  for (RouterId r = 0; r < topo.routers(); ++r) {
-    if (!net_.router_built(r)) continue;  // no heads, so no wait edges
-    const Router& router = net_.router(r);
-    for (PortId p = 0; p < ports_; ++p) {
-      const HeadView in(router.inputs[p]);
-      for (u32 v = 0; v < in.num_vcs(); ++v) {
-        const u32 u = node_index(r, p, static_cast<VcId>(v));
-        if (net_.is_ring_input(r, p, static_cast<VcId>(v)))
-          is_ring_node_[u] = 1;
-        if (in.empty(static_cast<VcId>(v))) continue;
-        // Streaming heads are making progress, not waiting.
-        if (in.head_in_flight(static_cast<VcId>(v))) continue;
-        const Packet& pkt = net_.packets().get(in.head(static_cast<VcId>(v)));
-        if (now - pkt.last_progress <= timeout) continue;
-
-        // Structural wait output (see header): topology-derived only.
-        PortId wait_port;
-        u32 first = 0, count = 0;
-        if (pkt.in_ring && net_.ring() != nullptr) {
-          const Network::RingOut& ro = net_.ring_out(r);
-          wait_port = ro.port;
-          first = ro.first_vc;
-          count = ro.num_vcs;
-        } else if (r == pkt.dst_router) {
-          wait_port = topo.node_port(topo.node_slot(pkt.dst));
-          count = 1;
-        } else {
-          wait_port = topo.min_next_port(r, pkt.dst_router);
-          net_.base_vc_range(r, wait_port, first, count);
-        }
-        const OutputPort& out = router.outputs[wait_port];
-        // A busy output is draining at one phit per cycle — progress, not a
-        // hold/wait edge. Same for any candidate VC with a packet of
-        // credits: the head could be granted.
-        if (!out.wired() || out.busy()) continue;
-        bool any_free = false;
-        for (u32 w = first; w < first + count && w < out.credits.size(); ++w)
-          if (out.credits[w] >= need) {
-            any_free = true;
-            break;
-          }
-        if (any_free) continue;
-        const Channel ch = net_.channel(out.channel);
-        if (ch.is_ejection()) continue;  // sink credits never run out
-        for (u32 w = first; w < first + count && w < out.credits.size();
-             ++w) {
-          adj_[u].push_back(
-              node_index(ch.dst_router, ch.dst_port, static_cast<VcId>(w)));
-          ++num_edges_;
-        }
-      }
+  const u32 need = cfg.packet_size;
+  for (const StallEdge& e : stalled_heads(net_)) {
+    // A busy output is draining at one phit per cycle — progress, not a
+    // hold/wait edge. Same for any candidate VC with a packet of credits:
+    // the head could be granted.
+    if (e.wait_busy || e.wait_credits >= need) continue;
+    const OutputPort& out = net_.router(e.router).outputs[e.wait_port];
+    if (!out.wired()) continue;
+    const Channel ch = net_.channel(out.channel);
+    if (ch.is_ejection()) continue;  // sink credits never run out
+    std::vector<u32>& waits = adj_[node_index(e.router, e.in_port, e.in_vc)];
+    for (u32 w = e.wait_first_vc; w < e.wait_first_vc + e.wait_vcs; ++w) {
+      waits.push_back(
+          node_index(ch.dst_router, ch.dst_port, static_cast<VcId>(w)));
+      ++num_edges_;
     }
   }
 }
@@ -105,7 +131,7 @@ std::vector<WaitGraph::Node> WaitGraph::find_ring_cycle() const {
   std::vector<std::pair<u32, std::size_t>> frame;  // (node, next edge)
   std::vector<u32> path;
   for (u32 s = 0; s < n; ++s) {
-    if (is_ring_node_[s] == 0 || color[s] != 0 || adj_[s].empty()) continue;
+    if (adj_[s].empty() || color[s] != 0 || !is_ring(s)) continue;
     frame.clear();
     path.clear();
     frame.emplace_back(s, 0);
@@ -115,7 +141,7 @@ std::vector<WaitGraph::Node> WaitGraph::find_ring_cycle() const {
       const u32 u = frame.back().first;
       if (frame.back().second < adj_[u].size()) {
         const u32 v = adj_[u][frame.back().second++];
-        if (is_ring_node_[v] == 0) continue;
+        if (!is_ring(v)) continue;
         if (color[v] == 1) {
           const auto it = std::find(path.begin(), path.end(), v);
           std::vector<Node> cycle;

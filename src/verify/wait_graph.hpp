@@ -7,11 +7,13 @@
 // credits, and v is one of those starved downstream input VCs. Such a head
 // cannot move until some packet in v drains — the classic hold/wait edge.
 //
-// The structural wait output is derived from the topology alone (the ring
-// output for in-ring packets, the ejection port at the destination router,
-// otherwise the minimal-path port), mirroring the telemetry layer's
-// forensics extraction: the routing policy is never consulted, so building
-// the graph consumes no RNG draws and cannot perturb the simulation.
+// The stalled heads and the output each one structurally waits for come
+// from stalled_heads(), the one walk that deadlock forensics (telemetry's
+// `forensics` records) shares: the ring output for in-ring packets, the
+// ejection port at the destination router, otherwise the minimal-path
+// port. It is derived from the topology alone — the routing policy is
+// never consulted, so the walk consumes no RNG draws and cannot perturb
+// the simulation.
 //
 // The deadlock-freedom claim this checks (paper §III/§IV-C): adaptive
 // traffic may form transient wait cycles through base VCs — those resolve
@@ -32,6 +34,39 @@ class Network;
 
 namespace ofar::verify {
 
+/// Deadlock-forensics caps, shared by telemetry's `forensics` records and
+/// the tracer's flight-recorder dumps: at most kMaxForensicDumps dumps per
+/// run, each listing at most kMaxForensicEdges stalled heads.
+inline constexpr u32 kMaxForensicDumps = 4;
+inline constexpr u32 kMaxForensicEdges = 64;
+
+/// One head stalled past `config().deadlock_timeout` and the output it
+/// structurally waits for.
+struct StallEdge {
+  RouterId router = 0;
+  PortId in_port = 0;
+  VcId in_vc = 0;
+  PacketId packet = kInvalidPacket;
+  NodeId src = 0;
+  NodeId dst = 0;
+  RouterId dst_router = 0;
+  u64 age = 0;             ///< cycles since the packet's last grant
+  bool in_ring = false;
+  u32 arrived_phits = 0;   ///< phits of the head physically present
+  PortId wait_port = kInvalidPort;  ///< ring, ejection or minimal output
+  u32 wait_first_vc = 0;   ///< candidate VCs of wait_port:
+  u32 wait_vcs = 0;        ///< [wait_first_vc, wait_first_vc + wait_vcs)
+  bool wait_busy = false;           ///< that output is streaming a packet
+  PacketId held_by = kInvalidPacket;  ///< the packet streaming through it
+  u32 wait_credits = 0;    ///< most credits on any candidate VC
+};
+
+/// Every input-VC head that is not streaming and whose packet's last grant
+/// is more than `config().deadlock_timeout` cycles old, in (router, port,
+/// vc) order. Heads whose packet is not live or has a malformed header are
+/// skipped: the auditor's packet-conservation check reports those.
+std::vector<StallEdge> stalled_heads(const Network& net);
+
 class WaitGraph {
  public:
   struct Node {
@@ -42,9 +77,8 @@ class WaitGraph {
 
   explicit WaitGraph(const Network& net);
 
-  /// Extracts the hold/wait edges from the current network state. Only
-  /// heads stalled for more than `config().deadlock_timeout` cycles
-  /// contribute, so transient credit contention never shows up.
+  /// Extracts the hold/wait edges of the stalled_heads() of the current
+  /// network state, so transient credit contention never shows up.
   void build();
 
   std::size_t num_edges() const noexcept { return num_edges_; }
@@ -60,12 +94,12 @@ class WaitGraph {
  private:
   u32 node_index(RouterId r, PortId p, VcId v) const noexcept;
   Node node_at(u32 index) const noexcept;
+  bool is_ring(u32 index) const;
 
   const Network& net_;
   u32 ports_ = 0;
   u32 max_vcs_ = 0;                        // flat index stride per port
   std::vector<std::vector<u32>> adj_;      // per node, outgoing edges
-  std::vector<u8> is_ring_node_;           // per node
   std::size_t num_edges_ = 0;
 };
 

@@ -115,6 +115,27 @@ TEST(AuditorClean, EmbeddedRingMidFlightPassesAllChecks) {
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
+TEST(AuditorClean, EveryMechanismMidFlightPassesAllChecks) {
+  // Each policy writes its own header state (Valiant targets, misroute
+  // flags, ring moves); the auditor judges all of it mid-flight.
+  for (const RoutingKind rk :
+       {RoutingKind::kMin, RoutingKind::kVal, RoutingKind::kPb,
+        RoutingKind::kUgal, RoutingKind::kPar, RoutingKind::kOfar,
+        RoutingKind::kOfarL}) {
+    SCOPED_TRACE(to_string(rk));
+    SimConfig cfg = small_config();
+    cfg.routing = rk;
+    cfg.ring = cfg.vc_ordered() ? RingKind::kNone : RingKind::kPhysical;
+    if (rk == RoutingKind::kPar) cfg.vcs_local = 4;
+    Network net(cfg);
+    net.set_traffic(std::make_unique<BernoulliSource>(
+        TrafficPattern::adversarial(1), 0.7, 12345));
+    net.run(1500);
+    const AuditReport rep = audit(net);
+    EXPECT_TRUE(rep.ok()) << rep.to_string();
+  }
+}
+
 TEST(AuditorClean, DrainedNetworkPassesAllChecks) {
   Network net(small_config());
   std::vector<PhasedSource::Phase> phases(1);

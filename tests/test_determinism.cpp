@@ -3,7 +3,7 @@
 // The kernel optimizations (activity worklists, SoA port state, the
 // blocked Bernoulli source, the routable-head allocation skip) are only
 // admissible because they leave per-seed behaviour bit-identical. This
-// suite pins that property three ways:
+// suite pins that property two ways:
 //
 //  1. Golden stats: the four perf_core matrix points must reproduce stat
 //     digests captured from the pre-worklist full-scan implementation
@@ -13,9 +13,8 @@
 //     and the sharded-kernel configs below carry absolute goldens on top of
 //     their thread-count comparisons.
 //  2. Replay: the same config+seed run twice yields byte-identical stats.
-//  3. Thread-independence: run_load_sweep at 1 and 4 worker threads gives
-//     identical per-point results (each point owns its RNGs; threads only
-//     change scheduling).
+//     Sweep points own their RNGs, so a sweep's worker-thread count
+//     cannot change them (Orchestrator.DigestInvariantToThreadCount).
 //
 // Plus structural invariants after a drain: flow conservation, quiescence,
 // and worklist consistency (Network::check_worklists).
@@ -24,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "sim/network.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/pattern.hpp"
@@ -228,33 +226,7 @@ TEST(Replay, DifferentSeedDiverges) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Sweep results do not depend on the worker-thread count.
-// ---------------------------------------------------------------------------
-
-TEST(Replay, SweepThreadCountDoesNotChangeResults) {
-  const SimConfig cfg = matrix_config();
-  const std::vector<double> loads = {0.05, 0.2};
-  RunParams params;
-  params.warmup = 500;
-  params.measure = 1000;
-  const auto one =
-      run_load_sweep(cfg, TrafficPattern::uniform(), loads, params, 1);
-  const auto four =
-      run_load_sweep(cfg, TrafficPattern::uniform(), loads, params, 4);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i].load, four[i].load);
-    EXPECT_EQ(one[i].result.delivered_packets, four[i].result.delivered_packets);
-    EXPECT_EQ(one[i].result.avg_latency, four[i].result.avg_latency);
-    EXPECT_EQ(one[i].result.accepted_load, four[i].result.accepted_load);
-    EXPECT_EQ(one[i].result.local_misroutes, four[i].result.local_misroutes);
-    EXPECT_EQ(one[i].result.global_misroutes,
-              four[i].result.global_misroutes);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 4. Structural invariants after a full drain.
+// 3. Structural invariants after a full drain.
 // ---------------------------------------------------------------------------
 
 TEST(Invariants, DrainedNetworkIsConsistent) {
@@ -278,7 +250,7 @@ TEST(Invariants, WorklistsConsistentMidFlight) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Sharded cycle kernel (DESIGN.md §10). With sim_shards > 1 the staged
+// 4. Sharded cycle kernel (DESIGN.md §10). With sim_shards > 1 the staged
 //    commit kernel is its own deterministic universe: its results differ
 //    from sim_shards=1 (allocation/injection interleaving changes), but must
 //    be bit-identical across every sim_threads value — the thread count is
@@ -358,7 +330,7 @@ TEST(ShardedKernel, ReplayWithThreadsIsByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Edge cases of the delivery, injection and drained-cycle paths, pinned
+// 5. Edge cases of the delivery, injection and drained-cycle paths, pinned
 //    at K = 1 and K = 4 and reproduced at sim_threads 1 and 4:
 //    - injection FIFOs that hold 2.5 packets, so injection space returns to
 //      a backlogged node one phit at a time, mid-packet;

@@ -21,7 +21,9 @@
 #include "stats/metrics.hpp"
 #include "stats/sink.hpp"
 #include "traffic/generator.hpp"
+#include "trace/trace.hpp"
 #include "traffic/pattern.hpp"
+#include "verify/wait_graph.hpp"
 
 namespace ofar {
 namespace {
@@ -519,7 +521,6 @@ TEST(Telemetry, ForensicsOnWedgedNetwork) {
   tc.sink = sink.get();
   tc.interval = 1'000;
   tc.label = "wedge";
-  tc.max_forensic_dumps = 2;
   net.enable_telemetry(tc);
   net.set_traffic(std::make_unique<BernoulliSource>(
       TrafficPattern::uniform(), 1.0, 3));
@@ -527,11 +528,12 @@ TEST(Telemetry, ForensicsOnWedgedNetwork) {
 
   const Telemetry* t = net.telemetry();
   ASSERT_GE(t->forensic_dumps(), 1u);
-  const std::vector<StallEdge>& edges = t->last_forensics();
+  const std::vector<verify::StallEdge>& edges = t->last_forensics();
   ASSERT_FALSE(edges.empty());
+  EXPECT_LE(edges.size(), verify::kMaxForensicEdges);
 
   const Dragonfly& topo = net.topo();
-  for (const StallEdge& e : edges) {
+  for (const verify::StallEdge& e : edges) {
     EXPECT_LT(e.router, topo.routers());
     EXPECT_LT(e.in_port, topo.ports_per_router());
     EXPECT_NE(e.packet, kInvalidPacket);
@@ -565,14 +567,30 @@ TEST(Telemetry, ForensicsOnWedgedNetwork) {
 TEST(Telemetry, ForensicsRateLimit) {
   SimConfig cfg = small_config(3);
   cfg.deadlock_timeout = 8;
-  Network net(cfg);
-  TelemetryConfig tc;  // null sink: edges are still collected
-  tc.max_forensic_dumps = 1;
-  net.enable_telemetry(tc);
-  net.set_traffic(std::make_unique<BernoulliSource>(
-      TrafficPattern::uniform(), 1.0, 3));
-  net.run(3 * 4'096 + 64);  // three watchdog scans
-  EXPECT_EQ(net.telemetry()->forensic_dumps(), 1u);
+  TempFile trace("test_metrics_rate_limit_trace.json");
+  {
+    Network net(cfg);
+    net.enable_telemetry(TelemetryConfig{});  // null sink: edges still kept
+    // The tracer's flight-recorder deadlock dumps share the cap; sampling
+    // 1 packet in 2^20 keeps the journeys out of the way.
+    trace::TracerConfig tc;
+    tc.out_path = trace.path;
+    tc.sample = 1u << 20;
+    tc.flight_depth = 4;
+    net.enable_tracing(tc);
+    net.set_traffic(std::make_unique<BernoulliSource>(
+        TrafficPattern::uniform(), 1.0, 3));
+    // One watchdog scan more than the cap, every one of them tripping.
+    net.run((verify::kMaxForensicDumps + 1) * 4'096 + 64);
+    EXPECT_EQ(net.telemetry()->forensic_dumps(), verify::kMaxForensicDumps);
+  }
+  for (u32 n = 1; n <= verify::kMaxForensicDumps + 1; ++n) {
+    const std::string dump =
+        trace.path + ".deadlock" + std::to_string(n) + ".json";
+    EXPECT_EQ(std::ifstream(dump).good(), n <= verify::kMaxForensicDumps)
+        << dump;
+    std::remove(dump.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/experiment.hpp"
 #include "sim/network.hpp"
 #include "stats/timeseries.hpp"
 #include "traffic/generator.hpp"
@@ -348,20 +350,27 @@ TEST(CheckpointRestart, RejectsConfigMismatch) {
   std::remove(path.c_str());
 }
 
-// ---- corrupt checkpoints: every id restore() trusts is checked first ----
+// ---- corrupt checkpoints: restore checks every id, then audits the rest ----
 
-/// A saturated run on a trimmed topology (5 of 9 groups at h=2, so unwired
-/// channel ids exist) at four shards, saved mid-flight. Node 0 also holds a
-/// backlog of offers to kOfferDst made at cycle kOfferCycle, so the file
-/// has offers whose bytes can be found.
+/// A run under uniform traffic (saturated by default) on a trimmed topology
+/// (5 of 9 groups at h=2, so unwired channel ids exist) at four shards,
+/// saved mid-flight. Node 0 also holds a backlog of offers to kOfferDst
+/// made at cycle kOfferCycle, so the file has offers whose bytes can be
+/// found.
 struct SavedRun {
   static constexpr NodeId kOfferDst = 17;
   static constexpr u16 kOfferTag = 3;
   static constexpr Cycle kOfferCycle = 123;
 
   SimConfig cfg;
+  double load = 0.9;
   std::unique_ptr<Network> net;  ///< the saved network, for its state
   std::vector<char> bytes;       ///< the checkpoint file
+
+  std::unique_ptr<TrafficSource> traffic() const {
+    return std::make_unique<BernoulliSource>(TrafficPattern::uniform(), load,
+                                             cfg.seed);
+  }
 };
 
 /// A file tag unique to the running test: ctest runs tests in parallel
@@ -391,8 +400,9 @@ void write_bytes(const std::string& path, const std::vector<char>& bytes) {
   std::fclose(f);
 }
 
-SavedRun saved_run() {
+SavedRun saved_run(double load = 0.9) {
   SavedRun run;
+  run.load = load;
   run.cfg.h = 2;
   run.cfg.groups = 5;
   run.cfg.seed = 12345;
@@ -401,7 +411,7 @@ SavedRun saved_run() {
   run.cfg.sim_shards = 4;
   run.net = std::make_unique<Network>(run.cfg);
   Network& net = *run.net;
-  net.set_traffic(saturating_traffic(run.cfg));
+  net.set_traffic(run.traffic());
   net.run(SavedRun::kOfferCycle);
   for (int i = 0; i < 64; ++i)
     net.offer(0, SavedRun::kOfferDst, SavedRun::kOfferTag);
@@ -429,7 +439,7 @@ std::string restore_patched(const SavedRun& run,
   const std::string path = ckpt_path(test_tag("bad").c_str());
   write_bytes(path, bad);
   Network net(run.cfg);
-  net.set_traffic(saturating_traffic(run.cfg));
+  net.set_traffic(run.traffic());
   std::string err;
   const bool ok = CheckpointIO::restore(net, path, &err);
   std::remove(path.c_str());
@@ -442,6 +452,19 @@ std::string restore_patched(const SavedRun& run, std::size_t offset,
                             const void* value, std::size_t size) {
   return restore_patched(
       run, {{offset, std::string(static_cast<const char*>(value), size)}});
+}
+
+/// Passes when `err` is a restore error from the invariant auditor's
+/// `invariant` check ("[vct-atomicity] ...") whose detail contains `what`.
+::testing::AssertionResult Rejected(const std::string& err,
+                                    const char* invariant,
+                                    const std::string& what) {
+  const std::string tag = std::string("[") + invariant + "] ";
+  if (err.rfind(tag, 0) == 0 && err.find(what) != std::string::npos)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "restore error \"" << err << "\" is not " << tag << "... "
+         << what << " ...";
 }
 
 /// The raw bytes of `values`, in order, as CkptWriter writes them.
@@ -484,18 +507,20 @@ std::string router_tail_bytes(const Router& r) {
 }
 
 /// File offset of the transfer fields of some busy output port (unique in
-/// the file), and that port.
+/// the file; on request one that feeds a router, not a node), and that
+/// port.
 struct TransferAt {
   std::size_t offset = std::string::npos;
   const OutputPort* out = nullptr;
   RouterId router = 0;
 };
-TransferAt find_transfer(const SavedRun& run) {
+TransferAt find_transfer(const SavedRun& run, bool to_router = false) {
   const Network& net = *run.net;
   for (RouterId r = 0; r < net.topo().routers(); ++r) {
     if (!net.router_built(r)) continue;
     for (const OutputPort& out : net.router(r).outputs) {
       if (!out.busy()) continue;
+      if (to_router && net.channel(out.channel).is_ejection()) continue;
       const std::size_t at = find_unique(run.bytes, transfer_bytes(out));
       if (at != std::string::npos) return {at, &out, r};
     }
@@ -578,11 +603,13 @@ TEST(CheckpointRestart, RejectsActiveTransferWithoutLivePacket) {
   ASSERT_NE(t.offset, std::string::npos);
   EXPECT_EQ(restore_patched(run, t.offset, &t.out->active, 4), "");
   // The mask bit is set, so the port must stream a live packet.
-  EXPECT_EQ(restore_patched(run, t.offset, &kInvalidPacket, 4),
-            "corrupt active transfer");
+  EXPECT_TRUE(Rejected(restore_patched(run, t.offset, &kInvalidPacket, 4),
+                       "vct-atomicity",
+                       "streams packet " + std::to_string(kInvalidPacket)));
   const PacketId dead = ~PacketId{0} - 1;
-  EXPECT_EQ(restore_patched(run, t.offset, &dead, 4),
-            "corrupt active transfer");
+  EXPECT_TRUE(Rejected(restore_patched(run, t.offset, &dead, 4),
+                       "vct-atomicity",
+                       "streams packet " + std::to_string(dead)));
 }
 
 TEST(CheckpointRestart, RejectsActiveMaskBitOfUnwiredPort) {
@@ -597,11 +624,11 @@ TEST(CheckpointRestart, RejectsActiveMaskBitOfUnwiredPort) {
     if (!router.outputs[p].wired()) unwired_bit = u64{1} << p;
   ASSERT_NE(unwired_bit, 0u);
   const u64 on_unwired = router.active_out_mask | unwired_bit;
-  EXPECT_EQ(restore_patched(run, tail.mask_offset, &on_unwired, 8),
-            "corrupt active output mask");
+  EXPECT_TRUE(Rejected(restore_patched(run, tail.mask_offset, &on_unwired, 8),
+                       "vct-atomicity", "the unwired output"));
   const u64 past_ports = router.active_out_mask | u64{1} << 63;
-  EXPECT_EQ(restore_patched(run, tail.mask_offset, &past_ports, 8),
-            "corrupt active output mask");
+  EXPECT_TRUE(Rejected(restore_patched(run, tail.mask_offset, &past_ports, 8),
+                       "vct-atomicity", "names ports past"));
 }
 
 TEST(CheckpointRestart, RejectsTransferSourcePortOutOfRange) {
@@ -610,8 +637,8 @@ TEST(CheckpointRestart, RejectsTransferSourcePortOutOfRange) {
   ASSERT_NE(t.offset, std::string::npos);
   const PortId ports =
       static_cast<PortId>(run.net->topo().ports_per_router());
-  EXPECT_EQ(restore_patched(run, t.offset + 5, &ports, 2),
-            "corrupt transfer source port");
+  EXPECT_TRUE(Rejected(restore_patched(run, t.offset + 5, &ports, 2),
+                       "vct-atomicity", "from p" + std::to_string(ports)));
 }
 
 TEST(CheckpointRestart, RejectsTransferSourceVcOutOfRange) {
@@ -620,8 +647,10 @@ TEST(CheckpointRestart, RejectsTransferSourceVcOutOfRange) {
   ASSERT_NE(t.offset, std::string::npos);
   const VcId vcs = static_cast<VcId>(
       run.net->router(t.router).inputs[t.out->src_port].vcs.size());
-  EXPECT_EQ(restore_patched(run, t.offset + 7, &vcs, 1),
-            "corrupt transfer source VC");
+  EXPECT_TRUE(Rejected(restore_patched(run, t.offset + 7, &vcs, 1),
+                       "vct-atomicity",
+                       "from p" + std::to_string(t.out->src_port) + "v" +
+                           std::to_string(vcs)));
 }
 
 TEST(CheckpointRestart, RejectsTransferLengthOtherThanPacket) {
@@ -629,14 +658,16 @@ TEST(CheckpointRestart, RejectsTransferLengthOtherThanPacket) {
   const TransferAt t = find_transfer(run);
   ASSERT_NE(t.offset, std::string::npos);
   const u32 too_long = u32{t.out->active_size} + 1;
-  EXPECT_EQ(restore_patched(run, t.offset + 8, &too_long, 4),
-            "corrupt transfer length");
+  EXPECT_TRUE(Rejected(restore_patched(run, t.offset + 8, &too_long, 4),
+                       "vct-atomicity",
+                       "and " + std::to_string(too_long) + " left"));
   const u32 none_left = 0;
-  EXPECT_EQ(restore_patched(run, t.offset + 8, &none_left, 4),
-            "corrupt transfer length");
+  EXPECT_TRUE(Rejected(restore_patched(run, t.offset + 8, &none_left, 4),
+                       "vct-atomicity", "and 0 left"));
   const u16 other_size = static_cast<u16>(run.cfg.packet_size + 1);
-  EXPECT_EQ(restore_patched(run, t.offset + 12, &other_size, 2),
-            "corrupt transfer length");
+  EXPECT_TRUE(Rejected(restore_patched(run, t.offset + 12, &other_size, 2),
+                       "vct-atomicity",
+                       "streams as " + std::to_string(other_size)));
 }
 
 TEST(CheckpointRestart, RejectsInputMaskOtherThanNonEmptyFifos) {
@@ -650,9 +681,11 @@ TEST(CheckpointRestart, RejectsInputMaskOtherThanNonEmptyFifos) {
     const std::size_t at = tail.mask_offset + 8 + p;
     EXPECT_EQ(restore_patched(run, at, &mask, 1), "");
     const u8 cleared = static_cast<u8>(mask & (mask - 1));  // drop a FIFO
-    EXPECT_EQ(restore_patched(run, at, &cleared, 1), "corrupt input mask");
+    EXPECT_TRUE(Rejected(restore_patched(run, at, &cleared, 1), "worklists",
+                         "input_mask"));
     const u8 extra = static_cast<u8>(mask | 0x80);  // no port has 8 VCs
-    EXPECT_EQ(restore_patched(run, at, &extra, 1), "corrupt input mask");
+    EXPECT_TRUE(Rejected(restore_patched(run, at, &extra, 1), "worklists",
+                         "input_mask"));
     return;
   }
   FAIL() << "router " << tail.router << " buffers packets but no FIFO";
@@ -677,7 +710,8 @@ TEST(CheckpointRestart, RejectsFifoEntryOfDeadPacket) {
         const PacketId live = f.head();
         EXPECT_EQ(restore_patched(run, at, &live, 4), "");
         const PacketId dead = ~PacketId{0} - 1;
-        EXPECT_EQ(restore_patched(run, at, &dead, 4), "corrupt FIFO packet");
+        EXPECT_TRUE(Rejected(restore_patched(run, at, &dead, 4),
+                             "packet-conservation", "which is not live"));
         return;
       }
     }
@@ -737,11 +771,11 @@ TEST(CheckpointRestart, RejectsBufferedPacketCountOtherThanFifoEntries) {
   EXPECT_EQ(restore_patched(run, tail.counters_offset, &packets, 4), "");
   // Zero would drop a router that holds packets from the worklist.
   const u32 none = 0;
-  EXPECT_EQ(restore_patched(run, tail.counters_offset, &none, 4),
-            "corrupt buffered packet count");
+  EXPECT_TRUE(Rejected(restore_patched(run, tail.counters_offset, &none, 4),
+                       "worklists", "counters say"));
   const u32 more = packets + 1;
-  EXPECT_EQ(restore_patched(run, tail.counters_offset, &more, 4),
-            "corrupt buffered packet count");
+  EXPECT_TRUE(Rejected(restore_patched(run, tail.counters_offset, &more, 4),
+                       "worklists", "counters say"));
 }
 
 TEST(CheckpointRestart, RejectsBufferedPhitCountOtherThanStoredPhits) {
@@ -751,11 +785,11 @@ TEST(CheckpointRestart, RejectsBufferedPhitCountOtherThanStoredPhits) {
   const u32 phits = run.net->router(tail.router).buffered_phits;
   EXPECT_EQ(restore_patched(run, tail.counters_offset + 4, &phits, 4), "");
   const u32 more = phits + 1;
-  EXPECT_EQ(restore_patched(run, tail.counters_offset + 4, &more, 4),
-            "corrupt buffered phit count");
+  EXPECT_TRUE(Rejected(restore_patched(run, tail.counters_offset + 4, &more, 4),
+                       "worklists", "counters say"));
 
-  // A FIFO's stored_ (the u32 before its head entry) must sum into the
-  // router's count and never exceed the FIFO's capacity.
+  // A FIFO's stored_ (the u32 before its head entry) must be what its
+  // entries arrived and did not send, and never exceed its capacity.
   const FifoAt fifo = find_fifo(run, [](const InputPort& in, u32 v) {
     return in.vcs[v].stored_phits() < in.vcs[v].capacity();
   });
@@ -766,8 +800,8 @@ TEST(CheckpointRestart, RejectsBufferedPhitCountOtherThanStoredPhits) {
   const u32 stored = f.stored_phits();
   EXPECT_EQ(restore_patched(run, stored_at, &stored, 4), "");
   const u32 one_more = stored + 1;
-  EXPECT_EQ(restore_patched(run, stored_at, &one_more, 4),
-            "corrupt buffered phit count");
+  EXPECT_TRUE(Rejected(restore_patched(run, stored_at, &one_more, 4),
+                       "worklists", "arrived and unsent"));
   const u32 overfull = f.capacity() + 1;
   EXPECT_EQ(restore_patched(run, stored_at, &overfull, 4),
             "corrupt FIFO state");
@@ -779,13 +813,14 @@ TEST(CheckpointRestart, RejectsActiveTransferCountOtherThanBusyOutputs) {
   ASSERT_NE(tail.counters_offset, std::string::npos);
   const u32 busy = run.net->router(tail.router).active_transfers;
   ASSERT_GT(busy, 0u);
-  EXPECT_EQ(restore_patched(run, tail.counters_offset + 12, &busy, 4), "");
+  const std::size_t at = tail.counters_offset + 12;
+  EXPECT_EQ(restore_patched(run, at, &busy, 4), "");
   const u32 none = 0;
-  EXPECT_EQ(restore_patched(run, tail.counters_offset + 12, &none, 4),
-            "corrupt active transfer count");
+  EXPECT_TRUE(Rejected(restore_patched(run, at, &none, 4), "vct-atomicity",
+                       "active_transfers="));
   const u32 more = busy + 1;
-  EXPECT_EQ(restore_patched(run, tail.counters_offset + 12, &more, 4),
-            "corrupt active transfer count");
+  EXPECT_TRUE(Rejected(restore_patched(run, at, &more, 4), "vct-atomicity",
+                       "active_transfers="));
 }
 
 TEST(CheckpointRestart, RejectsHeadBusyFlagsOtherThanTransferSources) {
@@ -797,16 +832,16 @@ TEST(CheckpointRestart, RejectsHeadBusyFlagsOtherThanTransferSources) {
   const std::size_t streaming_at = head_busy_offset(run, streaming);
   const u8 set = 1, clear = 0;
   EXPECT_EQ(restore_patched(run, streaming_at, &set, 1), "");
-  EXPECT_EQ(restore_patched(run, streaming_at, &clear, 1),
-            "corrupt head busy flags");
+  EXPECT_TRUE(Rejected(restore_patched(run, streaming_at, &clear, 1),
+                       "vct-atomicity", "head_busy 0 but 1 outputs"));
   // A waiting head flagged busy would never be routed.
   const FifoAt waiting = find_fifo(
       run, [](const InputPort& in, u32 v) { return in.head_busy[v] == 0; });
   ASSERT_NE(waiting.offset, std::string::npos);
   const std::size_t waiting_at = head_busy_offset(run, waiting);
   EXPECT_EQ(restore_patched(run, waiting_at, &clear, 1), "");
-  EXPECT_EQ(restore_patched(run, waiting_at, &set, 1),
-            "corrupt head busy flags");
+  EXPECT_TRUE(Rejected(restore_patched(run, waiting_at, &set, 1),
+                       "vct-atomicity", "head_busy 1 but 0 outputs"));
 
   // Two outputs streaming one head: re-point transfer b at transfer a's
   // head and make every other field agree (b's old head no longer busy,
@@ -836,7 +871,8 @@ TEST(CheckpointRestart, RejectsHeadBusyFlagsOtherThanTransferSources) {
                                  u16{a.src_port}, u8{a.src_vc})},
         {head_busy_offset(run, b_head), bytes_of(clear)},
         {tail + 8, bytes_of(u32{router.routable_heads + 1})}};
-    EXPECT_EQ(restore_patched(run, patches), "corrupt head busy flags");
+    EXPECT_TRUE(Rejected(restore_patched(run, patches), "vct-atomicity",
+                         "2 outputs stream"));
     return;
   }
   FAIL() << "no router with two transfers whose bytes are unique";
@@ -851,11 +887,181 @@ TEST(CheckpointRestart, RejectsRoutableHeadCountOtherThanWaitingHeads) {
   EXPECT_EQ(restore_patched(run, tail.counters_offset + 8, &heads, 4), "");
   // Zero would skip the router's allocation scan: its heads would starve.
   const u32 none = 0;
-  EXPECT_EQ(restore_patched(run, tail.counters_offset + 8, &none, 4),
-            "corrupt routable head count");
+  EXPECT_TRUE(Rejected(restore_patched(run, tail.counters_offset + 8, &none, 4),
+                       "worklists", "routable heads"));
   const u32 more = heads + 1;
-  EXPECT_EQ(restore_patched(run, tail.counters_offset + 8, &more, 4),
-            "corrupt routable head count");
+  EXPECT_TRUE(Rejected(restore_patched(run, tail.counters_offset + 8, &more, 4),
+                       "worklists", "routable heads"));
+}
+
+TEST(CheckpointRestart, RejectsCreditCountOtherThanConserved) {
+  const SavedRun run = saved_run();
+  // A port's credit counters precede its transfer fields.
+  const TransferAt t = find_transfer(run, /*to_router=*/true);
+  ASSERT_NE(t.offset, std::string::npos);
+  const std::size_t at = t.offset - sizeof(u32) * t.out->credits.size();
+  EXPECT_EQ(restore_patched(run, at, &t.out->credits[0], 4), "");
+  const u32 forged = 0x7fffffff;
+  EXPECT_TRUE(Rejected(restore_patched(run, at, &forged, 4),
+                       "credit-conservation", "expected capacity"));
+}
+
+TEST(CheckpointRestart, RejectsTransferVcPastItsChannel) {
+  const SavedRun run = saved_run();
+  const TransferAt t = find_transfer(run, /*to_router=*/true);
+  ASSERT_NE(t.offset, std::string::npos);
+  EXPECT_EQ(restore_patched(run, t.offset + 4, &t.out->active_vc, 1), "");
+  // The packet of credits reserved at grant leaves the VC it was granted.
+  const VcId past = 200;
+  EXPECT_TRUE(Rejected(restore_patched(run, t.offset + 4, &past, 1),
+                       "credit-conservation", "expected capacity"));
+}
+
+/// File offsets of the packet pool's records. The pool follows the magic,
+/// the config signature (u64 length + bytes), the cycle, four RNG words
+/// and three lifetime totals.
+struct PoolAt {
+  u64 slots = 0;
+  std::size_t packets = 0;    ///< slot 0's Packet
+  std::size_t live_bits = 0;  ///< slot 0's live flag (one byte per slot)
+  u64 free = 0;               ///< free-list length
+  std::size_t free_list = 0;  ///< the first free id
+  std::size_t live = 0;       ///< the live counter
+};
+PoolAt find_pool(const SavedRun& run) {
+  const auto u64_at = [&run](std::size_t at) {
+    u64 v = 0;
+    std::memcpy(&v, run.bytes.data() + at, sizeof v);
+    return v;
+  };
+  const std::size_t pool = 16 + u64_at(8) + 8 + 4 * 8 + 3 * 8;
+  PoolAt at;
+  at.slots = u64_at(pool);
+  at.packets = pool + 8;
+  at.live_bits = at.packets + at.slots * sizeof(Packet);
+  at.free = u64_at(at.live_bits + at.slots);
+  at.free_list = at.live_bits + at.slots + 8;
+  at.live = at.free_list + at.free * sizeof(PacketId);
+  return at;
+}
+
+/// The first live slot of the saved pool.
+PacketId first_live(const SavedRun& run, const PoolAt& pool) {
+  PacketId id = 0;
+  while (run.bytes[pool.live_bits + id] == 0) ++id;
+  return id;
+}
+
+TEST(CheckpointRestart, RejectsPoolLiveCountOtherThanBitmap) {
+  const SavedRun run = saved_run();
+  const PoolAt pool = find_pool(run);
+  const u64 live = run.net->packets().live_count();
+  ASSERT_EQ(std::memcmp(run.bytes.data() + pool.live, &live, 8), 0);
+  EXPECT_EQ(restore_patched(run, pool.live, &live, 8), "");
+  const u64 five = 5;
+  EXPECT_TRUE(Rejected(restore_patched(run, pool.live, &five, 8),
+                       "packet-conservation", "should be in flight"));
+}
+
+TEST(CheckpointRestart, RejectsFreeListOtherThanDeadSlotsOnce) {
+  // Below saturation deliveries outpace injection at times, so the pool
+  // has free slots when it is saved.
+  const SavedRun run = saved_run(/*load=*/0.3);
+  const PoolAt pool = find_pool(run);
+  ASSERT_GE(pool.free, 2u);
+  PacketId freed = 0;
+  std::memcpy(&freed, run.bytes.data() + pool.free_list, sizeof freed);
+  EXPECT_EQ(restore_patched(run, pool.free_list, &freed, 4), "");
+  // create() pops the free list: an id past the pool would be written out
+  // of bounds, a live or repeated one handed out twice.
+  const PacketId past = 0x7fffffff;
+  EXPECT_TRUE(Rejected(restore_patched(run, pool.free_list, &past, 4),
+                       "packet-conservation", "out-of-range packet id"));
+  const PacketId live = first_live(run, pool);
+  EXPECT_TRUE(Rejected(restore_patched(run, pool.free_list, &live, 4),
+                       "packet-conservation", "live packet id"));
+  EXPECT_TRUE(Rejected(restore_patched(run, pool.free_list + 4, &freed, 4),
+                       "packet-conservation", "repeated packet id"));
+}
+
+TEST(CheckpointRestart, RejectsMalformedPacketHeader) {
+  const SavedRun run = saved_run();
+  const PoolAt pool = find_pool(run);
+  const PacketId id = first_live(run, pool);
+  const std::size_t at = pool.packets + std::size_t{id} * sizeof(Packet);
+  const Dragonfly& topo = run.net->topo();
+  const Packet& pkt = run.net->packets().get(id);
+  const auto patched = [&](std::size_t field, auto value) {
+    return restore_patched(run, at + field, &value, sizeof value);
+  };
+  EXPECT_EQ(patched(offsetof(Packet, dst_router), pkt.dst_router), "");
+  const u32 no_router = topo.routers();
+  const u32 no_group = topo.groups();
+  for (const std::string& err :
+       {patched(offsetof(Packet, src), topo.nodes()),
+        patched(offsetof(Packet, dst), topo.nodes()),
+        patched(offsetof(Packet, dst_router), no_router),
+        patched(offsetof(Packet, dst_router), (pkt.dst_router + 1) % no_router),
+        patched(offsetof(Packet, inter_group), no_group),
+        patched(offsetof(Packet, inter_router), no_router),
+        patched(offsetof(Packet, flag_group), no_group),
+        patched(offsetof(Packet, size), static_cast<u16>(pkt.size + 1))})
+    EXPECT_TRUE(Rejected(err, "packet-conservation", "malformed header"));
+}
+
+TEST(CheckpointRestart, RejectedCheckpointRestartsThePoint) {
+  SimConfig cfg;
+  cfg.h = 2;
+  cfg.seed = 5;
+  cfg.routing = RoutingKind::kOfar;
+  cfg.ring = RingKind::kPhysical;
+  const TrafficPattern uniform = TrafficPattern::uniform();
+  RunParams params = RunParams::windows(300, 600);
+  const SteadyResult clean = run_steady(cfg, uniform, 0.5, params);
+
+  // The same point saved at cycle 150, then truncated to half, or with its
+  // first worklist entry (after the last built router's record, the shard
+  // count and the list length) past the last router.
+  Network net(cfg);
+  net.set_traffic(std::make_unique<BernoulliSource>(uniform, 0.5, cfg.seed));
+  net.run(150);
+  params.checkpoint_path = ckpt_path(test_tag("point").c_str());
+  ASSERT_TRUE(CheckpointIO::save(net, params.checkpoint_path));
+  const std::vector<char> saved = read_bytes(params.checkpoint_path);
+  std::vector<char> truncated(saved.begin(),
+                              saved.begin() + saved.size() / 2);
+  RouterId last = 0;
+  for (RouterId r = 0; r < net.topo().routers(); ++r)
+    if (net.router_built(r)) last = r;
+  const std::string tail = router_tail_bytes(net.router(last));
+  const std::size_t tail_at = find_unique(saved, tail);
+  ASSERT_NE(tail_at, std::string::npos);
+  ASSERT_GT(net.active_router_count(), 0u);
+  std::vector<char> bad_worklist = saved;
+  const RouterId no_router = net.topo().routers();
+  std::memcpy(bad_worklist.data() + tail_at + tail.size() + 4 + 8,
+              &no_router, sizeof no_router);
+
+  for (const std::vector<char>* bytes : {&truncated, &bad_worklist}) {
+    write_bytes(params.checkpoint_path, *bytes);
+    ::testing::internal::CaptureStderr();
+    const SteadyResult got = run_steady(cfg, uniform, 0.5, params);
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(warning.find(params.checkpoint_path), std::string::npos)
+        << warning;
+    EXPECT_EQ(got.offered_load, clean.offered_load);
+    EXPECT_EQ(got.accepted_load, clean.accepted_load);
+    EXPECT_EQ(got.avg_latency, clean.avg_latency);
+    EXPECT_EQ(got.stddev_latency, clean.stddev_latency);
+    EXPECT_EQ(got.delivered_packets, clean.delivered_packets);
+    EXPECT_EQ(got.local_misroutes, clean.local_misroutes);
+    EXPECT_EQ(got.global_misroutes, clean.global_misroutes);
+    EXPECT_EQ(got.ring_entries, clean.ring_entries);
+    EXPECT_EQ(got.stalled_packets, clean.stalled_packets);
+    EXPECT_EQ(got.worst_stall, clean.worst_stall);
+    EXPECT_EQ(got.mean_hops, clean.mean_hops);
+  }
+  std::remove(params.checkpoint_path.c_str());
 }
 
 TEST(CheckpointRestart, RejectsOfferToItsOwnSourceOrNoNode) {

@@ -40,9 +40,8 @@ TEST(Stats, ResetClearsCounters) {
   Stats s;
   s.on_generated(0, 8);
   s.on_delivered(0, 8, 50, 0, 3);
-  s.on_local_misroute();
-  s.on_ring_enter(/*first_entry=*/true);
-  s.on_ring_enter(/*first_entry=*/false);
+  s.on_local_misroutes(1);
+  s.on_ring_enters(/*first_entries=*/1, /*reentries=*/1);
   s.reset(500);
   EXPECT_EQ(s.generated_packets(), 0u);
   EXPECT_EQ(s.delivered_packets(), 0u);
@@ -71,8 +70,7 @@ TEST(Stats, RingUseFraction) {
   Stats s;
   s.reset(0);
   for (int i = 0; i < 10; ++i) s.on_delivered(0, 8, 10, 0, 3);
-  s.on_ring_enter(/*first_entry=*/true);
-  s.on_ring_enter(/*first_entry=*/true);
+  s.on_ring_enters(/*first_entries=*/2, /*reentries=*/0);
   EXPECT_DOUBLE_EQ(s.ring_use_fraction(), 0.2);
 }
 
@@ -83,9 +81,7 @@ TEST(Stats, RingReentriesDoNotInflateUseFraction) {
   // times. The fraction counts distinct packets, so it stays at 0.5 (the
   // old raw-entries accounting would report 1.5).
   for (int i = 0; i < 2; ++i) s.on_delivered(0, 8, 10, 0, 3);
-  s.on_ring_enter(/*first_entry=*/true);
-  s.on_ring_enter(/*first_entry=*/false);
-  s.on_ring_enter(/*first_entry=*/false);
+  s.on_ring_enters(/*first_entries=*/1, /*reentries=*/2);
   EXPECT_EQ(s.ring_entries(), 3u);
   EXPECT_EQ(s.ring_packets(), 1u);
   EXPECT_EQ(s.ring_reentries(), 2u);

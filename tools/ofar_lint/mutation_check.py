@@ -209,16 +209,14 @@ MUTATIONS = [
     },
     {
         "name": "raw-thread-sweep",
-        "why": "load sweep spawns its own threads instead of going "
+        "why": "sweep runner spawns its own threads instead of going "
                "through common/parallel",
-        "edits": [("src/core/experiment.cpp",
-                   "  std::vector<SweepPoint> points(loads.size());\n"
-                   "  parallel_for(",
-                   "  std::vector<SweepPoint> points(loads.size());\n"
+        "edits": [("src/core/orchestrator.cpp",
+                   "  run_parallel(jobs, outer);",
                    "  std::thread([] {}).join();\n"
-                   "  parallel_for(")],
+                   "  run_parallel(jobs, outer);")],
         "rule": "raw-thread",
-        "file": "src/core/experiment.cpp",
+        "file": "src/core/orchestrator.cpp",
     },
     {
         "name": "trace-emit-unreviewed",

@@ -583,7 +583,7 @@ class Analyzer:
                 emit("raw-thread", tok.line,
                      f"raw threading primitive std::{t}; all simulation "
                      "parallelism must go through common/parallel "
-                     "(ShardPool / parallel_for), whose phase barriers are "
+                     "(ShardPool / run_parallel), whose phase barriers are "
                      "what make shard-ordered commits possible")
             elif t == "tracer_" and nxt == "(" and (
                     prev not in (".", "->")
