@@ -2,7 +2,9 @@
 // routing mechanisms, with the paper's §V evaluation setup as defaults.
 #pragma once
 
+#include <concepts>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hpp"
 
@@ -142,5 +144,57 @@ struct SimConfig {
   /// One-line human-readable summary.
   std::string summary() const;
 };
+
+// The one declaration of every persisted configuration field. Each call
+// f(json_key, tag, member) names a field by its spec JSON key and by its
+// tag in the canonical text behind content keys and checkpoint signatures
+// (core/spec.cpp), in canonical order. Spec parsing, the canonical text and
+// the config signature all walk this list, so a field cannot reach one of
+// them and miss another. The thresholds are a nested group: f receives the
+// MisrouteThresholds member and walks it with the same function.
+
+template <typename Thresholds, typename F>
+  requires std::same_as<std::remove_const_t<Thresholds>, MisrouteThresholds>
+void visit_fields(Thresholds& t, F&& f) {
+  f("variable", "var", t.variable);
+  f("th_min", "min", t.th_min);
+  f("nonmin_factor", "nmf", t.nonmin_factor);
+  f("th_nonmin_static", "nms", t.th_nonmin_static);
+  f("min_gap", "gap", t.min_gap);
+}
+
+/// `h` has no JSON key (a spec sets it once, at its top level), and `seed`
+/// is not listed: canonical texts place it outside the config, and specs
+/// set it per point.
+template <typename Config, typename F>
+  requires std::same_as<std::remove_const_t<Config>, SimConfig>
+void visit_fields(Config& c, F&& f) {
+  f(nullptr, "h", c.h);
+  f("groups", "groups", c.groups);
+  f("packet_size", "ps", c.packet_size);
+  f("local_latency", "ll", c.local_latency);
+  f("global_latency", "gl", c.global_latency);
+  f("fifo_local", "fl", c.fifo_local);
+  f("fifo_global", "fg", c.fifo_global);
+  f("fifo_injection", "fi", c.fifo_injection);
+  f("vcs_local", "vl", c.vcs_local);
+  f("vcs_global", "vg", c.vcs_global);
+  f("vcs_injection", "vi", c.vcs_injection);
+  f("allocator_iterations", "ai", c.allocator_iterations);
+  f("routing", "routing", c.routing);
+  f("ring", "ring", c.ring);
+  f("thresholds", "thr", c.thresholds);
+  f("max_ring_exits", "mre", c.max_ring_exits);
+  f("ring_stride", "rs", c.ring_stride);
+  f("pb_saturation_threshold", "pbs", c.pb_saturation_threshold);
+  f("pb_broadcast_delay", "pbd", c.pb_broadcast_delay);
+  f("ugal_bias_phits", "ub", c.ugal_bias_phits);
+  f("congestion_throttle", "ct", c.congestion_throttle);
+  f("throttle_on", "on", c.throttle_on);
+  f("throttle_off", "off", c.throttle_off);
+  f("deadlock_timeout", "dt", c.deadlock_timeout);
+  f("sim_shards", "shards", c.sim_shards);
+  f("shard_group_major", "sgm", c.shard_group_major);
+}
 
 }  // namespace ofar

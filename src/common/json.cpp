@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace ofar {
 
@@ -78,8 +79,16 @@ class Parser {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
     switch (c) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kJsonMaxDepth)
+          return fail("nesting deeper than " +
+                      std::to_string(kJsonMaxDepth) + " levels");
+        ++depth_;
+        const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"': return parse_string_value(out);
       case 't':
       case 'f': return parse_bool(out);
@@ -312,6 +321,7 @@ class Parser {
   const std::string& text_;
   std::string& error_;
   std::size_t pos_ = 0;
+  u32 depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

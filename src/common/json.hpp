@@ -72,9 +72,16 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+/// Deepest nesting of arrays and objects json_parse accepts. The parser
+/// recurses once per level, so the bound keeps hostile input (a journal
+/// line of a million '[') off the end of the stack; specs and journal
+/// lines nest a handful of levels.
+inline constexpr u32 kJsonMaxDepth = 64;
+
 /// Parses one complete JSON document. Returns false and fills `error`
-/// ("line L, column C: message") on malformed input; trailing non-space
-/// content after the document is an error.
+/// ("line L, column C: message") on malformed input, nesting deeper than
+/// kJsonMaxDepth included; trailing non-space content after the document
+/// is an error.
 bool json_parse(const std::string& text, JsonValue& out, std::string& error);
 
 /// Reads and parses a whole file. `error` distinguishes I/O failures

@@ -18,9 +18,10 @@
 // simply restarts at the resume point.
 //
 // Format: native-endian binary (common/ckpt_stream.hpp), tied to the build
-// that wrote it; a magic/version/signature header rejects anything else.
-// save() writes to "<path>.tmp" and renames, so a crash mid-write leaves
-// the previous checkpoint intact.
+// that wrote it; a magic/format-version/signature header rejects anything
+// else, and a trailing checksum any changed byte. save() writes to
+// "<path>.tmp" and renames, so a crash mid-write leaves the previous
+// checkpoint intact.
 #pragma once
 
 #include <string>
@@ -28,9 +29,9 @@
 namespace ofar {
 
 class Network;
-class CkptWriter;
-class CkptReader;
+class CkptArchive;
 class VcFifo;
+struct Router;
 class TimeSeries;
 class Stats;
 
@@ -45,28 +46,27 @@ class CheckpointIO {
   /// Restores a checkpoint into `net`, which must be freshly constructed
   /// from the same SimConfig (same seed included) with its traffic source
   /// already installed. Restore is read + audit: it reads the state,
-  /// checking every size and id before it indexes with it, then runs
-  /// verify::InvariantAuditor::run_all() on the result. Returns false
-  /// without touching `net` when the file is missing; otherwise returns
-  /// false (error filled when non-null) on a signature or format mismatch,
-  /// an out-of-range id, or an audit that is not clean, whose first
-  /// violation becomes the error ("[invariant] detail"). After any failure
-  /// but a missing file `net` may be partly written: discard it and start
-  /// the run on a fresh network, as run_steady does (with a warning).
+  /// checking every length, size and id before it sizes or indexes with
+  /// it, then runs verify::InvariantAuditor::run_all() on the result.
+  /// Returns false without touching `net` when the file is missing;
+  /// otherwise returns false (error filled when non-null) on a signature
+  /// or format mismatch, an out-of-range length or id, or an audit that is
+  /// not clean, whose first violation becomes the error ("[invariant]
+  /// detail"). After any failure but a missing file `net` may be partly
+  /// written: discard it and start the run on a fresh network, as
+  /// run_steady does (with a warning).
   static bool restore(Network& net, const std::string& path,
                       std::string* error = nullptr);
 
  private:
-  static void write_state(CkptWriter& w, const Network& net);
-  static bool read_state(CkptReader& r, Network& net, std::string* error);
-  // Per-component serializers; members (not free helpers) because they
+  // One io per checkpointed type serves both directions (see
+  // common/ckpt_stream.hpp). Members, not free helpers, because they
   // exercise the `friend class CheckpointIO` grants of their targets.
-  static void write_fifo(CkptWriter& w, const VcFifo& f);
-  static bool read_fifo(CkptReader& r, VcFifo& f);
-  static void write_series(CkptWriter& w, const TimeSeries& ts);
-  static bool read_series(CkptReader& r, TimeSeries& ts);
-  static void write_stats(CkptWriter& w, const Stats& s);
-  static bool read_stats(CkptReader& r, Stats& s);
+  static void io(CkptArchive& ar, Network& net);
+  static void io(CkptArchive& ar, Router& r);
+  static void io(CkptArchive& ar, VcFifo& f);
+  static void io(CkptArchive& ar, Stats& s);
+  static void io(CkptArchive& ar, TimeSeries& ts);
 };
 
 }  // namespace ofar

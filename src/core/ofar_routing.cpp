@@ -23,18 +23,12 @@ void OfarPolicy::bind_lanes(u32 lanes) {
     lanes_.emplace_back(seed_ ^ (0x9E3779B97F4A7C15ULL * l));
 }
 
-void OfarPolicy::save_state(CkptWriter& w) const {
-  w.put_u32(static_cast<u32>(lanes_.size()));
-  for (const Lane& lane : lanes_) w.put_rng(lane.rng);
-}
-
-void OfarPolicy::load_state(CkptReader& r) {
-  const u32 n = r.get_u32();
-  if (n != lanes_.size()) {  // lane layout is fixed by bind_lanes
-    r.fail();
-    return;
-  }
-  for (Lane& lane : lanes_) r.get_rng(lane.rng);
+void OfarPolicy::io(CkptArchive& ar, const Network&) {
+  u32 lanes = static_cast<u32>(lanes_.size());
+  ar.io(lanes);
+  // The lane layout is fixed by bind_lanes.
+  if (ar.check(lanes == lanes_.size(), "policy lane count mismatch"))
+    for (Lane& lane : lanes_) ar.io(lane.rng);
 }
 
 // Both collectors walk only the set bits of the view's availability mask:

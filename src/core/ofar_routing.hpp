@@ -43,8 +43,7 @@ class OfarPolicy final : public RoutingPolicy {
 
   RouteChoice route(RouteContext& ctx) override;
   void bind_lanes(u32 lanes) override;
-  void save_state(CkptWriter& w) const override;
-  void load_state(CkptReader& r) override;
+  void io(CkptArchive& ar, const Network& net) override;
 
  private:
   /// Per-shard route() state: the candidate RNG and its scratch list.

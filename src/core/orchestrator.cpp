@@ -21,52 +21,67 @@ namespace {
 /// affected points simply re-run).
 constexpr u32 kJournalVersion = 1;
 
+// The one declaration of each result kind's journal fields, in payload
+// order: f(key, member) per field. write_result_json and
+// parse_result_json both walk these, so the two directions cannot drift;
+// the order fixes the payload bytes that results_digest covers.
+
+template <typename R, typename F>
+void steady_fields(R& r, F&& f) {
+  f("offered", r.offered_load);
+  f("accepted", r.accepted_load);
+  f("lat", r.avg_latency);
+  f("lat_sd", r.stddev_latency);
+  f("delivered", r.delivered_packets);
+  f("lmis", r.local_misroutes);
+  f("gmis", r.global_misroutes);
+  f("ring", r.ring_entries);
+  f("stalled", r.stalled_packets);
+  f("worst", r.worst_stall);
+  f("hops", r.mean_hops);
+}
+
+template <typename R, typename F>
+void burst_fields(R& r, F&& f) {
+  f("completion", r.completion);
+  f("delivered", r.delivered_packets);
+  f("lat", r.avg_latency);
+  f("ring", r.ring_entries);
+  f("completed", r.completed);
+}
+
+/// A transient result is a "series" of positional triples.
+template <typename B, typename F>
+void bucket_fields(B& b, F&& f) {
+  f(nullptr, b.cycle_rel);
+  f(nullptr, b.mean_latency);
+  f(nullptr, b.packets);
+}
+
 void write_result_json(JsonWriter& w, const RunPoint& point,
                        const PointOutcome& o) {
+  const auto put = [&w](const char* key, const auto& value) {
+    if (key != nullptr) w.key(key);
+    w.value(value);
+  };
   w.key("result").begin_object();
   switch (point.kind) {
-    case RunKind::kSteady: {
-      const SteadyResult& r = o.steady;
-      w.key("offered").value(r.offered_load);
-      w.key("accepted").value(r.accepted_load);
-      w.key("lat").value(r.avg_latency);
-      w.key("lat_sd").value(r.stddev_latency);
-      w.key("delivered").value(r.delivered_packets);
-      w.key("lmis").value(r.local_misroutes);
-      w.key("gmis").value(r.global_misroutes);
-      w.key("ring").value(r.ring_entries);
-      w.key("stalled").value(r.stalled_packets);
-      w.key("worst").value(r.worst_stall);
-      w.key("hops").value(r.mean_hops);
-      break;
-    }
-    case RunKind::kTransient: {
+    case RunKind::kSteady: steady_fields(o.steady, put); break;
+    case RunKind::kTransient:
       w.key("series").begin_array();
-      for (const auto& b : o.transient.series) {
+      for (const TransientBucket& b : o.transient.series) {
         w.begin_array();
-        w.value(b.cycle_rel);
-        w.value(b.mean_latency);
-        w.value(b.packets);
+        bucket_fields(b, put);
         w.end_array();
       }
       w.end_array();
       break;
-    }
-    case RunKind::kBurst: {
-      const BurstResult& r = o.burst;
-      w.key("completion").value(r.completion);
-      w.key("delivered").value(r.delivered_packets);
-      w.key("lat").value(r.avg_latency);
-      w.key("ring").value(r.ring_entries);
-      w.key("completed").value(r.completed);
-      break;
-    }
+    case RunKind::kBurst: burst_fields(o.burst, put); break;
   }
   w.end_object();
 }
 
-bool read_u64(const JsonValue& obj, const char* key, u64& out) {
-  const JsonValue* v = obj.find(key);
+bool read_json(const JsonValue* v, u64& out) {
   if (v == nullptr || !v->is_number() || !v->has_exact_int() ||
       v->as_int() < 0)
     return false;
@@ -74,77 +89,51 @@ bool read_u64(const JsonValue& obj, const char* key, u64& out) {
   return true;
 }
 
-bool read_double(const JsonValue& obj, const char* key, double& out) {
-  const JsonValue* v = obj.find(key);
+bool read_json(const JsonValue* v, i64& out) {
+  if (v == nullptr || !v->is_number() || !v->has_exact_int()) return false;
+  out = v->as_int();
+  return true;
+}
+
+bool read_json(const JsonValue* v, double& out) {
   if (v == nullptr || !v->is_number()) return false;
   out = v->as_double();
   return true;
 }
 
+bool read_json(const JsonValue* v, bool& out) {
+  if (v == nullptr || !v->is_bool()) return false;
+  out = v->as_bool();
+  return true;
+}
+
 bool parse_result_json(const JsonValue& result, RunKind kind,
                        PointOutcome& o, std::string& error) {
-  if (!result.is_object()) {
-    error = "result is not an object";
-    return false;
-  }
+  bool ok = result.is_object();
+  const auto get = [&result, &ok](const char* key, auto& value) {
+    ok = ok && read_json(result.find(key), value);
+  };
   switch (kind) {
-    case RunKind::kSteady: {
-      SteadyResult& r = o.steady;
-      if (!read_double(result, "offered", r.offered_load) ||
-          !read_double(result, "accepted", r.accepted_load) ||
-          !read_double(result, "lat", r.avg_latency) ||
-          !read_double(result, "lat_sd", r.stddev_latency) ||
-          !read_u64(result, "delivered", r.delivered_packets) ||
-          !read_u64(result, "lmis", r.local_misroutes) ||
-          !read_u64(result, "gmis", r.global_misroutes) ||
-          !read_u64(result, "ring", r.ring_entries) ||
-          !read_u64(result, "stalled", r.stalled_packets) ||
-          !read_u64(result, "worst", r.worst_stall) ||
-          !read_double(result, "hops", r.mean_hops)) {
-        error = "steady result missing fields";
-        return false;
-      }
-      return true;
-    }
+    case RunKind::kSteady: steady_fields(o.steady, get); break;
     case RunKind::kTransient: {
-      const JsonValue* series = result.find("series");
-      if (series == nullptr || !series->is_array()) {
-        error = "transient result missing series";
-        return false;
-      }
+      const JsonValue* series = ok ? result.find("series") : nullptr;
+      ok = series != nullptr && series->is_array();
       o.transient.series.clear();
-      for (const auto& item : series->items()) {
-        if (!item.is_array() || item.items().size() != 3 ||
-            !item.items()[0].is_number() || !item.items()[1].is_number() ||
-            !item.items()[2].is_number()) {
-          error = "malformed transient series bucket";
-          return false;
-        }
-        TransientBucket b;
-        b.cycle_rel = item.items()[0].as_int();
-        b.mean_latency = item.items()[1].as_double();
-        b.packets = static_cast<u64>(item.items()[2].as_int());
-        o.transient.series.push_back(b);
+      for (std::size_t i = 0; ok && i < series->items().size(); ++i) {
+        const JsonValue& item = series->items()[i];
+        ok = item.is_array() && item.items().size() == 3;
+        std::size_t at = 0;
+        bucket_fields(o.transient.series.emplace_back(),
+                      [&item, &ok, &at](const char*, auto& value) {
+                        ok = ok && read_json(&item.items()[at++], value);
+                      });
       }
-      return true;
+      break;
     }
-    case RunKind::kBurst: {
-      BurstResult& r = o.burst;
-      const JsonValue* completed = result.find("completed");
-      if (!read_u64(result, "completion", r.completion) ||
-          !read_u64(result, "delivered", r.delivered_packets) ||
-          !read_double(result, "lat", r.avg_latency) ||
-          !read_u64(result, "ring", r.ring_entries) ||
-          completed == nullptr || !completed->is_bool()) {
-        error = "burst result missing fields";
-        return false;
-      }
-      r.completed = completed->as_bool();
-      return true;
-    }
+    case RunKind::kBurst: burst_fields(o.burst, get); break;
   }
-  error = "unknown kind";
-  return false;
+  if (!ok) error = std::string("malformed ") + to_string(kind) + " result";
+  return ok;
 }
 
 /// Serializes ONLY the result payload (no key/version wrapper) — the unit
@@ -181,7 +170,7 @@ bool parse_journal_line(const std::string& line, std::string& key,
     return false;
   }
   u64 version = 0;
-  if (!read_u64(doc, "v", version) || version != kJournalVersion) {
+  if (!read_json(doc.find("v"), version) || version != kJournalVersion) {
     error = "missing or unsupported journal version";
     return false;
   }

@@ -1,8 +1,14 @@
 #include "core/spec.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "common/json.hpp"
 
@@ -68,70 +74,37 @@ void append_pattern(std::string& out, const TrafficPattern& p) {
   out += ']';
 }
 
-/// Canonical rendering of every semantically relevant SimConfig field.
-/// MUST be extended (and kSpecSchemaVersion bumped) whenever SimConfig
-/// grows a field that changes simulation results.
-void append_config(std::string& out, const SimConfig& cfg) {
-  out += "cfg{h=";
-  append_u64(out, cfg.h);
-  out += ";groups=";
-  append_u64(out, cfg.groups);
-  out += ";ps=";
-  append_u64(out, cfg.packet_size);
-  out += ";ll=";
-  append_u64(out, cfg.local_latency);
-  out += ";gl=";
-  append_u64(out, cfg.global_latency);
-  out += ";fl=";
-  append_u64(out, cfg.fifo_local);
-  out += ";fg=";
-  append_u64(out, cfg.fifo_global);
-  out += ";fi=";
-  append_u64(out, cfg.fifo_injection);
-  out += ";vl=";
-  append_u64(out, cfg.vcs_local);
-  out += ";vg=";
-  append_u64(out, cfg.vcs_global);
-  out += ";vi=";
-  append_u64(out, cfg.vcs_injection);
-  out += ";ai=";
-  append_u64(out, cfg.allocator_iterations);
-  out += ";routing=";
-  out += to_string(cfg.routing);
-  out += ";ring=";
-  out += to_string(cfg.ring);
-  out += ";thr{var=";
-  out += cfg.thresholds.variable ? '1' : '0';
-  out += ";min=";
-  append_double(out, cfg.thresholds.th_min);
-  out += ";nmf=";
-  append_double(out, cfg.thresholds.nonmin_factor);
-  out += ";nms=";
-  append_double(out, cfg.thresholds.th_nonmin_static);
-  out += ";gap=";
-  append_double(out, cfg.thresholds.min_gap);
-  out += "};mre=";
-  append_u64(out, cfg.max_ring_exits);
-  out += ";rs=";
-  append_u64(out, cfg.ring_stride);
-  out += ";pbs=";
-  append_double(out, cfg.pb_saturation_threshold);
-  out += ";pbd=";
-  append_u64(out, cfg.pb_broadcast_delay);
-  out += ";ub=";
-  append_u64(out, static_cast<u64>(static_cast<i64>(cfg.ugal_bias_phits)));
-  out += ";ct=";
-  out += cfg.congestion_throttle ? '1' : '0';
-  out += ";on=";
-  append_double(out, cfg.throttle_on);
-  out += ";off=";
-  append_double(out, cfg.throttle_off);
-  out += ";dt=";
-  append_u64(out, cfg.deadlock_timeout);
-  out += ";shards=";
-  append_u64(out, cfg.sim_shards);
-  out += ";sgm=";
-  out += cfg.shard_group_major ? '1' : '0';
+void append_value(std::string& out, u32 v) { append_u64(out, v); }
+void append_value(std::string& out, i32 v) {
+  append_u64(out, static_cast<u64>(static_cast<i64>(v)));
+}
+void append_value(std::string& out, double v) { append_double(out, v); }
+void append_value(std::string& out, bool v) { out += v ? '1' : '0'; }
+void append_value(std::string& out, RoutingKind v) { out += to_string(v); }
+void append_value(std::string& out, RingKind v) { out += to_string(v); }
+
+/// Canonical rendering "name{tag=value;...}" of every field visit_fields
+/// declares for `fields` (a SimConfig, or its nested thresholds group).
+/// A field that changes results must be declared there, and joining the
+/// list changes every key: bump kSpecSchemaVersion with it.
+template <typename Fields>
+void append_fields(std::string& out, const char* name, const Fields& fields) {
+  out += name;
+  out += '{';
+  bool first = true;
+  visit_fields(fields, [&out, &first](const char*, const char* tag,
+                                      const auto& value) {
+    if (!first) out += ';';
+    first = false;
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                 MisrouteThresholds>) {
+      append_fields(out, tag, value);
+    } else {
+      out += tag;
+      out += '=';
+      append_value(out, value);
+    }
+  });
   out += '}';
 }
 
@@ -156,7 +129,7 @@ std::string canonical_point(const RunPoint& point) {
   out += ";seed=";
   append_u64(out, point.seed);
   out += ';';
-  append_config(out, point.cfg);
+  append_fields(out, "cfg", point.cfg);
   out += ";pat=";
   append_pattern(out, point.pattern);
   switch (point.kind) {
@@ -215,7 +188,7 @@ std::string config_signature(const SimConfig& cfg) {
   std::string out = "ckpt-v";
   append_u64(out, kSpecSchemaVersion);
   out += ';';
-  append_config(out, cfg);
+  append_fields(out, "cfg", cfg);
   out += ";seed=";
   append_u64(out, cfg.seed);
   return out;
@@ -320,49 +293,163 @@ std::string ExperimentSpec::validate() const {
 
 namespace {
 
-bool get_u32(const JsonValue& v, const std::string& what, u32& out,
-             std::string& error) {
-  if (!v.is_number() || !v.has_exact_int() || v.as_int() < 0 ||
-      v.as_int() > static_cast<i64>(~u32{0})) {
-    error = what + " must be a non-negative integer";
+/// One member a JSON object may hold: its key, how to read its value
+/// (given the value's path), and whether the object must hold it.
+struct Member {
+  std::string key;
+  std::function<bool(const JsonValue&, const std::string&)> read;
+  bool required = false;
+};
+using Members = std::vector<Member>;
+
+/// Reads one spec document into `spec`. Each read(v, path, out) stores the
+/// JSON value `v` found at `path` ("mechanisms[1].thresholds", empty for
+/// the document) into `out`, or fails with `error` naming the path.
+class SpecReader {
+ public:
+  explicit SpecReader(ExperimentSpec& spec) : spec_(spec) {}
+
+  std::string error;
+  SimConfig base;  ///< the "config" member, under every mechanism's own
+
+  template <typename Int>
+    requires std::is_integral_v<Int>
+  bool read(const JsonValue& v, const std::string& path, Int& out) {
+    using Limits = std::numeric_limits<Int>;
+    if (!v.is_number() || !v.has_exact_int() ||
+        !std::in_range<Int>(v.as_int()))
+      return fail(path, "must be an integer in [" +
+                            std::to_string(Limits::min()) + ", " +
+                            std::to_string(Limits::max()) + "]");
+    out = static_cast<Int>(v.as_int());
+    return true;
+  }
+  bool read(const JsonValue& v, const std::string& path, double& out) {
+    if (!v.is_number()) return fail(path, "must be a number");
+    out = v.as_double();
+    return true;
+  }
+  bool read(const JsonValue& v, const std::string& path, bool& out) {
+    if (!v.is_bool()) return fail(path, "must be true or false");
+    out = v.as_bool();
+    return true;
+  }
+  bool read(const JsonValue& v, const std::string& path, std::string& out) {
+    if (!v.is_string()) return fail(path, "must be a string");
+    out = v.as_string();
+    return true;
+  }
+  bool read(const JsonValue& v, const std::string& path, RoutingKind& out) {
+    return (v.is_string() && parse_routing_kind(v.as_string(), out)) ||
+           fail(path, "must be MIN, VAL, PB, UGAL, PAR, OFAR or OFAR-L");
+  }
+  bool read(const JsonValue& v, const std::string& path, RingKind& out) {
+    return (v.is_string() && parse_ring_kind(v.as_string(), out)) ||
+           fail(path, "must be none, physical or embedded");
+  }
+  bool read(const JsonValue& v, const std::string& path, RunKind& out) {
+    return (v.is_string() && parse_run_kind(v.as_string(), out)) ||
+           fail(path, "must be steady, transient or burst");
+  }
+  bool read(const JsonValue& v, const std::string& path,
+            MisrouteThresholds& out) {
+    return object(v, path, "thresholds", fields(out));
+  }
+  bool read(const JsonValue& v, const std::string& path, NamedPattern& out);
+  bool read(const JsonValue& v, const std::string& path,
+            TrafficComponent& out);
+  bool read(const JsonValue& v, const std::string& path, TransitionSpec& out);
+  bool read(const JsonValue& v, const std::string& path,
+            MechanismEntry& out);
+
+  /// A non-empty array, each item read into a new element of `out`.
+  template <typename T>
+  bool read(const JsonValue& v, const std::string& path,
+            std::vector<T>& out) {
+    if (!v.is_array() || v.items().empty())
+      return fail(path, "must be a non-empty array");
+    out.clear();
+    for (std::size_t i = 0; i < v.items().size(); ++i)
+      if (!read(v.items()[i], path + "[" + std::to_string(i) + "]",
+                out.emplace_back()))
+        return false;
+    return true;
+  }
+
+  template <typename T>
+  Member member(std::string key, T& out, bool required = false) {
+    return {std::move(key),
+            [this, &out](const JsonValue& v, const std::string& path) {
+              return read(v, path, out);
+            },
+            required};
+  }
+
+  /// A member for each field visit_fields declares with a JSON key.
+  template <typename Fields>
+  Members fields(Fields& declared) {
+    Members out;
+    visit_fields(declared, [this, &out](const char* key, const char*,
+                                        auto& value) {
+      if (key != nullptr) out.push_back(member(key, value));
+    });
+    return out;
+  }
+
+  /// Reads the object at `path` through its declared members, in
+  /// declaration order. The declarations are also the check: a member no
+  /// declaration names is an error naming it, so a typo never falls back
+  /// to a default. `what` names the object kind in that error.
+  bool object(const JsonValue& obj, const std::string& path,
+              const std::string& what, const Members& members) {
+    if (!obj.is_object()) return fail(path, "must be an object");
+    for (const auto& [key, value] : obj.members()) {
+      const auto declared = [&key](const Member& m) { return m.key == key; };
+      if (std::none_of(members.begin(), members.end(), declared))
+        return fail(path, "unknown " + what + " key '" + key + "'");
+    }
+    for (const Member& m : members) {
+      const JsonValue* v = obj.find(m.key);
+      if (v == nullptr && m.required)
+        return fail(path, what + " needs \"" + m.key + "\"");
+      if (v != nullptr &&
+          !m.read(*v, path.empty() ? m.key : path + "." + m.key))
+        return false;
+    }
+    return true;
+  }
+
+  bool loads(const JsonValue& v, const std::string& path);
+
+ private:
+  bool fail(const std::string& path, const std::string& message) {
+    error = path.empty() ? message : path + ": " + message;
     return false;
   }
-  out = static_cast<u32>(v.as_int());
-  return true;
-}
 
-bool get_u64(const JsonValue& v, const std::string& what, u64& out,
-             std::string& error) {
-  if (!v.is_number() || !v.has_exact_int() || v.as_int() < 0) {
-    error = what + " must be a non-negative integer";
-    return false;
+  ExperimentSpec& spec_;
+};
+
+/// Load grids of the figures sample a few dozen points.
+constexpr u32 kMaxGridPoints = 10'000;
+
+/// A pattern name ("UN", "uniform", "ADV+2", "adversarial:3", "ADV+h"
+/// with the spec's h substituted, "stencil2d") or a mix object
+/// {"mix": [{"kind": "uniform", "weight": 0.8}, ...], "name": ...}.
+bool SpecReader::read(const JsonValue& v, const std::string& path,
+                      NamedPattern& out) {
+  if (v.is_object()) {
+    std::vector<TrafficComponent> components;
+    out.name = "MIX";
+    if (!object(v, path, "pattern",
+                {member("mix", components, true), member("name", out.name)}))
+      return false;
+    out.pattern = TrafficPattern::mix(std::move(components));
+    return true;
   }
-  out = static_cast<u64>(v.as_int());
-  return true;
-}
-
-bool get_double(const JsonValue& v, const std::string& what, double& out,
-                std::string& error) {
-  if (!v.is_number()) {
-    error = what + " must be a number";
-    return false;
-  }
-  out = v.as_double();
-  return true;
-}
-
-bool get_bool(const JsonValue& v, const std::string& what, bool& out,
-              std::string& error) {
-  if (!v.is_bool()) {
-    error = what + " must be true or false";
-    return false;
-  }
-  out = v.as_bool();
-  return true;
-}
-
-bool parse_pattern_name(const std::string& text, u32 h, NamedPattern& out,
-                        std::string& error) {
+  if (!v.is_string())
+    return fail(path, "must be a pattern name or a mix object");
+  const std::string& text = v.as_string();
   out.name = text;
   if (text == "UN" || text == "uniform") {
     out.name = "UN";
@@ -377,192 +464,95 @@ bool parse_pattern_name(const std::string& text, u32 h, NamedPattern& out,
   std::string offset_text;
   if (text.rfind("ADV+", 0) == 0) offset_text = text.substr(4);
   else if (text.rfind("adversarial:", 0) == 0) offset_text = text.substr(12);
-  if (!offset_text.empty()) {
-    u32 offset = 0;
-    if (offset_text == "h") {
-      offset = h;
-    } else {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(offset_text.c_str(), &end, 10);
-      if (end != offset_text.c_str() + offset_text.size() || v == 0) {
-        error = "bad adversarial offset in pattern '" + text + "'";
-        return false;
-      }
-      offset = static_cast<u32>(v);
-    }
-    out.pattern = TrafficPattern::adversarial(offset);
-    return true;
+  if (offset_text.empty())
+    return fail(path, "unknown pattern '" + text +
+                          "' (expected UN, ADV+<n>, ADV+h, stencil2d, or a "
+                          "mix object)");
+  u32 offset = spec_.h;
+  if (offset_text != "h") {
+    char* end = nullptr;
+    const unsigned long n = std::strtoul(offset_text.c_str(), &end, 10);
+    if (end != offset_text.c_str() + offset_text.size() || n == 0)
+      return fail(path, "bad adversarial offset in pattern '" + text + "'");
+    offset = static_cast<u32>(n);
   }
-  error = "unknown pattern '" + text +
-          "' (expected UN, ADV+<n>, ADV+h, stencil2d, or a mix object)";
-  return false;
+  out.pattern = TrafficPattern::adversarial(offset);
+  return true;
 }
 
-bool parse_thresholds_json(const JsonValue& obj, MisrouteThresholds& thr,
-                           std::string& error) {
-  if (!obj.is_object()) {
-    error = "thresholds must be an object";
+bool SpecReader::read(const JsonValue& v, const std::string& path,
+                      TrafficComponent& out) {
+  std::string kind;
+  if (!object(v, path, "mix entry",
+              {member("kind", kind, true), member("offset", out.offset),
+               member("weight", out.weight)}))
     return false;
-  }
-  for (const auto& [key, value] : obj.members()) {
-    bool ok = true;
-    if (key == "variable") ok = get_bool(value, key, thr.variable, error);
-    else if (key == "th_min") ok = get_double(value, key, thr.th_min, error);
-    else if (key == "nonmin_factor")
-      ok = get_double(value, key, thr.nonmin_factor, error);
-    else if (key == "th_nonmin_static")
-      ok = get_double(value, key, thr.th_nonmin_static, error);
-    else if (key == "min_gap") ok = get_double(value, key, thr.min_gap, error);
-    else {
-      error = "unknown thresholds key '" + key + "'";
-      return false;
-    }
-    if (!ok) return false;
-  }
+  if (!(out.weight > 0.0 && std::isfinite(out.weight)))
+    return fail(path + ".weight", "must be a positive number");
+  if (kind == "uniform") out.kind = PatternKind::kUniform;
+  else if (kind == "adversarial") out.kind = PatternKind::kAdversarial;
+  else if (kind == "stencil2d") out.kind = PatternKind::kStencil2D;
+  else return fail(path + ".kind", "unknown mix component kind '" + kind + "'");
+  return true;
+}
+
+bool SpecReader::read(const JsonValue& v, const std::string& path,
+                      TransitionSpec& out) {
+  const Member load{"load", [this, &out](const JsonValue& l,
+                                         const std::string& at) {
+                      return read(l, at, out.load_a) && read(l, at, out.load_b);
+                    }};
+  if (!object(v, path, "transition",
+              {member("a", out.a, true), member("b", out.b, true), load,
+               member("load_a", out.load_a), member("load_b", out.load_b),
+               member("name", out.name)}))
+    return false;
+  if (v.find("name") == nullptr) out.name = out.a.name + "->" + out.b.name;
+  return true;
+}
+
+/// A mechanism entry: a label, a routing kind, and config overrides on top
+/// of `base`. The routing kind picks the paper's default ring (none for the
+/// VC-ordered mechanisms, physical for OFAR) before an explicit "ring"
+/// member overrides it.
+bool SpecReader::read(const JsonValue& v, const std::string& path,
+                      MechanismEntry& out) {
+  SimConfig& cfg = out.cfg = base;
+  cfg.h = spec_.h;
+  Members members{
+      member("label", out.label),
+      {"routing",
+       [this, &cfg](const JsonValue& r, const std::string& at) {
+         if (!read(r, at, cfg.routing)) return false;
+         cfg.ring = cfg.vc_ordered() ? RingKind::kNone : RingKind::kPhysical;
+         return true;
+       },
+       true}};
+  for (Member& m : fields(cfg))
+    if (m.key != "routing") members.push_back(std::move(m));
+  if (!object(v, path, "config", members)) return false;
+  if (v.find("label") == nullptr) out.label = to_string(cfg.routing);
+  return true;
+}
+
+/// An array of loads or a {min, max, points} grid.
+bool SpecReader::loads(const JsonValue& v, const std::string& path) {
+  if (!v.is_object()) return read(v, path, spec_.loads);
+  double lo = 0, hi = 0;
+  u32 points = 0;
+  if (!object(v, path, "load grid",
+              {member("min", lo, true), member("max", hi, true),
+               member("points", points, true)}))
+    return false;
+  // One number must not size an allocation of gigabytes.
+  if (points > kMaxGridPoints)
+    return fail(path + ".points",
+                "must be at most " + std::to_string(kMaxGridPoints));
+  spec_.loads = expand_load_grid(lo, hi, points);
   return true;
 }
 
 }  // namespace
-
-bool pattern_from_json(const JsonValue& v, u32 h, NamedPattern& out,
-                       std::string& error) {
-  if (v.is_string()) return parse_pattern_name(v.as_string(), h, out, error);
-  if (!v.is_object()) {
-    error = "pattern must be a name string or a mix object";
-    return false;
-  }
-  const JsonValue* mix = v.find("mix");
-  if (mix == nullptr || !mix->is_array() || mix->items().empty()) {
-    error = "pattern object needs a non-empty \"mix\" array";
-    return false;
-  }
-  std::vector<TrafficComponent> components;
-  for (const auto& item : mix->items()) {
-    if (!item.is_object()) {
-      error = "mix entries must be objects";
-      return false;
-    }
-    TrafficComponent c;
-    const JsonValue* kind = item.find("kind");
-    if (kind == nullptr || !kind->is_string()) {
-      error = "mix entry needs a \"kind\" string";
-      return false;
-    }
-    const std::string& k = kind->as_string();
-    if (k == "uniform") c.kind = PatternKind::kUniform;
-    else if (k == "adversarial") c.kind = PatternKind::kAdversarial;
-    else if (k == "stencil2d") c.kind = PatternKind::kStencil2D;
-    else {
-      error = "unknown mix component kind '" + k + "'";
-      return false;
-    }
-    if (const JsonValue* offset = item.find("offset")) {
-      if (!get_u32(*offset, "mix offset", c.offset, error)) return false;
-    }
-    if (const JsonValue* weight = item.find("weight")) {
-      if (!get_double(*weight, "mix weight", c.weight, error)) return false;
-    }
-    components.push_back(c);
-  }
-  out.pattern = TrafficPattern::mix(std::move(components));
-  out.name = "MIX";
-  if (const JsonValue* name = v.find("name")) {
-    if (!name->is_string()) {
-      error = "pattern name must be a string";
-      return false;
-    }
-    out.name = name->as_string();
-  }
-  (void)h;
-  return true;
-}
-
-bool apply_config_json(const JsonValue& obj, SimConfig& cfg,
-                       const std::vector<std::string>& skip,
-                       std::string& error) {
-  if (!obj.is_object()) {
-    error = "config overrides must be an object";
-    return false;
-  }
-  for (const auto& [key, value] : obj.members()) {
-    bool skipped = false;
-    for (const auto& s : skip)
-      if (key == s) {
-        skipped = true;
-        break;
-      }
-    if (skipped) continue;
-    bool ok = true;
-    if (key == "routing") {
-      if (!value.is_string() ||
-          !parse_routing_kind(value.as_string(), cfg.routing)) {
-        error = "bad routing kind";
-        ok = false;
-      }
-    } else if (key == "ring") {
-      if (!value.is_string() || !parse_ring_kind(value.as_string(), cfg.ring)) {
-        error = "bad ring kind (none|physical|embedded)";
-        ok = false;
-      }
-    } else if (key == "groups") ok = get_u32(value, key, cfg.groups, error);
-    else if (key == "packet_size")
-      ok = get_u32(value, key, cfg.packet_size, error);
-    else if (key == "local_latency")
-      ok = get_u32(value, key, cfg.local_latency, error);
-    else if (key == "global_latency")
-      ok = get_u32(value, key, cfg.global_latency, error);
-    else if (key == "fifo_local") ok = get_u32(value, key, cfg.fifo_local, error);
-    else if (key == "fifo_global")
-      ok = get_u32(value, key, cfg.fifo_global, error);
-    else if (key == "fifo_injection")
-      ok = get_u32(value, key, cfg.fifo_injection, error);
-    else if (key == "vcs_local") ok = get_u32(value, key, cfg.vcs_local, error);
-    else if (key == "vcs_global")
-      ok = get_u32(value, key, cfg.vcs_global, error);
-    else if (key == "vcs_injection")
-      ok = get_u32(value, key, cfg.vcs_injection, error);
-    else if (key == "allocator_iterations")
-      ok = get_u32(value, key, cfg.allocator_iterations, error);
-    else if (key == "max_ring_exits")
-      ok = get_u32(value, key, cfg.max_ring_exits, error);
-    else if (key == "ring_stride")
-      ok = get_u32(value, key, cfg.ring_stride, error);
-    else if (key == "pb_saturation_threshold")
-      ok = get_double(value, key, cfg.pb_saturation_threshold, error);
-    else if (key == "pb_broadcast_delay")
-      ok = get_u32(value, key, cfg.pb_broadcast_delay, error);
-    else if (key == "ugal_bias_phits") {
-      if (!value.is_number() || !value.has_exact_int()) {
-        error = "ugal_bias_phits must be an integer";
-        ok = false;
-      } else {
-        cfg.ugal_bias_phits = static_cast<i32>(value.as_int());
-      }
-    } else if (key == "congestion_throttle")
-      ok = get_bool(value, key, cfg.congestion_throttle, error);
-    else if (key == "throttle_on")
-      ok = get_double(value, key, cfg.throttle_on, error);
-    else if (key == "throttle_off")
-      ok = get_double(value, key, cfg.throttle_off, error);
-    else if (key == "deadlock_timeout")
-      ok = get_u32(value, key, cfg.deadlock_timeout, error);
-    else if (key == "sim_shards")
-      ok = get_u32(value, key, cfg.sim_shards, error);
-    else if (key == "shard_group_major")
-      ok = get_bool(value, key, cfg.shard_group_major, error);
-    else if (key == "thresholds")
-      ok = parse_thresholds_json(value, cfg.thresholds, error);
-    else {
-      error = "unknown config key '" + key + "'";
-      ok = false;
-    }
-    if (!ok) {
-      error = "config." + key + ": " + error;
-      return false;
-    }
-  }
-  return true;
-}
 
 bool spec_from_json(const JsonValue& doc, ExperimentSpec& out,
                     std::string& error) {
@@ -583,237 +573,63 @@ bool spec_from_json(const JsonValue& doc, ExperimentSpec& out,
   spec.burst.packets_per_node = 400;
   spec.burst.max_cycles = 20'000'000;
 
-  if (const JsonValue* v = doc.find("kind")) {
-    if (!v->is_string() || !parse_run_kind(v->as_string(), spec.kind)) {
-      error = "kind must be \"steady\", \"transient\" or \"burst\"";
-      return false;
-    }
-  }
-  if (const JsonValue* v = doc.find("name")) {
-    if (!v->is_string()) {
-      error = "name must be a string";
-      return false;
-    }
-    spec.name = v->as_string();
-  }
-  if (const JsonValue* v = doc.find("title")) {
-    if (!v->is_string()) {
-      error = "title must be a string";
-      return false;
-    }
-    spec.title = v->as_string();
-  }
-  if (const JsonValue* v = doc.find("h")) {
-    if (!get_u32(*v, "h", spec.h, error)) return false;
-  }
-  if (const JsonValue* v = doc.find("seeds")) {
-    if (!v->is_array() || v->items().empty()) {
-      error = "seeds must be a non-empty array of integers";
-      return false;
-    }
-    spec.seeds.clear();
-    for (const auto& s : v->items()) {
-      u64 seed = 0;
-      if (!get_u64(s, "seeds entry", seed, error)) return false;
-      spec.seeds.push_back(seed);
-    }
-  } else if (const JsonValue* v2 = doc.find("seed")) {
-    u64 seed = 0;
-    if (!get_u64(*v2, "seed", seed, error)) return false;
-    spec.seeds = {seed};
-  }
-
-  SimConfig base;
-  base.h = spec.h;
-  if (const JsonValue* v = doc.find("config")) {
-    if (!apply_config_json(*v, base, {}, error)) return false;
-  }
-
-  const JsonValue* mechs = doc.find("mechanisms");
-  if (mechs == nullptr || !mechs->is_array() || mechs->items().empty()) {
-    error = "spec needs a non-empty \"mechanisms\" array";
+  SpecReader r(spec);
+  // The kind decides which members the document may hold, so it is read
+  // first; the declared "kind" member then reads it again, to no effect.
+  const JsonValue* kind = doc.find("kind");
+  if (kind != nullptr && !r.read(*kind, "kind", spec.kind)) {
+    error = r.error;
     return false;
   }
-  for (const auto& m : mechs->items()) {
-    if (!m.is_object()) {
-      error = "mechanisms entries must be objects";
-      return false;
-    }
-    MechanismEntry entry;
-    entry.cfg = base;
-    const JsonValue* routing = m.find("routing");
-    if (routing == nullptr || !routing->is_string() ||
-        !parse_routing_kind(routing->as_string(), entry.cfg.routing)) {
-      error = "each mechanism needs a valid \"routing\" string";
-      return false;
-    }
-    // The paper's default evaluation setup: VC-ordered mechanisms get no
-    // escape ring, OFAR variants get the physical ring. An explicit "ring"
-    // member below overrides this.
-    entry.cfg.ring =
-        entry.cfg.vc_ordered() ? RingKind::kNone : RingKind::kPhysical;
-    if (!apply_config_json(m, entry.cfg, {"label", "routing"}, error))
-      return false;
-    entry.label = to_string(entry.cfg.routing);
-    if (const JsonValue* label = m.find("label")) {
-      if (!label->is_string()) {
-        error = "mechanism label must be a string";
-        return false;
-      }
-      entry.label = label->as_string();
-    }
-    spec.mechanisms.push_back(std::move(entry));
-  }
-
-  switch (spec.kind) {
-    case RunKind::kSteady: {
-      const JsonValue* pats = doc.find("patterns");
-      if (pats != nullptr) {
-        if (!pats->is_array() || pats->items().empty()) {
-          error = "patterns must be a non-empty array";
-          return false;
-        }
-        for (const auto& p : pats->items()) {
-          NamedPattern np;
-          if (!pattern_from_json(p, spec.h, np, error)) return false;
-          spec.patterns.push_back(std::move(np));
-        }
-      } else if (const JsonValue* pat = doc.find("pattern")) {
-        NamedPattern np;
-        if (!pattern_from_json(*pat, spec.h, np, error)) return false;
-        spec.patterns.push_back(std::move(np));
-      } else {
-        error = "steady spec needs \"pattern\" or \"patterns\"";
-        return false;
-      }
-      const JsonValue* loads = doc.find("loads");
-      if (loads == nullptr) {
-        error = "steady spec needs \"loads\" (array or {min,max,points})";
-        return false;
-      }
-      if (loads->is_array()) {
-        for (const auto& l : loads->items()) {
-          double v = 0;
-          if (!get_double(l, "loads entry", v, error)) return false;
-          spec.loads.push_back(v);
-        }
-      } else if (loads->is_object()) {
-        double lo = 0, hi = 0;
-        u32 points = 0;
-        const JsonValue* pmin = loads->find("min");
-        const JsonValue* pmax = loads->find("max");
-        const JsonValue* ppoints = loads->find("points");
-        if (pmin == nullptr || pmax == nullptr || ppoints == nullptr ||
-            !get_double(*pmin, "loads.min", lo, error) ||
-            !get_double(*pmax, "loads.max", hi, error) ||
-            !get_u32(*ppoints, "loads.points", points, error)) {
-          if (error.empty()) error = "loads object needs min, max and points";
-          return false;
-        }
-        spec.loads = expand_load_grid(lo, hi, points);
-      } else {
-        error = "loads must be an array or a {min,max,points} object";
-        return false;
-      }
-      if (const JsonValue* v = doc.find("warmup")) {
-        u64 w = 0;
-        if (!get_u64(*v, "warmup", w, error)) return false;
-        spec.run.warmup = w;
-      }
-      if (const JsonValue* v = doc.find("measure")) {
-        u64 w = 0;
-        if (!get_u64(*v, "measure", w, error)) return false;
-        spec.run.measure = w;
-      }
-      break;
-    }
-    case RunKind::kTransient: {
-      const JsonValue* trans = doc.find("transitions");
-      if (trans == nullptr || !trans->is_array() || trans->items().empty()) {
-        error = "transient spec needs a non-empty \"transitions\" array";
-        return false;
-      }
-      for (const auto& t : trans->items()) {
-        if (!t.is_object()) {
-          error = "transitions entries must be objects";
-          return false;
-        }
-        TransitionSpec tr;
-        const JsonValue* a = t.find("a");
-        const JsonValue* b = t.find("b");
-        if (a == nullptr || b == nullptr ||
-            !pattern_from_json(*a, spec.h, tr.a, error) ||
-            !pattern_from_json(*b, spec.h, tr.b, error)) {
-          if (error.empty()) error = "each transition needs \"a\" and \"b\"";
-          return false;
-        }
-        if (const JsonValue* load = t.find("load")) {
-          if (!get_double(*load, "transition load", tr.load_a, error))
-            return false;
-          tr.load_b = tr.load_a;
-        }
-        if (const JsonValue* load = t.find("load_a")) {
-          if (!get_double(*load, "load_a", tr.load_a, error)) return false;
-        }
-        if (const JsonValue* load = t.find("load_b")) {
-          if (!get_double(*load, "load_b", tr.load_b, error)) return false;
-        }
-        tr.name = tr.a.name + "->" + tr.b.name;
-        if (const JsonValue* name = t.find("name")) {
-          if (!name->is_string()) {
-            error = "transition name must be a string";
-            return false;
-          }
-          tr.name = name->as_string();
-        }
-        spec.transitions.push_back(std::move(tr));
-      }
-      struct Knob {
-        const char* key;
-        Cycle* target;
-      };
-      const Knob knobs[] = {{"switch_at", &spec.transient.warmup},
-                            {"horizon", &spec.transient.horizon},
-                            {"lead", &spec.transient.lead},
-                            {"drain", &spec.transient.drain}};
-      for (const auto& k : knobs) {
-        if (const JsonValue* v = doc.find(k.key)) {
-          if (!get_u64(*v, k.key, *k.target, error)) return false;
-        }
-      }
-      if (const JsonValue* v = doc.find("bucket")) {
-        if (!get_u32(*v, "bucket", spec.transient.bucket, error)) return false;
-      }
-      break;
-    }
-    case RunKind::kBurst: {
-      const JsonValue* wls = doc.find("workloads");
-      if (wls == nullptr || !wls->is_array() || wls->items().empty()) {
-        error = "burst spec needs a non-empty \"workloads\" array";
-        return false;
-      }
-      for (const auto& w : wls->items()) {
-        NamedPattern np;
-        if (!pattern_from_json(w, spec.h, np, error)) return false;
-        spec.workloads.push_back(std::move(np));
-      }
-      if (const JsonValue* v = doc.find("packets")) {
-        if (!get_u32(*v, "packets", spec.burst.packets_per_node, error))
-          return false;
-      }
-      if (const JsonValue* v = doc.find("max_cycles")) {
-        if (!get_u64(*v, "max_cycles", spec.burst.max_cycles, error))
-          return false;
-      }
-      break;
-    }
-  }
-
-  const std::string err = spec.validate();
-  if (!err.empty()) {
-    error = err;
+  // Declaration order is read order: "h" before the patterns that name
+  // ADV+h, "config" before the mechanisms built on it, and the plural
+  // "seeds" and "patterns" after (so over) their singular forms.
+  Members members{
+      r.member("kind", spec.kind), r.member("name", spec.name),
+      r.member("title", spec.title), r.member("h", spec.h),
+      {"seed",
+       [&](const JsonValue& v, const std::string& at) {
+         spec.seeds.resize(1);
+         return r.read(v, at, spec.seeds[0]);
+       }},
+      r.member("seeds", spec.seeds),
+      {"config",
+       [&](const JsonValue& v, const std::string& at) {
+         return r.object(v, at, "config", r.fields(r.base));
+       }},
+      r.member("mechanisms", spec.mechanisms, true)};
+  const Members per_kind[] = {  // indexed by RunKind
+      {{"pattern",
+        [&](const JsonValue& v, const std::string& at) {
+          return r.read(v, at, spec.patterns.emplace_back());
+        }},
+       r.member("patterns", spec.patterns),
+       {"loads",
+        [&](const JsonValue& v, const std::string& at) {
+          return r.loads(v, at);
+        },
+        true},
+       r.member("warmup", spec.run.warmup),
+       r.member("measure", spec.run.measure)},
+      {r.member("transitions", spec.transitions, true),
+       r.member("switch_at", spec.transient.warmup),
+       r.member("horizon", spec.transient.horizon),
+       r.member("lead", spec.transient.lead),
+       r.member("drain", spec.transient.drain),
+       r.member("bucket", spec.transient.bucket)},
+      {r.member("workloads", spec.workloads, true),
+       r.member("packets", spec.burst.packets_per_node),
+       r.member("max_cycles", spec.burst.max_cycles)}};
+  const Members& own = per_kind[static_cast<std::size_t>(spec.kind)];
+  members.insert(members.end(), own.begin(), own.end());
+  if (!r.object(doc, "", std::string(to_string(spec.kind)) + " spec",
+                members)) {
+    error = r.error;
     return false;
   }
+
+  error = spec.validate();
+  if (!error.empty()) return false;
   out = std::move(spec);
   return true;
 }

@@ -11,12 +11,16 @@
 //
 // Every RunPoint has a *canonical cache key*: a digest over a canonical
 // text rendering of (schema version, protocol, full SimConfig, pattern
-// components, protocol parameters, seed). Telemetry and audit knobs are
-// deliberately excluded — both are read-only instrumentation and results
-// are bit-identical with them on or off. The key is what the orchestrator's
-// result cache and resume journal are addressed by, so it must be stable
-// across processes and platforms: doubles are rendered with
-// std::to_chars shortest-round-trip form and the hash is a fixed FNV-1a.
+// components, protocol parameters, seed). The SimConfig part renders every
+// field visit_fields (common/config.hpp) declares, in its order: the same
+// list the JSON loader reads config members from and the checkpoint
+// signature renders, so no field can reach one and miss another. Telemetry
+// and audit knobs are deliberately excluded — both are read-only
+// instrumentation and results are bit-identical with them on or off. The
+// key is what the orchestrator's result cache and resume journal are
+// addressed by, so it must be stable across processes and platforms:
+// doubles are rendered with std::to_chars shortest-round-trip form and the
+// hash is a fixed FNV-1a.
 //
 // Bump kSpecSchemaVersion whenever the meaning of a config field, a
 // pattern, or a result struct changes — every cached result is invalidated
@@ -158,21 +162,14 @@ void append_double(std::string& out, double v);
 
 // ---- JSON spec loading ----
 
-/// Parses a pattern from its JSON form: a name string ("UN", "uniform",
-/// "ADV+2", "adversarial:3", "ADV+h" — `h` substituted — or "stencil2d")
-/// or a mix object {"mix":[{"kind":"uniform","weight":0.8}, ...]}.
-bool pattern_from_json(const JsonValue& v, u32 h, NamedPattern& out,
-                       std::string& error);
-
-/// Applies config-override members of a JSON object onto `cfg` (routing,
-/// ring, vcs_*, thresholds, throttle, ...). Unknown keys are an error so
-/// spec typos fail loudly. Keys in `skip` are ignored.
-bool apply_config_json(const JsonValue& obj, SimConfig& cfg,
-                       const std::vector<std::string>& skip,
-                       std::string& error);
-
-/// Builds a spec from a parsed JSON document. On failure returns false and
-/// fills `error` with a spec-path-qualified message.
+/// Builds a spec from a parsed JSON document. Every object in it (the
+/// document, "config", each mechanism, "thresholds", a load grid, a mix
+/// pattern and its entries, each transition) may hold only the members
+/// its kind declares: an unknown one, a member of another spec kind
+/// included, is an error naming it. SimConfig members are the fields
+/// visit_fields (common/config.hpp) declares. On failure returns false and
+/// fills `error` with a message qualified by the value's path
+/// ("mechanisms[1]: unknown config key 'vcs_locl'").
 bool spec_from_json(const JsonValue& doc, ExperimentSpec& out,
                     std::string& error);
 

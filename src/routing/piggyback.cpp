@@ -39,30 +39,19 @@ void PiggybackPolicy::tick(Network& net) {
   }
 }
 
-void PiggybackPolicy::save_state(CkptWriter& w) const {
-  ValiantPolicy::save_state(w);
-  w.put_bool(initialised_);
-  w.put_u32(h_);
-  w.put_u64(last_broadcast_);
-  w.put_u64(current_.size());
-  w.put_pod_span(current_.data(), current_.size());
-  w.put_pod_span(visible_.data(), visible_.size());
-}
-
-void PiggybackPolicy::load_state(CkptReader& r) {
-  ValiantPolicy::load_state(r);
-  initialised_ = r.get_bool();
-  h_ = r.get_u32();
-  last_broadcast_ = r.get_u64();
-  const u64 n = r.get_u64();
-  if (!r.ok() || n > (u64{1} << 32)) {
-    r.fail();
+void PiggybackPolicy::io(CkptArchive& ar, const Network& net) {
+  ValiantPolicy::io(ar, net);
+  u64 flags = current_.size();
+  ar.io(initialised_, last_broadcast_, flags);
+  // The first tick sizes both tables to one flag per global port.
+  h_ = initialised_ ? net.topo().h() : 0;
+  if (!ar.check(flags == u64{net.topo().routers()} * h_,
+                "corrupt Piggyback state"))
     return;
-  }
-  current_.assign(n, 0);
-  visible_.assign(n, 0);
-  r.get_pod_span(current_.data(), current_.size());
-  r.get_pod_span(visible_.data(), visible_.size());
+  current_.resize(flags);
+  visible_.resize(flags);
+  ar.fixed(current_);
+  ar.fixed(visible_);
 }
 
 void PiggybackPolicy::on_inject(Network& net, Packet& pkt, RouterId at) {

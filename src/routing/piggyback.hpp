@@ -26,8 +26,7 @@ class PiggybackPolicy final : public ValiantPolicy {
 
   void on_inject(Network& net, Packet& pkt, RouterId at) override;
   void tick(Network& net) override;
-  void save_state(CkptWriter& w) const override;
-  void load_state(CkptReader& r) override;
+  void io(CkptArchive& ar, const Network& net) override;
 
   /// Visible (broadcast) saturation flag of router r's global port index j.
   bool saturated(RouterId r, u32 global_index) const {

@@ -30,8 +30,7 @@ const char* to_string(RouteCondition c) noexcept {
 void RoutingPolicy::on_inject(Network&, Packet&, RouterId) {}
 void RoutingPolicy::bind_lanes(u32) {}
 void RoutingPolicy::tick(Network&) {}
-void RoutingPolicy::save_state(CkptWriter&) const {}
-void RoutingPolicy::load_state(CkptReader&) {}
+void RoutingPolicy::io(CkptArchive&, const Network&) {}
 
 PortId min_port_to_router(const Network& net, RouterId cur, RouterId dst) {
   return net.topo().min_next_port(cur, dst);

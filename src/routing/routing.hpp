@@ -22,8 +22,7 @@ namespace ofar {
 
 class Network;
 class CreditView;
-class CkptWriter;
-class CkptReader;
+class CkptArchive;
 
 enum class MisrouteKind : u8 { kNone, kLocal, kGlobal };
 
@@ -155,12 +154,12 @@ class RoutingPolicy {
   /// called serially, between event delivery and the transfer phase.
   OFAR_SERIAL_ONLY virtual void tick(Network& net);
 
-  /// Checkpoint hooks (core/checkpoint.hpp): serialize the policy's mutable
-  /// state — RNG streams, broadcast tables — so a restored run replays the
-  /// exact draw sequence. load_state must consume exactly what save_state
-  /// produced; the defaults write/read nothing (stateless policies).
-  OFAR_SERIAL_ONLY virtual void save_state(CkptWriter& w) const;
-  OFAR_SERIAL_ONLY virtual void load_state(CkptReader& r);
+  /// Checkpoint hook (core/checkpoint.hpp): passes the policy's mutable
+  /// state (RNG streams, broadcast tables) through `ar`, which saves or
+  /// restores it, so a restored run replays the exact draw sequence. State
+  /// whose size `net` fixes is checked against it. The default has no
+  /// state (stateless policies).
+  OFAR_SERIAL_ONLY virtual void io(CkptArchive& ar, const Network& net);
 };
 
 /// Builds the policy selected by cfg.routing (OFAR variants live in

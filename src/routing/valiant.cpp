@@ -19,20 +19,12 @@ void ValiantPolicy::bind_lanes(u32 lanes) {
     lane_rngs_.emplace_back(seed_ ^ (0x9E3779B97F4A7C15ULL * l));
 }
 
-void ValiantPolicy::save_state(CkptWriter& w) const {
-  w.put_rng(rng_);
-  w.put_u32(static_cast<u32>(lane_rngs_.size()));
-  for (const Rng& r : lane_rngs_) w.put_rng(r);
-}
-
-void ValiantPolicy::load_state(CkptReader& r) {
-  r.get_rng(rng_);
-  const u32 n = r.get_u32();
-  if (n != lane_rngs_.size()) {  // lane layout is fixed by bind_lanes
-    r.fail();
-    return;
-  }
-  for (Rng& lane : lane_rngs_) r.get_rng(lane);
+void ValiantPolicy::io(CkptArchive& ar, const Network&) {
+  u32 lanes = static_cast<u32>(lane_rngs_.size());
+  ar.io(rng_, lanes);
+  // The lane layout is fixed by bind_lanes.
+  if (ar.check(lanes == lane_rngs_.size(), "policy lane count mismatch"))
+    for (Rng& lane : lane_rngs_) ar.io(lane);
 }
 
 void ValiantPolicy::assign_intermediate(Network& net, Packet& pkt,

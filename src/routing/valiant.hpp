@@ -25,8 +25,7 @@ class ValiantPolicy : public RoutingPolicy {
   void on_inject(Network& net, Packet& pkt, RouterId at) override;
   RouteChoice route(RouteContext& ctx) override;
   void bind_lanes(u32 lanes) override;
-  void save_state(CkptWriter& w) const override;
-  void load_state(CkptReader& r) override;
+  void io(CkptArchive& ar, const Network& net) override;
 
  protected:
   /// Assigns pkt's Valiant intermediate (group or router); used by the

@@ -1,5 +1,7 @@
 #include "traffic/generator.hpp"
 
+#include <numeric>
+
 #include "common/check.hpp"
 #include "common/ckpt_stream.hpp"
 #include "sim/network.hpp"
@@ -128,32 +130,27 @@ void BurstSource::tick(Network& net) {
   }
 }
 
-void TrafficSource::save_state(CkptWriter&) const {}
-void TrafficSource::load_state(CkptReader&) {}
+void TrafficSource::io(CkptArchive&, const Network&) {}
 
-void BernoulliSource::save_state(CkptWriter& w) const { w.put_rng(rng_); }
-void BernoulliSource::load_state(CkptReader& r) { r.get_rng(rng_); }
+void BernoulliSource::io(CkptArchive& ar, const Network&) { ar.io(rng_); }
 
-void PhasedSource::save_state(CkptWriter& w) const { w.put_rng(rng_); }
-void PhasedSource::load_state(CkptReader& r) { r.get_rng(rng_); }
+void PhasedSource::io(CkptArchive& ar, const Network&) { ar.io(rng_); }
 
-void BurstSource::save_state(CkptWriter& w) const {
-  w.put_rng(rng_);
-  w.put_u64(remaining_total_);
-  w.put_u64(remaining_.size());
-  w.put_pod_span(remaining_.data(), remaining_.size());
-}
-
-void BurstSource::load_state(CkptReader& r) {
-  r.get_rng(rng_);
-  remaining_total_ = r.get_u64();
-  const u64 n = r.get_u64();
-  if (!r.ok() || n > (u64{1} << 32)) {
-    r.fail();
+void BurstSource::io(CkptArchive& ar, const Network& net) {
+  u64 budgets = remaining_.size();
+  ar.io(rng_, remaining_total_, budgets);
+  // The first tick gives every node its budget; before it there are none
+  // and remaining_total_ holds its nonzero placeholder.
+  const bool started = budgets != 0;
+  if (!ar.check(budgets == (started ? net.topo().nodes() : 0),
+                "corrupt burst budgets"))
     return;
-  }
-  remaining_.assign(n, 0);
-  r.get_pod_span(remaining_.data(), remaining_.size());
+  remaining_.resize(budgets);
+  ar.fixed(remaining_);
+  const u64 left =
+      std::accumulate(remaining_.begin(), remaining_.end(), u64{0});
+  ar.check(started ? left == remaining_total_ : remaining_total_ == 1,
+           "corrupt burst budgets");
 }
 
 }  // namespace ofar

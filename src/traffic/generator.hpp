@@ -18,8 +18,7 @@
 namespace ofar {
 
 class Network;
-class CkptWriter;
-class CkptReader;
+class CkptArchive;
 
 class TrafficSource {
  public:
@@ -29,12 +28,12 @@ class TrafficSource {
   /// True when the source will never generate again (burst exhausted).
   virtual bool finished() const { return false; }
 
-  /// Checkpoint hooks (core/checkpoint.hpp): serialize the source's mutable
-  /// state (RNG stream, burst budgets) so a restored run generates the
-  /// exact same offer sequence. load_state must consume exactly what
-  /// save_state produced; the defaults write/read nothing.
-  virtual void save_state(CkptWriter& w) const;
-  virtual void load_state(CkptReader& r);
+  /// Checkpoint hook (core/checkpoint.hpp): passes the source's mutable
+  /// state (RNG stream, burst budgets) through `ar`, which saves or
+  /// restores it, so a restored run generates the exact same offer
+  /// sequence. State whose size `net` fixes is checked against it. The
+  /// default has no state.
+  virtual void io(CkptArchive& ar, const Network& net);
 };
 
 class BernoulliSource : public TrafficSource {
@@ -42,8 +41,7 @@ class BernoulliSource : public TrafficSource {
   BernoulliSource(TrafficPattern pattern, double load_phits, u64 seed);
   void tick(Network& net) override;
 
-  void save_state(CkptWriter& w) const override;
-  void load_state(CkptReader& r) override;
+  void io(CkptArchive& ar, const Network& net) override;
 
  private:
   TrafficPattern pattern_;
@@ -63,8 +61,7 @@ class PhasedSource : public TrafficSource {
 
   PhasedSource(std::vector<Phase> phases, u64 seed);
   void tick(Network& net) override;
-  void save_state(CkptWriter& w) const override;
-  void load_state(CkptReader& r) override;
+  void io(CkptArchive& ar, const Network& net) override;
 
  private:
   std::vector<Phase> phases_;
@@ -79,8 +76,7 @@ class BurstSource : public TrafficSource {
 
   u64 remaining_total() const { return remaining_total_; }
 
-  void save_state(CkptWriter& w) const override;
-  void load_state(CkptReader& r) override;
+  void io(CkptArchive& ar, const Network& net) override;
 
  private:
   TrafficPattern pattern_;

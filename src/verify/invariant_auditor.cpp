@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <vector>
 
 #include "sim/flat_state.hpp"
 #include "sim/network.hpp"
@@ -279,6 +280,12 @@ void InvariantAuditor::check_packet_conservation(AuditReport& rep) const {
 // active_out_mask names exactly the busy outputs, each wired and streaming
 // a live packet on an existing downstream VC from the head of an existing
 // input VC, whose sent count matches; head_busy flags exactly those heads.
+//
+// The phits of a packet on a channel's wire are the last ones its sender
+// sent (all of them once the output moved on), in delivery order, so the
+// head flag marks exactly phit 0 and the tail flag phit size−1. Downstream
+// of a router channel, the phits before them are the newest entry of the
+// VC's FIFO, which each arriving non-head phit extends.
 void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
   ++rep.checks_run;
   const Cycle now = net_.now_;
@@ -359,6 +366,74 @@ void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
                    "head — a head must be granted exactly once",
                    r.id, static_cast<u32>(p), static_cast<u32>(v),
                    static_cast<u32>(r.inputs[p].head_busy[v]), n));
+      }
+    }
+  }
+
+  // Restore checks that every event's channel is wired, its VC below the
+  // channel's, its packet live and its sender built. A counting sort
+  // groups the wire by channel, keeping delivery order within each.
+  const std::size_t num_ch = net_.num_channels();
+  const u32 wheel = net_.wheel_size_;
+  const std::size_t k = net_.shards_.size();
+  const auto each_in_delivery_order = [&](const auto& visit) {
+    for (u32 d = 0; d < wheel; ++d) {
+      const std::size_t first = ((now + d) % wheel) * k;
+      for (const Network::ShardState& sh : net_.shards_)
+        for (std::size_t b = first; b < first + k; ++b)
+          for (const Network::PhitEvent& e : sh.phit_wheel[b]) visit(e);
+    }
+  };
+  std::vector<u32> begin(num_ch + 1, 0);
+  each_in_delivery_order(
+      [&](const Network::PhitEvent& e) { ++begin[e.ch + 1]; });
+  for (std::size_t c = 0; c < num_ch; ++c) begin[c + 1] += begin[c];
+  std::vector<const Network::PhitEvent*> wire(begin[num_ch]);
+  std::vector<u32> next(begin.begin(), begin.end() - 1);
+  each_in_delivery_order(
+      [&](const Network::PhitEvent& e) { wire[next[e.ch]++] = &e; });
+
+  // Each packet's phits on one channel form one run: its sender streams
+  // it whole before the next.
+  std::vector<ChannelId> run_on(net_.pool_.slots_.size(), kInvalidChannel);
+  for (ChannelId c = 0; c < num_ch; ++c) {
+    for (u32 i = begin[c], end = i; i < begin[c + 1]; i = end) {
+      const PacketId id = wire[i]->pkt;
+      while (end < begin[c + 1] && wire[end]->pkt == id) ++end;
+      const Channel ch = net_.channel(c);
+      const OutputPort& out =
+          net_.routers_[ch.src_router].outputs[ch.src_port];
+      const Packet& pkt = net_.pool_.get(id);
+      const u32 sent = out.busy() && out.active == id
+                           ? pkt.size - out.phits_left
+                           : pkt.size;
+      const u32 count = end - i;
+      bool ok = count <= sent && run_on[id] != c;
+      run_on[id] = c;
+      for (u32 j = i; ok && j < end; ++j) {
+        const u32 phit = sent - count + (j - i);
+        ok = (wire[j]->head != 0) == (phit == 0) &&
+             (wire[j]->tail != 0) == (phit + 1 == pkt.size);
+      }
+      const u32 landed = ok ? sent - count : 0;
+      if (landed > 0 && !ch.is_ejection()) {
+        const VcFifo* fifo =
+            net_.router_built(ch.dst_router)
+                ? &net_.routers_[ch.dst_router]
+                       .inputs[ch.dst_port]
+                       .vcs[wire[i]->vc]
+                : nullptr;
+        ok = fifo != nullptr && !fifo->empty() &&
+             fifo->entry(fifo->num_packets() - 1).packet == id &&
+             fifo->entry(fifo->num_packets() - 1).arrived == landed;
+      }
+      if (!ok) {
+        add(rep, Invariant::kVctAtomicity,
+            format("channel %u carries %u phits of packet %u (of %u phits, "
+                   "%u sent) that are not its last sent in order, with "
+                   "head/tail flags on phits 0/size-1 and the ones before "
+                   "them its FIFO's newest entry",
+                   c, count, id, static_cast<u32>(pkt.size), sent));
       }
     }
   }

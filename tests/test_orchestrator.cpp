@@ -142,12 +142,14 @@ TEST(Orchestrator, CorruptJournalLinesAreSkippedNotFatal) {
   const RunReport cold = run_points(points, opts);
   ASSERT_TRUE(cold.complete());
 
-  // Vandalise the journal: garbage text, a wrong-version line, and a
-  // truncated final line (the tail a crash mid-append would leave).
+  // Vandalise the journal: garbage text, nesting past the parser's depth
+  // limit, a wrong-version line, and a truncated final line (the tail a
+  // crash mid-append would leave).
   const std::string journal = dir.path + "/journal.jsonl";
   {
     std::ofstream f(journal, std::ios::app);
     f << "this is not json\n";
+    f << std::string(1'000'000, '[') << "\n";
     f << "{\"v\":999,\"key\":\"00000000000000000000000000000000\","
          "\"kind\":\"steady\",\"result\":{}}\n";
     f << "{\"v\":1,\"key\":\"11112222";  // no newline: in-flight write

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/ckpt_stream.hpp"
 #include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
 #include "sim/network.hpp"
@@ -423,19 +424,31 @@ SavedRun saved_run(double load = 0.9) {
   return run;
 }
 
+/// Rewrites the checksum that ends a checkpoint file to match the bytes
+/// before it, so a deliberate patch reaches the check it targets instead
+/// of failing the checksum.
+void reseal(std::vector<char>& bytes) {
+  CkptChecksum sum;
+  sum.add(bytes.data(), bytes.size() - sizeof(u64));
+  const u64 value = sum.value();
+  std::memcpy(bytes.data() + bytes.size() - sizeof value, &value,
+              sizeof value);
+}
+
 /// A replacement of the saved file's bytes at `offset`.
 struct Patch {
   std::size_t offset;
   std::string bytes;
 };
 
-/// Restores the saved file with every patch applied into a fresh network;
-/// returns the error, "" on success.
+/// Restores the saved file with every patch applied, and the file
+/// resealed, into a fresh network; returns the error, "" on success.
 std::string restore_patched(const SavedRun& run,
                             const std::vector<Patch>& patches) {
   std::vector<char> bad = run.bytes;
   for (const Patch& p : patches)
     std::memcpy(bad.data() + p.offset, p.bytes.data(), p.bytes.size());
+  reseal(bad);
   const std::string path = ckpt_path(test_tag("bad").c_str());
   write_bytes(path, bad);
   Network net(run.cfg);
@@ -447,7 +460,8 @@ std::string restore_patched(const SavedRun& run,
 }
 
 /// Restores the saved file with `size` bytes at `offset` replaced by
-/// `value` into a fresh network; returns the error, "" on success.
+/// `value`, resealed, into a fresh network; returns the error, "" on
+/// success.
 std::string restore_patched(const SavedRun& run, std::size_t offset,
                             const void* value, std::size_t size) {
   return restore_patched(
@@ -918,8 +932,8 @@ TEST(CheckpointRestart, RejectsTransferVcPastItsChannel) {
 }
 
 /// File offsets of the packet pool's records. The pool follows the magic,
-/// the config signature (u64 length + bytes), the cycle, four RNG words
-/// and three lifetime totals.
+/// the u32 format version, the config signature (u64 length + bytes), the
+/// cycle, four RNG words and three lifetime totals.
 struct PoolAt {
   u64 slots = 0;
   std::size_t packets = 0;    ///< slot 0's Packet
@@ -934,7 +948,7 @@ PoolAt find_pool(const SavedRun& run) {
     std::memcpy(&v, run.bytes.data() + at, sizeof v);
     return v;
   };
-  const std::size_t pool = 16 + u64_at(8) + 8 + 4 * 8 + 3 * 8;
+  const std::size_t pool = 20 + u64_at(12) + 8 + 4 * 8 + 3 * 8;
   PoolAt at;
   at.slots = u64_at(pool);
   at.packets = pool + 8;
@@ -1041,6 +1055,7 @@ TEST(CheckpointRestart, RejectedCheckpointRestartsThePoint) {
   const RouterId no_router = net.topo().routers();
   std::memcpy(bad_worklist.data() + tail_at + tail.size() + 4 + 8,
               &no_router, sizeof no_router);
+  reseal(bad_worklist);
 
   for (const std::vector<char>* bytes : {&truncated, &bad_worklist}) {
     write_bytes(params.checkpoint_path, *bytes);
@@ -1089,9 +1104,10 @@ TEST(CheckpointRestart, RejectsOfferToItsOwnSourceOrNoNode) {
             "corrupt offer destination");
 }
 
-TEST(CheckpointRestart, SeriesResumesAndRejectsNonzeroRetiredSlot) {
-  // A transient run's latency series rides in the checkpoint. The u64
-  // after its bucket width is a retired slot that must read back as 0.
+TEST(CheckpointRestart, SeriesResumesAndRejectsAnotherShape) {
+  // A transient run's latency series rides in the checkpoint, stored with
+  // its shape (start, bucket width, bucket count), which must be the shape
+  // of the series the restoring protocol installed.
   const std::string path = ckpt_path(test_tag("series").c_str());
   const SimConfig cfg = scale_config(RoutingKind::kOfar);
   const auto fresh = [&cfg] {
@@ -1116,14 +1132,188 @@ TEST(CheckpointRestart, SeriesResumesAndRejectsNonzeroRetiredSlot) {
     EXPECT_EQ(got.bucket(i).count, want.bucket(i).count);
   }
 
-  std::vector<char> bytes = read_bytes(path);
+  // A bucket width of 0 used to be restored and then divide by zero in
+  // the next record().
+  const std::vector<char> saved = read_bytes(path);
   const std::size_t at =
-      find_unique(bytes, bytes_of(u64{64}, u32{100}, u64{0}, u64{8}));
+      find_unique(saved, bytes_of(u64{64}, u32{100}, u64{8}));
   ASSERT_NE(at, std::string::npos);
-  bytes[at + 12] = 1;
-  write_bytes(path, bytes);
-  EXPECT_FALSE(CheckpointIO::restore(*fresh(), path, &err));
-  EXPECT_EQ(err, "corrupt stats");
+  for (const std::string& shape :
+       {bytes_of(u64{65}, u32{100}, u64{8}), bytes_of(u64{64}, u32{0}, u64{8}),
+        bytes_of(u64{64}, u32{100}, u64{9})}) {
+    std::vector<char> bytes = saved;
+    std::memcpy(bytes.data() + at, shape.data(), shape.size());
+    reseal(bytes);
+    write_bytes(path, bytes);
+    EXPECT_FALSE(CheckpointIO::restore(*fresh(), path, &err));
+    EXPECT_EQ(err, "series shape differs from the installed series");
+  }
+  std::remove(path.c_str());
+}
+
+/// A small checkpoint: h=1 OFAR under uniform traffic at 0.1, saved at
+/// cycle 200, and a restore of (a variant of) it into a fresh network.
+struct SmallRun {
+  SimConfig cfg;
+  std::vector<char> bytes;
+
+  SmallRun() {
+    cfg.h = 1;
+    cfg.seed = 7;
+    cfg.routing = RoutingKind::kOfar;
+    cfg.ring = RingKind::kPhysical;
+    Network net(cfg);
+    net.set_traffic(traffic());
+    net.run(200);
+    const std::string path = ckpt_path(test_tag("small").c_str());
+    EXPECT_TRUE(CheckpointIO::save(net, path));
+    bytes = read_bytes(path);
+    std::remove(path.c_str());
+  }
+  std::unique_ptr<TrafficSource> traffic() const {
+    return std::make_unique<BernoulliSource>(TrafficPattern::uniform(), 0.1,
+                                             cfg.seed);
+  }
+  /// Restores `file`; returns the error, "" on success.
+  std::string restore(const std::vector<char>& file) const {
+    const std::string path = ckpt_path(test_tag("small_bad").c_str());
+    write_bytes(path, file);
+    Network net(cfg);
+    net.set_traffic(traffic());
+    std::string err;
+    const bool ok = CheckpointIO::restore(net, path, &err);
+    std::remove(path.c_str());
+    return ok ? std::string() : err;
+  }
+};
+
+TEST(CheckpointRestart, RejectsEveryByteFlip) {
+  // Struct padding, counters no invariant constrains and the checksum
+  // itself included: the checksum catches every single-byte change.
+  const SmallRun run;
+  ASSERT_GT(run.bytes.size(), 4000u);
+  ASSERT_EQ(run.restore(run.bytes), "");
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < run.bytes.size(); ++i) {
+    std::vector<char> bad = run.bytes;
+    bad[i] = static_cast<char>(~bad[i]);
+    if (run.restore(bad).empty()) {
+      ++accepted;
+      ADD_FAILURE() << "flipping byte " << i << " of " << run.bytes.size()
+                    << " restored";
+    }
+    if (accepted > 5) break;
+  }
+  // Appended or dropped bytes fail too.
+  std::vector<char> longer = run.bytes;
+  longer.push_back(0);
+  EXPECT_EQ(run.restore(longer), "bytes after the checkpoint checksum");
+  std::vector<char> shorter(run.bytes.begin(), run.bytes.end() - 1);
+  EXPECT_EQ(run.restore(shorter), "truncated checkpoint");
+  std::vector<char> flipped = run.bytes;
+  flipped[run.bytes.size() / 2] ^= 1;
+  EXPECT_EQ(run.restore(flipped), "checkpoint checksum mismatch");
+}
+
+TEST(CheckpointRestart, RejectsOtherFormatVersionAndHugeLengths) {
+  const SmallRun run;
+  const auto patched = [&run](std::size_t at, auto value) {
+    std::vector<char> bad = run.bytes;
+    std::memcpy(bad.data() + at, &value, sizeof value);
+    reseal(bad);
+    return run.restore(bad);
+  };
+  EXPECT_EQ(patched(8, u32{2}), "");
+  EXPECT_EQ(patched(8, u32{1}), "unsupported checkpoint format version");
+  // A length prefix is never trusted past the bytes left in the file:
+  // neither the signature's nor the pool's (which once could ask for
+  // 2^40 packets before reading one).
+  EXPECT_EQ(patched(12, u64{1} << 40),
+            "length prefix past the end of the checkpoint");
+  u64 signature = 0;
+  std::memcpy(&signature, run.bytes.data() + 12, sizeof signature);
+  const std::size_t pool = 20 + signature + 8 + 4 * 8 + 3 * 8;
+  EXPECT_EQ(patched(pool, u64{1} << 40),
+            "length prefix past the end of the checkpoint");
+}
+
+TEST(CheckpointRestart, RejectsPiggybackTablesOfAnotherShape) {
+  // PB's saturation tables hold one flag per global port. Tables of
+  // another size (the file once carried their width h, and 64 passed)
+  // overflowed the heap on the next tick.
+  SimConfig cfg = scale_config(RoutingKind::kPb);
+  cfg.h = 2;
+  const auto traffic = [&cfg] { return saturating_traffic(cfg); };
+  Network a(cfg);
+  a.set_traffic(traffic());
+  a.run(100);
+  const std::string path = ckpt_path(test_tag("pb").c_str());
+  ASSERT_TRUE(CheckpointIO::save(a, path));
+  const std::vector<char> saved = read_bytes(path);
+  // The file ends with PB's table length, its two tables, the traffic
+  // flag and RNG, and the checksum.
+  const std::size_t flags = std::size_t{a.topo().routers()} * cfg.h;
+  const std::size_t at = saved.size() - 8 - 32 - 1 - 2 * flags - 8;
+  u64 stored = 0;
+  std::memcpy(&stored, saved.data() + at, sizeof stored);
+  ASSERT_EQ(stored, flags);
+  for (const u64 length : {u64{a.topo().routers()} * 64, u64{flags - 1}}) {
+    std::vector<char> bad = saved;
+    std::memcpy(bad.data() + at, &length, sizeof length);
+    reseal(bad);
+    write_bytes(path, bad);
+    Network b(cfg);
+    b.set_traffic(traffic());
+    std::string err;
+    EXPECT_FALSE(CheckpointIO::restore(b, path, &err));
+    EXPECT_EQ(err, "corrupt Piggyback state");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointRestart, RejectsBurstBudgetsOtherThanOnePerNode) {
+  // One budget for 40 nodes once restored, and the next tick read past it.
+  SimConfig cfg = scale_config(RoutingKind::kOfar);
+  cfg.h = 2;
+  cfg.groups = 5;
+  const auto burst = [&cfg] {
+    return std::make_unique<BurstSource>(TrafficPattern::uniform(), 50,
+                                         cfg.seed);
+  };
+  Network a(cfg);
+  ASSERT_EQ(a.topo().nodes(), 40u);
+  a.set_traffic(burst());
+  a.run(50);
+  const std::string path = ckpt_path(test_tag("burst").c_str());
+  ASSERT_TRUE(CheckpointIO::save(a, path));
+  const std::vector<char> saved = read_bytes(path);
+  const auto restore = [&](const std::vector<char>& bytes) {
+    write_bytes(path, bytes);
+    Network b(cfg);
+    b.set_traffic(burst());
+    std::string err;
+    return CheckpointIO::restore(b, path, &err) ? std::string() : err;
+  };
+  ASSERT_EQ(restore(saved), "");
+  // The file ends with the budget count, 40 budgets and the checksum;
+  // remaining_total_ precedes the count.
+  const std::size_t count_at = saved.size() - 8 - 40 * 4 - 8;
+  u64 count = 0;
+  std::memcpy(&count, saved.data() + count_at, sizeof count);
+  ASSERT_EQ(count, 40u);
+
+  std::vector<char> one_budget(saved.begin(),
+                               saved.begin() + count_at + 8 + 4);
+  const u64 one = 1;
+  std::memcpy(one_budget.data() + count_at, &one, sizeof one);
+  one_budget.resize(one_budget.size() + 8);  // room for the checksum
+  reseal(one_budget);
+  EXPECT_EQ(restore(one_budget), "corrupt burst budgets");
+
+  std::vector<char> off_by_one = saved;
+  ++off_by_one[count_at + 8];  // node 0's budget no longer sums up
+  reseal(off_by_one);
+  EXPECT_EQ(restore(off_by_one), "corrupt burst budgets");
   std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.hpp"
@@ -63,6 +64,27 @@ TEST(Json, RejectsMalformedInputWithPosition) {
   EXPECT_FALSE(json_parse("{} trailing", v, error));
   EXPECT_FALSE(json_parse("", v, error));
   EXPECT_FALSE(json_parse("{\"a\": 1", v, error));
+}
+
+TEST(Json, RejectsNestingDeeperThanTheLimit) {
+  // The parser recurses per level: a million '[' used to overflow the
+  // stack. The limit is an error at the bracket that crosses it.
+  JsonValue v;
+  std::string error;
+  EXPECT_FALSE(json_parse(std::string(1'000'000, '['), v, error));
+  EXPECT_EQ(error, "line 1, column " + std::to_string(kJsonMaxDepth + 1) +
+                       ": nesting deeper than " +
+                       std::to_string(kJsonMaxDepth) + " levels");
+  const auto nested = [](u32 depth) {
+    std::string text;
+    for (u32 i = 0; i < depth; ++i) text += i % 2 == 0 ? "[" : "{\"k\":";
+    text += '0';
+    for (u32 i = depth; i-- > 0;) text += i % 2 == 0 ? "]" : "}";
+    return text;
+  };
+  EXPECT_TRUE(json_parse(nested(kJsonMaxDepth), v, error)) << error;
+  EXPECT_FALSE(json_parse(nested(kJsonMaxDepth + 1), v, error));
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
 }
 
 TEST(Json, DecodesUnicodeEscapes) {
@@ -194,6 +216,63 @@ TEST(Spec, RejectsTyposLoudly) {
       << error;
 }
 
+TEST(Spec, RejectsUnknownKeysAtEveryLevel) {
+  // Each typo below used to be ignored, and the run used the default the
+  // key was meant to override. A member of another spec kind is unknown
+  // too.
+  const std::string steady =
+      R"("kind": "steady", "mechanisms": [{"routing": "OFAR"}], )";
+  const std::string burst =
+      R"("kind": "burst", "mechanisms": [{"routing": "OFAR"}], )";
+  const std::string transient =
+      R"("kind": "transient", "mechanisms": [{"routing": "OFAR"}], )";
+  const struct {
+    std::string body;
+    const char* error;
+  } cases[] = {
+      {steady + R"("patterns": ["UN"], "loads": [0.1], "measrue": 10)",
+       "unknown steady spec key 'measrue'"},
+      {steady + R"("patterns": ["UN"], "loads": [0.1],
+                   "conifg": {"vcs_local": 9})",
+       "unknown steady spec key 'conifg'"},
+      {steady + R"("patterns": ["UN"], "loads": [0.1], "packets": 5)",
+       "unknown steady spec key 'packets'"},
+      {burst + R"("workloads": ["UN"], "packet": 5)",
+       "unknown burst spec key 'packet'"},
+      {steady + R"("patterns": ["UN"],
+                   "loads": {"min": 0.1, "max": 0.5, "ponits": 3})",
+       "loads: unknown load grid key 'ponits'"},
+      {burst + R"("workloads": [{"mix": [{"kind": "uniform",
+                                          "wieght": 0.5}]}])",
+       "workloads[0].mix[0]: unknown mix entry key 'wieght'"},
+      {burst + R"("workloads": [{"mix": [{"kind": "uniform"}],
+                                 "nmae": "M"}])",
+       "workloads[0]: unknown pattern key 'nmae'"},
+      {transient + R"("transitions": [{"a": "UN", "b": "ADV+1",
+                                       "laod": 0.3}])",
+       "transitions[0]: unknown transition key 'laod'"},
+      {steady + R"("patterns": ["UN"], "loads": [0.1],
+                   "config": {"thresholds": {"min_gapp": 0.2}})",
+       "config.thresholds: unknown thresholds key 'min_gapp'"},
+  };
+  for (const auto& c : cases) {
+    ExperimentSpec spec;
+    std::string error;
+    JsonValue doc;
+    ASSERT_TRUE(json_parse("{" + c.body + "}", doc, error)) << c.body;
+    EXPECT_FALSE(spec_from_json(doc, spec, error)) << c.body;
+    EXPECT_NE(error.find(c.error), std::string::npos)
+        << "error \"" << error << "\" lacks \"" << c.error << "\"";
+  }
+  ExperimentSpec spec;
+  std::string error;
+  EXPECT_FALSE(spec_from_json(
+      parse_ok(R"({"patterns": ["UN"], "loads": [0.1],
+                   "mechanisms": [{"routing": "OFAR", "vcs_locl": 3}]})"),
+      spec, error));
+  EXPECT_EQ(error, "mechanisms[0]: unknown config key 'vcs_locl'");
+}
+
 TEST(Spec, LoadsTransientAndBurstSpecs) {
   ExperimentSpec spec;
   std::string error;
@@ -254,22 +333,104 @@ TEST(Spec, PointKeyIsStableAcrossCalls) {
   EXPECT_NE(text.find("routing=OFAR"), std::string::npos) << text;
 }
 
+// ---- a walk over the declared config fields (visit_fields) ----
+
+/// Calls f(json_key, leaf) for every declared field, nested groups
+/// flattened.
+template <typename Fields, typename F>
+void visit_leaves(Fields& fields, F&& f) {
+  visit_fields(fields, [&f](const char* key, const char*, auto& value) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                 MisrouteThresholds>)
+      visit_leaves(value, f);
+    else
+      f(key, value);
+  });
+}
+
+/// Moves a field off its value, keeping the walk's config valid.
+void perturb(u32& v) { ++v; }
+void perturb(i32& v) { v = -v - 1; }  // negative: the sign-extended form
+void perturb(double& v) { v += 0.125; }
+void perturb(bool& v) { v = !v; }
+void perturb(RoutingKind& v) {
+  v = v == RoutingKind::kOfar ? RoutingKind::kOfarL : RoutingKind::kOfar;
+}
+void perturb(RingKind& v) {
+  v = v == RingKind::kPhysical ? RingKind::kEmbedded : RingKind::kPhysical;
+}
+
+std::string json_of(u32 v) { return std::to_string(v); }
+std::string json_of(i32 v) { return std::to_string(v); }
+std::string json_of(double v) {
+  std::string s;
+  append_double(s, v);
+  return s;
+}
+std::string json_of(bool v) { return v ? "true" : "false"; }
+std::string json_of(RoutingKind v) {
+  return std::string("\"") + to_string(v) + "\"";
+}
+std::string json_of(RingKind v) {
+  return std::string("\"") + to_string(v) + "\"";
+}
+std::string json_of(const MisrouteThresholds& t);
+
+/// A JSON object holding every declared field of `fields` that has a key.
+template <typename Fields>
+std::string object_json(const Fields& fields) {
+  std::string out = "{";
+  visit_fields(fields, [&out](const char* key, const char*,
+                              const auto& value) {
+    if (key == nullptr) return;
+    if (out.size() > 1) out += ',';
+    out += std::string("\"") + key + "\":" + json_of(value);
+  });
+  return out + "}";
+}
+std::string json_of(const MisrouteThresholds& t) { return object_json(t); }
+
 TEST(Spec, PointKeyChangesWithEverySemanticField) {
-  const RunPoint p = base_point();
+  RunPoint p = base_point();
+  p.cfg.groups = 5;  // so one more group is still a valid network
   const std::string k = point_key(p);
 
+  // Every declared config field changes the key, and reaches the loader:
+  // a spec naming the perturbed config loads back exactly that config.
+  std::size_t leaves = 0;
+  visit_leaves(p.cfg, [&leaves](const char*, auto&) { ++leaves; });
+  for (std::size_t i = 0; i < leaves; ++i) {
+    RunPoint q = p;
+    std::size_t at = 0;
+    const char* name = "h";
+    visit_leaves(q.cfg, [&](const char* key, auto& value) {
+      if (at++ != i) return;
+      perturb(value);
+      if (key != nullptr) name = key;
+    });
+    SCOPED_TRACE(name);
+    EXPECT_NE(point_key(q), k);
+
+    const std::string text =
+        R"({"kind": "steady", "patterns": ["UN"], "loads": [0.1], "h": )" +
+        std::to_string(q.cfg.h) +
+        R"(, "mechanisms": [)" + object_json(q.cfg) + "]}";
+    ExperimentSpec spec;
+    std::string error;
+    ASSERT_TRUE(spec_from_json(parse_ok(text), spec, error))
+        << error << "\n" << text;
+    SimConfig loaded = spec.mechanisms.at(0).cfg;
+    loaded.seed = q.cfg.seed;
+    EXPECT_EQ(config_signature(loaded), config_signature(q.cfg));
+  }
+
+  // The point's own coordinates.
   RunPoint q = p;
   q.seed = 4;
   q.cfg.seed = 4;
   EXPECT_NE(point_key(q), k);
   q = p;
   q.load = 0.26;
-  EXPECT_NE(point_key(q), k);
-  q = p;
-  q.cfg.vcs_local = q.cfg.vcs_local + 1;
-  EXPECT_NE(point_key(q), k);
-  q = p;
-  q.cfg.thresholds.nonmin_factor = 0.8;
   EXPECT_NE(point_key(q), k);
   q = p;
   q.pattern = TrafficPattern::adversarial(3);
@@ -279,15 +440,6 @@ TEST(Spec, PointKeyChangesWithEverySemanticField) {
   EXPECT_NE(point_key(q), k);
   q = p;
   q.kind = RunKind::kBurst;
-  EXPECT_NE(point_key(q), k);
-  // sim_shards selects a different (still deterministic) kernel universe,
-  // so it is semantic and must miss the cache.
-  q = p;
-  q.cfg.sim_shards = 4;
-  EXPECT_NE(point_key(q), k);
-  // shard_group_major moves routers between shard lanes — semantic too.
-  q = p;
-  q.cfg.shard_group_major = true;
   EXPECT_NE(point_key(q), k);
 }
 
@@ -317,12 +469,97 @@ TEST(Spec, PointKeyIgnoresInstrumentationAndLabels) {
 }
 
 TEST(Spec, ContentDigestIsFixedAlgorithm) {
-  // Pinned value: the digest is part of the on-disk cache format. If this
+  // Pinned values: the digest is part of the on-disk cache format. If one
   // changes, kSpecSchemaVersion must be bumped so stale caches invalidate.
-  EXPECT_EQ(content_digest(""),
-            content_digest(""));  // deterministic
+  EXPECT_EQ(content_digest(""), "cbf29ce48422232555c5e55dfb685f30");
+  EXPECT_EQ(content_digest("ofar"), "4ee025b49439b97bc716b077d45c1266");
   EXPECT_NE(content_digest("a"), content_digest("b"));
-  EXPECT_EQ(content_digest("ofar").size(), 32u);
+}
+
+/// A transient point whose config differs from the defaults in the PB and
+/// UGAL knobs (a negative bias included) and in the VC and FIFO shape.
+RunPoint transient_point() {
+  RunPoint p = base_point();
+  p.kind = RunKind::kTransient;
+  p.cfg.routing = RoutingKind::kPb;
+  p.cfg.ring = RingKind::kNone;
+  p.cfg.ugal_bias_phits = -3;
+  p.cfg.pb_broadcast_delay = 7;
+  p.cfg.pb_saturation_threshold = 0.5;
+  p.cfg.vcs_local = 4;
+  p.cfg.fifo_global = 128;
+  p.pattern = TrafficPattern::uniform();
+  p.load = 0.1;
+  p.pattern_b = TrafficPattern::adversarial(2);
+  p.load_b = 0.2;
+  p.transient.warmup = 1000;
+  p.transient.horizon = 2000;
+  p.transient.lead = 100;
+  p.transient.drain = 300;
+  p.transient.bucket = 50;
+  return p;
+}
+
+/// A burst point on a mixed pattern whose config differs from the
+/// defaults in the thresholds, the throttle and the shard layout.
+RunPoint burst_point() {
+  RunPoint p = base_point();
+  p.kind = RunKind::kBurst;
+  p.cfg.routing = RoutingKind::kOfarL;
+  p.cfg.ring = RingKind::kEmbedded;
+  p.cfg.groups = 5;
+  p.cfg.thresholds.variable = false;
+  p.cfg.thresholds.th_min = 0.25;
+  p.cfg.congestion_throttle = true;
+  p.cfg.throttle_on = 0.7;
+  p.cfg.sim_shards = 4;
+  p.cfg.shard_group_major = true;
+  p.cfg.deadlock_timeout = 5000;
+  p.pattern = TrafficPattern::mix({{PatternKind::kUniform, 0, 0.5},
+                                   {PatternKind::kAdversarial, 1, 0.5}});
+  p.burst.packets_per_node = 25;
+  p.burst.max_cycles = 9999;
+  return p;
+}
+
+TEST(Spec, CanonicalTextsArePinned) {
+  // The canonical texts are the cache's address space: a change to any of
+  // them (tag, order, number format) silently orphans every cached result,
+  // so each one is pinned verbatim together with its key.
+  const RunPoint steady = base_point();
+  EXPECT_EQ(canonical_point(steady),
+            "v3;kind=steady;seed=3;cfg{h=2;groups=0;ps=8;ll=10;gl=100;"
+            "fl=32;fg=256;fi=32;vl=3;vg=2;vi=3;ai=3;routing=OFAR;"
+            "ring=physical;thr{var=1;min=0;nmf=0.9;nms=0.4;gap=0.15};"
+            "mre=4;rs=1;pbs=0.35;pbd=10;ub=4;ct=0;on=0.6;off=0.45;"
+            "dt=200000;shards=1;sgm=0};pat=[a:2:1];load=0.25;warmup=100;"
+            "measure=200");
+  EXPECT_EQ(point_key(steady), "dabb5bedd21666886b7e8fbc9eb756ad");
+  const RunPoint transient = transient_point();
+  EXPECT_EQ(canonical_point(transient),
+            "v3;kind=transient;seed=3;cfg{h=2;groups=0;ps=8;ll=10;gl=100;"
+            "fl=32;fg=128;fi=32;vl=4;vg=2;vi=3;ai=3;routing=PB;ring=none;"
+            "thr{var=1;min=0;nmf=0.9;nms=0.4;gap=0.15};mre=4;rs=1;"
+            "pbs=0.5;pbd=7;ub=18446744073709551613;ct=0;on=0.6;off=0.45;"
+            "dt=200000;shards=1;sgm=0};pat=[u:0:1];load=0.1;patb=[a:2:1];"
+            "loadb=0.2;switch=1000;horizon=2000;lead=100;drain=300;"
+            "bucket=50");
+  EXPECT_EQ(point_key(transient), "d731c88735cb50f7d670fdaa3bdad32c");
+  const RunPoint burst = burst_point();
+  EXPECT_EQ(canonical_point(burst),
+            "v3;kind=burst;seed=3;cfg{h=2;groups=5;ps=8;ll=10;gl=100;"
+            "fl=32;fg=256;fi=32;vl=3;vg=2;vi=3;ai=3;routing=OFAR-L;"
+            "ring=embedded;thr{var=0;min=0.25;nmf=0.9;nms=0.4;gap=0.15};"
+            "mre=4;rs=1;pbs=0.35;pbd=10;ub=4;ct=1;on=0.7;off=0.45;"
+            "dt=5000;shards=4;sgm=1};pat=[u:0:0.5,a:1:0.5];packets=25;"
+            "maxcycles=9999");
+  EXPECT_EQ(point_key(burst), "53a08643a530355c816cf89d9a7e9f77");
+  EXPECT_EQ(config_signature(burst.cfg),
+            "ckpt-v3;cfg{h=2;groups=5;ps=8;ll=10;gl=100;fl=32;fg=256;"
+            "fi=32;vl=3;vg=2;vi=3;ai=3;routing=OFAR-L;ring=embedded;"
+            "thr{var=0;min=0.25;nmf=0.9;nms=0.4;gap=0.15};mre=4;rs=1;"
+            "pbs=0.35;pbd=10;ub=4;ct=1;on=0.7;off=0.45;dt=5000;shards=4;"
+            "sgm=1};seed=3");
 }
 
 TEST(Spec, AppendDoubleUsesShortestRoundTripForm) {
