@@ -26,17 +26,16 @@
 //   --trace-sample N  trace 1 in N packets (default 64; 1 traces all)
 //   --cache-dir D   content-addressed result cache + resume journal
 //                   (default .ofar-cache)
-//   --no-cache      force caching off even where a default cache applies
+//   --no-cache      no result cache
 //   --checkpoint-dir D      mid-point checkpoint/restart for steady points:
 //                           full simulation state saved per point key,
 //                           resumed bit-identically after a crash/SIGINT
 //   --checkpoint-interval C cycles between checkpoint refreshes
-//                           (default 100000)
+//                           (default: RunContext's)
 //   --stop-after N  stop scheduling new points after N have started
 //                   (deterministic interruption for resume tests)
 #pragma once
 
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -46,49 +45,45 @@
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
+#include "core/orchestrator.hpp"
 #include "core/spec.hpp"
 #include "stats/sink.hpp"
 
 namespace ofar::bench {
 
+/// Result cache of ofar_run unless --cache-dir or --no-cache says otherwise.
+inline constexpr const char* kDefaultCacheDir = ".ofar-cache";
+
 struct BenchOptions {
   u32 h = 4;
   u64 seed = 1;
-  RunParams run;  ///< steady measurement windows (warmup/measure only)
-  std::string csv_dir;
-  unsigned threads = 0;
-  unsigned sim_threads = 0;  ///< intra-sim workers (0 = auto; see above)
-
-  // Auditing, telemetry and tracing of every executed point; never part
-  // of cached point keys.
-  Instrumentation instrumentation;
-  // Owner of instrumentation.metrics_sink, shared by every simulation this
-  // bench runs (thread-safe; parallel sweep points interleave whole
+  RunParams run = ExperimentSpec{}.run;  ///< steady measurement windows
+  std::string csv_dir = ".";
+  /// How every point executes: thread budget, result cache, auditing,
+  /// telemetry and tracing, checkpoints, interruption. Never part of
+  /// cached point keys.
+  OrchestratorOptions orch;
+  // Owner of orch.instrumentation.metrics_sink, shared by every simulation
+  // this bench runs (thread-safe; parallel sweep points interleave whole
   // records). Null when --metrics-out was not given. The orchestrator
   // labels each record "<case>|<mechanism>".
   std::shared_ptr<MetricsSink> metrics;
 
-  // Orchestrator knobs: every bench executes through run_points() now.
-  std::string cache_dir;  ///< "" = caching off (unless a default applies)
-  bool no_cache = false;  ///< --no-cache wins over any default cache dir
-  std::string checkpoint_dir;      ///< "" = mid-point checkpointing off
-  Cycle checkpoint_interval = 100'000;
-  std::size_t stop_after = 0;
-  const std::atomic<bool>* stop_flag = nullptr;  ///< SIGINT, set by runner
-
-  static BenchOptions parse(const CommandLine& cli, Cycle warmup_default,
-                            Cycle measure_default) {
+  /// Every flag defaults to its member's own default.
+  static BenchOptions parse(const CommandLine& cli) {
     BenchOptions o;
-    o.h = static_cast<u32>(cli.get_uint("h", 4));
-    o.seed = cli.get_uint("seed", 1);
-    o.run.warmup = cli.get_uint("warmup", warmup_default);
-    o.run.measure = cli.get_uint("measure", measure_default);
-    o.csv_dir = cli.get_string("csv-dir", ".");
-    o.threads = static_cast<unsigned>(cli.get_uint("threads", 0));
-    o.sim_threads = static_cast<unsigned>(cli.get_uint("sim-threads", 0));
-    Instrumentation& in = o.instrumentation;
+    o.h = static_cast<u32>(cli.get_uint("h", o.h));
+    o.seed = cli.get_uint("seed", o.seed);
+    o.run.warmup = cli.get_uint("warmup", o.run.warmup);
+    o.run.measure = cli.get_uint("measure", o.run.measure);
+    o.csv_dir = cli.get_string("csv-dir", o.csv_dir);
+    OrchestratorOptions& oo = o.orch;
+    oo.threads = static_cast<unsigned>(cli.get_uint("threads", oo.threads));
+    oo.sim_threads =
+        static_cast<unsigned>(cli.get_uint("sim-threads", oo.sim_threads));
+    Instrumentation& in = oo.instrumentation;
     const std::string metrics_out = cli.get_string("metrics-out", "");
-    in.metrics_interval = cli.get_uint("metrics-interval", 1'000);
+    in.metrics_interval = cli.get_uint("metrics-interval", in.metrics_interval);
     in.metrics_full = cli.get_flag("metrics-full");
     if (!metrics_out.empty()) {
       o.metrics = MetricsSink::open(metrics_out);
@@ -97,28 +92,31 @@ struct BenchOptions {
                      metrics_out.c_str());
       in.metrics_sink = o.metrics.get();
     }
-    in.audit_interval = cli.get_uint("audit-interval", 0);
+    in.audit_interval = cli.get_uint("audit-interval", in.audit_interval);
     if (cli.get_flag("audit") && in.audit_interval == 0)
       in.audit_interval = 4'096;
-    in.trace_out = cli.get_string("trace-out", "");
-    in.trace_sample = static_cast<u32>(cli.get_uint("trace-sample", 64));
-    o.cache_dir = cli.get_string("cache-dir", "");
-    o.no_cache = cli.get_flag("no-cache");
-    o.checkpoint_dir = cli.get_string("checkpoint-dir", "");
-    o.checkpoint_interval = cli.get_uint("checkpoint-interval", 100'000);
-    o.stop_after = static_cast<std::size_t>(cli.get_uint("stop-after", 0));
+    in.trace_out = cli.get_string("trace-out", in.trace_out);
+    in.trace_sample =
+        static_cast<u32>(cli.get_uint("trace-sample", in.trace_sample));
+    oo.cache_dir = cli.get_string("cache-dir", "");
+    if (oo.cache_dir.empty()) oo.cache_dir = kDefaultCacheDir;
+    if (cli.get_flag("no-cache")) oo.cache_dir.clear();
+    oo.checkpoint_dir = cli.get_string("checkpoint-dir", oo.checkpoint_dir);
+    oo.checkpoint_interval =
+        cli.get_uint("checkpoint-interval", oo.checkpoint_interval);
+    oo.stop_after = static_cast<std::size_t>(
+        cli.get_uint("stop-after", oo.stop_after));
     return o;
   }
 
-  /// Baseline SimConfig for a mechanism: VC-ordered mechanisms get no ring,
-  /// OFAR variants get the physical ring (the paper's default evaluation
-  /// setup; Fig. 8 overrides the ring kind explicitly).
+  /// Baseline SimConfig for a mechanism, with the paper's default ring
+  /// (default_ring; Fig. 8 overrides the ring kind explicitly).
   SimConfig config(RoutingKind routing) const {
     SimConfig cfg;
     cfg.h = h;
     cfg.seed = seed;
     cfg.routing = routing;
-    cfg.ring = cfg.vc_ordered() ? RingKind::kNone : RingKind::kPhysical;
+    cfg.ring = default_ring(routing);
     return cfg;
   }
 };

@@ -20,8 +20,6 @@
 
 namespace {
 
-constexpr const char* kDefaultCacheDir = ".ofar-cache";
-
 void usage() {
   std::printf(
       "usage:\n"
@@ -36,7 +34,7 @@ void usage() {
       "The result cache defaults to %s; identical points are served\n"
       "from the journal without simulating. Interrupted runs (SIGINT or\n"
       "--stop-after) resume on the next identical invocation.\n",
-      kDefaultCacheDir);
+      ofar::bench::kDefaultCacheDir);
 }
 
 }  // namespace
@@ -65,8 +63,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --preset and --spec are exclusive\n");
     return 1;
   }
-  if (!preset.empty())
-    return run_preset_main(preset, argc, argv, kDefaultCacheDir);
+  if (!preset.empty()) return run_preset_main(preset, argc, argv);
   if (spec_path.empty()) {
     usage();
     return 1;
@@ -81,19 +78,12 @@ int main(int argc, char** argv) {
 
   // Shared execution flags; the experiment shape (h, seeds, windows, ...)
   // comes from the spec file, so the bench defaults here are inert.
-  BenchOptions opts = BenchOptions::parse(cli, 0, 0);
+  PresetRun run;
+  run.opts = BenchOptions::parse(cli);
   if (!reject_unknown(cli)) return 1;
-  if (opts.cache_dir.empty() && !opts.no_cache)
-    opts.cache_dir = kDefaultCacheDir;
-  opts.stop_flag = install_sigint_stop();
-
-  std::vector<PresetUnit> units(1);
-  units[0].points = spec.expand();
-  units[0].spec = std::move(spec);
-
-  const std::string banner = units[0].spec.name + " (" +
-                             to_string(units[0].spec.kind) + ", " +
-                             std::to_string(units[0].points.size()) +
-                             " points) from " + spec_path + "\n";
-  return run_units(units, opts, banner);
+  run.banner = spec.name + " (" + to_string(spec.kind) + ", " +
+               std::to_string(spec.expand().size()) + " points) from " +
+               spec_path + "\n";
+  run.units.push_back({{std::move(spec)}, nullptr});
+  return run_units(run);
 }

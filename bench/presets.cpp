@@ -1,7 +1,10 @@
 #include "presets.hpp"
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 
 #include "core/analysis.hpp"
@@ -39,10 +42,9 @@ std::string seed_title(const ExperimentSpec& spec, std::size_t s) {
 // benches used; extra seeds/cases fan out into suffixed tables and CSVs.
 // ---------------------------------------------------------------------------
 
-void render_steady(const PresetUnit& unit,
+void render_steady(const ExperimentSpec& spec,
                    const std::vector<PointOutcome>& out,
                    const BenchOptions& opts) {
-  const ExperimentSpec& spec = unit.spec;
   const std::size_t M = spec.mechanisms.size();
   const std::size_t C = spec.patterns.size();
   const std::size_t L = spec.loads.size();
@@ -88,10 +90,9 @@ void render_steady(const PresetUnit& unit,
   }
 }
 
-void render_transient(const PresetUnit& unit,
+void render_transient(const ExperimentSpec& spec,
                       const std::vector<PointOutcome>& out,
                       const BenchOptions& opts) {
-  const ExperimentSpec& spec = unit.spec;
   const std::size_t M = spec.mechanisms.size();
   const std::size_t C = spec.transitions.size();
 
@@ -118,10 +119,9 @@ void render_transient(const PresetUnit& unit,
   }
 }
 
-void render_burst(const PresetUnit& unit,
+void render_burst(const ExperimentSpec& spec,
                   const std::vector<PointOutcome>& out,
                   const BenchOptions& opts) {
-  const ExperimentSpec& spec = unit.spec;
   const std::size_t M = spec.mechanisms.size();
   const std::size_t C = spec.workloads.size();
 
@@ -163,12 +163,42 @@ void render_burst(const PresetUnit& unit,
   }
 }
 
-/// Appends a spec-shaped unit (generic renderer) to a preset.
+/// The generic renderer of a one-spec unit, by the spec's kind.
+void render_spec(const ExperimentSpec& spec,
+                 const std::vector<PointOutcome>& out,
+                 const BenchOptions& opts) {
+  switch (spec.kind) {
+    case RunKind::kSteady: render_steady(spec, out, opts); break;
+    case RunKind::kTransient: render_transient(spec, out, opts); break;
+    case RunKind::kBurst: render_burst(spec, out, opts); break;
+  }
+}
+
+/// A spec on the options' network, seed and steady windows.
+ExperimentSpec spec_for(const BenchOptions& o, std::string name,
+                        std::string title = "",
+                        RunKind kind = RunKind::kSteady) {
+  ExperimentSpec s;
+  s.kind = kind;
+  s.name = std::move(name);
+  s.title = std::move(title);
+  s.h = o.h;
+  s.seeds = {o.seed};
+  s.run = o.run;
+  return s;
+}
+
+/// One curve per mechanism, labelled by its name, on the paper's ring.
+std::vector<MechanismEntry> curves(const BenchOptions& o,
+                                   std::initializer_list<RoutingKind> kinds) {
+  std::vector<MechanismEntry> out;
+  for (const RoutingKind k : kinds) out.push_back({to_string(k), o.config(k)});
+  return out;
+}
+
+/// Appends a one-spec unit (generic renderer) to a preset.
 void push_spec_unit(PresetRun& r, ExperimentSpec spec) {
-  PresetUnit unit;
-  unit.points = spec.expand();
-  unit.spec = std::move(spec);
-  r.units.push_back(std::move(unit));
+  r.units.push_back({{std::move(spec)}, nullptr});
 }
 
 std::string format2(const char* fmt, double a) {
@@ -183,24 +213,13 @@ std::string format2(const char* fmt, double a) {
 
 PresetRun make_fig3(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 5'000, 6'000);
-  const std::vector<double> loads = load_grid(cli, 0.05, 0.60, 8);
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
-  ExperimentSpec s;
-  s.name = "fig3";
-  s.title = "Fig. 3: uniform random traffic (UN)";
-  s.h = r.opts.h;
-  s.seeds = {r.opts.seed};
-  s.run = r.opts.run;
-  s.loads = loads;
+  r.opts = BenchOptions::parse(cli);
+  ExperimentSpec s =
+      spec_for(r.opts, "fig3", "Fig. 3: uniform random traffic (UN)");
+  s.loads = load_grid(cli, 0.05, 0.60, 8);
   s.patterns = {{"UN", TrafficPattern::uniform()}};
-  s.mechanisms = {{"MIN", r.opts.config(RoutingKind::kMin)},
-                  {"PB", r.opts.config(RoutingKind::kPb)},
-                  {"OFAR", r.opts.config(RoutingKind::kOfar)},
-                  {"OFAR-L", r.opts.config(RoutingKind::kOfarL)}};
+  s.mechanisms = curves(r.opts, {RoutingKind::kMin, RoutingKind::kPb,
+                                 RoutingKind::kOfar, RoutingKind::kOfarL});
   r.banner = "Fig. 3 (UN) on " + s.mechanisms[0].cfg.summary() + "\n";
   push_spec_unit(r, std::move(s));
   return r;
@@ -208,24 +227,13 @@ PresetRun make_fig3(const CommandLine& cli) {
 
 PresetRun make_fig4(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 5'000, 6'000);
-  const std::vector<double> loads = load_grid(cli, 0.05, 0.45, 8);
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
-  ExperimentSpec s;
-  s.name = "fig4";
-  s.title = "Fig. 4: adversarial +2 traffic (ADV+2)";
-  s.h = r.opts.h;
-  s.seeds = {r.opts.seed};
-  s.run = r.opts.run;
-  s.loads = loads;
+  r.opts = BenchOptions::parse(cli);
+  ExperimentSpec s =
+      spec_for(r.opts, "fig4", "Fig. 4: adversarial +2 traffic (ADV+2)");
+  s.loads = load_grid(cli, 0.05, 0.45, 8);
   s.patterns = {{"ADV+2", TrafficPattern::adversarial(2)}};
-  s.mechanisms = {{"VAL", r.opts.config(RoutingKind::kVal)},
-                  {"PB", r.opts.config(RoutingKind::kPb)},
-                  {"OFAR", r.opts.config(RoutingKind::kOfar)},
-                  {"OFAR-L", r.opts.config(RoutingKind::kOfarL)}};
+  s.mechanisms = curves(r.opts, {RoutingKind::kVal, RoutingKind::kPb,
+                                 RoutingKind::kOfar, RoutingKind::kOfarL});
   r.banner = "Fig. 4 (ADV+2) on " + s.mechanisms[0].cfg.summary() + "\n";
   push_spec_unit(r, std::move(s));
   return r;
@@ -233,24 +241,13 @@ PresetRun make_fig4(const CommandLine& cli) {
 
 PresetRun make_fig5(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 5'000, 6'000);
-  const std::vector<double> loads = load_grid(cli, 0.05, 0.45, 8);
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
-  ExperimentSpec s;
-  s.name = "fig5";
-  s.title = "Fig. 5: worst-case adversarial traffic (ADV+h)";
-  s.h = r.opts.h;
-  s.seeds = {r.opts.seed};
-  s.run = r.opts.run;
-  s.loads = loads;
+  r.opts = BenchOptions::parse(cli);
+  ExperimentSpec s = spec_for(
+      r.opts, "fig5", "Fig. 5: worst-case adversarial traffic (ADV+h)");
+  s.loads = load_grid(cli, 0.05, 0.45, 8);
   s.patterns = {{"ADV+h", TrafficPattern::adversarial(r.opts.h)}};
-  s.mechanisms = {{"VAL", r.opts.config(RoutingKind::kVal)},
-                  {"PB", r.opts.config(RoutingKind::kPb)},
-                  {"OFAR", r.opts.config(RoutingKind::kOfar)},
-                  {"OFAR-L", r.opts.config(RoutingKind::kOfarL)}};
+  s.mechanisms = curves(r.opts, {RoutingKind::kVal, RoutingKind::kPb,
+                                 RoutingKind::kOfar, RoutingKind::kOfarL});
   r.banner = "Fig. 5 (ADV+h) on " + s.mechanisms[0].cfg.summary() + "\n" +
              format2("analytic ceilings: local-link 1/h = %.4f | Valiant "
                      "global 0.5\n",
@@ -261,13 +258,9 @@ PresetRun make_fig5(const CommandLine& cli) {
 
 PresetRun make_fig8(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 5'000, 6'000);
+  r.opts = BenchOptions::parse(cli);
   const std::string which = cli.get_string("pattern", "both");
   const std::vector<double> un_loads = load_grid(cli, 0.05, 0.60, 6);
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
   SimConfig physical = r.opts.config(RoutingKind::kOfar);
   physical.ring = RingKind::kPhysical;
   SimConfig embedded = r.opts.config(RoutingKind::kOfar);
@@ -277,12 +270,7 @@ PresetRun make_fig8(const CommandLine& cli) {
   auto make_variant = [&](const std::string& name, const std::string& title,
                           const NamedPattern& pattern,
                           const std::vector<double>& loads) {
-    ExperimentSpec s;
-    s.name = name;
-    s.title = title;
-    s.h = r.opts.h;
-    s.seeds = {r.opts.seed};
-    s.run = r.opts.run;
+    ExperimentSpec s = spec_for(r.opts, name, title);
     s.loads = loads;
     s.patterns = {pattern};
     s.mechanisms = {{"OFAR-physical", physical}, {"OFAR-embedded", embedded}};
@@ -306,24 +294,16 @@ PresetRun make_fig8(const CommandLine& cli) {
 
 PresetRun make_fig6(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 0, 0);
-  ExperimentSpec s;
-  s.kind = RunKind::kTransient;
-  s.name = "fig6";
-  s.title = "Fig. 6";
-  s.transient.warmup = cli.get_uint("switch-at", 20'000);
-  s.transient.horizon = cli.get_uint("horizon", 12'000);
-  s.transient.lead = cli.get_uint("lead", 2'000);
-  s.transient.drain = cli.get_uint("drain", 20'000);
-  s.transient.bucket = static_cast<u32>(cli.get_uint("bucket", 500));
+  r.opts = BenchOptions::parse(cli);
+  ExperimentSpec s = spec_for(r.opts, "fig6", "Fig. 6", RunKind::kTransient);
+  TransientParams& t = s.transient;
+  t.warmup = cli.get_uint("switch-at", t.warmup);
+  t.horizon = cli.get_uint("horizon", t.horizon);
+  t.lead = cli.get_uint("lead", t.lead);
+  t.drain = cli.get_uint("drain", t.drain);
+  t.bucket = static_cast<u32>(cli.get_uint("bucket", t.bucket));
   const double load_main = cli.get_double("load", 0.14);
   const double load_advh = cli.get_double("load-advh", 0.12);
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
-  s.h = r.opts.h;
-  s.seeds = {r.opts.seed};
   s.transitions = {
       {"UN->ADV+2",
        {"UN", TrafficPattern::uniform()},
@@ -341,9 +321,8 @@ PresetRun make_fig6(const CommandLine& cli) {
        load_advh,
        load_advh},
   };
-  s.mechanisms = {{"PB", r.opts.config(RoutingKind::kPb)},
-                  {"OFAR", r.opts.config(RoutingKind::kOfar)},
-                  {"OFAR-L", r.opts.config(RoutingKind::kOfarL)}};
+  s.mechanisms = curves(
+      r.opts, {RoutingKind::kPb, RoutingKind::kOfar, RoutingKind::kOfarL});
   r.banner = "Fig. 6 (transient) on " +
              r.opts.config(RoutingKind::kOfar).summary() + "\n";
   push_spec_unit(r, std::move(s));
@@ -352,23 +331,16 @@ PresetRun make_fig6(const CommandLine& cli) {
 
 PresetRun make_fig7(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 0, 0);
-  const u32 packets = static_cast<u32>(cli.get_uint("packets", 400));
-  const Cycle max_cycles = cli.get_uint("max-cycles", 20'000'000);
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
+  r.opts = BenchOptions::parse(cli);
   const u32 h = r.opts.h;
-  ExperimentSpec s;
-  s.kind = RunKind::kBurst;
-  s.name = "fig7_bursts";
-  s.title =
-      "Fig. 7: burst consumption time (normalised to PB, lower is better)";
-  s.h = h;
-  s.seeds = {r.opts.seed};
-  s.burst.packets_per_node = packets;
-  s.burst.max_cycles = max_cycles;
+  ExperimentSpec s = spec_for(
+      r.opts, "fig7_bursts",
+      "Fig. 7: burst consumption time (normalised to PB, lower is better)",
+      RunKind::kBurst);
+  BurstParams& b = s.burst;
+  b.packets_per_node =
+      static_cast<u32>(cli.get_uint("packets", b.packets_per_node));
+  b.max_cycles = cli.get_uint("max-cycles", b.max_cycles);
   s.workloads = {
       {"UN", TrafficPattern::uniform()},
       {"ADV+2", TrafficPattern::adversarial(2)},
@@ -383,57 +355,34 @@ PresetRun make_fig7(const CommandLine& cli) {
                                     {PatternKind::kAdversarial, 1, 0.4},
                                     {PatternKind::kAdversarial, h, 0.4}})},
   };
-  s.mechanisms = {{"PB", r.opts.config(RoutingKind::kPb)},
-                  {"OFAR", r.opts.config(RoutingKind::kOfar)},
-                  {"OFAR-L", r.opts.config(RoutingKind::kOfarL)}};
+  s.mechanisms = curves(
+      r.opts, {RoutingKind::kPb, RoutingKind::kOfar, RoutingKind::kOfarL});
   char head[192];
   std::snprintf(head, sizeof head,
                 "Fig. 7 (bursts, %u packets/node) on %s\n"
                 "paper reference: mean OFAR/PB 0.695, i.e. a 43.8%% speedup\n",
-                packets, r.opts.config(RoutingKind::kOfar).summary().c_str());
+                b.packets_per_node,
+                r.opts.config(RoutingKind::kOfar).summary().c_str());
   r.banner = head;
   push_spec_unit(r, std::move(s));
   return r;
 }
 
 // ---------------------------------------------------------------------------
-// Bespoke presets (not pure cross products): Fig. 2b, Fig. 9, ablations.
-// These build their RunPoints by hand — still executed and cached through
-// the orchestrator — and carry custom renderers.
+// Presets with their own tables: Fig. 2b, Fig. 9 and the ablations. Their
+// specs expand like any other; each renderer reads its grid back from its
+// unit's specs.
 // ---------------------------------------------------------------------------
-
-RunPoint steady_point(const SimConfig& cfg, u64 seed,
-                      const std::string& mechanism,
-                      const std::string& case_name,
-                      const TrafficPattern& pattern, double load,
-                      const RunParams& run) {
-  RunPoint p;
-  p.kind = RunKind::kSteady;
-  p.mechanism = mechanism;
-  p.case_name = case_name;
-  p.seed = seed;
-  p.cfg = cfg;
-  p.cfg.seed = seed;
-  p.pattern = pattern;
-  p.load = load;
-  p.run = run;
-  return p;
-}
 
 PresetRun make_fig2(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 5'000, 6'000);
+  r.opts = BenchOptions::parse(cli);
   const double offered = cli.get_double("offered", 0.35);
   const bool with_ofar = cli.get_bool("with-ofar", true);
   const bool analytic = cli.get_bool("analytic", true);
   const u32 max_offset =
       static_cast<u32>(cli.get_uint("max-offset", 2 * r.opts.h + 2));
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
   const SimConfig val_cfg = r.opts.config(RoutingKind::kVal);
-  const SimConfig ofar_cfg = r.opts.config(RoutingKind::kOfar);
 
   char head[192];
   std::snprintf(head, sizeof head,
@@ -449,56 +398,41 @@ PresetRun make_fig2(const CommandLine& cli) {
     r.banner += head;
   }
 
-  PresetUnit unit;
-  unit.spec.name = "fig2b_offset";
-  unit.spec.h = r.opts.h;
-  for (u32 offset = 1; offset <= max_offset; ++offset) {
-    const TrafficPattern pattern = TrafficPattern::adversarial(offset);
-    const std::string case_name = "ADV+" + std::to_string(offset);
-    RunPoint p = steady_point(val_cfg, r.opts.seed, "VAL", case_name, pattern,
-                              offered, r.opts.run);
-    p.case_index = offset - 1;
-    unit.points.push_back(p);
-    if (with_ofar) {
-      RunPoint q = steady_point(ofar_cfg, r.opts.seed, "OFAR", case_name,
-                                pattern, offered, r.opts.run);
-      q.mech_index = 1;
-      q.case_index = offset - 1;
-      unit.points.push_back(q);
-    }
-  }
-  const u32 h = r.opts.h;
-  unit.render = [with_ofar, max_offset, h](
-                    const PresetUnit&, const std::vector<PointOutcome>& out,
-                    const BenchOptions& opts) {
-    std::vector<std::string> columns = {"offset", "VAL_predicted", "VAL"};
-    if (with_ofar) columns.push_back("OFAR");
+  ExperimentSpec s = spec_for(r.opts, "fig2b_offset");
+  for (u32 offset = 1; offset <= max_offset; ++offset)
+    s.patterns.push_back({"ADV+" + std::to_string(offset),
+                          TrafficPattern::adversarial(offset)});
+  s.loads = {offered};
+  s.mechanisms = with_ofar ? curves(r.opts, {RoutingKind::kVal,
+                                             RoutingKind::kOfar})
+                           : curves(r.opts, {RoutingKind::kVal});
+  const auto render = [](const PresetUnit& unit,
+                         const std::vector<PointOutcome>& out,
+                         const BenchOptions& opts) {
+    const ExperimentSpec& spec = unit.specs[0];
+    const std::size_t M = spec.mechanisms.size();
+    std::vector<std::string> columns = {"offset", "VAL_predicted"};
+    for (const auto& m : spec.mechanisms) columns.push_back(m.label);
     Table table(columns);
-    const Dragonfly topo(h);
-    std::size_t idx = 0;
-    for (u32 offset = 1; offset <= max_offset; ++offset) {
-      std::vector<Table::Cell> row = {u64{offset}};
-      row.emplace_back(analysis::valiant_adv_offset_ceiling(topo, offset));
-      row.emplace_back(out[idx++].steady.accepted_load);
-      if (with_ofar) row.emplace_back(out[idx++].steady.accepted_load);
+    const Dragonfly topo(spec.h);
+    for (u32 c = 0; c < spec.patterns.size(); ++c) {
+      std::vector<Table::Cell> row = {u64{c + 1}};
+      row.emplace_back(analysis::valiant_adv_offset_ceiling(topo, c + 1));
+      for (std::size_t m = 0; m < M; ++m)
+        row.emplace_back(out[c * M + m].steady.accepted_load);
       table.add_row(std::move(row));
     }
     table.print("Fig. 2b: accepted load vs ADV offset (dips at multiples of "
-                "h=" + std::to_string(h) + ")");
+                "h=" + std::to_string(spec.h) + ")");
     dump_csv(table, opts.csv_dir, "fig2b_offset");
   };
-  r.units.push_back(std::move(unit));
+  r.units.push_back({{std::move(s)}, render});
   return r;
 }
 
 PresetRun make_fig9(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 5'000, 6'000);
-  const std::vector<double> loads = load_grid(cli, 0.15, 0.6, 4);
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
+  r.opts = BenchOptions::parse(cli);
   SimConfig reduced = r.opts.config(RoutingKind::kOfar);
   reduced.ring = RingKind::kEmbedded;
   reduced.vcs_local = 2;
@@ -510,43 +444,24 @@ PresetRun make_fig9(const CommandLine& cli) {
   r.banner = "Fig. 9 (reduced VCs: 2 local / 1 global, embedded ring) on " +
              reduced.summary() + "\n";
 
-  const std::vector<std::pair<std::string, TrafficPattern>> patterns = {
-      {"UN", TrafficPattern::uniform()},
-      {"ADV+2", TrafficPattern::adversarial(2)},
-      {"ADV+h", TrafficPattern::adversarial(r.opts.h)},
-  };
-  PresetUnit unit;
-  unit.spec.name = "fig9_reduced_vcs";
-  unit.spec.h = r.opts.h;
-  std::vector<std::string> pattern_names;
-  for (std::size_t c = 0; c < patterns.size(); ++c) {
-    pattern_names.push_back(patterns[c].first);
-    for (std::size_t l = 0; l < loads.size(); ++l) {
-      RunPoint p = steady_point(reduced, r.opts.seed, "reduced",
-                                patterns[c].first, patterns[c].second,
-                                loads[l], r.opts.run);
-      p.case_index = static_cast<u32>(c);
-      p.load_index = static_cast<u32>(l);
-      unit.points.push_back(p);
-      RunPoint q = steady_point(full, r.opts.seed, "full", patterns[c].first,
-                                patterns[c].second, loads[l], r.opts.run);
-      q.mech_index = 1;
-      q.case_index = static_cast<u32>(c);
-      q.load_index = static_cast<u32>(l);
-      unit.points.push_back(q);
-    }
-  }
-  unit.render = [pattern_names, loads](
-                    const PresetUnit&, const std::vector<PointOutcome>& out,
-                    const BenchOptions& opts) {
+  ExperimentSpec s = spec_for(r.opts, "fig9_reduced_vcs");
+  s.loads = load_grid(cli, 0.15, 0.6, 4);
+  s.patterns = {{"UN", TrafficPattern::uniform()},
+                {"ADV+2", TrafficPattern::adversarial(2)},
+                {"ADV+h", TrafficPattern::adversarial(r.opts.h)}};
+  s.mechanisms = {{"reduced", reduced}, {"full", full}};
+  const auto render = [](const PresetUnit& unit,
+                         const std::vector<PointOutcome>& out,
+                         const BenchOptions& opts) {
+    const ExperimentSpec& spec = unit.specs[0];
     Table table({"pattern", "offered", "accepted_reduced", "stalled_reduced",
                  "accepted_full", "stalled_full"});
     std::size_t idx = 0;
-    for (const auto& name : pattern_names) {
-      for (const double load : loads) {
+    for (const auto& pattern : spec.patterns) {
+      for (const double load : spec.loads) {
         const SteadyResult& r_red = out[idx++].steady;
         const SteadyResult& r_full = out[idx++].steady;
-        table.add_row({name, load, r_red.accepted_load,
+        table.add_row({pattern.name, load, r_red.accepted_load,
                        u64{r_red.stalled_packets}, r_full.accepted_load,
                        u64{r_full.stalled_packets}});
       }
@@ -555,88 +470,75 @@ PresetRun make_fig9(const CommandLine& cli) {
                 "configuration)");
     dump_csv(table, opts.csv_dir, "fig9_reduced_vcs");
   };
-  r.units.push_back(std::move(unit));
+  r.units.push_back({{std::move(s)}, render});
   return r;
+}
+
+/// A one-point-per-curve spec: one named pattern at one load.
+ExperimentSpec regime(const BenchOptions& o, const std::string& name,
+                      NamedPattern pattern, double load,
+                      std::vector<MechanismEntry> curves) {
+  ExperimentSpec s = spec_for(o, name);
+  s.patterns = {std::move(pattern)};
+  s.loads = {load};
+  s.mechanisms = std::move(curves);
+  return s;
+}
+
+/// The ablations' defaults: h=3 and a 4,000-cycle warm-up. Their
+/// trade-offs show at any radix, and the interesting regimes sit at/past
+/// saturation where collapsed configurations simulate slowly — h=3 keeps
+/// each grid in minutes.
+BenchOptions ablation_options(const CommandLine& cli) {
+  BenchOptions o = BenchOptions::parse(cli);
+  if (!cli.has("h")) o.h = 3;
+  if (!cli.has("warmup")) o.run.warmup = 4'000;
+  return o;
 }
 
 PresetRun make_ablation_thresholds(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 4'000, 6'000);
-  // Default scale h=3: the tuning trade-off shows at any radix, and the
-  // interesting regimes sit at/past saturation where collapsed
-  // configurations simulate slowly — h=3 keeps the full grid in minutes.
-  if (!cli.has("h")) r.opts.h = 3;
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
-
-  struct Regime {
-    std::string name;
-    TrafficPattern pattern;
-    double load;
-  };
-  const std::vector<Regime> regimes = {
-      {"UN@0.30", TrafficPattern::uniform(), 0.30},
-      {"UN@0.70", TrafficPattern::uniform(), 0.70},
-      {"ADV+2@0.45", TrafficPattern::adversarial(2), 0.45},
-      {"ADV+h@0.40", TrafficPattern::adversarial(r.opts.h), 0.40},
-  };
+  r.opts = ablation_options(cli);
 
   // Config grid: 4 factor variants, 4 gap variants, 2 policy modes — the
   // renderer slices these ranges back into the three historical tables.
-  std::vector<std::pair<std::string, SimConfig>> configs;
+  std::vector<MechanismEntry> configs;
   for (const double f : {0.5, 0.7, 0.9, 1.0}) {
     SimConfig cfg = r.opts.config(RoutingKind::kOfar);
     cfg.thresholds.nonmin_factor = f;
-    configs.emplace_back("factor=" + Table::format(f), cfg);
+    configs.push_back({"factor=" + Table::format(f), cfg});
   }
   for (const double g : {0.0, 0.1, 0.15, 0.25}) {
     SimConfig cfg = r.opts.config(RoutingKind::kOfar);
     cfg.thresholds.min_gap = g;
-    configs.emplace_back("gap=" + Table::format(g), cfg);
+    configs.push_back({"gap=" + Table::format(g), cfg});
   }
   {
     SimConfig cfg = r.opts.config(RoutingKind::kOfar);
-    configs.emplace_back("variable 0.9*Qmin (paper default)", cfg);
+    configs.push_back({"variable 0.9*Qmin (paper default)", cfg});
     cfg.thresholds.variable = false;
     cfg.thresholds.th_min = 1.0;
     cfg.thresholds.th_nonmin_static = 0.4;
-    configs.emplace_back("static Thmin=100% Thnonmin=40%", cfg);
+    configs.push_back({"static Thmin=100% Thnonmin=40%", cfg});
   }
 
   r.banner = "OFAR threshold ablation on " +
              r.opts.config(RoutingKind::kOfar).summary() + "\n";
 
-  PresetUnit unit;
-  unit.spec.name = "ablation_thresholds";
-  unit.spec.h = r.opts.h;
-  std::vector<std::string> labels;
-  std::vector<std::string> regime_names;
-  for (const auto& rg : regimes) regime_names.push_back(rg.name);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    labels.push_back(configs[i].first);
-    for (std::size_t j = 0; j < regimes.size(); ++j) {
-      RunPoint p = steady_point(configs[i].second, r.opts.seed,
-                                configs[i].first, regimes[j].name,
-                                regimes[j].pattern, regimes[j].load,
-                                r.opts.run);
-      p.mech_index = static_cast<u32>(i);
-      p.case_index = static_cast<u32>(j);
-      unit.points.push_back(p);
-    }
-  }
-  const std::size_t n_regimes = regimes.size();
-  unit.render = [labels, regime_names, n_regimes](
-                    const PresetUnit&, const std::vector<PointOutcome>& out,
-                    const BenchOptions& opts) {
+  const auto render = [](const PresetUnit& unit,
+                         const std::vector<PointOutcome>& out,
+                         const BenchOptions& opts) {
+    // One spec per regime, so outcome (regime j, config i) is at
+    // j * configs + i.
+    const std::vector<MechanismEntry>& configs = unit.specs[0].mechanisms;
     std::vector<std::string> columns = {"config"};
-    for (const auto& name : regime_names) columns.push_back(name);
+    for (const auto& spec : unit.specs)
+      columns.push_back(spec.patterns[0].name);
     auto rows = [&](Table& table, std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
-        std::vector<Table::Cell> row = {labels[i]};
-        for (std::size_t j = 0; j < n_regimes; ++j)
-          row.emplace_back(out[i * n_regimes + j].steady.accepted_load);
+        std::vector<Table::Cell> row = {configs[i].label};
+        for (std::size_t j = 0; j < unit.specs.size(); ++j)
+          row.emplace_back(out[j * configs.size() + i].steady.accepted_load);
         table.add_row(std::move(row));
       }
     };
@@ -656,73 +558,56 @@ PresetRun make_ablation_thresholds(const CommandLine& cli) {
     modes.print("Variable vs static threshold policy (paper §IV-B)");
     dump_csv(modes, opts.csv_dir, "ablation_policy_mode");
   };
-  r.units.push_back(std::move(unit));
+  const std::string name = "ablation_thresholds";
+  const TrafficPattern un = TrafficPattern::uniform();
+  r.units.push_back(
+      {{regime(r.opts, name, {"UN@0.30", un}, 0.30, configs),
+        regime(r.opts, name, {"UN@0.70", un}, 0.70, configs),
+        regime(r.opts, name, {"ADV+2@0.45", TrafficPattern::adversarial(2)},
+               0.45, configs),
+        regime(r.opts, name,
+               {"ADV+h@0.40", TrafficPattern::adversarial(r.opts.h)}, 0.40,
+               configs)},
+       render});
   return r;
 }
 
 PresetRun make_ablation_congestion(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 4'000, 6'000);
-  if (!cli.has("h")) r.opts.h = 3;
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
-
-  struct Scenario {
-    std::string name;
-    TrafficPattern pattern;
-    double load;
-    bool reduced_vcs;
-  };
-  const std::vector<Scenario> scenarios = {
-      {"UN@0.45 full", TrafficPattern::uniform(), 0.45, false},
-      {"UN@0.80 full", TrafficPattern::uniform(), 0.80, false},
-      {"ADV+h@0.45 full", TrafficPattern::adversarial(r.opts.h), 0.45, false},
-      {"UN@0.45 reducedVC", TrafficPattern::uniform(), 0.45, true},
-      {"ADV+2@0.35 reducedVC", TrafficPattern::adversarial(2), 0.35, true},
-  };
+  r.opts = ablation_options(cli);
 
   r.banner = "Congestion-throttle ablation on " +
              r.opts.config(RoutingKind::kOfar).summary() + "\n";
 
-  PresetUnit unit;
-  unit.spec.name = "ablation_congestion";
-  unit.spec.h = r.opts.h;
-  std::vector<std::string> names;
-  for (std::size_t c = 0; c < scenarios.size(); ++c) {
-    const Scenario& sc = scenarios[c];
-    names.push_back(sc.name);
-    SimConfig plain = r.opts.config(RoutingKind::kOfar);
-    plain.deadlock_timeout = 10'000;
-    if (sc.reduced_vcs) {
-      plain.ring = RingKind::kEmbedded;
-      plain.vcs_local = 2;
-      plain.vcs_global = 1;
-    }
+  // Each scenario runs plain and throttled on the full or the reduced-VC
+  // configuration.
+  SimConfig full = r.opts.config(RoutingKind::kOfar);
+  full.deadlock_timeout = 10'000;
+  SimConfig reduced = full;
+  reduced.ring = RingKind::kEmbedded;
+  reduced.vcs_local = 2;
+  reduced.vcs_global = 1;
+  const auto plain_and_throttled = [](const SimConfig& plain) {
     SimConfig throttled = plain;
     throttled.congestion_throttle = true;
-
-    RunPoint p = steady_point(plain, r.opts.seed, "plain", sc.name,
-                              sc.pattern, sc.load, r.opts.run);
-    p.case_index = static_cast<u32>(c);
-    unit.points.push_back(p);
-    RunPoint q = steady_point(throttled, r.opts.seed, "throttled", sc.name,
-                              sc.pattern, sc.load, r.opts.run);
-    q.mech_index = 1;
-    q.case_index = static_cast<u32>(c);
-    unit.points.push_back(q);
-  }
-  unit.render = [names](const PresetUnit&,
-                        const std::vector<PointOutcome>& out,
-                        const BenchOptions& opts) {
+    return std::vector<MechanismEntry>{{"plain", plain},
+                                       {"throttled", throttled}};
+  };
+  const std::vector<MechanismEntry> on_full = plain_and_throttled(full);
+  const std::vector<MechanismEntry> on_reduced = plain_and_throttled(reduced);
+  const std::string name = "ablation_congestion";
+  const TrafficPattern un = TrafficPattern::uniform();
+  const TrafficPattern advh = TrafficPattern::adversarial(r.opts.h);
+  const auto render = [](const PresetUnit& unit,
+                         const std::vector<PointOutcome>& out,
+                         const BenchOptions& opts) {
     Table table({"scenario", "accepted_plain", "stalled_plain",
                  "accepted_throttled", "stalled_throttled"});
     std::size_t idx = 0;
-    for (const auto& name : names) {
+    for (const auto& scenario : unit.specs) {
       const SteadyResult& r_plain = out[idx++].steady;
       const SteadyResult& r_throttled = out[idx++].steady;
-      table.add_row({name, r_plain.accepted_load,
+      table.add_row({scenario.patterns[0].name, r_plain.accepted_load,
                      u64{r_plain.stalled_packets}, r_throttled.accepted_load,
                      u64{r_throttled.stalled_packets}});
     }
@@ -730,56 +615,43 @@ PresetRun make_ablation_congestion(const CommandLine& cli) {
                 "deadlock-watchdog hits)");
     dump_csv(table, opts.csv_dir, "ablation_congestion");
   };
-  r.units.push_back(std::move(unit));
+  r.units.push_back(
+      {{regime(r.opts, name, {"UN@0.45 full", un}, 0.45, on_full),
+        regime(r.opts, name, {"UN@0.80 full", un}, 0.80, on_full),
+        regime(r.opts, name, {"ADV+h@0.45 full", advh}, 0.45, on_full),
+        regime(r.opts, name, {"UN@0.45 reducedVC", un}, 0.45, on_reduced),
+        regime(r.opts, name,
+               {"ADV+2@0.35 reducedVC", TrafficPattern::adversarial(2)},
+               0.35, on_reduced)},
+       render});
   return r;
 }
 
 PresetRun make_ablation_rings(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli, 4'000, 6'000);
-  if (!cli.has("h")) r.opts.h = 3;
-  if (!reject_unknown(cli)) {
-    r.ok = false;
-    return r;
-  }
+  r.opts = ablation_options(cli);
 
   // Performance points: OFAR with the escape ring built at different
   // strides, and with different livelock budgets (max_ring_exits).
-  const TrafficPattern pattern = TrafficPattern::adversarial(r.opts.h);
-  const double load = 0.35;
-  PresetUnit unit;
-  unit.spec.name = "ablation_rings";
-  unit.spec.h = r.opts.h;
-  std::vector<std::string> labels;
-  {
-    const Dragonfly topo(r.opts.h);
-    u32 mech = 0;
-    for (const u32 stride : {1u, 2u, 3u}) {
-      if (!HamiltonianRing::constructible(topo, stride)) continue;
-      SimConfig cfg = r.opts.config(RoutingKind::kOfar);
-      cfg.ring = RingKind::kEmbedded;
-      cfg.ring_stride = stride;
-      const std::string label = "stride=" + std::to_string(stride);
-      labels.push_back(label);
-      RunPoint p = steady_point(cfg, r.opts.seed, label, "ADV+h", pattern,
-                                load, r.opts.run);
-      p.mech_index = mech++;
-      unit.points.push_back(p);
-    }
-    for (const u32 exits : {0u, 1u, 4u, 16u}) {
-      SimConfig cfg = r.opts.config(RoutingKind::kOfar);
-      cfg.max_ring_exits = exits;
-      const std::string label = "max_exits=" + std::to_string(exits);
-      labels.push_back(label);
-      RunPoint p = steady_point(cfg, r.opts.seed, label, "ADV+h", pattern,
-                                load, r.opts.run);
-      p.mech_index = mech++;
-      unit.points.push_back(p);
-    }
+  ExperimentSpec s = spec_for(r.opts, "ablation_rings");
+  s.patterns = {{"ADV+h", TrafficPattern::adversarial(r.opts.h)}};
+  s.loads = {0.35};
+  const Dragonfly topo(r.opts.h);
+  for (const u32 stride : {1u, 2u, 3u}) {
+    if (!HamiltonianRing::constructible(topo, stride)) continue;
+    SimConfig cfg = r.opts.config(RoutingKind::kOfar);
+    cfg.ring = RingKind::kEmbedded;
+    cfg.ring_stride = stride;
+    s.mechanisms.push_back({"stride=" + std::to_string(stride), cfg});
   }
-  unit.render = [labels, load](const PresetUnit&,
-                               const std::vector<PointOutcome>& out,
-                               const BenchOptions& opts) {
+  for (const u32 exits : {0u, 1u, 4u, 16u}) {
+    SimConfig cfg = r.opts.config(RoutingKind::kOfar);
+    cfg.max_ring_exits = exits;
+    s.mechanisms.push_back({"max_exits=" + std::to_string(exits), cfg});
+  }
+  const auto render = [](const PresetUnit& unit,
+                         const std::vector<PointOutcome>& out,
+                         const BenchOptions& opts) {
     // ---- (1) edge-disjoint embedded rings per radix (pure topology) ----
     Table rings({"h", "groups", "constructible_strides",
                  "edge_disjoint_rings", "paper_bound_h"});
@@ -814,17 +686,18 @@ PresetRun make_ablation_rings(const CommandLine& cli) {
     dump_csv(rings, opts.csv_dir, "ablation_rings_topology");
 
     // ---- (2) OFAR sensitivity to the escape ring's shape ----
+    const ExperimentSpec& spec = unit.specs[0];
     Table perf({"config", "accepted", "avg_latency", "ring_entries"});
-    for (std::size_t i = 0; i < labels.size(); ++i) {
+    for (std::size_t i = 0; i < spec.mechanisms.size(); ++i) {
       const SteadyResult& res = out[i].steady;
-      perf.add_row({labels[i], res.accepted_load, res.avg_latency,
-                    u64{res.ring_entries}});
+      perf.add_row({spec.mechanisms[i].label, res.accepted_load,
+                    res.avg_latency, u64{res.ring_entries}});
     }
-    perf.print("OFAR under ADV+h at load " + Table::format(load) +
+    perf.print("OFAR under ADV+h at load " + Table::format(spec.loads[0]) +
                ": escape-ring shape sensitivity (should be flat)");
     dump_csv(perf, opts.csv_dir, "ablation_rings_perf");
   };
-  r.units.push_back(std::move(unit));
+  r.units.push_back({{std::move(s)}, render});
   return r;
 }
 
@@ -851,6 +724,16 @@ void on_sigint(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 }  // namespace
 
+std::vector<RunPoint> PresetUnit::points() const {
+  std::vector<RunPoint> out;
+  for (const ExperimentSpec& spec : specs) {
+    std::vector<RunPoint> points = spec.expand();
+    out.insert(out.end(), std::make_move_iterator(points.begin()),
+               std::make_move_iterator(points.end()));
+  }
+  return out;
+}
+
 const std::vector<Preset>& presets() { return kPresets; }
 
 const Preset* find_preset(const std::string& name) {
@@ -859,42 +742,23 @@ const Preset* find_preset(const std::string& name) {
   return nullptr;
 }
 
-void render_spec(const PresetUnit& unit,
-                 const std::vector<PointOutcome>& outcomes,
-                 const BenchOptions& opts) {
-  switch (unit.spec.kind) {
-    case RunKind::kSteady: render_steady(unit, outcomes, opts); break;
-    case RunKind::kTransient: render_transient(unit, outcomes, opts); break;
-    case RunKind::kBurst: render_burst(unit, outcomes, opts); break;
-  }
-}
-
-const std::atomic<bool>* install_sigint_stop() {
-  std::signal(SIGINT, on_sigint);
-  return &g_stop;
-}
-
-int run_units(const std::vector<PresetUnit>& units, const BenchOptions& opts,
-              const std::string& banner) {
-  if (!banner.empty()) {
-    std::fputs(banner.c_str(), stdout);
+int run_units(const PresetRun& run) {
+  if (!run.banner.empty()) {
+    std::fputs(run.banner.c_str(), stdout);
     std::fflush(stdout);
   }
 
   std::vector<RunPoint> all;
-  for (const auto& u : units)
-    all.insert(all.end(), u.points.begin(), u.points.end());
+  std::vector<std::size_t> ends;  // one past each unit's last point
+  for (const auto& u : run.units) {
+    const std::vector<RunPoint> points = u.points();
+    all.insert(all.end(), points.begin(), points.end());
+    ends.push_back(all.size());
+  }
 
-  OrchestratorOptions oo;
-  oo.cache_dir = opts.no_cache ? std::string() : opts.cache_dir;
-  oo.threads = opts.threads;
-  oo.sim_threads = opts.sim_threads;
-  oo.instrumentation = opts.instrumentation;
-  oo.checkpoint_dir = opts.checkpoint_dir;
-  oo.checkpoint_interval = opts.checkpoint_interval;
-  oo.stop_flag = opts.stop_flag;
-  oo.stop_after = opts.stop_after;
-
+  OrchestratorOptions oo = run.opts.orch;
+  std::signal(SIGINT, on_sigint);
+  oo.stop_flag = &g_stop;
   const RunReport report = run_points(all, oo);
 
   if (!report.complete()) {
@@ -910,17 +774,17 @@ int run_units(const std::vector<PresetUnit>& units, const BenchOptions& opts,
     return 130;
   }
 
-  std::size_t offset = 0;
-  for (const auto& u : units) {
-    std::vector<PointOutcome> slice(
-        report.outcomes.begin() + static_cast<std::ptrdiff_t>(offset),
-        report.outcomes.begin() +
-            static_cast<std::ptrdiff_t>(offset + u.points.size()));
-    offset += u.points.size();
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < run.units.size(); ++i) {
+    const PresetUnit& u = run.units[i];
+    const std::vector<PointOutcome> slice(
+        report.outcomes.begin() + static_cast<std::ptrdiff_t>(begin),
+        report.outcomes.begin() + static_cast<std::ptrdiff_t>(ends[i]));
+    begin = ends[i];
     if (u.render)
-      u.render(u, slice, opts);
+      u.render(u, slice, run.opts);
     else
-      render_spec(u, slice, opts);
+      render_spec(u.specs[0], slice, run.opts);
   }
 
   std::printf("summary: points=%zu hits=%zu executed=%zu missing=%zu\n",
@@ -929,11 +793,10 @@ int run_units(const std::vector<PresetUnit>& units, const BenchOptions& opts,
   return 0;
 }
 
-int run_preset_main(const std::string& name, int argc, char** argv,
-                    const std::string& default_cache_dir) {
+int run_preset_main(const std::string& name, int argc, char** argv) {
   CommandLine cli(argc, argv);
   // Driver-level keys (consumed by ofar_run's dispatch) must not trip the
-  // presets' unknown-option check when forwarded verbatim.
+  // unknown-option check when forwarded verbatim.
   (void)cli.get_string("preset", "");
   (void)cli.get_string("spec", "");
   (void)cli.get_flag("list");
@@ -944,12 +807,9 @@ int run_preset_main(const std::string& name, int argc, char** argv,
     std::fprintf(stderr, "unknown preset '%s' (try --list)\n", name.c_str());
     return 1;
   }
-  PresetRun run = preset->make(cli);
-  if (!run.ok) return 1;
-  if (run.opts.cache_dir.empty() && !run.opts.no_cache)
-    run.opts.cache_dir = default_cache_dir;
-  run.opts.stop_flag = install_sigint_stop();
-  return run_units(run.units, run.opts, run.banner);
+  const PresetRun run = preset->make(cli);
+  if (!reject_unknown(cli)) return 1;
+  return run_units(run);
 }
 
 }  // namespace ofar::bench

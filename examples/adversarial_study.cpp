@@ -58,7 +58,7 @@ void study(const char* mech_name, RoutingKind kind, u32 h, u32 offset,
   cfg.h = h;
   cfg.seed = seed;
   cfg.routing = kind;
-  if (cfg.vc_ordered()) cfg.ring = RingKind::kNone;
+  cfg.ring = default_ring(cfg.routing);
   Network net(cfg);
   net.set_traffic(std::make_unique<BernoulliSource>(
       TrafficPattern::adversarial(offset), load, seed));

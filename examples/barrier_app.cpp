@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       cfg.h = h;
       cfg.seed = seed + step;  // each superstep draws fresh destinations
       cfg.routing = kinds[m];
-      cfg.ring = cfg.vc_ordered() ? RingKind::kNone : RingKind::kPhysical;
+      cfg.ring = default_ring(cfg.routing);
 
       Network net(cfg);
       auto source =

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --routing value\n");
     return 1;
   }
-  if (cfg.vc_ordered()) cfg.ring = RingKind::kNone;
+  cfg.ring = default_ring(cfg.routing);
 
   RunParams params;
   params.warmup = cli.get_uint("warmup", 5'000);

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
            {"OFAR-L", RoutingKind::kOfarL}}) {
     SimConfig cfg = base;
     cfg.routing = kind;
-    cfg.ring = cfg.vc_ordered() ? RingKind::kNone : RingKind::kPhysical;
+    cfg.ring = default_ring(cfg.routing);
     const TransientResult result =
         run_transient(cfg, from, load, to, load, params);
     print_timeline(label, result);

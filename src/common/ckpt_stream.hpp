@@ -89,6 +89,17 @@ class CkptChecksum {
   u32 fill_ = 0;
 };
 
+/// Whether the archive may copy a T as raw bytes: every byte of a T is a
+/// byte of its value, so no padding (uninitialised memory) reaches a file
+/// and two saves of one state are byte-identical. Integer-only types answer
+/// through the standard trait, which is false for any type holding a
+/// double; such a type specializes this to true beside a size assert that
+/// proves it has no padding (core/checkpoint.cpp).
+template <typename T>
+inline constexpr bool kRawCheckpointable =
+    std::has_unique_object_representations_v<T> ||
+    std::is_floating_point_v<T>;
+
 class CkptArchive {
  public:
   enum class Mode : u8 { kSave, kLoad };
@@ -127,7 +138,7 @@ class CkptArchive {
   template <typename C>
   void fixed(C& c) {
     using T = std::remove_pointer_t<decltype(c.data())>;
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(kRawCheckpointable<std::remove_const_t<T>>);
     OFAR_DCHECK(!loading() || !std::is_const_v<T>);
     bytes(const_cast<std::remove_const_t<T>*>(c.data()),
           c.size() * sizeof(T));
@@ -169,7 +180,7 @@ class CkptArchive {
  private:
   template <typename T>
   void one(T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(kRawCheckpointable<T>);
     bytes(&v, sizeof v);
   }
   void one(bool& v) {

@@ -145,6 +145,15 @@ struct SimConfig {
   std::string summary() const;
 };
 
+/// The paper's escape ring for a mechanism (§V): none for the VC-ordered
+/// mechanisms, which need no escape network, and the physical ring for
+/// OFAR and OFAR-L.
+inline RingKind default_ring(RoutingKind routing) noexcept {
+  return routing == RoutingKind::kOfar || routing == RoutingKind::kOfarL
+             ? RingKind::kPhysical
+             : RingKind::kNone;
+}
+
 // The one declaration of every persisted configuration field. Each call
 // f(json_key, tag, member) names a field by its spec JSON key and by its
 // tag in the canonical text behind content keys and checkpoint signatures

@@ -19,7 +19,9 @@ constexpr u64 kMagic = 0x31504B435241464FULL;
 /// File format version, checked before anything else is read.
 /// v2: the version itself and the checksum trailer (v1 ended in a fixed
 /// marker); the series' retired slot and Piggyback's h_ are gone.
-constexpr u32 kFormatVersion = 2;
+/// v3: a router's active-transfer count is gone (the popcount of its
+/// active-output mask).
+constexpr u32 kFormatVersion = 3;
 
 void set_error(std::string* error, const char* what) {
   if (error != nullptr) *error = what;
@@ -38,6 +40,15 @@ bool flags_are_bools(const Packet& p) {
 }
 
 }  // namespace
+
+// The double-carrying types the archive copies whole: their sizes prove
+// they have no padding.
+static_assert(sizeof(LatencyAccum) == 3 * sizeof(u64) + 2 * sizeof(double));
+template <>
+inline constexpr bool kRawCheckpointable<LatencyAccum> = true;
+static_assert(sizeof(TimeSeries::Bucket) == sizeof(double) + sizeof(u64));
+template <>
+inline constexpr bool kRawCheckpointable<TimeSeries::Bucket> = true;
 
 void CheckpointIO::io(CkptArchive& ar, VcFifo& f) {
   ar.io(f.head_, f.tail_, f.stored_);
@@ -90,8 +101,8 @@ void CheckpointIO::io(CkptArchive& ar, Router& r) {
   }
   for (LrsArbiter& a : r.input_arb) ar.fixed(a.last_grant_);
   for (LrsArbiter& a : r.output_arb) ar.fixed(a.last_grant_);
-  ar.io(r.buffered_packets, r.buffered_phits, r.routable_heads,
-        r.active_transfers, r.throttled, r.active_out_mask);
+  ar.io(r.buffered_packets, r.buffered_phits, r.routable_heads, r.throttled,
+        r.active_out_mask);
   ar.fixed(r.input_mask);
 }
 

@@ -46,17 +46,18 @@ std::string per_point_path(const std::string& path, const std::string& label,
   return path.substr(0, dot) + "." + tag + path.substr(dot);
 }
 
-}  // namespace
-
-void ExperimentCommon::arm(Network& net, const std::string& label_suffix)
-    const {
-  const Instrumentation& in = instrumentation;
-  net.set_sim_threads(sim_threads);
+/// Wires auditing, tracing and telemetry into a freshly built network,
+/// before its first cycle. The telemetry record label and trace label are
+/// "<ctx.label>|<label_suffix>" (either part optional).
+void arm(Network& net, const RunContext& ctx,
+         const std::string& label_suffix = "") {
+  const Instrumentation& in = ctx.instrumentation;
+  net.set_sim_threads(ctx.sim_threads);
   if (in.audit_interval > 0) net.enable_audit(in.audit_interval);
-  const std::string label = compose_label(metrics_label, label_suffix);
+  const std::string label = compose_label(ctx.label, label_suffix);
   if (!in.trace_out.empty()) {
     trace::TracerConfig tc;
-    tc.out_path = trace_per_point
+    tc.out_path = ctx.trace_per_point
                       ? per_point_path(in.trace_out, label, net.config().seed)
                       : in.trace_out;
     tc.sample = in.trace_sample;
@@ -73,8 +74,11 @@ void ExperimentCommon::arm(Network& net, const std::string& label_suffix)
   net.enable_telemetry(tc);
 }
 
+}  // namespace
+
 SteadyResult run_steady(const SimConfig& cfg, const TrafficPattern& pattern,
-                        double load, const RunParams& params) {
+                        double load, const RunParams& params,
+                        const RunContext& ctx) {
   const auto fresh = [&] {
     auto net = std::make_unique<Network>(cfg);
     net->set_traffic(
@@ -88,39 +92,39 @@ SteadyResult run_steady(const SimConfig& cfg, const TrafficPattern& pattern,
   // a partly written network, so the point restarts on a fresh one. A cold
   // run with no checkpoint path takes the two plain run() calls below —
   // same cycles, same results.
-  const bool ckpt = !params.checkpoint_path.empty();
+  const std::string& path = ctx.checkpoint_path;
+  const bool ckpt = !path.empty();
   std::string error;
-  if (ckpt && !CheckpointIO::restore(*built, params.checkpoint_path, &error) &&
-      std::filesystem::exists(params.checkpoint_path)) {
+  if (ckpt && !CheckpointIO::restore(*built, path, &error) &&
+      std::filesystem::exists(path)) {
     std::fprintf(stderr,
                  "warning: checkpoint %s rejected (%s); restarting the "
                  "point from cycle 0\n",
-                 params.checkpoint_path.c_str(), error.c_str());
+                 path.c_str(), error.c_str());
     built = fresh();
   }
   Network& net = *built;
   char suffix[32];
   std::snprintf(suffix, sizeof suffix, "load=%g", load);
-  params.arm(net, suffix);
+  arm(net, ctx, suffix);
 
   const auto run_to = [&](Cycle target) {
     while (net.now() < target) {
       Cycle chunk = target - net.now();
-      if (ckpt && params.checkpoint_interval > 0)
-        chunk = std::min(chunk, params.checkpoint_interval);
+      if (ckpt && ctx.checkpoint_interval > 0)
+        chunk = std::min(chunk, ctx.checkpoint_interval);
       net.run(chunk);
-      if (ckpt && net.now() < target)
-        CheckpointIO::save(net, params.checkpoint_path);
+      if (ckpt && net.now() < target) CheckpointIO::save(net, path);
     }
   };
   if (net.now() < params.warmup) {
     run_to(params.warmup);
     net.stats().reset(net.now());
     // Snapshot the post-reset boundary so a resume never repeats warmup.
-    if (ckpt) CheckpointIO::save(net, params.checkpoint_path);
+    if (ckpt) CheckpointIO::save(net, path);
   }
   run_to(params.warmup + params.measure);
-  if (ckpt) std::remove(params.checkpoint_path.c_str());
+  if (ckpt) std::remove(path.c_str());
   if (net.telemetry() != nullptr) net.telemetry()->write_summary(net);
 
   const Stats& s = net.stats();
@@ -142,7 +146,8 @@ SteadyResult run_steady(const SimConfig& cfg, const TrafficPattern& pattern,
 TransientResult run_transient(const SimConfig& cfg,
                               const TrafficPattern& pattern_a, double load_a,
                               const TrafficPattern& pattern_b, double load_b,
-                              const TransientParams& params) {
+                              const TransientParams& params,
+                              const RunContext& ctx) {
   Network net(cfg);
   const Cycle switch_at = params.warmup;
   std::vector<PhasedSource::Phase> phases;
@@ -150,7 +155,7 @@ TransientResult run_transient(const SimConfig& cfg,
   phases.push_back({pattern_b, load_b, /*until=*/0,
                     static_cast<u16>(pattern_a.components().size())});
   net.set_traffic(std::make_unique<PhasedSource>(std::move(phases), cfg.seed));
-  params.arm(net);
+  arm(net, ctx);
 
   const Cycle series_start = switch_at > params.lead ? switch_at - params.lead
                                                      : 0;
@@ -174,13 +179,13 @@ TransientResult run_transient(const SimConfig& cfg,
 }
 
 BurstResult run_burst(const SimConfig& cfg, const TrafficPattern& pattern,
-                      const BurstParams& params) {
+                      const BurstParams& params, const RunContext& ctx) {
   Network net(cfg);
   auto source = std::make_unique<BurstSource>(
       pattern, params.packets_per_node, cfg.seed);
   BurstSource* burst = source.get();
   net.set_traffic(std::move(source));
-  params.arm(net);
+  arm(net, ctx);
 
   BurstResult out;
   while (net.now() < params.max_cycles) {

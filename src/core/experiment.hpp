@@ -26,8 +26,7 @@ class Network;
 
 /// Read-only instrumentation of a run: invariant auditing, telemetry and
 /// packet tracing. Per-seed results are bit-identical with any of it on or
-/// off, so none of these knobs belong in a cached point key. Declared once
-/// and copied whole: BenchOptions -> OrchestratorOptions -> ExperimentCommon.
+/// off, so none of these knobs belong in a cached point key.
 struct Instrumentation {
   /// Cycles between invariant-auditor runs (Network::enable_audit);
   /// 0 disables. The run just aborts with a report if an invariant breaks.
@@ -46,23 +45,24 @@ struct Instrumentation {
   u32 trace_sample = 64;  ///< trace 1-in-N packets by hash(seq); <=1: all
 };
 
-/// Knobs shared by every experiment protocol. A new shared knob is added
-/// here once and every protocol (steady, transient, burst) picks it up.
-struct ExperimentCommon {
+/// How one run executes, as opposed to what it simulates: every member is
+/// result-invariant, so none of it is part of a point's cache key. Passed
+/// beside the protocol parameters to run_steady, run_transient and
+/// run_burst; the orchestrator builds one per executed point.
+struct RunContext {
   Instrumentation instrumentation;
   /// Telemetry record and trace label (plus a per-run suffix).
-  std::string metrics_label;
+  std::string label;
 
   /// Rewrite trace paths per run ("t.json" -> "t.<label>-s<seed>.json") so
-  /// the parallel points of a sweep sharing one params object do not
-  /// overwrite each other's files. Leave false for single runs where the
-  /// exact output name matters.
+  /// the parallel points of a sweep do not overwrite each other's files.
+  /// Leave false for single runs where the exact output name matters.
   bool trace_per_point = false;
 
   /// Worker threads for the sharded cycle kernel (Network::set_sim_threads).
-  /// Execution-only: any value produces the same per-seed results for a
-  /// given SimConfig::sim_shards, so it is NOT part of the cached point
-  /// key. 0 means 1 (sequential). Ignored when sim_shards == 1.
+  /// Any value produces the same per-seed results for a given
+  /// SimConfig::sim_shards. 0 means 1 (sequential). Ignored when
+  /// sim_shards == 1.
   unsigned sim_threads = 1;
 
   // ---- optional checkpoint/restart (core/checkpoint.hpp). Steady runs
@@ -77,26 +77,16 @@ struct ExperimentCommon {
   /// Cycles between checkpoint refreshes (0: only the warmup-boundary
   /// snapshot is written).
   Cycle checkpoint_interval = 100'000;
-
-  /// Wires auditing, tracing and telemetry into a freshly built network.
-  /// The telemetry record label and trace label are
-  /// "<metrics_label>|<label_suffix>" (either part optional). Called by
-  /// every run_* driver before the first cycle.
-  void arm(Network& net, const std::string& label_suffix = "") const;
 };
 
-struct RunParams : ExperimentCommon {
+/// Steady-state measurement windows.
+struct RunParams {
   Cycle warmup = 20'000;
   Cycle measure = 30'000;
 
-  /// RunParams with just the measurement windows set. Spelled as a factory
-  /// because partial brace-init of RunParams trips
-  /// -Wmissing-field-initializers on the optional telemetry members.
+  /// RunParams{warmup, measure}, named at the call site.
   static RunParams windows(Cycle warmup, Cycle measure) {
-    RunParams p;
-    p.warmup = warmup;
-    p.measure = measure;
-    return p;
+    return {warmup, measure};
   }
 };
 
@@ -116,9 +106,10 @@ struct SteadyResult {
 
 /// One steady-state point: fresh network, Bernoulli traffic at `load`.
 SteadyResult run_steady(const SimConfig& cfg, const TrafficPattern& pattern,
-                        double load, const RunParams& params = {});
+                        double load, const RunParams& params = {},
+                        const RunContext& ctx = {});
 
-struct TransientParams : ExperimentCommon {
+struct TransientParams {
   Cycle warmup = 30'000;      ///< cycles of pattern A before the switch
   Cycle horizon = 20'000;     ///< observed birth-cycle span after the switch
   Cycle lead = 2'000;         ///< observed span before the switch
@@ -140,9 +131,10 @@ struct TransientResult {
 TransientResult run_transient(const SimConfig& cfg,
                               const TrafficPattern& pattern_a, double load_a,
                               const TrafficPattern& pattern_b, double load_b,
-                              const TransientParams& params = {});
+                              const TransientParams& params = {},
+                              const RunContext& ctx = {});
 
-struct BurstParams : ExperimentCommon {
+struct BurstParams {
   u32 packets_per_node = 400;       ///< paper §VI-C uses 2000
   Cycle max_cycles = 5'000'000;     ///< abandon the run if not drained by then
 };
@@ -157,6 +149,7 @@ struct BurstResult {
 
 /// Every node injects `params.packets_per_node` packets as fast as possible.
 BurstResult run_burst(const SimConfig& cfg, const TrafficPattern& pattern,
-                      const BurstParams& params = {});
+                      const BurstParams& params = {},
+                      const RunContext& ctx = {});
 
 }  // namespace ofar

@@ -344,41 +344,28 @@ RunReport run_points(const std::vector<RunPoint>& points,
       const RunPoint& p = points[i];
       PointOutcome& o = report.outcomes[i];
 
-      // Per-point instrumentation: labels name the case and mechanism so a
-      // shared sink's records stay distinguishable across the whole sweep.
-      const std::string label =
+      // Labels name the case and mechanism so a shared sink's records stay
+      // distinguishable across the whole sweep.
+      RunContext ctx;
+      ctx.instrumentation = opts.instrumentation;
+      ctx.label =
           p.case_name.empty() ? p.mechanism : p.case_name + "|" + p.mechanism;
-      const auto arm_common = [&](ExperimentCommon& c) {
-        c.instrumentation = opts.instrumentation;
-        c.metrics_label = label;
-        c.trace_per_point = todo.size() > 1;
-        c.sim_threads = inner;
-      };
+      ctx.trace_per_point = todo.size() > 1;
+      ctx.sim_threads = inner;
+      if (!opts.checkpoint_dir.empty())
+        ctx.checkpoint_path = opts.checkpoint_dir + "/" + o.key + ".ckpt";
+      ctx.checkpoint_interval = opts.checkpoint_interval;
       switch (p.kind) {
-        case RunKind::kSteady: {
-          RunParams run = p.run;
-          arm_common(run);
-          if (!opts.checkpoint_dir.empty()) {
-            run.checkpoint_path =
-                opts.checkpoint_dir + "/" + o.key + ".ckpt";
-            run.checkpoint_interval = opts.checkpoint_interval;
-          }
-          o.steady = run_steady(p.cfg, p.pattern, p.load, run);
+        case RunKind::kSteady:
+          o.steady = run_steady(p.cfg, p.pattern, p.load, p.run, ctx);
           break;
-        }
-        case RunKind::kTransient: {
-          TransientParams tp = p.transient;
-          arm_common(tp);
+        case RunKind::kTransient:
           o.transient = run_transient(p.cfg, p.pattern, p.load, p.pattern_b,
-                                      p.load_b, tp);
+                                      p.load_b, p.transient, ctx);
           break;
-        }
-        case RunKind::kBurst: {
-          BurstParams bp = p.burst;
-          arm_common(bp);
-          o.burst = run_burst(p.cfg, p.pattern, bp);
+        case RunKind::kBurst:
+          o.burst = run_burst(p.cfg, p.pattern, p.burst, ctx);
           break;
-        }
       }
       o.done = true;
       o.from_cache = false;

@@ -46,11 +46,13 @@ struct OrchestratorOptions {
   /// any split (see DESIGN.md §10).
   unsigned sim_threads = 0;
 
-  // Instrumentation applied to every *executed* point (cache hits ran
-  // without it, which is equivalent: both are result-invariant). When the
-  // run executes more than one point, the trace path gets a per-point
-  // "<case>|<mechanism>|..." + seed tag so parallel points never overwrite
-  // each other's file; a single executed point writes it verbatim.
+  // Each *executed* point runs under a RunContext (core/experiment.hpp)
+  // built from these settings, labelled "<case>|<mechanism>" (cache hits
+  // ran without instrumentation, which is equivalent: both are
+  // result-invariant). When the run executes more than one point, the
+  // trace path gets a per-point label + seed tag so parallel points never
+  // overwrite each other's file; a single executed point writes it
+  // verbatim.
   Instrumentation instrumentation;
 
   // Mid-point checkpoint/restart (core/checkpoint.hpp) for steady points:
@@ -61,7 +63,7 @@ struct OrchestratorOptions {
   // when the point completes. "" disables. Result-invariant: a resumed
   // point is bit-identical to an uninterrupted one.
   std::string checkpoint_dir;
-  Cycle checkpoint_interval = 100'000;
+  Cycle checkpoint_interval = RunContext{}.checkpoint_interval;
 
   /// Cooperative stop (e.g. SIGINT): checked before each point starts;
   /// in-flight points finish and journal, the rest stay missing.

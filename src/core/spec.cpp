@@ -194,22 +194,6 @@ std::string config_signature(const SimConfig& cfg) {
   return out;
 }
 
-std::vector<std::string> ExperimentSpec::case_names() const {
-  std::vector<std::string> names;
-  switch (kind) {
-    case RunKind::kSteady:
-      for (const auto& p : patterns) names.push_back(p.name);
-      break;
-    case RunKind::kTransient:
-      for (const auto& t : transitions) names.push_back(t.name);
-      break;
-    case RunKind::kBurst:
-      for (const auto& w : workloads) names.push_back(w.name);
-      break;
-  }
-  return names;
-}
-
 std::vector<RunPoint> ExperimentSpec::expand() const {
   std::vector<RunPoint> points;
   const std::size_t cases = kind == RunKind::kSteady ? patterns.size()
@@ -227,10 +211,6 @@ std::vector<RunPoint> ExperimentSpec::expand() const {
           p.seed = seeds[s];
           p.cfg = mechanisms[m].cfg;
           p.cfg.seed = seeds[s];
-          p.mech_index = static_cast<u32>(m);
-          p.case_index = static_cast<u32>(c);
-          p.load_index = static_cast<u32>(l);
-          p.seed_index = static_cast<u32>(s);
           switch (kind) {
             case RunKind::kSteady:
               p.case_name = patterns[c].name;
@@ -512,9 +492,8 @@ bool SpecReader::read(const JsonValue& v, const std::string& path,
 }
 
 /// A mechanism entry: a label, a routing kind, and config overrides on top
-/// of `base`. The routing kind picks the paper's default ring (none for the
-/// VC-ordered mechanisms, physical for OFAR) before an explicit "ring"
-/// member overrides it.
+/// of `base`. The routing kind picks the paper's default ring
+/// (default_ring) before an explicit "ring" member overrides it.
 bool SpecReader::read(const JsonValue& v, const std::string& path,
                       MechanismEntry& out) {
   SimConfig& cfg = out.cfg = base;
@@ -524,7 +503,7 @@ bool SpecReader::read(const JsonValue& v, const std::string& path,
       {"routing",
        [this, &cfg](const JsonValue& r, const std::string& at) {
          if (!read(r, at, cfg.routing)) return false;
-         cfg.ring = cfg.vc_ordered() ? RingKind::kNone : RingKind::kPhysical;
+         cfg.ring = default_ring(cfg.routing);
          return true;
        },
        true}};
@@ -561,18 +540,6 @@ bool spec_from_json(const JsonValue& doc, ExperimentSpec& out,
     return false;
   }
   ExperimentSpec spec;
-  // Steady specs default to the windows every figure bench has used.
-  spec.run = RunParams::windows(5'000, 6'000);
-  // Fig. 6 conventions for transient specs.
-  spec.transient.warmup = 20'000;
-  spec.transient.horizon = 12'000;
-  spec.transient.lead = 2'000;
-  spec.transient.drain = 20'000;
-  spec.transient.bucket = 500;
-  // Fig. 7 conventions for burst specs.
-  spec.burst.packets_per_node = 400;
-  spec.burst.max_cycles = 20'000'000;
-
   SpecReader r(spec);
   // The kind decides which members the document may hold, so it is read
   // first; the declared "kind" member then reads it again, to no effect.

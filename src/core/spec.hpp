@@ -3,24 +3,23 @@
 // An ExperimentSpec describes one figure-shaped experiment — a cross
 // product of {mechanism} x {pattern or transition} x {load} x {seed} under
 // one of the three measurement protocols of core/experiment.hpp — and
-// expands into a flat list of RunPoints. Specs come from three places:
+// expands into a flat list of RunPoints. Specs come from two places:
 //
 //   - JSON files (spec_from_file): the `ofar_run --spec` path,
-//   - the preset table in bench/presets.cpp: the figure reproductions,
-//   - CLI shorthand assembled by ofar_run (--kind/--mechanisms/...).
+//   - the preset table in bench/presets.cpp: the figure reproductions.
 //
 // Every RunPoint has a *canonical cache key*: a digest over a canonical
 // text rendering of (schema version, protocol, full SimConfig, pattern
 // components, protocol parameters, seed). The SimConfig part renders every
 // field visit_fields (common/config.hpp) declares, in its order: the same
 // list the JSON loader reads config members from and the checkpoint
-// signature renders, so no field can reach one and miss another. Telemetry
-// and audit knobs are deliberately excluded — both are read-only
-// instrumentation and results are bit-identical with them on or off. The
-// key is what the orchestrator's result cache and resume journal are
-// addressed by, so it must be stable across processes and platforms:
-// doubles are rendered with std::to_chars shortest-round-trip form and the
-// hash is a fixed FNV-1a.
+// signature renders, so no field can reach one and miss another. A point
+// holds nothing else but its display labels: how a point executes
+// (instrumentation, threads, checkpoints) is a RunContext passed beside it
+// (core/experiment.hpp), so it cannot reach the key. The key is what the
+// orchestrator's result cache and resume journal are addressed by, so it
+// must be stable across processes and platforms: doubles are rendered with
+// std::to_chars shortest-round-trip form and the hash is a fixed FNV-1a.
 //
 // Bump kSpecSchemaVersion whenever the meaning of a config field, a
 // pattern, or a result struct changes — every cached result is invalidated
@@ -72,7 +71,9 @@ struct TransitionSpec {
 
 /// One expanded simulation point, self-contained and deterministic: the
 /// orchestrator can run points in any order, on any thread, and rerunning a
-/// point always reproduces the same result bit-for-bit.
+/// point always reproduces the same result bit-for-bit. canonical_point
+/// renders every member but the two labels (and, of the three protocol
+/// parameter sets, only the one its kind runs).
 struct RunPoint {
   RunKind kind = RunKind::kSteady;
   std::string mechanism;  ///< column label
@@ -87,16 +88,9 @@ struct RunPoint {
   double load = 0.0;
   double load_b = 0.0;
 
-  RunParams run;            ///< steady windows
+  RunParams run;  ///< steady windows
   TransientParams transient;
   BurstParams burst;
-
-  // Grid coordinates for renderers (indices into the owning spec's
-  // mechanisms / cases / loads / seeds vectors).
-  u32 mech_index = 0;
-  u32 case_index = 0;
-  u32 load_index = 0;
-  u32 seed_index = 0;
 };
 
 /// Evenly spaced load grid (lo, ..., hi] with `points` samples — the same
@@ -112,22 +106,25 @@ struct ExperimentSpec {
   std::vector<u64> seeds = {1};
   std::vector<MechanismEntry> mechanisms;
 
-  // ---- steady (cross product patterns x loads) ----
+  // Each kind's parameters default to the conventions of its figures,
+  // for spec files and presets alike.
+
+  // ---- steady (cross product patterns x loads; Figs. 2-5, 8, 9) ----
   std::vector<NamedPattern> patterns;
   std::vector<double> loads;
-  RunParams run;  ///< warmup/measure; audit/telemetry armed by the driver
+  RunParams run = RunParams::windows(5'000, 6'000);
 
-  // ---- transient ----
+  // ---- transient (Fig. 6) ----
   std::vector<TransitionSpec> transitions;
-  TransientParams transient;
+  TransientParams transient{.warmup = 20'000,
+                            .horizon = 12'000,
+                            .lead = 2'000,
+                            .drain = 20'000,
+                            .bucket = 500};
 
-  // ---- burst ----
+  // ---- burst (Fig. 7) ----
   std::vector<NamedPattern> workloads;
-  BurstParams burst;
-
-  /// Case names along the non-load axis (patterns, transitions or
-  /// workloads depending on kind).
-  std::vector<std::string> case_names() const;
+  BurstParams burst{.packets_per_node = 400, .max_cycles = 20'000'000};
 
   /// Flat point list in deterministic order: seeds, then cases, then
   /// loads, then mechanisms (innermost).

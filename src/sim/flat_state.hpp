@@ -148,9 +148,9 @@ class HeadView {
 };
 
 /// Memoized per-(router, cycle) snapshot of the base-VC credit queries the
-/// routing policies issue (Network::base_available / base_occupancy /
-/// best_base_vc). bind() is O(1) — an epoch bump — and each output port is
-/// summarised at most once per bind in a single pass over its credit span.
+/// routing policies issue (base_available / base_occupancy / best_base_vc).
+/// bind() is O(1) — an epoch bump — and each output port is summarised at
+/// most once per bind in a single pass over its credit span.
 //
 // Shard-local: each ShardState owns one view; route() calls of the owning
 // shard's allocation scan are the only readers/writers.
@@ -176,8 +176,8 @@ class OFAR_SHARD_LOCAL CreditView {
 
   const Router& router() const noexcept { return *r_; }
 
-  /// Mirrors Network::base_available: wired, transfer-idle, and some base
-  /// VC can hold a whole packet.
+  /// True when `port` is wired, transfer-idle, and some base VC can hold a
+  /// whole packet.
   bool base_available(PortId port) noexcept {
     return snap(port).avail != 0;
   }
@@ -198,8 +198,9 @@ class OFAR_SHARD_LOCAL CreditView {
     return s.occ;
   }
 
-  /// Mirrors Network::best_base_vc (most credits among base VCs with room
-  /// for a whole packet). Only meaningful on ports with a base range.
+  /// The base VC of `port` with the most credits among those with room for
+  /// a whole packet; false if none. Only meaningful on ports with a base
+  /// range.
   bool best_base_vc(PortId port, VcId& vc) noexcept {
     const PortSnap& s = snap(port);
     vc = s.best_vc;

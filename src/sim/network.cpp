@@ -405,15 +405,6 @@ double Network::base_occupancy(const Router& r, PortId port) const {
   return r.outputs[port].occupancy(first, count);
 }
 
-bool Network::base_available(const Router& r, PortId port) const {
-  const OutputPort& out = r.outputs[port];
-  if (!out.wired() || out.busy()) return false;
-  u32 first, count;
-  base_vc_range(r.id, port, first, count);
-  VcId vc;
-  return count != 0 && out.best_vc(first, count, cfg_.packet_size, vc);
-}
-
 bool Network::ring_can_take_packet(const Router& r) const {
   if (ring_ == nullptr) return false;
   const RingOut& ro = ring_out_[r.id];
@@ -423,13 +414,6 @@ bool Network::ring_can_take_packet(const Router& r) const {
   for (u32 v = ro.first_vc; v < ro.first_vc + ro.num_vcs; ++v)
     if (out.credits[v] >= cfg_.packet_size) return true;
   return false;
-}
-
-bool Network::best_base_vc(const Router& r, PortId port, VcId& vc) const {
-  u32 first, count;
-  base_vc_range(r.id, port, first, count);
-  if (count == 0) return false;
-  return r.outputs[port].best_vc(first, count, cfg_.packet_size, vc);
 }
 
 u32 Network::injection_free_phits(NodeId node) const {
@@ -455,7 +439,7 @@ void Network::offer(NodeId src, NodeId dst, u16 tag) {
   stats_.on_generated(tag, cfg_.packet_size);
   OfferQueue& queue = pending_[src];
   if (queue.empty()) node_ready_[src] = 1;  // just became pending
-  queue.push_back({dst, tag, now_});
+  queue.push_back({.dst = dst, .tag = tag, .birth = now_});
   ++pending_total_;
   mark_node_pending(src);
 }
@@ -469,7 +453,7 @@ bool Network::try_inject(NodeId src, NodeId dst, u16 tag) {
   u32 best_vc;
   if (!in.best_fit_vc(cfg_.packet_size, best_vc)) return false;
   stats_.on_generated(tag, cfg_.packet_size);
-  place_packet(src, {dst, tag, now_});
+  place_packet(src, {.dst = dst, .tag = tag, .birth = now_});
   return true;
 }
 
@@ -653,7 +637,6 @@ void Network::advance_transfers(ShardState& sh, u32 slot) {
       if (out.phits_left == 0) {
         out.active = kInvalidPacket;
         in.head_busy[out.src_vc] = 0;
-        --r.active_transfers;
         r.active_out_mask &= ~(1ull << port);
       }
     }
@@ -777,7 +760,6 @@ void Network::commit_grant(ShardState& sh, Router& r, const AllocRequest& rq,
   out.src_vc = rq.in_vc;
   out.phits_left = pkt.size;
   out.active_size = pkt.size;
-  ++r.active_transfers;
   r.active_out_mask |= 1ull << rq.choice.out_port;
   r.inputs[rq.in_port].head_busy[rq.in_vc] = 1;
   OFAR_DCHECK(r.routable_heads > 0);

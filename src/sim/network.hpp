@@ -244,11 +244,6 @@ class Network {
 
   /// Occupancy fraction of an output port over its base (non-escape) VCs.
   double base_occupancy(const Router& r, PortId port) const;
-  /// True when `port` can accept a whole packet now on some base VC
-  /// (not busy, wired, credits >= packet size).
-  bool base_available(const Router& r, PortId port) const;
-  /// Best base VC of `port` (most credits, >= packet size); false if none.
-  bool best_base_vc(const Router& r, PortId port, VcId& vc) const;
 
   /// Number of phits a node's injection FIFOs can still accept.
   u32 injection_free_phits(NodeId node) const;
@@ -270,7 +265,6 @@ class Network {
   void set_trace_sampling(u32 denom) noexcept {
     trace_sample_ = denom == 0 ? 1 : denom;
   }
-  u32 trace_sampling() const noexcept { return trace_sample_; }
 
   /// Enables the full tracing subsystem (src/trace): installs a
   /// PacketTracer as the tracer callback, applies tcfg.sample, and arms the
@@ -306,16 +300,20 @@ class Network {
   friend class verify::InvariantAuditor;
   friend class CheckpointIO;  // core/checkpoint.cpp: full-state save/load
 
+  // Wheel events and offers are checkpointed as raw bytes, so each spells
+  // out its padding as zeroed members.
   struct PhitEvent {
     ChannelId ch;
     PacketId pkt;
     VcId vc;
     u8 head;  // first phit of the packet
     u8 tail;  // last phit of the packet
+    u8 zero_pad = 0;
   };
   struct CreditEvent {
     ChannelId ch;
     VcId vc;
+    u8 zero_pad[3] = {};
   };
   /// An ejected tail, staged by value: the owning shard copies what the
   /// delivery needs while the packet line is still in its cache, so the
@@ -331,6 +329,7 @@ class Network {
   struct Offer {
     NodeId dst;
     u16 tag;
+    u16 zero_pad = 0;
     Cycle birth;
   };
 

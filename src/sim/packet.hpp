@@ -8,6 +8,7 @@
 #pragma once
 
 #include <limits>
+#include <type_traits>
 
 #include "common/types.hpp"
 
@@ -38,6 +39,7 @@ struct alignas(64) Packet {
   // ---- OFAR misroute header flags (paper §IV-A) ----
   bool global_misrouted = false;  ///< the one global misroute was spent
   bool local_misrouted = false;   ///< local misroute spent in `flag_group`
+  u8 zero_pad = 0;  ///< always 0: checkpoints copy a Packet's bytes
   GroupId flag_group = kInvalidGroup;  ///< group `local_misrouted` refers to
 
   // ---- escape-ring state (paper §IV-C) ----
@@ -73,5 +75,7 @@ struct alignas(64) Packet {
 };
 static_assert(sizeof(Packet) == 64 && alignof(Packet) == 64,
               "a Packet must occupy exactly one cache line");
+static_assert(std::has_unique_object_representations_v<Packet>,
+              "a Packet must have no padding bytes");
 
 }  // namespace ofar

@@ -137,7 +137,6 @@ struct OFAR_SHARD_LOCAL Router {
   u32 buffered_packets = 0;
   u32 buffered_phits = 0;
   u32 routable_heads = 0;
-  u32 active_transfers = 0;
   u32 buffer_capacity_phits = 0;  ///< sum of all input-VC capacities
   bool throttled = false;         ///< congestion-throttle latch (hysteresis)
   std::vector<u8> input_mask;  // [port] -> bit v set iff vcs[v] non-empty

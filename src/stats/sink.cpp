@@ -97,7 +97,6 @@ void MetricsSink::write_line(const std::string& line) {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fputc('\n', file_);
-  ++lines_;
 }
 
 }  // namespace ofar

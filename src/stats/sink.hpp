@@ -114,15 +114,12 @@ class MetricsSink {
   /// respect to other threads writing to the same sink.
   void write_line(const std::string& line);
 
-  u64 lines_written() const noexcept { return lines_; }
-
  private:
   MetricsSink(std::FILE* f, std::string path);
 
   std::FILE* file_;
   std::string path_;
   std::mutex mutex_;
-  u64 lines_ = 0;
 };
 
 }  // namespace ofar

@@ -56,7 +56,6 @@ class OFAR_SERIAL_ONLY PacketTracer {
   const TracerConfig& config() const noexcept { return cfg_; }
   u64 events_seen() const noexcept { return events_; }
   u64 journeys_completed() const noexcept { return completed_; }
-  u64 journeys_open() const noexcept { return open_.size(); }
   const FlightRecorder* recorder() const noexcept { return recorder_.get(); }
 
  private:

@@ -74,8 +74,6 @@ class BurstSource : public TrafficSource {
   void tick(Network& net) override;
   bool finished() const override { return remaining_total_ == 0; }
 
-  u64 remaining_total() const { return remaining_total_; }
-
   void io(CkptArchive& ar, const Network& net) override;
 
  private:

@@ -302,7 +302,6 @@ void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
           format("r%u: active_out_mask %llx names ports past its %u", r.id,
                  static_cast<unsigned long long>(r.active_out_mask), ports));
     }
-    u32 busy_ports = 0;
     for (PortId port = 0; port < ports; ++port) {
       const OutputPort& out = r.outputs[port];
       const bool mask_bit = (r.active_out_mask >> port) & 1u;
@@ -321,7 +320,6 @@ void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
         continue;
       }
       if (!out.busy()) continue;
-      ++busy_ports;
       const Packet& pkt = net_.pool_.get(out.active);
       const HeadView in(r.inputs[out.src_port]);
       if (in.empty(out.src_vc) || in.head(out.src_vc) != out.active) {
@@ -351,11 +349,6 @@ void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
                    static_cast<u32>(out.active_vc), out.credits.size(),
                    static_cast<unsigned long long>(sent), out.phits_left));
       }
-    }
-    if (busy_ports != r.active_transfers) {
-      add(rep, Invariant::kVctAtomicity,
-          format("r%u: %u outputs are streaming but active_transfers=%u",
-                 r.id, busy_ports, r.active_transfers));
     }
     for (PortId p = 0; p < ports; ++p) {
       for (VcId v = 0; v < r.inputs[p].vcs.size(); ++v) {

@@ -1,0 +1,195 @@
+// Pins of every figure preset (bench/presets.cpp) as `ofar_run --preset`
+// runs it: at tiny flags, its whole-run results digest, the CSV files it
+// writes and a digest of their bytes; at its default flags, a digest of its
+// sorted point keys (no simulation); and its rejection of an unknown flag.
+// A refactor of the experiment layer must leave every pin unchanged.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "presets.hpp"
+
+namespace ofar::bench {
+namespace {
+
+namespace fs = std::filesystem;
+
+/// Runs `ofar_run --preset NAME FLAGS...` in-process; returns its exit code
+/// and what it printed.
+int run_preset(const std::string& name, const std::vector<std::string>& flags,
+               std::string* out, std::string* err) {
+  std::vector<std::string> args = {"ofar_run", "--preset", name};
+  args.insert(args.end(), flags.begin(), flags.end());
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const int rc = run_preset_main(name, static_cast<int>(argv.size()),
+                                 argv.data());
+  *out = ::testing::internal::GetCapturedStdout();
+  *err = ::testing::internal::GetCapturedStderr();
+  return rc;
+}
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+struct TinyRun {
+  const char* preset;
+  std::vector<std::string> flags;
+  const char* results_digest;
+  std::vector<std::string> csvs;  ///< sorted file names
+  const char* csv_digest;         ///< over names and bytes, in that order
+};
+
+const std::vector<TinyRun>& tiny_runs() {
+  static const std::vector<std::string> steady = {
+      "--h", "2", "--warmup", "200", "--measure", "300", "--points", "3"};
+  static const std::vector<TinyRun> runs = {
+      {"fig2",
+       {"--h", "2", "--warmup", "200", "--measure", "300", "--max-offset",
+        "4"},
+       "c54263194b68d17c3ea7e287717d6f8d",
+       {"fig2b_offset.csv"},
+       "054719f5e46449528f2ce89e6df785f7"},
+      {"fig3",
+       steady,
+       "645bc048dba53fbd372fbdf116436656",
+       {"fig3_detail.csv", "fig3_latency.csv", "fig3_throughput.csv"},
+       "faa8a7c59070cd96e0a01dd14ca98a13"},
+      {"fig4",
+       steady,
+       "4c4af84f1ef89b45b658872cd1351dcc",
+       {"fig4_detail.csv", "fig4_latency.csv", "fig4_throughput.csv"},
+       "c2eb51dc492883c9a020c61987d1e970"},
+      {"fig5",
+       steady,
+       "4c4af84f1ef89b45b658872cd1351dcc",
+       {"fig5_detail.csv", "fig5_latency.csv", "fig5_throughput.csv"},
+       "b9367afdeb823c90879033793dc3fea1"},
+      {"fig6",
+       {"--h", "2", "--switch-at", "600", "--horizon", "400", "--lead", "200",
+        "--drain", "400", "--bucket", "100"},
+       "23da620a589a8a5b155578d2233d3be6",
+       {"fig6_ADV_2__ADV_h.csv", "fig6_ADV_2__UN.csv", "fig6_UN__ADV_2.csv"},
+       "df4d6827bbbaf34bd65aa073ae4ffaea"},
+      {"fig7",
+       {"--h", "2", "--packets", "5"},
+       "0a9944e07f8d39d1398fce4dcbefc53c",
+       {"fig7_bursts.csv"},
+       "2175975d16b1771d26bf503077c9cd7e"},
+      {"fig8",
+       steady,
+       "cd3b84241a7f9617328bcc715b59d3ac",
+       {"fig8_adv2_detail.csv", "fig8_adv2_latency.csv",
+        "fig8_adv2_throughput.csv", "fig8_un_detail.csv",
+        "fig8_un_latency.csv", "fig8_un_throughput.csv"},
+       "9171051aa6b0db49ad04b9fe6641e09e"},
+      {"fig9",
+       {"--h", "2", "--warmup", "200", "--measure", "300", "--points", "2"},
+       "3a6d64553c7417209ca96cb911ac72cf",
+       {"fig9_reduced_vcs.csv"},
+       "a8e6eb9bcd8241925d756b11e10609a9"},
+      {"ablation_thresholds",
+       {"--h", "2", "--warmup", "200", "--measure", "300"},
+       "ebb22833a99051c77c27d6244b300304",
+       {"ablation_factor.csv", "ablation_gap.csv",
+        "ablation_policy_mode.csv"},
+       "f94027eab837ca2adc5221e349e7c955"},
+      {"ablation_congestion",
+       {"--h", "2", "--warmup", "200", "--measure", "300"},
+       "404470e776f686d848bb8942b3fdc111",
+       {"ablation_congestion.csv"},
+       "2ae397a4cae843eaac36c9b338ed4599"},
+      {"ablation_rings",
+       {"--h", "2", "--warmup", "200", "--measure", "300"},
+       "a7042a08a30e407154823cd7094d7a2c",
+       {"ablation_rings_perf.csv", "ablation_rings_topology.csv"},
+       "c2f17690052d2b1ccb13cc7488d3ef63"},
+  };
+  return runs;
+}
+
+TEST(Presets, TinyRunsArePinned) {
+  ASSERT_EQ(tiny_runs().size(), presets().size());
+  for (const TinyRun& pin : tiny_runs()) {
+    SCOPED_TRACE(pin.preset);
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / ("ofar_presets_" +
+                                          std::string(pin.preset));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::vector<std::string> flags = pin.flags;
+    for (const char* f : {"--no-cache", "--threads", "2", "--csv-dir"})
+      flags.push_back(f);
+    flags.push_back(dir.string());
+
+    std::string out, err;
+    ASSERT_EQ(run_preset(pin.preset, flags, &out, &err), 0) << err;
+    const std::string tag = "results digest: ";
+    const std::size_t at = out.find(tag);
+    ASSERT_NE(at, std::string::npos) << out;
+    EXPECT_EQ(out.substr(at + tag.size(), 32), pin.results_digest);
+
+    std::vector<std::string> names;
+    for (const auto& e : fs::directory_iterator(dir))
+      names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, pin.csvs);
+    std::string all;
+    for (const std::string& name : names)
+      all += name + '\n' + read_file(dir / name) + '\n';
+    EXPECT_EQ(content_digest(all), pin.csv_digest);
+    fs::remove_all(dir);
+  }
+}
+
+TEST(Presets, DefaultPointKeysArePinned) {
+  const std::vector<std::pair<const char*, const char*>> pins = {
+      {"fig2", "464324f3e166a846ff5d3e364e5a5d57"},
+      {"fig3", "bb5b2dec7aa4b3b34b36b20b551f00ba"},
+      {"fig4", "721690bc55987ce7c4eb14c6423e00b2"},
+      {"fig5", "e5260ffbd6239a777ab1801af534ac7a"},
+      {"fig6", "d10d5a0df13fce9e4e4993f7041b68b1"},
+      {"fig7", "2037cbb0c69264fd0a2db646cb1a8488"},
+      {"fig8", "57b6f09c8f8b1b0ec856fe5da4b56b67"},
+      {"fig9", "aa418102a303dc965a2107ea690158ff"},
+      {"ablation_thresholds", "dd2b14c67a2a7b7db90f91fc510c9e94"},
+      {"ablation_congestion", "3613bf87f652e917361b07c2caf330c6"},
+      {"ablation_rings", "e77e28004cf86d4a00ee872d16eeb485"},
+  };
+  ASSERT_EQ(pins.size(), presets().size());
+  for (const auto& [name, digest] : pins) {
+    SCOPED_TRACE(name);
+    const Preset* preset = find_preset(name);
+    ASSERT_NE(preset, nullptr);
+    const char* argv[] = {"ofar_run"};
+    const CommandLine cli(1, argv);
+    std::vector<std::string> keys;
+    for (const PresetUnit& unit : preset->make(cli).units)
+      for (const RunPoint& p : unit.points()) keys.push_back(point_key(p));
+    std::sort(keys.begin(), keys.end());
+    std::string all;
+    for (const std::string& k : keys) all += k + '\n';
+    EXPECT_EQ(content_digest(all), digest) << keys.size() << " points";
+  }
+}
+
+TEST(Presets, EveryPresetRejectsAnUnknownFlag) {
+  for (const Preset& preset : presets()) {
+    SCOPED_TRACE(preset.name);
+    std::string out, err;
+    EXPECT_EQ(run_preset(preset.name, {"--bogus", "1"}, &out, &err), 1);
+    EXPECT_NE(err.find("unknown option --bogus"), std::string::npos) << err;
+  }
+}
+
+}  // namespace
+}  // namespace ofar::bench

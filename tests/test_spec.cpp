@@ -1,9 +1,11 @@
 // Tests for the declarative experiment-spec layer (common/json.*,
 // core/spec.*): JSON parsing, spec loading and expansion, the load-grid
 // arithmetic contract, and the canonical cache-key properties (stability,
-// sensitivity to semantic fields, insensitivity to instrumentation).
+// sensitivity to semantic fields, insensitivity to labels).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -170,14 +172,12 @@ TEST(Spec, ExpansionOrderAndIndices) {
   EXPECT_EQ(points[0].cfg.seed, 1u);
   EXPECT_EQ(points.back().seed, 7u);
   EXPECT_EQ(points.back().cfg.seed, 7u);
-  // Index bookkeeping for renderers: ((s*C + c)*L + l)*M + m.
+  // Renderers find point (s, c, l, m) at ((s*C + c)*L + l)*M + m.
   const RunPoint& p = points[((1 * 2 + 1) * 3 + 2) * 2 + 1];
-  EXPECT_EQ(p.seed_index, 1u);
-  EXPECT_EQ(p.case_index, 1u);
-  EXPECT_EQ(p.load_index, 2u);
-  EXPECT_EQ(p.mech_index, 1u);
+  EXPECT_EQ(p.seed, 7u);
   EXPECT_EQ(p.case_name, "ADV+h");
   EXPECT_DOUBLE_EQ(p.load, 0.3);
+  EXPECT_EQ(p.mechanism, "OFAR-emb");
 }
 
 TEST(Spec, RejectsTyposLoudly) {
@@ -301,6 +301,35 @@ TEST(Spec, LoadsTransientAndBurstSpecs) {
   ASSERT_EQ(spec.workloads.size(), 2u);
   EXPECT_EQ(spec.workloads[1].name, "MIXY");
   EXPECT_EQ(spec.workloads[1].pattern.components().size(), 2u);
+}
+
+TEST(Spec, EveryExampleSpecLoads) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(OFAR_EXAMPLES_DIR))
+    if (e.path().extension() == ".json")
+      names.push_back(e.path().filename().string());
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names.size(), 7u);
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    ExperimentSpec spec;
+    std::string error;
+    ASSERT_TRUE(spec_from_file(std::string(OFAR_EXAMPLES_DIR) + "/" + name,
+                               spec, error))
+        << error;
+    EXPECT_EQ(spec.validate(), "");
+    const std::vector<RunPoint> points = spec.expand();
+    EXPECT_FALSE(points.empty());
+    if (name != "fig3.json") continue;
+    // The fig3 preset at its default flags: the same 32 point keys.
+    ASSERT_EQ(points.size(), 32u);
+    std::vector<std::string> keys;
+    for (const RunPoint& p : points) keys.push_back(point_key(p));
+    std::sort(keys.begin(), keys.end());
+    std::string all;
+    for (const std::string& k : keys) all += k + '\n';
+    EXPECT_EQ(content_digest(all), "bb5b2dec7aa4b3b34b36b20b551f00ba");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -443,29 +472,16 @@ TEST(Spec, PointKeyChangesWithEverySemanticField) {
   EXPECT_NE(point_key(q), k);
 }
 
-TEST(Spec, PointKeyIgnoresInstrumentationAndLabels) {
-  // Audit, telemetry and tracing are read-only; labels and grid indices are
-  // presentation. None of them may affect the cache key, or cache hits
-  // would depend on how the experiment was driven rather than what it was.
+TEST(Spec, PointKeyIgnoresLabels) {
+  // Labels are presentation. They may not affect the cache key, or cache
+  // hits would depend on how a curve is named rather than what it runs.
+  // How a point executes (instrumentation, threads, checkpoints) is a
+  // RunContext beside the point, so the key cannot see it at all.
   const RunPoint p = base_point();
-  const std::string k = point_key(p);
-
   RunPoint q = p;
-  q.run.instrumentation.audit_interval = 512;
-  q.run.instrumentation.metrics_interval = 17;
-  q.run.instrumentation.metrics_full = true;
-  q.run.instrumentation.trace_out = "trace.json";
-  q.run.metrics_label = "curve A";
-  // sim_threads is execution policy: any thread count yields bit-identical
-  // results for a given sim_shards, so it must hit the same cache entry.
-  q.run.sim_threads = 4;
-  EXPECT_EQ(point_key(q), k);
-  q = p;
   q.mechanism = "renamed";
   q.case_name = "other";
-  q.mech_index = 9;
-  q.load_index = 9;
-  EXPECT_EQ(point_key(q), k);
+  EXPECT_EQ(point_key(q), point_key(p));
 }
 
 TEST(Spec, ContentDigestIsFixedAlgorithm) {
