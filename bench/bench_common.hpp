@@ -6,8 +6,10 @@
 // Every preset accepts:
 //   --h N           network radix (paper: 6; default 4 — see EXPERIMENTS.md)
 //   --seed S        RNG seed
-//   --warmup C      warm-up cycles before the measurement window
-//   --measure C     measurement window width
+//   --warmup C      warm-up cycles before the measurement window (steady
+//                   presets; fig6 and fig7 run their own protocol windows)
+//   --measure C     measurement window width (steady presets)
+// and, like every `--spec` run, the execution flags:
 //   --csv-dir D     directory for CSV dumps ("" disables)
 //   --threads T     total thread budget (0 = hardware concurrency)
 //   --sim-threads N worker threads inside each simulation (sharded cycle
@@ -25,8 +27,7 @@
 //                     executes more than one point
 //   --trace-sample N  trace 1 in N packets (default 64; 1 traces all)
 //   --cache-dir D   content-addressed result cache + resume journal
-//                   (default .ofar-cache)
-//   --no-cache      no result cache
+//                   (default .ofar-cache; "" disables)
 //   --checkpoint-dir D      mid-point checkpoint/restart for steady points:
 //                           full simulation state saved per point key,
 //                           resumed bit-identically after a crash/SIGINT
@@ -51,7 +52,7 @@
 
 namespace ofar::bench {
 
-/// Result cache of ofar_run unless --cache-dir or --no-cache says otherwise.
+/// Result cache of ofar_run unless --cache-dir says otherwise.
 inline constexpr const char* kDefaultCacheDir = ".ofar-cache";
 
 struct BenchOptions {
@@ -69,13 +70,25 @@ struct BenchOptions {
   // labels each record "<case>|<mechanism>".
   std::shared_ptr<MetricsSink> metrics;
 
-  /// Every flag defaults to its member's own default.
-  static BenchOptions parse(const CommandLine& cli) {
-    BenchOptions o;
+  /// The network and seed flags, the steady windows when `steady` (fig6
+  /// and fig7 run their own protocol windows), and the execution flags.
+  /// A flag not read here is left for reject_unknown(). Every flag
+  /// defaults to its member's own default.
+  static BenchOptions parse(const CommandLine& cli, bool steady = true) {
+    BenchOptions o = parse_execution(cli);
     o.h = static_cast<u32>(cli.get_uint("h", o.h));
     o.seed = cli.get_uint("seed", o.seed);
-    o.run.warmup = cli.get_uint("warmup", o.run.warmup);
-    o.run.measure = cli.get_uint("measure", o.run.measure);
+    if (steady) {
+      o.run.warmup = cli.get_uint("warmup", o.run.warmup);
+      o.run.measure = cli.get_uint("measure", o.run.measure);
+    }
+    return o;
+  }
+
+  /// The execution flags only: a `--spec` run takes the experiment shape
+  /// (h, seeds, windows) from its file.
+  static BenchOptions parse_execution(const CommandLine& cli) {
+    BenchOptions o;
     o.csv_dir = cli.get_string("csv-dir", o.csv_dir);
     OrchestratorOptions& oo = o.orch;
     oo.threads = static_cast<unsigned>(cli.get_uint("threads", oo.threads));
@@ -98,9 +111,7 @@ struct BenchOptions {
     in.trace_out = cli.get_string("trace-out", in.trace_out);
     in.trace_sample =
         static_cast<u32>(cli.get_uint("trace-sample", in.trace_sample));
-    oo.cache_dir = cli.get_string("cache-dir", "");
-    if (oo.cache_dir.empty()) oo.cache_dir = kDefaultCacheDir;
-    if (cli.get_flag("no-cache")) oo.cache_dir.clear();
+    oo.cache_dir = cli.get_string("cache-dir", kDefaultCacheDir);
     oo.checkpoint_dir = cli.get_string("checkpoint-dir", oo.checkpoint_dir);
     oo.checkpoint_interval =
         cli.get_uint("checkpoint-interval", oo.checkpoint_interval);

@@ -10,10 +10,10 @@
 //   ofar_run --list                          list presets
 //
 // Shared flags (see bench_common.hpp): --csv-dir, --threads, --sim-threads,
-// --cache-dir, --no-cache, --stop-after, --metrics-*, --audit*, --trace-*.
+// --cache-dir, --stop-after, --metrics-*, --audit*, --trace-*.
 // Preset runs additionally accept the preset's historical flags (--h,
 // --seed, --warmup, ...); spec runs take the experiment shape from the
-// JSON file instead.
+// JSON file instead and reject those flags.
 #include <cstdio>
 
 #include "presets.hpp"
@@ -24,16 +24,16 @@ void usage() {
   std::printf(
       "usage:\n"
       "  ofar_run --spec FILE   [--csv-dir D] [--threads T] [--sim-threads N]\n"
-      "                         [--cache-dir D]\n"
-      "                         [--no-cache] [--stop-after N] [--metrics-out F]\n"
-      "                         [--metrics-full] [--trace-out F]\n"
-      "                         [--trace-sample N]\n"
+      "                         [--cache-dir D] [--stop-after N]\n"
+      "                         [--metrics-out F] [--metrics-full]\n"
+      "                         [--trace-out F] [--trace-sample N]\n"
       "  ofar_run --preset NAME [preset flags...]\n"
       "  ofar_run --list\n"
       "\n"
-      "The result cache defaults to %s; identical points are served\n"
-      "from the journal without simulating. Interrupted runs (SIGINT or\n"
-      "--stop-after) resume on the next identical invocation.\n",
+      "The result cache defaults to %s (--cache-dir \"\" turns it off);\n"
+      "identical points are served from the journal without simulating.\n"
+      "Interrupted runs (SIGINT or --stop-after) resume on the next\n"
+      "identical invocation.\n",
       ofar::bench::kDefaultCacheDir);
 }
 
@@ -68,22 +68,5 @@ int main(int argc, char** argv) {
     usage();
     return 1;
   }
-
-  ExperimentSpec spec;
-  std::string error;
-  if (!spec_from_file(spec_path, spec, error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
-  }
-
-  // Shared execution flags; the experiment shape (h, seeds, windows, ...)
-  // comes from the spec file, so the bench defaults here are inert.
-  PresetRun run;
-  run.opts = BenchOptions::parse(cli);
-  if (!reject_unknown(cli)) return 1;
-  run.banner = spec.name + " (" + to_string(spec.kind) + ", " +
-               std::to_string(spec.expand().size()) + " points) from " +
-               spec_path + "\n";
-  run.units.push_back({{std::move(spec)}, nullptr});
-  return run_units(run);
+  return run_spec_main(spec_path, argc, argv);
 }

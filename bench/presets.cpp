@@ -294,7 +294,7 @@ PresetRun make_fig8(const CommandLine& cli) {
 
 PresetRun make_fig6(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli);
+  r.opts = BenchOptions::parse(cli, /*steady=*/false);
   ExperimentSpec s = spec_for(r.opts, "fig6", "Fig. 6", RunKind::kTransient);
   TransientParams& t = s.transient;
   t.warmup = cli.get_uint("switch-at", t.warmup);
@@ -331,7 +331,7 @@ PresetRun make_fig6(const CommandLine& cli) {
 
 PresetRun make_fig7(const CommandLine& cli) {
   PresetRun r;
-  r.opts = BenchOptions::parse(cli);
+  r.opts = BenchOptions::parse(cli, /*steady=*/false);
   const u32 h = r.opts.h;
   ExperimentSpec s = spec_for(
       r.opts, "fig7_bursts",
@@ -722,6 +722,18 @@ std::atomic<bool> g_stop{false};
 
 void on_sigint(int) { g_stop.store(true, std::memory_order_relaxed); }
 
+/// The command line with the driver-level keys (consumed by ofar_run's
+/// dispatch) marked read, so forwarding them verbatim does not trip the
+/// unknown-option check.
+CommandLine driver_cli(int argc, char** argv) {
+  CommandLine cli(argc, argv);
+  (void)cli.get_string("preset", "");
+  (void)cli.get_string("spec", "");
+  (void)cli.get_flag("list");
+  (void)cli.get_flag("help");
+  return cli;
+}
+
 }  // namespace
 
 std::vector<RunPoint> PresetUnit::points() const {
@@ -794,14 +806,7 @@ int run_units(const PresetRun& run) {
 }
 
 int run_preset_main(const std::string& name, int argc, char** argv) {
-  CommandLine cli(argc, argv);
-  // Driver-level keys (consumed by ofar_run's dispatch) must not trip the
-  // unknown-option check when forwarded verbatim.
-  (void)cli.get_string("preset", "");
-  (void)cli.get_string("spec", "");
-  (void)cli.get_flag("list");
-  (void)cli.get_flag("help");
-
+  const CommandLine cli = driver_cli(argc, argv);
   const Preset* preset = find_preset(name);
   if (preset == nullptr) {
     std::fprintf(stderr, "unknown preset '%s' (try --list)\n", name.c_str());
@@ -809,6 +814,24 @@ int run_preset_main(const std::string& name, int argc, char** argv) {
   }
   const PresetRun run = preset->make(cli);
   if (!reject_unknown(cli)) return 1;
+  return run_units(run);
+}
+
+int run_spec_main(const std::string& path, int argc, char** argv) {
+  const CommandLine cli = driver_cli(argc, argv);
+  ExperimentSpec spec;
+  std::string error;
+  if (!spec_from_file(path, spec, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
+  }
+  PresetRun run;
+  run.opts = BenchOptions::parse_execution(cli);
+  if (!reject_unknown(cli)) return 1;
+  run.banner = spec.name + " (" + to_string(spec.kind) + ", " +
+               std::to_string(spec.expand().size()) + " points) from " +
+               path + "\n";
+  run.units.push_back({{std::move(spec)}, nullptr});
   return run_units(run);
 }
 

@@ -54,4 +54,9 @@ int run_units(const PresetRun& run);
 /// rejects any flag it did not read, runs it.
 int run_preset_main(const std::string& name, int argc, char** argv);
 
+/// Entry point of `ofar_run --spec`: loads the spec file, parses the
+/// execution flags, rejects any other flag (the experiment shape comes from
+/// the file), runs it.
+int run_spec_main(const std::string& path, int argc, char** argv);
+
 }  // namespace ofar::bench

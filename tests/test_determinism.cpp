@@ -5,13 +5,15 @@
 // admissible because they leave per-seed behaviour bit-identical. This
 // suite pins that property two ways:
 //
-//  1. Golden stats: the four perf_core matrix points must reproduce stat
-//     digests captured from the pre-worklist full-scan implementation
-//     (seed commit) exactly — including latency accumulators compared as
-//     doubles with zero tolerance. Every routing mechanism and the
-//     embedded ring have their own goldens on a small saturated network,
-//     and the sharded-kernel configs below carry absolute goldens on top of
-//     their thread-count comparisons.
+//  1. Golden stats: the four matrix configs (h=4 OFAR on the physical
+//     ring, seed 12345: UN and ADV+1 burst-and-drain at 0.01 until cycle
+//     2000 over 40000 cycles, UN at 1.0 and ADV+1 at 0.7 steady for 3000
+//     cycles) must reproduce stat digests captured from the pre-worklist
+//     full-scan implementation (seed commit) exactly — including latency
+//     accumulators compared as doubles with zero tolerance. Every routing
+//     mechanism and the embedded ring have their own goldens on a small
+//     saturated network, and the sharded-kernel configs below carry
+//     absolute goldens on top of their thread-count comparisons.
 //  2. Replay: the same config+seed run twice yields byte-identical stats.
 //     Sweep points own their RNGs, so a sweep's worker-thread count
 //     cannot change them (Orchestrator.DigestInvariantToThreadCount).
@@ -76,8 +78,8 @@ void expect_digest_eq(const Digest& a, const Digest& b) {
   EXPECT_EQ(a.drained, b.drained);
 }
 
-/// perf_core's "low" points: burst at `load` until cycle 2000, then drain
-/// over a 40000-cycle horizon.
+/// The matrix's burst-and-drain configs: burst at 0.01 until cycle 2000,
+/// then drain over a 40000-cycle horizon.
 Digest run_low(const TrafficPattern& pattern, Network* keep = nullptr) {
   Network local(matrix_config());
   Network& net = keep ? *keep : local;
@@ -90,7 +92,7 @@ Digest run_low(const TrafficPattern& pattern, Network* keep = nullptr) {
   return digest(net);
 }
 
-/// perf_core's "sat" points: steady Bernoulli for 3000 cycles.
+/// The matrix's saturated configs: steady Bernoulli for 3000 cycles.
 Digest run_sat(const TrafficPattern& pattern, double load) {
   Network net(matrix_config());
   net.set_traffic(std::make_unique<BernoulliSource>(pattern, load, 12345));

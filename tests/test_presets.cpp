@@ -2,7 +2,10 @@
 // runs it: at tiny flags, its whole-run results digest, the CSV files it
 // writes and a digest of their bytes; at its default flags, a digest of its
 // sorted point keys (no simulation); and its rejection of an unknown flag.
-// A refactor of the experiment layer must leave every pin unchanged.
+// A refactor of the experiment layer must leave every pin unchanged. Also
+// the flags a run would read and then ignore (the shape flags of a `--spec`
+// run, fig6/fig7's steady windows), which are rejected, and
+// `--cache-dir ""`, which turns the result cache off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,18 +22,20 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Runs `ofar_run --preset NAME FLAGS...` in-process; returns its exit code
-/// and what it printed.
-int run_preset(const std::string& name, const std::vector<std::string>& flags,
-               std::string* out, std::string* err) {
-  std::vector<std::string> args = {"ofar_run", "--preset", name};
+/// Runs `ofar_run --preset NAME FLAGS...` (or `--spec NAME FLAGS...` when
+/// `spec`) in-process; returns its exit code and what it printed.
+int run_driver(const std::string& name, const std::vector<std::string>& flags,
+               std::string* out, std::string* err, bool spec = false) {
+  std::vector<std::string> args = {"ofar_run", spec ? "--spec" : "--preset",
+                                   name};
   args.insert(args.end(), flags.begin(), flags.end());
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
   ::testing::internal::CaptureStdout();
   ::testing::internal::CaptureStderr();
-  const int rc = run_preset_main(name, static_cast<int>(argv.size()),
-                                 argv.data());
+  const int argc = static_cast<int>(argv.size());
+  const int rc = spec ? run_spec_main(name, argc, argv.data())
+                      : run_preset_main(name, argc, argv.data());
   *out = ::testing::internal::GetCapturedStdout();
   *err = ::testing::internal::GetCapturedStderr();
   return rc;
@@ -127,12 +132,12 @@ TEST(Presets, TinyRunsArePinned) {
     fs::remove_all(dir);
     fs::create_directories(dir);
     std::vector<std::string> flags = pin.flags;
-    for (const char* f : {"--no-cache", "--threads", "2", "--csv-dir"})
+    for (const char* f : {"--cache-dir", "", "--threads", "2", "--csv-dir"})
       flags.push_back(f);
     flags.push_back(dir.string());
 
     std::string out, err;
-    ASSERT_EQ(run_preset(pin.preset, flags, &out, &err), 0) << err;
+    ASSERT_EQ(run_driver(pin.preset, flags, &out, &err), 0) << err;
     const std::string tag = "results digest: ";
     const std::size_t at = out.find(tag);
     ASSERT_NE(at, std::string::npos) << out;
@@ -186,9 +191,83 @@ TEST(Presets, EveryPresetRejectsAnUnknownFlag) {
   for (const Preset& preset : presets()) {
     SCOPED_TRACE(preset.name);
     std::string out, err;
-    EXPECT_EQ(run_preset(preset.name, {"--bogus", "1"}, &out, &err), 1);
+    EXPECT_EQ(run_driver(preset.name, {"--bogus", "1"}, &out, &err), 1);
     EXPECT_NE(err.find("unknown option --bogus"), std::string::npos) << err;
   }
+}
+
+// A flag a run does not use is an unknown option, not a silent no-op: a
+// spec run takes h, seed and windows from its file, fig6 and fig7 run
+// their own protocol windows, and --no-cache is spelled --cache-dir "".
+TEST(Presets, FlagsARunWouldIgnoreAreRejected) {
+  const std::string smoke = std::string(OFAR_EXAMPLES_DIR) + "/smoke.json";
+  for (const char* flag : {"h", "seed", "warmup", "measure", "no-cache"}) {
+    SCOPED_TRACE(flag);
+    std::string out, err;
+    EXPECT_EQ(run_driver(smoke,
+                         {"--cache-dir", "", "--csv-dir", "",
+                          std::string("--") + flag, "4"},
+                         &out, &err, /*spec=*/true),
+              1);
+    EXPECT_NE(err.find(std::string("unknown option --") + flag),
+              std::string::npos)
+        << err;
+  }
+  for (const char* preset : {"fig6", "fig7"})
+    for (const char* flag : {"warmup", "measure"}) {
+      SCOPED_TRACE(std::string(preset) + " --" + flag);
+      std::string out, err;
+      EXPECT_EQ(run_driver(preset, {"--h", "2", std::string("--") + flag, "3"},
+                           &out, &err),
+                1);
+      EXPECT_NE(err.find(std::string("unknown option --") + flag),
+                std::string::npos)
+          << err;
+    }
+  std::string out, err;
+  EXPECT_EQ(run_driver("fig3", {"--no-cache"}, &out, &err), 1);
+  EXPECT_NE(err.find("unknown option --no-cache"), std::string::npos) << err;
+}
+
+// --cache-dir "" runs without a cache: beside a warm .ofar-cache (the
+// default cache) it serves nothing from it, executes every point, and
+// neither creates a cache directory nor writes to the existing one.
+TEST(Presets, EmptyCacheDirTurnsCachingOff) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "ofar_presets_nocache";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);
+  const std::vector<std::string> tiny = {"--h", "2", "--packets", "5",
+                                         "--csv-dir", ""};
+  auto listing = [&] {
+    std::vector<std::string> names;
+    for (const auto& e : fs::recursive_directory_iterator(dir))
+      names.push_back(e.path().string() + " " +
+                      (e.is_regular_file() ? std::to_string(e.file_size())
+                                           : "dir"));
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  std::vector<std::string> off = tiny;
+  off.insert(off.end(), {"--cache-dir", ""});
+  std::string cold, warm, uncached, err;
+  ASSERT_EQ(run_driver("fig7", off, &cold, &err), 0) << err;
+  EXPECT_TRUE(listing().empty());
+
+  ASSERT_EQ(run_driver("fig7", tiny, &warm, &err), 0) << err;
+  ASSERT_TRUE(fs::exists(dir / kDefaultCacheDir / "journal.jsonl"));
+  const std::vector<std::string> before = listing();
+  ASSERT_EQ(run_driver("fig7", off, &uncached, &err), 0) << err;
+  EXPECT_EQ(listing(), before);
+  fs::current_path(cwd);
+  fs::remove_all(dir);
+
+  const std::string summary = "summary: points=18 hits=0 executed=18";
+  ASSERT_NE(cold.find(summary), std::string::npos) << cold;
+  ASSERT_NE(uncached.find(summary), std::string::npos) << uncached;
+  const std::string tag = "results digest: ";
+  EXPECT_EQ(uncached.substr(uncached.find(tag)), cold.substr(cold.find(tag)));
 }
 
 }  // namespace
