@@ -38,7 +38,6 @@
 #pragma once
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,7 +47,6 @@
 #include "core/experiment.hpp"
 #include "core/orchestrator.hpp"
 #include "core/spec.hpp"
-#include "stats/sink.hpp"
 
 namespace ofar::bench {
 
@@ -64,11 +62,9 @@ struct BenchOptions {
   /// telemetry and tracing, checkpoints, interruption. Never part of
   /// cached point keys.
   OrchestratorOptions orch;
-  // Owner of orch.instrumentation.metrics_sink, shared by every simulation
-  // this bench runs (thread-safe; parallel sweep points interleave whole
-  // records). Null when --metrics-out was not given. The orchestrator
-  // labels each record "<case>|<mechanism>".
-  std::shared_ptr<MetricsSink> metrics;
+  /// --metrics-out: the telemetry file, opened by run_units() once the
+  /// command line is accepted ("" = no telemetry).
+  std::string metrics_out;
 
   /// The network and seed flags, the steady windows when `steady` (fig6
   /// and fig7 run their own protocol windows), and the execution flags.
@@ -95,16 +91,9 @@ struct BenchOptions {
     oo.sim_threads =
         static_cast<unsigned>(cli.get_uint("sim-threads", oo.sim_threads));
     Instrumentation& in = oo.instrumentation;
-    const std::string metrics_out = cli.get_string("metrics-out", "");
+    o.metrics_out = cli.get_string("metrics-out", o.metrics_out);
     in.metrics_interval = cli.get_uint("metrics-interval", in.metrics_interval);
     in.metrics_full = cli.get_flag("metrics-full");
-    if (!metrics_out.empty()) {
-      o.metrics = MetricsSink::open(metrics_out);
-      if (o.metrics == nullptr)
-        std::fprintf(stderr, "warning: could not open %s; telemetry disabled\n",
-                     metrics_out.c_str());
-      in.metrics_sink = o.metrics.get();
-    }
     in.audit_interval = cli.get_uint("audit-interval", in.audit_interval);
     if (cli.get_flag("audit") && in.audit_interval == 0)
       in.audit_interval = 4'096;

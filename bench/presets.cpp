@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "core/analysis.hpp"
+#include "stats/sink.hpp"
 #include "topology/dragonfly.hpp"
 #include "topology/hamiltonian.hpp"
 
@@ -769,6 +770,16 @@ int run_units(const PresetRun& run) {
   }
 
   OrchestratorOptions oo = run.opts.orch;
+  // One sink for every simulation of the run (thread-safe: parallel points
+  // interleave whole records, each labelled "<case>|<mechanism>").
+  std::unique_ptr<MetricsSink> metrics;
+  if (!run.opts.metrics_out.empty()) {
+    metrics = MetricsSink::open(run.opts.metrics_out);
+    if (metrics == nullptr)
+      std::fprintf(stderr, "warning: could not open %s; telemetry disabled\n",
+                   run.opts.metrics_out.c_str());
+    oo.instrumentation.metrics_sink = metrics.get();
+  }
   std::signal(SIGINT, on_sigint);
   oo.stop_flag = &g_stop;
   const RunReport report = run_points(all, oo);

@@ -13,12 +13,13 @@
 //    ofar::tsa::Mutex (a std::mutex wrapped so the analysis can see it —
 //    libstdc++'s std::mutex carries no capability attributes);
 //  - the phantom "serial_phase" capability (below): a zero-size token
-//    representing "we are inside a serial section of a simulation cycle".
-//    The kernel's serial commit paths REQUIRE it, step() acquires it
-//    around the serial sections and releases it across parallel phases,
-//    so clang statically rejects, say, a deliver_packet() call from
-//    inside a shard program. It is the compile-time twin of the
-//    OFAR_SERIAL_ONLY marker that tools/ofar_lint checks (phase.hpp).
+//    standing for "this code runs in a serial section of a simulation
+//    cycle". The four serial-only mutators (MetricsRegistry::set/add,
+//    PacketTracer::on_event, FlightRecorder::record) REQUIRE it, and the
+//    code that calls them asserts it where the serial phase is known, so
+//    clang rejects any path to them that makes no such assertion. Which
+//    code runs in a parallel phase is a call-graph question: ofar_lint's
+//    serial-call rule checks that (OFAR_SERIAL_ONLY, phase.hpp).
 #pragma once
 
 #include <mutex>
@@ -30,7 +31,6 @@
 #endif
 
 #define OFAR_CAPABILITY(x) OFAR_TSA(capability(x))
-#define OFAR_SCOPED_CAPABILITY OFAR_TSA(scoped_lockable)
 #define OFAR_GUARDED_BY(x) OFAR_TSA(guarded_by(x))
 #define OFAR_PT_GUARDED_BY(x) OFAR_TSA(pt_guarded_by(x))
 #define OFAR_REQUIRES(...) OFAR_TSA(requires_capability(__VA_ARGS__))
@@ -62,38 +62,17 @@ class OFAR_CAPABILITY("mutex") Mutex {
 
 /// The phantom serial-phase capability: no storage, no runtime effect —
 /// purely a token the analysis tracks. One global instance stands for "the
-/// serial section of the current simulation cycle"; single-threaded
-/// drivers and tests are serial by construction and assert it.
+/// serial section of the current simulation cycle".
 class OFAR_CAPABILITY("serial_phase") SerialPhaseCap {
  public:
-  void acquire() OFAR_ACQUIRE() OFAR_NO_THREAD_SAFETY_ANALYSIS {}
-  void release() OFAR_RELEASE() OFAR_NO_THREAD_SAFETY_ANALYSIS {}
-  /// States (without acquiring) that the caller is in a serial context:
-  /// used at API boundaries whose callers are serial by contract rather
-  /// than by an enclosing SerialSection (constructors, enable_* entry
-  /// points, traffic-source callbacks).
+  /// States that the caller is in a serial context: used where callers
+  /// are serial by contract (the tracer callback, which only serial
+  /// sections fire, and telemetry sampling).
   void assert_held() const OFAR_ASSERT_CAPABILITY(this) {}
 };
 
 /// The one global serial-phase token (see SerialPhaseCap).
 inline SerialPhaseCap serial_phase;
-
-/// RAII serial-section marker: Network::step* wraps its serial sections in
-/// one of these; parallel phases run outside any SerialSection, so calls
-/// into OFAR_REQUIRES(serial_phase) functions from shard code fail the
-/// clang analysis. Compiles to an empty object everywhere.
-class OFAR_SCOPED_CAPABILITY SerialSection {
- public:
-  explicit SerialSection(SerialPhaseCap& c) OFAR_ACQUIRE(c) : c_(c) {
-    c_.acquire();
-  }
-  ~SerialSection() OFAR_RELEASE() { c_.release(); }
-  SerialSection(const SerialSection&) = delete;
-  SerialSection& operator=(const SerialSection&) = delete;
-
- private:
-  SerialPhaseCap& c_;
-};
 
 }  // namespace ofar::tsa
 

@@ -1,14 +1,13 @@
 #include "core/escape_ring.hpp"
 
-#include "sim/flat_state.hpp"
 #include "sim/network.hpp"
 
 namespace ofar {
 
-RouteChoice EscapeRingControl::ring_step(Network& net, RouterId at,
+RouteChoice EscapeRingControl::ring_step(const RouteContext& ctx,
                                          u32 need) const {
-  const Network::RingOut& ro = net.ring_out(at);
-  const OutputPort& out = net.router(at).outputs[ro.port];
+  const Network::RingOut& ro = ctx.net.ring_out(ctx.at);
+  const OutputPort& out = ctx.view.router().outputs[ro.port];
   if (!out.wired() || out.busy()) return RouteChoice::none();
   VcId vc;
   if (!out.best_vc(ro.first_vc, ro.num_vcs, need, vc))
@@ -17,71 +16,39 @@ RouteChoice EscapeRingControl::ring_step(Network& net, RouterId at,
 }
 
 RouteChoice EscapeRingControl::ride(RouteContext& ctx) const {
-  Network& net = ctx.net;
-  Packet& pkt = ctx.pkt;
-  const RouterId at = ctx.at;
+  const Packet& pkt = ctx.pkt;
   RouteProvenance* const prov = ctx.prov;
   CreditView& view = ctx.view;
-  const Dragonfly& topo = net.topo();
+  const bool at_dst = ctx.at == pkt.dst_router;
 
-  if (at == pkt.dst_router) {
-    // Delivery from the ring: request the ejection port.
-    const PortId eject = topo.node_port(topo.node_slot(pkt.dst));
-    if (prov) {
-      prov->min_port = eject;
-      prov->q_min = static_cast<float>(view.base_occupancy(eject));
-    }
-    if (view.base_available(eject)) {
-      VcId vc;
-      view.best_base_vc(eject, vc);
-      RouteChoice c = RouteChoice::to(eject, vc);
-      c.exit_ring = true;
-      if (prov) {
-        prov->condition = RouteCondition::kRingExit;
-        prov->chosen_occ = prov->q_min;
-      }
-      return c;
-    }
-    if (prov) prov->condition = RouteCondition::kWaitBusy;
-    return RouteChoice::none();  // wait for the ejection port
-  }
-
-  // Abandon the ring through the minimal output when it is free and the
+  // Leave the ring through the minimal output when it is free: always at
+  // the destination router (the ejection port), elsewhere only while the
   // livelock budget allows another exit.
-  if (pkt.ring_exits < max_exits_) {
-    const PortId min_port = min_port_to_router(net, at, pkt.dst_router);
+  if (at_dst || pkt.ring_exits < max_exits_) {
+    const PortId out = min_next_port(ctx.net.topo(), ctx.at, pkt);
     if (prov) {
-      prov->min_port = min_port;
-      prov->q_min = static_cast<float>(view.base_occupancy(min_port));
+      prov->min_port = out;
+      prov->q_min = static_cast<float>(view.base_occupancy(out));
     }
-    if (view.base_available(min_port)) {
+    if (view.base_available(out)) {
       VcId vc;
-      view.best_base_vc(min_port, vc);
-      RouteChoice c = RouteChoice::to(min_port, vc);
+      view.best_base_vc(out, vc);
+      RouteChoice c = RouteChoice::to(out, vc);
       c.exit_ring = true;
-      if (prov) {
-        prov->condition = RouteCondition::kRingExit;
-        prov->chosen_occ = prov->q_min;
-      }
+      if (prov) prov->chosen_occ = prov->q_min;
       return c;
     }
+    if (at_dst) return RouteChoice::none();  // wait for the ejection port
   }
   // Otherwise keep riding: in-ring movement needs one packet of space.
-  RouteChoice c = ring_step(net, at, packet_size_);
-  if (prov)
-    prov->condition =
-        c.valid ? RouteCondition::kRingRide : RouteCondition::kWaitBusy;
-  return c;
+  return ring_step(ctx, packet_size_);
 }
 
 RouteChoice EscapeRingControl::enter(RouteContext& ctx) const {
   // Bubble condition: the next ring buffer must fit this packet PLUS one
   // more (the bubble), so the ring can always drain.
-  RouteChoice c = ring_step(ctx.net, ctx.at, 2 * packet_size_);
+  RouteChoice c = ring_step(ctx, 2 * packet_size_);
   if (c.valid) c.enter_ring = true;
-  if (ctx.prov)
-    ctx.prov->condition =
-        c.valid ? RouteCondition::kRingEnter : RouteCondition::kWaitStarved;
   return c;
 }
 

@@ -29,19 +29,17 @@ class EscapeRingControl {
   /// Choice for a head packet that is currently riding the ring at router
   /// ctx.at: eject at the destination router, exit to the minimal path when
   /// free and exits remain, otherwise continue along the ring (bubble
-  /// permitting) or wait. ctx.prov, when non-null, records which ring rule
-  /// fired (kRingExit / kRingRide / kWaitBusy).
+  /// permitting) or wait. ctx.prov, when non-null, records the minimal
+  /// output an exit was tried on.
   OFAR_PARALLEL_PHASE RouteChoice ride(RouteContext& ctx) const;
 
   /// Ring-entry choice for a canonical packet at router ctx.at; invalid
-  /// when the bubble condition fails or the ring output is busy. ctx.prov
-  /// records kRingEnter on success, kWaitStarved when the bubble denies
-  /// entry.
+  /// when the bubble condition fails or the ring output is busy.
   OFAR_PARALLEL_PHASE RouteChoice enter(RouteContext& ctx) const;
 
  private:
   /// Ring-output request with `need` phits of escape-VC credit.
-  RouteChoice ring_step(Network& net, RouterId at, u32 need) const;
+  RouteChoice ring_step(const RouteContext& ctx, u32 need) const;
 
   u32 packet_size_;
   u32 max_exits_;

@@ -38,7 +38,7 @@ void OfarPolicy::io(CkptArchive& ar, const Network&) {
 // masked form replaced — candidate vectors come out identical.
 
 void OfarPolicy::collect_local(const Network& net, CreditView& view,
-                               RouterId at, PortId min_port, double th,
+                               PortId min_port, double th,
                                double gap_ceiling,
                                std::vector<PortId>& out) const {
   const Dragonfly& topo = net.topo();
@@ -53,7 +53,6 @@ void OfarPolicy::collect_local(const Network& net, CreditView& view,
     if (occ >= th || occ > gap_ceiling) continue;
     out.push_back(port);
   }
-  (void)at;
 }
 
 void OfarPolicy::collect_global(const Network& net, CreditView& view,
@@ -106,10 +105,7 @@ RouteChoice OfarPolicy::route(RouteContext& ctx) {
     return ring_.ride(ctx);
   }
 
-  const bool at_dst = at == pkt.dst_router;
-  const PortId min_port = at_dst
-                              ? topo.node_port(topo.node_slot(pkt.dst))
-                              : min_port_to_router(net, at, pkt.dst_router);
+  const PortId min_port = min_next_port(topo, at, pkt);
   if (prov) {
     prov->min_port = min_port;
     prov->q_min = static_cast<float>(view.base_occupancy(min_port));
@@ -120,19 +116,13 @@ RouteChoice OfarPolicy::route(RouteContext& ctx) {
   if (view.base_available(min_port)) {
     VcId vc;
     view.best_base_vc(min_port, vc);
-    if (prov) {
-      prov->condition = RouteCondition::kMinimal;
-      prov->chosen_occ = prov->q_min;
-    }
+    if (prov) prov->chosen_occ = prov->q_min;
     return RouteChoice::to(min_port, vc);
   }
 
   // At the destination router the only sensible move is to wait for the
   // ejection port; misrouting or escaping would only lengthen the path.
-  if (at_dst) {
-    if (prov) prov->condition = RouteCondition::kWaitBusy;
-    return RouteChoice::none();
-  }
+  if (at == pkt.dst_router) return RouteChoice::none();
 
   // 2. Non-minimal candidates, gated by the thresholds (paper §IV-B).
   const double q_min = view.base_occupancy(min_port);
@@ -165,11 +155,11 @@ RouteChoice OfarPolicy::route(RouteContext& ctx) {
       if (global_allowed) collect_global(net, view, at, min_port, dst_group,
                                          th, gap_ceiling, scratch);
       if (scratch.empty() && local_allowed)
-        collect_local(net, view, at, min_port, th, gap_ceiling, scratch);
+        collect_local(net, view, min_port, th, gap_ceiling, scratch);
     } else {
       // Transit queues: first locally, then globally (§IV-A starvation rule).
       if (local_allowed)
-        collect_local(net, view, at, min_port, th, gap_ceiling, scratch);
+        collect_local(net, view, min_port, th, gap_ceiling, scratch);
       if (scratch.empty() && global_allowed)
         collect_global(net, view, at, min_port, dst_group, th, gap_ceiling,
                        scratch);
@@ -189,9 +179,6 @@ RouteChoice OfarPolicy::route(RouteContext& ctx) {
         prov->threshold = static_cast<float>(th);
         prov->chosen_occ = static_cast<float>(view.base_occupancy(pick));
         prov->set_candidates(scratch);
-        prov->condition = c.misroute == MisrouteKind::kLocal
-                              ? RouteCondition::kMisrouteLocal
-                              : RouteCondition::kMisrouteGlobal;
       }
       return c;
     }
@@ -203,10 +190,7 @@ RouteChoice OfarPolicy::route(RouteContext& ctx) {
   // the whole packet on any VC. A port that is merely busy this cycle is
   // actively draining and will free within a packet time; waiting cannot
   // deadlock (deadlock requires a credit-starved dependency cycle).
-  if (!view.base_starved(min_port)) {
-    if (prov) prov->condition = RouteCondition::kWaitBusy;
-    return RouteChoice::none();
-  }
+  if (!view.base_starved(min_port)) return RouteChoice::none();
   return ring_.enter(ctx);
 }
 

@@ -62,11 +62,11 @@ class OfarPolicy final : public RoutingPolicy {
                                 : thresholds_.th_nonmin_static;
   }
 
-  /// Appends eligible local-misroute candidate ports at router `at`;
-  /// credit/occupancy checks go through the memoized view (bound to `at`).
+  /// Appends eligible local-misroute candidate ports of the router the
+  /// memoized view is bound to (credit/occupancy checks go through it).
   /// `gap_ceiling` is Q_min - min_gap for the decision in flight.
-  void collect_local(const Network& net, CreditView& view, RouterId at,
-                     PortId min_port, double th, double gap_ceiling,
+  void collect_local(const Network& net, CreditView& view, PortId min_port,
+                     double th, double gap_ceiling,
                      std::vector<PortId>& out) const;
   /// Appends eligible global-misroute candidate ports at router `at`.
   void collect_global(const Network& net, CreditView& view, RouterId at,

@@ -259,8 +259,15 @@ std::string ExperimentSpec::validate() const {
         return "burst spec needs packets_per_node >= 1";
       break;
   }
-  for (const auto& m : mechanisms) {
+  for (std::size_t i = 0; i < mechanisms.size(); ++i) {
+    const MechanismEntry& m = mechanisms[i];
     if (m.label.empty()) return "mechanism label must not be empty";
+    // Labels name each mechanism's CSV columns, telemetry records and
+    // per-point trace files, so a repeated one overwrites another's output.
+    for (std::size_t j = 0; j < i; ++j)
+      if (mechanisms[j].label == m.label)
+        return "mechanism label '" + m.label +
+               "' repeats (give each mechanism its own \"label\")";
     const std::string err = m.cfg.validate();
     if (!err.empty()) return "mechanism " + m.label + ": " + err;
   }

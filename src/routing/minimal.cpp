@@ -1,37 +1,12 @@
 #include "routing/minimal.hpp"
 
-#include "sim/flat_state.hpp"
 #include "sim/network.hpp"
 
 namespace ofar {
 
 RouteChoice MinimalPolicy::route(RouteContext& ctx) {
-  Network& net = ctx.net;
-  Packet& pkt = ctx.pkt;
-  const RouterId at = ctx.at;
-  RouteProvenance* const prov = ctx.prov;
-  const Dragonfly& topo = net.topo();
-  const PortId out = at == pkt.dst_router
-                         ? topo.node_port(topo.node_slot(pkt.dst))
-                         : min_port_to_router(net, at, pkt.dst_router);
-  const Router& r = net.router(at);
-  const OutputPort& port = r.outputs[out];
-  if (prov) {
-    prov->min_port = out;
-    prov->q_min = static_cast<float>(ctx.view.base_occupancy(out));
-    prov->chosen_occ = prov->q_min;
-  }
-  if (!port.wired() || port.busy()) {
-    if (prov) prov->condition = RouteCondition::kWaitBusy;
-    return RouteChoice::none();
-  }
-  const VcId vc = ordered_vc(net, at, out, pkt);
-  if (port.credits[vc] < net.config().packet_size) {
-    if (prov) prov->condition = RouteCondition::kWaitBusy;
-    return RouteChoice::none();
-  }
-  if (prov) prov->condition = RouteCondition::kMinimal;
-  return RouteChoice::to(out, vc);
+  return request_ordered(ctx, min_next_port(ctx.net.topo(), ctx.at, ctx.pkt),
+                         ordered_vc);
 }
 
 }  // namespace ofar

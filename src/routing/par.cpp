@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/flat_state.hpp"
 #include "sim/network.hpp"
 
 namespace ofar {
@@ -31,17 +30,13 @@ ParPolicy::ParPolicy(const SimConfig& cfg)
 
 void ParPolicy::on_inject(Network&, Packet& pkt, RouterId) {
   // Start minimal; the progressive decision happens hop by hop in route().
-  pkt.inter_group = kInvalidGroup;
-  pkt.inter_router = kInvalidRouter;
-  pkt.valiant_done = true;
+  set_valiant(pkt, {});
 }
 
 RouteChoice ParPolicy::route(RouteContext& ctx) {
   Network& net = ctx.net;
   Packet& pkt = ctx.pkt;
   const RouterId at = ctx.at;
-  const u32 lane = ctx.lane;
-  RouteProvenance* const prov = ctx.prov;
   const Dragonfly& topo = net.topo();
 
   // Progressive re-evaluation: still in the source group, no global hop
@@ -53,36 +48,10 @@ RouteChoice ParPolicy::route(RouteContext& ctx) {
                         pkt.inter_group == kInvalidGroup &&
                         pkt.inter_router == kInvalidRouter &&
                         pkt.local_hops_in_group <= 1;
-  if (adaptive) {
-    const UgalPaths paths = evaluate_ugal_paths(net, pkt, at, route_rng(lane));
-    if (paths.has_val && !ugal_prefers_minimal(paths, bias_)) {
-      pkt.inter_group = paths.inter_group;
-      pkt.inter_router = paths.inter_router;
-      pkt.valiant_done = false;
-    }
-  }
-
-  const PortId out = valiant_next_port(net, at, pkt);
-  const Router& r = net.router(at);
-  const OutputPort& port = r.outputs[out];
-  if (prov) {
-    prov->min_port = out;
-    prov->q_min = static_cast<float>(ctx.view.base_occupancy(out));
-    prov->chosen_occ = prov->q_min;
-  }
-  if (!port.wired() || port.busy()) {
-    if (prov) prov->condition = RouteCondition::kWaitBusy;
-    return RouteChoice::none();
-  }
-  const VcId vc = par_vc(net, out, pkt);
-  if (port.credits[vc] < net.config().packet_size) {
-    if (prov) prov->condition = RouteCondition::kWaitBusy;
-    return RouteChoice::none();
-  }
-  if (prov)
-    prov->condition = pkt.valiant_done ? RouteCondition::kMinimal
-                                       : RouteCondition::kValiantPhase;
-  return RouteChoice::to(out, vc);
+  if (adaptive)
+    set_valiant(pkt, ugal_intermediate(net, pkt, at, route_rng(ctx.lane),
+                                       bias_));
+  return request_ordered(ctx, valiant_next_port(net, at, pkt), par_vc);
 }
 
 }  // namespace ofar

@@ -55,32 +55,18 @@ void PiggybackPolicy::io(CkptArchive& ar, const Network& net) {
 }
 
 void PiggybackPolicy::on_inject(Network& net, Packet& pkt, RouterId at) {
-  pkt.inter_group = kInvalidGroup;
-  pkt.inter_router = kInvalidRouter;
-  pkt.valiant_done = true;
-  if (at == pkt.dst_router) return;
-  const UgalPaths paths = evaluate_ugal_paths(net, pkt, at, rng_);
-
   // Remote information: is the minimal path's global channel saturated?
-  bool min_global_saturated = false;
-  if (initialised_) {
-    const Dragonfly& topo = net.topo();
-    const GroupId gs = topo.group_of(at);
-    const GroupId gd = topo.group_of(pkt.dst_router);
-    if (gs != gd) {
-      const RouterId carrier = topo.carrier_router(gs, gd);
-      const u32 j = static_cast<u32>(topo.carrier_port(gs, gd)) -
-                    topo.first_global_port();
-      min_global_saturated = saturated(carrier, j);
-    }
-  }
-
-  if (!min_global_saturated &&
-      ugal_prefers_minimal(paths, net.config().ugal_bias_phits))
-    return;
-  pkt.inter_group = paths.inter_group;
-  pkt.inter_router = paths.inter_router;
-  pkt.valiant_done = !paths.has_val;
+  const Dragonfly& topo = net.topo();
+  const GroupId gs = topo.group_of(at);
+  const GroupId gd = topo.group_of(pkt.dst_router);
+  const bool min_global_saturated =
+      initialised_ && gs != gd &&
+      saturated(topo.carrier_router(gs, gd),
+                static_cast<u32>(topo.carrier_port(gs, gd)) -
+                    topo.first_global_port());
+  set_valiant(pkt, ugal_intermediate(net, pkt, at, rng_,
+                                     net.config().ugal_bias_phits,
+                                     min_global_saturated));
 }
 
 }  // namespace ofar

@@ -21,10 +21,22 @@ const char* to_string(RouteCondition c) noexcept {
     case RouteCondition::kRingEnter: return "ring_enter";
     case RouteCondition::kRingRide: return "ring_ride";
     case RouteCondition::kRingExit: return "ring_exit";
-    case RouteCondition::kWaitBusy: return "wait_busy";
-    case RouteCondition::kWaitStarved: return "wait_starved";
   }
   return "unknown";
+}
+
+RouteCondition grant_condition(const RouteChoice& choice,
+                               const Packet& pkt) noexcept {
+  if (choice.enter_ring) return RouteCondition::kRingEnter;
+  if (choice.exit_ring) return RouteCondition::kRingExit;
+  if (pkt.in_ring) return RouteCondition::kRingRide;
+  switch (choice.misroute) {
+    case MisrouteKind::kLocal: return RouteCondition::kMisrouteLocal;
+    case MisrouteKind::kGlobal: return RouteCondition::kMisrouteGlobal;
+    case MisrouteKind::kNone: break;
+  }
+  return pkt.valiant_done ? RouteCondition::kMinimal
+                          : RouteCondition::kValiantPhase;
 }
 
 void RoutingPolicy::on_inject(Network&, Packet&, RouterId) {}
@@ -44,8 +56,7 @@ PortId min_port_to_group(const Network& net, RouterId cur, GroupId g) {
   return topo.local_port(topo.local_of(cur), topo.local_of(carrier));
 }
 
-VcId ordered_vc(const Network& net, RouterId at, PortId port,
-                const Packet& pkt) {
+VcId ordered_vc(const Network& net, PortId port, const Packet& pkt) {
   const SimConfig& cfg = net.config();
   switch (net.topo().port_class(port)) {
     case PortClass::kLocal:
@@ -60,29 +71,21 @@ VcId ordered_vc(const Network& net, RouterId at, PortId port,
     default:
       return 0;  // ejection
   }
-  (void)at;
 }
 
 PortId valiant_next_port(const Network& net, RouterId at, Packet& pkt) {
   const Dragonfly& topo = net.topo();
-  if (!pkt.valiant_done) {
-    if (pkt.inter_router != kInvalidRouter) {
-      if (at == pkt.inter_router) pkt.valiant_done = true;
-    } else if (pkt.inter_group != kInvalidGroup &&
-               topo.group_of(at) == pkt.inter_group) {
-      pkt.valiant_done = true;
-    } else if (pkt.inter_group == kInvalidGroup) {
-      pkt.valiant_done = true;  // no intermediate assigned: pure minimal
-    }
-  }
-  if (!pkt.valiant_done) {
-    if (pkt.inter_router != kInvalidRouter)
-      return min_port_to_router(net, at, pkt.inter_router);
-    return min_port_to_group(net, at, pkt.inter_group);
-  }
-  if (at == pkt.dst_router)
-    return topo.node_port(topo.node_slot(pkt.dst));
-  return min_port_to_router(net, at, pkt.dst_router);
+  // Reached: the intermediate router, else the intermediate group (none
+  // assigned means pure minimal).
+  if (!pkt.valiant_done)
+    pkt.valiant_done = pkt.inter_router != kInvalidRouter
+                           ? at == pkt.inter_router
+                           : pkt.inter_group == kInvalidGroup ||
+                                 topo.group_of(at) == pkt.inter_group;
+  if (pkt.valiant_done) return min_next_port(topo, at, pkt);
+  if (pkt.inter_router != kInvalidRouter)
+    return min_port_to_router(net, at, pkt.inter_router);
+  return min_port_to_group(net, at, pkt.inter_group);
 }
 
 std::unique_ptr<RoutingPolicy> make_policy(const SimConfig& cfg) {

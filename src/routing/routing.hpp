@@ -16,19 +16,20 @@
 #include "common/config.hpp"
 #include "common/phase.hpp"
 #include "common/types.hpp"
+#include "sim/flat_state.hpp"
 #include "sim/packet.hpp"
+#include "topology/dragonfly.hpp"
 
 namespace ofar {
 
 class Network;
-class CreditView;
 class CkptArchive;
 
 enum class MisrouteKind : u8 { kNone, kLocal, kGlobal };
 
-/// Which rule of the mechanism produced (or blocked) a routing decision.
-/// Recorded into RouteProvenance when the caller asks for it (packet
-/// tracing, src/trace) — the enum is the "why" behind every hop.
+/// Which rule of the mechanism produced a granted hop — the "why" behind
+/// every traced hop (src/trace). grant_condition() derives it from the
+/// grant.
 enum class RouteCondition : u8 {
   kNone,           ///< no decision recorded
   kMinimal,        ///< minimal output had room and was requested
@@ -38,8 +39,6 @@ enum class RouteCondition : u8 {
   kRingEnter,      ///< escape-ring entry (bubble condition satisfied)
   kRingRide,       ///< in-ring forward step along the ring
   kRingExit,       ///< left the ring (minimal output free, or ejection)
-  kWaitBusy,       ///< wanted output busy or short of credits; waiting
-  kWaitStarved,    ///< minimal starved and the ring unavailable; waiting
 };
 
 const char* to_string(RouteCondition c) noexcept;
@@ -47,13 +46,14 @@ const char* to_string(RouteCondition c) noexcept;
 /// Decision provenance: the congestion evidence a routing decision was
 /// taken on, captured at decision time. route() fills it only when the
 /// caller passes a non-null out-param (a traced packet), so the plain
-/// hot path never pays for it. All occupancies are fractions in [0, 1].
+/// hot path never pays for it; the grant fills in `condition`. All
+/// occupancies are fractions in [0, 1].
 /// Shard-local: a provenance record belongs to the packet being routed,
 /// and a packet is only ever routed by the shard that owns its router.
 struct OFAR_SHARD_LOCAL RouteProvenance {
   static constexpr u32 kMaxCandidates = 8;
 
-  RouteCondition condition = RouteCondition::kNone;
+  RouteCondition condition = RouteCondition::kNone;  ///< grant_condition()
   u8 num_candidates = 0;       ///< eligible non-minimal candidates found
   PortId min_port = kInvalidPort;  ///< recomputed minimal output this hop
   float q_min = 0.0f;          ///< occupancy of the minimal output
@@ -166,12 +166,28 @@ class RoutingPolicy {
 /// src/core, baselines in src/routing).
 std::unique_ptr<RoutingPolicy> make_policy(const SimConfig& cfg);
 
+/// Condition of a granted hop (a valid `choice` for `pkt`): ring entry or
+/// exit from the choice's flags, a ride for a packet on the ring, a
+/// misroute from its kind, else a minimal or a Valiant-phase hop. Reads
+/// the packet as route() left it; a grant changes none of what it reads
+/// except `in_ring`, and only together with a ring flag of the choice.
+RouteCondition grant_condition(const RouteChoice& choice,
+                               const Packet& pkt) noexcept;
+
 // ---- shared helpers used by several mechanisms ----
 
 /// Output port of `cur` on the minimal path toward router `dst` (`cur` !=
 /// `dst`): the ejection port is never returned here — callers handle
 /// cur == dst themselves.
 PortId min_port_to_router(const Network& net, RouterId cur, RouterId dst);
+
+/// Minimal next port of `pkt` at router `at`: its ejection port at the
+/// destination router, else the minimal output toward that router.
+inline PortId min_next_port(const Dragonfly& topo, RouterId at,
+                            const Packet& pkt) noexcept {
+  return at == pkt.dst_router ? topo.node_port(topo.node_slot(pkt.dst))
+                              : topo.min_next_port(at, pkt.dst_router);
+}
 
 /// Output port of `cur` on the minimal path toward group `g` (`cur` must be
 /// outside `g`): the global port if `cur` carries the link, else the local
@@ -181,8 +197,27 @@ PortId min_port_to_group(const Network& net, RouterId cur, GroupId g);
 /// Hop-ordered VC for a packet about to traverse `port` (VC-ordered
 /// mechanisms only): local hops use VC = #local hops taken, global hops use
 /// VC = #global hops taken.
-VcId ordered_vc(const Network& net, RouterId at, PortId port,
-                const Packet& pkt);
+VcId ordered_vc(const Network& net, PortId port, const Packet& pkt);
+
+/// The request step of the VC-ordered mechanisms: output `out` on the VC
+/// `vc_of` assigns (ordered_vc, or PAR's par_vc) when the port is wired
+/// and idle and that VC holds a whole packet's credits, else a wait. A
+/// traced head records the port and its occupancy. Inline, so each
+/// route() computes the VC only for a wired, idle port.
+inline RouteChoice request_ordered(RouteContext& ctx, PortId out,
+                                   VcId (*vc_of)(const Network&, PortId,
+                                                 const Packet&)) {
+  const OutputPort& port = ctx.view.router().outputs[out];
+  if (RouteProvenance* const prov = ctx.prov) {
+    prov->min_port = out;
+    prov->q_min = static_cast<float>(ctx.view.base_occupancy(out));
+    prov->chosen_occ = prov->q_min;
+  }
+  if (!port.wired() || port.busy()) return RouteChoice::none();
+  const VcId vc = vc_of(ctx.net, out, ctx.pkt);
+  if (port.credits[vc] < ctx.view.packet_size()) return RouteChoice::none();
+  return RouteChoice::to(out, vc);
+}
 
 /// Minimal-path next port for a Valiant-style packet: toward the
 /// intermediate (group or router) until reached, then toward dst.

@@ -1,7 +1,5 @@
 #include "routing/ugal.hpp"
 
-#include <algorithm>
-
 #include "sim/network.hpp"
 
 namespace ofar {
@@ -9,19 +7,23 @@ namespace ofar {
 namespace {
 
 u32 queued_phits_on(const Network& net, const Router& r, PortId port) {
-  u32 first, count;
-  net.base_vc_range(r.id, port, first, count);
+  const u32 count = net.base_vcs(port);
   if (count == 0) return 0;
-  return r.outputs[port].queued_phits(first, count);
+  return r.outputs[port].queued_phits(0, count);
 }
 
-/// Hops of the minimal route between two routers via the topology.
-u32 hops_between(const Dragonfly& topo, RouterId from, RouterId to) {
-  return topo.min_hops(from, to);
-}
+/// The two candidate paths of one UGAL evaluation: queued phits on each
+/// first hop and router-to-router hops of each path.
+struct UgalPaths {
+  u32 q_min = 0;
+  u32 h_min = 0;
+  u32 q_val = 0;
+  u32 h_val = 0;
+  Intermediate inter;  ///< the Valiant candidate; none when no path exists
+};
 
-}  // namespace
-
+/// Evaluates the minimal path and one random Valiant candidate for a packet
+/// at router `at` != pkt.dst_router.
 UgalPaths evaluate_ugal_paths(Network& net, const Packet& pkt, RouterId at,
                               Rng& rng) {
   const Dragonfly& topo = net.topo();
@@ -29,59 +31,47 @@ UgalPaths evaluate_ugal_paths(Network& net, const Packet& pkt, RouterId at,
   UgalPaths out;
   OFAR_DCHECK(at != pkt.dst_router);
 
-  out.min_port = min_port_to_router(net, at, pkt.dst_router);
-  out.q_min = queued_phits_on(net, r, out.min_port);
-  out.h_min = hops_between(topo, at, pkt.dst_router);
-
-  const GroupId gs = topo.group_of(at);
-  const GroupId gd = topo.group_of(pkt.dst_router);
-  if (gs != gd) {
-    if (topo.groups() < 3) return out;
-    GroupId inter = rng.below(topo.groups() - 2);
-    const GroupId lo = std::min(gs, gd), hi = std::max(gs, gd);
-    if (inter >= lo) ++inter;
-    if (inter >= hi) ++inter;
-    out.inter_group = inter;
-    out.has_val = true;
-    out.val_port = min_port_to_group(net, at, inter);
-    out.q_val = queued_phits_on(net, r, out.val_port);
+  out.q_min = queued_phits_on(net, r, min_port_to_router(net, at,
+                                                         pkt.dst_router));
+  out.h_min = topo.min_hops(at, pkt.dst_router);
+  out.inter = pick_intermediate(topo, at, pkt.dst_router, rng);
+  if (out.inter.group != kInvalidGroup) {
+    const GroupId gs = topo.group_of(at);
+    const GroupId inter = out.inter.group;
+    out.q_val = queued_phits_on(net, r, min_port_to_group(net, at, inter));
     // Exact Valiant hop count: to the carrier, over the global link, then
     // minimally from the entry router of the intermediate group.
     const RouterId carrier = topo.carrier_router(gs, inter);
     const auto entry = topo.global_peer(carrier, topo.carrier_port(gs, inter));
     out.h_val = (carrier == at ? 0u : 1u) + 1u +
-                hops_between(topo, entry.router, pkt.dst_router);
-    return out;
+                topo.min_hops(entry.router, pkt.dst_router);
+  } else if (out.inter.router != kInvalidRouter) {
+    // Intra-group: Valiant through a random intermediate router.
+    out.q_val = queued_phits_on(
+        net, r, min_port_to_router(net, at, out.inter.router));
+    out.h_val = 2;
   }
-  // Intra-group: Valiant through a random intermediate router of the group.
-  if (topo.a() < 3) return out;
-  const u32 ls = topo.local_of(at);
-  const u32 ld = topo.local_of(pkt.dst_router);
-  u32 inter = rng.below(topo.a() - 2);
-  const u32 lo = std::min(ls, ld), hi = std::max(ls, ld);
-  if (inter >= lo) ++inter;
-  if (inter >= hi) ++inter;
-  out.inter_router = topo.router_at(gs, inter);
-  out.has_val = true;
-  out.val_port = min_port_to_router(net, at, out.inter_router);
-  out.q_val = queued_phits_on(net, r, out.val_port);
-  out.h_val = 2;
   return out;
+}
+
+}  // namespace
+
+Intermediate ugal_intermediate(Network& net, const Packet& pkt, RouterId at,
+                               Rng& rng, i32 bias, bool minimal_vetoed) {
+  if (at == pkt.dst_router) return {};
+  const UgalPaths p = evaluate_ugal_paths(net, pkt, at, rng);
+  const bool minimal =
+      !p.inter.valid() ||
+      static_cast<i64>(p.q_min) * p.h_min <=
+          static_cast<i64>(p.q_val) * p.h_val + bias;
+  return minimal && !minimal_vetoed ? Intermediate{} : p.inter;
 }
 
 UgalPolicy::UgalPolicy(const SimConfig& cfg)
     : ValiantPolicy(cfg), bias_(cfg.ugal_bias_phits) {}
 
 void UgalPolicy::on_inject(Network& net, Packet& pkt, RouterId at) {
-  pkt.inter_group = kInvalidGroup;
-  pkt.inter_router = kInvalidRouter;
-  pkt.valiant_done = true;
-  if (at == pkt.dst_router) return;
-  const UgalPaths paths = evaluate_ugal_paths(net, pkt, at, rng_);
-  if (ugal_prefers_minimal(paths, bias_)) return;
-  pkt.inter_group = paths.inter_group;
-  pkt.inter_router = paths.inter_router;
-  pkt.valiant_done = false;
+  set_valiant(pkt, ugal_intermediate(net, pkt, at, rng_, bias_));
 }
 
 }  // namespace ofar

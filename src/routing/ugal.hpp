@@ -5,7 +5,8 @@
 //     route minimally  iff  q_min * H_min <= q_val * H_val + T.
 //
 // PB extends exactly this comparison with the piggybacked remote saturation
-// flag, so the path-evaluation helper lives here and is shared.
+// flag, and PAR re-applies it in transit, so the rule lives here and is
+// shared.
 #pragma once
 
 #include "common/phase.hpp"
@@ -14,34 +15,19 @@
 
 namespace ofar {
 
-/// Snapshot of the two candidate paths evaluated at injection.
-struct UgalPaths {
-  PortId min_port = kInvalidPort;  ///< first hop of the minimal path
-  u32 q_min = 0;                   ///< queued phits on that output
-  u32 h_min = 0;                   ///< router-to-router hops, minimal path
-  PortId val_port = kInvalidPort;  ///< first hop of the Valiant path
-  u32 q_val = 0;
-  u32 h_val = 0;
-  bool has_val = false;  ///< false when no Valiant candidate exists
-  GroupId inter_group = kInvalidGroup;
-  RouterId inter_router = kInvalidRouter;
-};
-
-/// Evaluates the minimal path and one random Valiant candidate for a packet
-/// injected at router `at`. Requires at != pkt.dst_router.
+/// UGAL's rule for a packet at router `at`: draw one random Valiant
+/// intermediate from `rng` and take it, unless the minimal path wins the
+/// comparison with bias T = `bias` phits and is not `minimal_vetoed` (PB's
+/// saturated-link flag). Returns none (route minimally) at the destination
+/// router, or when no intermediate exists.
 /// Parallel-legal: draws only from the caller-supplied stream — serial
 /// callers (UGAL/PB on_inject) pass the sequential rng_, PAR's route()
 /// passes route_rng(lane).
-OFAR_PARALLEL_PHASE UgalPaths evaluate_ugal_paths(Network& net,
-                                                  const Packet& pkt,
-                                                  RouterId at, Rng& rng);
-
-/// The UGAL comparison with additive bias T (phits).
-inline bool ugal_prefers_minimal(const UgalPaths& p, i32 bias) noexcept {
-  if (!p.has_val) return true;
-  return static_cast<i64>(p.q_min) * p.h_min <=
-         static_cast<i64>(p.q_val) * p.h_val + bias;
-}
+OFAR_PARALLEL_PHASE Intermediate ugal_intermediate(Network& net,
+                                                   const Packet& pkt,
+                                                   RouterId at, Rng& rng,
+                                                   i32 bias,
+                                                   bool minimal_vetoed = false);
 
 class UgalPolicy final : public ValiantPolicy {
  public:

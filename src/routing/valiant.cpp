@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/ckpt_stream.hpp"
-#include "sim/flat_state.hpp"
 #include "sim/network.hpp"
 
 namespace ofar {
@@ -27,72 +26,36 @@ void ValiantPolicy::io(CkptArchive& ar, const Network&) {
     for (Rng& lane : lane_rngs_) ar.io(lane);
 }
 
-void ValiantPolicy::assign_intermediate(Network& net, Packet& pkt,
-                                        RouterId at) {
-  const Dragonfly& topo = net.topo();
-  pkt.inter_group = kInvalidGroup;
-  pkt.inter_router = kInvalidRouter;
-  pkt.valiant_done = true;
-  if (at == pkt.dst_router) return;  // same router: nothing to balance
-
+Intermediate pick_intermediate(const Dragonfly& topo, RouterId at,
+                               RouterId dst, Rng& rng) {
+  Intermediate inter;
+  if (at == dst) return inter;  // same router: nothing to balance
+  // Candidates are the groups, or for intra-group traffic the routers of
+  // the group; the two ends are skipped.
   const GroupId gs = topo.group_of(at);
-  const GroupId gd = topo.group_of(pkt.dst_router);
-  if (gs != gd) {
-    // Random intermediate group different from source and destination
-    // (paper §III: "misrouting applied to an intermediate group different
-    // from the source and destination groups").
-    if (topo.groups() < 3) return;  // no third group: degenerate to minimal
-    GroupId inter = rng_.below(topo.groups() - 2);
-    // Skip over gs and gd (order-independent two-hole skip).
-    const GroupId lo = std::min(gs, gd), hi = std::max(gs, gd);
-    if (inter >= lo) ++inter;
-    if (inter >= hi) ++inter;
-    pkt.inter_group = inter;
-    pkt.valiant_done = false;
-    return;
-  }
-  // Intra-group traffic: random intermediate router of the group.
-  if (topo.a() < 3) return;
-  const u32 ls = topo.local_of(at);
-  const u32 ld = topo.local_of(pkt.dst_router);
-  u32 inter = rng_.below(topo.a() - 2);
-  const u32 lo = std::min(ls, ld), hi = std::max(ls, ld);
-  if (inter >= lo) ++inter;
-  if (inter >= hi) ++inter;
-  pkt.inter_router = topo.router_at(gs, inter);
-  pkt.valiant_done = false;
+  const bool across = gs != topo.group_of(dst);
+  const u32 n = across ? topo.groups() : topo.a();
+  if (n < 3) return inter;  // no third candidate: degenerate to minimal
+  const u32 s = across ? gs : topo.local_of(at);
+  const u32 d = across ? topo.group_of(dst) : topo.local_of(dst);
+  u32 pick = rng.below(n - 2);
+  // Skip over s and d (order-independent two-hole skip).
+  if (pick >= std::min(s, d)) ++pick;
+  if (pick >= std::max(s, d)) ++pick;
+  if (across)
+    inter.group = pick;
+  else
+    inter.router = topo.router_at(gs, pick);
+  return inter;
 }
 
 void ValiantPolicy::on_inject(Network& net, Packet& pkt, RouterId at) {
-  assign_intermediate(net, pkt, at);
+  set_valiant(pkt, pick_intermediate(net.topo(), at, pkt.dst_router, rng_));
 }
 
 RouteChoice ValiantPolicy::route(RouteContext& ctx) {
-  Network& net = ctx.net;
-  Packet& pkt = ctx.pkt;
-  const RouterId at = ctx.at;
-  RouteProvenance* const prov = ctx.prov;
-  const PortId out = valiant_next_port(net, at, pkt);
-  const Router& r = net.router(at);
-  const OutputPort& port = r.outputs[out];
-  if (prov) {
-    prov->min_port = out;
-    prov->q_min = static_cast<float>(ctx.view.base_occupancy(out));
-    prov->chosen_occ = prov->q_min;
-  }
-  const RouteCondition go = pkt.valiant_done ? RouteCondition::kMinimal
-                                             : RouteCondition::kValiantPhase;
-  if (!port.wired() || port.busy()) {
-    if (prov) prov->condition = RouteCondition::kWaitBusy;
-    return RouteChoice::none();
-  }
-  const VcId vc = ordered_vc(net, at, out, pkt);
-  if (port.credits[vc] < net.config().packet_size) {
-    if (prov) prov->condition = RouteCondition::kWaitBusy;
-    return RouteChoice::none();
-  }
-  if (prov) prov->condition = go;
-  return RouteChoice::to(out, vc);
+  return request_ordered(ctx, valiant_next_port(ctx.net, ctx.at, ctx.pkt),
+                         ordered_vc);
 }
 
 }  // namespace ofar

@@ -16,6 +16,33 @@
 
 namespace ofar {
 
+/// A packet's Valiant intermediate: a group other than the source's and
+/// the destination's for inter-group traffic, a router of the group other
+/// than both ends for intra-group traffic, or neither (route minimally).
+struct Intermediate {
+  GroupId group = kInvalidGroup;
+  RouterId router = kInvalidRouter;
+  bool valid() const noexcept {
+    return group != kInvalidGroup || router != kInvalidRouter;
+  }
+};
+
+/// Draws a random intermediate from `rng` for a packet at router `at`
+/// bound for router `dst` (paper §III: "misrouting applied to an
+/// intermediate group different from the source and destination groups").
+/// Returns none, without a draw, when at == dst or no third group (router)
+/// exists.
+Intermediate pick_intermediate(const Dragonfly& topo, RouterId at,
+                               RouterId dst, Rng& rng);
+
+/// Commits `pkt` to `inter`: its Valiant phase starts, or for none it
+/// routes minimally.
+inline void set_valiant(Packet& pkt, Intermediate inter) noexcept {
+  pkt.inter_group = inter.group;
+  pkt.inter_router = inter.router;
+  pkt.valiant_done = !inter.valid();
+}
+
 class ValiantPolicy : public RoutingPolicy {
  public:
   explicit ValiantPolicy(const SimConfig& cfg);
@@ -28,11 +55,6 @@ class ValiantPolicy : public RoutingPolicy {
   void io(CkptArchive& ar, const Network& net) override;
 
  protected:
-  /// Assigns pkt's Valiant intermediate (group or router); used by the
-  /// adaptive injection-time mechanisms (PB/UGAL) as well. Injection-time
-  /// only, hence always the lane-0 stream.
-  void assign_intermediate(Network& net, Packet& pkt, RouterId at);
-
   /// RNG stream for route()-time draws of shard `lane` (PAR's UGAL probe).
   /// Lane 0 is rng_ itself, the stream the sim_shards = 1 golden digests
   /// were recorded with. The phases

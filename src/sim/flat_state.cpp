@@ -8,14 +8,8 @@ void CreditView::init(const Network& net) {
   const u32 ports = net.topo().ports_per_router();
   packet_size_ = net.config().packet_size;
   base_counts_.assign(ports, 0);
-  for (PortId port = 0; port < ports; ++port) {
-    u32 first = 0, count = 0;
-    // base_vc_range depends only on the port's class, which is the same for
-    // every router of the dragonfly — router 0 stands in for all of them.
-    net.base_vc_range(0, port, first, count);
-    OFAR_DCHECK(first == 0);
-    base_counts_[port] = count;
-  }
+  for (PortId port = 0; port < ports; ++port)
+    base_counts_[port] = net.base_vcs(port);
   snaps_.assign(ports, PortSnap{});
   epoch_ = 0;
   r_ = nullptr;

@@ -175,6 +175,8 @@ class OFAR_SHARD_LOCAL CreditView {
   }
 
   const Router& router() const noexcept { return *r_; }
+  /// Phits per packet: the credits a VC needs to take a whole packet.
+  u32 packet_size() const noexcept { return packet_size_; }
 
   /// True when `port` is wired, transfer-idle, and some base VC can hold a
   /// whole packet.

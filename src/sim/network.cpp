@@ -378,17 +378,14 @@ void Network::set_traffic(std::unique_ptr<TrafficSource> source) {
 // per-port queries
 // ---------------------------------------------------------------------------
 
-void Network::base_vc_range(RouterId r, PortId port, u32& first,
-                            u32& count) const {
-  first = 0;
-  count = 0;
+u32 Network::base_vcs(PortId port) const {
   switch (topo_.port_class(port)) {
-    case PortClass::kNode: count = 1; break;  // ejection output: one lane
-    case PortClass::kLocal: count = cfg_.vcs_local; break;
-    case PortClass::kGlobal: count = cfg_.vcs_global; break;
-    case PortClass::kRing: count = 0; break;  // escape-only port
+    case PortClass::kNode: return 1;  // ejection output: one lane
+    case PortClass::kLocal: return cfg_.vcs_local;
+    case PortClass::kGlobal: return cfg_.vcs_global;
+    case PortClass::kRing: return 0;  // escape-only port
   }
-  (void)r;
+  return 0;
 }
 
 bool Network::is_ring_input(RouterId r, PortId port, VcId vc) const {
@@ -399,10 +396,9 @@ bool Network::is_ring_input(RouterId r, PortId port, VcId vc) const {
 }
 
 double Network::base_occupancy(const Router& r, PortId port) const {
-  u32 first, count;
-  base_vc_range(r.id, port, first, count);
+  const u32 count = base_vcs(port);
   if (count == 0 || !r.outputs[port].wired()) return 1.0;
-  return r.outputs[port].occupancy(first, count);
+  return r.outputs[port].occupancy(0, count);
 }
 
 bool Network::ring_can_take_packet(const Router& r) const {
@@ -814,6 +810,7 @@ void Network::commit_grant(ShardState& sh, Router& r, const AllocRequest& rq,
     ev.queue_wait = static_cast<u32>(
         std::min<Cycle>(queue_wait, ~u32{0}));
     if (prov != nullptr) ev.prov = *prov;
+    ev.prov.condition = grant_condition(rq.choice, pkt);
     sh.traces.push_back(ev);  // flushed serially, in shard order
     // Ring transitions get explicit marker events right after the grant,
     // so consumers need not re-derive them from the grant flags.

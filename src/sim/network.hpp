@@ -226,8 +226,9 @@ class Network {
   const Telemetry* telemetry() const noexcept { return telem_.get(); }
 
   // ---- per-port structure queries (used by routing policies) ----
-  /// VC range a non-escape packet may use on output port `port`.
-  void base_vc_range(RouterId r, PortId port, u32& first, u32& count) const;
+  /// Base VCs a non-escape packet may use on output port `port`: VCs 0
+  /// to base_vcs(port) - 1, the same at every router.
+  u32 base_vcs(PortId port) const;
   /// Escape-ring VC range on the ring output of router r; count == 0 when
   /// `port` is not the ring output.
   struct RingOut {

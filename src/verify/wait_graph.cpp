@@ -52,7 +52,7 @@ std::vector<StallEdge> stalled_heads(const Network& net) {
           e.wait_vcs = 1;
         } else {
           e.wait_port = topo.min_next_port(r, pkt.dst_router);
-          net.base_vc_range(r, e.wait_port, e.wait_first_vc, e.wait_vcs);
+          e.wait_vcs = net.base_vcs(e.wait_port);
         }
         // Candidate VCs past the port's credit counters (an unwired port
         // has none) are dropped.

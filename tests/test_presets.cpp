@@ -1,7 +1,8 @@
 // Pins of every figure preset (bench/presets.cpp) as `ofar_run --preset`
 // runs it: at tiny flags, its whole-run results digest, the CSV files it
 // writes and a digest of their bytes; at its default flags, a digest of its
-// sorted point keys (no simulation); and its rejection of an unknown flag.
+// sorted point keys (no simulation); and its rejection of an unknown flag,
+// which leaves an existing --metrics-out file as it was.
 // A refactor of the experiment layer must leave every pin unchanged. Also
 // the flags a run would read and then ignore (the shape flags of a `--spec`
 // run, fig6/fig7's steady windows), which are rejected, and
@@ -187,12 +188,28 @@ TEST(Presets, DefaultPointKeysArePinned) {
   }
 }
 
+/// An existing --metrics-out file that a rejected command line must leave
+/// byte-identical: no output is opened before the flags are accepted.
+struct MetricsFile {
+  fs::path path = fs::path(::testing::TempDir()) / "ofar_presets_metrics";
+  const std::string bytes = "kept\n";
+  MetricsFile() { std::ofstream(path, std::ios::binary) << bytes; }
+  ~MetricsFile() { fs::remove(path); }
+  bool intact() const { return read_file(path) == bytes; }
+};
+
 TEST(Presets, EveryPresetRejectsAnUnknownFlag) {
+  const MetricsFile metrics;
   for (const Preset& preset : presets()) {
     SCOPED_TRACE(preset.name);
     std::string out, err;
-    EXPECT_EQ(run_driver(preset.name, {"--bogus", "1"}, &out, &err), 1);
+    EXPECT_EQ(run_driver(preset.name,
+                         {"--metrics-out", metrics.path.string(), "--bogus",
+                          "1"},
+                         &out, &err),
+              1);
     EXPECT_NE(err.find("unknown option --bogus"), std::string::npos) << err;
+    EXPECT_TRUE(metrics.intact());
   }
 }
 
@@ -201,17 +218,20 @@ TEST(Presets, EveryPresetRejectsAnUnknownFlag) {
 // their own protocol windows, and --no-cache is spelled --cache-dir "".
 TEST(Presets, FlagsARunWouldIgnoreAreRejected) {
   const std::string smoke = std::string(OFAR_EXAMPLES_DIR) + "/smoke.json";
+  const MetricsFile metrics;
   for (const char* flag : {"h", "seed", "warmup", "measure", "no-cache"}) {
     SCOPED_TRACE(flag);
     std::string out, err;
     EXPECT_EQ(run_driver(smoke,
-                         {"--cache-dir", "", "--csv-dir", "",
-                          std::string("--") + flag, "4"},
+                         {"--cache-dir", "", "--csv-dir", "", "--metrics-out",
+                          metrics.path.string(), std::string("--") + flag,
+                          "4"},
                          &out, &err, /*spec=*/true),
               1);
     EXPECT_NE(err.find(std::string("unknown option --") + flag),
               std::string::npos)
         << err;
+    EXPECT_TRUE(metrics.intact());
   }
   for (const char* preset : {"fig6", "fig7"})
     for (const char* flag : {"warmup", "measure"}) {

@@ -51,20 +51,20 @@ TEST(RoutingHelpers, OrderedVcFollowsHopLevels) {
   const PortId lport = topo.first_local_port();
   const PortId gport = topo.first_global_port();
   // l1 before any global hop -> local VC 0; g1 -> global VC 0.
-  EXPECT_EQ(ordered_vc(net, 0, lport, pkt), 0);
-  EXPECT_EQ(ordered_vc(net, 0, gport, pkt), 0);
+  EXPECT_EQ(ordered_vc(net, lport, pkt), 0);
+  EXPECT_EQ(ordered_vc(net, gport, pkt), 0);
   // After g1: l2 -> local VC 1, g2 -> global VC 1.
   pkt.global_hops = 1;
   pkt.local_hops_in_group = 0;
-  EXPECT_EQ(ordered_vc(net, 0, lport, pkt), 1);
-  EXPECT_EQ(ordered_vc(net, 0, gport, pkt), 1);
+  EXPECT_EQ(ordered_vc(net, lport, pkt), 1);
+  EXPECT_EQ(ordered_vc(net, gport, pkt), 1);
   // After g2: l3 -> local VC 2.
   pkt.global_hops = 2;
-  EXPECT_EQ(ordered_vc(net, 0, lport, pkt), 2);
+  EXPECT_EQ(ordered_vc(net, lport, pkt), 2);
   // Intra-group Valiant: second local hop in the same group -> VC 1.
   pkt.global_hops = 0;
   pkt.local_hops_in_group = 1;
-  EXPECT_EQ(ordered_vc(net, 0, lport, pkt), 1);
+  EXPECT_EQ(ordered_vc(net, lport, pkt), 1);
 }
 
 TEST(RoutingHelpers, ValiantPhaseCompletesOnArrival) {

@@ -214,6 +214,15 @@ TEST(Spec, RejectsTyposLoudly) {
   EXPECT_NE(error.find("unknown config key 'wiring_table'"),
             std::string::npos)
       << error;
+
+  // An entry without a label is labelled with its routing name, so these
+  // two would share CSV columns, telemetry labels and trace file names.
+  doc = parse_ok(R"({"kind": "steady", "patterns": ["UN"], "loads": [0.1],
+                     "mechanisms": [{"routing": "OFAR"},
+                                    {"routing": "OFAR", "ring": "embedded"}]})");
+  EXPECT_FALSE(spec_from_json(doc, spec, error));
+  EXPECT_NE(error.find("mechanism label 'OFAR' repeats"), std::string::npos)
+      << error;
 }
 
 TEST(Spec, RejectsUnknownKeysAtEveryLevel) {

@@ -4,7 +4,8 @@
 //    included) is bit-identical across sim_threads on the sharded kernel,
 //    physical and embedded rings;
 //  - routing-decision provenance: on a crafted congested router the
-//    recorded OFAR condition matches the misroute kind the policy chose;
+//    granted hop's condition matches the misroute kind the policy chose,
+//    and every mechanism's traced grant conditions are pinned at one point;
 //  - flight recorder: bounded depth, oldest-first snapshots, JSON dumps;
 //  - PacketTracer end to end: Perfetto JSON written, journeys assembled,
 //    instrumentation invisible to orchestrator results.
@@ -12,6 +13,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -203,7 +205,7 @@ TEST(RouteProvenanceTest, MinimalConditionWhenUncongested) {
       c.pkt, &prov);
   ASSERT_TRUE(choice.valid);
   EXPECT_EQ(choice.misroute, MisrouteKind::kNone);
-  EXPECT_EQ(prov.condition, RouteCondition::kMinimal);
+  EXPECT_EQ(grant_condition(choice, c.pkt), RouteCondition::kMinimal);
   EXPECT_EQ(prov.min_port, c.gport);
   EXPECT_EQ(choice.out_port, prov.min_port);
   EXPECT_EQ(prov.q_min, 0.0f);
@@ -218,7 +220,7 @@ TEST(RouteProvenanceTest, InjectionQueueMisroutesGloballyAndRecordsIt) {
   ASSERT_TRUE(choice.valid);
   // Injection-queue packets in the source group misroute globally (§IV-A).
   ASSERT_EQ(choice.misroute, MisrouteKind::kGlobal);
-  EXPECT_EQ(prov.condition, RouteCondition::kMisrouteGlobal);
+  EXPECT_EQ(grant_condition(choice, c.pkt), RouteCondition::kMisrouteGlobal);
   EXPECT_EQ(prov.min_port, c.gport);
   EXPECT_GE(prov.q_min, 1.0f);  // fully occupied minimal output
   EXPECT_LT(prov.chosen_occ, prov.q_min);
@@ -239,7 +241,7 @@ TEST(RouteProvenanceTest, TransitQueueMisroutesLocallyAndRecordsIt) {
   ASSERT_TRUE(choice.valid);
   // Transit queues try local misroute first (§IV-A starvation rule).
   ASSERT_EQ(choice.misroute, MisrouteKind::kLocal);
-  EXPECT_EQ(prov.condition, RouteCondition::kMisrouteLocal);
+  EXPECT_EQ(grant_condition(choice, c.pkt), RouteCondition::kMisrouteLocal);
   EXPECT_EQ(topo.port_class(choice.out_port), PortClass::kLocal);
   bool chosen_listed = false;
   for (u32 i = 0; i < prov.num_candidates; ++i)
@@ -255,7 +257,7 @@ TEST(RouteProvenanceTest, OfarLRecordsGlobalEvenFromTransitQueue) {
       call_route(*c.net, c.at, topo.first_local_port(), c.pkt, &prov);
   ASSERT_TRUE(choice.valid);
   ASSERT_EQ(choice.misroute, MisrouteKind::kGlobal);  // local disabled
-  EXPECT_EQ(prov.condition, RouteCondition::kMisrouteGlobal);
+  EXPECT_EQ(grant_condition(choice, c.pkt), RouteCondition::kMisrouteGlobal);
 }
 
 TEST(RouteProvenanceTest, WaitAtDestinationRecordsWaitBusy) {
@@ -269,7 +271,6 @@ TEST(RouteProvenanceTest, WaitAtDestinationRecordsWaitBusy) {
   const RouteChoice choice =
       call_route(*c.net, dst_router, topo.first_local_port(), c.pkt, &prov);
   EXPECT_FALSE(choice.valid);
-  EXPECT_EQ(prov.condition, RouteCondition::kWaitBusy);
   EXPECT_EQ(prov.min_port, eject);
 }
 
@@ -286,6 +287,78 @@ TEST(RouteProvenanceTest, NullProvenanceChangesNothing) {
   EXPECT_EQ(with.out_port, without.out_port);
   EXPECT_EQ(with.out_vc, without.out_vc);
   EXPECT_EQ(with.misroute, without.misroute);
+}
+
+// Every packet of a short h=2 run under ADV+1 at 0.6 traced, and its grants
+// counted by routing condition. This point reaches every condition each
+// mechanism can produce: all six for OFAR, all but misroute_local for
+// OFAR-L, minimal and valiant_phase for the Valiant family. A change to how
+// a condition is derived, or to a decision, moves these counts.
+TEST(RouteProvenanceTest, GrantConditionsArePinnedPerMechanism) {
+  using Counts = std::map<std::string, u64>;
+  const struct {
+    RoutingKind routing;
+    RingKind ring;
+    Counts grants;
+  } pins[] = {
+      {RoutingKind::kMin, RingKind::kNone, {{"minimal", 4265}}},
+      {RoutingKind::kVal,
+       RingKind::kNone,
+       {{"minimal", 11250}, {"valiant_phase", 8783}}},
+      {RoutingKind::kPb,
+       RingKind::kNone,
+       {{"minimal", 13875}, {"valiant_phase", 8293}}},
+      {RoutingKind::kUgal,
+       RingKind::kNone,
+       {{"minimal", 11560}, {"valiant_phase", 5154}}},
+      {RoutingKind::kPar,
+       RingKind::kNone,
+       {{"minimal", 13366}, {"valiant_phase", 8593}}},
+      {RoutingKind::kOfar,
+       RingKind::kPhysical,
+       {{"minimal", 15563},
+        {"misroute_global", 4251},
+        {"misroute_local", 4724},
+        {"ring_enter", 1089},
+        {"ring_exit", 991},
+        {"ring_ride", 1604}}},
+      {RoutingKind::kOfarL,
+       RingKind::kPhysical,
+       {{"minimal", 13268},
+        {"misroute_global", 3448},
+        {"ring_enter", 1158},
+        {"ring_exit", 1073},
+        {"ring_ride", 1551}}},
+      {RoutingKind::kOfar,
+       RingKind::kEmbedded,
+       {{"minimal", 14662},
+        {"misroute_global", 4557},
+        {"misroute_local", 4575},
+        {"ring_enter", 344},
+        {"ring_exit", 274},
+        {"ring_ride", 196}}},
+  };
+  for (const auto& pin : pins) {
+    SimConfig cfg;
+    cfg.h = 2;
+    cfg.seed = 1;
+    cfg.routing = pin.routing;
+    cfg.ring = pin.ring;
+    if (pin.routing == RoutingKind::kPar) cfg.vcs_local = 4;
+    SCOPED_TRACE(std::string(to_string(cfg.routing)) + " " +
+                 to_string(cfg.ring));
+    Network net(cfg);
+    net.set_trace_sampling(1);
+    Counts grants;
+    net.set_tracer([&](const TraceEvent& ev) {
+      if (ev.kind == TraceEvent::Kind::kGrant)
+        ++grants[to_string(ev.prov.condition)];
+    });
+    net.set_traffic(std::make_unique<BernoulliSource>(
+        TrafficPattern::adversarial(1), 0.6, cfg.seed));
+    net.run(300 + 900);
+    EXPECT_EQ(grants, pin.grants);
+  }
 }
 
 // ---- flight recorder ----

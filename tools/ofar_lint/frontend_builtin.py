@@ -405,7 +405,7 @@ class _FileParser:
             return
         if "(" in names:
             # Free-function declaration carrying an annotation macro
-            # (e.g. evaluate_ugal_paths in ugal.hpp).
+            # (e.g. ugal_intermediate in ugal.hpp).
             annotation = _find_annotation(d)
             if annotation:
                 p = names.index("(")

@@ -39,9 +39,8 @@ MUTATIONS = [
         "why": "a routing policy drives Network's serial injection from "
                "inside route()",
         "edits": [("src/routing/par.cpp",
-                   "const UgalPaths paths = evaluate_ugal_paths",
-                   "net.do_injection();\n    "
-                   "const UgalPaths paths = evaluate_ugal_paths")],
+                   "  if (adaptive)\n",
+                   "  net.do_injection();\n  if (adaptive)\n")],
         "rule": "serial-call",
         "file": "src/routing/par.cpp",
     },
@@ -68,23 +67,30 @@ MUTATIONS = [
     },
     {
         "name": "off-lane-rng-transitive",
-        "why": "route() regrows the Valiant intermediate via "
-               "assign_intermediate, whose draws use the serial stream "
+        "why": "route() regrows the Valiant intermediate through a "
+               "helper that hands the serial stream to pick_intermediate "
                "(two calls deep)",
-        "edits": [("src/routing/valiant.cpp",
-                   "const PortId out = valiant_next_port(net, at, pkt);",
-                   "assign_intermediate(net, pkt, at);\n  "
-                   "const PortId out = valiant_next_port(net, at, pkt);")],
+        "edits": [("src/routing/valiant.hpp",
+                   "  OFAR_SERIAL_ONLY Rng rng_;",
+                   "  void regrow_intermediate(const Dragonfly& topo, "
+                   "Packet& pkt, RouterId at) {\n"
+                   "    set_valiant(pkt, pick_intermediate(topo, at, "
+                   "pkt.dst_router, rng_));\n  }\n"
+                   "  OFAR_SERIAL_ONLY Rng rng_;"),
+                  ("src/routing/valiant.cpp",
+                   "  return request_ordered(ctx, valiant_next_port(",
+                   "  regrow_intermediate(ctx.net.topo(), ctx.pkt, ctx.at);\n"
+                   "  return request_ordered(ctx, valiant_next_port(")],
         "rule": "off-lane-rng",
-        "file": "src/routing/valiant.cpp",
+        "file": "src/routing/valiant.hpp",
     },
     {
         "name": "off-lane-rng-pass-by-ref",
-        "why": "PAR hands the shared serial stream to evaluate_ugal_paths "
+        "why": "PAR hands the shared serial stream to ugal_intermediate "
                "instead of the bound lane's stream",
         "edits": [("src/routing/par.cpp",
-                   "route_rng(lane))",
-                   "rng_)")],
+                   "route_rng(ctx.lane)",
+                   "rng_")],
         "rule": "off-lane-rng",
         "file": "src/routing/par.cpp",
     },
