@@ -1,8 +1,6 @@
 #include "common/parallel.hpp"
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 
 namespace ofar {
@@ -44,32 +42,44 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
+/// Waits until `a` no longer holds `old` and returns what it holds then:
+/// spins for the pool's budget, yielding the core every kYieldInterval
+/// pauses, then parks in atomic::wait until a notify.
+template <typename T>
+T await_change(const std::atomic<T>& a, T old) {
+  for (u32 spin = 1; spin <= ShardPool::kSpinIterations; ++spin) {
+    const T now = a.load(std::memory_order_acquire);
+    if (now != old) return now;
+    if (spin % ShardPool::kYieldInterval == 0)
+      std::this_thread::yield();
+    else
+      cpu_relax();
+  }
+  a.wait(old, std::memory_order_acquire);
+  return a.load(std::memory_order_acquire);
+}
+
 }  // namespace
 
 // Every field a waiting thread polls is atomic. The caller publishes fn and
-// count, then bumps `generation` (release); a worker that sees the new
-// generation (acquire) reads them and runs its shards. The worker that takes
-// `pending` to zero releases the caller. The mutex exists only for parking:
-// a waker takes it between changing the polled atomic and notifying, so a
-// thread that re-checked the atomic under the mutex and is about to wait
-// cannot miss the wake-up.
+// count, then bumps `generation` (release) and notifies it; a worker that
+// sees the new generation (acquire) reads them and runs its shards. The
+// worker that takes `pending` to zero notifies the caller. A notify with no
+// parked waiter is one load, so the spinning fast path pays almost nothing
+// for it.
 struct ShardPool::Impl {
-  alignas(64) std::atomic<u64> generation{0};  // bumped per phase
+  alignas(64) std::atomic<u32> generation{0};    // bumped per phase
   const std::function<void(u32)>* fn = nullptr;  // published by generation
   u32 count = 0;                                 // published by generation
   std::atomic<bool> shutdown{false};             // published by generation
-  alignas(64) std::atomic<unsigned> pending{0};  // workers still in a phase
-  alignas(64) tsa::Mutex mutex;
-  std::condition_variable start_cv;  // parked workers wait here
-  std::condition_variable done_cv;   // a parked caller waits here
+  alignas(64) std::atomic<u32> pending{0};       // workers still in a phase
   // Written only before any worker runs (ctor) and after all are woken for
   // shutdown (dtor join) — never concurrently.
   std::vector<std::thread> workers;
 
-  void wake(std::condition_variable& cv) {
-    mutex.lock();
-    mutex.unlock();
-    cv.notify_all();
+  void start_phase() {
+    generation.fetch_add(1, std::memory_order_release);
+    generation.notify_all();
   }
 };
 
@@ -85,48 +95,24 @@ ShardPool::ShardPool(unsigned threads)
 ShardPool::~ShardPool() {
   if (impl_ == nullptr) return;
   impl_->shutdown.store(true, std::memory_order_relaxed);
-  impl_->generation.fetch_add(1, std::memory_order_release);
-  impl_->wake(impl_->start_cv);
+  impl_->start_phase();
   for (auto& t : impl_->workers) t.join();
   delete impl_;
 }
 
 void ShardPool::worker_loop(unsigned worker_index) {
   Impl& im = *impl_;
-  u64 seen = 0;
+  u32 seen = 0;
   for (;;) {
-    u64 gen = im.generation.load(std::memory_order_acquire);
-    for (u32 spin = 0; gen == seen && spin < kSpinIterations; ++spin) {
-      cpu_relax();
-      gen = im.generation.load(std::memory_order_acquire);
-    }
-    if (gen == seen) {
-      std::unique_lock<std::mutex> lock(im.mutex.native());
-      im.start_cv.wait(lock, [&] {
-        gen = im.generation.load(std::memory_order_acquire);
-        return gen != seen;
-      });
-    }
+    seen = await_change(im.generation, seen);
     if (im.shutdown.load(std::memory_order_relaxed)) return;
-    seen = gen;
     const std::function<void(u32)>& fn = *im.fn;
     const u32 count = im.count;
     // Static stride partition: worker w takes shards w, w+N, w+2N, ...
     for (u32 i = worker_index; i < count; i += threads_) fn(i);
     if (im.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      im.wake(im.done_cv);
+      im.pending.notify_one();
   }
-}
-
-void ShardPool::wait_done() {
-  Impl& im = *impl_;
-  for (u32 spin = 0; spin < kSpinIterations; ++spin) {
-    if (im.pending.load(std::memory_order_acquire) == 0) return;
-    cpu_relax();
-  }
-  std::unique_lock<std::mutex> lock(im.mutex.native());
-  im.done_cv.wait(
-      lock, [&] { return im.pending.load(std::memory_order_acquire) == 0; });
 }
 
 void ShardPool::parallel_phase(u32 count, const std::function<void(u32)>& fn) {
@@ -137,13 +123,13 @@ void ShardPool::parallel_phase(u32 count, const std::function<void(u32)>& fn) {
   }
   impl_->fn = &fn;
   impl_->count = count;
-  impl_->pending.store(static_cast<unsigned>(impl_->workers.size()),
+  impl_->pending.store(static_cast<u32>(impl_->workers.size()),
                        std::memory_order_relaxed);
-  impl_->generation.fetch_add(1, std::memory_order_release);
-  impl_->wake(impl_->start_cv);
+  impl_->start_phase();
   // The caller is worker 0.
   for (u32 i = 0; i < count; i += threads_) fn(i);
-  wait_done();
+  for (u32 left = impl_->pending.load(std::memory_order_acquire); left != 0;)
+    left = await_change(impl_->pending, left);
 }
 
 }  // namespace ofar

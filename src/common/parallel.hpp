@@ -8,7 +8,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ofar {
@@ -32,8 +31,11 @@ void run_parallel(const std::vector<std::function<void()>>& jobs,
 /// phase counter, and the caller spins on the count of workers still in
 /// the phase, for kSpinIterations pause instructions each. That covers the
 /// serial sections between a saturated cycle's two phases, so the hot loop
-/// never sleeps. Past the budget (an idle pool, a drained network, a
-/// long serial stretch) they block on condition variables and cost nothing.
+/// never sleeps. Every kYieldInterval pauses a spinning thread yields its
+/// core: on a host with fewer free cores than pool threads, the thread it
+/// waits for gets to run instead of queueing behind the spinners. Past the
+/// budget (an idle pool, a drained network, a long serial stretch) they
+/// park in std::atomic::wait and cost nothing.
 ///
 /// Determinism contract: `parallel_phase(count, fn)` invokes fn(i) exactly
 /// once for every i in [0, count) and returns only after all invocations
@@ -48,6 +50,8 @@ class ShardPool {
   /// several times the ~60 µs of serial work between the phases of a
   /// saturated h=4 cycle.
   static constexpr u32 kSpinIterations = 1u << 14;
+  /// Pauses between two yields of a spinning thread's core.
+  static constexpr u32 kYieldInterval = 256;
 
   /// Spawns `threads - 1` workers (the caller is the remaining thread).
   /// `threads` is clamped to at least 1; a 1-thread pool spawns nothing and
@@ -67,11 +71,7 @@ class ShardPool {
 
  private:
   struct Impl;
-  // Both may block on a condition variable through Mutex::native(); cv
-  // waits release/reacquire in a way -Wthread-safety cannot model, so
-  // analysis is disabled for exactly these two bodies.
-  void worker_loop(unsigned worker_index) OFAR_NO_THREAD_SAFETY_ANALYSIS;
-  void wait_done() OFAR_NO_THREAD_SAFETY_ANALYSIS;
+  void worker_loop(unsigned worker_index);
 
   unsigned threads_ = 1;
   Impl* impl_ = nullptr;

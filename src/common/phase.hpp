@@ -22,7 +22,8 @@
 //                       safe to reach from one).
 //  OFAR_SERIAL_ONLY     Function or data member that only the serial
 //                       sections of a cycle may call/write (commit paths,
-//                       injection, stats/trace emission, the global RNG).
+//                       injection, stats/trace emission, a policy's
+//                       serial RNG).
 //                       On a class it covers every member function.
 //  OFAR_SHARD_LOCAL     Data member partitioned by shard ownership:
 //                       parallel-phase code may touch it, but only the
@@ -40,7 +41,7 @@
 //
 //   OFAR_PARALLEL_PHASE void deliver_events_shard(ShardState& sh, u32 s);
 //   OFAR_SERIAL_ONLY Stats stats_;
-//   class OFAR_SERIAL_ONLY MetricsRegistry { ... };
+//   class OFAR_SERIAL_ONLY PacketTracer { ... };
 #pragma once
 
 #if defined(__clang__)

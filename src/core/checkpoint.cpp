@@ -21,7 +21,10 @@ constexpr u64 kMagic = 0x31504B435241464FULL;
 /// marker); the series' retired slot and Piggyback's h_ are gone.
 /// v3: a router's active-transfer count is gone (the popcount of its
 /// active-output mask).
-constexpr u32 kFormatVersion = 3;
+/// v4: the Network's RNG (nothing drew from it) and the per-traffic-
+/// component latency of Stats are gone; a Packet's and an Offer's tag
+/// bytes are zero padding.
+constexpr u32 kFormatVersion = 4;
 
 void set_error(std::string* error, const char* what) {
   if (error != nullptr) *error = what;
@@ -81,7 +84,6 @@ void CheckpointIO::io(CkptArchive& ar, Stats& s) {
         s.stalled_packets_, s.worst_stall_, s.max_hops_, s.hops_sum_,
         s.latency_, s.histogram_.total_, s.histogram_.overflow_,
         s.histogram_.buckets_);
-  ar.sized(s.by_tag_);
   bool has_series = s.series_ != nullptr;
   ar.io(has_series);
   if (ar.check(has_series == (s.series_ != nullptr), "corrupt stats") &&
@@ -127,7 +129,7 @@ void CheckpointIO::io(CkptArchive& ar, Network& net) {
                 "restore target is not a fresh network"))
     return;
 
-  ar.io(net.now_, net.rng_, net.injected_total_, net.delivered_total_,
+  ar.io(net.now_, net.injected_total_, net.delivered_total_,
         net.pending_total_);
 
   // ---- packet pool, verbatim (ids and future id reuse order) ----

@@ -15,9 +15,6 @@ namespace ofar {
 
 namespace {
 
-/// Flight-recorder events kept per router in every traced run.
-constexpr u32 kFlightDepth = 64;
-
 std::string compose_label(const std::string& base,
                           const std::string& suffix) {
   if (base.empty()) return suffix;
@@ -61,7 +58,6 @@ void arm(Network& net, const RunContext& ctx,
                       ? per_point_path(in.trace_out, label, net.config().seed)
                       : in.trace_out;
     tc.sample = in.trace_sample;
-    tc.flight_depth = kFlightDepth;
     tc.label = label;
     net.enable_tracing(tc);
   }
@@ -151,9 +147,8 @@ TransientResult run_transient(const SimConfig& cfg,
   Network net(cfg);
   const Cycle switch_at = params.warmup;
   std::vector<PhasedSource::Phase> phases;
-  phases.push_back({pattern_a, load_a, switch_at, /*tag_base=*/0});
-  phases.push_back({pattern_b, load_b, /*until=*/0,
-                    static_cast<u16>(pattern_a.components().size())});
+  phases.push_back({pattern_a, load_a, switch_at});
+  phases.push_back({pattern_b, load_b, /*until=*/0});
   net.set_traffic(std::make_unique<PhasedSource>(std::move(phases), cfg.seed));
   arm(net, ctx);
 

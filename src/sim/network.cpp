@@ -29,8 +29,7 @@ constexpr Cycle kWatchdogPeriod = 4096;
 
 Network::Network(const SimConfig& cfg)
     : cfg_(cfg),
-      topo_(cfg.h, cfg.groups, cfg.ring == RingKind::kPhysical),
-      rng_(cfg.seed) {
+      topo_(cfg.h, cfg.groups, cfg.ring == RingKind::kPhysical) {
   const std::string err = cfg_.validate();
   OFAR_CHECK_MSG(err.empty(), err.c_str());
 
@@ -430,17 +429,17 @@ u32 Network::injection_free_phits(NodeId node) const {
 // injection
 // ---------------------------------------------------------------------------
 
-void Network::offer(NodeId src, NodeId dst, u16 tag) {
+void Network::offer(NodeId src, NodeId dst) {
   OFAR_DCHECK(src != dst && dst < topo_.nodes());
-  stats_.on_generated(tag, cfg_.packet_size);
+  stats_.on_generated(cfg_.packet_size);
   OfferQueue& queue = pending_[src];
   if (queue.empty()) node_ready_[src] = 1;  // just became pending
-  queue.push_back({.dst = dst, .tag = tag, .birth = now_});
+  queue.push_back({.dst = dst, .birth = now_});
   ++pending_total_;
   mark_node_pending(src);
 }
 
-bool Network::try_inject(NodeId src, NodeId dst, u16 tag) {
+bool Network::try_inject(NodeId src, NodeId dst) {
   const RouterId rid = topo_.router_of_node(src);
   ensure_router_built(rid);  // serial phase
   Router& r = routers_[rid];
@@ -448,8 +447,8 @@ bool Network::try_inject(NodeId src, NodeId dst, u16 tag) {
   InputPort& in = r.inputs[topo_.node_port(topo_.node_slot(src))];
   u32 best_vc;
   if (!in.best_fit_vc(cfg_.packet_size, best_vc)) return false;
-  stats_.on_generated(tag, cfg_.packet_size);
-  place_packet(src, {.dst = dst, .tag = tag, .birth = now_});
+  stats_.on_generated(cfg_.packet_size);
+  place_packet(src, {.dst = dst, .birth = now_});
   return true;
 }
 
@@ -469,7 +468,6 @@ void Network::place_packet(NodeId src, const Offer& offer) {
   pkt.dst = offer.dst;
   pkt.dst_router = topo_.router_of_node(offer.dst);
   pkt.size = static_cast<u16>(cfg_.packet_size);
-  pkt.pattern_tag = offer.tag;
   pkt.birth = offer.birth;
   pkt.last_progress = now_;
   pkt.flag_group = topo_.group_of(r.id);
@@ -508,7 +506,7 @@ void Network::place_packet(NodeId src, const Offer& offer) {
 
 void Network::deliver_packet(const Delivery& d) {
   ++delivered_total_;
-  stats_.on_delivered(d.tag, d.size, now_ - d.birth, d.birth, d.hops);
+  stats_.on_delivered(d.size, now_ - d.birth, d.birth, d.hops);
   if (tracer_ && d.traced) {
     const Packet& pkt = pool_.get(d.id);
     TraceEvent ev;
@@ -919,7 +917,6 @@ void Network::run_watchdog() {
   });
   stats_.on_watchdog(stalled, worst);
   if (telem_ && stalled > 0) telem_->on_watchdog_trip(*this, stalled, worst);
-  if (trace_ && stalled > 0) trace_->on_deadlock(now_, stalled, worst);
 }
 
 void Network::run_shard_phase(const std::function<void(u32)>& fn) {
@@ -957,8 +954,8 @@ void Network::deliver_events_shard(ShardState& sh, u32 shard, u32 slot) {
         const Packet& pkt = pool_.get(e.pkt);
         OFAR_DCHECK(ch.dst_node == pkt.dst);
         if (e.tail)
-          sh.delivered.push_back({e.pkt, pkt.pattern_tag, pkt.size,
-                                  pkt.birth, pkt.total_hops, pkt.traced});
+          sh.delivered.push_back(
+              {e.pkt, pkt.size, pkt.birth, pkt.total_hops, pkt.traced});
         continue;
       }
       OFAR_DCHECK(shard_of_router_[ch.dst_router] == shard);
@@ -1113,9 +1110,9 @@ void Network::run_audit() {
   const verify::AuditReport report = audit_->run_all();
   if (!report.ok()) [[unlikely]] {
     std::fputs(report.to_string().c_str(), stderr);
-    // Post-mortem before the abort: the flight recorder's last-N events per
-    // router are exactly the forensics a violated invariant needs.
-    if (trace_) trace_->on_audit_failure(now_, report.to_json());
+    // The post-mortem: abort() runs no destructor, so write the traced
+    // journeys first, the packets still in flight included.
+    if (trace_) trace_->finish();
     std::abort();
   }
 }

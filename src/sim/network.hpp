@@ -32,7 +32,6 @@
 #include "common/config.hpp"
 #include "common/parallel.hpp"
 #include "common/phase.hpp"
-#include "common/rng.hpp"
 #include "common/span.hpp"
 #include "common/types.hpp"
 #include "routing/routing.hpp"
@@ -139,9 +138,9 @@ class Network {
 
   // ---- injection API (used by traffic sources) ----
   /// Queues an offer in the node's unbounded source queue (Bernoulli).
-  void offer(NodeId src, NodeId dst, u16 tag);
+  void offer(NodeId src, NodeId dst);
   /// Injects directly if the injection FIFO has room; false otherwise.
-  bool try_inject(NodeId src, NodeId dst, u16 tag);
+  bool try_inject(NodeId src, NodeId dst);
 
   // ---- structure accessors ----
   const SimConfig& config() const noexcept { return cfg_; }
@@ -178,7 +177,6 @@ class Network {
   u64 channel_phits(ChannelId c) const noexcept { return channel_phits_[c]; }
   PacketPool& packets() noexcept { return pool_; }
   const PacketPool& packets() const noexcept { return pool_; }
-  Rng& rng() noexcept { return rng_; }
   Stats& stats() noexcept { return stats_; }
   const Stats& stats() const noexcept { return stats_; }
   RoutingPolicy& policy() noexcept { return *policy_; }
@@ -268,9 +266,9 @@ class Network {
   }
 
   /// Enables the full tracing subsystem (src/trace): installs a
-  /// PacketTracer as the tracer callback, applies tcfg.sample, and arms the
-  /// flight recorder (dumped automatically on InvariantAuditor failure or
-  /// deadlock forensics). Replaces any previous tracer. Tracing is
+  /// PacketTracer as the tracer callback and applies tcfg.sample. Its
+  /// journeys are written at destruction, or before an InvariantAuditor
+  /// failure aborts the run. Replaces any previous tracer. Tracing is
   /// read-only instrumentation: no simulation outcome or RNG draw changes.
   void enable_tracing(const trace::TracerConfig& tcfg);
   trace::PacketTracer* packet_tracer() noexcept { return trace_.get(); }
@@ -321,7 +319,6 @@ class Network {
   /// serial commit reads the pool only for traced packets and to free ids.
   struct Delivery {
     PacketId id;
-    u16 tag;
     u16 size;
     Cycle birth;
     u8 hops;
@@ -329,8 +326,7 @@ class Network {
   };
   struct Offer {
     NodeId dst;
-    u16 tag;
-    u16 zero_pad = 0;
+    u32 zero_pad = 0;
     Cycle birth;
   };
 
@@ -528,7 +524,6 @@ class Network {
   std::vector<u32> ring_in_first_vc_;      // per router
   std::vector<u32> ring_in_num_vcs_;       // per router
   OFAR_SHARD_LOCAL PacketPool pool_;
-  OFAR_SERIAL_ONLY Rng rng_;  ///< parallel phases draw via policy lane RNGs
   OFAR_SERIAL_ONLY Stats stats_;  ///< parallel phases stage in ShardState
   std::unique_ptr<RoutingPolicy> policy_;
   /// Set once at construction from the policy: true when do_allocation

@@ -63,7 +63,7 @@ struct alignas(64) Packet {
   u8 local_hops_in_group = 0;
 
   u16 size = 0;          ///< phits
-  u16 pattern_tag = 0;   ///< which traffic component generated it (stats)
+  u16 zero_pad2 = 0;     ///< always 0, like zero_pad
 
   // ---- cold fields (grant commit / delivery only) ----
   Cycle birth = 0;       ///< generation cycle (latency baseline, paper §VI-B)

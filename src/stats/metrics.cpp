@@ -21,6 +21,47 @@ const char* to_string(SimPhase p) noexcept {
   return "?";
 }
 
+namespace {
+
+/// The interval record's metrics, each named once, in record order:
+/// f(name, value) for every member of `m`.
+template <typename F>
+void interval_fields(const IntervalMetrics& m, F&& f) {
+  f("sim.cycle", m.cycle);
+  f("sim.interval_cycles", m.interval_cycles);
+  f("packets.live", m.live);
+  f("packets.pending_offers", m.pending_offers);
+  f("packets.generated", m.generated);
+  f("packets.delivered", m.delivered);
+  f("latency.mean", m.latency_mean);
+  f("link.util.local", m.util_local);
+  f("link.util.global", m.util_global);
+  f("link.util.ring", m.util_ring);
+  f("link.util.max", m.util_max);
+  f("vc.occupancy.mean", m.vc_occupancy_mean);
+  f("vc.occupancy.max", m.vc_occupancy_max);
+  f("ring.occupancy", m.ring_occupancy);
+  f("ring.entries", m.ring_entries);
+  f("ring.reentries", m.ring_reentries);
+  f("misroute.local", m.misroute_local);
+  f("misroute.global", m.misroute_global);
+  f("stall.credit_cycles", m.stall_credit_cycles);
+  f("stall.alloc_cycles", m.stall_alloc_cycles);
+  f("worklist.routers", m.worklist_routers);
+  f("worklist.nodes", m.worklist_nodes);
+  f("throttled.routers", m.throttled_routers);
+  f("watchdog.stalled", m.watchdog_stalled);
+  f("watchdog.worst_stall", m.watchdog_worst_stall);
+  for (u32 i = 0; i < kNumSimPhases; ++i) {
+    const std::string base =
+        std::string("phase.") + to_string(static_cast<SimPhase>(i));
+    f((base + ".seconds").c_str(), m.phase_seconds[i]);
+    f((base + ".invocations").c_str(), m.phase_invocations[i]);
+  }
+}
+
+}  // namespace
+
 Telemetry::Telemetry(const Network& net, TelemetryConfig cfg)
     : cfg_(std::move(cfg)), net_(&net), prof_(cfg_.phase_sample_period) {
   OFAR_CHECK_MSG(cfg_.interval > 0, "telemetry interval must be positive");
@@ -52,7 +93,6 @@ Telemetry::Telemetry(const Network& net, TelemetryConfig cfg)
 
   last_sample_cycle_ = net.now();
   next_sample_ = net.now() + cfg_.interval;
-  define_metrics();
 }
 
 Telemetry::~Telemetry() {
@@ -62,64 +102,20 @@ Telemetry::~Telemetry() {
     write_summary(*net_);
 }
 
-void Telemetry::define_metrics() {
-  auto gauge = [this](const char* n, const char* u) {
-    return reg_.define(n, u, MetricKind::kGauge);
-  };
-  auto counter = [this](const char* n, const char* u) {
-    return reg_.define(n, u, MetricKind::kCounter);
-  };
-
-  id_cycle_ = counter("sim.cycle", "cycles");
-  id_interval_ = gauge("sim.interval_cycles", "cycles");
-  id_live_ = gauge("packets.live", "packets");
-  id_pending_ = gauge("packets.pending_offers", "packets");
-  id_generated_ = counter("packets.generated", "packets");
-  id_delivered_ = counter("packets.delivered", "packets");
-  id_latency_mean_ = gauge("latency.mean", "cycles");
-  id_util_local_ = gauge("link.util.local", "fraction");
-  id_util_global_ = gauge("link.util.global", "fraction");
-  id_util_ring_ = gauge("link.util.ring", "fraction");
-  id_util_max_ = gauge("link.util.max", "fraction");
-  id_vc_occ_mean_ = gauge("vc.occupancy.mean", "fraction");
-  id_vc_occ_max_ = gauge("vc.occupancy.max", "fraction");
-  id_ring_occ_ = gauge("ring.occupancy", "packets");
-  id_ring_entries_ = counter("ring.entries", "events");
-  id_ring_reentries_ = counter("ring.reentries", "events");
-  id_mis_local_ = counter("misroute.local", "events");
-  id_mis_global_ = counter("misroute.global", "events");
-  id_stall_credit_ = counter("stall.credit_cycles", "head-cycles");
-  id_stall_alloc_ = counter("stall.alloc_cycles", "head-cycles");
-  id_wl_routers_ = gauge("worklist.routers", "routers");
-  id_wl_nodes_ = gauge("worklist.nodes", "nodes");
-  id_throttled_ = gauge("throttled.routers", "routers");
-  id_wd_stalled_ = gauge("watchdog.stalled", "packets");
-  id_wd_worst_ = gauge("watchdog.worst_stall", "cycles");
-  for (u32 i = 0; i < kNumSimPhases; ++i) {
-    const std::string base =
-        std::string("phase.") + to_string(static_cast<SimPhase>(i));
-    id_phase_secs_[i] =
-        reg_.define(base + ".seconds", "seconds", MetricKind::kCounter);
-    id_phase_calls_[i] =
-        reg_.define(base + ".invocations", "calls", MetricKind::kCounter);
-  }
-}
-
 void Telemetry::sample(const Network& net, Cycle now) {
-  // Serial by contract: called from step()'s post-phase tail and drivers.
-  tsa::serial_phase.assert_held();
   const Cycle width = now - last_sample_cycle_;
   last_sample_cycle_ = now;
   ++samples_;
 
   const Stats& st = net.stats();
-  reg_.set(id_cycle_, static_cast<double>(now));
-  reg_.set(id_interval_, static_cast<double>(width));
-  reg_.set(id_live_, static_cast<double>(net.packets().live_count()));
-  reg_.set(id_pending_, static_cast<double>(net.pending_offers()));
-  reg_.set(id_generated_, static_cast<double>(st.generated_packets()));
-  reg_.set(id_delivered_, static_cast<double>(st.delivered_packets()));
-  reg_.set(id_latency_mean_, st.latency().mean());
+  IntervalMetrics& m = last_;
+  m.cycle = static_cast<double>(now);
+  m.interval_cycles = static_cast<double>(width);
+  m.live = static_cast<double>(net.packets().live_count());
+  m.pending_offers = static_cast<double>(net.pending_offers());
+  m.generated = static_cast<double>(st.generated_packets());
+  m.delivered = static_cast<double>(st.delivered_packets());
+  m.latency_mean = st.latency().mean();
 
   // Quiescence fast path: when the network held zero packets at both ends
   // of the interval and none was generated in between, no phit can have
@@ -135,21 +131,41 @@ void Telemetry::sample(const Network& net, Cycle now) {
   prev_sample_idle_ = idle;
   prev_sample_generated_ = st.generated_packets();
   if (quiescent) {
-    reg_.set(id_util_local_, 0.0);
-    reg_.set(id_util_global_, 0.0);
-    reg_.set(id_util_ring_, 0.0);
-    reg_.set(id_util_max_, 0.0);
-    reg_.set(id_vc_occ_mean_, 0.0);
-    reg_.set(id_vc_occ_max_, 0.0);
-    reg_.set(id_ring_occ_, 0.0);
+    m.util_local = m.util_global = m.util_ring = m.util_max = 0.0;
+    m.vc_occupancy_mean = m.vc_occupancy_max = 0.0;
+    m.ring_occupancy = 0.0;
     hot_ = Hot{};
-    hot_.channel = kInvalidChannel;
-    // id_throttled_ keeps its previous value: an idle router runs no phase,
-    // so its throttle latch cannot have changed since the last sample.
-    sample_tail(net, st, now, width);
-    return;
+    // throttled_routers keeps its previous value: an idle router runs no
+    // phase, so its throttle latch cannot have changed since the last
+    // sample.
+  } else {
+    scan(net, width);
   }
 
+  m.ring_entries = static_cast<double>(st.ring_entries());
+  m.ring_reentries = static_cast<double>(st.ring_reentries());
+  m.misroute_local = static_cast<double>(st.local_misroutes());
+  m.misroute_global = static_cast<double>(st.global_misroutes());
+  m.stall_credit_cycles = static_cast<double>(credit_stall_cycles());
+  m.stall_alloc_cycles = static_cast<double>(alloc_stall_cycles());
+  m.worklist_routers = static_cast<double>(net.active_router_count());
+  m.worklist_nodes = static_cast<double>(net.active_node_count());
+  m.watchdog_stalled = static_cast<double>(st.stalled_packets());
+  m.watchdog_worst_stall = static_cast<double>(st.worst_stall());
+  for (u32 i = 0; i < kNumSimPhases; ++i) {
+    const SimPhase p = static_cast<SimPhase>(i);
+    m.phase_seconds[i] = prof_.estimated_total_seconds(p);
+    m.phase_invocations[i] = static_cast<double>(prof_.invocations(p));
+  }
+
+  if (cfg_.sink != nullptr) {
+    emit_interval(net, now, width);
+    if (cfg_.full_dump) emit_full_dump(net, now, width);
+  }
+}
+
+void Telemetry::scan(const Network& net, Cycle width) {
+  IntervalMetrics& m = last_;
   // ---- link utilisation: phits carried since the previous sample ----
   delta_scratch_.assign(net.num_channels(), 0);
   u64 class_phits[5] = {};
@@ -183,11 +199,11 @@ void Telemetry::sample(const Network& net, Cycle now) {
   const u32 kG = static_cast<u32>(ChannelClass::kGlobal);
   const u32 kRl = static_cast<u32>(ChannelClass::kRingLocal);
   const u32 kRg = static_cast<u32>(ChannelClass::kRingGlobal);
-  reg_.set(id_util_local_, class_util(class_phits[kL], class_links[kL]));
-  reg_.set(id_util_global_, class_util(class_phits[kG], class_links[kG]));
-  reg_.set(id_util_ring_, class_util(class_phits[kRl] + class_phits[kRg],
-                                     class_links[kRl] + class_links[kRg]));
-  reg_.set(id_util_max_, hot_.link_util);
+  m.util_local = class_util(class_phits[kL], class_links[kL]);
+  m.util_global = class_util(class_phits[kG], class_links[kG]);
+  m.util_ring = class_util(class_phits[kRl] + class_phits[kRg],
+                           class_links[kRl] + class_links[kRg]);
+  m.util_max = hot_.link_util;
 
   // ---- per-VC buffer occupancy + throttle latches ----
   double occ_sum = 0.0;
@@ -220,47 +236,16 @@ void Telemetry::sample(const Network& net, Cycle now) {
       }
     }
   }
-  reg_.set(id_vc_occ_mean_, occ_n == 0 ? 0.0 : occ_sum / occ_n);
-  reg_.set(id_vc_occ_max_, hot_.vc_occ);
-  reg_.set(id_throttled_, throttled);
+  m.vc_occupancy_mean = occ_n == 0 ? 0.0 : occ_sum / occ_n;
+  m.vc_occupancy_max = hot_.vc_occ;
+  m.throttled_routers = throttled;
 
   // ---- escape-ring pressure ----
   u64 in_ring = 0;
   net.packets().for_each_live([&](PacketId, const Packet& pkt) {
     if (pkt.in_ring) ++in_ring;
   });
-  reg_.set(id_ring_occ_, static_cast<double>(in_ring));
-
-  sample_tail(net, st, now, width);
-}
-
-/// Activity-independent remainder of a sample: counter mirrors, phase
-/// estimates, and record emission. Shared by the full and quiescent paths.
-void Telemetry::sample_tail(const Network& net, const Stats& st, Cycle now,
-                            Cycle width) {
-  tsa::serial_phase.assert_held();  // only reached from sample()
-  reg_.set(id_ring_entries_, static_cast<double>(st.ring_entries()));
-  reg_.set(id_ring_reentries_, static_cast<double>(st.ring_reentries()));
-  reg_.set(id_mis_local_, static_cast<double>(st.local_misroutes()));
-  reg_.set(id_mis_global_, static_cast<double>(st.global_misroutes()));
-
-  reg_.set(id_stall_credit_, static_cast<double>(credit_stall_cycles()));
-  reg_.set(id_stall_alloc_, static_cast<double>(alloc_stall_cycles()));
-  reg_.set(id_wl_routers_, static_cast<double>(net.active_router_count()));
-  reg_.set(id_wl_nodes_, static_cast<double>(net.active_node_count()));
-  reg_.set(id_wd_stalled_, static_cast<double>(st.stalled_packets()));
-  reg_.set(id_wd_worst_, static_cast<double>(st.worst_stall()));
-
-  for (u32 i = 0; i < kNumSimPhases; ++i) {
-    const SimPhase p = static_cast<SimPhase>(i);
-    reg_.set(id_phase_secs_[i], prof_.estimated_total_seconds(p));
-    reg_.set(id_phase_calls_[i], static_cast<double>(prof_.invocations(p)));
-  }
-
-  if (cfg_.sink != nullptr) {
-    emit_interval(net, now, width);
-    if (cfg_.full_dump) emit_full_dump(net, now, width);
-  }
+  m.ring_occupancy = static_cast<double>(in_ring);
 }
 
 void Telemetry::emit_interval(const Network& net, Cycle now, Cycle width) {
@@ -271,8 +256,9 @@ void Telemetry::emit_interval(const Network& net, Cycle now, Cycle width) {
   w.key("cycle").value(now);
   w.key("interval_cycles").value(width);
   w.key("metrics").begin_object();
-  for (MetricsRegistry::Id i = 0; i < reg_.size(); ++i)
-    w.key(reg_.def(i).name.c_str()).value(reg_.value(i));
+  interval_fields(last_, [&w](const char* name, double value) {
+    w.key(name).value(value);
+  });
   w.end_object();
   if (hot_.channel != kInvalidChannel) {
     const Channel ch = net.channel(hot_.channel);

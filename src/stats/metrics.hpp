@@ -1,7 +1,7 @@
-// Opt-in telemetry layer: a registry of named counters/gauges sampled on a
-// fixed cycle interval, a wall-clock profiler of the Network::step phases,
-// and structured deadlock forensics — all streamed through a MetricsSink
-// (see sink.hpp) as JSONL records.
+// Opt-in telemetry layer: the interval metrics (counters and gauges of the
+// network, sampled on a fixed cycle interval), a wall-clock profiler of the
+// Network::step phases, and structured deadlock forensics — all streamed
+// through a MetricsSink (see sink.hpp) as JSONL records.
 //
 // Contract with the cycle kernel (see DESIGN.md "Observability"):
 //
@@ -21,14 +21,11 @@
 #pragma once
 
 #include <chrono>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/phase.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "verify/wait_graph.hpp"
 
@@ -36,79 +33,6 @@ namespace ofar {
 
 class Network;
 class MetricsSink;
-class Stats;
-
-// ---------------------------------------------------------------------------
-// Metrics registry
-// ---------------------------------------------------------------------------
-
-enum class MetricKind : u8 {
-  kCounter,  ///< monotonically non-decreasing total since enable
-  kGauge,    ///< instantaneous (or per-interval) sampled value
-};
-
-struct MetricDef {
-  std::string name;  ///< dotted path, e.g. "link.util.global"
-  std::string unit;  ///< human-readable unit, e.g. "fraction", "cycles"
-  MetricKind kind = MetricKind::kGauge;
-};
-
-/// Flat registry of named metric series. Metrics are defined once (ids are
-/// dense and stable), updated by id on the hot path, and snapshotted in
-/// definition order for emission. Serial-only as a whole: updates happen in
-/// Telemetry::sample / the serial phases, never from shard workers.
-class OFAR_SERIAL_ONLY MetricsRegistry {
- public:
-  using Id = u32;
-
-  Id define(std::string name, std::string unit, MetricKind kind) {
-    defs_.push_back({std::move(name), std::move(unit), kind});
-    values_.push_back(0.0);
-    return static_cast<Id>(defs_.size() - 1);
-  }
-
-  // The hot-path mutators additionally carry the serial_phase capability:
-  // the clang thread-safety build proves no shard worker reaches them.
-  void set(Id id, double v) OFAR_REQUIRES_SERIAL {
-    OFAR_DCHECK(id < values_.size());
-    values_[id] = v;
-  }
-  void add(Id id, double v) OFAR_REQUIRES_SERIAL {
-    OFAR_DCHECK(id < values_.size());
-    values_[id] += v;
-  }
-  double value(Id id) const {
-    OFAR_DCHECK(id < values_.size());
-    return values_[id];
-  }
-
-  std::size_t size() const noexcept { return defs_.size(); }
-  const MetricDef& def(Id id) const {
-    OFAR_DCHECK(id < defs_.size());
-    return defs_[id];
-  }
-
-  /// Id of the metric named `name`, or kInvalidIndex when absent.
-  Id find(const std::string& name) const noexcept {
-    for (Id i = 0; i < defs_.size(); ++i)
-      if (defs_[i].name == name) return i;
-    return kInvalidIndex;
-  }
-
-  /// (name, value) pairs in definition order — the payload of one interval
-  /// snapshot.
-  std::vector<std::pair<std::string, double>> snapshot() const {
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(defs_.size());
-    for (Id i = 0; i < defs_.size(); ++i)
-      out.emplace_back(defs_[i].name, values_[i]);
-    return out;
-  }
-
- private:
-  std::vector<MetricDef> defs_;
-  std::vector<double> values_;
-};
 
 // ---------------------------------------------------------------------------
 // Kernel phase profiler
@@ -213,12 +137,30 @@ class PhaseProfiler {
 // Telemetry: the per-Network orchestrator
 // ---------------------------------------------------------------------------
 
+/// The metrics of one interval record as of the last sample, held as the
+/// doubles the record prints. interval_fields() in metrics.cpp names each
+/// one and fixes the record's order; DESIGN.md §7 gives their units.
+struct IntervalMetrics {
+  double cycle = 0, interval_cycles = 0;
+  double live = 0, pending_offers = 0, generated = 0, delivered = 0;
+  double latency_mean = 0;
+  double util_local = 0, util_global = 0, util_ring = 0, util_max = 0;
+  double vc_occupancy_mean = 0, vc_occupancy_max = 0;
+  double ring_occupancy = 0, ring_entries = 0, ring_reentries = 0;
+  double misroute_local = 0, misroute_global = 0;
+  double stall_credit_cycles = 0, stall_alloc_cycles = 0;
+  double worklist_routers = 0, worklist_nodes = 0, throttled_routers = 0;
+  double watchdog_stalled = 0, watchdog_worst_stall = 0;
+  double phase_seconds[kNumSimPhases] = {};
+  double phase_invocations[kNumSimPhases] = {};
+};
+
 struct TelemetryConfig {
   /// Destination for interval/summary/forensics records. Not owned; must
   /// outlive the Network when set (the destructor's summary safety net
   /// writes through it). May be null, in which case metrics are still
-  /// sampled into the registry (tests, in-memory consumers) but nothing is
-  /// written.
+  /// sampled (Telemetry::last_sample; tests, in-memory consumers) but
+  /// nothing is written.
   MetricsSink* sink = nullptr;
   /// Cycles between interval snapshots.
   Cycle interval = 1'000;
@@ -244,8 +186,8 @@ class Telemetry {
   Telemetry& operator=(const Telemetry&) = delete;
 
   const TelemetryConfig& config() const noexcept { return cfg_; }
-  MetricsRegistry& registry() noexcept { return reg_; }
-  const MetricsRegistry& registry() const noexcept { return reg_; }
+  /// The metrics of the most recent interval sample.
+  const IntervalMetrics& last_sample() const noexcept { return last_; }
   PhaseProfiler& profiler() noexcept { return prof_; }
   const PhaseProfiler& profiler() const noexcept { return prof_; }
 
@@ -266,7 +208,7 @@ class Telemetry {
     ++vc_alloc_stall_[vc_index(r, p, v)];
   }
 
-  /// Samples the registry (and emits an interval record) when `now` crosses
+  /// Samples the metrics (and emits an interval record) when `now` crosses
   /// the interval boundary. Called once per cycle after all phases ran.
   OFAR_SERIAL_ONLY void maybe_sample(const Network& net, Cycle now) {
     if (now != next_sample_) return;
@@ -274,8 +216,8 @@ class Telemetry {
     sample(net, now);
   }
 
-  /// Unconditional snapshot at cycle `now`: refreshes every registry value
-  /// from the network state and streams an interval record to the sink.
+  /// Unconditional snapshot at cycle `now`: refreshes every metric from
+  /// the network state and streams an interval record to the sink.
   OFAR_SERIAL_ONLY void sample(const Network& net, Cycle now);
 
   /// Deadlock forensics: called by the watchdog when at least one packet
@@ -319,9 +261,9 @@ class Telemetry {
                 vc_base_.size());
     return vc_base_[static_cast<std::size_t>(r) * ports_ + p] + v;
   }
-  void define_metrics();
-  void sample_tail(const Network& net, const Stats& st, Cycle now,
-                   Cycle width);
+  /// The O(network) part of a sample: link utilisation, VC occupancy,
+  /// throttle latches and ring occupancy, with the hottest entities.
+  void scan(const Network& net, Cycle width);
   void emit_interval(const Network& net, Cycle now, Cycle width);
   void emit_full_dump(const Network& net, Cycle now, Cycle width);
   void emit_forensics(Cycle now, u64 stalled, u64 worst_stall,
@@ -329,8 +271,8 @@ class Telemetry {
 
   TelemetryConfig cfg_;
   const Network* net_;  ///< for the destructor's summary safety net
-  MetricsRegistry reg_;
   PhaseProfiler prof_;
+  IntervalMetrics last_;
 
   // ---- structure-indexed accumulators ----
   u32 ports_ = 0;                 ///< ports per router (uniform)
@@ -350,21 +292,6 @@ class Telemetry {
   u32 forensic_dumps_ = 0;
   std::vector<verify::StallEdge> last_edges_;
   bool summary_written_ = false;
-
-  // Registry ids, grouped as defined in define_metrics().
-  MetricsRegistry::Id id_cycle_, id_interval_;
-  MetricsRegistry::Id id_live_, id_pending_, id_generated_, id_delivered_;
-  MetricsRegistry::Id id_latency_mean_;
-  MetricsRegistry::Id id_util_local_, id_util_global_, id_util_ring_,
-      id_util_max_;
-  MetricsRegistry::Id id_vc_occ_mean_, id_vc_occ_max_;
-  MetricsRegistry::Id id_ring_occ_, id_ring_entries_, id_ring_reentries_;
-  MetricsRegistry::Id id_mis_local_, id_mis_global_;
-  MetricsRegistry::Id id_stall_credit_, id_stall_alloc_;
-  MetricsRegistry::Id id_wl_routers_, id_wl_nodes_, id_throttled_;
-  MetricsRegistry::Id id_wd_stalled_, id_wd_worst_;
-  MetricsRegistry::Id id_phase_secs_[kNumSimPhases];
-  MetricsRegistry::Id id_phase_calls_[kNumSimPhases];
 
   // Hottest entities of the last sample (emitted inline with the record).
   struct Hot {

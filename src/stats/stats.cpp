@@ -4,10 +4,6 @@
 
 namespace ofar {
 
-namespace {
-const LatencyAccum kEmptyAccum{};
-}
-
 void Stats::reset(Cycle now) {
   window_start_ = now;
   generated_packets_ = generated_phits_ = 0;
@@ -21,35 +17,18 @@ void Stats::reset(Cycle now) {
   hops_sum_ = 0.0;
   latency_ = LatencyAccum{};
   histogram_ = LatencyHistogram{};
-  by_tag_.clear();
   // The time series deliberately survives reset: transient experiments open
   // a new window mid-run while the series spans the whole experiment.
 }
 
-void Stats::on_generated(u16 tag, u32 phits) {
-  ++generated_packets_;
-  generated_phits_ += phits;
-  if (tag >= by_tag_.size()) by_tag_.resize(tag + 1);
-}
-
-void Stats::on_injected() { ++injected_packets_; }
-
-void Stats::on_delivered(u16 tag, u32 phits, u64 latency, Cycle birth,
-                         u32 hops) {
+void Stats::on_delivered(u32 phits, u64 latency, Cycle birth, u32 hops) {
   ++delivered_packets_;
   delivered_phits_ += phits;
   max_hops_ = std::max<u64>(max_hops_, hops);
   hops_sum_ += hops;
   latency_.add(latency);
   histogram_.add(latency);
-  if (tag >= by_tag_.size()) by_tag_.resize(tag + 1);
-  by_tag_[tag].add(latency);
   if (series_) series_->record(birth, static_cast<double>(latency));
-}
-
-const LatencyAccum& Stats::latency_by_tag(u16 tag) const {
-  if (tag >= by_tag_.size()) return kEmptyAccum;
-  return by_tag_[tag];
 }
 
 }  // namespace ofar

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <vector>
 
 #include "common/phase.hpp"
 #include "common/types.hpp"
@@ -115,9 +114,12 @@ class OFAR_SERIAL_ONLY Stats {
   void reset(Cycle now);
 
   // ---- event hooks (called by Network) ----
-  void on_generated(u16 tag, u32 phits);
-  void on_injected();
-  void on_delivered(u16 tag, u32 phits, u64 latency, Cycle birth, u32 hops);
+  void on_generated(u32 phits) {
+    ++generated_packets_;
+    generated_phits_ += phits;
+  }
+  void on_injected() { ++injected_packets_; }
+  void on_delivered(u32 phits, u64 latency, Cycle birth, u32 hops);
 
   // ---- bulk hooks (sharded kernel's serial commit; DESIGN.md §10) ----
   // Per-shard staged counts folded in shard order. A packet granted onto
@@ -166,7 +168,6 @@ class OFAR_SERIAL_ONLY Stats {
   }
 
   const LatencyAccum& latency() const { return latency_; }
-  const LatencyAccum& latency_by_tag(u16 tag) const;
   const LatencyHistogram& latency_histogram() const { return histogram_; }
 
   /// Accepted load in phits/(node*cycle) over the window ending at `now`.
@@ -214,7 +215,6 @@ class OFAR_SERIAL_ONLY Stats {
   double hops_sum_ = 0.0;
   LatencyAccum latency_{};
   LatencyHistogram histogram_{};
-  std::vector<LatencyAccum> by_tag_;
   std::unique_ptr<TimeSeries> series_;
 };
 

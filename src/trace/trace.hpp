@@ -3,11 +3,10 @@
 // The tracing subsystem (DESIGN.md §11) records the full lifecycle of a
 // deterministically sampled subset of packets — injection, every allocator
 // grant with the routing-decision provenance behind it, escape-ring
-// entry/exit, delivery — plus a bounded flight recorder for post-mortem
-// forensics. Everything here is read-only
-// instrumentation: enabling a tracer changes no simulation outcome and
-// consumes no simulation RNG draws (the sampler hashes the packet sequence
-// number instead of drawing).
+// entry/exit, delivery. Everything here is read-only instrumentation:
+// enabling a tracer changes no simulation outcome and consumes no
+// simulation RNG draws (the sampler hashes the packet sequence number
+// instead of drawing).
 #pragma once
 
 #include <string>
@@ -32,11 +31,6 @@ struct TracerConfig {
   std::string out_path;
   /// Sample 1 in `sample` injected packets (deterministic, hash-based).
   u32 sample = 1;
-  /// Flight recorder depth: last N events retained per router (0 disables
-  /// the recorder). Dumped on InvariantAuditor failure or deadlock
-  /// forensics alongside <out_path>.flight.json (or ofar_trace.flight.json when
-  /// out_path is empty).
-  u32 flight_depth = 0;
   /// Label stamped into exported metadata (experiment case name).
   std::string label;
 };

@@ -2,10 +2,52 @@
 
 #include <algorithm>
 
+#include "stats/sink.hpp"
 #include "trace/perfetto.hpp"
-#include "verify/wait_graph.hpp"
 
 namespace ofar::trace {
+
+void append_event_json(JsonWriter& w, const TraceEvent& ev) {
+  w.begin_object();
+  w.key("kind").value(to_string(ev.kind));
+  w.key("seq").value(ev.seq);
+  w.key("packet").value(static_cast<u64>(ev.packet));
+  w.key("cycle").value(static_cast<u64>(ev.cycle));
+  w.key("router").value(static_cast<u64>(ev.router));
+  w.key("src").value(static_cast<u64>(ev.src));
+  w.key("dst").value(static_cast<u64>(ev.dst));
+  if (ev.kind != TraceEvent::Kind::kInject) {
+    w.key("out_port").value(static_cast<u64>(ev.out_port));
+    w.key("out_vc").value(static_cast<u64>(ev.out_vc));
+  }
+  if (ev.kind == TraceEvent::Kind::kGrant ||
+      ev.kind == TraceEvent::Kind::kRingEnter ||
+      ev.kind == TraceEvent::Kind::kRingExit) {
+    w.key("in_port").value(static_cast<u64>(ev.in_port));
+    w.key("in_vc").value(static_cast<u64>(ev.in_vc));
+    w.key("queue_wait").value(static_cast<u64>(ev.queue_wait));
+    w.key("ring_move").value(ev.ring_move);
+    const char* mis = ev.misroute == MisrouteKind::kLocal    ? "local"
+                      : ev.misroute == MisrouteKind::kGlobal ? "global"
+                                                             : "none";
+    w.key("misroute").value(mis);
+    w.key("condition").value(to_string(ev.prov.condition));
+    w.key("min_port").value(static_cast<u64>(ev.prov.min_port));
+    w.key("q_min").value(static_cast<double>(ev.prov.q_min));
+    w.key("threshold").value(static_cast<double>(ev.prov.threshold));
+    w.key("chosen_occ").value(static_cast<double>(ev.prov.chosen_occ));
+    w.key("candidates").begin_array();
+    const u32 n = ev.prov.num_candidates < RouteProvenance::kMaxCandidates
+                      ? ev.prov.num_candidates
+                      : RouteProvenance::kMaxCandidates;
+    for (u32 i = 0; i < n; ++i)
+      w.value(static_cast<u64>(ev.prov.candidates[i]));
+    w.end_array();
+    w.key("num_candidates").value(
+        static_cast<u64>(ev.prov.num_candidates));
+  }
+  w.end_object();
+}
 
 namespace {
 
@@ -20,16 +62,12 @@ std::string event_args_json(const TraceEvent& ev) {
 PacketTracer::PacketTracer(const Network& net, TracerConfig cfg)
     : net_(net), cfg_(std::move(cfg)) {
   if (cfg_.sample == 0) cfg_.sample = 1;
-  if (cfg_.flight_depth > 0)
-    recorder_ = std::make_unique<FlightRecorder>(net_.topo().routers(),
-                                                 cfg_.flight_depth);
 }
 
 PacketTracer::~PacketTracer() { finish(); }
 
 void PacketTracer::on_event(const TraceEvent& ev) {
   ++events_;
-  if (recorder_) recorder_->record(ev);
 
   switch (ev.kind) {
     case TraceEvent::Kind::kInject: {
@@ -71,33 +109,6 @@ void PacketTracer::on_event(const TraceEvent& ev) {
     return;
   }
   it->second.hops.push_back(ev);
-}
-
-std::string PacketTracer::flight_dump_path(const char* suffix) const {
-  const std::string base =
-      cfg_.out_path.empty() ? std::string("ofar_trace") : cfg_.out_path;
-  return base + suffix;
-}
-
-void PacketTracer::on_audit_failure(Cycle now,
-                                    const std::string& report_json) {
-  if (!recorder_) return;
-  recorder_->dump_json(flight_dump_path(".flight.json"), "audit_failure",
-                       now, report_json);
-}
-
-void PacketTracer::on_deadlock(Cycle now, u64 stalled, u64 worst_wait) {
-  if (!recorder_ || forensic_dumps_ >= verify::kMaxForensicDumps) return;
-  ++forensic_dumps_;
-  JsonWriter ctx;
-  ctx.begin_object();
-  ctx.key("stalled_packets").value(stalled);
-  ctx.key("worst_wait").value(worst_wait);
-  ctx.end_object();
-  recorder_->dump_json(
-      flight_dump_path(
-          (".deadlock" + std::to_string(forensic_dumps_) + ".json").c_str()),
-      "deadlock_watchdog", now, ctx.str());
 }
 
 void PacketTracer::export_journeys() const {

@@ -1,14 +1,13 @@
 // PacketTracer: the tracing subsystem's event consumer (DESIGN.md §11).
 //
 // Installed by Network::enable_tracing as the TraceEvent callback, it
-// assembles the sampled packets' per-hop journeys, feeds the bounded
-// flight recorder, and writes the exporters:
-//
-//  - cfg.out_path: Chrome trace-event JSON — one Perfetto process per
-//    packet, one thread per visited router, spans carrying the
-//    routing-decision provenance (perfetto.hpp) — on finish() (or
-//    destruction);
-//  - on_audit_failure / on_deadlock: flight-recorder JSON post-mortems.
+// assembles the sampled packets' per-hop journeys and writes them to
+// cfg.out_path as Chrome trace-event JSON — one Perfetto process per
+// packet, one thread per visited router, spans carrying the
+// routing-decision provenance (perfetto.hpp) — on finish(): at
+// destruction, or before an invariant audit aborts the run, so a failed
+// run keeps the journey of every sampled packet, the ones still in flight
+// included. The journeys are the post-mortem.
 //
 // Exact per-link utilisation is telemetry's job (the `links` records of
 // TelemetryConfig::full_dump), not the tracer's.
@@ -19,17 +18,23 @@
 #pragma once
 
 #include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/phase.hpp"
 #include "common/thread_annotations.hpp"
 #include "sim/network.hpp"
-#include "trace/flight_recorder.hpp"
 #include "trace/trace.hpp"
 
+namespace ofar {
+class JsonWriter;
+}  // namespace ofar
+
 namespace ofar::trace {
+
+/// Renders one TraceEvent as a JSON object into `w`: the args of the hop
+/// spans and instants the tracer writes (tools/trace_summary.py --check
+/// reads their keys).
+void append_event_json(JsonWriter& w, const TraceEvent& ev);
 
 // Serial-only as a whole: the tracer mutates per-packet journey state on
 // every event, so the sharded kernel stages TraceEvents in ShardState and
@@ -44,19 +49,13 @@ class OFAR_SERIAL_ONLY PacketTracer {
 
   void on_event(const TraceEvent& ev) OFAR_REQUIRES_SERIAL;
 
-  /// Writes the configured exporters once (idempotent; also run by the
-  /// destructor). Safe to call mid-run for a snapshot of completed work.
+  /// Writes the journeys once (idempotent; also run by the destructor and
+  /// before an audit abort): the completed ones, then those in flight.
   void finish();
-
-  /// Flight-recorder post-mortems. `context_json` is embedded verbatim.
-  void on_audit_failure(Cycle now, const std::string& report_json);
-  /// Deadlock forensics hook (at most verify::kMaxForensicDumps per run).
-  void on_deadlock(Cycle now, u64 stalled, u64 worst_wait);
 
   const TracerConfig& config() const noexcept { return cfg_; }
   u64 events_seen() const noexcept { return events_; }
   u64 journeys_completed() const noexcept { return completed_; }
-  const FlightRecorder* recorder() const noexcept { return recorder_.get(); }
 
  private:
   /// One sampled packet's event sequence, inject -> deliver.
@@ -71,7 +70,6 @@ class OFAR_SERIAL_ONLY PacketTracer {
   };
 
   void export_journeys() const;
-  std::string flight_dump_path(const char* suffix) const;
 
   const Network& net_;
   TracerConfig cfg_;
@@ -79,8 +77,6 @@ class OFAR_SERIAL_ONLY PacketTracer {
   u64 completed_ = 0;
   std::map<u64, Journey> open_;   ///< seq -> in-flight journey (ordered)
   std::vector<Journey> done_;     ///< completed journeys, delivery order
-  std::unique_ptr<FlightRecorder> recorder_;
-  u32 forensic_dumps_ = 0;
   bool finished_ = false;
 };
 

@@ -76,9 +76,7 @@ void BernoulliSource::tick(Network& net) {
   const u64 threshold =
       Rng::chance_threshold(load_ / net.config().packet_size);
   bernoulli_trials(rng_, net.topo().nodes(), threshold, [&](u32 n) {
-    u16 tag;
-    const NodeId dst = pattern_.pick(n, net.topo(), rng_, tag);
-    net.offer(n, dst, tag);
+    net.offer(n, pattern_.pick(n, net.topo(), rng_));
   });
 }
 
@@ -100,9 +98,7 @@ void PhasedSource::tick(Network& net) {
   const u64 threshold =
       Rng::chance_threshold(active->load_phits / net.config().packet_size);
   bernoulli_trials(rng_, net.topo().nodes(), threshold, [&](u32 n) {
-    u16 tag;
-    const NodeId dst = active->pattern.pick(n, net.topo(), rng_, tag);
-    net.offer(n, dst, static_cast<u16>(tag + active->tag_base));
+    net.offer(n, active->pattern.pick(n, net.topo(), rng_));
   });
 }
 
@@ -121,9 +117,7 @@ void BurstSource::tick(Network& net) {
   const u32 nodes = net.topo().nodes();
   for (NodeId n = 0; n < nodes; ++n) {
     while (remaining_[n] > 0) {
-      u16 tag;
-      const NodeId dst = pattern_.pick(n, net.topo(), rng_, tag);
-      if (!net.try_inject(n, dst, tag)) break;
+      if (!net.try_inject(n, pattern_.pick(n, net.topo(), rng_))) break;
       --remaining_[n];
       --remaining_total_;
     }

@@ -56,7 +56,6 @@ class PhasedSource : public TrafficSource {
     double load_phits = 0.1;
     Cycle until = 0;  ///< phase active while now < until; last phase may be 0
                       ///< meaning "forever"
-    u16 tag_base = 0;  ///< added to the pattern's component tag
   };
 
   PhasedSource(std::vector<Phase> phases, u64 seed);

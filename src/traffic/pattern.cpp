@@ -31,15 +31,14 @@ TrafficPattern TrafficPattern::mix(std::vector<TrafficComponent> components) {
   return p;
 }
 
-NodeId TrafficPattern::pick(NodeId src, const Dragonfly& topo, Rng& rng,
-                            u16& tag_out) const {
+NodeId TrafficPattern::pick(NodeId src, const Dragonfly& topo,
+                            Rng& rng) const {
   OFAR_DCHECK(!components_.empty());
   std::size_t idx = 0;
   if (components_.size() > 1) {
     const double r = rng.uniform() * cumulative_.back();
     while (idx + 1 < cumulative_.size() && r >= cumulative_[idx]) ++idx;
   }
-  tag_out = static_cast<u16>(idx);
   const TrafficComponent& c = components_[idx];
 
   if (c.kind == PatternKind::kUniform) {

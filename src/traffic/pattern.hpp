@@ -36,10 +36,8 @@ class TrafficPattern {
   /// Weighted mixture; weights need not sum to 1.
   static TrafficPattern mix(std::vector<TrafficComponent> components);
 
-  /// Picks a destination for `src`; `tag_out` reports the component index
-  /// (used to break down per-component stats in mixed workloads).
-  NodeId pick(NodeId src, const Dragonfly& topo, Rng& rng,
-              u16& tag_out) const;
+  /// Picks a destination for `src`: a component by weight, then a node.
+  NodeId pick(NodeId src, const Dragonfly& topo, Rng& rng) const;
 
   static TrafficPattern stencil2d();
 

@@ -6,7 +6,6 @@
 
 #include "sim/flat_state.hpp"
 #include "sim/network.hpp"
-#include "stats/sink.hpp"
 #include "verify/wait_graph.hpp"
 
 namespace ofar::verify {
@@ -68,25 +67,6 @@ std::string AuditReport::to_string() const {
     out += format("  ... %llu further violation(s) suppressed\n",
                   static_cast<unsigned long long>(suppressed));
   return out;
-}
-
-std::string AuditReport::to_json() const {
-  JsonWriter w;
-  w.begin_object();
-  w.key("cycle").value(static_cast<u64>(cycle));
-  w.key("checks_run").value(checks_run);
-  w.key("ok").value(ok());
-  w.key("suppressed").value(suppressed);
-  w.key("violations").begin_array();
-  for (const Violation& v : violations) {
-    w.begin_object();
-    w.key("invariant").value(ofar::verify::to_string(v.invariant));
-    w.key("detail").value(v.detail);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
 }
 
 void InvariantAuditor::add(AuditReport& rep, Invariant inv,

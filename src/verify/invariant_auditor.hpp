@@ -71,9 +71,6 @@ struct AuditReport {
   bool ok() const noexcept { return violations.empty() && suppressed == 0; }
   bool has(Invariant inv) const noexcept;
   std::string to_string() const;
-  /// One JSON object (cycle, checks_run, violations[]); embedded verbatim
-  /// into the flight-recorder dump on audit failure.
-  std::string to_json() const;
 };
 
 class InvariantAuditor {

@@ -34,9 +34,9 @@ class Network;
 
 namespace ofar::verify {
 
-/// Deadlock-forensics caps, shared by telemetry's `forensics` records and
-/// the tracer's flight-recorder dumps: at most kMaxForensicDumps dumps per
-/// run, each listing at most kMaxForensicEdges stalled heads.
+/// Deadlock-forensics caps of telemetry's `forensics` records: at most
+/// kMaxForensicDumps records per run, each listing at most
+/// kMaxForensicEdges stalled heads.
 inline constexpr u32 kMaxForensicDumps = 4;
 inline constexpr u32 kMaxForensicEdges = 64;
 

@@ -13,16 +13,21 @@
 //     through public accessors only, the same surface a buggy kernel
 //     change would reach.
 //
-// The periodic driver's abort path is covered by a gtest death test in
-// "threadsafe" style, which re-executes the test binary in a subprocess.
+// The periodic audit's abort path, and the traced journeys it writes
+// before aborting, are covered by gtest death tests in "threadsafe" style,
+// which re-execute the test binary in a subprocess.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "sim/network.hpp"
+#include "trace/trace.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/pattern.hpp"
 #include "verify/invariant_auditor.hpp"
@@ -403,28 +408,57 @@ TEST(AuditorMutation, OverfilledRingBubbleCaught) {
 // 3. periodic driver abort path (subprocess re-exec via death test)
 // ---------------------------------------------------------------------------
 
+/// Leaks one credit of the first inter-router output that holds one.
+void leak_one_credit(Network& net) {
+  for (RouterId r = 0; r < net.topo().routers(); ++r) {
+    for (auto& out : net.router(r).outputs) {
+      if (!out.wired() || net.channel(out.channel).is_ejection()) continue;
+      if (out.credits[0] == 0) continue;
+      --out.credits[0];
+      return;
+    }
+  }
+}
+
 TEST(AuditorDeath, PeriodicAuditAbortsWithReportOnCorruption) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
         auto net = saturated_net();
-        for (RouterId r = 0; r < net->topo().routers(); ++r) {
-          auto& outs = net->router(r).outputs;
-          bool done = false;
-          for (auto& out : outs) {
-            if (!out.wired() || net->channel(out.channel).is_ejection())
-              continue;
-            if (out.credits[0] == 0) continue;
-            --out.credits[0];
-            done = true;
-            break;
-          }
-          if (done) break;
-        }
+        leak_one_credit(*net);
         net->enable_audit(16);
         net->run(32);
       },
       "credit-conservation");
+}
+
+TEST(AuditorDeath, AbortWritesTheTracedJourneysFirst) {
+  // The journeys of a traced run are its post-mortem: an audit abort
+  // writes the Perfetto file first, the packets still in flight included.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = ::testing::TempDir() + "audit_abort_trace.json";
+  std::remove(path.c_str());
+  EXPECT_DEATH(
+      {
+        Network net(small_config());
+        trace::TracerConfig tc;
+        tc.out_path = path;
+        tc.sample = 4;
+        net.enable_tracing(tc);
+        net.set_traffic(std::make_unique<BernoulliSource>(
+            TrafficPattern::adversarial(1), 0.7, 12345));
+        net.run(300);
+        leak_one_credit(net);
+        net.enable_audit(16);
+        net.run(32);
+      },
+      "credit-conservation");
+  std::ifstream in(path);
+  const std::string trace((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(trace.find("(in flight)"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // check.hpp invariant macros (abort paths via subprocess death tests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -339,6 +340,22 @@ TEST(Parallel, ShardPoolBackToBackEmptyPhases) {
       calls.fetch_add(1, std::memory_order_relaxed);
     });
   EXPECT_EQ(calls.load(), u64{phases} * 8);
+}
+
+TEST(Parallel, ShardPoolOversubscribedEmptyPhases) {
+  // Twice as many pool threads as the host has cores: a waiting thread
+  // that never gave its core up would starve the thread it waits for. Its
+  // own ctest TIMEOUT (tests/CMakeLists.txt) is the bound.
+  const unsigned threads =
+      2 * std::max(1u, std::thread::hardware_concurrency());
+  ShardPool pool(threads);
+  std::atomic<u64> calls{0};
+  const u32 phases = 20'000;
+  for (u32 p = 0; p < phases; ++p)
+    pool.parallel_phase(threads, [&](u32) {
+      calls.fetch_add(1, std::memory_order_relaxed);
+    });
+  EXPECT_EQ(calls.load(), u64{phases} * threads);
 }
 
 TEST(Parallel, ShardPoolWakesParkedWorkersAfterLongGaps) {

@@ -258,8 +258,7 @@ TEST(Stencil, DestinationsAreGridNeighbours) {
   const u32 nx = 8, ny = 9;
   for (NodeId src = 0; src < topo.nodes(); ++src) {
     for (int i = 0; i < 16; ++i) {
-      u16 tag;
-      const NodeId dst = p.pick(src, topo, rng, tag);
+      const NodeId dst = p.pick(src, topo, rng);
       ASSERT_NE(dst, src);
       const i32 sx = src % nx, sy = src / nx;
       const i32 dx = dst % nx, dy = dst / nx;
@@ -277,10 +276,7 @@ TEST(Stencil, AllFourNeighboursAppear) {
   Rng rng(4);
   const TrafficPattern p = TrafficPattern::stencil2d();
   std::set<NodeId> seen;
-  for (int i = 0; i < 200; ++i) {
-    u16 tag;
-    seen.insert(p.pick(20, topo, rng, tag));
-  }
+  for (int i = 0; i < 200; ++i) seen.insert(p.pick(20, topo, rng));
   EXPECT_EQ(seen.size(), 4u);
 }
 

@@ -1,5 +1,5 @@
 // Tests for the opt-in telemetry layer (stats/metrics.*, stats/sink.*):
-// registry round-trips, phase-profiler accounting, JSONL record validity,
+// phase-profiler accounting, JSONL record validity and pinned bytes,
 // exact per-link records, deadlock forensics on a wedged network, and the
 // determinism guard (telemetry must never perturb the simulation).
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "stats/metrics.hpp"
 #include "stats/sink.hpp"
 #include "traffic/generator.hpp"
-#include "trace/trace.hpp"
 #include "traffic/pattern.hpp"
 #include "verify/wait_graph.hpp"
 
@@ -193,35 +192,6 @@ SimConfig small_config(u64 seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-TEST(MetricsRegistry, DefineSetSnapshotRoundTrip) {
-  MetricsRegistry reg;
-  const auto a = reg.define("a.count", "packets", MetricKind::kCounter);
-  const auto b = reg.define("b.gauge", "fraction", MetricKind::kGauge);
-  ASSERT_EQ(reg.size(), 2u);
-  EXPECT_EQ(reg.def(a).unit, "packets");
-  EXPECT_EQ(reg.def(b).kind, MetricKind::kGauge);
-
-  reg.set(a, 3.0);
-  reg.add(a, 2.0);
-  reg.set(b, 0.25);
-  EXPECT_DOUBLE_EQ(reg.value(a), 5.0);
-
-  EXPECT_EQ(reg.find("a.count"), a);
-  EXPECT_EQ(reg.find("b.gauge"), b);
-  EXPECT_EQ(reg.find("missing"), kInvalidIndex);
-
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].first, "a.count");
-  EXPECT_DOUBLE_EQ(snap[0].second, 5.0);
-  EXPECT_EQ(snap[1].first, "b.gauge");
-  EXPECT_DOUBLE_EQ(snap[1].second, 0.25);
-}
-
-// ---------------------------------------------------------------------------
 // Phase profiler
 // ---------------------------------------------------------------------------
 
@@ -381,6 +351,68 @@ TEST(Telemetry, JsonlRecordsAreValidJson) {
     EXPECT_NE(line.find("jsonl \\\"test\\\""), std::string::npos) << line;
 }
 
+/// A record with its wall-clock values zeroed: the number after each key
+/// that ends in "seconds" ("phase.<name>.seconds", "sampled_seconds" and
+/// "estimated_seconds"). Everything else a telemetry record holds is a
+/// function of the seed.
+std::string mask_wall_clock(const std::string& line) {
+  const std::string key = "seconds\":";
+  std::string out;
+  std::size_t at = 0;
+  for (std::size_t k; (k = line.find(key, at)) != std::string::npos;) {
+    out.append(line, at, k + key.size() - at).push_back('0');
+    at = line.find_first_not_of("-+.0123456789eE", k + key.size());
+    if (at == std::string::npos) at = line.size();
+  }
+  return out.append(line, at, std::string::npos);
+}
+
+TEST(Telemetry, MaskedRecordsArePinned) {
+  // Every record type, byte for byte: a saturated point with a full dump
+  // and a forensics trip, then a drained burst whose tail takes the
+  // quiescent path. The digest covers every key, its order and every
+  // printed value, so a change to what telemetry writes shows up here.
+  TempFile tmp("test_metrics_pinned.jsonl");
+  {
+    auto sink = MetricsSink::open(tmp.path);
+    ASSERT_NE(sink, nullptr);
+    SimConfig cfg = small_config(3);
+    cfg.deadlock_timeout = 8;
+    Network a(cfg);
+    TelemetryConfig tc;
+    tc.sink = sink.get();
+    tc.interval = 1'000;
+    tc.label = "saturated";
+    tc.full_dump = true;
+    a.enable_telemetry(tc);
+    a.set_traffic(std::make_unique<BernoulliSource>(
+        TrafficPattern::uniform(), 1.0, 3));
+    a.run(4'200);  // past the first watchdog scan at cycle 4096
+    a.telemetry()->write_summary(a);
+
+    Network b(small_config(5));
+    tc.interval = 500;
+    tc.label = "burst";
+    tc.full_dump = false;
+    b.enable_telemetry(tc);
+    b.set_traffic(std::make_unique<BurstSource>(
+        TrafficPattern::adversarial(1), 4, 5));
+    b.run(3'000);
+    b.telemetry()->write_summary(b);
+  }
+  u64 digest = 14695981039346656037ULL;  // FNV-1a over the masked lines
+  std::size_t records = 0;
+  for (const auto& line : read_lines(tmp.path)) {
+    for (const char c : mask_wall_clock(line) + '\n') {
+      digest ^= static_cast<unsigned char>(c);
+      digest *= 1099511628211ULL;
+    }
+    ++records;
+  }
+  EXPECT_EQ(records, 21u);
+  EXPECT_EQ(digest, 0xa8f16e080a46c8f3ULL) << std::hex << digest;
+}
+
 TEST(Telemetry, RegistryTracksNetworkState) {
   Network net(small_config(7));
   TelemetryConfig tc;  // sink stays null: in-memory sampling only
@@ -390,20 +422,13 @@ TEST(Telemetry, RegistryTracksNetworkState) {
       TrafficPattern::uniform(), 0.4, 7));
   net.run(1'000);
 
-  const MetricsRegistry& reg = net.telemetry()->registry();
-  const auto id_cycle = reg.find("sim.cycle");
-  const auto id_delivered = reg.find("packets.delivered");
-  const auto id_generated = reg.find("packets.generated");
-  ASSERT_NE(id_cycle, kInvalidIndex);
-  ASSERT_NE(id_delivered, kInvalidIndex);
-  ASSERT_NE(id_generated, kInvalidIndex);
-
+  const IntervalMetrics& m = net.telemetry()->last_sample();
   // The last interval snapshot landed exactly on cycle 1000.
-  EXPECT_DOUBLE_EQ(reg.value(id_cycle), 1000.0);
-  EXPECT_GT(reg.value(id_generated), 0.0);
-  // Counters in the registry mirror Stats at the snapshot; both only grow.
-  EXPECT_LE(reg.value(id_delivered),
-            static_cast<double>(net.stats().delivered_packets()));
+  EXPECT_DOUBLE_EQ(m.cycle, 1000.0);
+  EXPECT_DOUBLE_EQ(m.interval_cycles, 250.0);
+  EXPECT_GT(m.generated, 0.0);
+  // Counters mirror Stats at the snapshot; both only grow.
+  EXPECT_LE(m.delivered, static_cast<double>(net.stats().delivered_packets()));
   EXPECT_EQ(net.telemetry()->samples_taken(), 4u);
 }
 
@@ -567,30 +592,26 @@ TEST(Telemetry, ForensicsOnWedgedNetwork) {
 TEST(Telemetry, ForensicsRateLimit) {
   SimConfig cfg = small_config(3);
   cfg.deadlock_timeout = 8;
-  TempFile trace("test_metrics_rate_limit_trace.json");
+  TempFile tmp("test_metrics_rate_limit.jsonl");
   {
+    auto sink = MetricsSink::open(tmp.path);
+    ASSERT_NE(sink, nullptr);
     Network net(cfg);
-    net.enable_telemetry(TelemetryConfig{});  // null sink: edges still kept
-    // The tracer's flight-recorder deadlock dumps share the cap; sampling
-    // 1 packet in 2^20 keeps the journeys out of the way.
-    trace::TracerConfig tc;
-    tc.out_path = trace.path;
-    tc.sample = 1u << 20;
-    tc.flight_depth = 4;
-    net.enable_tracing(tc);
+    TelemetryConfig tc;
+    tc.sink = sink.get();
+    tc.interval = 1u << 20;  // no interval record in the run
+    net.enable_telemetry(tc);
     net.set_traffic(std::make_unique<BernoulliSource>(
         TrafficPattern::uniform(), 1.0, 3));
     // One watchdog scan more than the cap, every one of them tripping.
     net.run((verify::kMaxForensicDumps + 1) * 4'096 + 64);
     EXPECT_EQ(net.telemetry()->forensic_dumps(), verify::kMaxForensicDumps);
+    net.telemetry()->write_summary(net);
   }
-  for (u32 n = 1; n <= verify::kMaxForensicDumps + 1; ++n) {
-    const std::string dump =
-        trace.path + ".deadlock" + std::to_string(n) + ".json";
-    EXPECT_EQ(std::ifstream(dump).good(), n <= verify::kMaxForensicDumps)
-        << dump;
-    std::remove(dump.c_str());
-  }
+  u32 records = 0;
+  for (const auto& line : read_lines(tmp.path))
+    records += record_type(line) == "forensics" ? 1 : 0;
+  EXPECT_EQ(records, verify::kMaxForensicDumps);
 }
 
 // ---------------------------------------------------------------------------

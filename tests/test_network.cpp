@@ -250,7 +250,7 @@ TEST(NetworkOfar, TryInjectRespectsCapacity) {
   const u32 per_vc = cfg.fifo_injection / cfg.packet_size;
   const u32 cap = per_vc * cfg.vcs_injection;
   u32 accepted = 0;
-  while (net.try_inject(0, 10, 0) && accepted < 1000) ++accepted;
+  while (net.try_inject(0, 10) && accepted < 1000) ++accepted;
   EXPECT_EQ(accepted, cap);
   EXPECT_EQ(net.injection_free_phits(0),
             cfg.vcs_injection * cfg.fifo_injection -
@@ -285,7 +285,7 @@ TEST(NetworkOfar, FlowConservationUnderAdversarialStress) {
 TEST(Network, OfferFeedsPendingThenInjects) {
   SimConfig cfg = base_cfg(RoutingKind::kMin);
   Network net(cfg);
-  for (int i = 0; i < 50; ++i) net.offer(0, 20, 0);
+  for (int i = 0; i < 50; ++i) net.offer(0, 20);
   EXPECT_FALSE(net.drained());
   u64 guard = 0;
   while (!net.drained() && ++guard < 100000) net.step();

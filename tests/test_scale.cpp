@@ -360,7 +360,6 @@ TEST(CheckpointRestart, RejectsConfigMismatch) {
 /// found.
 struct SavedRun {
   static constexpr NodeId kOfferDst = 17;
-  static constexpr u16 kOfferTag = 3;
   static constexpr Cycle kOfferCycle = 123;
 
   SimConfig cfg;
@@ -415,7 +414,7 @@ SavedRun saved_run(double load = 0.9) {
   net.set_traffic(run.traffic());
   net.run(SavedRun::kOfferCycle);
   for (int i = 0; i < 64; ++i)
-    net.offer(0, SavedRun::kOfferDst, SavedRun::kOfferTag);
+    net.offer(0, SavedRun::kOfferDst);
   net.run(300 - SavedRun::kOfferCycle);
   const std::string path = ckpt_path(test_tag("src").c_str());
   EXPECT_TRUE(CheckpointIO::save(net, path));
@@ -943,7 +942,7 @@ TEST(CheckpointRestart, RejectsTransferVcPastItsChannel) {
 
 /// File offsets of the packet pool's records. The pool follows the magic,
 /// the u32 format version, the config signature (u64 length + bytes), the
-/// cycle, four RNG words and three lifetime totals.
+/// cycle and three lifetime totals.
 struct PoolAt {
   u64 slots = 0;
   std::size_t packets = 0;    ///< slot 0's Packet
@@ -958,7 +957,7 @@ PoolAt find_pool(const SavedRun& run) {
     std::memcpy(&v, run.bytes.data() + at, sizeof v);
     return v;
   };
-  const std::size_t pool = 20 + u64_at(12) + 8 + 4 * 8 + 3 * 8;
+  const std::size_t pool = 20 + u64_at(12) + 8 + 3 * 8;
   PoolAt at;
   at.slots = u64_at(pool);
   at.packets = pool + 8;
@@ -1092,10 +1091,8 @@ TEST(CheckpointRestart, RejectedCheckpointRestartsThePoint) {
 
 TEST(CheckpointRestart, RejectsOfferToItsOwnSourceOrNoNode) {
   const SavedRun run = saved_run();
-  // An offer is {dst u32, tag u16, padding, birth u64}; match around the
-  // padding, whose bytes are unspecified.
-  const std::string head = bytes_of(u32{SavedRun::kOfferDst},
-                                     u16{SavedRun::kOfferTag});
+  // An offer is {dst u32, zero u32, birth u64}.
+  const std::string head = bytes_of(u32{SavedRun::kOfferDst}, u32{0});
   const std::string birth = bytes_of(u64{SavedRun::kOfferCycle});
   std::size_t at = std::string::npos;
   for (std::size_t i = 0; i + 16 <= run.bytes.size(); ++i) {
@@ -1234,8 +1231,10 @@ TEST(CheckpointRestart, RejectsOtherFormatVersionAndHugeLengths) {
     reseal(bad);
     return run.restore(bad);
   };
-  EXPECT_EQ(patched(8, u32{3}), "");
-  // v2 files also carried each router's active-transfer count.
+  EXPECT_EQ(patched(8, u32{4}), "");
+  // v3 files also carried the Network's RNG and per-tag latency, v2 files
+  // each router's active-transfer count.
+  EXPECT_EQ(patched(8, u32{3}), "unsupported checkpoint format version");
   EXPECT_EQ(patched(8, u32{2}), "unsupported checkpoint format version");
   EXPECT_EQ(patched(8, u32{1}), "unsupported checkpoint format version");
   // A length prefix is never trusted past the bytes left in the file:
@@ -1245,7 +1244,7 @@ TEST(CheckpointRestart, RejectsOtherFormatVersionAndHugeLengths) {
             "length prefix past the end of the checkpoint");
   u64 signature = 0;
   std::memcpy(&signature, run.bytes.data() + 12, sizeof signature);
-  const std::size_t pool = 20 + signature + 8 + 4 * 8 + 3 * 8;
+  const std::size_t pool = 20 + signature + 8 + 3 * 8;
   EXPECT_EQ(patched(pool, u64{1} << 40),
             "length prefix past the end of the checkpoint");
 }
@@ -1360,7 +1359,7 @@ class SingleFlowSource : public TrafficSource {
  public:
   void tick(Network& net) override {
     if (sent_ < 8) {
-      net.offer(/*src=*/0, /*dst=*/200, /*tag=*/0);
+      net.offer(/*src=*/0, /*dst=*/200);
       ++sent_;
     }
   }

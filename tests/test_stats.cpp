@@ -28,8 +28,8 @@ TEST(Stats, AcceptedAndOfferedLoads) {
   Stats s;
   s.reset(1000);
   const u32 nodes = 10;
-  for (int i = 0; i < 50; ++i) s.on_generated(0, 8);
-  for (int i = 0; i < 25; ++i) s.on_delivered(0, 8, 100, 1000, 3);
+  for (int i = 0; i < 50; ++i) s.on_generated(8);
+  for (int i = 0; i < 25; ++i) s.on_delivered(8, 100, 1000, 3);
   // 400 generated phits, 200 delivered phits over 40 cycles and 10 nodes.
   EXPECT_DOUBLE_EQ(s.offered_load(1040, nodes), 1.0);
   EXPECT_DOUBLE_EQ(s.accepted_load(1040, nodes), 0.5);
@@ -38,8 +38,8 @@ TEST(Stats, AcceptedAndOfferedLoads) {
 
 TEST(Stats, ResetClearsCounters) {
   Stats s;
-  s.on_generated(0, 8);
-  s.on_delivered(0, 8, 50, 0, 3);
+  s.on_generated(8);
+  s.on_delivered(8, 50, 0, 3);
   s.on_local_misroutes(1);
   s.on_ring_enters(/*first_entries=*/1, /*reentries=*/1);
   s.reset(500);
@@ -53,23 +53,10 @@ TEST(Stats, ResetClearsCounters) {
   EXPECT_EQ(s.latency().count, 0u);
 }
 
-TEST(Stats, PerTagBreakdown) {
-  Stats s;
-  s.reset(0);
-  s.on_delivered(0, 8, 10, 0, 3);
-  s.on_delivered(2, 8, 30, 0, 3);
-  s.on_delivered(2, 8, 50, 0, 3);
-  EXPECT_EQ(s.latency_by_tag(0).count, 1u);
-  EXPECT_EQ(s.latency_by_tag(1).count, 0u);
-  EXPECT_EQ(s.latency_by_tag(2).count, 2u);
-  EXPECT_DOUBLE_EQ(s.latency_by_tag(2).mean(), 40.0);
-  EXPECT_EQ(s.latency_by_tag(99).count, 0u);  // never seen: safe default
-}
-
 TEST(Stats, RingUseFraction) {
   Stats s;
   s.reset(0);
-  for (int i = 0; i < 10; ++i) s.on_delivered(0, 8, 10, 0, 3);
+  for (int i = 0; i < 10; ++i) s.on_delivered(8, 10, 0, 3);
   s.on_ring_enters(/*first_entries=*/2, /*reentries=*/0);
   EXPECT_DOUBLE_EQ(s.ring_use_fraction(), 0.2);
 }
@@ -80,7 +67,7 @@ TEST(Stats, RingReentriesDoNotInflateUseFraction) {
   // Two delivered packets; one of them bounces on and off the ring three
   // times. The fraction counts distinct packets, so it stays at 0.5 (the
   // old raw-entries accounting would report 1.5).
-  for (int i = 0; i < 2; ++i) s.on_delivered(0, 8, 10, 0, 3);
+  for (int i = 0; i < 2; ++i) s.on_delivered(8, 10, 0, 3);
   s.on_ring_enters(/*first_entries=*/1, /*reentries=*/2);
   EXPECT_EQ(s.ring_entries(), 3u);
   EXPECT_EQ(s.ring_packets(), 1u);
@@ -134,9 +121,9 @@ TEST(TimeSeries, BucketMidpoints) {
 TEST(Stats, SeriesSurvivesWindowReset) {
   Stats s;
   s.enable_timeseries(0, 1000, 100);
-  s.on_delivered(0, 8, 42, 50, 3);
+  s.on_delivered(8, 42, 50, 3);
   s.reset(500);
-  s.on_delivered(0, 8, 43, 550, 3);
+  s.on_delivered(8, 43, 550, 3);
   ASSERT_NE(s.series(), nullptr);
   EXPECT_EQ(s.series()->bucket(0).count, 1u);
   EXPECT_EQ(s.series()->bucket(5).count, 1u);

@@ -6,7 +6,6 @@
 //  - routing-decision provenance: on a crafted congested router the
 //    granted hop's condition matches the misroute kind the policy chose,
 //    and every mechanism's traced grant conditions are pinned at one point;
-//  - flight recorder: bounded depth, oldest-first snapshots, JSON dumps;
 //  - PacketTracer end to end: Perfetto JSON written, journeys assembled,
 //    instrumentation invisible to orchestrator results.
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include "sim/flat_state.hpp"
 #include "sim/network.hpp"
 #include "stats/sink.hpp"
-#include "trace/flight_recorder.hpp"
 #include "trace/trace.hpp"
 #include "trace/tracer.hpp"
 #include "traffic/generator.hpp"
@@ -361,45 +359,6 @@ TEST(RouteProvenanceTest, GrantConditionsArePinnedPerMechanism) {
   }
 }
 
-// ---- flight recorder ----
-
-TraceEvent make_event(RouterId router, u64 seq, Cycle cycle) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::kGrant;
-  ev.packet = 0;
-  ev.router = router;
-  ev.seq = seq;
-  ev.cycle = cycle;
-  return ev;
-}
-
-TEST(FlightRecorderTest, KeepsLastNPerRouterOldestFirst) {
-  trace::FlightRecorder rec(4, 3);
-  for (u64 i = 0; i < 5; ++i) rec.record(make_event(1, i, 100 + i));
-  rec.record(make_event(2, 99, 500));
-  const auto r1 = rec.snapshot(1);
-  ASSERT_EQ(r1.size(), 3u);  // bounded at depth
-  EXPECT_EQ(r1[0].seq, 2u);  // oldest retained
-  EXPECT_EQ(r1[1].seq, 3u);
-  EXPECT_EQ(r1[2].seq, 4u);
-  ASSERT_EQ(rec.snapshot(2).size(), 1u);
-  EXPECT_TRUE(rec.snapshot(3).empty());
-  EXPECT_TRUE(rec.snapshot(77).empty());  // out of range, not UB
-  EXPECT_EQ(rec.total_recorded(), 6u);
-}
-
-TEST(FlightRecorderTest, DumpJsonEmbedsContext) {
-  trace::FlightRecorder rec(2, 4);
-  rec.record(make_event(0, 1, 10));
-  const std::string path =
-      (fs::path(::testing::TempDir()) / "flight.json").string();
-  ASSERT_TRUE(rec.dump_json(path, "unit_test", 42, "{\"why\":\"test\"}"));
-  const std::string body = slurp(path);
-  EXPECT_NE(body.find("\"reason\":\"unit_test\""), std::string::npos);
-  EXPECT_NE(body.find("\"context\":{\"why\":\"test\"}"), std::string::npos);
-  EXPECT_NE(body.find("\"router\":0"), std::string::npos);
-}
-
 // ---- PacketTracer end to end ----
 
 TEST(PacketTracerTest, WritesPerfettoJsonAndLinkSeries) {
@@ -413,7 +372,6 @@ TEST(PacketTracerTest, WritesPerfettoJsonAndLinkSeries) {
   trace::TracerConfig tc;
   tc.out_path = (dir / "trace.json").string();
   tc.sample = 1;
-  tc.flight_depth = 8;
   tc.label = "unit|OFAR";
   {
     Network net(cfg);
@@ -424,8 +382,6 @@ TEST(PacketTracerTest, WritesPerfettoJsonAndLinkSeries) {
     net.run(1200);
     EXPECT_GT(net.packet_tracer()->events_seen(), 100u);
     EXPECT_GT(net.packet_tracer()->journeys_completed(), 10u);
-    ASSERT_NE(net.packet_tracer()->recorder(), nullptr);
-    EXPECT_GT(net.packet_tracer()->recorder()->total_recorded(), 0u);
   }  // ~Network -> ~PacketTracer -> finish(): exporters run here
   const std::string trace = slurp(tc.out_path);
   ASSERT_FALSE(trace.empty());

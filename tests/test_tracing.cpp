@@ -247,8 +247,8 @@ TEST(LatencyHistogram, EmptyAndSingleton) {
 TEST(LatencyHistogram, WiredIntoStats) {
   Stats s;
   s.reset(0);
-  s.on_delivered(0, 8, 120, 0, 3);
-  s.on_delivered(0, 8, 130, 0, 3);
+  s.on_delivered(8, 120, 0, 3);
+  s.on_delivered(8, 130, 0, 3);
   EXPECT_EQ(s.latency_histogram().total(), 2u);
   s.reset(10);
   EXPECT_EQ(s.latency_histogram().total(), 0u);

@@ -21,11 +21,9 @@ TEST(TrafficPattern, UniformNeverPicksSelfAndCoversAll) {
   const NodeId src = 5;
   std::map<NodeId, int> hist;
   for (int i = 0; i < 20000; ++i) {
-    u16 tag;
-    const NodeId dst = p.pick(src, topo, rng, tag);
+    const NodeId dst = p.pick(src, topo, rng);
     EXPECT_NE(dst, src);
     EXPECT_LT(dst, topo.nodes());
-    EXPECT_EQ(tag, 0);
     ++hist[dst];
   }
   EXPECT_EQ(hist.size(), topo.nodes() - 1);  // every other node reachable
@@ -37,10 +35,7 @@ TEST(TrafficPattern, UniformIsRoughlyUniform) {
   const TrafficPattern p = TrafficPattern::uniform();
   std::vector<int> hist(topo.nodes(), 0);
   const int n = 71000;
-  for (int i = 0; i < n; ++i) {
-    u16 tag;
-    ++hist[p.pick(0, topo, rng, tag)];
-  }
+  for (int i = 0; i < n; ++i) ++hist[p.pick(0, topo, rng)];
   const double expect = static_cast<double>(n) / (topo.nodes() - 1);
   for (NodeId d = 1; d < topo.nodes(); ++d)
     EXPECT_NEAR(hist[d], expect, expect * 0.35) << "node " << d;
@@ -53,8 +48,7 @@ TEST(TrafficPattern, AdversarialTargetsOffsetGroup) {
     const TrafficPattern p = TrafficPattern::adversarial(offset);
     for (NodeId src : {NodeId{0}, NodeId{50}, NodeId{100}}) {
       for (int i = 0; i < 200; ++i) {
-        u16 tag;
-        const NodeId dst = p.pick(src, topo, rng, tag);
+        const NodeId dst = p.pick(src, topo, rng);
         EXPECT_EQ(topo.group_of_node(dst),
                   (topo.group_of_node(src) + offset) % topo.groups());
       }
@@ -67,32 +61,30 @@ TEST(TrafficPattern, AdversarialFullOffsetWrapsToOwnGroupWithoutSelf) {
   Rng rng(4);
   const TrafficPattern p = TrafficPattern::adversarial(9);  // ≡ own group
   for (int i = 0; i < 2000; ++i) {
-    u16 tag;
-    const NodeId dst = p.pick(3, topo, rng, tag);
+    const NodeId dst = p.pick(3, topo, rng);
     EXPECT_EQ(topo.group_of_node(dst), topo.group_of_node(NodeId{3}));
     EXPECT_NE(dst, 3u);
   }
 }
 
 TEST(TrafficPattern, MixRespectsWeights) {
+  // Three ADV components send node 0 (group 0) to three distinct groups,
+  // so the destination group names the component that picked.
   Dragonfly topo(2);
   Rng rng(5);
   const TrafficPattern p = TrafficPattern::mix({
-      {PatternKind::kUniform, 0, 0.8},
-      {PatternKind::kAdversarial, 1, 0.1},
+      {PatternKind::kAdversarial, 1, 0.8},
+      {PatternKind::kAdversarial, 3, 0.1},
       {PatternKind::kAdversarial, 6, 0.1},
   });
-  std::array<int, 3> tags{};
+  std::map<GroupId, int> groups;
   const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    u16 tag;
-    p.pick(0, topo, rng, tag);
-    ASSERT_LT(tag, 3);
-    ++tags[tag];
-  }
-  EXPECT_NEAR(tags[0] / double(n), 0.8, 0.02);
-  EXPECT_NEAR(tags[1] / double(n), 0.1, 0.02);
-  EXPECT_NEAR(tags[2] / double(n), 0.1, 0.02);
+  for (int i = 0; i < n; ++i)
+    ++groups[topo.group_of_node(p.pick(0, topo, rng))];
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_NEAR(groups[1] / double(n), 0.8, 0.02);
+  EXPECT_NEAR(groups[3] / double(n), 0.1, 0.02);
+  EXPECT_NEAR(groups[6] / double(n), 0.1, 0.02);
 }
 
 TEST(TrafficPattern, Describe) {
@@ -127,14 +119,27 @@ TEST(BernoulliSource, OfferedLoadMatchesRequest) {
 TEST(PhasedSource, SwitchesPatternAtBoundary) {
   Network net(tiny_cfg());
   std::vector<PhasedSource::Phase> phases;
-  phases.push_back({TrafficPattern::uniform(), 0.1, 1000, 0});
-  phases.push_back({TrafficPattern::adversarial(2), 0.1, 0, 1});
+  phases.push_back({TrafficPattern::uniform(), 0.1, 1000});
+  phases.push_back({TrafficPattern::adversarial(2), 0.1, 0});
   net.set_traffic(std::make_unique<PhasedSource>(std::move(phases), 7));
+  // Phase A (UN) sends some packets outside group + 2; well after the
+  // switch, phase B (ADV+2) sends every packet there.
+  const Dragonfly& topo = net.topo();
+  u64 before_off_adv = 0, after = 0, after_off_adv = 0;
+  net.set_tracer([&](const TraceEvent& ev) {
+    if (ev.kind != TraceEvent::Kind::kInject) return;
+    const bool adv = topo.group_of_node(ev.dst) ==
+                     (topo.group_of_node(ev.src) + 2) % topo.groups();
+    if (ev.cycle < 1000) before_off_adv += adv ? 0 : 1;
+    if (ev.cycle >= 2000) {
+      ++after;
+      after_off_adv += adv ? 0 : 1;
+    }
+  });
   net.run(3000);
-  // Tag 0 packets (phase A) and tag 1 packets (phase B) must both exist.
-  const Stats& s = net.stats();
-  EXPECT_GT(s.latency_by_tag(0).count, 0u);
-  EXPECT_GT(s.latency_by_tag(1).count, 0u);
+  EXPECT_GT(before_off_adv, 0u);
+  EXPECT_GT(after, 0u);
+  EXPECT_EQ(after_off_adv, 0u);
 }
 
 TEST(BurstSource, InjectsExactBudgetAndFinishes) {

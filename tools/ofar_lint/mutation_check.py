@@ -29,8 +29,8 @@ MUTATIONS = [
         "why": "parallel delivery phase completes an ejected packet "
                "directly instead of staging it in ShardState::delivered",
         "edits": [("src/sim/network.cpp",
-                   "sh.delivered.push_back({e.pkt, pkt.pattern_tag, pkt.size,",
-                   "deliver_packet({e.pkt, pkt.pattern_tag, pkt.size,")],
+                   "sh.delivered.push_back(",
+                   "deliver_packet(")],
         "rule": "serial-call",
         "file": "src/sim/network.cpp",
     },
