@@ -212,7 +212,7 @@ void CheckpointIO::io(CkptArchive& ar, Network& net) {
     if (!ar.check(n < nodes, "corrupt node worklist entry")) return;
     // Probe readiness is not saved: probing every backlogged node once
     // more is exact (a probe that fails changes nothing).
-    if (ar.loading()) net.node_in_worklist_[n] = net.node_ready_[n] = 1;
+    if (ar.loading()) net.node_ready_[n] = 1;
   }
 
   // ---- event wheels, slot-verbatim (slot index = cycle % wheel size,

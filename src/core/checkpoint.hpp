@@ -2,9 +2,9 @@
 // (DESIGN.md §"Scale").
 //
 // A checkpoint captures everything that determines future simulation
-// behaviour — the cycle clock, every RNG stream (network, policy lanes,
-// traffic source), the packet pool verbatim (including the LIFO free list,
-// whose order decides future id assignment), per-node offer queues, every
+// behaviour — the cycle clock, every RNG stream (policy lanes, traffic
+// source), the packet pool verbatim (including the LIFO free list, whose
+// order decides future id assignment), per-node offer queues, every
 // built router's FIFO/credit/arbiter/transfer state, the activity
 // worklists, the in-flight event wheels, lifetime counters and the open
 // Stats window. Restoring into a freshly constructed Network of the SAME

@@ -7,7 +7,6 @@
 
 #include "core/checkpoint.hpp"
 #include "sim/network.hpp"
-#include "stats/sink.hpp"
 #include "trace/trace.hpp"
 #include "traffic/generator.hpp"
 

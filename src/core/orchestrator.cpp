@@ -10,7 +10,6 @@
 #include "common/check.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
-#include "stats/sink.hpp"
 
 namespace ofar {
 

@@ -39,12 +39,6 @@ std::vector<double> expand_load_grid(double lo, double hi, u32 points) {
   return loads;
 }
 
-void append_double(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
 namespace {
 
 void append_u64(std::string& out, u64 v) {

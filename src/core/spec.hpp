@@ -18,8 +18,10 @@
 // (instrumentation, threads, checkpoints) is a RunContext passed beside it
 // (core/experiment.hpp), so it cannot reach the key. The key is what the
 // orchestrator's result cache and resume journal are addressed by, so it
-// must be stable across processes and platforms: doubles are rendered with
-// std::to_chars shortest-round-trip form and the hash is a fixed FNV-1a.
+// must be stable across processes and platforms: doubles are rendered by
+// append_double (common/json.hpp, shortest round trip), the one format of
+// every double the journal and the other JSON writers write, and the hash
+// is a fixed FNV-1a.
 //
 // Bump kSpecSchemaVersion whenever the meaning of a config field, a
 // pattern, or a result struct changes — every cached result is invalidated
@@ -152,10 +154,6 @@ std::string content_digest(const std::string& text);
 /// constructed Network. Same canonical config text as the cache keys, so
 /// the two validation layers can never drift apart.
 std::string config_signature(const SimConfig& cfg);
-
-/// Renders a double in shortest round-trip form (std::to_chars): the one
-/// double format used by canonical keys and the result journal.
-void append_double(std::string& out, double v);
 
 // ---- JSON spec loading ----
 

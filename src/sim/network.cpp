@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "common/thread_annotations.hpp"
 #include "trace/trace.hpp"
 #include "trace/tracer.hpp"
 
@@ -14,8 +13,6 @@ const char* to_string(TraceEvent::Kind k) noexcept {
   switch (k) {
     case TraceEvent::Kind::kInject: return "inject";
     case TraceEvent::Kind::kGrant: return "grant";
-    case TraceEvent::Kind::kRingEnter: return "ring_enter";
-    case TraceEvent::Kind::kRingExit: return "ring_exit";
     case TraceEvent::Kind::kDeliver: return "deliver";
   }
   return "unknown";
@@ -120,7 +117,6 @@ Network::Network(const SimConfig& cfg)
   for (ShardState& sh : shards_) sh.view.init(*this);
 
   router_in_worklist_.assign(num_routers, 0);
-  node_in_worklist_.assign(topo_.nodes(), 0);
   node_ready_.assign(topo_.nodes(), 0);
   active_nodes_.reserve(topo_.nodes());
 }
@@ -411,20 +407,6 @@ bool Network::ring_can_take_packet(const Router& r) const {
   return false;
 }
 
-u32 Network::injection_free_phits(NodeId node) const {
-  const RouterId rid = topo_.router_of_node(node);
-  const PortId port = topo_.node_port(topo_.node_slot(node));
-  if (built_[rid] == 0) {  // untouched router: every injection FIFO is empty
-    u32 vcs, cap;
-    input_shape(rid, port, vcs, cap);
-    return vcs * cap;
-  }
-  const InputPort& in = routers_[rid].inputs[port];
-  u32 free = 0;
-  for (const VcFifo& f : in.vcs) free += f.capacity() - f.stored_phits();
-  return free;
-}
-
 // ---------------------------------------------------------------------------
 // injection
 // ---------------------------------------------------------------------------
@@ -433,10 +415,14 @@ void Network::offer(NodeId src, NodeId dst) {
   OFAR_DCHECK(src != dst && dst < topo_.nodes());
   stats_.on_generated(cfg_.packet_size);
   OfferQueue& queue = pending_[src];
-  if (queue.empty()) node_ready_[src] = 1;  // just became pending
+  if (queue.empty()) {  // just became pending: list it, probe it
+    node_ready_[src] = 1;
+    if (!active_nodes_.empty() && src < active_nodes_.back())
+      active_nodes_sorted_ = false;
+    active_nodes_.push_back(src);
+  }
   queue.push_back({.dst = dst, .birth = now_});
   ++pending_total_;
-  mark_node_pending(src);
 }
 
 bool Network::try_inject(NodeId src, NodeId dst) {
@@ -514,13 +500,7 @@ void Network::deliver_packet(const Delivery& d) {
     ev.packet = d.id;
     ev.cycle = now_;
     ev.router = pkt.dst_router;
-    // Delivery happens over the ejection port; fill the kGrant-shaped
-    // fields explicitly instead of leaving stale defaults (see the field
-    // validity table in network.hpp).
-    ev.out_port = topo_.node_port(topo_.node_slot(pkt.dst));
-    ev.out_vc = 0;
-    ev.misroute = MisrouteKind::kNone;
-    ev.ring_move = false;
+    ev.out_port = topo_.node_port(topo_.node_slot(pkt.dst));  // ejection
     ev.src = pkt.src;
     ev.dst = pkt.dst;
     ev.seq = pkt.seq;
@@ -538,14 +518,6 @@ void Network::mark_router_active(RouterId r) {
   if (!sh.active_routers.empty() && r < sh.active_routers.back())
     sh.sorted = false;
   sh.active_routers.push_back(r);
-}
-
-void Network::mark_node_pending(NodeId n) {
-  if (node_in_worklist_[n]) return;
-  node_in_worklist_[n] = 1;
-  if (!active_nodes_.empty() && n < active_nodes_.back())
-    active_nodes_sorted_ = false;
-  active_nodes_.push_back(n);
 }
 
 void Network::advance_transfers(ShardState& sh, u32 slot) {
@@ -810,14 +782,6 @@ void Network::commit_grant(ShardState& sh, Router& r, const AllocRequest& rq,
     if (prov != nullptr) ev.prov = *prov;
     ev.prov.condition = grant_condition(rq.choice, pkt);
     sh.traces.push_back(ev);  // flushed serially, in shard order
-    // Ring transitions get explicit marker events right after the grant,
-    // so consumers need not re-derive them from the grant flags.
-    if (rq.choice.enter_ring || rq.choice.exit_ring) {
-      ev.kind = rq.choice.enter_ring ? TraceEvent::Kind::kRingEnter
-                                     : TraceEvent::Kind::kRingExit;
-      ev.ring_move = true;
-      sh.traces.push_back(ev);
-    }
   }
   if (!ring_move) {
     switch (topo_.port_class(rq.choice.out_port)) {
@@ -898,10 +862,7 @@ void Network::do_injection() {
         queue.pop_front();
         --pending_total_;
       }
-      if (queue.empty()) {
-        node_in_worklist_[n] = 0;
-        continue;
-      }
+      if (queue.empty()) continue;
     }
     active_nodes_[w++] = n;
   }
@@ -1084,13 +1045,7 @@ void Network::enable_telemetry(const TelemetryConfig& tcfg) {
 void Network::enable_tracing(const trace::TracerConfig& tcfg) {
   set_trace_sampling(tcfg.sample);
   trace_ = std::make_unique<trace::PacketTracer>(*this, tcfg);
-  trace::PacketTracer* sink = trace_.get();
-  tracer_ = [sink](const TraceEvent& ev) {
-    // tracer_ only fires from serial sections (direct emission sites carry
-    // lint waivers; staged events flush via commit_shard_staging).
-    tsa::serial_phase.assert_held();
-    sink->on_event(ev);
-  };
+  tracer_ = [sink = trace_.get()](const TraceEvent& ev) { sink->on_event(ev); };
 }
 
 void Network::enable_audit(Cycle interval) {

@@ -59,29 +59,26 @@ struct TracerConfig;
 ///
 /// Field validity per kind:
 ///
-///   field       | kInject | kGrant | kRingEnter/kRingExit | kDeliver
-///   ------------+---------+--------+----------------------+----------
+///   field       | kInject | kGrant                     | kDeliver
+///   ------------+---------+----------------------------+--------------
 ///   packet,cycle,router,src,dst,seq: valid for every kind
-///   out_port    |    —    | chosen | ring/exit output     | ejection port
-///   out_vc      |    —    | chosen | ring/exit VC         | 0
-///   misroute    |  kNone  | chosen | kNone                | kNone
-///   ring_move   |  false  | set    | true                 | false
-///   in_port     |    —    | input port of the granted head| —
-///   in_vc       |    —    | input VC of the granted head  | —
-///   queue_wait  |    0    | cycles head waited since last progress | 0
-///   prov        | default | routing-decision provenance   | default
+///   out_port    |    —    | chosen                     | ejection port
+///   out_vc      |    —    | chosen                     | 0
+///   misroute    |  kNone  | chosen                     | kNone
+///   ring_move   |  false  | set                        | false
+///   in_port     |    —    | input port of the head     | —
+///   in_vc       |    —    | input VC of the head       | —
+///   queue_wait  |    0    | cycles since last progress | 0
+///   prov        | default | decision provenance        | default
 ///
-/// ("—" = the field keeps its default). kRingEnter/kRingExit are emitted
-/// immediately after the kGrant that enters/leaves the escape ring and
-/// duplicate that grant's fields, so consumers can treat ring transitions
-/// as markers without re-deriving them from grant flags.
+/// ("—" = the field keeps its default). A grant that enters or leaves the
+/// escape ring says so in prov.condition (kRingEnter/kRingExit, derived by
+/// grant_condition); ring_move is false on the grant that leaves it.
 struct TraceEvent {
   enum class Kind : u8 {
-    kInject,     ///< packet placed into an injection FIFO
-    kGrant,      ///< allocator grant: packet starts crossing to out_port
-    kRingEnter,  ///< the grant entered the escape ring (bubble admitted)
-    kRingExit,   ///< the grant left the escape ring (minimal free/eject)
-    kDeliver,    ///< tail phit reached the destination node
+    kInject,   ///< packet placed into an injection FIFO
+    kGrant,    ///< allocator grant: packet starts crossing to out_port
+    kDeliver,  ///< tail phit reached the destination node
   };
   Kind kind;
   PacketId packet;
@@ -244,9 +241,6 @@ class Network {
   /// Occupancy fraction of an output port over its base (non-escape) VCs.
   double base_occupancy(const Router& r, PortId port) const;
 
-  /// Number of phits a node's injection FIFOs can still accept.
-  u32 injection_free_phits(NodeId node) const;
-
   /// Installs a per-packet event tracer (empty function disables). The
   /// callback runs synchronously inside the cycle loop; keep it light.
   /// Only packets selected by the trace sampler emit events; the default
@@ -261,9 +255,7 @@ class Network {
   /// Trace 1 in `denom` injected packets (deterministic hash of the
   /// injection sequence number — see trace::should_sample; 0/1 = all).
   /// Applies to packets injected after the call.
-  void set_trace_sampling(u32 denom) noexcept {
-    trace_sample_ = denom == 0 ? 1 : denom;
-  }
+  void set_trace_sampling(u32 denom) noexcept { trace_sample_ = denom; }
 
   /// Enables the full tracing subsystem (src/trace): installs a
   /// PacketTracer as the tracer callback and applies tcfg.sample. Its
@@ -494,9 +486,6 @@ class Network {
   /// membership flag and the worklist it appends to live in that shard's
   /// slice (router_in_worklist_[r] / shards_[shard_of_router_[r]]).
   OFAR_PARALLEL_PHASE void mark_router_active(RouterId r);
-  /// Adds node n to the pending-injection worklist (idempotent).
-  OFAR_SERIAL_ONLY void mark_node_pending(NodeId n);
-
   /// Creates the packet object for an accepted injection.
   OFAR_SERIAL_ONLY void place_packet(NodeId src, const Offer& offer);
   /// Final delivery at the destination node.
@@ -546,7 +535,8 @@ class Network {
   //    list may additionally hold routers that went idle since the last
   //    refresh);
   //  - active_nodes_ holds exactly the nodes with a non-empty pending_
-  //    queue after each do_injection;
+  //    queue: offer() lists a node as its queue turns non-empty, and the
+  //    injection drain unlists it as the queue empties;
   //  - a listed node whose node_ready_ flag is clear fails the injection
   //    fits-probe (throttled router, or no injection VC with a packet of
   //    free space), so the drain may skip it.
@@ -558,7 +548,6 @@ class Network {
   std::vector<u32> shard_of_router_;  // built once, read-only afterwards
   OFAR_SHARD_LOCAL std::vector<u8> router_in_worklist_;
   OFAR_SERIAL_ONLY std::vector<NodeId> active_nodes_;
-  OFAR_SERIAL_ONLY std::vector<u8> node_in_worklist_;
   OFAR_SERIAL_ONLY bool active_nodes_sorted_ = true;
   /// Per node: probe it in the next injection drain. Set when its queue
   /// turns non-empty, when a phit leaves one of its injection FIFOs (by
@@ -595,8 +584,8 @@ class Network {
 
   // Opt-in tracing subsystem (src/trace). trace_sample_ applies to any
   // tracer (also ones installed via set_tracer); trace_ owns the
-  // PacketTracer behind enable_tracing, whose destructor flushes the
-  // exporters — declared last so it runs before the members it reads.
+  // PacketTracer behind enable_tracing, whose destructor writes the
+  // journeys — declared last so it runs before the members it reads.
   OFAR_SERIAL_ONLY u32 trace_sample_ = 1;
   OFAR_SERIAL_ONLY std::unique_ptr<trace::PacketTracer> trace_;
 };

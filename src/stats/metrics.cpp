@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/json.hpp"
 #include "sim/flat_state.hpp"
 #include "sim/network.hpp"
 #include "stats/sink.hpp"

@@ -1,8 +1,8 @@
-// Network instrumentation: packet/phit counters, latency accumulators
-// (global and per traffic component), misroute and escape-ring usage
-// counters, the deadlock watchdog tally, and an optional transient time
-// series. A measurement window can be (re)opened after warm-up; all
-// rate-style queries refer to the current window.
+// Network instrumentation: packet/phit counters, the latency accumulator
+// and histogram, misroute and escape-ring usage counters, the deadlock
+// watchdog tally, and an optional transient time series. A measurement
+// window can be (re)opened after warm-up; all rate-style queries refer to
+// the current window.
 #pragma once
 
 #include <algorithm>

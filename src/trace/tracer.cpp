@@ -1,15 +1,16 @@
 #include "trace/tracer.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
-#include "stats/sink.hpp"
-#include "trace/perfetto.hpp"
+#include "common/json.hpp"
 
 namespace ofar::trace {
 
-void append_event_json(JsonWriter& w, const TraceEvent& ev) {
+void append_event_json(JsonWriter& w, const TraceEvent& ev,
+                       const char* kind) {
   w.begin_object();
-  w.key("kind").value(to_string(ev.kind));
+  w.key("kind").value(kind != nullptr ? kind : to_string(ev.kind));
   w.key("seq").value(ev.seq);
   w.key("packet").value(static_cast<u64>(ev.packet));
   w.key("cycle").value(static_cast<u64>(ev.cycle));
@@ -20,9 +21,7 @@ void append_event_json(JsonWriter& w, const TraceEvent& ev) {
     w.key("out_port").value(static_cast<u64>(ev.out_port));
     w.key("out_vc").value(static_cast<u64>(ev.out_vc));
   }
-  if (ev.kind == TraceEvent::Kind::kGrant ||
-      ev.kind == TraceEvent::Kind::kRingEnter ||
-      ev.kind == TraceEvent::Kind::kRingExit) {
+  if (ev.kind == TraceEvent::Kind::kGrant) {
     w.key("in_port").value(static_cast<u64>(ev.in_port));
     w.key("in_vc").value(static_cast<u64>(ev.in_vc));
     w.key("queue_wait").value(static_cast<u64>(ev.queue_wait));
@@ -51,109 +50,130 @@ void append_event_json(JsonWriter& w, const TraceEvent& ev) {
 
 namespace {
 
-std::string event_args_json(const TraceEvent& ev) {
-  JsonWriter w;
-  append_event_json(w, ev);
-  return w.str();
+/// Opens a span ("X") or thread-scoped instant ("i") named `name` at cycle
+/// `ts` on router `tid`'s track of packet `pid`; the caller adds "dur"
+/// and "args" and closes it.
+JsonWriter& begin_hop_event(JsonWriter& w, const char* ph, u64 pid, u64 tid,
+                            const char* name, Cycle ts) {
+  w.begin_object();
+  w.key("ph").value(ph);
+  if (ph[0] == 'i') w.key("s").value("t");
+  w.key("cat").value("pkt");
+  w.key("pid").value(pid);
+  w.key("tid").value(tid);
+  w.key("name").value(name);
+  return w.key("ts").value(ts);
 }
 
 }  // namespace
 
 PacketTracer::PacketTracer(const Network& net, TracerConfig cfg)
-    : net_(net), cfg_(std::move(cfg)) {
-  if (cfg_.sample == 0) cfg_.sample = 1;
-}
+    : net_(net), cfg_(std::move(cfg)) {}
 
 PacketTracer::~PacketTracer() { finish(); }
 
 void PacketTracer::on_event(const TraceEvent& ev) {
   ++events_;
-
-  switch (ev.kind) {
-    case TraceEvent::Kind::kInject: {
-      Journey& j = open_[ev.seq];
-      j.seq = ev.seq;
-      j.src = ev.src;
-      j.dst = ev.dst;
-      j.inject = ev.cycle;
-      return;
-    }
-    case TraceEvent::Kind::kGrant:
-    case TraceEvent::Kind::kRingEnter:
-    case TraceEvent::Kind::kRingExit:
-      break;
-    case TraceEvent::Kind::kDeliver: {
-      auto it = open_.find(ev.seq);
-      if (it == open_.end()) return;
-      Journey j = std::move(it->second);
-      open_.erase(it);
-      j.hops.push_back(ev);
-      j.delivered = true;
-      j.deliver_cycle = ev.cycle;
-      ++completed_;
-      if (!cfg_.out_path.empty()) done_.push_back(std::move(j));
-      return;
-    }
+  if (ev.kind == TraceEvent::Kind::kDeliver) {
+    auto it = open_.find(ev.seq);
+    if (it == open_.end()) return;
+    Journey j = std::move(it->second);
+    open_.erase(it);
+    j.hops.push_back(ev);
+    j.delivered = true;
+    ++completed_;
+    if (!cfg_.out_path.empty()) done_.push_back(std::move(j));
+    return;
   }
-
-  // Grant-shaped events: append to the packet's journey (created lazily
-  // when the tracer was installed after the packet's injection).
-  auto it = open_.find(ev.seq);
-  if (it == open_.end()) {
-    Journey& j = open_[ev.seq];
+  // The injection opens the journey; so does the first grant of a packet
+  // injected before the tracer was installed.
+  auto [it, opened] = open_.try_emplace(ev.seq);
+  Journey& j = it->second;
+  if (opened) {
     j.seq = ev.seq;
     j.src = ev.src;
     j.dst = ev.dst;
-    j.inject = ev.cycle;
-    j.hops.push_back(ev);
-    return;
   }
-  it->second.hops.push_back(ev);
+  if (ev.kind == TraceEvent::Kind::kGrant) j.hops.push_back(ev);
 }
 
 void PacketTracer::export_journeys() const {
-  ChromeTraceWriter writer(cfg_.label);
-  auto emit_journey = [&](const Journey& j) {
+  std::string doc = "{\"traceEvents\":[\n";
+  const char* sep = "";
+  const auto add = [&](const JsonWriter& event) {
+    doc += sep;
+    doc += event.str();
+    sep = ",\n";
+  };
+  const auto name_track = [&](const char* what, u64 pid, u64 tid,
+                              const std::string& name) {
+    JsonWriter w;
+    w.begin_object();
+    w.key("ph").value("M");
+    w.key("name").value(what);
+    w.key("pid").value(pid);
+    w.key("tid").value(tid);
+    w.key("args").begin_object().key("name").value(name).end_object();
+    add(w.end_object());
+  };
+  const auto instant = [&](u64 pid, const TraceEvent& ev, const char* name,
+                           const char* kind) {
+    JsonWriter w;
+    begin_hop_event(w, "i", pid, ev.router, name, ev.cycle);
+    append_event_json(w.key("args"), ev, kind);
+    add(w.end_object());
+  };
+  const Cycle dur = net_.config().packet_size;
+  const auto emit_journey = [&](const Journey& j) {
     const u64 pid = j.seq;
     std::string pname = "pkt " + std::to_string(j.seq) + " n" +
                         std::to_string(j.src) + "->n" + std::to_string(j.dst);
     if (!j.delivered) pname += " (in flight)";
-    writer.process_name(pid, pname);
+    name_track("process_name", pid, 0, pname);
     std::vector<RouterId> named;
-    const Cycle dur = net_.config().packet_size;
     for (const TraceEvent& ev : j.hops) {
       if (std::find(named.begin(), named.end(), ev.router) == named.end()) {
         named.push_back(ev.router);
-        writer.thread_name(pid, ev.router,
-                           "router " + std::to_string(ev.router));
+        name_track("thread_name", pid, ev.router,
+                   "router " + std::to_string(ev.router));
       }
-      switch (ev.kind) {
-        case TraceEvent::Kind::kGrant: {
-          if (ev.queue_wait > 0)
-            writer.complete_event(pid, ev.router, "queued",
-                                  ev.cycle - ev.queue_wait, ev.queue_wait,
-                                  "");
-          writer.complete_event(pid, ev.router, to_string(ev.prov.condition),
-                                ev.cycle, dur, event_args_json(ev));
-          break;
-        }
-        case TraceEvent::Kind::kRingEnter:
-        case TraceEvent::Kind::kRingExit:
-          writer.instant_event(pid, ev.router, to_string(ev.kind), ev.cycle,
-                               event_args_json(ev));
-          break;
-        case TraceEvent::Kind::kDeliver:
-          writer.instant_event(pid, ev.router, "deliver", ev.cycle,
-                               event_args_json(ev));
-          break;
-        case TraceEvent::Kind::kInject:
-          break;
+      if (ev.kind == TraceEvent::Kind::kDeliver) {
+        instant(pid, ev, "deliver", nullptr);
+        continue;
+      }
+      if (ev.queue_wait > 0) {
+        JsonWriter w;
+        begin_hop_event(w, "X", pid, ev.router, "queued",
+                        ev.cycle - ev.queue_wait);
+        add(w.key("dur").value(ev.queue_wait).end_object());
+      }
+      const char* condition = to_string(ev.prov.condition);
+      JsonWriter w;
+      begin_hop_event(w, "X", pid, ev.router, condition, ev.cycle);
+      append_event_json(w.key("dur").value(dur).key("args"), ev);
+      add(w.end_object());
+      // A grant that enters or leaves the escape ring is also marked by an
+      // instant named after its condition, carrying the grant as a ring
+      // move.
+      if (ev.prov.condition == RouteCondition::kRingEnter ||
+          ev.prov.condition == RouteCondition::kRingExit) {
+        TraceEvent move = ev;
+        move.ring_move = true;
+        instant(pid, move, condition, condition);
       }
     }
   };
   for (const Journey& j : done_) emit_journey(j);
   for (const auto& [seq, j] : open_) emit_journey(j);  // still in flight
-  writer.write_file(cfg_.out_path);
+  JsonWriter other;
+  other.begin_object().key("label").value(cfg_.label);
+  other.key("time_unit").value("1 us == 1 cycle").end_object();
+  doc += "\n],\"displayTimeUnit\":\"ms\",\"otherData\":" + other.str() +
+         "}\n";
+  std::FILE* f = std::fopen(cfg_.out_path.c_str(), "wb");
+  if (f == nullptr) return;
+  std::fwrite(doc.data(), 1, doc.size(), f);
+  std::fclose(f);
 }
 
 void PacketTracer::finish() {

@@ -505,8 +505,7 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
                  router.buffered_phits));
     }
   }
-  // Node list: after do_injection's compaction it holds exactly the nodes
-  // with a non-empty source queue.
+  // Node list: it holds exactly the nodes with a non-empty source queue.
   std::vector<u8> node_listed(net_.pending_.size(), 0);
   for (const NodeId n : net_.active_nodes_) {
     if (n >= net_.pending_.size() || node_listed[n]) {
@@ -519,14 +518,10 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
     node_listed[n] = 1;
   }
   for (NodeId n = 0; n < net_.pending_.size(); ++n) {
-    if (node_listed[n] != net_.node_in_worklist_[n] ||
-        node_listed[n] != (net_.pending_[n].empty() ? 0 : 1)) {
+    if (node_listed[n] != (net_.pending_[n].empty() ? 0 : 1)) {
       add(rep, Invariant::kWorklists,
-          format("node %u: %zu queued offers, in_worklist flag %u, "
-                 "%slisted",
-                 n, net_.pending_[n].size(),
-                 static_cast<u32>(net_.node_in_worklist_[n]),
-                 node_listed[n] ? "" : "not "));
+          format("node %u: %zu queued offers, %slisted", n,
+                 net_.pending_[n].size(), node_listed[n] ? "" : "not "));
     }
   }
   // The injection drain skips listed nodes that are not ready; that is

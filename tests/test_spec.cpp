@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -92,6 +93,20 @@ TEST(Json, RejectsNestingDeeperThanTheLimit) {
 TEST(Json, DecodesUnicodeEscapes) {
   EXPECT_EQ(parse_ok("\"\\u0041\"").as_string(), "A");
   EXPECT_EQ(parse_ok("\"\\u00e9\"").as_string(), "\xc3\xa9");
+}
+
+TEST(Json, WriterEscapesWhatTheParserReadsBack) {
+  const std::string text = "plain \"q\" \\ \n\r\t\x01\x1f end";
+  JsonWriter w;
+  w.begin_object().key("k\"").value(text);
+  w.key("inf").value(std::numeric_limits<double>::infinity());
+  w.key("d").value(0.1).end_object();
+  EXPECT_EQ(w.str(),
+            "{\"k\\\"\":\"plain \\\"q\\\" \\\\ \\n\\r\\t\\u0001\\u001f end\","
+            "\"inf\":null,\"d\":0.1}");
+  const JsonValue v = parse_ok(w.str());
+  ASSERT_NE(v.find("k\""), nullptr);
+  EXPECT_EQ(v.find("k\"")->as_string(), text);
 }
 
 // ---------------------------------------------------------------------------

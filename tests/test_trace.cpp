@@ -7,7 +7,8 @@
 //    granted hop's condition matches the misroute kind the policy chose,
 //    and every mechanism's traced grant conditions are pinned at one point;
 //  - PacketTracer end to end: Perfetto JSON written, journeys assembled,
-//    instrumentation invisible to orchestrator results.
+//    its bytes pinned on both ring kinds, instrumentation invisible to
+//    orchestrator results.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -18,12 +19,12 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/orchestrator.hpp"
 #include "core/spec.hpp"
 #include "routing/routing.hpp"
 #include "sim/flat_state.hpp"
 #include "sim/network.hpp"
-#include "stats/sink.hpp"
 #include "trace/trace.hpp"
 #include "trace/tracer.hpp"
 #include "traffic/generator.hpp"
@@ -435,6 +436,39 @@ RunPoint steady_point(u64 seed) {
   p.load = 0.15;
   p.run = RunParams::windows(400, 800);
   return p;
+}
+
+// Every packet of an h=2 OFAR run under ADV+1 at 0.9 traced, once per ring
+// kind: at this load packets enter and leave the escape ring, so the file
+// holds ring_enter/ring_exit instants beside the hop spans, queued spans,
+// metadata and delivery instants. A change to any byte the exporter
+// writes moves these digests.
+TEST(PacketTracerTest, PerfettoBytesArePinned) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "tracer_pin";
+  fs::create_directories(dir);
+  const struct {
+    RingKind ring;
+    const char* digest;
+  } pins[] = {{RingKind::kPhysical, "5a8e7f5fd99eb3f8a74d686284593f2b"},
+              {RingKind::kEmbedded, "2026599767b1b54b468dd36a27f5eb68"}};
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(to_string(pin.ring));
+    RunPoint p = steady_point(1);
+    p.cfg.ring = pin.ring;
+    p.load = 0.9;
+    p.run = RunParams::windows(300, 900);
+    OrchestratorOptions oo;
+    oo.instrumentation.trace_out =
+        (dir / (std::string("trace.") + to_string(pin.ring) + ".json"))
+            .string();
+    oo.instrumentation.trace_sample = 1;
+    ASSERT_TRUE(run_points({p}, oo).complete());
+    const std::string bytes = slurp(oo.instrumentation.trace_out);
+    fs::remove(oo.instrumentation.trace_out);  // ~15 MB each
+    EXPECT_NE(bytes.find("\"name\":\"ring_enter\""), std::string::npos);
+    EXPECT_NE(bytes.find("\"name\":\"ring_exit\""), std::string::npos);
+    EXPECT_EQ(content_digest(bytes), pin.digest);
+  }
 }
 
 TEST(TraceOrchestration, TraceKnobsDoNotChangeKeysOrResults) {

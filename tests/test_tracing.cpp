@@ -61,9 +61,6 @@ std::map<u64, PacketTrace> run_traced(SimConfig cfg,
         traces[live_key.at(ev.packet)].hops.push_back(
             {ev.router, ev.out_port, ev.out_vc, ev.misroute, ev.ring_move});
         break;
-      case TraceEvent::Kind::kRingEnter:
-      case TraceEvent::Kind::kRingExit:
-        break;  // markers duplicating the preceding kGrant; not extra hops
       case TraceEvent::Kind::kDeliver:
         traces[live_key.at(ev.packet)].delivered = true;
         live_key.erase(ev.packet);

@@ -45,6 +45,17 @@ MUTATIONS = [
         "file": "src/routing/par.cpp",
     },
     {
+        "name": "serial-call-tracer",
+        "why": "parallel transfer phase feeds the serial-only packet "
+               "tracer directly instead of staging a trace event",
+        "edits": [("src/sim/network.cpp",
+                   "++channel_phits_[out.channel];",
+                   "++channel_phits_[out.channel];\n      "
+                   "if (trace_) trace_->on_event(TraceEvent{});")],
+        "rule": "serial-call",
+        "file": "src/sim/network.cpp",
+    },
+    {
         "name": "serial-write-counter",
         "why": "parallel phase bumps the global delivered counter "
                "directly instead of ShardState::delivered",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Summarise (or validate) a packet-journey trace written by --trace-out.
 
-The simulator's Chrome trace-event exporter (src/trace/perfetto.hpp) maps
+The simulator's Chrome trace-event exporter (src/trace/tracer.hpp) maps
 one sampled packet to one Perfetto process and each router the packet
 visits to a thread of that process; hop spans carry the routing-decision
 provenance in their args. This tool reads that JSON back and prints the
