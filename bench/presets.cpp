@@ -3,6 +3,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <initializer_list>
 #include <iterator>
 #include <memory>
@@ -756,6 +757,29 @@ const Preset* find_preset(const std::string& name) {
 }
 
 int run_units(const PresetRun& run) {
+  // An output that cannot be written stops the run before its first cycle.
+  // Per-point trace files are named in --trace-out's directory, so checking
+  // that directory covers them too.
+  const auto cannot_write = [](const std::string& path) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return 1;
+  };
+  const std::string& trace_out = run.opts.orch.instrumentation.trace_out;
+  if (!trace_out.empty()) {
+    const std::filesystem::path dir =
+        std::filesystem::path(trace_out).parent_path();
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir.empty() ? "." : dir, ec))
+      return cannot_write(trace_out);
+  }
+  // One sink for every simulation of the run (thread-safe: parallel points
+  // interleave whole records, each labelled "<case>|<mechanism>").
+  std::unique_ptr<MetricsSink> metrics;
+  if (!run.opts.metrics_out.empty()) {
+    metrics = MetricsSink::open(run.opts.metrics_out);
+    if (metrics == nullptr) return cannot_write(run.opts.metrics_out);
+  }
+
   if (!run.banner.empty()) {
     std::fputs(run.banner.c_str(), stdout);
     std::fflush(stdout);
@@ -770,16 +794,7 @@ int run_units(const PresetRun& run) {
   }
 
   OrchestratorOptions oo = run.opts.orch;
-  // One sink for every simulation of the run (thread-safe: parallel points
-  // interleave whole records, each labelled "<case>|<mechanism>").
-  std::unique_ptr<MetricsSink> metrics;
-  if (!run.opts.metrics_out.empty()) {
-    metrics = MetricsSink::open(run.opts.metrics_out);
-    if (metrics == nullptr)
-      std::fprintf(stderr, "warning: could not open %s; telemetry disabled\n",
-                   run.opts.metrics_out.c_str());
-    oo.instrumentation.metrics_sink = metrics.get();
-  }
+  oo.instrumentation.metrics_sink = metrics.get();
   std::signal(SIGINT, on_sigint);
   oo.stop_flag = &g_stop;
   const RunReport report = run_points(all, oo);

@@ -24,12 +24,10 @@ class ParPolicy final : public ValiantPolicy {
   const char* name() const noexcept override { return "PAR"; }
 
   void on_inject(Network& net, Packet& pkt, RouterId at) override;
-  RouteChoice route(RouteContext& ctx) override;
-
-  /// PAR's in-transit re-evaluation draws RNG and rewrites the packet's
+  /// The in-transit re-evaluation draws RNG and rewrites the packet's
   /// Valiant state before it looks at port availability, so even a failing
-  /// route() has observable effects — the kernel must not skip it.
-  bool blocked_route_is_pure() const noexcept override { return false; }
+  /// call has observable effects.
+  RouteChoice route(RouteContext& ctx) override;
 
  private:
   i32 bias_;

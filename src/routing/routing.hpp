@@ -135,16 +135,6 @@ class RoutingPolicy {
   /// comes from the per-lane RNG selected by ctx.lane (see RouteContext).
   OFAR_PARALLEL_PHASE virtual RouteChoice route(RouteContext& ctx) = 0;
 
-  /// True when a route() call that fails (returns RouteChoice::none()) is
-  /// guaranteed to draw no RNG and leave the packet untouched. The
-  /// saturated kernel relies on this to skip a router's whole request scan
-  /// once it knows no output could be granted — sound only if the skipped
-  /// calls would have been observation-free. Override to return false for
-  /// policies that commit side effects before checking output availability
-  /// (PAR re-draws its UGAL comparison and rewrites the packet's Valiant
-  /// state even when the chosen port then turns out blocked).
-  virtual bool blocked_route_is_pure() const noexcept { return true; }
-
   /// Announces the number of route() lanes the kernel will use (the shard
   /// count). Called once at Network construction, before any traffic.
   /// Policies without route()-time randomness can ignore it.

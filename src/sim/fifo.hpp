@@ -6,13 +6,10 @@
 // the head phit is present (virtual cut-through) and never underruns.
 //
 // Storage is a flat power-of-two ring buffer (no heap traffic per packet):
-// this FIFO sits on the per-cycle hot path of every router. The ring either
-// lives in the owning shard's arena (the simulator: all FIFO rings of a
-// shard share one contiguous Entry block — see sim/flat_state.hpp) or is
-// owned by the FIFO itself (standalone construction in tests/fixtures).
+// this FIFO sits on the per-cycle hot path of every router. The ring is a
+// slice the caller hands in and keeps alive: in the simulator, the owning
+// shard's arena (sim/flat_state.hpp).
 #pragma once
-
-#include <memory>
 
 #include "common/check.hpp"
 #include "common/phase.hpp"
@@ -36,23 +33,17 @@ class OFAR_SHARD_LOCAL VcFifo {
     u16 sent;     // phits forwarded downstream
   };
 
-  /// Ring slots needed for a FIFO of `capacity_phits`: worst case every
-  /// queued packet is a single phit, so capacity+1 entries always suffice;
-  /// rounded up to a power of two for cheap masking.
-  static u32 slots_for(u32 capacity_phits) noexcept {
-    u32 slots = 2;
-    while (slots < capacity_phits + 1) slots <<= 1;
-    return slots;
-  }
-
-  /// Packet-granularity sizing: with virtual cut-through credit accounting
-  /// every resident entry except the (possibly partially drained) head holds
-  /// a whole `min_packet_phits`-phit packet's worth of upstream credits, so
-  /// at most floor((capacity-1)/S) + 1 entries can coexist. At the paper's
-  /// S=8 this shrinks the 256-phit global FIFO ring from 512 slots to 32 —
-  /// the dominant per-router allocation at h=16 scale. A mixed-size workload
-  /// must pass its *smallest* packet size; OFAR_DCHECK(num_packets() <=
-  /// mask_) in the push paths backstops the bound in checked builds.
+  /// Ring slots for a FIFO of `capacity_phits`, rounded up to a power of
+  /// two for cheap masking. Packet-granularity sizing: with virtual
+  /// cut-through credit accounting every resident entry except the
+  /// (possibly partially drained) head holds a whole `min_packet_phits`-phit
+  /// packet's worth of upstream credits, so at most floor((capacity-1)/S) +
+  /// 1 entries can coexist. At the paper's S=8 this shrinks the 256-phit
+  /// global FIFO ring from 512 slots to 32 — the dominant per-router
+  /// allocation at h=16 scale. A mixed-size workload must pass its
+  /// *smallest* packet size (S=1 fits single-phit packets);
+  /// OFAR_DCHECK(num_packets() <= mask_) in the push paths backstops the
+  /// bound in checked builds.
   static u32 slots_for(u32 capacity_phits, u32 min_packet_phits) noexcept {
     const u32 s = min_packet_phits == 0 ? 1 : min_packet_phits;
     const u32 entries =
@@ -64,21 +55,8 @@ class OFAR_SHARD_LOCAL VcFifo {
 
   VcFifo() = default;
 
-  /// Owning mode (tests, standalone fixtures): allocates its own ring.
-  explicit VcFifo(u32 capacity_phits)
-      : VcFifo(capacity_phits, nullptr) {
-    owned_ = std::make_unique<Entry[]>(slots_for(capacity_phits));
-    entries_ = owned_.get();
-  }
-
-  /// Arena mode: `slots` must point at slots_for(capacity_phits) zeroed
-  /// entries that outlive this FIFO (the shard arena guarantees both).
-  VcFifo(u32 capacity_phits, Entry* slots)
-      : VcFifo(capacity_phits, slots, slots_for(capacity_phits)) {}
-
-  /// Arena mode with an explicit ring size (packet-granularity sizing):
-  /// `slots` must point at `slot_count` zeroed entries (power of two) that
-  /// outlive this FIFO.
+  /// `slots` must point at `slot_count` zeroed entries (a power of two, see
+  /// slots_for) that outlive this FIFO; the shard arena guarantees both.
   VcFifo(u32 capacity_phits, Entry* slots, u32 slot_count)
       : capacity_(capacity_phits), mask_(slot_count - 1), entries_(slots) {
     OFAR_DCHECK(capacity_phits <= 0xFFFFu);  // Entry::arrived/sent are u16
@@ -87,17 +65,12 @@ class OFAR_SHARD_LOCAL VcFifo {
 
   VcFifo(VcFifo&&) = default;
   VcFifo& operator=(VcFifo&&) = default;
-  // No copies: an arena-backed FIFO cannot duplicate its ring, and the old
-  // copy-only-when-empty semantics surprised callers. Use clone_shape().
+  // No copies: a copy would share the ring it indexes into.
   VcFifo(const VcFifo&) = delete;
   VcFifo& operator=(const VcFifo&) = delete;
 
-  /// Explicit replacement for the removed copy operations: a fresh, empty,
-  /// self-owning FIFO with the same capacity (contents are never copied).
-  VcFifo clone_shape() const { return VcFifo(capacity_); }
-
   u32 capacity() const noexcept { return capacity_; }
-  /// Ring storage this FIFO indexes into (arena slice or owned block).
+  /// Ring storage this FIFO indexes into (its arena slice).
   const Entry* slots() const noexcept { return entries_; }
   bool empty() const noexcept { return head_ == tail_; }
   u32 num_packets() const noexcept { return tail_ - head_; }
@@ -177,12 +150,14 @@ class OFAR_SHARD_LOCAL VcFifo {
   u32 head_ = 0;  // monotonically increasing; index via & mask_
   u32 tail_ = 0;
   u32 mask_ = 0;
-  Entry* entries_ = nullptr;          // ring (arena slice or owned_)
-  std::unique_ptr<Entry[]> owned_;    // set only in owning mode
+  Entry* entries_ = nullptr;  // ring: an arena slice
 };
 
 static_assert(sizeof(VcFifo::Entry) == 8,
               "ring slots are the largest per-VC allocation at scale; "
               "keep Entry at one machine word");
+static_assert(sizeof(VcFifo) == 32,
+              "one control block per simulated VC: five u32 words and the "
+              "ring pointer");
 
 }  // namespace ofar

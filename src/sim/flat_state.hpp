@@ -1,4 +1,4 @@
-// Flat per-shard state arenas and the narrow view types in front of them.
+// Flat per-shard state arenas and the memoized credit view in front of them.
 //
 // The saturated cycle kernel spends almost all of its time walking per-VC
 // FIFO/credit state (see DESIGN.md §10 "Memory layout"). This module packs
@@ -10,9 +10,6 @@
 //     few flat arrays instead of hopping between per-router heap vectors,
 //     and routers can be bound lazily on first touch (untouched routers
 //     cost nothing at h=16 scale).
-//   * HeadView — read-only façade over one input port's per-VC head state;
-//     the auditor, telemetry and deadlock forensics consume FIFO state
-//     through it, so the packed layout can change freely underneath them.
 //   * CreditView — per-shard memoized credit/occupancy snapshot serving the
 //     routing policies' base-VC queries (base_available / base_occupancy /
 //     best_base_vc) from one cached pass per (router, cycle).
@@ -119,34 +116,6 @@ struct OFAR_SHARD_LOCAL ShardArena {
   }
 };
 
-/// Read-only view over one input port's per-VC head state. Consumers that
-/// inspect FIFO internals without driving the simulation (auditor, metrics,
-/// wait-graph forensics, tests) go through this façade instead of reaching
-/// into VcFifo directly, which keeps them stable across layout changes.
-class HeadView {
- public:
-  explicit HeadView(const InputPort& in) noexcept : in_(&in) {}
-
-  u32 num_vcs() const noexcept { return in_->vcs.size(); }
-  bool empty(VcId v) const noexcept { return in_->vcs[v].empty(); }
-  u32 num_packets(VcId v) const noexcept { return in_->vcs[v].num_packets(); }
-  u32 stored_phits(VcId v) const noexcept { return in_->vcs[v].stored_phits(); }
-  u32 capacity(VcId v) const noexcept { return in_->vcs[v].capacity(); }
-  PacketId head(VcId v) const noexcept { return in_->vcs[v].head(); }
-  u32 head_arrived(VcId v) const noexcept { return in_->vcs[v].head_arrived(); }
-  u32 head_sent(VcId v) const noexcept { return in_->vcs[v].head_sent(); }
-  /// The i-th queued entry of VC v, counted from its head.
-  const VcFifo::Entry& entry(VcId v, u32 i) const noexcept {
-    return in_->vcs[v].entry(i);
-  }
-  bool head_in_flight(VcId v) const noexcept { return in_->head_busy[v] != 0; }
-  /// Head present, fully routable, and not mid-transfer (== has_head).
-  bool routable(VcId v) const noexcept { return in_->has_head(v); }
-
- private:
-  const InputPort* in_;
-};
-
 /// Memoized per-(router, cycle) snapshot of the base-VC credit queries the
 /// routing policies issue (base_available / base_occupancy / best_base_vc).
 /// bind() is O(1) — an epoch bump — and each output port is summarised at
@@ -217,9 +186,8 @@ class OFAR_SHARD_LOCAL CreditView {
 
   /// Bitmask over ports with base_available() — bit p set iff port p could
   /// accept a whole packet right now. Computed at most once per bind (one
-  /// refresh pass over every port); candidate collection iterates its set
-  /// bits instead of probing each port, and the kernel skips whole request
-  /// scans when it is zero and the escape ring is blocked.
+  /// refresh pass over every port); OFAR's misroute candidate collection
+  /// iterates its set bits instead of probing each port.
   u64 avail_mask() noexcept {
     if (mask_stamp_ != epoch_) {
       u64 m = 0;

@@ -111,7 +111,6 @@ Network::Network(const SimConfig& cfg)
   channel_phits_.assign(std::size_t{num_routers} * ports, 0);
 
   policy_ = make_policy(cfg_);
-  skip_blocked_scans_ = policy_->blocked_route_is_pure();
   pending_.resize(topo_.nodes());
   policy_->bind_lanes(shard_count);
   for (ShardState& sh : shards_) sh.view.init(*this);
@@ -134,14 +133,9 @@ std::size_t Network::active_router_count() const noexcept {
 }
 
 void Network::set_sim_threads(unsigned threads) {
-  if (threads == 0) threads = 1;
-  const unsigned clamped = std::min<unsigned>(threads, num_shards());
-  if (clamped == sim_threads_) return;
-  sim_threads_ = clamped;
-  if (sim_threads_ > 1)
-    shard_pool_ = std::make_unique<ShardPool>(sim_threads_);
-  else
-    shard_pool_.reset();
+  const unsigned clamped = std::clamp(threads, 1u, num_shards());
+  if (clamped != sim_threads())
+    shard_pool_ = std::make_unique<ShardPool>(clamped);
 }
 
 void Network::build_ring() {
@@ -396,17 +390,6 @@ double Network::base_occupancy(const Router& r, PortId port) const {
   return r.outputs[port].occupancy(0, count);
 }
 
-bool Network::ring_can_take_packet(const Router& r) const {
-  if (ring_ == nullptr) return false;
-  const RingOut& ro = ring_out_[r.id];
-  if (ro.port == kInvalidPort) return false;
-  const OutputPort& out = r.outputs[ro.port];
-  if (!out.wired() || out.busy()) return false;
-  for (u32 v = ro.first_vc; v < ro.first_vc + ro.num_vcs; ++v)
-    if (out.credits[v] >= cfg_.packet_size) return true;
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // injection
 // ---------------------------------------------------------------------------
@@ -610,24 +593,6 @@ void Network::advance_transfers(ShardState& sh, u32 slot) {
   sh.active_routers.resize(w);
 }
 
-namespace {
-/// Calls fn(port, vc) for every routable head of `r` (Router::has_head), in
-/// ascending (port, VC) order. The one definition of the heads a cycle
-/// routes: the allocation scan gathers exactly these, and a skipped scan
-/// notes one credit stall for each.
-template <typename Fn>
-void for_each_routable_head(const Router& r, Fn&& fn) {
-  for (PortId port = 0; port < r.inputs.size(); ++port) {
-    const InputPort& in = r.inputs[port];
-    for (u8 mask = r.input_mask[port]; mask != 0;
-         mask &= static_cast<u8>(mask - 1)) {
-      const VcId vc = static_cast<VcId>(__builtin_ctz(mask));
-      if (in.has_head(vc)) fn(port, vc);
-    }
-  }
-}
-}  // namespace
-
 void Network::do_allocation(ShardState& sh, u32 lane) {
   // Provenance is only materialised for traced heads (sparse side buffer),
   // so one record is reused across the scan and reset only when a traced
@@ -648,30 +613,23 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
     // queries from at most one per-port refresh. Exact by construction —
     // no credit or output-busy state changes until commit_grant below.
     sh.view.bind(r);
-    // Saturated fast path: when no output could take a whole packet and
-    // the escape ring cannot move one either, every route() call below
-    // would return none — and for pure-when-blocked policies a failing
-    // call draws no RNG, touches nothing and stages no trace, so the scan
-    // itself can be skipped. Telemetry still notes the credit stall each
-    // failing call would have noted.
-    if (skip_blocked_scans_ && sh.view.avail_mask() == 0 &&
-        !ring_can_take_packet(r)) {
-      if (telem_)
-        for_each_routable_head(r, [&](PortId port, VcId vc) {
-          telem_->note_credit_stall(r.id, port, vc);
-        });
-      continue;
-    }
-    // Pass 1: gather routable heads from the flat FIFO arena and prefetch
-    // each head packet's cache line. Head packets are scattered across the
-    // pool, so letting the loads overlap here (instead of stalling pass 2
-    // one miss at a time) is worth a second, purely local walk.
+    // Pass 1: gather the routable heads (InputPort::has_head) in ascending
+    // (port, VC) order from the flat FIFO arena and prefetch each head
+    // packet's cache line. Head packets are scattered across the pool, so
+    // letting the loads overlap here (instead of stalling pass 2 one miss
+    // at a time) is worth a second, purely local walk.
     sh.heads.clear();
-    for_each_routable_head(r, [&](PortId port, VcId vc) {
-      const PacketId pid = r.inputs[port].vcs[vc].head();
-      __builtin_prefetch(&pool_.get(pid));
-      sh.heads.push_back({port, vc, pid});
-    });
+    for (PortId port = 0; port < r.inputs.size(); ++port) {
+      const InputPort& in = r.inputs[port];
+      for (u8 mask = r.input_mask[port]; mask != 0;
+           mask &= static_cast<u8>(mask - 1)) {
+        const VcId vc = static_cast<VcId>(__builtin_ctz(mask));
+        if (!in.has_head(vc)) continue;
+        const PacketId pid = in.vcs[vc].head();
+        __builtin_prefetch(&pool_.get(pid));
+        sh.heads.push_back({port, vc, pid});
+      }
+    }
     // Pass 2: one route() call per head, in the same port/VC order.
     for (const ShardState::HeadRef& h : sh.heads) {
       Packet& pkt = pool_.get(h.pid);
@@ -880,18 +838,6 @@ void Network::run_watchdog() {
   if (telem_ && stalled > 0) telem_->on_watchdog_trip(*this, stalled, worst);
 }
 
-void Network::run_shard_phase(const std::function<void(u32)>& fn) {
-  if (shard_pool_ != nullptr) {
-    shard_pool_->parallel_phase(num_shards(), fn);
-  } else {
-    // Single-threaded execution of the same shard program, in shard order.
-    // Shards are mutually independent within a phase, so this is exactly
-    // what any schedule of the pool computes — the thread-invariance
-    // contract in one line.
-    for (u32 s = 0; s < num_shards(); ++s) fn(s);
-  }
-}
-
 void Network::deliver_events_shard(ShardState& sh, u32 shard, u32 slot) {
   // Shard s reads bucket (slot, s) of every shard's wheels, in shard order:
   // exactly the events it owns, in the order a scan of whole slots would
@@ -1005,8 +951,9 @@ void Network::step() {
   // would do nothing, so a drained cycle dispatches no pool phase.
   const bool shard_work = shard_work_due(slot);
   if (shard_work)
-    run_shard_phase(
-        [this, slot](u32 s) { deliver_events_shard(shards_[s], s, slot); });
+    shard_pool_->parallel_phase(num_shards(), [this, slot](u32 s) {
+      deliver_events_shard(shards_[s], s, slot);
+    });
   if (prof) prof->phase_done(SimPhase::kEventDelivery);
   if (shard_work) commit_shard_deliveries();
   if (prof) prof->phase_done(SimPhase::kDeliveryCommit);
@@ -1017,7 +964,7 @@ void Network::step() {
   // state only the same shard's transfers touch), so no barrier is needed
   // between them within a shard program.
   if (shard_work) {
-    run_shard_phase([this, slot](u32 s) {
+    shard_pool_->parallel_phase(num_shards(), [this, slot](u32 s) {
       advance_transfers(shards_[s], slot);  // also prunes + sorts the list
       do_allocation(shards_[s], s);
     });

@@ -122,7 +122,7 @@ class Network {
   /// knob: results are bit-identical for every value, so it is NOT part of
   /// the experiment content key. Callable between steps at any time.
   void set_sim_threads(unsigned threads);
-  unsigned sim_threads() const noexcept { return sim_threads_; }
+  unsigned sim_threads() const noexcept { return shard_pool_->threads(); }
 
   /// Installs the traffic source (owned).
   void set_traffic(std::unique_ptr<TrafficSource> source);
@@ -443,10 +443,6 @@ class Network {
   /// wheel slot (now % wheel size).
   OFAR_PARALLEL_PHASE void advance_transfers(ShardState& sh, u32 slot);
   OFAR_PARALLEL_PHASE void do_allocation(ShardState& sh, u32 lane);
-  /// True when router `r`'s escape-ring output could move one whole packet
-  /// this cycle (wired, transfer-idle, a packet of credits on some escape
-  /// VC). Conservative upper bound for entry, which needs the bubble too.
-  OFAR_PARALLEL_PHASE bool ring_can_take_packet(const Router& r) const;
   OFAR_PARALLEL_PHASE void commit_grant(ShardState& sh, Router& r,
                                         const AllocRequest& rq,
                                         const RouteProvenance* prov);
@@ -473,9 +469,6 @@ class Network {
   /// Serial: flushes staged traces and stat counters in shard-ascending
   /// order.
   OFAR_SERIAL_ONLY void commit_shard_staging();
-  /// Dispatches fn(shard) for every shard on the worker pool (or inline
-  /// when single-threaded) and waits for all of them.
-  OFAR_SERIAL_ONLY void run_shard_phase(const std::function<void(u32)>& fn);
 
   // ---- activity worklists ----
   /// Adds router r to the active worklist (idempotent). Called whenever a
@@ -515,11 +508,6 @@ class Network {
   OFAR_SHARD_LOCAL PacketPool pool_;
   OFAR_SERIAL_ONLY Stats stats_;  ///< parallel phases stage in ShardState
   std::unique_ptr<RoutingPolicy> policy_;
-  /// Set once at construction from the policy: true when do_allocation
-  /// may skip a router's whole request scan once its availability mask is
-  /// empty and the ring cannot move (a pure-when-blocked policy, whose
-  /// failing calls change nothing). No observer turns it off.
-  bool skip_blocked_scans_ = false;
   OFAR_SERIAL_ONLY std::unique_ptr<TrafficSource> traffic_;
   OFAR_SERIAL_ONLY std::function<void(const TraceEvent&)> tracer_;
 
@@ -556,10 +544,11 @@ class Network {
   /// cleared by the probe.
   OFAR_SHARD_LOCAL std::vector<u8> node_ready_;
 
-  // Worker pool for the sharded kernel's parallel phases; null when
-  // sim_threads_ == 1 (phases run inline on the calling thread).
-  OFAR_SERIAL_ONLY std::unique_ptr<ShardPool> shard_pool_;
-  OFAR_SERIAL_ONLY unsigned sim_threads_ = 1;
+  // Worker pool for the sharded kernel's parallel phases. Its thread count
+  // is sim_threads(); a one-thread pool runs the shards inline, in shard
+  // order, on the calling thread.
+  OFAR_SERIAL_ONLY std::unique_ptr<ShardPool> shard_pool_ =
+      std::make_unique<ShardPool>(1);
 
   // Slots per event wheel (ShardState::phit_wheel/credit_wheel hold
   // wheel_size_ * K owner buckets): the longest latency plus one. Built

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/json.hpp"
-#include "sim/flat_state.hpp"
 #include "sim/network.hpp"
 #include "stats/sink.hpp"
 
@@ -219,13 +218,12 @@ void Telemetry::scan(const Network& net, Cycle width) {
     const Router& router = net.router(r);
     if (router.throttled) ++throttled;
     for (PortId p = 0; p < ports_; ++p) {
-      const HeadView in(router.inputs[p]);
-      for (u32 v = 0; v < in.num_vcs(); ++v) {
-        const u32 cap = in.capacity(static_cast<VcId>(v));
+      const InputPort& in = router.inputs[p];
+      for (u32 v = 0; v < in.vcs.size(); ++v) {
+        const u32 cap = in.vcs[v].capacity();
         if (cap == 0) continue;
-        const double occ =
-            static_cast<double>(in.stored_phits(static_cast<VcId>(v))) /
-            static_cast<double>(cap);
+        const double occ = static_cast<double>(in.vcs[v].stored_phits()) /
+                           static_cast<double>(cap);
         occ_sum += occ;
         ++occ_n;
         if (occ > hot_.vc_occ) {
@@ -319,14 +317,14 @@ void Telemetry::emit_full_dump(const Network& net, Cycle now, Cycle width) {
     if (!net.router_built(r)) continue;  // untouched: nothing stored, no stalls
     const Router& router = net.router(r);
     for (PortId p = 0; p < ports_; ++p) {
-      const HeadView in(router.inputs[p]);
-      for (u32 v = 0; v < in.num_vcs(); ++v) {
-        const u32 stored = in.stored_phits(static_cast<VcId>(v));
+      const InputPort& in = router.inputs[p];
+      for (u32 v = 0; v < in.vcs.size(); ++v) {
+        const u32 stored = in.vcs[v].stored_phits();
         const u32 flat = vc_index(r, p, static_cast<VcId>(v));
         const u64 cstall = vc_credit_stall_[flat];
         const u64 astall = vc_alloc_stall_[flat];
         if (stored == 0 && cstall == 0 && astall == 0) continue;
-        const u32 cap = in.capacity(static_cast<VcId>(v));
+        const u32 cap = in.vcs[v].capacity();
         const double occ =
             cap == 0 ? 0.0
                      : static_cast<double>(stored) / static_cast<double>(cap);

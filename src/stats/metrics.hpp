@@ -198,8 +198,8 @@ class Telemetry {
   // The run totals are derived by summation in credit/alloc_stall_cycles()
   // instead of a shared counter, which would race.
   /// A routable head at (r, p, v) produced no grantable route this cycle
-  /// (minimal and every eligible non-minimal output busy or out of credits),
-  /// whether route() ran or the kernel skipped a scan no route could pass.
+  /// (minimal and every eligible non-minimal output busy or out of
+  /// credits): do_allocation notes one per failing route() call.
   OFAR_PARALLEL_PHASE void note_credit_stall(RouterId r, PortId p, VcId v) {
     ++vc_credit_stall_[vc_index(r, p, v)];
   }

@@ -171,7 +171,10 @@ void PacketTracer::export_journeys() const {
   doc += "\n],\"displayTimeUnit\":\"ms\",\"otherData\":" + other.str() +
          "}\n";
   std::FILE* f = std::fopen(cfg_.out_path.c_str(), "wb");
-  if (f == nullptr) return;
+  if (f == nullptr) {
+    std::fprintf(stderr, "error: cannot write %s\n", cfg_.out_path.c_str());
+    return;
+  }
   std::fwrite(doc.data(), 1, doc.size(), f);
   std::fclose(f);
 }

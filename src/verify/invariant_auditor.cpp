@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "sim/flat_state.hpp"
 #include "sim/network.hpp"
 #include "verify/wait_graph.hpp"
 
@@ -145,12 +144,13 @@ void InvariantAuditor::check_credit_conservation(AuditReport& rep) const {
     const OutputPort& out = net_.routers_[ch.src_router].outputs[ch.src_port];
     // Built source, unbuilt destination: phits may be on the wire but none
     // can be stored downstream yet (delivery builds the destination).
-    const bool dst_built = net_.router_built(ch.dst_router);
+    const InputPort* dst_in =
+        net_.router_built(ch.dst_router)
+            ? &net_.routers_[ch.dst_router].inputs[ch.dst_port]
+            : nullptr;
     for (std::size_t v = 0; v < out.credits.size(); ++v) {
       const u32 stored =
-          dst_built ? HeadView(net_.routers_[ch.dst_router].inputs[ch.dst_port])
-                          .stored_phits(static_cast<VcId>(v))
-                    : 0;
+          dst_in != nullptr ? dst_in->vcs[v].stored_phits() : 0;
       const u32 unsent =
           out.busy() && out.active_vc == v ? out.phits_left : 0;
       const u64 total = u64{out.credits[v]} + wire_phits[c][v] +
@@ -235,14 +235,14 @@ void InvariantAuditor::check_packet_conservation(AuditReport& rep) const {
   }
   for (const Router& r : net_.routers_) {
     for (PortId p = 0; p < r.inputs.size(); ++p) {
-      const HeadView in(r.inputs[p]);
-      for (VcId v = 0; v < in.num_vcs(); ++v)
-        for (u32 i = 0; i < in.num_packets(v); ++i)
-          if (!pool.is_live(in.entry(v, i).packet))
+      const InputPort& in = r.inputs[p];
+      for (u32 v = 0; v < in.vcs.size(); ++v)
+        for (u32 i = 0; i < in.vcs[v].num_packets(); ++i)
+          if (!pool.is_live(in.vcs[v].entry(i).packet))
             add(rep, Invariant::kPacketConservation,
                 format("r%u.p%uv%u queues packet %u, which is not live",
-                       r.id, static_cast<u32>(p), static_cast<u32>(v),
-                       in.entry(v, i).packet));
+                       r.id, static_cast<u32>(p), v,
+                       in.vcs[v].entry(i).packet));
     }
   }
 }
@@ -301,8 +301,8 @@ void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
       }
       if (!out.busy()) continue;
       const Packet& pkt = net_.pool_.get(out.active);
-      const HeadView in(r.inputs[out.src_port]);
-      if (in.empty(out.src_vc) || in.head(out.src_vc) != out.active) {
+      const VcFifo& src = r.inputs[out.src_port].vcs[out.src_vc];
+      if (src.empty() || src.head() != out.active) {
         add(rep, Invariant::kVctAtomicity,
             format("r%u.p%u: transfer source r%u.p%uv%u does not hold "
                    "packet %u at its head",
@@ -312,7 +312,7 @@ void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
         continue;
       }
       ++streams[first_vc[out.src_port] + out.src_vc];
-      const u64 sent = in.head_sent(out.src_vc);
+      const u64 sent = src.head_sent();
       if (out.active_vc >= out.credits.size() ||
           out.active_size != pkt.size || out.phits_left == 0 ||
           sent + out.phits_left != pkt.size ||
@@ -466,25 +466,25 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
     u32 heads = 0, packets = 0;
     u64 phits = 0;
     for (PortId p = 0; p < router.inputs.size(); ++p) {
-      const HeadView in(router.inputs[p]);
+      const InputPort& in = router.inputs[p];
       u32 non_empty = 0;
-      for (VcId v = 0; v < in.num_vcs(); ++v) {
-        heads += in.routable(v) ? 1 : 0;
-        non_empty |= in.empty(v) ? 0u : 1u << v;
-        packets += in.num_packets(v);
-        phits += in.stored_phits(v);
+      for (VcId v = 0; v < in.vcs.size(); ++v) {
+        const VcFifo& f = in.vcs[v];
+        heads += in.has_head(v) ? 1 : 0;
+        non_empty |= f.empty() ? 0u : 1u << v;
+        packets += f.num_packets();
+        phits += f.stored_phits();
         u64 held = 0;  // an entry that sent more than arrived: never equal
-        for (u32 i = 0; i < in.num_packets(v); ++i) {
-          const VcFifo::Entry& e = in.entry(v, i);
+        for (u32 i = 0; i < f.num_packets(); ++i) {
+          const VcFifo::Entry& e = f.entry(i);
           held += e.sent <= e.arrived ? e.arrived - e.sent : u64{1} << 32;
         }
-        if (held != in.stored_phits(v)) {
+        if (held != f.stored_phits()) {
           add(rep, Invariant::kWorklists,
               format("r%u.p%uv%u stores %u phits, but its entries hold "
                      "%llu arrived and unsent",
                      r, static_cast<u32>(p), static_cast<u32>(v),
-                     in.stored_phits(v),
-                     static_cast<unsigned long long>(held)));
+                     f.stored_phits(), static_cast<unsigned long long>(held)));
         }
       }
       if (router.input_mask[p] != non_empty) {
@@ -574,10 +574,10 @@ void InvariantAuditor::check_ring_bubble(AuditReport& rep) const {
       capacity += u64{net_.ring_in_num_vcs_[r]} * cap;
       continue;
     }
-    const HeadView in(net_.routers_[r].inputs[port]);
+    const InputPort& in = net_.routers_[r].inputs[port];
     for (u32 v = first; v < first + net_.ring_in_num_vcs_[r]; ++v) {
-      occupied += in.stored_phits(static_cast<VcId>(v));
-      capacity += in.capacity(static_cast<VcId>(v));
+      occupied += in.vcs[v].stored_phits();
+      capacity += in.vcs[v].capacity();
     }
   }
   for (const Network::ShardState& sh : net_.shards_) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "sim/flat_state.hpp"
 #include "sim/network.hpp"
 #include "verify/invariant_auditor.hpp"
 
@@ -19,12 +18,12 @@ std::vector<StallEdge> stalled_heads(const Network& net) {
     if (!net.router_built(r)) continue;  // untouched: no resident heads
     const Router& router = net.router(r);
     for (PortId p = 0; p < topo.ports_per_router(); ++p) {
-      const HeadView in(router.inputs[p]);
-      for (u32 v = 0; v < in.num_vcs(); ++v) {
-        if (in.empty(static_cast<VcId>(v))) continue;
+      const InputPort& in = router.inputs[p];
+      for (u32 v = 0; v < in.vcs.size(); ++v) {
+        if (in.vcs[v].empty()) continue;
         // Streaming heads are making progress, not stalled.
-        if (in.head_in_flight(static_cast<VcId>(v))) continue;
-        const PacketId id = in.head(static_cast<VcId>(v));
+        if (in.head_busy[v] != 0) continue;
+        const PacketId id = in.vcs[v].head();
         if (!pool.is_live(id) || !header_valid(net, pool.get(id))) continue;
         const Packet& pkt = pool.get(id);
         const u64 age = now - pkt.last_progress;
@@ -40,7 +39,7 @@ std::vector<StallEdge> stalled_heads(const Network& net) {
         e.dst_router = pkt.dst_router;
         e.age = age;
         e.in_ring = pkt.in_ring;
-        e.arrived_phits = in.head_arrived(static_cast<VcId>(v));
+        e.arrived_phits = in.vcs[v].head_arrived();
         // The structural wait port (see the header): topology only.
         if (pkt.in_ring && net.ring() != nullptr) {
           const Network::RingOut& ro = net.ring_out(r);

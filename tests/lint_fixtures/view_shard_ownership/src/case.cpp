@@ -1,5 +1,5 @@
-// Fixture: the flat-state view types (sim/flat_state.hpp CreditView /
-// HeadView pattern). A view memoizes per-cycle summaries in its own
+// Fixture: the flat-state view type (sim/flat_state.hpp CreditView
+// pattern). A view memoizes per-cycle summaries in its own
 // members while serving parallel-phase routing queries, which is only
 // shard-safe because each shard owns one view instance — the
 // OFAR_SHARD_LOCAL annotation is what the analyzer accepts as that

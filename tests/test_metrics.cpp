@@ -666,11 +666,11 @@ TEST(Telemetry, EnablingTelemetryPreservesDeterminism) {
   EXPECT_GT(off.delivered, 0u);
 }
 
-// Exact stall totals, pinned so that telemetry keeps counting what the
-// per-head route() calls would count even where the kernel skips a
-// blocked router's scan (OFAR at saturation, at one shard and at four on
-// one and on four threads). PAR is impure when blocked, so its scans are
-// never skipped.
+// Exact stall totals at saturation: every failing route() call notes one
+// credit stall and every lost request one allocation stall (OFAR at one
+// shard and at four on one and on four threads; PAR, whose failing calls
+// draw RNG, at one shard). A change to which heads the kernel routes, or
+// to where the stalls are noted, moves these totals.
 struct StallGolden {
   const char* name;
   RoutingKind routing;

@@ -253,11 +253,10 @@ TEST(NetworkOfar, TryInjectRespectsCapacity) {
   while (net.try_inject(0, 10) && accepted < 1000) ++accepted;
   EXPECT_EQ(accepted, cap);
   const Dragonfly& topo = net.topo();
-  const HeadView in(net.router(topo.router_of_node(0))
-                        .inputs[topo.node_port(topo.node_slot(0))]);
+  const InputPort& in = net.router(topo.router_of_node(0))
+                            .inputs[topo.node_port(topo.node_slot(0))];
   u32 free = 0;
-  for (VcId v = 0; v < in.num_vcs(); ++v)
-    free += in.capacity(v) - in.stored_phits(v);
+  for (const VcFifo& f : in.vcs) free += f.capacity() - f.stored_phits();
   EXPECT_EQ(free, cfg.vcs_injection * cfg.fifo_injection -
                       cap * cfg.packet_size);
 }

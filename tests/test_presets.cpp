@@ -5,8 +5,9 @@
 // which leaves an existing --metrics-out file as it was.
 // A refactor of the experiment layer must leave every pin unchanged. Also
 // the flags a run would read and then ignore (the shape flags of a `--spec`
-// run, fig6/fig7's steady windows), which are rejected, and
-// `--cache-dir ""`, which turns the result cache off.
+// run, fig6/fig7's steady windows), which are rejected, outputs that cannot
+// be written, which stop a run before it starts, and `--cache-dir ""`,
+// which turns the result cache off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,9 +190,13 @@ TEST(Presets, DefaultPointKeysArePinned) {
 }
 
 /// An existing --metrics-out file that a rejected command line must leave
-/// byte-identical: no output is opened before the flags are accepted.
+/// byte-identical: no output is opened before the flags are accepted. Each
+/// test gets its own file, since ctest runs tests in parallel processes.
 struct MetricsFile {
-  fs::path path = fs::path(::testing::TempDir()) / "ofar_presets_metrics";
+  fs::path path =
+      fs::path(::testing::TempDir()) /
+      (std::string("ofar_presets_metrics_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
   const std::string bytes = "kept\n";
   MetricsFile() { std::ofstream(path, std::ios::binary) << bytes; }
   ~MetricsFile() { fs::remove(path); }
@@ -215,11 +220,13 @@ TEST(Presets, EveryPresetRejectsAnUnknownFlag) {
 
 // A flag a run does not use is an unknown option, not a silent no-op: a
 // spec run takes h, seed and windows from its file, fig6 and fig7 run
-// their own protocol windows, and --no-cache is spelled --cache-dir "".
+// their own protocol windows, --no-cache is spelled --cache-dir "", and the
+// tracer writes no link series (--metrics-full has the per-link records).
 TEST(Presets, FlagsARunWouldIgnoreAreRejected) {
   const std::string smoke = std::string(OFAR_EXAMPLES_DIR) + "/smoke.json";
   const MetricsFile metrics;
-  for (const char* flag : {"h", "seed", "warmup", "measure", "no-cache"}) {
+  for (const char* flag :
+       {"h", "seed", "warmup", "measure", "no-cache", "trace-links"}) {
     SCOPED_TRACE(flag);
     std::string out, err;
     EXPECT_EQ(run_driver(smoke,
@@ -247,6 +254,40 @@ TEST(Presets, FlagsARunWouldIgnoreAreRejected) {
   std::string out, err;
   EXPECT_EQ(run_driver("fig3", {"--no-cache"}, &out, &err), 1);
   EXPECT_NE(err.find("unknown option --no-cache"), std::string::npos) << err;
+}
+
+// An output that cannot be written stops the run before its first cycle:
+// a --trace-out whose directory does not exist, or a --metrics-out that
+// cannot be opened, exits 1 naming the path, as an unknown flag does, for
+// a spec run and for a preset alike.
+TEST(Presets, UnwritableOutputsAreRejected) {
+  const fs::path missing =
+      fs::path(::testing::TempDir()) / "ofar_presets_missing";
+  fs::remove_all(missing);
+  const std::string path = (missing / "out.json").string();
+  const std::string trace_smoke =
+      std::string(OFAR_EXAMPLES_DIR) + "/trace_smoke.json";
+  const auto fig3 = std::find_if(
+      tiny_runs().begin(), tiny_runs().end(),
+      [](const TinyRun& r) { return std::string(r.preset) == "fig3"; });
+  ASSERT_NE(fig3, tiny_runs().end());
+  for (const char* flag : {"--trace-out", "--metrics-out"}) {
+    const std::vector<std::string> bad = {"--cache-dir", "", "--csv-dir", "",
+                                          flag, path};
+    std::vector<std::string> preset_flags = fig3->flags;
+    preset_flags.insert(preset_flags.end(), bad.begin(), bad.end());
+    for (const bool spec : {true, false}) {
+      SCOPED_TRACE(std::string(flag) + (spec ? " on a spec" : " on fig3"));
+      std::string out, err;
+      EXPECT_EQ(spec ? run_driver(trace_smoke, bad, &out, &err, /*spec=*/true)
+                     : run_driver("fig3", preset_flags, &out, &err),
+                1);
+      EXPECT_NE(err.find("error: cannot write " + path), std::string::npos)
+          << err;
+      EXPECT_EQ(out.find("summary:"), std::string::npos) << out;
+    }
+  }
+  EXPECT_FALSE(fs::exists(missing));
 }
 
 // --cache-dir "" runs without a cache: beside a warm .ofar-cache (the

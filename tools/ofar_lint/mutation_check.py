@@ -4,7 +4,7 @@ Seeds known phase-discipline and determinism violations into a scratch
 copy of the real source tree — one at a time — and asserts that the
 analyzer flags each mutant with the expected rule in the expected file,
 and that the clean tree stays clean. This is the evidence that a green
-`ofar-lint` run means something: every rule is backed by a mutant it
+`ofar_lint` run means something: every rule is backed by a mutant it
 demonstrably kills (the check fails if a rule has none).
 
 Run:  python3 -m ofar_lint.mutation_check [--root REPO]
