@@ -10,7 +10,7 @@
 //                   presets; fig6 and fig7 run their own protocol windows)
 //   --measure C     measurement window width (steady presets)
 // and, like every `--spec` run, the execution flags:
-//   --csv-dir D     directory for CSV dumps ("" disables)
+//   --csv-dir D     existing directory for CSV dumps ("" disables)
 //   --threads T     total thread budget (0 = hardware concurrency)
 //   --sim-threads N worker threads inside each simulation (sharded cycle
 //                   kernel; 0 = auto split of the --threads budget).

@@ -757,21 +757,25 @@ const Preset* find_preset(const std::string& name) {
 }
 
 int run_units(const PresetRun& run) {
-  // An output that cannot be written stops the run before its first cycle.
+  // An output that cannot be written stops the run before its banner.
   // Per-point trace files are named in --trace-out's directory, so checking
-  // that directory covers them too.
+  // that directory covers them too; CSV tables go into --csv-dir ("" writes
+  // none).
   const auto cannot_write = [](const std::string& path) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     return 1;
   };
+  std::error_code ec;
   const std::string& trace_out = run.opts.orch.instrumentation.trace_out;
   if (!trace_out.empty()) {
     const std::filesystem::path dir =
         std::filesystem::path(trace_out).parent_path();
-    std::error_code ec;
     if (!std::filesystem::is_directory(dir.empty() ? "." : dir, ec))
       return cannot_write(trace_out);
   }
+  const std::string& csv_dir = run.opts.csv_dir;
+  if (!csv_dir.empty() && !std::filesystem::is_directory(csv_dir, ec))
+    return cannot_write(csv_dir);
   // One sink for every simulation of the run (thread-safe: parallel points
   // interleave whole records, each labelled "<case>|<mechanism>").
   std::unique_ptr<MetricsSink> metrics;

@@ -11,9 +11,11 @@
 // compiler without the attribute), so codegen, layout and golden digests
 // are unaffected everywhere. tools/ofar_lint consumes them semantically:
 // it walks the call graph from every OFAR_PARALLEL_PHASE root and rejects
-// reachable writes to OFAR_SERIAL_ONLY state, calls into OFAR_SERIAL_ONLY
-// functions, RNG draws that bypass an OFAR_LANE_RNG lane, unordered
-// iteration and wall-clock reads (see tools/ofar_lint/rules.py).
+// reachable calls into OFAR_SERIAL_ONLY functions and callbacks (tracer_
+// included), writes to OFAR_SERIAL_ONLY or unannotated state, and RNG
+// draws that bypass an OFAR_LANE_RNG lane; over every file it bans
+// unordered containers, wall-clock reads and the other determinism
+// hazards (see tools/ofar_lint/rules.py).
 //
 // Vocabulary:
 //

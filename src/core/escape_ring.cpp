@@ -6,7 +6,7 @@ namespace ofar {
 
 RouteChoice EscapeRingControl::ring_step(const RouteContext& ctx,
                                          u32 need) const {
-  const Network::RingOut& ro = ctx.net.ring_out(ctx.at);
+  const Network::RingOut ro = ctx.net.ring_out(ctx.at);
   const OutputPort& out = ctx.view.router().outputs[ro.port];
   if (!out.wired() || out.busy()) return RouteChoice::none();
   VcId vc;

@@ -83,7 +83,7 @@ void OfarPolicy::collect_global(const Network& net, CreditView& view,
 }
 
 RouteChoice OfarPolicy::route(RouteContext& ctx) {
-  Network& net = ctx.net;
+  const Network& net = ctx.net;
   Packet& pkt = ctx.pkt;
   CreditView& view = ctx.view;
   const RouterId at = ctx.at;

@@ -34,7 +34,7 @@ void ParPolicy::on_inject(Network&, Packet& pkt, RouterId) {
 }
 
 RouteChoice ParPolicy::route(RouteContext& ctx) {
-  Network& net = ctx.net;
+  const Network& net = ctx.net;
   Packet& pkt = ctx.pkt;
   const RouterId at = ctx.at;
   const Dragonfly& topo = net.topo();

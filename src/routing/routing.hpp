@@ -99,7 +99,7 @@ struct RouteChoice {
 /// runs, so policies query credits/occupancy through it (same values as
 /// the Network::base_* queries, computed once per router per cycle).
 struct RouteContext {
-  Network& net;
+  const Network& net;  ///< read-only: route() cannot change the network
   CreditView& view;  ///< memoized per-(router, cycle) credit snapshot
   RouterId at;
   PortId in_port;

@@ -24,8 +24,8 @@ struct UgalPaths {
 
 /// Evaluates the minimal path and one random Valiant candidate for a packet
 /// at router `at` != pkt.dst_router.
-UgalPaths evaluate_ugal_paths(Network& net, const Packet& pkt, RouterId at,
-                              Rng& rng) {
+UgalPaths evaluate_ugal_paths(const Network& net, const Packet& pkt,
+                              RouterId at, Rng& rng) {
   const Dragonfly& topo = net.topo();
   const Router& r = net.router(at);
   UgalPaths out;
@@ -56,8 +56,9 @@ UgalPaths evaluate_ugal_paths(Network& net, const Packet& pkt, RouterId at,
 
 }  // namespace
 
-Intermediate ugal_intermediate(Network& net, const Packet& pkt, RouterId at,
-                               Rng& rng, i32 bias, bool minimal_vetoed) {
+Intermediate ugal_intermediate(const Network& net, const Packet& pkt,
+                               RouterId at, Rng& rng, i32 bias,
+                               bool minimal_vetoed) {
   if (at == pkt.dst_router) return {};
   const UgalPaths p = evaluate_ugal_paths(net, pkt, at, rng);
   const bool minimal =

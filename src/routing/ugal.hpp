@@ -23,7 +23,7 @@ namespace ofar {
 /// Parallel-legal: draws only from the caller-supplied stream — serial
 /// callers (UGAL/PB on_inject) pass the sequential rng_, PAR's route()
 /// passes route_rng(lane).
-OFAR_PARALLEL_PHASE Intermediate ugal_intermediate(Network& net,
+OFAR_PARALLEL_PHASE Intermediate ugal_intermediate(const Network& net,
                                                    const Packet& pkt,
                                                    RouterId at, Rng& rng,
                                                    i32 bias,

@@ -141,42 +141,21 @@ void Network::set_sim_threads(unsigned threads) {
 void Network::build_ring() {
   ring_ = std::make_unique<HamiltonianRing>(topo_, cfg_.ring_stride);
   const u32 n = topo_.routers();
-  ring_out_.resize(n);
-  ring_in_port_.assign(n, kInvalidPort);
-  ring_in_first_vc_.assign(n, 0);
-  ring_in_num_vcs_.assign(n, 0);
+  if (cfg_.ring == RingKind::kPhysical) {
+    ring_in_port_.assign(n, topo_.ring_port());
+    return;
+  }
+  ring_in_port_.resize(n);
+  // The embedded ring enters r through the input paired with its
+  // predecessor's outgoing step: a global port when that step crosses
+  // groups, a local one otherwise.
   for (RouterId r = 0; r < n; ++r) {
-    RingOut& out = ring_out_[r];
-    if (cfg_.ring == RingKind::kPhysical) {
-      out.port = topo_.ring_port();
-      out.first_vc = 0;
-      out.num_vcs = cfg_.vcs_local;
-      ring_in_port_[r] = topo_.ring_port();
-      ring_in_first_vc_[r] = 0;
-      ring_in_num_vcs_[r] = cfg_.vcs_local;
-    } else {
-      out.port = ring_->embedded_out_port(r);
-      out.first_vc = ring_->step_crosses_group(r) ? cfg_.vcs_global
-                                                  : cfg_.vcs_local;
-      out.num_vcs = 1;
-      // The input side on the *successor* is that port's paired input; it
-      // is derived here from the predecessor's outgoing step.
-      const RouterId pred = ring_->predecessor(r);
-      const PortId pred_out = ring_->embedded_out_port(pred);
-      if (ring_->step_crosses_group(pred)) {
-        ring_in_port_[r] = topo_.global_peer(pred, pred_out).port;
-      } else {
-        ring_in_port_[r] =
-            topo_.local_port(topo_.local_of(r), topo_.local_of(pred));
-      }
-      // The embedded ring VC rides on top of the receiving port's base VC
-      // range, whose size is that port's class count (global when the
-      // predecessor's step crosses groups, local otherwise).
-      ring_in_first_vc_[r] = ring_->step_crosses_group(pred)
-                                 ? cfg_.vcs_global
-                                 : cfg_.vcs_local;
-      ring_in_num_vcs_[r] = 1;
-    }
+    const RouterId pred = ring_->predecessor(r);
+    const PortId pred_out = ring_->embedded_out_port(pred);
+    ring_in_port_[r] =
+        ring_->step_crosses_group(pred)
+            ? topo_.global_peer(pred, pred_out).port
+            : topo_.local_port(topo_.local_of(r), topo_.local_of(pred));
   }
 }
 
@@ -378,10 +357,9 @@ u32 Network::base_vcs(PortId port) const {
 }
 
 bool Network::is_ring_input(RouterId r, PortId port, VcId vc) const {
-  if (ring_ == nullptr) return false;
-  if (port != ring_in_port_[r]) return false;
-  return vc >= ring_in_first_vc_[r] &&
-         vc < ring_in_first_vc_[r] + ring_in_num_vcs_[r];
+  if (ring_ == nullptr || port != ring_in_port_[r]) return false;
+  const RingOut in = ring_vcs(port);
+  return vc >= in.first_vc && vc < in.first_vc + in.num_vcs;
 }
 
 double Network::base_occupancy(const Router& r, PortId port) const {
@@ -465,7 +443,7 @@ void Network::place_packet(NodeId src, const Offer& offer) {
     ev.src = src;
     ev.dst = offer.dst;
     ev.seq = pkt.seq;
-    tracer_(ev);  // serial injection phase  // lint: allow(trace-emit)
+    tracer_(ev);  // serial injection phase
   }
 }
 
@@ -489,7 +467,7 @@ void Network::deliver_packet(const Delivery& d) {
     ev.seq = pkt.seq;
     // Serial phase: commit_shard_deliveries runs deliveries in
     // shard-ascending order.
-    tracer_(ev);  // lint: allow(trace-emit)
+    tracer_(ev);
   }
   pool_.destroy(d.id);
 }
@@ -926,9 +904,9 @@ bool Network::shard_work_due(u32 slot) const {
 void Network::commit_shard_staging() {
   for (ShardState& sh : shards_) {
     if (tracer_) {
-      // Shard-ascending flush of per-shard staging: THE reviewed commit
-      // path for grant-phase trace events (trace-emit lint rule).
-      for (const TraceEvent& ev : sh.traces) tracer_(ev);  // lint: allow(trace-emit)
+      // Shard-ascending flush of per-shard staging: the one emission
+      // path for grant-phase trace events.
+      for (const TraceEvent& ev : sh.traces) tracer_(ev);
     }
     sh.traces.clear();
     stats_.on_ring_enters(sh.ring_first_entries, sh.ring_reentries);

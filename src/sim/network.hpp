@@ -224,16 +224,24 @@ class Network {
   /// Base VCs a non-escape packet may use on output port `port`: VCs 0
   /// to base_vcs(port) - 1, the same at every router.
   u32 base_vcs(PortId port) const;
-  /// Escape-ring VC range on the ring output of router r; count == 0 when
-  /// `port` is not the ring output.
+  /// Escape-ring VCs of a ring port: they sit above the port's base VCs,
+  /// vcs_local of them on the physical ring and one on the embedded ring.
   struct RingOut {
     PortId port = kInvalidPort;
     u32 first_vc = 0;
     u32 num_vcs = 0;
   };
-  const RingOut& ring_out(RouterId r) const {
+  /// The ring port router r sends on, and its escape VCs.
+  RingOut ring_out(RouterId r) const {
     OFAR_DCHECK(ring_ != nullptr);
-    return ring_out_[r];
+    return ring_vcs(cfg_.ring == RingKind::kPhysical
+                        ? topo_.ring_port()
+                        : ring_->embedded_out_port(r));
+  }
+  /// The ring port router r receives on, and its escape VCs.
+  RingOut ring_in(RouterId r) const {
+    OFAR_DCHECK(ring_ != nullptr);
+    return ring_vcs(ring_in_port_[r]);
   }
   /// True when (port, vc) of router r's *input* side belongs to the ring.
   bool is_ring_input(RouterId r, PortId port, VcId vc) const;
@@ -426,6 +434,10 @@ class Network {
   };
 
   void build_ring();
+  RingOut ring_vcs(PortId port) const {
+    return {port, base_vcs(port),
+            cfg_.ring == RingKind::kPhysical ? cfg_.vcs_local : 1u};
+  }
 
   /// Binds router r's FIFO/credit/arbiter state onto its shard arena and
   /// wires its ports (channel ids, cached latencies, credit caps sized from
@@ -501,10 +513,9 @@ class Network {
   /// Per-router lazy-build flags; a router is only ever built by its owning
   /// shard (or serially), so the flags are shard-local state.
   OFAR_SHARD_LOCAL std::vector<u8> built_;
-  std::vector<RingOut> ring_out_;          // per router
-  std::vector<PortId> ring_in_port_;       // per router (embedded/physical)
-  std::vector<u32> ring_in_first_vc_;      // per router
-  std::vector<u32> ring_in_num_vcs_;       // per router
+  /// Per router: the port that receives the ring. Stored, not derived,
+  /// because OFAR's route() asks is_ring_input for every head.
+  std::vector<PortId> ring_in_port_;
   OFAR_SHARD_LOCAL PacketPool pool_;
   OFAR_SERIAL_ONLY Stats stats_;  ///< parallel phases stage in ShardState
   std::unique_ptr<RoutingPolicy> policy_;

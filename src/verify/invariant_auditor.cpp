@@ -563,19 +563,17 @@ void InvariantAuditor::check_ring_bubble(AuditReport& rep) const {
   const u32 packet_size = net_.cfg_.packet_size;
   u64 occupied = 0, capacity = 0;
   for (RouterId r = 0; r < net_.routers_.size(); ++r) {
-    const PortId port = net_.ring_in_port_[r];
-    if (port == kInvalidPort) continue;
-    const u32 first = net_.ring_in_first_vc_[r];
+    const Network::RingOut ring = net_.ring_in(r);
     if (!net_.router_built(r)) {
       // Untouched router: its ring VCs are empty but their capacity still
       // backs the bubble invariant, so count it from the arithmetic shape.
       u32 vcs = 0, cap = 0;
-      net_.input_shape(r, port, vcs, cap);
-      capacity += u64{net_.ring_in_num_vcs_[r]} * cap;
+      net_.input_shape(r, ring.port, vcs, cap);
+      capacity += u64{ring.num_vcs} * cap;
       continue;
     }
-    const InputPort& in = net_.routers_[r].inputs[port];
-    for (u32 v = first; v < first + net_.ring_in_num_vcs_[r]; ++v) {
+    const InputPort& in = net_.routers_[r].inputs[ring.port];
+    for (u32 v = ring.first_vc; v < ring.first_vc + ring.num_vcs; ++v) {
       occupied += in.vcs[v].stored_phits();
       capacity += in.vcs[v].capacity();
     }

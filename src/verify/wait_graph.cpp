@@ -42,7 +42,7 @@ std::vector<StallEdge> stalled_heads(const Network& net) {
         e.arrived_phits = in.vcs[v].head_arrived();
         // The structural wait port (see the header): topology only.
         if (pkt.in_ring && net.ring() != nullptr) {
-          const Network::RingOut& ro = net.ring_out(r);
+          const Network::RingOut ro = net.ring_out(r);
           e.wait_port = ro.port;
           e.wait_first_vc = ro.first_vc;
           e.wait_vcs = ro.num_vcs;

@@ -1,19 +1,16 @@
 """Command-line driver for ofar_lint.
 
-Exit status 0 when no findings (or --list-only modes), 1 when findings
-remain, 2 on usage/environment errors.
+Exit status 0 when no findings, 1 when findings remain, 2 when the
+repository root or its sources cannot be found.
 """
 
 import argparse
 import os
 import sys
 
-from . import __version__
 from .frontend_builtin import load_program
-from .model import Finding  # noqa: F401  (re-export for embedders)
-from .rules import RULES, analyze
+from .rules import analyze
 
-DEFAULT_DIRS = ("src",)
 SOURCE_EXTS = (".hpp", ".cpp", ".h", ".cc")
 
 
@@ -29,15 +26,13 @@ def _find_root(start):
         d = parent
 
 
-def collect_files(root, dirs=DEFAULT_DIRS):
+def collect_files(root):
+    """Repo-relative paths of every C++ source under root/src, sorted."""
     out = []
-    for rel in dirs:
-        base = os.path.join(root, rel)
-        for dirpath, _dirnames, filenames in os.walk(base):
-            for fn in sorted(filenames):
-                if fn.endswith(SOURCE_EXTS):
-                    out.append(os.path.relpath(
-                        os.path.join(dirpath, fn), root))
+    for dirpath, _dirnames, filenames in os.walk(os.path.join(root, "src")):
+        for fn in filenames:
+            if fn.endswith(SOURCE_EXTS):
+                out.append(os.path.relpath(os.path.join(dirpath, fn), root))
     out.sort()
     return out
 
@@ -50,19 +45,6 @@ def main(argv=None):
     ap.add_argument("--root", default=None,
                     help="repository root (default: auto-detect upward "
                          "from cwd)")
-    ap.add_argument("--rule", action="append", choices=RULES,
-                    help="restrict to the given rule(s); repeatable")
-    ap.add_argument("--list-waivers", action="store_true",
-                    help="print every `// lint: allow(...)` site with its "
-                         "rule and exit 0")
-    ap.add_argument("--stale-waivers", action="store_true",
-                    help="print waivers for analyzer rules that suppress "
-                         "no finding; exit 1 if any")
-    ap.add_argument("--version", action="version",
-                    version=f"ofar_lint {__version__}")
-    ap.add_argument("files", nargs="*",
-                    help="restrict analysis paths (repo-relative); the "
-                         "whole-program model still loads src/")
     args = ap.parse_args(argv)
 
     root = args.root or _find_root(os.getcwd())
@@ -77,46 +59,7 @@ def main(argv=None):
         return 2
 
     program = load_program(root, files)
-
-    if args.list_waivers:
-        for (path, line), rule_set in sorted(program.waivers.items()):
-            for rule in sorted(rule_set):
-                print(f"{path}:{line}: allow({rule})")
-        return 0
-
     findings = analyze(program)
-    if args.rule:
-        findings = [f for f in findings if f.rule in args.rule]
-    if args.files:
-        wanted = set(args.files)
-        findings = [f for f in findings if f.file in wanted]
-
-    if args.stale_waivers:
-        # A waiver is stale when its rule is one this analyzer implements
-        # and removing it would still yield no finding at that site. The
-        # analyzer already suppressed matching findings, so recompute
-        # without suppression.
-        from .rules import Analyzer
-        bare = Analyzer(program)
-        saved = program.waivers
-        program.waivers = {}
-        try:
-            raw = bare.run()
-        finally:
-            program.waivers = saved
-        hit = {(f.file, f.line, f.rule) for f in raw}
-        stale = []
-        for (path, line), rule_set in sorted(saved.items()):
-            for rule in sorted(rule_set):
-                if rule in RULES and (path, line, rule) not in hit:
-                    stale.append(f"{path}:{line}: allow({rule}) "
-                                 "suppresses nothing")
-        for s in stale:
-            print(s)
-        if not stale:
-            print("no stale waivers")
-        return 1 if stale else 0
-
     for f in findings:
         print(f.format())
     if findings:

@@ -4,7 +4,7 @@ A pragmatic recursive-descent pass over the token stream (lexer.py) that
 recovers exactly the structure rules.py needs — it is NOT a C++ parser:
 
   * namespaces / class definitions (bases, member + method annotations);
-  * typedef / using aliases (for unordered-container and clock resolution
+  * typedef / using aliases (for receiver-type and clock resolution
     through names);
   * function definitions with tokenized bodies, parameter names/types and
     best-effort local variable types;
@@ -386,7 +386,6 @@ class _FileParser:
             name = part[k]
             if name in _KEYWORDS:
                 continue
-            fn.params.append(name)
             fn.param_types[name] = " ".join(part[:k])
 
     # -- statements at namespace scope -----------------------------------
@@ -508,7 +507,6 @@ def load_program(root, files):
                 text = f.read()
         except OSError:
             continue
-        lexer.collect_waivers(text, rel, program.waivers)
         toks = lexer.strip_and_tokenize(text)
         program.files[rel] = [Token(text=t, line=ln) for t, ln in toks]
         _FileParser(program, rel).parse(toks)

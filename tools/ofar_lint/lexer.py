@@ -2,14 +2,11 @@
 
 Produces identifier/number/punctuation tokens with source lines attached,
 with comments and string/char literals stripped (string literals become a
-single `""` token so grammar shapes survive). Preprocessor directives are
-dropped except that `#if 0` blocks are skipped entirely. Waiver comments
-(`// lint: allow(rule)`) are collected per line before stripping.
+single `""` token so grammar shapes survive). Preprocessor directive
+lines are dropped.
 """
 
 import re
-
-WAIVER_RE = re.compile(r"//\s*lint:\s*allow\((?P<rule>[\w-]+)\)")
 
 # Multi-char operators, longest first, so `->` never splits into `-` `>`.
 _PUNCT = [
@@ -22,13 +19,6 @@ _TOKEN_RE = re.compile(
     "|".join(re.escape(p) for p in _PUNCT)
     + r"|[A-Za-z_][A-Za-z0-9_]*|[0-9][0-9a-fA-FxX'.uUlLfF]*|\S"
 )
-
-
-def collect_waivers(text, path, waivers):
-    """Records `// lint: allow(rule)` sites into waivers[(path, line)]."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for m in WAIVER_RE.finditer(line):
-            waivers.setdefault((path, lineno), set()).add(m.group("rule"))
 
 
 def strip_and_tokenize(text):

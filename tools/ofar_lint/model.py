@@ -6,7 +6,7 @@ The frontend reduces the C++ sources to:
     annotation);
   * functions: qualified name -> [FunctionDef] (annotations + the token
     stream of the body);
-  * aliases: typedef/using chains, for unordered-container and clock
+  * aliases: typedef/using chains, for receiver-type and clock
     resolution through names;
   * files: path -> the whole token stream, for the bans that apply to
     every declaration and statement alike.
@@ -63,8 +63,7 @@ class FunctionDef:
     annotation: str = ""           # phase annotation from decl or definition
     file: str = ""
     line: int = 0
-    params: list = field(default_factory=list)        # parameter names
-    param_types: dict = field(default_factory=dict)   # name -> type text
+    param_types: dict = field(default_factory=dict)   # parameter name -> type
     body: list = field(default_factory=list)          # [Token]
     # local variable name -> declared type text (best effort)
     local_types: dict = field(default_factory=dict)
@@ -77,14 +76,8 @@ class Program:
     aliases: dict = field(default_factory=dict)    # alias name -> target text
     # free function name -> annotation, from annotated declarations
     free_fn_annotations: dict = field(default_factory=dict)
-    # (file, line) -> set of waived rule names, from `// lint: allow(rule)`
-    waivers: dict = field(default_factory=dict)
     # path -> [Token] of the whole file (comments and literals stripped)
     files: dict = field(default_factory=dict)
-
-    def class_annotation(self, cls_name):
-        ci = self.classes.get(cls_name)
-        return ci.annotation if ci else ""
 
     def resolve_alias(self, type_text, _depth=0):
         """Follows typedef/using chains; returns the fully expanded text."""
@@ -96,26 +89,6 @@ class Program:
         if target is None or target == type_text:
             return type_text
         return self.resolve_alias(target, _depth + 1)
-
-    def member_annotation(self, cls_name, member):
-        """Annotation of `member` of `cls_name`, searching base classes.
-        Falls back to the class-level annotation when the member is
-        unannotated but the class carries one."""
-        seen = set()
-        stack = [cls_name]
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            ci = self.classes.get(c)
-            if ci is None:
-                continue
-            if member in ci.members:
-                return ci.members[member] or ci.annotation
-            stack.extend(ci.bases)
-        ci = self.classes.get(cls_name)
-        return ci.annotation if ci else ""
 
     def method_annotation(self, cls_name, method):
         """Effective annotation of `method` of `cls_name`: its own in-class

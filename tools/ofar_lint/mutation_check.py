@@ -66,14 +66,14 @@ MUTATIONS = [
         "file": "src/sim/network.cpp",
     },
     {
-        "name": "unstaged-trace-emit",
-        "why": "parallel phase fires the trace callback directly, "
-               "bypassing ShardState::traces staging",
+        "name": "serial-call-trace-callback",
+        "why": "parallel phase fires the serial-only trace callback "
+               "directly, bypassing ShardState::traces staging",
         "edits": [("src/sim/network.cpp",
                    "++channel_phits_[out.channel];",
                    "++channel_phits_[out.channel];\n      "
                    "if (tracer_) tracer_(TraceEvent{});")],
-        "rule": "unstaged-trace",
+        "rule": "serial-call",
         "file": "src/sim/network.cpp",
     },
     {
@@ -156,9 +156,9 @@ MUTATIONS = [
         "file": "src/sim/network.cpp",
     },
     {
-        "name": "unordered-iter-aliased",
-        "why": "iteration order of a std::unordered_map hidden behind a "
-               "typedef (a text match on the loop cannot see this)",
+        "name": "unordered-container-aliased",
+        "why": "a std::unordered_map hidden behind a using-alias and "
+               "iterated through it: the alias's own line spells the type",
         "edits": [("src/sim/network.cpp",
                    "namespace ofar {",
                    "namespace ofar {\n"
@@ -170,7 +170,7 @@ MUTATIONS = [
                    "u32 slot) {\n"
                    "  PendingMap pm;\n"
                    "  for (const auto& kv : pm) { (void)kv; }")],
-        "rule": "unordered-iter",
+        "rule": "unordered-container",
         "file": "src/sim/network.cpp",
     },
     {
@@ -234,17 +234,6 @@ MUTATIONS = [
                    "  run_parallel(jobs, outer);")],
         "rule": "raw-thread",
         "file": "src/core/orchestrator.cpp",
-    },
-    {
-        "name": "trace-emit-unreviewed",
-        "why": "serial injection phase fires the trace callback at a site "
-               "no one reviewed for commit order",
-        "edits": [("src/sim/network.cpp",
-                   "void Network::do_injection() {",
-                   "void Network::do_injection() {\n"
-                   "  if (tracer_) tracer_(TraceEvent{});")],
-        "rule": "trace-emit",
-        "file": "src/sim/network.cpp",
     },
 ]
 

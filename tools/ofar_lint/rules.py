@@ -7,19 +7,14 @@ unannotated functions. On that parallel-reachable region the analyzer
 enforces:
 
   serial-call        call into an OFAR_SERIAL_ONLY function (or a method
-                     of a serial-only class, e.g. Stats::on_delivered)
-  unstaged-trace     invoking the tracer_ callback (or any serial-only
-                     std::function member) instead of staging the event
+                     of a serial-only class, e.g. Stats::on_delivered), or
+                     invocation of a serial-only callback member such as
+                     tracer_: parallel code stages the event instead
   serial-write       write to an OFAR_SERIAL_ONLY data member
   cross-shard-write  write to a member with no shard-ownership annotation
                      from parallel-phase code
   off-lane-rng       RNG draw whose stream is not a bound lane (not a
                      parameter, not OFAR_LANE_RNG state/accessor)
-
-Checked in every function body, resolving typedef / using chains:
-
-  unordered-iter     range-for over a type that expands to a std::
-                     unordered_* container
 
 Checked over every token of every file (declarations, initializers and
 bodies alike), because each construct breaks "results are a pure function
@@ -32,16 +27,16 @@ of (config, seed)" wherever it appears:
   wall-clock           real-time clock read (std::chrono clocks, aliased
                        ones included, calls of time() and clock(),
                        gettimeofday, clock_gettime) outside src/stats/
-  unordered-container  any std::unordered_* container: its iteration order
-                       varies across libstdc++ versions and runs
+  unordered-container  any std::unordered_* container, flagged where it is
+                       spelled (an alias at its `using` line): its
+                       iteration order varies across libstdc++ versions
+                       and runs
   raw-thread           std::thread / std::jthread / std::async outside
                        src/common/parallel, whose phase barriers are what
                        make shard-ordered commits possible
-  trace-emit           any `tracer_(` call: trace events must be staged
-                       per shard and flushed in shard order; reviewed
-                       serial-phase sites carry a waiver
 
-A finding on a line carrying `// lint: allow(<rule>)` is suppressed.
+Serial code may call serial-only functions and callbacks directly: it
+runs on one thread in code order.
 """
 
 import re
@@ -86,10 +81,9 @@ EXEMPT = {
     "raw-thread": ("src/common/parallel",),
 }
 
-RULES = ("serial-call", "unstaged-trace", "serial-write",
-         "cross-shard-write", "off-lane-rng", "unordered-iter",
-         "wall-clock", "libc-rng", "random-device", "unordered-container",
-         "raw-thread", "trace-emit")
+RULES = ("serial-call", "serial-write", "cross-shard-write",
+         "off-lane-rng", "wall-clock", "libc-rng", "random-device",
+         "unordered-container", "raw-thread")
 
 _WRAPPERS = ("unique_ptr", "shared_ptr", "vector", "deque", "array",
              "optional", "span")
@@ -128,9 +122,6 @@ class Analyzer:
         visited = set()
         for fn in sorted(roots, key=lambda f: (f.file, f.line)):
             self._walk(fn, chain=fn.qualname, visited=visited)
-        for defs in self.p.functions.values():
-            for fn in defs:
-                self._check_everywhere(fn)
         for path, toks in sorted(self.p.files.items()):
             self._check_file(path, toks)
         self.findings.sort(key=lambda f: (f.file, f.line, f.rule))
@@ -275,8 +266,6 @@ class Analyzer:
     # -- parallel-region checks ------------------------------------------
 
     def _emit(self, rule, file, line, message, chain=""):
-        if rule in self.p.waivers.get((file, line), set()):
-            return
         key = (rule, file, line)
         if key in self._reported:
             return
@@ -357,10 +346,10 @@ class Analyzer:
                 if "function" in mtype:
                     if ann == SERIAL_ONLY:
                         self._emit(
-                            "unstaged-trace", fn.file, base_line,
-                            f"`{base}` (serial-only trace callback) "
-                            "invoked from a parallel phase; stage the "
-                            "event in ShardState::traces and let "
+                            "serial-call", fn.file, base_line,
+                            f"serial-only callback `{base}` invoked from "
+                            "parallel-phase code; stage the event in "
+                            "ShardState::traces and let "
                             "commit_shard_staging flush it in shard "
                             "order", chain)
                     continue
@@ -479,65 +468,6 @@ class Analyzer:
             stack.extend(ci.bases)
         return ""
 
-    # -- whole-program checks (aliases make these semantic) ---------------
-
-    def _check_everywhere(self, fn):
-        body = fn.body
-        texts = [t.text for t in body]
-        n = len(body)
-        for i, tok in enumerate(body):
-            t = tok.text
-            # unordered-iter: range-for over an (aliased) unordered type.
-            if t == "for" and i + 1 < n and texts[i + 1] == "(":
-                close = self._match_from(texts, i + 1, "(", ")")
-                group = texts[i + 2:close]
-                if ":" in group:
-                    c = group.index(":")
-                    if "::" not in group[max(0, c - 1):c + 1]:
-                        expr = group[c + 1:]
-                        if self._is_unordered_expr(fn, expr):
-                            self._emit(
-                                "unordered-iter", fn.file, tok.line,
-                                "range-for over a std::unordered_* "
-                                "container (resolved through its "
-                                "typedef/alias); iteration order varies "
-                                "across libstdc++ versions and ASLR "
-                                "runs — iterate a dense-id vector or "
-                                "sort first")
-
-    def _match_from(self, texts, open_index, op, cl):
-        depth = 0
-        for i in range(open_index, len(texts)):
-            if texts[i] == op:
-                depth += 1
-            elif texts[i] == cl:
-                depth -= 1
-                if depth == 0:
-                    return i
-        return len(texts)
-
-    def _is_unordered_expr(self, fn, expr):
-        """True when the range expression's type resolves to unordered."""
-        if not expr:
-            return False
-        # Direct spelling or alias used as a temporary.
-        joined = " ".join(expr)
-        if _UNORDERED_RE.search(joined):
-            return True
-        base = expr[0]
-        if not (base and (base[0].isalpha() or base[0] == "_")):
-            return False
-        t = fn.local_types.get(base) or fn.param_types.get(base)
-        if t is None and fn.cls:
-            t = self._member_type(fn.cls, base)
-        if t is None:
-            t = self.p.aliases.get(base)
-        if t is None:
-            return False
-        resolved = self.p.resolve_alias(t)
-        return bool(_UNORDERED_RE.search(resolved))
-
-
     # -- file-wide determinism bans ---------------------------------------
 
     def _check_file(self, path, toks):
@@ -585,16 +515,6 @@ class Analyzer:
                      "parallelism must go through common/parallel "
                      "(ShardPool / run_parallel), whose phase barriers are "
                      "what make shard-ordered commits possible")
-            elif t == "tracer_" and nxt == "(" and (
-                    prev not in (".", "->")
-                    or (prev == "->" and i >= 2 and texts[i - 2] == "this")):
-                emit("trace-emit", tok.line,
-                     "direct TraceEvent emission: trace events must be "
-                     "staged in ShardState::traces and flushed by "
-                     "commit_shard_staging in shard order, or the trace "
-                     "stream stops being bit-identical across sim_threads "
-                     "(DESIGN.md §11); reviewed serial-phase sites carry "
-                     "`// lint: allow(trace-emit)`")
             elif self._is_clock_read(texts, i, not_libc):
                 emit("wall-clock", tok.line,
                      f"wall-clock read (`{t}` resolves to a real-time "
