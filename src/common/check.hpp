@@ -34,9 +34,18 @@ namespace ofar::detail {
   } while (false)
 
 #ifndef NDEBUG
+namespace ofar {
+/// True in checked builds: code that exists only to cross-check the
+/// kernel runs under `if constexpr (kDchecksOn)`, so it still compiles in
+/// NDEBUG builds.
+inline constexpr bool kDchecksOn = true;
+}  // namespace ofar
 #define OFAR_DCHECK(cond) OFAR_CHECK(cond)
 #define OFAR_DCHECK_MSG(cond, msg) OFAR_CHECK_MSG(cond, msg)
 #else
+namespace ofar {
+inline constexpr bool kDchecksOn = false;
+}  // namespace ofar
 // Unevaluated operands: no codegen, but the expressions must still compile.
 #define OFAR_DCHECK(cond)                            \
   do {                                               \

@@ -4,15 +4,15 @@
 
 namespace ofar {
 
-RouteChoice EscapeRingControl::ring_step(const RouteContext& ctx,
-                                         u32 need) const {
+RouteChoice EscapeRingControl::ring_step(RouteContext& ctx, u32 need) const {
   const Network::RingOut ro = ctx.net.ring_out(ctx.at);
   const OutputPort& out = ctx.view.router().outputs[ro.port];
-  if (!out.wired() || out.busy()) return RouteChoice::none();
   VcId vc;
-  if (!out.best_vc(ro.first_vc, ro.num_vcs, need, vc))
-    return RouteChoice::none();
-  return RouteChoice::to(ro.port, vc);
+  if (out.wired() && !out.busy() &&
+      out.best_vc(ro.first_vc, ro.num_vcs, need, vc))
+    return RouteChoice::to(ro.port, vc);
+  ctx.wake |= u64{1} << ro.port;
+  return RouteChoice::none();
 }
 
 RouteChoice EscapeRingControl::ride(RouteContext& ctx) const {
@@ -38,9 +38,11 @@ RouteChoice EscapeRingControl::ride(RouteContext& ctx) const {
       if (prov) prov->chosen_occ = prov->q_min;
       return c;
     }
+    ctx.wake = u64{1} << out;
     if (at_dst) return RouteChoice::none();  // wait for the ejection port
   }
   // Otherwise keep riding: in-ring movement needs one packet of space.
+  // A failed step parks the head on the exit and the ring output.
   return ring_step(ctx, packet_size_);
 }
 

@@ -30,16 +30,19 @@ class EscapeRingControl {
   /// ctx.at: eject at the destination router, exit to the minimal path when
   /// free and exits remain, otherwise continue along the ring (bubble
   /// permitting) or wait. ctx.prov, when non-null, records the minimal
-  /// output an exit was tried on.
+  /// output an exit was tried on. A wait always parks: ctx.wake names the
+  /// exit it tried and the ring output.
   OFAR_PARALLEL_PHASE RouteChoice ride(RouteContext& ctx) const;
 
   /// Ring-entry choice for a canonical packet at router ctx.at; invalid
-  /// when the bubble condition fails or the ring output is busy.
+  /// when the bubble condition fails or the ring output is busy, and then
+  /// the ring output is ORed into ctx.wake.
   OFAR_PARALLEL_PHASE RouteChoice enter(RouteContext& ctx) const;
 
  private:
-  /// Ring-output request with `need` phits of escape-VC credit.
-  RouteChoice ring_step(const RouteContext& ctx, u32 need) const;
+  /// Ring-output request with `need` phits of escape-VC credit; a failure
+  /// ORs the ring output into ctx.wake.
+  RouteChoice ring_step(RouteContext& ctx, u32 need) const;
 
   u32 packet_size_;
   u32 max_exits_;

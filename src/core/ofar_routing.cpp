@@ -31,55 +31,30 @@ void OfarPolicy::io(CkptArchive& ar, const Network&) {
     for (Lane& lane : lanes_) ar.io(lane.rng);
 }
 
-// Both collectors walk only the set bits of the view's availability mask:
-// a port fails base_available far more often than any other filter at
-// saturation, so the masked scan visits a handful of ports instead of the
-// whole class range. Bit order is ascending, matching the plain loops the
-// masked form replaced — candidate vectors come out identical.
-
-void OfarPolicy::collect_local(const Network& net, CreditView& view,
-                               PortId min_port, double th,
-                               double gap_ceiling,
-                               std::vector<PortId>& out) const {
-  const Dragonfly& topo = net.topo();
-  const PortId first = topo.first_local_port();
-  u64 m = (view.avail_mask() >> first) & ((u64{1} << (topo.a() - 1)) - 1);
+// The misroute candidates of a minimal port: the available local and
+// global ports other than it whose occupancy clears both thresholds its
+// Q_min sets. They depend on nothing but the router's frozen snapshot and
+// the minimal port, so the view memoizes them once per port per scan, and
+// each head only masks them with the classes its flags allow. Destination-
+// group ports need no filter: the one global port of a router that leads
+// into a group is that router's minimal port toward it, which is excluded
+// (Dragonfly.GlobalPortIntoAGroupIsItsMinimalPort pins this).
+u64 OfarPolicy::candidates(const Dragonfly& topo, CreditView& view,
+                           PortId min_port, double q_min,
+                           double th) const {
+  const double gap_ceiling = q_min - thresholds_.min_gap;
+  u64 m = view.avail_mask() &
+          (topo.local_port_mask() | topo.global_port_mask()) &
+          ~(u64{1} << min_port);
+  u64 out = 0;
   while (m != 0) {
-    const PortId port =
-        static_cast<PortId>(first + std::countr_zero(m));
+    const PortId port = static_cast<PortId>(std::countr_zero(m));
     m &= m - 1;
-    if (port == min_port) continue;
     const double occ = view.base_occupancy(port);
     if (occ >= th || occ > gap_ceiling) continue;
-    out.push_back(port);
+    out |= u64{1} << port;
   }
-}
-
-void OfarPolicy::collect_global(const Network& net, CreditView& view,
-                                RouterId at, PortId min_port,
-                                GroupId dst_group, double th,
-                                double gap_ceiling,
-                                std::vector<PortId>& out) const {
-  const Dragonfly& topo = net.topo();
-  const PortId first = topo.first_global_port();
-  u64 m = (view.avail_mask() >> first) & ((u64{1} << topo.h()) - 1);
-  while (m != 0) {
-    const PortId port =
-        static_cast<PortId>(first + std::countr_zero(m));
-    m &= m - 1;
-    if (port == min_port) continue;
-    // An available global port is necessarily wired (the view reports
-    // unwired ports as unavailable).
-    OFAR_DCHECK(topo.global_port_wired(at, port));
-    // Never "misroute" straight into the destination group: that link is
-    // the minimal one and is carried by a different router anyway.
-    if (topo.slot_target(topo.group_of(at),
-                         topo.port_slot(topo.local_of(at), port)) == dst_group)
-      continue;
-    const double occ = view.base_occupancy(port);
-    if (occ >= th || occ > gap_ceiling) continue;
-    out.push_back(port);
-  }
+  return out;
 }
 
 RouteChoice OfarPolicy::route(RouteContext& ctx) {
@@ -122,51 +97,50 @@ RouteChoice OfarPolicy::route(RouteContext& ctx) {
 
   // At the destination router the only sensible move is to wait for the
   // ejection port; misrouting or escaping would only lengthen the path.
-  if (at == pkt.dst_router) return RouteChoice::none();
+  if (at == pkt.dst_router) {
+    ctx.wake = u64{1} << min_port;
+    return RouteChoice::none();
+  }
 
-  // 2. Non-minimal candidates, gated by the thresholds (paper §IV-B).
+  // 2. Non-minimal candidates, gated by the thresholds (paper §IV-B). The
+  // misroute permissions read only the packet's flags and groups.
+  const bool src_side = here == topo.group_of_node(pkt.src) &&
+                        here != topo.group_of(pkt.dst_router);
+  const bool local_allowed =
+      allow_local_ && !pkt.local_misrouted &&
+      // In the source group of inter-group traffic a local misroute is
+      // always an option; elsewhere only when the minimal output itself is
+      // a congested local port (paper §IV-A).
+      (src_side || topo.port_class(min_port) == PortClass::kLocal);
+  const bool global_allowed = src_side && !pkt.global_misrouted;
+  const u64 local_ok = local_allowed ? topo.local_port_mask() : 0;
+  const u64 global_ok = global_allowed ? topo.global_port_mask() : 0;
   const double q_min = view.base_occupancy(min_port);
-  if (q_min >= thresholds_.th_min) {
+  const bool gated = q_min >= thresholds_.th_min;
+  if (gated) {
     const double th = nonmin_threshold(q_min);
-    // Candidates must also clear the absolute gap guard (see config.hpp).
-    const double gap_ceiling = q_min - thresholds_.min_gap;
-    const GroupId src_group = topo.group_of_node(pkt.src);
-    const GroupId dst_group = topo.group_of(pkt.dst_router);
-    const bool min_is_local =
-        topo.port_class(min_port) == PortClass::kLocal;
-
-    const bool local_flag_free = allow_local_ && !pkt.local_misrouted;
-    // Local misroute: in the source group of inter-group traffic it is
-    // always an option; elsewhere only when the minimal output itself is a
-    // congested local port (paper §IV-A).
-    const bool local_allowed =
-        local_flag_free &&
-        ((here == src_group && here != dst_group) || min_is_local);
-    const bool global_allowed = here == src_group && here != dst_group &&
-                                !pkt.global_misrouted;
-
-    const PortClass in_class = topo.port_class(in_port);
-    OFAR_DCHECK(lane < lanes_.size());
-    Lane& ln = lanes_[lane];
-    std::vector<PortId>& scratch = ln.scratch;
-    scratch.clear();
-    if (here == src_group && here != dst_group && in_class == PortClass::kNode) {
-      // Injection queues misroute globally (saves Valiant's first local hop).
-      if (global_allowed) collect_global(net, view, at, min_port, dst_group,
-                                         th, gap_ceiling, scratch);
-      if (scratch.empty() && local_allowed)
-        collect_local(net, view, min_port, th, gap_ceiling, scratch);
-    } else {
-      // Transit queues: first locally, then globally (§IV-A starvation rule).
-      if (local_allowed)
-        collect_local(net, view, min_port, th, gap_ceiling, scratch);
-      if (scratch.empty() && global_allowed)
-        collect_global(net, view, at, min_port, dst_group, th, gap_ceiling,
-                       scratch);
-    }
-    if (!scratch.empty()) {
-      const PortId pick = scratch[ln.rng.below(
-          static_cast<u32>(scratch.size()))];
+    if (prov) prov->threshold = static_cast<float>(th);
+    const u64 cand =
+        (local_ok | global_ok) == 0
+            ? 0
+            : view.memo(min_port, [&] {
+                return candidates(topo, view, min_port, q_min, th);
+              });
+    // Injection queues misroute globally first (saving Valiant's first
+    // local hop); transit queues locally first (§IV-A starvation rule).
+    const bool global_first =
+        src_side && topo.port_class(in_port) == PortClass::kNode;
+    u64 drawn = cand & (global_first ? global_ok : local_ok);
+    if (drawn == 0) drawn = cand & (global_first ? local_ok : global_ok);
+    if (drawn != 0) {
+      OFAR_DCHECK(lane < lanes_.size());
+      // The i-th candidate in ascending port order, i drawn uniformly.
+      u64 rest = drawn;
+      for (u32 i = lanes_[lane].rng.below(
+               static_cast<u32>(std::popcount(drawn)));
+           i > 0; --i)
+        rest &= rest - 1;
+      const PortId pick = static_cast<PortId>(std::countr_zero(rest));
       VcId vc;
       const bool ok = view.best_base_vc(pick, vc);
       OFAR_DCHECK(ok);
@@ -176,13 +150,11 @@ RouteChoice OfarPolicy::route(RouteContext& ctx) {
                        ? MisrouteKind::kLocal
                        : MisrouteKind::kGlobal;
       if (prov) {
-        prov->threshold = static_cast<float>(th);
         prov->chosen_occ = static_cast<float>(view.base_occupancy(pick));
-        prov->set_candidates(scratch);
+        prov->set_candidates(drawn);
       }
       return c;
     }
-    if (prov) prov->threshold = static_cast<float>(th);
   }
 
   // 3. Last resort: the deadlock-free escape ring (bubble restricted).
@@ -190,8 +162,25 @@ RouteChoice OfarPolicy::route(RouteContext& ctx) {
   // the whole packet on any VC. A port that is merely busy this cycle is
   // actively draining and will free within a packet time; waiting cannot
   // deadlock (deadlock requires a credit-starved dependency cycle).
-  if (!view.base_starved(min_port)) return RouteChoice::none();
-  return ring_.enter(ctx);
+  RouteChoice c = RouteChoice::none();
+  if (view.base_starved(min_port)) c = ring_.enter(ctx);
+  if (c.valid) return c;
+
+  // A failed head parks on its minimal port, its allowed misroute ports
+  // and, when it tried to enter, the ring output (enter() added that) —
+  // unless an allowed misroute port is available and only its occupancy
+  // kept it out, since occupancies move without a rise. Below Th_min no
+  // misroute port counts: Q_min cannot rise while the head waits, as its
+  // minimal port stays unavailable, and nothing is granted onto it, until
+  // a rise of that port wakes the head. A busy minimal port cannot turn
+  // starved before its transfer ends, which is such a rise, so a head
+  // that did not try the ring need not wait on it.
+  const u64 misroute_ok = gated ? local_ok | global_ok : 0;
+  if (misroute_ok != 0 && (view.avail_mask() & misroute_ok) != 0)
+    ctx.wake = 0;
+  else
+    ctx.wake |= (u64{1} << min_port) | misroute_ok;
+  return c;
 }
 
 }  // namespace ofar

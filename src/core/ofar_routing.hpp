@@ -46,14 +46,12 @@ class OfarPolicy final : public RoutingPolicy {
   void io(CkptArchive& ar, const Network& net) override;
 
  private:
-  /// Per-shard route() state: the candidate RNG and its scratch list.
-  /// route() runs concurrently on different shards, so each lane owns
-  /// both. Lane 0 is the stream the sim_shards = 1 golden digests were
-  /// recorded with.
+  /// Per-shard route() state: the candidate RNG. route() runs
+  /// concurrently on different shards, so each lane owns one. Lane 0 is
+  /// the stream the sim_shards = 1 golden digests were recorded with.
   struct Lane {
     explicit Lane(u64 seed) : rng(seed) {}
     OFAR_LANE_RNG Rng rng;
-    std::vector<PortId> scratch;
   };
 
   /// Threshold below which a non-minimal output is an eligible candidate.
@@ -62,16 +60,12 @@ class OfarPolicy final : public RoutingPolicy {
                                 : thresholds_.th_nonmin_static;
   }
 
-  /// Appends eligible local-misroute candidate ports of the router the
-  /// memoized view is bound to (credit/occupancy checks go through it).
-  /// `gap_ceiling` is Q_min - min_gap for the decision in flight.
-  void collect_local(const Network& net, CreditView& view, PortId min_port,
-                     double th, double gap_ceiling,
-                     std::vector<PortId>& out) const;
-  /// Appends eligible global-misroute candidate ports at router `at`.
-  void collect_global(const Network& net, CreditView& view, RouterId at,
-                      PortId min_port, GroupId dst_group, double th,
-                      double gap_ceiling, std::vector<PortId>& out) const;
+  /// Misroute candidates of minimal port `min_port` (occupancy `q_min`,
+  /// non-minimal threshold `th`) at the router `view` is bound to: bit p
+  /// set for each available local or global port p != min_port whose
+  /// occupancy is below th and at most q_min - min_gap.
+  u64 candidates(const Dragonfly& topo, CreditView& view, PortId min_port,
+                 double q_min, double th) const;
 
   MisrouteThresholds thresholds_;
   EscapeRingControl ring_;

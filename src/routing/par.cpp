@@ -51,7 +51,11 @@ RouteChoice ParPolicy::route(RouteContext& ctx) {
   if (adaptive)
     set_valiant(pkt, ugal_intermediate(net, pkt, at, route_rng(ctx.lane),
                                        bias_));
-  return request_ordered(ctx, valiant_next_port(net, at, pkt), par_vc);
+  const RouteChoice c =
+      request_ordered(ctx, valiant_next_port(net, at, pkt), par_vc);
+  // An adaptive head draws again on its next call, so it never parks.
+  if (adaptive) ctx.wake = 0;
+  return c;
 }
 
 }  // namespace ofar

@@ -26,7 +26,7 @@ class ParPolicy final : public ValiantPolicy {
   void on_inject(Network& net, Packet& pkt, RouterId at) override;
   /// The in-transit re-evaluation draws RNG and rewrites the packet's
   /// Valiant state before it looks at port availability, so even a failing
-  /// call has observable effects.
+  /// call has observable effects: an adaptive head never parks.
   RouteChoice route(RouteContext& ctx) override;
 
  private:

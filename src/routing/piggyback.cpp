@@ -1,5 +1,7 @@
 #include "routing/piggyback.hpp"
 
+#include <utility>
+
 #include "common/ckpt_stream.hpp"
 #include "routing/ugal.hpp"
 #include "sim/network.hpp"
@@ -22,7 +24,8 @@ void PiggybackPolicy::tick(Network& net) {
   const PortId first_global = topo.first_global_port();
   for (RouterId r = 0; r < topo.routers(); ++r) {
     if (!net.router_built(r)) continue;  // untouched: flags stay clear
-    const Router& router = net.router(r);
+    // Read-only: the mutable router() would forget r's parked heads.
+    const Router& router = std::as_const(net).router(r);
     for (u32 j = 0; j < h_; ++j) {
       const OutputPort& out = router.outputs[first_global + j];
       const bool sat =

@@ -10,8 +10,8 @@
 // from the allocator this cycle, or an invalid choice to wait.
 #pragma once
 
+#include <bit>
 #include <memory>
-#include <vector>
 
 #include "common/config.hpp"
 #include "common/phase.hpp"
@@ -65,12 +65,13 @@ struct OFAR_SHARD_LOCAL RouteProvenance {
       kInvalidPort, kInvalidPort, kInvalidPort, kInvalidPort,
       kInvalidPort, kInvalidPort, kInvalidPort, kInvalidPort};
 
-  void set_candidates(const std::vector<PortId>& ports) {
-    num_candidates = static_cast<u8>(
-        ports.size() < 255 ? ports.size() : 255);
-    const u32 n = num_candidates < kMaxCandidates ? num_candidates
-                                                  : kMaxCandidates;
-    for (u32 i = 0; i < n; ++i) candidates[i] = ports[i];
+  /// Records the candidate set `ports` (bit p = port p), ascending.
+  void set_candidates(u64 ports) {
+    num_candidates = static_cast<u8>(std::popcount(ports));
+    for (u32 i = 0; i < kMaxCandidates && ports != 0; ++i) {
+      candidates[i] = static_cast<PortId>(std::countr_zero(ports));
+      ports &= ports - 1;
+    }
   }
 };
 
@@ -113,6 +114,15 @@ struct RouteContext {
   /// (packet tracing); filling it must not change the decision or consume
   /// extra RNG draws.
   RouteProvenance* prov = nullptr;
+  /// Read only when route() fails. Non-zero parks the head (DESIGN.md §6):
+  /// the policy found no output the head could use available, and names
+  /// every such output here (bit p = output port p). The kernel skips the
+  /// head until one of them rises: a VC of the idle port reaches one
+  /// packet (or packet plus bubble) of credits, or its transfer ends with
+  /// a packet of credits on some VC. A policy leaves it 0 when anything
+  /// else could change the outcome: a draw of RNG, or an available output
+  /// that only its occupancy kept out.
+  u64 wake = 0;
 };
 
 class RoutingPolicy {
@@ -191,9 +201,10 @@ VcId ordered_vc(const Network& net, PortId port, const Packet& pkt);
 
 /// The request step of the VC-ordered mechanisms: output `out` on the VC
 /// `vc_of` assigns (ordered_vc, or PAR's par_vc) when the port is wired
-/// and idle and that VC holds a whole packet's credits, else a wait. A
-/// traced head records the port and its occupancy. Inline, so each
-/// route() computes the VC only for a wired, idle port.
+/// and idle and that VC holds a whole packet's credits, else a wait that
+/// only a rise of `out` can end (ctx.wake). A traced head records the
+/// port and its occupancy. Inline, so each route() computes the VC only
+/// for a wired, idle port.
 inline RouteChoice request_ordered(RouteContext& ctx, PortId out,
                                    VcId (*vc_of)(const Network&, PortId,
                                                  const Packet&)) {
@@ -203,10 +214,13 @@ inline RouteChoice request_ordered(RouteContext& ctx, PortId out,
     prov->q_min = static_cast<float>(ctx.view.base_occupancy(out));
     prov->chosen_occ = prov->q_min;
   }
-  if (!port.wired() || port.busy()) return RouteChoice::none();
-  const VcId vc = vc_of(ctx.net, out, ctx.pkt);
-  if (port.credits[vc] < ctx.view.packet_size()) return RouteChoice::none();
-  return RouteChoice::to(out, vc);
+  if (port.wired() && !port.busy()) {
+    const VcId vc = vc_of(ctx.net, out, ctx.pkt);
+    if (port.credits[vc] >= ctx.view.packet_size())
+      return RouteChoice::to(out, vc);
+  }
+  ctx.wake = u64{1} << out;
+  return RouteChoice::none();
 }
 
 /// Minimal-path next port for a Valiant-style packet: toward the

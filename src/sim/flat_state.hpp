@@ -44,19 +44,22 @@ class Network;
 template <typename T>
 class ChunkPool {
  public:
-  /// ~64 KiB chunks for the POD payloads; a request larger than the default
-  /// chunk gets a dedicated chunk of its own size.
+  /// Chunks for the POD payloads start at 4 KiB and double up to 64 KiB,
+  /// so a shard that binds a few routers zeroes a few KiB per pool rather
+  /// than 64; a request larger than the next chunk gets a dedicated chunk
+  /// of its own size.
+  static constexpr std::size_t kFirstChunkBytes = 4 * 1024;
   static constexpr std::size_t kChunkBytes = 64 * 1024;
 
   T* alloc(std::size_t n) {
     if (used_ + n > cap_) {
-      const std::size_t def = kChunkBytes / sizeof(T) == 0
-                                  ? std::size_t{1}
-                                  : kChunkBytes / sizeof(T);
+      const std::size_t def =
+          next_bytes_ / sizeof(T) == 0 ? 1 : next_bytes_ / sizeof(T);
       const std::size_t sz = n > def ? n : def;
       chunks_.emplace_back(new T[sz]());
       used_ = 0;
       cap_ = sz;
+      if (next_bytes_ < kChunkBytes) next_bytes_ *= 2;
     }
     T* p = chunks_.back().get() + used_;
     used_ += n;
@@ -72,6 +75,7 @@ class ChunkPool {
   std::size_t used_ = 0;   // into the current (last) chunk
   std::size_t cap_ = 0;    // of the current chunk
   std::size_t total_ = 0;
+  std::size_t next_bytes_ = kFirstChunkBytes;
 };
 
 // Shard-local: one arena per ShardState; only the owning shard touches the
@@ -85,6 +89,8 @@ struct OFAR_SHARD_LOCAL ShardArena {
   ChunkPool<u8> head_busy;              ///< parallel to `fifos`
   ChunkPool<u32> credits;               ///< output credit counters
   ChunkPool<u32> credit_caps;           ///< parallel to `credits`
+  ChunkPool<u8> parked;                 ///< per input port: parked VCs
+  ChunkPool<u64> wake;                  ///< per (input port, VC) slot
 
   /// Carves `count` FIFOs of `capacity` phits (control block + a
   /// `slots_per_vc`-entry ring each) and binds `r.inputs[port]`'s views
@@ -114,6 +120,13 @@ struct OFAR_SHARD_LOCAL ShardArena {
     r.outputs[port].credits = Span<u32>(c, count);
     r.outputs[port].credit_cap = Span<u32>(cc, count);
   }
+
+  /// Carves `r`'s park state, no head parked: one parked-VC byte per input
+  /// port and `stride` wake masks per port.
+  void bind_park(Router& r, u32 ports, u32 stride) {
+    r.parked = parked.alloc(ports);
+    r.wake = wake.alloc(std::size_t{ports} * stride);
+  }
 };
 
 /// Memoized per-(router, cycle) snapshot of the base-VC credit queries the
@@ -137,6 +150,7 @@ class OFAR_SHARD_LOCAL CreditView {
       for (PortSnap& s : snaps_) {
         s.stamp = 0;
         s.occ_stamp = 0;
+        s.memo_stamp = 0;
       }
       mask_stamp_ = 0;
       epoch_ = 1;
@@ -200,13 +214,31 @@ class OFAR_SHARD_LOCAL CreditView {
     return avail_mask_;
   }
 
+  /// One u64 per port that the routing policy derives from this snapshot
+  /// alone, memoized for the bind (OFAR: a minimal port's misroute
+  /// candidates). `fill` runs at most once per port per bind; later calls
+  /// of the same bind return its value. Exact for the reason the snapshot
+  /// is: nothing `fill` may read changes within one scan.
+  template <typename Fill>
+  u64 memo(PortId port, Fill&& fill) {
+    OFAR_DCHECK(port < snaps_.size());
+    PortSnap& s = snaps_[port];
+    if (s.memo_stamp != epoch_) {
+      s.memo = fill();
+      s.memo_stamp = epoch_;
+    }
+    return s.memo;
+  }
+
  private:
   struct PortSnap {
     double occ = 1.0;  ///< memoized division, valid while occ_stamp == epoch
+    u64 memo = 0;      ///< policy memo, valid while memo_stamp == epoch
     u32 free = 0;      ///< summed base-VC credits (occupancy numerator)
     u32 cap = 0;       ///< summed base-VC capacity (occupancy denominator)
     u32 stamp = 0;
     u32 occ_stamp = 0;
+    u32 memo_stamp = 0;
     VcId best_vc = 0;
     u8 has_vc = 0;
     u8 avail = 0;

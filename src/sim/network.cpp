@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/check.hpp"
@@ -34,7 +35,7 @@ Network::Network(const SimConfig& cfg)
 
   const u32 ports = topo_.ports_per_router();
   const u32 num_routers = topo_.routers();
-  ports_per_router_ = ports;
+  ports_per_router_ = Divisor(ports);
   OFAR_CHECK_MSG(ports <= 64, "active-output bitmask is 64 bits wide");
 
   // ---- id-width validation against the topology trait ----
@@ -42,11 +43,13 @@ Network::Network(const SimConfig& cfg)
   // 32-bit id types BEFORE any truncating arithmetic runs, so an oversized
   // request fails loudly instead of wrapping. The invalid sentinels must
   // stay representable, hence the strict compares.
+  // The widest input port (the embedded ring adds a VC to one port) also
+  // sizes each router's wake-mask slots.
+  park_stride_ =
+      std::max({cfg_.vcs_injection, cfg_.vcs_local, cfg_.vcs_global}) +
+      (cfg_.ring == RingKind::kEmbedded ? 1u : 0u);
   {
-    const u32 max_vcs =
-        std::max({cfg_.vcs_injection, cfg_.vcs_local, cfg_.vcs_global}) +
-        (cfg_.ring == RingKind::kEmbedded ? 1u : 0u);
-    const Dragonfly::Limits lim = topo_.limits(max_vcs);
+    const Dragonfly::Limits lim = topo_.limits(park_stride_);
     OFAR_CHECK_MSG(lim.routers < kInvalidRouter,
                    "router count must fit RouterId");
     OFAR_CHECK_MSG(lim.nodes < std::numeric_limits<NodeId>::max(),
@@ -161,17 +164,14 @@ void Network::build_ring() {
 
 bool Network::channel_wired(ChannelId c) const noexcept {
   if (c >= num_channels()) return false;
-  const PortId port = static_cast<PortId>(c % ports_per_router_);
+  const auto [r, port] = channel_source(c);
   if (topo_.port_class(port) != PortClass::kGlobal) return true;
-  return topo_.global_port_wired(
-      static_cast<RouterId>(c / ports_per_router_), port);
+  return topo_.global_port_wired(r, port);
 }
 
 Channel Network::channel(ChannelId c) const {
   OFAR_DCHECK(channel_wired(c));
-  const u32 ports = ports_per_router_;
-  const RouterId r = static_cast<RouterId>(c / ports);
-  const PortId port = static_cast<PortId>(c % ports);
+  const auto [r, port] = channel_source(c);
   Channel ch;
   ch.src_router = r;
   ch.src_port = port;
@@ -254,7 +254,7 @@ void Network::build_router(RouterId rid) {
   OFAR_DCHECK(built_[rid] == 0);
   ShardState& sh = shards_[shard_of_router_[rid]];
   Router& router = routers_[rid];
-  const u32 ports = ports_per_router_;
+  const u32 ports = ports_per_router_.value();
   router.inputs.resize(ports);
   router.outputs.resize(ports);
   router.input_mask.assign(ports, 0);
@@ -326,6 +326,8 @@ void Network::build_router(RouterId rid) {
       sh.arena.bind_credits(router, port, dvcs, dcap);
     }
   }
+
+  sh.arena.bind_park(router, ports, park_stride_);
 
   router.input_arb.reserve(ports);
   router.output_arb.reserve(ports);
@@ -565,10 +567,72 @@ void Network::advance_transfers(ShardState& sh, u32 slot) {
         out.active = kInvalidPacket;
         in.head_busy[out.src_vc] = 0;
         r.active_out_mask &= ~(1ull << port);
+        // The output is idle again: a rise for the heads parked on it when
+        // some VC (base or escape) can take a packet.
+        VcId vc;
+        if ((r.wake_any >> port & 1) != 0 &&
+            out.best_vc(0, out.credits.size(), cfg_.packet_size, vc))
+          r.risen |= u64{1} << port;
       }
     }
   }
   sh.active_routers.resize(w);
+}
+
+void Network::park(Router& r, PortId port, VcId vc, u64 wake) {
+  OFAR_DCHECK((r.parked[port] >> vc & 1) == 0);
+  r.parked[port] |= static_cast<u8>(1u << vc);
+  r.wake[port * park_stride_ + vc] = wake;
+  r.wake_any |= wake;
+  ++r.parked_heads;
+}
+
+void Network::unpark_risen(Router& r) {
+  const u64 risen = r.risen;
+  r.risen = 0;
+  u64 waiting = 0;
+  u32 left = r.parked_heads;
+  const u64* wake = r.wake;
+  for (PortId port = 0; left != 0; ++port, wake += park_stride_) {
+    OFAR_DCHECK(port < r.num_ports());
+    for (u32 m = r.parked[port]; m != 0; m &= m - 1, --left) {
+      const u32 vc = static_cast<u32>(std::countr_zero(m));
+      if ((wake[vc] & risen) == 0) {
+        waiting |= wake[vc];
+        continue;
+      }
+      r.parked[port] &= static_cast<u8>(~(1u << vc));
+      --r.parked_heads;
+    }
+  }
+  r.wake_any = waiting;
+}
+
+void Network::unpark_all(Router& r) {
+  if (r.parked_heads == 0) return;  // then wake_any and risen are 0 too
+  std::fill_n(r.parked, r.num_ports(), u8{0});
+  r.parked_heads = 0;
+  r.wake_any = 0;
+  r.risen = 0;
+}
+
+void Network::visit_parked(ShardState& sh, Router& r, u32 lane) {
+  if constexpr (kDchecksOn) sh.view.bind(r);
+  for (PortId port = 0; port < r.num_ports(); ++port) {
+    for (u32 m = r.parked[port]; m != 0; m &= m - 1) {
+      const VcId vc = static_cast<VcId>(std::countr_zero(m));
+      if (telem_) telem_->note_credit_stall(r.id, port, vc);
+      if constexpr (kDchecksOn) {
+        // The call is free of effects when it fails: no policy draws RNG
+        // on a failing call of a head it lets park.
+        OFAR_DCHECK(r.inputs[port].has_head(vc));
+        Packet& pkt = pool_.get(r.inputs[port].vcs[vc].head());
+        RouteContext rctx{*this, sh.view, r.id, port, vc, pkt, lane};
+        OFAR_CHECK_MSG(!policy_->route(rctx).valid && rctx.wake != 0,
+                       "a parked head could route: a rise went unnoticed");
+      }
+    }
+  }
 }
 
 void Network::do_allocation(ShardState& sh, u32 lane) {
@@ -584,6 +648,15 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
     // set never reaches the allocator, so no arbiter state changes) and
     // saves the scan for the packet_size cycles each grant streams.
     if (r.routable_heads == 0) continue;
+    // Parked heads (DESIGN.md §6) fail route() until an output they wait
+    // on rises: wake those whose output rose, and leave the rest out of
+    // the scan. A router whose every head is parked is skipped before its
+    // view is bound, exactly as one without heads.
+    if (r.risen != 0) unpark_risen(r);
+    if (r.parked_heads != 0) {
+      if (telem_ || kDchecksOn) visit_parked(sh, r, lane);
+      if (r.parked_heads == r.routable_heads) continue;
+    }
     sh.reqs.clear();
     sh.provs.clear();
     // Rebind the shard's credit view to this router: one O(1) epoch bump,
@@ -591,16 +664,16 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
     // queries from at most one per-port refresh. Exact by construction —
     // no credit or output-busy state changes until commit_grant below.
     sh.view.bind(r);
-    // Pass 1: gather the routable heads (InputPort::has_head) in ascending
-    // (port, VC) order from the flat FIFO arena and prefetch each head
-    // packet's cache line. Head packets are scattered across the pool, so
-    // letting the loads overlap here (instead of stalling pass 2 one miss
-    // at a time) is worth a second, purely local walk.
+    // Pass 1: gather the unparked routable heads (InputPort::has_head) in
+    // ascending (port, VC) order from the flat FIFO arena and prefetch each
+    // head packet's cache line. Head packets are scattered across the pool,
+    // so letting the loads overlap here (instead of stalling pass 2 one
+    // miss at a time) is worth a second, purely local walk.
     sh.heads.clear();
     for (PortId port = 0; port < r.inputs.size(); ++port) {
       const InputPort& in = r.inputs[port];
-      for (u8 mask = r.input_mask[port]; mask != 0;
-           mask &= static_cast<u8>(mask - 1)) {
+      for (u8 mask = static_cast<u8>(r.input_mask[port] & ~r.parked[port]);
+           mask != 0; mask &= static_cast<u8>(mask - 1)) {
         const VcId vc = static_cast<VcId>(__builtin_ctz(mask));
         if (!in.has_head(vc)) continue;
         const PacketId pid = in.vcs[vc].head();
@@ -618,6 +691,7 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
       const RouteChoice choice = policy_->route(rctx);
       if (!choice.valid) {
         if (telem_) telem_->note_credit_stall(r.id, h.port, h.vc);
+        if (rctx.wake != 0) park(r, h.port, h.vc, rctx.wake);
         continue;
       }
       OFAR_DCHECK(!r.outputs[choice.out_port].busy());
@@ -867,18 +941,24 @@ void Network::deliver_events_shard(ShardState& sh, u32 shard, u32 slot) {
       OFAR_DCHECK(fifo.stored_phits() <= fifo.capacity());
     }
   }
+  const u32 packet = cfg_.packet_size;
   for (const ShardState& from : shards_) {
     for (const CreditEvent& e : from.credit_wheel[bucket]) {
-      // Only src_router/src_port are needed — a plain divmod on the id.
-      const RouterId src_r = static_cast<RouterId>(e.ch / ports_per_router_);
+      // Only the sending router and port are needed.
+      const auto [src_r, port] = channel_source(e.ch);
       OFAR_DCHECK(shard_of_router_[src_r] == shard);
       OFAR_DCHECK(built_[src_r] != 0);  // credits only return to senders
       Router& src = routers_[src_r];
-      OutputPort& out =
-          src.outputs[static_cast<PortId>(e.ch % ports_per_router_)];
+      OutputPort& out = src.outputs[port];
       OFAR_DCHECK(e.vc < out.credits.size());
-      ++out.credits[e.vc];
-      OFAR_DCHECK(out.credits[e.vc] <= out.credit_cap[e.vc]);
+      const u32 credits = ++out.credits[e.vc];
+      OFAR_DCHECK(credits <= out.credit_cap[e.vc]);
+      // A rise for the heads parked on this output: on an idle port, a VC
+      // now holds a packet, or a packet plus the bubble a ring entry
+      // needs. Credits climb one at a time, so each level is met exactly.
+      if ((src.wake_any >> port & 1) != 0 &&
+          (credits == packet || credits == 2 * packet) && !out.busy())
+        src.risen |= u64{1} << port;
     }
   }
 }

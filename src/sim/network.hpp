@@ -30,6 +30,7 @@
 
 #include "common/check.hpp"
 #include "common/config.hpp"
+#include "common/divisor.hpp"
 #include "common/parallel.hpp"
 #include "common/phase.hpp"
 #include "common/span.hpp"
@@ -144,11 +145,13 @@ class Network {
   const Dragonfly& topo() const noexcept { return topo_; }
   const HamiltonianRing* ring() const noexcept { return ring_.get(); }
   /// Mutating access builds the router on first touch (serial contexts:
-  /// drivers and tests crafting router state). The const overload returns
-  /// the shell as-is — callers iterating structure must check
-  /// router_built().
+  /// drivers and tests crafting router state). It also unparks the
+  /// router's heads (DESIGN.md §6): the caller may change what they wait
+  /// on. The const overload returns the shell as-is — callers iterating
+  /// structure must check router_built().
   Router& router(RouterId r) {
     ensure_router_built(r);
+    unpark_all(routers_[r]);
     return routers_[r];
   }
   const Router& router(RouterId r) const { return routers_[r]; }
@@ -168,7 +171,7 @@ class Network {
   /// One-past the largest dense channel id: routers * ports_per_router.
   /// Iteration over [0, num_channels()) must skip !channel_wired(c).
   std::size_t num_channels() const noexcept {
-    return std::size_t{routers_.size()} * ports_per_router_;
+    return std::size_t{routers_.size()} * ports_per_router_.value();
   }
   /// Lifetime phits carried by channel `c` (§III link-load analysis).
   u64 channel_phits(ChannelId c) const noexcept { return channel_phits_[c]; }
@@ -434,6 +437,16 @@ class Network {
   };
 
   void build_ring();
+  /// The sending end of dense channel id `c`: router c / ports and port
+  /// c % ports, by multiply-shift.
+  struct ChannelSource {
+    RouterId router;
+    PortId port;
+  };
+  ChannelSource channel_source(ChannelId c) const noexcept {
+    const RouterId r = ports_per_router_.div(c);
+    return {r, static_cast<PortId>(c - r * ports_per_router_.value())};
+  }
   RingOut ring_vcs(PortId port) const {
     return {port, base_vcs(port),
             cfg_.ring == RingKind::kPhysical ? cfg_.vcs_local : 1u};
@@ -447,6 +460,19 @@ class Network {
   OFAR_PARALLEL_PHASE void ensure_router_built(RouterId r) {
     if (built_[r] == 0) build_router(r);
   }
+
+  // ---- parked heads (DESIGN.md §6), all of them shard-local ----
+  /// Parks the head of (port, vc) until an output of `wake` rises.
+  OFAR_PARALLEL_PHASE void park(Router& r, PortId port, VcId vc, u64 wake);
+  /// Unparks every head waiting on an output in r.risen.
+  OFAR_PARALLEL_PHASE void unpark_risen(Router& r);
+  /// Unparks every head of r.
+  OFAR_PARALLEL_PHASE void unpark_all(Router& r);
+  /// Walks the parked heads of r for the scan: with telemetry each counts
+  /// one credit stall, as its failing call would; in checked builds
+  /// route() runs on each through sh.view, rebound to r, and must fail
+  /// and ask to park again.
+  OFAR_PARALLEL_PHASE void visit_parked(ShardState& sh, Router& r, u32 lane);
 
   OFAR_SERIAL_ONLY void update_throttle();
   /// Transfer/allocation phases, per shard: phit and credit events go into
@@ -506,7 +532,10 @@ class Network {
   // parallel phase touches only the slice its shard owns (a packet is owned
   // by the router currently buffering it).
   OFAR_SHARD_LOCAL std::vector<Router> routers_;
-  u32 ports_per_router_ = 0;  ///< cached topo_.ports_per_router()
+  Divisor ports_per_router_;  ///< topo_.ports_per_router(), divides ids
+  /// Wake-mask slots per input port of a router: the most VCs any input
+  /// port has. Built once, read-only afterwards.
+  u32 park_stride_ = 0;
   /// Lifetime phits carried per dense channel id. Shard-local: a channel's
   /// counter is only bumped by its source router's shard.
   OFAR_SHARD_LOCAL std::vector<u64> channel_phits_;

@@ -137,10 +137,26 @@ struct OFAR_SHARD_LOCAL Router {
   u32 buffered_packets = 0;
   u32 buffered_phits = 0;
   u32 routable_heads = 0;
+  u32 parked_heads = 0;  ///< routable heads the allocation scan skips
   u32 buffer_capacity_phits = 0;  ///< sum of all input-VC capacities
   bool throttled = false;         ///< congestion-throttle latch (hysteresis)
   std::vector<u8> input_mask;  // [port] -> bit v set iff vcs[v] non-empty
   u64 active_out_mask = 0;
+
+  // Parked heads (DESIGN.md §6): a head whose route() failed while no
+  // output it could use was available sits out the allocation scan until
+  // one of the outputs in its wake mask rises. `parked` and `wake` point
+  // into the owning ShardArena: parked[port] has bit v set for a parked
+  // head of VC v, whose wake mask is wake[port * stride + v] (the stride
+  // is the Network's widest input port). wake_any is the OR of every
+  // parked head's mask, and `risen` collects the outputs among those that
+  // rose since the last scan; both are written only by the owning shard.
+  // None of this is checkpointed: a network without parked heads routes
+  // every head, which is always exact.
+  u8* parked = nullptr;
+  u64* wake = nullptr;
+  u64 wake_any = 0;
+  u64 risen = 0;
 
   // Allocator state: one VC-level arbiter per input port, one input-level
   // arbiter per output port.

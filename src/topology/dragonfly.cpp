@@ -21,6 +21,14 @@ Dragonfly::Dragonfly(u32 h, u32 groups, bool physical_ring)
   OFAR_CHECK_MSG(groups_ >= 2, "at least two groups");
   OFAR_CHECK_MSG(groups_ <= max_groups(),
                  "groups exceeds global port capacity a*h + 1");
+  h_div_ = Divisor(h_);
+  a_div_ = Divisor(a());
+  // Port masks need every port below 64; larger radixes fail the Network's
+  // own port-count check before any mask is read.
+  if (ports_per_router() <= 64) {
+    local_mask_ = ((u64{1} << (a() - 1)) - 1) << first_local_port();
+    global_mask_ = ((u64{1} << h_) - 1) << first_global_port();
+  }
 }
 
 PortClass Dragonfly::port_class(PortId port) const noexcept {

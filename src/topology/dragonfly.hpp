@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/check.hpp"
+#include "common/divisor.hpp"
 #include "common/types.hpp"
 
 namespace ofar {
@@ -80,14 +81,16 @@ class Dragonfly {
   }
 
   // ---- coordinates ----
-  GroupId group_of(RouterId r) const noexcept { return r / a(); }
-  u32 local_of(RouterId r) const noexcept { return r % a(); }
+  // Every divisor is fixed at construction, so the helpers divide by
+  // multiply-shift (common/divisor.hpp): they run for every head and event.
+  GroupId group_of(RouterId r) const noexcept { return a_div_.div(r); }
+  u32 local_of(RouterId r) const noexcept { return a_div_.mod(r); }
   RouterId router_at(GroupId g, u32 local) const noexcept {
     OFAR_DCHECK(g < groups_ && local < a());
     return g * a() + local;
   }
-  RouterId router_of_node(NodeId n) const noexcept { return n / p(); }
-  u32 node_slot(NodeId n) const noexcept { return n % p(); }
+  RouterId router_of_node(NodeId n) const noexcept { return h_div_.div(n); }
+  u32 node_slot(NodeId n) const noexcept { return h_div_.mod(n); }
   NodeId node_at(RouterId r, u32 slot) const noexcept {
     OFAR_DCHECK(slot < p());
     return r * p() + slot;
@@ -112,6 +115,9 @@ class Dragonfly {
     return static_cast<PortId>(p() + a() - 1 + h_);
   }
   PortClass port_class(PortId port) const noexcept;
+  /// Bit p set for every local (global) port p of a router.
+  u64 local_port_mask() const noexcept { return local_mask_; }
+  u64 global_port_mask() const noexcept { return global_mask_; }
 
   /// Local port on `from_local` leading to `to_local` (same group).
   PortId local_port(u32 from_local, u32 to_local) const noexcept {
@@ -128,18 +134,21 @@ class Dragonfly {
 
   // ---- global wiring ----
   /// Outgoing slot of group `from` toward group `to` (d in [0, groups-2]).
+  /// Both groups are below groups(), so one conditional subtraction is
+  /// the whole modulo.
   u32 global_slot(GroupId from, GroupId to) const noexcept {
     OFAR_DCHECK(from != to && from < groups_ && to < groups_);
-    return (to + groups_ - from - 1) % groups_;
+    const u32 d = to + groups_ - from - 1;
+    return d >= groups_ ? d - groups_ : d;
   }
   /// Local index of the router carrying global slot d.
   u32 slot_carrier(u32 slot) const noexcept {
     OFAR_DCHECK(slot < a() * h_);
-    return slot / h_;
+    return h_div_.div(slot);
   }
   /// Global port index (within the router) carrying slot d.
   PortId slot_port(u32 slot) const noexcept {
-    return static_cast<PortId>(first_global_port() + slot % h_);
+    return static_cast<PortId>(first_global_port() + h_div_.mod(slot));
   }
   /// Slot carried by global port `port` of a router with local index `local`.
   u32 port_slot(u32 local, PortId port) const noexcept {
@@ -152,8 +161,9 @@ class Dragonfly {
   bool slot_wired(u32 slot) const noexcept { return slot < groups_ - 1; }
   /// Destination group of slot d from group `from`.
   GroupId slot_target(GroupId from, u32 slot) const noexcept {
-    OFAR_DCHECK(slot_wired(slot));
-    return (from + slot + 1) % groups_;
+    OFAR_DCHECK(from < groups_ && slot_wired(slot));
+    const u32 g = from + slot + 1;
+    return g >= groups_ ? g - groups_ : g;
   }
   /// The far side of slot d is slot (groups-2-d) of the target group.
   u32 peer_slot(u32 slot) const noexcept {
@@ -204,6 +214,10 @@ class Dragonfly {
   u32 h_;
   u32 groups_;
   bool physical_ring_;
+  Divisor h_div_;  ///< h, which is also p (nodes per router)
+  Divisor a_div_;  ///< a = 2h routers per group
+  u64 local_mask_ = 0;
+  u64 global_mask_ = 0;
 };
 
 }  // namespace ofar

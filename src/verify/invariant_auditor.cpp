@@ -463,8 +463,11 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
     // exactly: routable_heads counts the (port, vc) heads the allocation
     // scan could request for, input_mask the non-empty VCs, and each
     // FIFO stores the phits its entries have arrived and not sent.
-    u32 heads = 0, packets = 0;
-    u64 phits = 0;
+    // A parked head (DESIGN.md §6) is a routable head, counted in
+    // parked_heads, whose wake mask wake_any covers; rises are consumed
+    // by the scan of the cycle they happen in.
+    u32 heads = 0, packets = 0, parked = 0;
+    u64 phits = 0, wake_any = 0;
     for (PortId p = 0; p < router.inputs.size(); ++p) {
       const InputPort& in = router.inputs[p];
       u32 non_empty = 0;
@@ -472,6 +475,14 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
         const VcFifo& f = in.vcs[v];
         heads += in.has_head(v) ? 1 : 0;
         non_empty |= f.empty() ? 0u : 1u << v;
+        if ((router.parked[p] >> v & 1) != 0) {
+          ++parked;
+          wake_any |= router.wake[p * net_.park_stride_ + v];
+          if (!in.has_head(v))
+            add(rep, Invariant::kWorklists,
+                format("r%u.p%uv%u is parked without a routable head", r,
+                       static_cast<u32>(p), static_cast<u32>(v)));
+        }
         packets += f.num_packets();
         phits += f.stored_phits();
         u64 held = 0;  // an entry that sent more than arrived: never equal
@@ -493,6 +504,23 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
                    static_cast<u32>(p),
                    static_cast<u32>(router.input_mask[p]), non_empty));
       }
+      if ((router.parked[p] >> in.vcs.size()) != 0) {
+        add(rep, Invariant::kWorklists,
+            format("r%u.p%u: parked VCs %x beyond its %u VCs", r,
+                   static_cast<u32>(p), static_cast<u32>(router.parked[p]),
+                   in.vcs.size()));
+      }
+    }
+    if (parked != router.parked_heads || wake_any != router.wake_any ||
+        router.risen != 0) {
+      add(rep, Invariant::kWorklists,
+          format("r%u: %u parked heads waiting on %llx, but the router "
+                 "counts %u waiting on %llx with rises %llx pending — a "
+                 "head could stay parked past its rise",
+                 r, parked, static_cast<unsigned long long>(wake_any),
+                 router.parked_heads,
+                 static_cast<unsigned long long>(router.wake_any),
+                 static_cast<unsigned long long>(router.risen)));
     }
     if (heads != router.routable_heads || packets != router.buffered_packets ||
         phits != router.buffered_phits) {

@@ -19,10 +19,14 @@
 //     cannot change them (Orchestrator.DigestInvariantToThreadCount).
 //
 // Plus structural invariants after a drain: flow conservation, quiescence,
-// and worklist consistency (Network::check_worklists).
+// and worklist consistency (Network::check_worklists), and parked heads:
+// they happen, and unparking every head between cycles changes nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -447,6 +451,134 @@ TEST(ShardedKernel, DrainedShardedNetworkIsConsistentAcrossThreads) {
   };
   expect_digest_eq(drain(1), drain(4));
 }
+
+// ---------------------------------------------------------------------------
+// 6. Parked heads (DESIGN.md §6). A head whose route() failed while no
+//    output it could use was available sits out the allocation scan until
+//    one of those outputs rises, and a router whose every routable head is
+//    parked is skipped whole. Parking must be exact: the mutable router(r)
+//    unparks r's heads, so touching every router between cycles routes
+//    every head every cycle, and the digest must not move. The rises are
+//    written by parallel phases, so the differential runs at 1 and 4
+//    threads (its name contains "Thread" for the CI TSAN job's filter).
+// ---------------------------------------------------------------------------
+
+struct ParkCount {
+  u64 heads = 0;          ///< parked heads
+  u32 whole_routers = 0;  ///< routers with every routable head parked
+};
+
+ParkCount count_parks(const Network& net) {
+  ParkCount c;
+  for (RouterId r = 0; r < net.topo().routers(); ++r) {
+    if (!net.router_built(r)) continue;
+    const Router& router = net.router(r);
+    c.heads += router.parked_heads;
+    if (router.parked_heads != 0 &&
+        router.parked_heads == router.routable_heads)
+      ++c.whole_routers;
+  }
+  return c;
+}
+
+TEST(Parking, AdversarialLoadParksHeadsAndWholeRouters) {
+  for (const RoutingKind routing : {RoutingKind::kOfar, RoutingKind::kMin}) {
+    SCOPED_TRACE(to_string(routing));
+    SimConfig cfg;
+    cfg.h = 3;
+    cfg.seed = 12345;
+    cfg.routing = routing;
+    cfg.ring = routing == RoutingKind::kOfar ? RingKind::kPhysical
+                                             : RingKind::kNone;
+    Network net(cfg);
+    net.set_traffic(std::make_unique<BernoulliSource>(
+        TrafficPattern::adversarial(1), 0.7, cfg.seed));
+    net.run(1000);  // warm-up
+    ParkCount most;
+    for (int i = 0; i < 200; ++i) {
+      net.step();
+      const ParkCount c = count_parks(std::as_const(net));
+      most.heads = std::max(most.heads, c.heads);
+      most.whole_routers = std::max(most.whole_routers, c.whole_routers);
+    }
+    EXPECT_GT(most.heads, 0u);
+    // Such a router is skipped before its view is bound by the next
+    // cycle's scan unless an output one of its heads waits on rises.
+    EXPECT_GT(most.whole_routers, 0u);
+    EXPECT_TRUE(net.check_worklists());  // audits the park state too
+  }
+}
+
+struct ParkCase {
+  RoutingKind routing;
+  RingKind ring;
+};
+
+class ParkingDifferential : public testing::TestWithParam<ParkCase> {};
+
+/// 1,000 cycles of `pattern` at `load`. With `forget`, every built router
+/// is touched through the mutable router(r) after each cycle, which
+/// unparks all its heads; the heads so unparked are counted in `forgot`.
+Digest run_parking(const SimConfig& cfg, unsigned sim_threads,
+                   const TrafficPattern& pattern, double load, bool forget,
+                   u64* forgot = nullptr) {
+  Network net(cfg);
+  net.set_sim_threads(sim_threads);
+  net.set_traffic(std::make_unique<BernoulliSource>(pattern, load, cfg.seed));
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    net.step();
+    if (!forget) continue;
+    if (forgot != nullptr) *forgot += count_parks(std::as_const(net)).heads;
+    for (RouterId r = 0; r < net.topo().routers(); ++r)
+      if (net.router_built(r)) net.router(r);  // unparks r's heads
+    EXPECT_EQ(count_parks(std::as_const(net)).heads, 0u);
+  }
+  EXPECT_TRUE(net.check_worklists());
+  return digest(net);
+}
+
+TEST_P(ParkingDifferential, UnparkingEveryHeadKeepsTheDigestAtEveryThreadCount) {
+  const ParkCase& pc = GetParam();
+  struct Load {
+    TrafficPattern pattern;
+    double load;
+  };
+  for (const Load& l : {Load{TrafficPattern::uniform(), 1.0},
+                        Load{TrafficPattern::adversarial(1), 0.7}}) {
+    for (const u32 shards : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << l.pattern.describe() << " at " << l.load
+                                      << ", sim_shards " << shards);
+      SimConfig cfg = sharded_config(shards, pc.ring);
+      cfg.routing = pc.routing;
+      if (pc.routing == RoutingKind::kPar) cfg.vcs_local = 4;
+      const Digest kept = run_parking(cfg, 1, l.pattern, l.load, false);
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "sim_threads " << threads);
+        u64 forgot = 0;
+        expect_digest_eq(kept, run_parking(cfg, threads, l.pattern, l.load,
+                                           true, &forgot));
+        EXPECT_GT(forgot, 0u) << "nothing parked: the comparison is vacuous";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryMechanism, ParkingDifferential,
+    testing::Values(ParkCase{RoutingKind::kMin, RingKind::kNone},
+                    ParkCase{RoutingKind::kVal, RingKind::kNone},
+                    ParkCase{RoutingKind::kPb, RingKind::kNone},
+                    ParkCase{RoutingKind::kUgal, RingKind::kNone},
+                    ParkCase{RoutingKind::kPar, RingKind::kNone},
+                    ParkCase{RoutingKind::kOfar, RingKind::kPhysical},
+                    ParkCase{RoutingKind::kOfar, RingKind::kEmbedded},
+                    ParkCase{RoutingKind::kOfarL, RingKind::kPhysical}),
+    [](const testing::TestParamInfo<ParkCase>& info) {
+      std::string name = std::string(to_string(info.param.routing)) + "_" +
+                         to_string(info.param.ring);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace ofar

@@ -1,12 +1,16 @@
-// Unit + property tests for the dragonfly topology: coordinate algebra,
-// port layout, global wiring symmetry, minimal-route correctness, and the
-// §III structural pathology (ADV+h funnels all transit traffic of a group
-// pair through one local link).
+// Unit + property tests for the dragonfly topology: coordinate algebra
+// (and the multiply-shift divider under it), port layout, global wiring
+// symmetry, minimal-route correctness, and the §III structural pathology
+// (ADV+h funnels all transit traffic of a group pair through one local
+// link).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <vector>
 
+#include "common/divisor.hpp"
+#include "common/rng.hpp"
 #include "topology/dragonfly.hpp"
 
 namespace ofar {
@@ -37,6 +41,92 @@ TEST(Dragonfly, CoordinateRoundTrip) {
       const NodeId n = d.node_at(r, s);
       EXPECT_EQ(d.router_of_node(n), r);
       EXPECT_EQ(d.node_slot(n), s);
+    }
+  }
+}
+
+TEST(Divisor, MatchesHardwareDivisionForEverySimulatorDivisor) {
+  // The divisors the simulator divides by at h = 1..16: h (= p), a = 2h,
+  // and the ports per router without and with the physical ring.
+  std::set<u32> divisors;
+  for (u32 h = 1; h <= 16; ++h)
+    for (const u32 d : {h, 2 * h, 4 * h - 1, 4 * h}) divisors.insert(d);
+  Rng rng(20260419);
+  for (const u32 d : divisors) {
+    SCOPED_TRACE(testing::Message() << "divisor " << d);
+    const Divisor div(d);
+    EXPECT_EQ(div.value(), d);
+    std::vector<u32> numerators = {0, d - 1, d, d + 1, ~u32{0},
+                                   ~u32{0} - 1, d * d, 65535, 65536};
+    for (int i = 0; i < 2000; ++i)
+      numerators.push_back(static_cast<u32>(rng()));
+    for (int i = 0; i < 500; ++i)  // small ids, the common case
+      numerators.push_back(rng.below(1u << 20));
+    for (const u32 n : numerators) {
+      ASSERT_EQ(div.div(n), n / d) << n;
+      ASSERT_EQ(div.mod(n), n % d) << n;
+    }
+  }
+}
+
+TEST(Dragonfly, CoordinateHelpersMatchNaiveFormulas) {
+  for (u32 h = 1; h <= 4; ++h) {
+    const u32 a = 2 * h;
+    for (const u32 trimmed : {0u, 2u, 3u, h * h + 1}) {
+      const Dragonfly d(h, trimmed);
+      const u32 groups = d.groups();
+      SCOPED_TRACE(testing::Message() << "h " << h << ", groups " << groups);
+      for (RouterId r = 0; r < d.routers(); ++r) {
+        ASSERT_EQ(d.group_of(r), r / a);
+        ASSERT_EQ(d.local_of(r), r % a);
+      }
+      for (NodeId n = 0; n < d.nodes(); ++n) {
+        ASSERT_EQ(d.router_of_node(n), n / h);
+        ASSERT_EQ(d.node_slot(n), n % h);
+        ASSERT_EQ(d.group_of_node(n), n / h / a);
+      }
+      for (u32 slot = 0; slot < a * h; ++slot) {
+        ASSERT_EQ(d.slot_carrier(slot), slot / h);
+        ASSERT_EQ(d.slot_port(slot), d.first_global_port() + slot % h);
+      }
+      for (GroupId from = 0; from < groups; ++from) {
+        for (GroupId to = 0; to < groups; ++to) {
+          if (to == from) continue;
+          ASSERT_EQ(d.global_slot(from, to),
+                    (to + groups - from - 1) % groups);
+        }
+        for (u32 slot = 0; d.slot_wired(slot); ++slot)
+          ASSERT_EQ(d.slot_target(from, slot), (from + slot + 1) % groups);
+      }
+    }
+  }
+}
+
+// OFAR's global misroute candidates skip no destination-group port
+// (core/ofar_routing.cpp): this fact makes that filter redundant.
+TEST(Dragonfly, GlobalPortIntoAGroupIsItsMinimalPort) {
+  for (u32 h = 1; h <= 6; ++h) {
+    for (const u32 trimmed : {0u, 2u, h + 2, h * h + 1}) {
+      const Dragonfly d(h, trimmed);
+      SCOPED_TRACE(testing::Message() << "h " << h << ", groups "
+                                      << d.groups());
+      for (RouterId r = 0; r < d.routers(); ++r) {
+        const GroupId here = d.group_of(r);
+        std::map<GroupId, PortId> into;  // target group -> global port
+        for (u32 j = 0; j < h; ++j) {
+          const PortId port = static_cast<PortId>(d.first_global_port() + j);
+          if (!d.global_port_wired(r, port)) continue;
+          const GroupId g =
+              d.slot_target(here, d.port_slot(d.local_of(r), port));
+          ASSERT_NE(g, here);
+          ASSERT_TRUE(into.emplace(g, port).second)
+              << "r" << r << " has two global ports into group " << g;
+        }
+        for (const auto& [g, port] : into)
+          for (u32 l = 0; l < d.a(); ++l)
+            ASSERT_EQ(d.min_next_port(r, d.router_at(g, l)), port)
+                << "r" << r << " toward group " << g;
+      }
     }
   }
 }
