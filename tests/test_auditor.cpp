@@ -311,6 +311,28 @@ TEST(AuditorMutation, RoutableHeadMiscountCaught) {
   expect_caught(rep, Invariant::kWorklists);
 }
 
+TEST(AuditorMutation, ParkedWithoutHeadCaught) {
+  // A parked bit the scan would trust on a VC with no routable head, with
+  // the parked count kept consistent so only the bit itself is wrong.
+  auto net = saturated_net();
+  Router& r = net->router(0);  // unparks router 0's heads
+  for (PortId p = 0; p < r.num_ports(); ++p) {
+    for (VcId v = 0; v < r.inputs[p].vcs.size(); ++v) {
+      if (r.inputs[p].has_head(v)) continue;
+      r.parked[p] |= static_cast<u8>(1u << v);
+      ++r.parked_heads;
+      AuditReport rep;
+      InvariantAuditor(*net).check_worklists(rep);
+      expect_caught(rep, Invariant::kWorklists);
+      EXPECT_NE(rep.to_string().find("parked without a routable head"),
+                std::string::npos)
+          << rep.to_string();
+      return;
+    }
+  }
+  FAIL() << "router 0 has a routable head on every VC";
+}
+
 TEST(AuditorMutation, PhantomPacketCaught) {
   auto net = saturated_net();
   (void)net->packets().create();  // live packet nobody injected
