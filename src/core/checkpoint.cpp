@@ -24,7 +24,12 @@ constexpr u64 kMagic = 0x31504B435241464FULL;
 /// v4: the Network's RNG (nothing drew from it) and the per-traffic-
 /// component latency of Stats are gone; a Packet's and an Offer's tag
 /// bytes are zero padding.
-constexpr u32 kFormatVersion = 4;
+/// v5: packet-granular links. A FIFO entry stamps its head's arrival and a
+/// FIFO its head's send end (no phit counts, no stored_); each output VC
+/// has a credit ramp end; a router's buffered phit count is gone; the
+/// wheels hold one phit event per packet per hop and one credit event per
+/// ramp.
+constexpr u32 kFormatVersion = 5;
 
 void set_error(std::string* error, const char* what) {
   if (error != nullptr) *error = what;
@@ -53,13 +58,20 @@ static_assert(sizeof(TimeSeries::Bucket) == sizeof(double) + sizeof(u64));
 template <>
 inline constexpr bool kRawCheckpointable<TimeSeries::Bucket> = true;
 
-void CheckpointIO::io(CkptArchive& ar, VcFifo& f) {
-  ar.io(f.head_, f.tail_, f.stored_);
+void CheckpointIO::io(CkptArchive& ar, VcFifo& f, u32 packet_size,
+                      u32 cycle) {
+  ar.io(f.head_, f.tail_, f.send_end_);
   const u32 count = f.tail_ - f.head_;  // wrap-safe, bounded by ring size
-  if (!ar.check(count <= f.mask_ + 1 && f.stored_ <= f.capacity_,
-                "corrupt FIFO state"))
-    return;
-  for (u32 i = 0; i < count; ++i) ar.io(f.entries_[(f.head_ + i) & f.mask_]);
+  if (!ar.check(count <= f.mask_ + 1, "corrupt FIFO state")) return;
+  if (ar.loading()) f.size_ = static_cast<u16>(packet_size);
+  for (u32 i = 0; i < count; ++i) {
+    VcFifo::Entry& e = f.entries_[(f.head_ + i) & f.mask_];
+    ar.io(e);
+    // A head cannot have arrived after the cycle the state reflects.
+    if (!ar.check(static_cast<i32>(e.arrive - cycle) <= 0,
+                  "FIFO entry arrives after the saved cycle"))
+      return;
+  }
 }
 
 // A restored run keeps the series its measurement protocol installed:
@@ -91,20 +103,34 @@ void CheckpointIO::io(CkptArchive& ar, Stats& s) {
     io(ar, *s.series_);
 }
 
-void CheckpointIO::io(CkptArchive& ar, Router& r) {
+void CheckpointIO::io(CkptArchive& ar, Router& r, u32 packet_size,
+                      u32 cycle) {
   for (InputPort& in : r.inputs) {
-    for (VcFifo& f : in.vcs) io(ar, f);
+    for (VcFifo& f : in.vcs) {
+      io(ar, f, packet_size, cycle);
+      if (!ar.ok()) return;
+    }
     ar.fixed(in.head_busy);
   }
   for (OutputPort& out : r.outputs) {
+    ar.fixed(out.ramp_end);
     ar.fixed(out.credits);
+    // A ramp whose first credit landed by `cycle` ends within a packet of
+    // it, and the credits it has yet to land were counted in credits[].
+    for (u32 v = 0; v < out.credits.size(); ++v) {
+      const u32 ahead = out.ramp_end[v] - cycle;
+      if (!ar.check((ahead < packet_size || ahead > 0xFFFFu) &&
+                        out.pending(v, cycle) <= out.credits[v],
+                    "credit ramp ends more than a ramp past the saved "
+                    "cycle"))
+        return;
+    }
     ar.io(out.active, out.active_vc, out.src_port, out.src_vc,
           out.phits_left, out.active_size);
   }
   for (LrsArbiter& a : r.input_arb) ar.fixed(a.last_grant_);
   for (LrsArbiter& a : r.output_arb) ar.fixed(a.last_grant_);
-  ar.io(r.buffered_packets, r.buffered_phits, r.routable_heads, r.throttled,
-        r.active_out_mask);
+  ar.io(r.buffered_packets, r.routable_heads, r.throttled, r.active_out_mask);
   ar.fixed(r.input_mask);
 }
 
@@ -131,6 +157,9 @@ void CheckpointIO::io(CkptArchive& ar, Network& net) {
 
   ar.io(net.now_, net.injected_total_, net.delivered_total_,
         net.pending_total_);
+  // Saved between steps: the state is that of the cycle before now_.
+  const u32 cycle = static_cast<u32>(net.state_cycle());
+  const u32 packet_size = net.cfg_.packet_size;
 
   // ---- packet pool, verbatim (ids and future id reuse order) ----
   PacketPool& pool = net.pool_;
@@ -185,7 +214,7 @@ void CheckpointIO::io(CkptArchive& ar, Network& net) {
     ar.io(rid);
     if (!ar.check(rid < net.routers_.size(), "corrupt router id")) return;
     if (ar.loading()) net.ensure_router_built(rid);
-    io(ar, net.routers_[rid]);
+    io(ar, net.routers_[rid], packet_size, cycle);
     if (!ar.ok()) return;
   }
 
@@ -257,8 +286,8 @@ void CheckpointIO::io(CkptArchive& ar, Network& net) {
   };
   // Every field that indexes live state is checked before use: the
   // channel (in range and wired), the VC (below the channel's VC count),
-  // the packet of a phit (live), the router that sent a phit or that a
-  // credit returns to (built, so it holds the channel's credits). The
+  // the packet of a phit event (live), the router that sent it or that a
+  // credit ramp returns to (built, so it holds the channel's credits). The
   // owner shard of a valid event then follows from its channel.
   const auto phit_owner = [&net](const Network::PhitEvent& e, u32& owner) {
     if (!net.channel_wired(e.ch) || !net.pool_.is_live(e.pkt)) return false;

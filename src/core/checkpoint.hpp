@@ -26,6 +26,8 @@
 
 #include <string>
 
+#include "common/types.hpp"
+
 namespace ofar {
 
 class Network;
@@ -63,8 +65,11 @@ class CheckpointIO {
   // common/ckpt_stream.hpp). Members, not free helpers, because they
   // exercise the `friend class CheckpointIO` grants of their targets.
   static void io(CkptArchive& ar, Network& net);
-  static void io(CkptArchive& ar, Router& r);
-  static void io(CkptArchive& ar, VcFifo& f);
+  // A router's and a FIFO's stamps are checked against `cycle`, the cycle
+  // the saved state reflects; a restored FIFO's packets are
+  // `packet_size` phits.
+  static void io(CkptArchive& ar, Router& r, u32 packet_size, u32 cycle);
+  static void io(CkptArchive& ar, VcFifo& f, u32 packet_size, u32 cycle);
   static void io(CkptArchive& ar, Stats& s);
   static void io(CkptArchive& ar, TimeSeries& ts);
 };

@@ -5,13 +5,11 @@
 namespace ofar {
 
 RouteChoice EscapeRingControl::ring_step(RouteContext& ctx, u32 need) const {
-  const Network::RingOut ro = ctx.net.ring_out(ctx.at);
-  const OutputPort& out = ctx.view.router().outputs[ro.port];
   VcId vc;
-  if (out.wired() && !out.busy() &&
-      out.best_vc(ro.first_vc, ro.num_vcs, need, vc))
-    return RouteChoice::to(ro.port, vc);
-  ctx.wake |= u64{1} << ro.port;
+  const bool free = ctx.view.ring_vc(need, vc);
+  const PortId port = ctx.view.ring_port();
+  if (free) return RouteChoice::to(port, vc);
+  ctx.wake |= u64{1} << port;
   return RouteChoice::none();
 }
 

@@ -40,8 +40,9 @@ class EscapeRingControl {
   OFAR_PARALLEL_PHASE RouteChoice enter(RouteContext& ctx) const;
 
  private:
-  /// Ring-output request with `need` phits of escape-VC credit; a failure
-  /// ORs the ring output into ctx.wake.
+  /// Ring-output request with `need` phits of escape-VC credit, read from
+  /// the view's once-per-bind ring summary; a failure ORs the ring output
+  /// into ctx.wake.
   RouteChoice ring_step(RouteContext& ctx, u32 need) const;
 
   u32 packet_size_;

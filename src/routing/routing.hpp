@@ -216,7 +216,7 @@ inline RouteChoice request_ordered(RouteContext& ctx, PortId out,
   }
   if (port.wired() && !port.busy()) {
     const VcId vc = vc_of(ctx.net, out, ctx.pkt);
-    if (port.credits[vc] >= ctx.view.packet_size())
+    if (port.credit(vc, ctx.view.now()) >= ctx.view.packet_size())
       return RouteChoice::to(out, vc);
   }
   ctx.wake = u64{1} << out;

@@ -9,7 +9,8 @@ namespace {
 u32 queued_phits_on(const Network& net, const Router& r, PortId port) {
   const u32 count = net.base_vcs(port);
   if (count == 0) return 0;
-  return r.outputs[port].queued_phits(0, count);
+  return r.outputs[port].queued_phits(
+      0, count, static_cast<u32>(net.state_cycle()));
 }
 
 /// The two candidate paths of one UGAL evaluation: queued phits on each

@@ -5,14 +5,15 @@
 // that hot working set into per-shard SoA arenas:
 //
 //   * ShardArena — chunked stable-address pools per shard for FIFO control
-//     words, FIFO ring slots, head-busy flags and credit counters. Routers
-//     hold Span views into the chunks, so a shard's allocation scan walks a
-//     few flat arrays instead of hopping between per-router heap vectors,
-//     and routers can be bound lazily on first touch (untouched routers
-//     cost nothing at h=16 scale).
+//     words, FIFO ring slots, head-busy flags, credit counters and their
+//     ramp ends. Routers hold Span views into the chunks, so a shard's
+//     allocation scan walks a few flat arrays instead of hopping between
+//     per-router heap vectors, and routers can be bound lazily on first
+//     touch (untouched routers cost nothing at h=16 scale).
 //   * CreditView — per-shard memoized credit/occupancy snapshot serving the
 //     routing policies' base-VC queries (base_available / base_occupancy /
-//     best_base_vc) from one cached pass per (router, cycle).
+//     best_base_vc) and the escape ring's (ring_vc) from one cached pass
+//     per (router, cycle), with every credit ramp evaluated at that cycle.
 //
 // CreditView memoization is exact, not approximate: within one router's
 // request-collection scan no credit counter or output-busy flag can change
@@ -89,6 +90,7 @@ struct OFAR_SHARD_LOCAL ShardArena {
   ChunkPool<u8> head_busy;              ///< parallel to `fifos`
   ChunkPool<u32> credits;               ///< output credit counters
   ChunkPool<u32> credit_caps;           ///< parallel to `credits`
+  ChunkPool<u32> ramp_ends;             ///< parallel to `credits`
   ChunkPool<u8> parked;                 ///< per input port: parked VCs
   ChunkPool<u64> wake;                  ///< per (input port, VC) slot
 
@@ -108,8 +110,8 @@ struct OFAR_SHARD_LOCAL ShardArena {
     r.inputs[port].head_busy = Span<u8>(hb, count);
   }
 
-  /// Carves `count` credit counters initialised to `value` and binds
-  /// `r.outputs[port]`'s views onto them.
+  /// Carves `count` credit counters initialised to `value`, with no ramp
+  /// on its way, and binds `r.outputs[port]`'s views onto them.
   void bind_credits(Router& r, PortId port, u32 count, u32 value) {
     u32* c = credits.alloc(count);
     u32* cc = credit_caps.alloc(count);
@@ -119,6 +121,7 @@ struct OFAR_SHARD_LOCAL ShardArena {
     }
     r.outputs[port].credits = Span<u32>(c, count);
     r.outputs[port].credit_cap = Span<u32>(cc, count);
+    r.outputs[port].ramp_end = Span<u32>(ramp_ends.alloc(count), count);
   }
 
   /// Carves `r`'s park state, no head parked: one parked-VC byte per input
@@ -130,21 +133,27 @@ struct OFAR_SHARD_LOCAL ShardArena {
 };
 
 /// Memoized per-(router, cycle) snapshot of the base-VC credit queries the
-/// routing policies issue (base_available / base_occupancy / best_base_vc).
-/// bind() is O(1) — an epoch bump — and each output port is summarised at
-/// most once per bind in a single pass over its credit span.
+/// routing policies issue (base_available / base_occupancy / best_base_vc)
+/// and of the router's escape-ring output (ring_vc). bind() is O(1) — an
+/// epoch bump — and each output port is summarised at most once per bind
+/// in a single pass over its credits, every ramp evaluated at the bind
+/// cycle.
 //
 // Shard-local: each ShardState owns one view; route() calls of the owning
 // shard's allocation scan are the only readers/writers.
 class OFAR_SHARD_LOCAL CreditView {
  public:
   /// Captures the topology-invariant shape (per-port base-VC counts, packet
-  /// size). Call once after Network construction; defined in flat_state.cpp.
+  /// size) and `net` itself, whose escape ring and state cycle the view
+  /// reads later. Call once after Network construction; defined in
+  /// flat_state.cpp.
   void init(const Network& net);
 
-  /// Rebinds the view to `r` and invalidates all memoized port snapshots.
-  void bind(const Router& r) noexcept {
+  /// Rebinds the view to `r` at cycle `now` and invalidates all memoized
+  /// snapshots.
+  void bind(const Router& r, u32 now) noexcept {
     r_ = &r;
+    now_ = now;
     ++epoch_;
     if (epoch_ == 0) {  // wrapped: stamps from 4G binds ago could collide
       for (PortSnap& s : snaps_) {
@@ -153,11 +162,17 @@ class OFAR_SHARD_LOCAL CreditView {
         s.memo_stamp = 0;
       }
       mask_stamp_ = 0;
+      ring_stamp_ = 0;
       epoch_ = 1;
     }
   }
+  /// Rebinds the view to `r` at the cycle the network's state reflects
+  /// (Network::state_cycle); defined in flat_state.cpp.
+  void bind(const Router& r) noexcept;
 
   const Router& router() const noexcept { return *r_; }
+  /// The cycle the view reads credits at.
+  u32 now() const noexcept { return now_; }
   /// Phits per packet: the credits a VC needs to take a whole packet.
   u32 packet_size() const noexcept { return packet_size_; }
 
@@ -212,6 +227,19 @@ class OFAR_SHARD_LOCAL CreditView {
       mask_stamp_ = epoch_;
     }
     return avail_mask_;
+  }
+
+  /// The router's escape-ring output. Call after ring_vc.
+  PortId ring_port() const noexcept { return ring_port_; }
+
+  /// True when the ring output is wired and idle and its best escape VC
+  /// (the first with the most credits, returned in `vc`) has at least
+  /// `need` credits: a packet for a ride, a packet plus the bubble for an
+  /// entry. The port and its best VC are derived once per bind.
+  bool ring_vc(u32 need, VcId& vc) noexcept {
+    if (ring_stamp_ != epoch_) refresh_ring();
+    vc = ring_best_vc_;
+    return ring_free_ >= need;
   }
 
   /// One u64 per port that the routing policy derives from this snapshot
@@ -271,7 +299,7 @@ class OFAR_SHARD_LOCAL CreditView {
     bool found = false;
     VcId best_vc = 0;
     for (u32 v = 0; v < count; ++v) {
-      const u32 c = out.credits[v];
+      const u32 c = out.credit(v, now_);
       free += c;
       cap += out.credit_cap[v];
       if (c >= packet_size_ && (!found || c > best)) {
@@ -288,11 +316,21 @@ class OFAR_SHARD_LOCAL CreditView {
     s.avail = (found && !out.busy()) ? 1 : 0;
   }
 
+  /// The ring output's port and its best escape VC; ring_free_ holds that
+  /// VC's credits, 0 when the port is unwired or streams.
+  void refresh_ring() noexcept;
+
+  const Network* net_ = nullptr;
   const Router* r_ = nullptr;
+  u32 now_ = 0;
   u32 epoch_ = 0;
   u32 mask_stamp_ = 0;
   u64 avail_mask_ = 0;
   u32 packet_size_ = 0;
+  u32 ring_stamp_ = 0;
+  PortId ring_port_ = kInvalidPort;
+  VcId ring_best_vc_ = 0;
+  u32 ring_free_ = 0;
   std::vector<u32> base_counts_;  ///< [port] -> base VC count (class-invariant)
   std::vector<PortSnap> snaps_;   ///< [port] -> memoized summary
 };

@@ -367,7 +367,8 @@ bool Network::is_ring_input(RouterId r, PortId port, VcId vc) const {
 double Network::base_occupancy(const Router& r, PortId port) const {
   const u32 count = base_vcs(port);
   if (count == 0 || !r.outputs[port].wired()) return 1.0;
-  return r.outputs[port].occupancy(0, count);
+  return r.outputs[port].occupancy(0, count,
+                                   static_cast<u32>(state_cycle()));
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +396,8 @@ bool Network::try_inject(NodeId src, NodeId dst) {
   if (r.throttled) return false;
   InputPort& in = r.inputs[topo_.node_port(topo_.node_slot(src))];
   u32 best_vc;
-  if (!in.best_fit_vc(cfg_.packet_size, best_vc)) return false;
+  if (!in.best_fit_vc(cfg_.packet_size, best_vc, static_cast<u32>(now_)))
+    return false;
   stats_.on_generated(cfg_.packet_size);
   place_packet(src, {.dst = dst, .birth = now_});
   return true;
@@ -406,8 +408,9 @@ void Network::place_packet(NodeId src, const Offer& offer) {
   ensure_router_built(rid);  // serial phase
   Router& r = routers_[rid];
   InputPort& in = r.inputs[topo_.node_port(topo_.node_slot(src))];
+  const u32 now = static_cast<u32>(now_);
   u32 best_vc;
-  const bool fits = in.best_fit_vc(cfg_.packet_size, best_vc);
+  const bool fits = in.best_fit_vc(cfg_.packet_size, best_vc, now);
   OFAR_DCHECK(fits);  // caller checked space
   (void)fits;
 
@@ -428,9 +431,8 @@ void Network::place_packet(NodeId src, const Offer& offer) {
   policy_->on_inject(*this, pkt, r.id);
 
   if (in.vcs[best_vc].empty()) ++r.routable_heads;  // becomes a head
-  in.vcs[best_vc].push_whole_packet(id, cfg_.packet_size);
+  in.vcs[best_vc].push_whole_packet(id, cfg_.packet_size, now);
   ++r.buffered_packets;
-  r.buffered_phits += cfg_.packet_size;
   r.input_mask[topo_.node_port(topo_.node_slot(src))] |=
       static_cast<u8>(1u << best_vc);
   mark_router_active(r.id);
@@ -512,7 +514,9 @@ void Network::advance_transfers(ShardState& sh, u32 slot) {
     const std::size_t b = current + offset;
     return b >= buckets ? b - buckets : b;
   };
-  const u32 node_ports = topo_.p();  // ports [0, p) are injection ports
+  // Ports [0, p) are the node ports: injection inputs, ejection outputs.
+  const u32 node_ports = topo_.p();
+  const u32 now = static_cast<u32>(now_);
   std::size_t w = 0;
   for (const RouterId id : sh.active_routers) {
     Router& r = routers_[id];
@@ -528,52 +532,54 @@ void Network::advance_transfers(ShardState& sh, u32 slot) {
       OutputPort& out = r.outputs[port];
       OFAR_DCHECK(out.busy());
       InputPort& in = r.inputs[out.src_port];
-      VcFifo& fifo = in.vcs[out.src_vc];
-      OFAR_DCHECK(!fifo.empty() && fifo.head() == out.active);
       // Cached at grant time (commit_grant): the streaming loop never has
       // to touch the packet pool.
       const u32 size = out.active_size;
       OFAR_DCHECK(size == pool_.get(out.active).size);
-      const bool head = out.phits_left == size;
-      const bool tail = out.phits_left == 1;
-      const bool popped = fifo.pop_phit(size);
-      OFAR_DCHECK(popped == tail);
-      // Latencies and event owners are cached at wiring time.
-      if (in.in_channel != kInvalidChannel) {
-        sh.credit_wheel[bucket_at(in.credit_offset)].push_back(
-            {in.in_channel, out.src_vc});
-      } else if (out.src_port < node_ports) {
+      // The first phit sends the packet's head event downstream and its
+      // credit ramp back to the sender of the FIFO it leaves; latencies
+      // and event owners are cached at wiring time. An ejection sends its
+      // one event at the last phit instead, so deliveries stay in the
+      // order their tails reach the nodes.
+      if (out.phits_left == size) {
+        if (in.in_channel != kInvalidChannel)
+          sh.credit_wheel[bucket_at(in.credit_offset)].push_back(
+              {in.in_channel, out.src_vc});
+        if (port >= node_ports)
+          sh.phit_wheel[bucket_at(out.wheel_offset)].push_back(
+              {out.channel, out.active, out.active_vc});
+      }
+      if (in.in_channel == kInvalidChannel && out.src_port < node_ports) {
         // A phit left an injection FIFO: its node may fit a packet again.
         node_ready_[topo_.node_at(id, out.src_port)] = 1;
       }
       ++channel_phits_[out.channel];  // flat counter; shard owns src router
-      sh.phit_wheel[bucket_at(out.wheel_offset)].push_back(
-          {out.channel, out.active, out.active_vc, head ? u8{1} : u8{0},
-           tail ? u8{1} : u8{0}});
       --out.phits_left;
-      --r.buffered_phits;
-      if (popped) {
-        --r.buffered_packets;
-        if (fifo.empty()) {
-          r.input_mask[out.src_port] &=
-              static_cast<u8>(~(1u << out.src_vc));
-        } else {
-          // The queued entry behind the departing packet becomes the head;
-          // head_busy is cleared below (popped implies phits_left hits 0).
-          ++r.routable_heads;
-        }
+      VcFifo& fifo = in.vcs[out.src_vc];
+      OFAR_DCHECK(!fifo.empty() && fifo.head() == out.active);
+      // Cut-through never underruns: the phit just sent had arrived.
+      OFAR_DCHECK(fifo.arrived(fifo.entry(0), now) >= size - out.phits_left);
+      if (out.phits_left != 0) continue;
+      if (port < node_ports)
+        sh.phit_wheel[bucket_at(out.wheel_offset)].push_back(
+            {out.channel, out.active, out.active_vc});
+      fifo.pop();
+      --r.buffered_packets;
+      if (fifo.empty()) {
+        r.input_mask[out.src_port] &= static_cast<u8>(~(1u << out.src_vc));
+      } else {
+        // The queued entry behind the departing packet becomes the head.
+        ++r.routable_heads;
       }
-      if (out.phits_left == 0) {
-        out.active = kInvalidPacket;
-        in.head_busy[out.src_vc] = 0;
-        r.active_out_mask &= ~(1ull << port);
-        // The output is idle again: a rise for the heads parked on it when
-        // some VC (base or escape) can take a packet.
-        VcId vc;
-        if ((r.wake_any >> port & 1) != 0 &&
-            out.best_vc(0, out.credits.size(), cfg_.packet_size, vc))
-          r.risen |= u64{1} << port;
-      }
+      out.active = kInvalidPacket;
+      in.head_busy[out.src_vc] = 0;
+      r.active_out_mask &= ~(1ull << port);
+      // The output is idle again: a rise for the heads parked on it when
+      // some VC (base or escape) can take a packet.
+      VcId vc;
+      if ((r.wake_any >> port & 1) != 0 &&
+          out.best_vc(0, out.credits.size(), cfg_.packet_size, now, vc))
+        r.risen |= u64{1} << port;
     }
   }
   sh.active_routers.resize(w);
@@ -585,6 +591,26 @@ void Network::park(Router& r, PortId port, VcId vc, u64 wake) {
   r.wake[port * park_stride_ + vc] = wake;
   r.wake_any |= wake;
   ++r.parked_heads;
+}
+
+void Network::note_ramp_rises(Router& r, u32 now) {
+  const u32 packet = cfg_.packet_size;
+  for (u64 m = r.wake_any & ~r.active_out_mask & ~r.risen; m != 0;
+       m &= m - 1) {
+    const u32 port = static_cast<u32>(std::countr_zero(m));
+    const OutputPort& out = r.outputs[port];
+    for (u32 v = 0; v < out.credits.size(); ++v) {
+      // A credit of v's ramp lands at `now` while its last one lands at
+      // most packet - 1 cycles later.
+      const u32 ahead = out.ramp_end[v] - now;
+      if (ahead >= packet) continue;
+      const u32 credits = out.credits[v] - ahead;
+      if (credits == packet || credits == 2 * packet) {
+        r.risen |= u64{1} << port;
+        break;
+      }
+    }
+  }
 }
 
 void Network::unpark_risen(Router& r) {
@@ -617,7 +643,7 @@ void Network::unpark_all(Router& r) {
 }
 
 void Network::visit_parked(ShardState& sh, Router& r, u32 lane) {
-  if constexpr (kDchecksOn) sh.view.bind(r);
+  if constexpr (kDchecksOn) sh.view.bind(r, static_cast<u32>(now_));
   for (PortId port = 0; port < r.num_ports(); ++port) {
     for (u32 m = r.parked[port]; m != 0; m &= m - 1) {
       const VcId vc = static_cast<VcId>(std::countr_zero(m));
@@ -640,6 +666,7 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
   // so one record is reused across the scan and reset only when a traced
   // head actually wants it — the untraced hot path never touches it.
   RouteProvenance prov;
+  const u32 now = static_cast<u32>(now_);
   for (const RouterId id : sh.active_routers) {
     Router& r = routers_[id];
     // No routable head means the port scan below would find nothing to
@@ -651,7 +678,10 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
     // Parked heads (DESIGN.md §6) fail route() until an output they wait
     // on rises: wake those whose output rose, and leave the rest out of
     // the scan. A router whose every head is parked is skipped before its
-    // view is bound, exactly as one without heads.
+    // view is bound, exactly as one without heads. Transfer ends note
+    // their rises as they happen; credit ramps are read here, in the
+    // cycle each of their credits lands.
+    if (r.wake_any != 0) note_ramp_rises(r, now);
     if (r.risen != 0) unpark_risen(r);
     if (r.parked_heads != 0) {
       if (telem_ || kDchecksOn) visit_parked(sh, r, lane);
@@ -663,7 +693,7 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
     // after which every route() call of this scan reads its base-VC
     // queries from at most one per-port refresh. Exact by construction —
     // no credit or output-busy state changes until commit_grant below.
-    sh.view.bind(r);
+    sh.view.bind(r, now);
     // Pass 1: gather the unparked routable heads (InputPort::has_head) in
     // ascending (port, VC) order from the flat FIFO arena and prefetch each
     // head packet's cache line. Head packets are scattered across the pool,
@@ -695,7 +725,7 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
         continue;
       }
       OFAR_DCHECK(!r.outputs[choice.out_port].busy());
-      OFAR_DCHECK(r.outputs[choice.out_port].credits[choice.out_vc] >=
+      OFAR_DCHECK(r.outputs[choice.out_port].credit(choice.out_vc, now) >=
                   cfg_.packet_size);
       if (want_prov)
         sh.provs.emplace_back(static_cast<u32>(sh.reqs.size()), prov);
@@ -724,7 +754,8 @@ void Network::commit_grant(ShardState& sh, Router& r, const AllocRequest& rq,
   OutputPort& out = r.outputs[rq.choice.out_port];
   Packet& pkt = pool_.get(rq.packet);
   OFAR_DCHECK(!out.busy());
-  OFAR_DCHECK(out.credits[rq.choice.out_vc] >= pkt.size);
+  OFAR_DCHECK(out.credit(rq.choice.out_vc, static_cast<u32>(now_)) >=
+              pkt.size);
 
   // Queueing delay of this hop, captured before last_progress is updated.
   const Cycle queue_wait = now_ - pkt.last_progress;
@@ -738,6 +769,8 @@ void Network::commit_grant(ShardState& sh, Router& r, const AllocRequest& rq,
   out.active_size = pkt.size;
   r.active_out_mask |= 1ull << rq.choice.out_port;
   r.inputs[rq.in_port].head_busy[rq.in_vc] = 1;
+  r.inputs[rq.in_port].vcs[rq.in_vc].start_send(static_cast<u32>(now_) +
+                                                pkt.size);
   OFAR_DCHECK(r.routable_heads > 0);
   --r.routable_heads;  // head now mid-transfer
 
@@ -820,10 +853,17 @@ void Network::update_throttle() {
   // cycle the router drains — before the next cycle's prune (in
   // advance_transfers) drops it. Idle routers therefore behave exactly as
   // under the full scan.
+  const u32 now = static_cast<u32>(now_);
   for (const ShardState& sh : shards_) {
     for (const RouterId id : sh.active_routers) {
       Router& r = routers_[id];
-      const double occ = static_cast<double>(r.buffered_phits) /
+      // The exact phits the router's non-empty VCs store this cycle.
+      u32 stored = 0;
+      for (PortId port = 0; port < r.inputs.size(); ++port)
+        for (u32 m = r.input_mask[port]; m != 0; m &= m - 1)
+          stored += r.inputs[port].stored_phits(
+              static_cast<u32>(std::countr_zero(m)), now);
+      const double occ = static_cast<double>(stored) /
                          static_cast<double>(r.buffer_capacity_phits);
       if (r.throttled) {
         if (occ < cfg_.throttle_off) {
@@ -867,7 +907,8 @@ void Network::do_injection() {
         if (r.throttled) break;
         const InputPort& in = r.inputs[topo_.node_port(topo_.node_slot(n))];
         u32 vc;
-        if (!in.best_fit_vc(cfg_.packet_size, vc)) break;
+        if (!in.best_fit_vc(cfg_.packet_size, vc, static_cast<u32>(now_)))
+          break;
         place_packet(n, queue.front());
         queue.pop_front();
         --pending_total_;
@@ -893,10 +934,10 @@ void Network::run_watchdog() {
 void Network::deliver_events_shard(ShardState& sh, u32 shard, u32 slot) {
   // Shard s reads bucket (slot, s) of every shard's wheels, in shard order:
   // exactly the events it owns, in the order a scan of whole slots would
-  // have met them. A phit event belongs to the destination router's shard
-  // (it fills that router's input FIFO), an ejection to the source
-  // router's shard (its effect, the delivery, is staged anyway), a credit
-  // to the source router's shard (it replenishes that router's output
+  // have met them. A hop event belongs to the destination router's shard
+  // (it queues the packet in that router's input FIFO), an ejection to the
+  // source router's shard (its effect, the delivery, is staged anyway), a
+  // ramp to the source router's shard (it returns that router's output
   // credits). Buckets are only read here; each shard empties its own in
   // its next transfer phase.
   // The events of one slot go to distinct (channel, VC) targets, so only
@@ -904,6 +945,8 @@ void Network::deliver_events_shard(ShardState& sh, u32 shard, u32 slot) {
   // cycle ago by the source router's shard, so they stage in generation
   // order.
   const std::size_t bucket = std::size_t{slot} * shards_.size() + shard;
+  const u32 packet = cfg_.packet_size;
+  const u32 now = static_cast<u32>(now_);
   for (const ShardState& from : shards_) {
     for (const PhitEvent& e : from.phit_wheel[bucket]) {
       const Channel ch = channel(e.ch);
@@ -912,9 +955,8 @@ void Network::deliver_events_shard(ShardState& sh, u32 shard, u32 slot) {
         // The packet line was last written by this shard's grant.
         const Packet& pkt = pool_.get(e.pkt);
         OFAR_DCHECK(ch.dst_node == pkt.dst);
-        if (e.tail)
-          sh.delivered.push_back(
-              {e.pkt, pkt.size, pkt.birth, pkt.total_hops, pkt.traced});
+        sh.delivered.push_back(
+            {e.pkt, pkt.size, pkt.birth, pkt.total_hops, pkt.traced});
         continue;
       }
       OFAR_DCHECK(shard_of_router_[ch.dst_router] == shard);
@@ -923,42 +965,35 @@ void Network::deliver_events_shard(ShardState& sh, u32 shard, u32 slot) {
       // arena chunks, built_ flag, shard built counter) is shard-local.
       ensure_router_built(ch.dst_router);
       Router& dst = routers_[ch.dst_router];
-      VcFifo& fifo = dst.inputs[ch.dst_port].vcs[e.vc];
-      if (e.head) {
-        if (fifo.empty()) ++dst.routable_heads;  // becomes a head
-        fifo.push_packet(e.pkt);
-        ++dst.buffered_packets;
-        dst.input_mask[ch.dst_port] |= static_cast<u8>(1u << e.vc);
-        // Continuation phits never need a mark: a FIFO entry is only
-        // popped once all its phits arrived (cut-through pop requires
-        // sent<=arrived), so their head's mark is still in force when they
-        // land.
-        mark_router_active(ch.dst_router);
-      } else {
-        fifo.push_phit();
-      }
-      ++dst.buffered_phits;
-      OFAR_DCHECK(fifo.stored_phits() <= fifo.capacity());
+      InputPort& in = dst.inputs[ch.dst_port];
+      VcFifo& fifo = in.vcs[e.vc];
+      if (fifo.empty()) ++dst.routable_heads;  // becomes a head
+      // The head phit is here; the rest of the packet follows one phit
+      // per cycle, and the entry derives them from this stamp.
+      fifo.push(e.pkt, packet, now);
+      OFAR_DCHECK(in.stored_phits(e.vc, now) <= fifo.capacity());
+      ++dst.buffered_packets;
+      dst.input_mask[ch.dst_port] |= static_cast<u8>(1u << e.vc);
+      mark_router_active(ch.dst_router);
     }
   }
-  const u32 packet = cfg_.packet_size;
   for (const ShardState& from : shards_) {
     for (const CreditEvent& e : from.credit_wheel[bucket]) {
       // Only the sending router and port are needed.
       const auto [src_r, port] = channel_source(e.ch);
       OFAR_DCHECK(shard_of_router_[src_r] == shard);
       OFAR_DCHECK(built_[src_r] != 0);  // credits only return to senders
-      Router& src = routers_[src_r];
-      OutputPort& out = src.outputs[port];
+      OutputPort& out = routers_[src_r].outputs[port];
       OFAR_DCHECK(e.vc < out.credits.size());
-      const u32 credits = ++out.credits[e.vc];
-      OFAR_DCHECK(credits <= out.credit_cap[e.vc]);
-      // A rise for the heads parked on this output: on an idle port, a VC
-      // now holds a packet, or a packet plus the bubble a ring entry
-      // needs. Credits climb one at a time, so each level is met exactly.
-      if ((src.wake_any >> port & 1) != 0 &&
-          (credits == packet || credits == 2 * packet) && !out.busy())
-        src.risen |= u64{1} << port;
+      // The downstream FIFO sends one packet at a time, so the VC's
+      // previous ramp has landed. The first credit lands now, the last
+      // packet - 1 cycles later; credits[] holds the landed total, and the
+      // scan of a router with parked heads reads the rises (see
+      // note_ramp_rises).
+      OFAR_DCHECK(out.pending(e.vc, now - 1) == 0);
+      out.credits[e.vc] += packet;
+      out.ramp_end[e.vc] = now + packet - 1;
+      OFAR_DCHECK(out.credits[e.vc] <= out.credit_cap[e.vc]);
     }
   }
 }
@@ -1004,6 +1039,7 @@ void Network::step() {
   // the sampler runs after the cycle.
   PhaseProfiler* const prof = telem_ ? &telem_->profiler() : nullptr;
   if (prof) prof->start_cycle(now_);
+  in_step_ = true;
   const u32 slot = static_cast<u32>(now_ % wheel_size_);
   // No event due and no active router: the shard phases and their commits
   // would do nothing, so a drained cycle dispatches no pool phase.
@@ -1038,6 +1074,7 @@ void Network::step() {
     if (prof) prof->phase_done(SimPhase::kWatchdog);
   }
   if (prof) prof->end_cycle(watchdog);
+  in_step_ = false;
   ++now_;
   if (now_ >= next_audit_) [[unlikely]] run_audit();
   if (telem_) telem_->maybe_sample(*this, now_);
@@ -1096,6 +1133,12 @@ bool Network::check_quiescent() const {
     for (const auto& slot : sh.credit_wheel)
       if (!slot.empty()) return false;
   }
+  // Nor may a credit ramp still be landing.
+  const u32 at = static_cast<u32>(state_cycle());
+  for (const Router& r : routers_)
+    for (const OutputPort& out : r.outputs)
+      for (u32 v = 0; v < out.credits.size(); ++v)
+        if (out.pending(v, at) != 0) return false;
   // With no packet live, a clean audit leaves every FIFO empty, every
   // output idle and every credit counter at capacity.
   return verify::InvariantAuditor(*this).run_all().ok();

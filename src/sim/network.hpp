@@ -4,7 +4,7 @@
 // ring, traffic source and statistics, and advances them one synchronous
 // cycle at a time:
 //
-//   1. deliver phit/credit events whose wire latency elapsed,
+//   1. deliver hop and credit-ramp events whose wire latency elapsed,
 //   2. policy tick (PB's intra-group congestion broadcast),
 //   3. advance active packet transfers (1 phit/cycle through the crossbar),
 //   4. routing decisions for every head packet + separable allocation,
@@ -19,9 +19,17 @@
 // non-trivial work on — results are bit-identical to the full scan (see
 // DESIGN.md "Cycle kernel & performance" for the invariants).
 //
-// Timing conventions: a grant at cycle t streams phits at t+1..t+size; a
-// phit sent at cycle t is delivered at t + latency; the credit for a phit
-// leaving a FIFO at cycle t is usable upstream at t + latency.
+// Links are packet-granular: a hop is one event. Timing conventions: a grant
+// at cycle t streams phits at t+1..t+size; a phit sent at cycle t arrives
+// at t + latency; the credit for a phit leaving a FIFO at cycle t is usable
+// upstream at t + latency. So a packet's phits arrive on consecutive
+// cycles, and its credits land on consecutive cycles: the transfer's first
+// phit sends one head event downstream (an ejection, one event at its last
+// phit) and one credit ramp upstream, and a FIFO entry and a credit counter
+// derive every later phit and credit from their cycle stamps.
+//
+// Between steps the state is that of cycle now() - 1; inside step(), once
+// the transfers ran, that of now() (state_cycle()).
 #pragma once
 
 #include <functional>
@@ -111,6 +119,12 @@ class Network {
   void step();
   void run(u64 cycles);
   Cycle now() const noexcept { return now_; }
+  /// The cycle the network state reflects, at which FIFO fills and credit
+  /// ramps are evaluated: now() inside step(), now() - 1 between steps (0
+  /// before the first).
+  Cycle state_cycle() const noexcept {
+    return in_step_ || now_ == 0 ? now_ : now_ - 1;
+  }
 
   // ---- sharded cycle kernel (DESIGN.md §10) ----
   /// Number of contiguous router shards the kernel was partitioned into
@@ -284,8 +298,9 @@ class Network {
   bool check_quiescent() const;
 
   /// Mid-run credit-conservation audit. For every (channel, VC):
-  ///   upstream credits + downstream stored phits + phits on the wire
-  ///   + credits on the wire + unsent phits of an active transfer
+  ///   upstream credits + credits still to land + downstream stored phits
+  ///   + phits on the wire + unsent phits of an active transfer
+  ///   - the unsent phits of the downstream head, whose ramp is on its way
   /// must equal the downstream buffer capacity. Thin wrapper over
   /// verify::InvariantAuditor::check_credit_conservation. O(network).
   bool check_flow_conservation() const;
@@ -301,17 +316,20 @@ class Network {
  private:
   friend class verify::InvariantAuditor;
   friend class CheckpointIO;  // core/checkpoint.cpp: full-state save/load
+  friend struct WheelFaults;  // tests/test_auditor.cpp: wheel mutants
 
   // Wheel events and offers are checkpointed as raw bytes, so each spells
   // out its padding as zeroed members.
+  /// A packet on channel `ch`: its head phit arriving at a router input,
+  /// or, on an ejection channel, its last phit reaching the node.
   struct PhitEvent {
     ChannelId ch;
     PacketId pkt;
     VcId vc;
-    u8 head;  // first phit of the packet
-    u8 tail;  // last phit of the packet
-    u8 zero_pad = 0;
+    u8 zero_pad[3] = {};
   };
+  /// The first credit of a packet's ramp back to the sender of `ch`; one
+  /// more lands in each of the next packet_size - 1 cycles.
   struct CreditEvent {
     ChannelId ch;
     VcId vc;
@@ -374,7 +392,7 @@ class Network {
   /// contiguous id ranges; nodes follow their router (router_of_node is
   /// n / p), so a shard owns [router_begin * p, router_end * p) nodes too.
   /// During a parallel phase a shard touches only its own routers plus this
-  /// struct. Phit and credit events go into the shard's own event wheels,
+  /// struct. Hop and ramp events go into the shard's own event wheels,
   /// bucketed by the shard that will apply them; every other cross-shard
   /// effect (stats, traces, deliveries) is staged here and committed
   /// serially in shard-ascending order, which equals router-ascending
@@ -413,7 +431,7 @@ class Network {
     // events this shard generated for cycle % wheel size == slot that shard
     // `owner` applies. Only this shard writes them: its transfer phase
     // first empties the current slot's buckets (delivered in the phase
-    // before), then pushes every phit and credit event it generates (every
+    // before), then pushes every hop and ramp event it generates (every
     // latency is >= 1, so never into the current slot). Shard s's delivery
     // reads bucket (slot, s) of every shard's wheels.
     std::vector<std::vector<PhitEvent>> phit_wheel;
@@ -464,6 +482,9 @@ class Network {
   // ---- parked heads (DESIGN.md §6), all of them shard-local ----
   /// Parks the head of (port, vc) until an output of `wake` rises.
   OFAR_PARALLEL_PHASE void park(Router& r, PortId port, VcId vc, u64 wake);
+  /// Marks in r.risen the awaited idle outputs where a credit ramp brings
+  /// a VC to exactly `packet_size` or `2 * packet_size` at cycle `now`.
+  OFAR_PARALLEL_PHASE void note_ramp_rises(Router& r, u32 now);
   /// Unparks every head waiting on an output in r.risen.
   OFAR_PARALLEL_PHASE void unpark_risen(Router& r);
   /// Unparks every head of r.
@@ -475,7 +496,7 @@ class Network {
   OFAR_PARALLEL_PHASE void visit_parked(ShardState& sh, Router& r, u32 lane);
 
   OFAR_SERIAL_ONLY void update_throttle();
-  /// Transfer/allocation phases, per shard: phit and credit events go into
+  /// Transfer/allocation phases, per shard: hop and ramp events go into
   /// the owner buckets of the shard's own wheels, stats counts and trace
   /// events into its staging for the serial commit. `slot` is the current
   /// wheel slot (now % wheel size).
@@ -492,8 +513,8 @@ class Network {
 
   /// One shard's slice of event delivery: reads its own bucket of the
   /// current slot of every shard's wheels, in shard order, and applies the
-  /// events (phit: the destination router is this shard's; ejection and
-  /// credit: the source router is). Read-shared / write-own, so shards need
+  /// events (hop: the destination router is this shard's; ejection and
+  /// ramp: the source router is). Read-shared / write-own, so shards need
   /// no locks; each shard empties its own buckets in advance_transfers().
   OFAR_PARALLEL_PHASE void deliver_events_shard(ShardState& sh, u32 shard,
                                                 u32 slot);
@@ -578,10 +599,10 @@ class Network {
   OFAR_SERIAL_ONLY std::vector<NodeId> active_nodes_;
   OFAR_SERIAL_ONLY bool active_nodes_sorted_ = true;
   /// Per node: probe it in the next injection drain. Set when its queue
-  /// turns non-empty, when a phit leaves one of its injection FIFOs (by
-  /// the shard owning its router, during transfers), when its router's
-  /// throttle latch releases, and for every listed node on restore;
-  /// cleared by the probe.
+  /// turns non-empty, in every cycle a phit leaves one of its injection
+  /// FIFOs (by the shard owning its router, during transfers), when its
+  /// router's throttle latch releases, and for every listed node on
+  /// restore; cleared by the probe.
   OFAR_SHARD_LOCAL std::vector<u8> node_ready_;
 
   // Worker pool for the sharded kernel's parallel phases. Its thread count
@@ -596,6 +617,8 @@ class Network {
   u32 wheel_size_ = 0;
 
   OFAR_SERIAL_ONLY Cycle now_ = 0;
+  /// True inside step(): state_cycle() is now_ there.
+  OFAR_SERIAL_ONLY bool in_step_ = false;
 
   // Opt-in invariant auditing (see enable_audit). next_audit_ stays at the
   // Cycle max sentinel while disabled, so the per-cycle test in step() is a

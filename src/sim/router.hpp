@@ -6,13 +6,14 @@
 // orchestration lives in Network; Router is state + small queries.
 //
 // Storage layout: the per-VC state every hot scan touches — downstream
-// credit counters, FIFO metadata + ring slots, head-busy flags — lives in
-// contiguous per-SHARD arenas (sim/flat_state.hpp), laid out router/port/
-// VC-major; InputPort/OutputPort hold Span views into them. The allocation
-// and routing scans of a shard therefore stream through a few flat arrays
-// instead of chasing per-router heap vectors. Arenas allocate in large
-// stable-address chunks (see ShardArena), so routers can be bound lazily on
-// first touch while every Span stays valid for the network's lifetime.
+// credit counters and ramps, FIFO metadata + ring slots, head-busy flags —
+// lives in contiguous per-SHARD arenas (sim/flat_state.hpp), laid out
+// router/port/VC-major; InputPort/OutputPort hold Span views into them. The
+// allocation and routing scans of a shard therefore stream through a few
+// flat arrays instead of chasing per-router heap vectors. Arenas allocate in
+// large stable-address chunks (see ShardArena), so routers can be bound
+// lazily on first touch while every Span stays valid for the network's
+// lifetime.
 #pragma once
 
 #include <vector>
@@ -28,14 +29,19 @@ namespace ofar {
 
 struct OutputPort {
   ChannelId channel = kInvalidChannel;  ///< invalid on unwired global ports
-  /// latency * K + owner, cached at wiring time: a phit sent at wheel slot
-  /// s goes to bucket (s * K + wheel_offset) mod (wheel size * K) of the
-  /// sending shard's phit wheel, where `owner` is the shard that applies it
-  /// (the destination router's; the source's for ejection). The transfer
-  /// loop never resolves a descriptor.
+  /// latency * K + owner, cached at wiring time: an event sent at wheel
+  /// slot s goes to bucket (s * K + wheel_offset) mod (wheel size * K) of
+  /// the sending shard's hop wheel, where `owner` is the shard that applies
+  /// it (the destination router's; the source's for ejection). The
+  /// transfer loop never resolves a descriptor.
   u32 wheel_offset = 0;
-  Span<u32> credits;                    ///< per downstream VC, phits free
+  /// Per downstream VC, phits free once every credit on its way back has
+  /// landed. Credits return as ramps: the downstream FIFO sends a packet
+  /// one phit per cycle, so its credits land one per cycle, the last at
+  /// ramp_end[v]. credit() subtracts the part still to land.
+  Span<u32> credits;
   Span<u32> credit_cap;                 ///< per downstream VC, buffer size
+  Span<u32> ramp_end;                   ///< per downstream VC, u32 cycle
 
   // Active batch transfer (whole packet streams at 1 phit/cycle).
   PacketId active = kInvalidPacket;
@@ -49,16 +55,32 @@ struct OutputPort {
   bool wired() const noexcept { return channel != kInvalidChannel; }
   bool busy() const noexcept { return active != kInvalidPacket; }
 
-  /// VC in [first, first+count) with the most credits, provided it has at
-  /// least `need`; returns count (i.e. one-past) sentinel mapped to
-  /// kInvalidVc via the bool. Returns false when no VC qualifies.
-  bool best_vc(u32 first, u32 count, u32 need, VcId& out) const noexcept {
+  /// Credits of VC v's ramp that land after cycle `now`. A ramp is at most
+  /// one packet long, and a packet at most 0xFFFF phits (the FIFO bound),
+  /// so a ramp_end further ahead than that is a stamp from 2^32 cycles ago
+  /// whose ramp has long landed.
+  u32 pending(u32 v, u32 now) const noexcept {
+    const u32 ahead = ramp_end[v] - now;
+    return ahead <= 0xFFFFu ? ahead : 0;
+  }
+  /// Credits of VC v usable at cycle `now`.
+  u32 credit(u32 v, u32 now) const noexcept {
+    const u32 p = pending(v, now);
+    OFAR_DCHECK(p <= credits[v]);
+    return credits[v] - p;
+  }
+
+  /// VC in [first, first+count) with the most credits at cycle `now`,
+  /// provided it has at least `need`. Returns false when no VC qualifies.
+  bool best_vc(u32 first, u32 count, u32 need, u32 now,
+               VcId& out) const noexcept {
     u32 best = 0;
     bool found = false;
     for (u32 v = first; v < first + count; ++v) {
       OFAR_DCHECK(v < credits.size());
-      if (credits[v] >= need && (!found || credits[v] > best)) {
-        best = credits[v];
+      const u32 c = credit(v, now);
+      if (c >= need && (!found || c > best)) {
+        best = c;
         out = static_cast<VcId>(v);
         found = true;
       }
@@ -66,23 +88,25 @@ struct OutputPort {
     return found;
   }
 
-  /// Occupancy fraction (1 - free/capacity) over VCs [first, first+count):
-  /// the congestion measure OFAR and PB thresholds operate on (paper §IV-B).
-  double occupancy(u32 first, u32 count) const noexcept {
+  /// Occupancy fraction (1 - free/capacity) over VCs [first, first+count)
+  /// at cycle `now`: the congestion measure OFAR and PB thresholds operate
+  /// on (paper §IV-B).
+  double occupancy(u32 first, u32 count, u32 now) const noexcept {
     u64 free = 0, cap = 0;
     for (u32 v = first; v < first + count; ++v) {
-      free += credits[v];
+      free += credit(v, now);
       cap += credit_cap[v];
     }
     if (cap == 0) return 1.0;
     return 1.0 - static_cast<double>(free) / static_cast<double>(cap);
   }
 
-  /// Total phits queued downstream (capacity - credits) over a VC range.
-  u32 queued_phits(u32 first, u32 count) const noexcept {
+  /// Total phits queued downstream (capacity - credits) over a VC range at
+  /// cycle `now`.
+  u32 queued_phits(u32 first, u32 count, u32 now) const noexcept {
     u32 q = 0;
     for (u32 v = first; v < first + count; ++v)
-      q += credit_cap[v] - credits[v];
+      q += credit_cap[v] - credit(v, now);
     return q;
   }
 };
@@ -96,20 +120,28 @@ struct InputPort {
   Span<VcFifo> vcs;
   Span<u8> head_busy;  ///< per VC: head packet is mid-transfer
 
+  /// A FIFO entry exists from its head phit's arrival on, so a queued head
+  /// that does not stream can be routed.
   bool has_head(VcId v) const noexcept {
-    return !vcs[v].empty() && head_busy[v] == 0 && vcs[v].head_arrived() > 0;
+    return !vcs[v].empty() && head_busy[v] == 0;
   }
 
-  /// Best-fit injection scan: the VC with the most free space that still
-  /// fits a whole `size`-phit packet. This is the single placement rule for
-  /// injection queues — the fits-probe (do_injection) and the placement
-  /// (try_inject / place_packet) both call it, so they can never diverge.
-  /// Returns false (out_vc = kInvalidIndex) when no VC fits.
-  bool best_fit_vc(u32 size, u32& out_vc) const noexcept {
+  /// Phits VC v stores at cycle `now`.
+  u32 stored_phits(u32 v, u32 now) const noexcept {
+    return vcs[v].stored_phits(now, head_busy[v] != 0);
+  }
+
+  /// Best-fit injection scan at cycle `now`: the VC with the most free
+  /// space that still fits a whole `size`-phit packet. This is the single
+  /// placement rule for injection queues — the fits-probe (do_injection)
+  /// and the placement (try_inject / place_packet) both call it, so they
+  /// can never diverge. Returns false (out_vc = kInvalidIndex) when no VC
+  /// fits. A port outside a running network is at cycle 0.
+  bool best_fit_vc(u32 size, u32& out_vc, u32 now = 0) const noexcept {
     u32 best_free = 0;
     out_vc = kInvalidIndex;
     for (u32 v = 0; v < vcs.size(); ++v) {
-      const u32 free = vcs[v].capacity() - vcs[v].stored_phits();
+      const u32 free = vcs[v].capacity() - stored_phits(v, now);
       if (free >= size && free > best_free) {
         best_free = free;
         out_vc = v;
@@ -127,7 +159,8 @@ struct OFAR_SHARD_LOCAL Router {
   std::vector<OutputPort> outputs;  // port-major ([port0 vc0.. | port1 ..])
 
   // Fast-path skip state maintained by Network: packets buffered in any
-  // input FIFO of this router; per-input-port bitmask of non-empty VCs
+  // input FIFO of this router (their phits are derived from the FIFOs);
+  // per-input-port bitmask of non-empty VCs
   // (contiguous, so the allocation scan stays in one cache line per router);
   // bitmask of output ports with an active transfer. routable_heads counts
   // the (port, vc) pairs whose head packet is present and not mid-transfer
@@ -135,7 +168,6 @@ struct OFAR_SHARD_LOCAL Router {
   // do_allocation skips routers that are only streaming (a granted packet
   // occupies its head for packet_size cycles with nothing to route).
   u32 buffered_packets = 0;
-  u32 buffered_phits = 0;
   u32 routable_heads = 0;
   u32 parked_heads = 0;  ///< routable heads the allocation scan skips
   u32 buffer_capacity_phits = 0;  ///< sum of all input-VC capacities

@@ -213,6 +213,7 @@ void Telemetry::scan(const Network& net, Cycle width) {
   hot_.vc_router = 0;
   hot_.vc_port = 0;
   hot_.vc_vc = 0;
+  const u32 at = static_cast<u32>(net.state_cycle());
   for (RouterId r = 0; r < net.topo().routers(); ++r) {
     if (!net.router_built(r)) continue;  // untouched: every buffer empty
     const Router& router = net.router(r);
@@ -222,7 +223,7 @@ void Telemetry::scan(const Network& net, Cycle width) {
       for (u32 v = 0; v < in.vcs.size(); ++v) {
         const u32 cap = in.vcs[v].capacity();
         if (cap == 0) continue;
-        const double occ = static_cast<double>(in.vcs[v].stored_phits()) /
+        const double occ = static_cast<double>(in.stored_phits(v, at)) /
                            static_cast<double>(cap);
         occ_sum += occ;
         ++occ_n;
@@ -313,13 +314,14 @@ void Telemetry::emit_full_dump(const Network& net, Cycle now, Cycle width) {
   vw.key("label").value(cfg_.label);
   vw.key("cycle").value(now);
   vw.key("vcs").begin_array();
+  const u32 at = static_cast<u32>(net.state_cycle());
   for (RouterId r = 0; r < net.topo().routers(); ++r) {
     if (!net.router_built(r)) continue;  // untouched: nothing stored, no stalls
     const Router& router = net.router(r);
     for (PortId p = 0; p < ports_; ++p) {
       const InputPort& in = router.inputs[p];
       for (u32 v = 0; v < in.vcs.size(); ++v) {
-        const u32 stored = in.vcs[v].stored_phits();
+        const u32 stored = in.stored_phits(v, at);
         const u32 flat = vc_index(r, p, static_cast<VcId>(v));
         const u64 cstall = vc_credit_stall_[flat];
         const u64 astall = vc_alloc_stall_[flat];

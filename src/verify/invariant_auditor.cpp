@@ -102,19 +102,69 @@ bool header_valid(const Network& net, const Packet& pkt) noexcept {
          pkt.size == net.config().packet_size;
 }
 
+i64 InvariantAuditor::arrival_cycle(const VcFifo::Entry& e) const {
+  // A FIFO holds no packet that arrived after the state cycle (restore
+  // checks it), and none that waited 2^32 cycles (DESIGN.md §14). A packet
+  // placed whole before cycle packet_size arrived "before cycle 0".
+  const Cycle state = net_.state_cycle();
+  return static_cast<i64>(state) -
+         static_cast<i64>(static_cast<u32>(static_cast<u32>(state) -
+                                           e.arrive));
+}
+
+u32 InvariantAuditor::streaming_left(const VcFifo* f, u32 at) const {
+  if (f == nullptr || f->empty()) return 0;
+  const u32 left = f->send_end() - at;
+  return left - 1 < net_.cfg_.packet_size ? left : 0;
+}
+
+u32 InvariantAuditor::sent_since(i64 first) const {
+  const i64 state = static_cast<i64>(net_.state_cycle());
+  if (first > state) return 0;
+  return static_cast<u32>(
+      std::min<i64>(net_.cfg_.packet_size, state - first + 1));
+}
+
+template <typename Visit>
+void InvariantAuditor::for_each_phit_event(const Visit& visit) const {
+  // Bucket (slot, owner) of slot now + d holds the events due at now + d,
+  // in the order the owner applies them.
+  const u32 wheel = net_.wheel_size_;
+  const std::size_t k = net_.shards_.size();
+  for (u32 d = 0; d < wheel; ++d) {
+    const Cycle due = net_.now_ + d;
+    const std::size_t first = (due % wheel) * k;
+    for (const Network::ShardState& sh : net_.shards_)
+      for (std::size_t b = first; b < first + k; ++b)
+        for (const Network::PhitEvent& e : sh.phit_wheel[b]) visit(e, due);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // credit conservation (VCT flow control, paper §V)
 // ---------------------------------------------------------------------------
 //
 // For every non-ejection (channel, VC) the downstream buffer capacity is
-// partitioned at all times between: credits held upstream, phits on the
-// wire, credits on the wire, phits stored downstream, and the unsent
-// remainder of an active transfer (reserved whole-packet at grant).
+// partitioned at all times between: credits held upstream, credits on
+// their way back, phits stored downstream, phits on the wire, and the
+// unsent remainder of an active transfer (reserved whole-packet at grant).
+// Credits return as ramps: credits[] already counts a ramp's credits that
+// have yet to land, and a ramp on the wheel carries a packet's worth. A
+// downstream head that streams sent its ramp at its first phit, so its
+// unsent phits are counted by the ramp and by the FIFO: subtract them once.
+// Whether a head streams is read from its send end, not from head_busy
+// (which the VCT check holds against the transfers).
+// A packet's phits left its sender one per cycle from its first, `latency`
+// cycles before its head arrived (or its head event is due), so the phits
+// on the wire follow from those cycles alone, whatever the sender streams
+// now.
 void InvariantAuditor::check_credit_conservation(AuditReport& rep) const {
   ++rep.checks_run;
+  const u32 at = static_cast<u32>(net_.state_cycle());
+  const u32 packet = net_.cfg_.packet_size;
   const std::size_t num_ch = net_.num_channels();
-  std::vector<std::vector<u32>> wire_phits(num_ch);
-  std::vector<std::vector<u32>> wire_credits(num_ch);
+  std::vector<std::vector<u64>> wire_phits(num_ch);
+  std::vector<std::vector<u32>> ramps(num_ch);
   for (ChannelId c = 0; c < num_ch; ++c) {
     if (!net_.channel_wired(c)) continue;  // trimmed global slots
     const Channel ch = net_.channel(c);
@@ -125,16 +175,21 @@ void InvariantAuditor::check_credit_conservation(AuditReport& rep) const {
             ? net_.routers_[ch.src_router].outputs[ch.src_port].credits.size()
             : 0;
     wire_phits[c].assign(vcs, 0);
-    wire_credits[c].assign(vcs, 0);
+    ramps[c].assign(vcs, 0);
   }
   // Restore checks that every event's channel is wired, its VC below the
-  // channel's and its sender built, so these indices are in range.
-  for (const Network::ShardState& sh : net_.shards_) {
-    for (const auto& slot : sh.phit_wheel)
-      for (const Network::PhitEvent& e : slot) ++wire_phits[e.ch][e.vc];
+  // channel's and its sender built, so these indices are in range. A
+  // packet whose head event is on the wheel has every phit its sender
+  // sent on the wire.
+  for_each_phit_event([&](const Network::PhitEvent& e, Cycle due) {
+    const Channel ch = net_.channel(e.ch);
+    if (!ch.is_ejection())
+      wire_phits[e.ch][e.vc] +=
+          sent_since(static_cast<i64>(due) - ch.latency);
+  });
+  for (const Network::ShardState& sh : net_.shards_)
     for (const auto& slot : sh.credit_wheel)
-      for (const Network::CreditEvent& e : slot) ++wire_credits[e.ch][e.vc];
-  }
+      for (const Network::CreditEvent& e : slot) ++ramps[e.ch][e.vc];
 
   for (ChannelId c = 0; c < num_ch; ++c) {
     if (!net_.channel_wired(c)) continue;
@@ -148,22 +203,40 @@ void InvariantAuditor::check_credit_conservation(AuditReport& rep) const {
         net_.router_built(ch.dst_router)
             ? &net_.routers_[ch.dst_router].inputs[ch.dst_port]
             : nullptr;
-    for (std::size_t v = 0; v < out.credits.size(); ++v) {
-      const u32 stored =
-          dst_in != nullptr ? dst_in->vcs[v].stored_phits() : 0;
+    for (u32 v = 0; v < out.credits.size(); ++v) {
+      // Each queued packet's phits are stored once arrived and on the wire
+      // before; the streaming head's sent phits are neither.
+      u64 stored = 0, wire = wire_phits[c][v];
+      u32 streaming = 0;
+      const VcFifo* f = dst_in != nullptr ? &dst_in->vcs[v] : nullptr;
+      for (u32 i = 0; f != nullptr && i < f->num_packets(); ++i) {
+        const VcFifo::Entry& e = f->entry(i);
+        const u32 arrived = f->arrived(e, at);
+        stored += arrived;
+        wire += sent_since(arrival_cycle(e) - ch.latency) - u64{arrived};
+      }
+      const u32 left = streaming_left(f, at);
+      if (left != 0) {
+        stored -= packet - left;  // sent on
+        if (left < packet) streaming = left;  // its ramp is on its way
+      }
       const u32 unsent =
           out.busy() && out.active_vc == v ? out.phits_left : 0;
-      const u64 total = u64{out.credits[v]} + wire_phits[c][v] +
-                        wire_credits[c][v] + stored + unsent;
+      const u64 ramping = u64{ramps[c][v]} * packet;
+      const u64 total = u64{out.credits[v]} + ramping + stored + wire +
+                        unsent - streaming;
       if (total != out.credit_cap[v]) {
         add(rep, Invariant::kCreditConservation,
-            format("channel %u (r%u.p%u -> r%u.p%u) vc %zu: credits=%u + "
-                   "wire_phits=%u + wire_credits=%u + stored=%u + unsent=%u "
-                   "= %llu, expected capacity %u",
+            format("channel %u (r%u.p%u -> r%u.p%u) vc %u: credits=%u (%u "
+                   "still landing) + ramps=%llu + stored=%llu + wire=%llu + "
+                   "unsent=%u - streaming=%u = %llu, expected capacity %u",
                    c, ch.src_router, static_cast<u32>(ch.src_port),
                    ch.dst_router, static_cast<u32>(ch.dst_port), v,
-                   out.credits[v], wire_phits[c][v], wire_credits[c][v],
-                   stored, unsent, static_cast<unsigned long long>(total),
+                   out.credits[v], out.pending(v, at),
+                   static_cast<unsigned long long>(ramping),
+                   static_cast<unsigned long long>(stored),
+                   static_cast<unsigned long long>(wire), unsent, streaming,
+                   static_cast<unsigned long long>(total),
                    out.credit_cap[v]));
       }
     }
@@ -251,24 +324,29 @@ void InvariantAuditor::check_packet_conservation(AuditReport& rep) const {
 // VCT atomicity
 // ---------------------------------------------------------------------------
 //
-// A grant at cycle t sets last_progress = t and phits_left = size; the
+// A grant at cycle t sets last_progress = t and phits_left = size, and the
+// head's FIFO stamps t + size as the cycle its last phit leaves; the
 // advance pass then sends exactly one phit per cycle at t+1, t+2, ....
-// Between cycles (now = N means cycles 0..N−1 executed) an active transfer
-// therefore satisfies  size − phits_left == (N−1) − last_progress  — the
-// head occupies its output for exactly packet_size cycles, no more, no
-// less — and all transfer-tracking state must agree on which head that is:
+// At the state cycle s an active transfer therefore satisfies
+// size − phits_left == s − last_progress — the head occupies its output
+// for exactly packet_size cycles, no more, no less — and all
+// transfer-tracking state must agree on which head that is:
 // active_out_mask names exactly the busy outputs, each wired and streaming
 // a live packet on an existing downstream VC from the head of an existing
 // input VC, whose sent count matches; head_busy flags exactly those heads.
 //
-// The phits of a packet on a channel's wire are the last ones its sender
-// sent (all of them once the output moved on), in delivery order, so the
-// head flag marks exactly phit 0 and the tail flag phit size−1. Downstream
-// of a router channel, the phits before them are the newest entry of the
-// VC's FIFO, which each arriving non-head phit extends.
+// Links carry whole packets: a packet granted at t sends its first phit at
+// t+1, so its head event is due at t + 1 + latency (an ejection's one
+// event, at its last phit, at t + size + latency), and a FIFO entry that
+// no grant has moved since stamps exactly that arrival (an injected one
+// its placement − size + 1: it arrives whole). Only the newest entry of a
+// FIFO can still be arriving, and no head streams before it arrived.
 void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
   ++rep.checks_run;
-  const Cycle now = net_.now_;
+  const Cycle state = net_.state_cycle();
+  const u32 at = static_cast<u32>(state);
+  const u32 packet = net_.cfg_.packet_size;
+  const PortId node_ports = static_cast<PortId>(net_.topo_.p());
   std::vector<u32> first_vc;  // per input port: flat index of its VC 0
   std::vector<u8> streams;    // per flat input VC: outputs streaming it
   for (const Router& r : net_.routers_) {
@@ -312,11 +390,11 @@ void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
         continue;
       }
       ++streams[first_vc[out.src_port] + out.src_vc];
-      const u64 sent = src.head_sent();
+      const u64 sent = src.head_sent(at);
       if (out.active_vc >= out.credits.size() ||
           out.active_size != pkt.size || out.phits_left == 0 ||
           sent + out.phits_left != pkt.size ||
-          sent != now - 1 - pkt.last_progress) {
+          sent != state - pkt.last_progress) {
         add(rep, Invariant::kVctAtomicity,
             format("r%u.p%u: packet %u of %u phits, granted at cycle %llu, "
                    "streams as %u phits on VC %u of %u with %llu sent and "
@@ -331,85 +409,86 @@ void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
       }
     }
     for (PortId p = 0; p < ports; ++p) {
-      for (VcId v = 0; v < r.inputs[p].vcs.size(); ++v) {
+      const InputPort& in = r.inputs[p];
+      // The arrival every entry that no grant moved must stamp, given its
+      // packet's last grant (or, at an injection port, its placement).
+      const bool injection = p < node_ports;
+      const Cycle latency = in.in_channel != kInvalidChannel
+                                ? net_.channel(in.in_channel).latency
+                                : 0;
+      for (VcId v = 0; v < in.vcs.size(); ++v) {
         const u32 n = streams[first_vc[p] + v];
-        if (n == r.inputs[p].head_busy[v]) continue;
-        add(rep, Invariant::kVctAtomicity,
-            format("r%u.p%uv%u: head_busy %u but %u outputs stream its "
-                   "head — a head must be granted exactly once",
-                   r.id, static_cast<u32>(p), static_cast<u32>(v),
-                   static_cast<u32>(r.inputs[p].head_busy[v]), n));
+        if (n != in.head_busy[v]) {
+          add(rep, Invariant::kVctAtomicity,
+              format("r%u.p%uv%u: head_busy %u but %u outputs stream its "
+                     "head — a head must be granted exactly once",
+                     r.id, static_cast<u32>(p), static_cast<u32>(v),
+                     static_cast<u32>(in.head_busy[v]), n));
+        }
+        const VcFifo& f = in.vcs[v];
+        if (!f.empty() && f.packet_phits() != packet) {
+          add(rep, Invariant::kVctAtomicity,
+              format("r%u.p%uv%u queues %u-phit packets, not %u", r.id,
+                     static_cast<u32>(p), static_cast<u32>(v),
+                     f.packet_phits(), packet));
+          continue;
+        }
+        for (u32 i = 0; i < f.num_packets(); ++i) {
+          const VcFifo::Entry& e = f.entry(i);
+          if (!net_.pool_.is_live(e.packet)) continue;  // packet check's
+          const Cycle grant = net_.pool_.get(e.packet).last_progress;
+          const bool streaming = i == 0 && streaming_left(&f, at) != 0;
+          const u32 expect = static_cast<u32>(
+              injection ? grant - packet + 1 : grant + 1 + latency);
+          bool ok = static_cast<i32>(e.arrive - at) <= 0 &&
+                    (i + 1 == f.num_packets() || f.arrived(e, at) == packet);
+          if (streaming)
+            ok = ok &&
+                 static_cast<i32>(static_cast<u32>(grant) - e.arrive) >= 0;
+          else if (injection || latency != 0)
+            ok = ok && e.arrive == expect;
+          if (ok) continue;
+          add(rep, Invariant::kVctAtomicity,
+              format("r%u.p%uv%u: entry %u (packet %u, last granted at "
+                     "%llu) stamps its arrival at %u with %u phits here at "
+                     "cycle %llu — %s",
+                     r.id, static_cast<u32>(p), static_cast<u32>(v), i,
+                     e.packet, static_cast<unsigned long long>(grant),
+                     e.arrive, f.arrived(e, at),
+                     static_cast<unsigned long long>(state),
+                     streaming ? "a head streams only once it arrived"
+                               : "a packet lands latency cycles after its "
+                                 "first phit left, and only the newest "
+                                 "entry may still be arriving"));
+        }
       }
     }
   }
 
   // Restore checks that every event's channel is wired, its VC below the
-  // channel's, its packet live and its sender built. A counting sort
-  // groups the wire by channel, keeping delivery order within each.
-  const std::size_t num_ch = net_.num_channels();
-  const u32 wheel = net_.wheel_size_;
-  const std::size_t k = net_.shards_.size();
-  const auto each_in_delivery_order = [&](const auto& visit) {
-    for (u32 d = 0; d < wheel; ++d) {
-      const std::size_t first = ((now + d) % wheel) * k;
-      for (const Network::ShardState& sh : net_.shards_)
-        for (std::size_t b = first; b < first + k; ++b)
-          for (const Network::PhitEvent& e : sh.phit_wheel[b]) visit(e);
-    }
-  };
-  std::vector<u32> begin(num_ch + 1, 0);
-  each_in_delivery_order(
-      [&](const Network::PhitEvent& e) { ++begin[e.ch + 1]; });
-  for (std::size_t c = 0; c < num_ch; ++c) begin[c + 1] += begin[c];
-  std::vector<const Network::PhitEvent*> wire(begin[num_ch]);
-  std::vector<u32> next(begin.begin(), begin.end() - 1);
-  each_in_delivery_order(
-      [&](const Network::PhitEvent& e) { wire[next[e.ch]++] = &e; });
-
-  // Each packet's phits on one channel form one run: its sender streams
-  // it whole before the next.
-  std::vector<ChannelId> run_on(net_.pool_.slots_.size(), kInvalidChannel);
-  for (ChannelId c = 0; c < num_ch; ++c) {
-    for (u32 i = begin[c], end = i; i < begin[c + 1]; i = end) {
-      const PacketId id = wire[i]->pkt;
-      while (end < begin[c + 1] && wire[end]->pkt == id) ++end;
-      const Channel ch = net_.channel(c);
-      const OutputPort& out =
-          net_.routers_[ch.src_router].outputs[ch.src_port];
-      const Packet& pkt = net_.pool_.get(id);
-      const u32 sent = out.busy() && out.active == id
-                           ? pkt.size - out.phits_left
-                           : pkt.size;
-      const u32 count = end - i;
-      bool ok = count <= sent && run_on[id] != c;
-      run_on[id] = c;
-      for (u32 j = i; ok && j < end; ++j) {
-        const u32 phit = sent - count + (j - i);
-        ok = (wire[j]->head != 0) == (phit == 0) &&
-             (wire[j]->tail != 0) == (phit + 1 == pkt.size);
-      }
-      const u32 landed = ok ? sent - count : 0;
-      if (landed > 0 && !ch.is_ejection()) {
-        const VcFifo* fifo =
-            net_.router_built(ch.dst_router)
-                ? &net_.routers_[ch.dst_router]
-                       .inputs[ch.dst_port]
-                       .vcs[wire[i]->vc]
-                : nullptr;
-        ok = fifo != nullptr && !fifo->empty() &&
-             fifo->entry(fifo->num_packets() - 1).packet == id &&
-             fifo->entry(fifo->num_packets() - 1).arrived == landed;
-      }
-      if (!ok) {
-        add(rep, Invariant::kVctAtomicity,
-            format("channel %u carries %u phits of packet %u (of %u phits, "
-                   "%u sent) that are not its last sent in order, with "
-                   "head/tail flags on phits 0/size-1 and the ones before "
-                   "them its FIFO's newest entry",
-                   c, count, id, static_cast<u32>(pkt.size), sent));
-      }
-    }
-  }
+  // channel's, its packet live and its sender built.
+  std::vector<u8> on_wire(net_.pool_.slots_.size(), 0);
+  for_each_phit_event([&](const Network::PhitEvent& e, Cycle due) {
+    const Channel ch = net_.channel(e.ch);
+    const Packet& pkt = net_.pool_.get(e.pkt);
+    const Cycle grant = pkt.last_progress;
+    // The first phit (an ejection: the last) left before the state cycle
+    // ended, latency cycles before the event is due.
+    const Cycle sent = ch.is_ejection() ? grant + pkt.size : grant + 1;
+    const bool once = on_wire[e.pkt] == 0;
+    on_wire[e.pkt] = 1;
+    if (once && due == sent + ch.latency && sent <= state) return;
+    add(rep, Invariant::kVctAtomicity,
+        format("channel %u carries packet %u due at cycle %llu, but its "
+               "grant at %llu puts its %s phit on the wire at %llu%s — a "
+               "packet crosses a link once, landing latency cycles after "
+               "its first phit left",
+               e.ch, e.pkt, static_cast<unsigned long long>(due),
+               static_cast<unsigned long long>(grant),
+               ch.is_ejection() ? "last" : "first",
+               static_cast<unsigned long long>(sent),
+               once ? "" : ", and another event carries it too"));
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -461,13 +540,12 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
     }
     // The counters and masks the kernel's skips trust summarise the FIFOs
     // exactly: routable_heads counts the (port, vc) heads the allocation
-    // scan could request for, input_mask the non-empty VCs, and each
-    // FIFO stores the phits its entries have arrived and not sent.
-    // A parked head (DESIGN.md §6) is a routable head, counted in
-    // parked_heads, whose wake mask wake_any covers; rises are consumed
-    // by the scan of the cycle they happen in.
+    // scan could request for, buffered_packets the queued entries and
+    // input_mask the non-empty VCs. A parked head (DESIGN.md §6) is a
+    // routable head, counted in parked_heads, whose wake mask wake_any
+    // covers; rises are consumed by the scan of the cycle they happen in.
     u32 heads = 0, packets = 0, parked = 0;
-    u64 phits = 0, wake_any = 0;
+    u64 wake_any = 0;
     for (PortId p = 0; p < router.inputs.size(); ++p) {
       const InputPort& in = router.inputs[p];
       u32 non_empty = 0;
@@ -484,19 +562,6 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
                        static_cast<u32>(p), static_cast<u32>(v)));
         }
         packets += f.num_packets();
-        phits += f.stored_phits();
-        u64 held = 0;  // an entry that sent more than arrived: never equal
-        for (u32 i = 0; i < f.num_packets(); ++i) {
-          const VcFifo::Entry& e = f.entry(i);
-          held += e.sent <= e.arrived ? e.arrived - e.sent : u64{1} << 32;
-        }
-        if (held != f.stored_phits()) {
-          add(rep, Invariant::kWorklists,
-              format("r%u.p%uv%u stores %u phits, but its entries hold "
-                     "%llu arrived and unsent",
-                     r, static_cast<u32>(p), static_cast<u32>(v),
-                     f.stored_phits(), static_cast<unsigned long long>(held)));
-        }
       }
       if (router.input_mask[p] != non_empty) {
         add(rep, Invariant::kWorklists,
@@ -522,15 +587,14 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
                  static_cast<unsigned long long>(router.wake_any),
                  static_cast<unsigned long long>(router.risen)));
     }
-    if (heads != router.routable_heads || packets != router.buffered_packets ||
-        phits != router.buffered_phits) {
+    if (heads != router.routable_heads ||
+        packets != router.buffered_packets) {
       add(rep, Invariant::kWorklists,
-          format("r%u: FIFOs hold %u routable heads, %u packets and %llu "
-                 "phits but the counters say %u, %u and %u — the kernel's "
-                 "skips would starve or over-scan",
-                 r, heads, packets, static_cast<unsigned long long>(phits),
-                 router.routable_heads, router.buffered_packets,
-                 router.buffered_phits));
+          format("r%u: FIFOs hold %u routable heads and %u packets but the "
+                 "counters say %u and %u — the kernel's skips would starve "
+                 "or over-scan",
+                 r, heads, packets, router.routable_heads,
+                 router.buffered_packets));
     }
   }
   // Node list: it holds exactly the nodes with a non-empty source queue.
@@ -555,6 +619,7 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
   // The injection drain skips listed nodes that are not ready; that is
   // exact only if each of them would fail the fits-probe now.
   const u32 packet = net_.cfg_.packet_size;
+  const u32 at = static_cast<u32>(net_.state_cycle());
   for (NodeId n = 0; n < net_.pending_.size(); ++n) {
     if (!node_listed[n] || net_.node_ready_[n] != 0) continue;
     const RouterId r = net_.topo_.router_of_node(n);
@@ -564,7 +629,7 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
         (!net_.routers_[r].throttled &&
          net_.routers_[r]
              .inputs[net_.topo_.node_port(net_.topo_.node_slot(n))]
-             .best_fit_vc(packet, vc));
+             .best_fit_vc(packet, vc, at));
     if (fits) {
       add(rep, Invariant::kWorklists,
           format("node %u has room for a packet but is not marked ready — "
@@ -585,10 +650,13 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
 // remainder of transfers entering the ring from outside — never exceeds
 // total ring capacity minus one packet. That guaranteed bubble is what
 // lets the ring always drain (and the wait-graph check below lean on it).
+// A ring FIFO's queued packets hold what their senders sent of them, bar
+// what the streaming head sent on.
 void InvariantAuditor::check_ring_bubble(AuditReport& rep) const {
   ++rep.checks_run;
   if (net_.ring_ == nullptr) return;
   const u32 packet_size = net_.cfg_.packet_size;
+  const u32 at = static_cast<u32>(net_.state_cycle());
   u64 occupied = 0, capacity = 0;
   for (RouterId r = 0; r < net_.routers_.size(); ++r) {
     const Network::RingOut ring = net_.ring_in(r);
@@ -601,21 +669,22 @@ void InvariantAuditor::check_ring_bubble(AuditReport& rep) const {
       continue;
     }
     const InputPort& in = net_.routers_[r].inputs[ring.port];
+    const i64 latency = net_.channel(in.in_channel).latency;
     for (u32 v = ring.first_vc; v < ring.first_vc + ring.num_vcs; ++v) {
-      occupied += in.vcs[v].stored_phits();
-      capacity += in.vcs[v].capacity();
+      const VcFifo& f = in.vcs[v];
+      for (u32 i = 0; i < f.num_packets(); ++i)
+        occupied += sent_since(arrival_cycle(f.entry(i)) - latency);
+      const u32 left = streaming_left(&f, at);
+      if (left != 0) occupied -= packet_size - left;
+      capacity += f.capacity();
     }
   }
-  for (const Network::ShardState& sh : net_.shards_) {
-    for (const auto& slot : sh.phit_wheel) {
-      for (const Network::PhitEvent& e : slot) {
-        const Channel ch = net_.channel(e.ch);
-        if (!ch.is_ejection() &&
-            net_.is_ring_input(ch.dst_router, ch.dst_port, e.vc))
-          ++occupied;
-      }
-    }
-  }
+  for_each_phit_event([&](const Network::PhitEvent& e, Cycle due) {
+    const Channel ch = net_.channel(e.ch);
+    if (!ch.is_ejection() &&
+        net_.is_ring_input(ch.dst_router, ch.dst_port, e.vc))
+      occupied += sent_since(static_cast<i64>(due) - ch.latency);
+  });
   for (const Router& r : net_.routers_) {
     for (const OutputPort& out : r.outputs) {
       if (!out.busy() || !out.wired()) continue;  // see check_vct_atomicity

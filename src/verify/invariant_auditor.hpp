@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "sim/fifo.hpp"
 
 namespace ofar {
 class Network;
@@ -35,14 +36,16 @@ struct Packet;
 namespace ofar::verify {
 
 enum class Invariant : u8 {
-  kCreditConservation,  ///< per (channel, VC): credits + in-flight + stored
-                        ///< + reserved == downstream capacity
+  kCreditConservation,  ///< per (channel, VC): credits + ramps + stored
+                        ///< + in-flight + reserved == downstream capacity
   kPacketConservation,  ///< live packets == injected − delivered, the
                         ///< PacketPool's bitmap, counter and free list
                         ///< agree, every live header is well-formed and
                         ///< every queued FIFO entry is live
   kVctAtomicity,        ///< a granted head holds its output exactly
-                        ///< packet_size cycles; transfer state is coherent
+                        ///< packet_size cycles; transfer state is coherent;
+                        ///< every packet lands latency cycles after its
+                        ///< first phit left
   kWorklists,           ///< activity-worklist soundness/completeness, and
                         ///< the per-router counters and masks the kernel's
                         ///< skips trust match the FIFO contents
@@ -92,6 +95,17 @@ class InvariantAuditor {
 
  private:
   void add(AuditReport& rep, Invariant inv, std::string detail) const;
+  /// The cycle a queued entry's head arrived, from its u32 stamp.
+  i64 arrival_cycle(const VcFifo::Entry& e) const;
+  /// Phits the head of `f` has yet to send at cycle `at` when it streams
+  /// (its send end lies 1 to packet_size cycles ahead), else 0.
+  u32 streaming_left(const VcFifo* f, u32 at) const;
+  /// Phits of one packet on a link by the state cycle, its first phit
+  /// sent at cycle `first`: one per cycle, at most packet_size.
+  u32 sent_since(i64 first) const;
+  /// Calls visit(event, due cycle) on every phit event on the wheels.
+  template <typename Visit>
+  void for_each_phit_event(const Visit& visit) const;
 
   const Network& net_;
 };

@@ -12,6 +12,7 @@ std::vector<StallEdge> stalled_heads(const Network& net) {
   const Dragonfly& topo = net.topo();
   const PacketPool& pool = net.packets();
   const Cycle now = net.now();
+  const u32 at = static_cast<u32>(net.state_cycle());
   const u32 timeout = net.config().deadlock_timeout;
   std::vector<StallEdge> edges;
   for (RouterId r = 0; r < topo.routers(); ++r) {
@@ -39,7 +40,7 @@ std::vector<StallEdge> stalled_heads(const Network& net) {
         e.dst_router = pkt.dst_router;
         e.age = age;
         e.in_ring = pkt.in_ring;
-        e.arrived_phits = in.vcs[v].head_arrived();
+        e.arrived_phits = in.vcs[v].arrived(in.vcs[v].entry(0), at);
         // The structural wait port (see the header): topology only.
         if (pkt.in_ring && net.ring() != nullptr) {
           const Network::RingOut ro = net.ring_out(r);
@@ -61,7 +62,7 @@ std::vector<StallEdge> stalled_heads(const Network& net) {
         e.wait_busy = out.busy();
         e.held_by = out.active;
         for (u32 w = e.wait_first_vc; w < e.wait_first_vc + e.wait_vcs; ++w)
-          e.wait_credits = std::max(e.wait_credits, out.credits[w]);
+          e.wait_credits = std::max(e.wait_credits, out.credit(w, at));
         edges.push_back(e);
       }
     }

@@ -7,11 +7,12 @@
 //     stat digests bit-identical (the auditor is read-only and RNG-free).
 //  2. Fault injection: seeded corruptions of live network state — a leaked
 //     credit, a double-granted head, a wedged transfer, a dropped worklist
-//     entry, a phantom packet, an overfilled escape ring, a wedged ring
-//     wait cycle — are each caught by the matching check with an
-//     actionable (non-empty, state-naming) report. The corruptions go
-//     through public accessors only, the same surface a buggy kernel
-//     change would reach.
+//     entry, an erased credit ramp, a delayed head event, a phantom
+//     packet, an overfilled escape ring, a wedged ring wait cycle — are
+//     each caught by the matching check with an actionable (non-empty,
+//     state-naming) report. The corruptions go through public accessors,
+//     the same surface a buggy kernel change would reach, except the two
+//     wheel mutants, which WheelFaults plants.
 //
 // The periodic audit's abort path, and the traced journeys it writes
 // before aborting, are covered by gtest death tests in "threadsafe" style,
@@ -34,6 +35,56 @@
 #include "verify/wait_graph.hpp"
 
 namespace ofar {
+
+/// Reaches the event wheels, which no public accessor exposes, to plant
+/// the two wheel mutants of section 2: a kernel that loses a credit ramp,
+/// or that sends a packet's head event into the wrong slot.
+struct WheelFaults {
+  /// Erases one credit ramp from the wheels; false when none is on them.
+  static bool erase_credit_ramp(Network& net) {
+    for (Network::ShardState& sh : net.shards_)
+      for (auto& bucket : sh.credit_wheel)
+        if (!bucket.empty()) {
+          bucket.pop_back();
+          return true;
+        }
+    return false;
+  }
+
+  /// Moves one head event into the slot after its own: one that lands in
+  /// a FIFO whose head streams on past the delayed landing, so the packet
+  /// then waits in the queue. Returns the cycle it lands now, or 0 when no
+  /// event qualifies.
+  static Cycle delay_head_event(Network& net) {
+    const u32 wheel = net.wheel_size_;
+    const std::size_t k = net.shards_.size();
+    for (u32 d = 0; d + 1 < wheel; ++d) {
+      const Cycle due = net.now() + d;
+      const std::size_t slot = due % wheel, next = (due + 1) % wheel;
+      for (Network::ShardState& sh : net.shards_) {
+        for (std::size_t owner = 0; owner < k; ++owner) {
+          auto& bucket = sh.phit_wheel[slot * k + owner];
+          for (std::size_t i = 0; i < bucket.size(); ++i) {
+            const Network::PhitEvent e = bucket[i];
+            const Channel ch = net.channel(e.ch);
+            if (ch.is_ejection() || !net.router_built(ch.dst_router))
+              continue;
+            const Router& dst = net.routers_[ch.dst_router];
+            const InputPort& in = dst.inputs[ch.dst_port];
+            if (in.vcs[e.vc].empty() || in.head_busy[e.vc] == 0 ||
+                in.vcs[e.vc].send_end() <= static_cast<u32>(due + 1))
+              continue;
+            bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(i));
+            sh.phit_wheel[next * k + owner].push_back(e);
+            return due + 1;
+          }
+        }
+      }
+    }
+    return 0;
+  }
+};
+
 namespace {
 
 using verify::AuditReport;
@@ -333,6 +384,31 @@ TEST(AuditorMutation, ParkedWithoutHeadCaught) {
   FAIL() << "router 0 has a routable head on every VC";
 }
 
+TEST(AuditorMutation, ErasedCreditRampCaught) {
+  // The packet of credits a ramp returns never lands: its channel's
+  // capacity can never be restored.
+  auto net = saturated_net();
+  ASSERT_TRUE(WheelFaults::erase_credit_ramp(*net));
+  AuditReport rep;
+  InvariantAuditor(*net).check_credit_conservation(rep);
+  expect_caught(rep, Invariant::kCreditConservation);
+}
+
+TEST(AuditorMutation, DelayedHeadEventCaughtOnceItLands) {
+  // A head event one slot late queues its packet a cycle after its phits
+  // could have arrived: the entry's arrival stamp no longer matches its
+  // grant.
+  auto net = saturated_net();
+  const Cycle lands = WheelFaults::delay_head_event(*net);
+  ASSERT_NE(lands, 0u) << "no head event lands behind a streaming head";
+  while (net->now() <= lands) net->step();
+  AuditReport rep;
+  InvariantAuditor(*net).check_vct_atomicity(rep);
+  expect_caught(rep, Invariant::kVctAtomicity);
+  EXPECT_NE(rep.to_string().find("stamps its arrival"), std::string::npos)
+      << rep.to_string();
+}
+
 TEST(AuditorMutation, PhantomPacketCaught) {
   auto net = saturated_net();
   (void)net->packets().create();  // live packet nobody injected
@@ -357,9 +433,9 @@ PacketId wedge_ring_head(Network& net, RouterId r, VcId vc) {
   pkt.dst_router = net.topo().router_of_node(0);
   const PortId port = net.topo().ring_port();
   Router& router = net.router(r);
-  router.inputs[port].vcs[vc].push_whole_packet(id, pkt.size);
+  router.inputs[port].vcs[vc].push_whole_packet(
+      id, pkt.size, static_cast<u32>(net.state_cycle()));
   ++router.buffered_packets;
-  router.buffered_phits += pkt.size;
   router.input_mask[port] |= static_cast<u8>(1u << vc);
   ++router.routable_heads;
   return id;
@@ -409,14 +485,15 @@ TEST(AuditorMutation, SingleStalledRingHeadIsNotACycle) {
 TEST(AuditorMutation, OverfilledRingBubbleCaught) {
   Network net(small_config());
   const u32 size = net.config().packet_size;
+  const u32 at = static_cast<u32>(net.state_cycle());
   const PortId port = net.topo().ring_port();
   for (RouterId r = 0; r < net.topo().routers(); ++r) {
     InputPort& in = net.router(r).inputs[port];
     for (u32 v = 0; v < in.vcs.size(); ++v) {
-      while (in.vcs[v].stored_phits() + size <= in.vcs[v].capacity()) {
+      while (in.stored_phits(v, at) + size <= in.vcs[v].capacity()) {
         const PacketId id = net.packets().create();
         net.packets().get(id).size = static_cast<u16>(size);
-        in.vcs[v].push_whole_packet(id, size);
+        in.vcs[v].push_whole_packet(id, size, at);
       }
     }
   }

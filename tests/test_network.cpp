@@ -255,8 +255,10 @@ TEST(NetworkOfar, TryInjectRespectsCapacity) {
   const Dragonfly& topo = net.topo();
   const InputPort& in = net.router(topo.router_of_node(0))
                             .inputs[topo.node_port(topo.node_slot(0))];
+  const u32 at = static_cast<u32>(net.state_cycle());
   u32 free = 0;
-  for (const VcFifo& f : in.vcs) free += f.capacity() - f.stored_phits();
+  for (u32 v = 0; v < in.vcs.size(); ++v)
+    free += in.vcs[v].capacity() - in.stored_phits(v, at);
   EXPECT_EQ(free, cfg.vcs_injection * cfg.fifo_injection -
                       cap * cfg.packet_size);
 }

@@ -537,9 +537,8 @@ std::string transfer_bytes(const OutputPort& out) {
 /// and input_mask.
 std::string router_tail_bytes(const Router& r) {
   std::string out =
-      bytes_of(u32{r.buffered_packets}, u32{r.buffered_phits},
-               u32{r.routable_heads}, static_cast<u8>(r.throttled),
-               u64{r.active_out_mask});
+      bytes_of(u32{r.buffered_packets}, u32{r.routable_heads},
+               static_cast<u8>(r.throttled), u64{r.active_out_mask});
   out.append(reinterpret_cast<const char*>(r.input_mask.data()),
              r.input_mask.size());
   return out;
@@ -585,7 +584,7 @@ RouterTailAt find_router_tail(const SavedRun& run, bool need_unwired) {
     for (const OutputPort& out : router.outputs) unwired |= !out.wired();
     if (need_unwired && !unwired) continue;
     const std::size_t at = find_unique(run.bytes, router_tail_bytes(router));
-    if (at != std::string::npos) return {at + 13, r, at};  // 3 u32 + bool
+    if (at != std::string::npos) return {at + 9, r, at};  // 2 u32 + bool
   }
   return {};
 }
@@ -742,9 +741,7 @@ TEST(CheckpointRestart, RejectsFifoEntryOfDeadPacket) {
         const VcFifo& f = in.vcs[v];
         if (f.empty() || in.head_busy[v] != 0) continue;
         const std::size_t at = find_unique(
-            run.bytes,
-            bytes_of(u32{f.head()}, static_cast<u16>(f.head_arrived()),
-                     static_cast<u16>(f.head_sent())));
+            run.bytes, bytes_of(u32{f.head()}, u32{f.entry(0).arrive}));
         if (at == std::string::npos) continue;
         const PacketId live = f.head();
         EXPECT_EQ(restore_patched(run, at, &live, 4), "");
@@ -758,10 +755,9 @@ TEST(CheckpointRestart, RejectsFifoEntryOfDeadPacket) {
   FAIL() << "no FIFO entry with a unique byte pattern";
 }
 
-/// The serialized head entry (packet, arrived, sent) of a non-empty FIFO.
+/// The serialized head entry (packet, arrival stamp) of a non-empty FIFO.
 std::string head_entry_bytes(const VcFifo& f) {
-  return bytes_of(u32{f.head()}, static_cast<u16>(f.head_arrived()),
-                  static_cast<u16>(f.head_sent()));
+  return bytes_of(u32{f.head()}, u32{f.entry(0).arrive});
 }
 
 /// File offset of the head entry of a non-empty FIFO for which
@@ -793,7 +789,7 @@ FifoAt find_fifo(const SavedRun& run, Pick pick) {
 }
 
 /// File offset of the head_busy flag of `fifo`: the port's FIFO records
-/// (head_, tail_, stored_, then one entry per packet) precede its flags.
+/// (head_, tail_, send_end_, then one entry per packet) precede its flags.
 std::size_t head_busy_offset(const SavedRun& run, const FifoAt& fifo) {
   const InputPort& in = run.net->router(fifo.router).inputs[fifo.port];
   std::size_t at = fifo.offset - 3 * sizeof(u32);  // this FIFO's record
@@ -817,33 +813,59 @@ TEST(CheckpointRestart, RejectsBufferedPacketCountOtherThanFifoEntries) {
                        "worklists", "counters say"));
 }
 
-TEST(CheckpointRestart, RejectsBufferedPhitCountOtherThanStoredPhits) {
+TEST(CheckpointRestart, RejectsArrivalStampAfterTheSavedCycle) {
   const SavedRun run = saved_run();
-  const RouterTailAt tail = find_router_tail(run, /*need_unwired=*/false);
-  ASSERT_NE(tail.counters_offset, std::string::npos);
-  const u32 phits = run.net->router(tail.router).buffered_phits;
-  EXPECT_EQ(restore_patched(run, tail.counters_offset + 4, &phits, 4), "");
-  const u32 more = phits + 1;
-  EXPECT_TRUE(Rejected(restore_patched(run, tail.counters_offset + 4, &more, 4),
-                       "worklists", "counters say"));
-
-  // A FIFO's stored_ (the u32 before its head entry) must be what its
-  // entries arrived and did not send, and never exceed its capacity.
-  const FifoAt fifo = find_fifo(run, [](const InputPort& in, u32 v) {
-    return in.vcs[v].stored_phits() < in.vcs[v].capacity();
-  });
+  // A waiting head's stamp is pinned by the auditor; one past the saved
+  // cycle is caught while the FIFO is read, before any phit is derived
+  // from it.
+  const FifoAt fifo = find_fifo(
+      run, [](const InputPort& in, u32 v) { return in.head_busy[v] == 0; });
   ASSERT_NE(fifo.offset, std::string::npos);
   const VcFifo& f =
       run.net->router(fifo.router).inputs[fifo.port].vcs[fifo.vc];
-  const std::size_t stored_at = fifo.offset - sizeof(u32);
-  const u32 stored = f.stored_phits();
-  EXPECT_EQ(restore_patched(run, stored_at, &stored, 4), "");
-  const u32 one_more = stored + 1;
-  EXPECT_TRUE(Rejected(restore_patched(run, stored_at, &one_more, 4),
-                       "worklists", "arrived and unsent"));
-  const u32 overfull = f.capacity() + 1;
-  EXPECT_EQ(restore_patched(run, stored_at, &overfull, 4),
-            "corrupt FIFO state");
+  const std::size_t stamp_at = fifo.offset + sizeof(u32);
+  const u32 stamp = f.entry(0).arrive;
+  EXPECT_EQ(restore_patched(run, stamp_at, &stamp, 4), "");
+  const u32 cycle = static_cast<u32>(run.net->state_cycle());
+  for (const u32 after : {cycle + 1, cycle + 1000}) {
+    EXPECT_EQ(restore_patched(run, stamp_at, &after, 4),
+              "FIFO entry arrives after the saved cycle");
+  }
+  // One cycle early is a stamp a head event could not have left.
+  const u32 early = stamp - 1;
+  EXPECT_TRUE(Rejected(restore_patched(run, stamp_at, &early, 4),
+                       "vct-atomicity", "stamps its arrival"));
+}
+
+TEST(CheckpointRestart, RejectsRampEndMoreThanARampPastTheSavedCycle) {
+  const SavedRun run = saved_run();
+  const Network& net = *run.net;
+  const u32 cycle = static_cast<u32>(net.state_cycle());
+  const u32 size = run.cfg.packet_size;
+  // A port's ramp ends precede its credit counters, which precede its
+  // transfer fields. Take a VC whose ramp is still landing.
+  for (RouterId r = 0; r < net.topo().routers(); ++r) {
+    if (!net.router_built(r)) continue;
+    for (const OutputPort& out : net.router(r).outputs) {
+      if (!out.busy()) continue;
+      const std::size_t transfer = find_unique(run.bytes, transfer_bytes(out));
+      if (transfer == std::string::npos) continue;
+      const u32 vcs = out.credits.size();
+      for (u32 v = 0; v < vcs; ++v) {
+        if (out.pending(v, cycle) == 0) continue;
+        const std::size_t at = transfer - sizeof(u32) * (2 * vcs - v);
+        EXPECT_EQ(restore_patched(run, at, &out.ramp_end[v], 4), "");
+        // The last credit of a ramp that started landing by the saved
+        // cycle lands within packet_size - 1 cycles of it.
+        for (const u32 past : {cycle + size, cycle + 0xFFFFu}) {
+          EXPECT_EQ(restore_patched(run, at, &past, 4),
+                    "credit ramp ends more than a ramp past the saved cycle");
+        }
+        return;
+      }
+    }
+  }
+  FAIL() << "no busy output beside a landing ramp with unique bytes";
 }
 
 TEST(CheckpointRestart, RejectsHeadBusyFlagsOtherThanTransferSources) {
@@ -893,7 +915,7 @@ TEST(CheckpointRestart, RejectsHeadBusyFlagsOtherThanTransferSources) {
         {busy[1].first, bytes_of(u32{a.active}, u8{b.active_vc},
                                  u16{a.src_port}, u8{a.src_vc})},
         {head_busy_offset(run, b_head), bytes_of(clear)},
-        {tail + 8, bytes_of(u32{router.routable_heads + 1})}};
+        {tail + 4, bytes_of(u32{router.routable_heads + 1})}};
     EXPECT_TRUE(Rejected(restore_patched(run, patches), "vct-atomicity",
                          "2 outputs stream"));
     return;
@@ -907,13 +929,13 @@ TEST(CheckpointRestart, RejectsRoutableHeadCountOtherThanWaitingHeads) {
   ASSERT_NE(tail.counters_offset, std::string::npos);
   const u32 heads = run.net->router(tail.router).routable_heads;
   ASSERT_GT(heads, 0u);
-  EXPECT_EQ(restore_patched(run, tail.counters_offset + 8, &heads, 4), "");
+  EXPECT_EQ(restore_patched(run, tail.counters_offset + 4, &heads, 4), "");
   // Zero would skip the router's allocation scan: its heads would starve.
   const u32 none = 0;
-  EXPECT_TRUE(Rejected(restore_patched(run, tail.counters_offset + 8, &none, 4),
+  EXPECT_TRUE(Rejected(restore_patched(run, tail.counters_offset + 4, &none, 4),
                        "worklists", "routable heads"));
   const u32 more = heads + 1;
-  EXPECT_TRUE(Rejected(restore_patched(run, tail.counters_offset + 8, &more, 4),
+  EXPECT_TRUE(Rejected(restore_patched(run, tail.counters_offset + 4, &more, 4),
                        "worklists", "routable heads"));
 }
 
@@ -1231,9 +1253,11 @@ TEST(CheckpointRestart, RejectsOtherFormatVersionAndHugeLengths) {
     reseal(bad);
     return run.restore(bad);
   };
-  EXPECT_EQ(patched(8, u32{4}), "");
-  // v3 files also carried the Network's RNG and per-tag latency, v2 files
-  // each router's active-transfer count.
+  EXPECT_EQ(patched(8, u32{5}), "");
+  // v4 files counted phits per FIFO entry and carried one event per phit,
+  // v3 files also the Network's RNG and per-tag latency, v2 files each
+  // router's active-transfer count.
+  EXPECT_EQ(patched(8, u32{4}), "unsupported checkpoint format version");
   EXPECT_EQ(patched(8, u32{3}), "unsupported checkpoint format version");
   EXPECT_EQ(patched(8, u32{2}), "unsupported checkpoint format version");
   EXPECT_EQ(patched(8, u32{1}), "unsupported checkpoint format version");

@@ -3,6 +3,7 @@
 // queries, and the separable allocator's matching properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <set>
 #include <vector>
@@ -74,28 +75,31 @@ TEST(VcFifo, WholePacketPushPop) {
   TestFifo t(32);
   VcFifo& f = t.fifo;
   EXPECT_TRUE(f.empty());
-  f.push_whole_packet(7, 8);
+  f.push_whole_packet(7, 8, /*now=*/20);  // placed whole at cycle 20
   EXPECT_EQ(f.head(), 7u);
-  EXPECT_EQ(f.stored_phits(), 8u);
-  EXPECT_EQ(f.head_arrived(), 8u);
-  for (int i = 0; i < 7; ++i) EXPECT_FALSE(f.pop_phit(8));
-  EXPECT_TRUE(f.pop_phit(8));  // tail pops the entry
+  EXPECT_EQ(f.stored_phits(20, false), 8u);
+  EXPECT_EQ(f.arrived(f.entry(0), 20), 8u);
+  f.start_send(28);  // granted at 20: its phits leave at 21..28
+  for (u32 c = 20; c <= 28; ++c) EXPECT_EQ(f.stored_phits(c, true), 28 - c);
+  f.pop();  // the tail left: the entry goes
   EXPECT_TRUE(f.empty());
-  EXPECT_EQ(f.stored_phits(), 0u);
+  EXPECT_EQ(f.stored_phits(28, false), 0u);
 }
 
 TEST(VcFifo, CutThroughArrivalWhileDraining) {
   TestFifo t(32);
   VcFifo& f = t.fifo;
-  f.push_packet(3);  // head phit arrives
-  EXPECT_EQ(f.head_arrived(), 1u);
-  EXPECT_FALSE(f.pop_phit(4));  // forward it immediately (cut-through)
-  f.push_phit();                // next phit arrives
-  EXPECT_FALSE(f.pop_phit(4));
-  f.push_phit();
-  f.push_phit();  // all 4 arrived
-  EXPECT_FALSE(f.pop_phit(4));
-  EXPECT_TRUE(f.pop_phit(4));
+  f.push(3, 4, /*arrive=*/10);  // head phit at 10, the rest at 11..13
+  EXPECT_EQ(f.arrived(f.entry(0), 10), 1u);
+  f.start_send(14);  // granted at 10 on its head alone (cut-through)
+  for (u32 c = 10; c <= 13; ++c) {
+    EXPECT_EQ(f.arrived(f.entry(0), c), c - 9);
+    EXPECT_EQ(f.head_sent(c), c - 10);
+    EXPECT_EQ(f.stored_phits(c, true), 1u);  // one phit in, one out
+  }
+  EXPECT_EQ(f.arrived(f.entry(0), 14), 4u);
+  EXPECT_EQ(f.head_sent(14), 4u);
+  f.pop();
   EXPECT_TRUE(f.empty());
 }
 
@@ -106,10 +110,14 @@ TEST(VcFifo, MultiplePacketsFifoOrder) {
   f.push_whole_packet(2, 8);
   f.push_whole_packet(3, 8);
   EXPECT_EQ(f.num_packets(), 3u);
-  EXPECT_EQ(f.stored_phits(), 24u);
-  for (int i = 0; i < 8; ++i) f.pop_phit(8);
+  EXPECT_EQ(f.stored_phits(0, false), 24u);
+  f.start_send(8);
+  EXPECT_EQ(f.stored_phits(4, true), 20u);
+  f.pop();
   EXPECT_EQ(f.head(), 2u);
-  for (int i = 0; i < 8; ++i) f.pop_phit(8);
+  EXPECT_EQ(f.stored_phits(8, false), 16u);
+  f.start_send(16);
+  f.pop();
   EXPECT_EQ(f.head(), 3u);
 }
 
@@ -119,9 +127,9 @@ TEST(VcFifo, RingBufferWrapsAround) {
   for (u32 round = 0; round < 100; ++round) {
     f.push_whole_packet(round, 4);
     f.push_whole_packet(round + 1000, 4);
-    for (int i = 0; i < 4; ++i) f.pop_phit(4);
+    f.pop();
     EXPECT_EQ(f.head(), round + 1000);
-    for (int i = 0; i < 4; ++i) f.pop_phit(4);
+    f.pop();
     EXPECT_TRUE(f.empty());
   }
 }
@@ -131,9 +139,47 @@ TEST(VcFifo, SinglePhitPackets) {
   VcFifo& f = t.fifo;
   for (u32 i = 0; i < 8; ++i) f.push_whole_packet(i, 1);
   EXPECT_EQ(f.num_packets(), 8u);
+  EXPECT_EQ(f.stored_phits(0, false), 8u);
   for (u32 i = 0; i < 8; ++i) {
     EXPECT_EQ(f.head(), i);
-    EXPECT_TRUE(f.pop_phit(1));
+    f.pop();
+  }
+  EXPECT_TRUE(f.empty());
+}
+
+TEST(VcFifo, StampsWrapAcrossTwoToThe32) {
+  // Two packets cross the wrap of the u32 cycle stamps: the first arrives
+  // from four cycles before it and streams on at once (cut-through), the
+  // second arrives after it and streams once the first has left. At every
+  // cycle the FIFO stores what a per-phit count says.
+  TestFifo t(32);
+  VcFifo& f = t.fifo;
+  const u64 base = (u64{1} << 32) - 4;
+  const auto phits_in = [](u64 c, u64 arrive, u64 grant) {
+    const u64 arrived = c < arrive ? 0 : std::min<u64>(8, c - arrive + 1);
+    const u64 sent = c <= grant ? 0 : std::min<u64>(8, c - grant);
+    return arrived - sent;
+  };
+  bool streams = false;
+  for (u64 c = base; c <= base + 18; ++c) {
+    const u32 now = static_cast<u32>(c);
+    if (c == base) f.push(1, 8, now);
+    if (c == base + 2) {
+      f.start_send(now + 8);
+      streams = true;
+    }
+    if (c == base + 8) f.push(2, 8, now);
+    if (c == base + 10) {
+      f.pop();
+      f.start_send(now + 8);
+    }
+    if (c == base + 18) {
+      f.pop();
+      streams = false;
+    }
+    const u64 expect = (c < base + 10 ? phits_in(c, base, base + 2) : 0) +
+                       (c < base + 18 ? phits_in(c, base + 8, base + 10) : 0);
+    EXPECT_EQ(f.stored_phits(now, streams), expect) << "cycle " << c;
   }
   EXPECT_TRUE(f.empty());
 }
@@ -296,14 +342,19 @@ TEST(SeparableAllocator, ScratchIsCleanAcrossRuns) {
 struct TestOutput {
   std::vector<u32> credits_store;
   std::vector<u32> cap_store;
+  std::vector<u32> ramp_store;
   OutputPort out;
 
   TestOutput(std::vector<u32> credits, std::vector<u32> caps)
-      : credits_store(std::move(credits)), cap_store(std::move(caps)) {
+      : credits_store(std::move(credits)),
+        cap_store(std::move(caps)),
+        ramp_store(credits_store.size(), 0) {
     out.credits = Span<u32>(credits_store.data(),
                             static_cast<u32>(credits_store.size()));
     out.credit_cap =
         Span<u32>(cap_store.data(), static_cast<u32>(cap_store.size()));
+    out.ramp_end =
+        Span<u32>(ramp_store.data(), static_cast<u32>(ramp_store.size()));
   }
 };
 
@@ -311,19 +362,40 @@ TEST(OutputPort, BestVcPicksMostCredits) {
   TestOutput t({5, 20, 11}, {32, 32, 32});
   t.out.channel = 1;
   VcId vc;
-  ASSERT_TRUE(t.out.best_vc(0, 3, 8, vc));
+  ASSERT_TRUE(t.out.best_vc(0, 3, 8, 100, vc));
   EXPECT_EQ(vc, 1);
-  ASSERT_TRUE(t.out.best_vc(2, 1, 8, vc));  // restricted range
+  ASSERT_TRUE(t.out.best_vc(2, 1, 8, 100, vc));  // restricted range
   EXPECT_EQ(vc, 2);
-  EXPECT_FALSE(t.out.best_vc(0, 1, 8, vc));  // vc0 has only 5 credits
+  EXPECT_FALSE(t.out.best_vc(0, 1, 8, 100, vc));  // vc0 has only 5 credits
+  // A ramp to vc1 whose last credit lands at 110: at 100 ten of its
+  // credits are still to come, so vc2 has the most.
+  t.ramp_store[1] = 110;
+  EXPECT_EQ(t.out.credit(1, 100), 10u);
+  ASSERT_TRUE(t.out.best_vc(0, 3, 8, 100, vc));
+  EXPECT_EQ(vc, 2);
 }
 
 TEST(OutputPort, OccupancyFraction) {
   TestOutput t({16, 32}, {32, 32});
-  EXPECT_DOUBLE_EQ(t.out.occupancy(0, 2), 0.25);
-  EXPECT_DOUBLE_EQ(t.out.occupancy(0, 1), 0.5);
-  EXPECT_DOUBLE_EQ(t.out.occupancy(1, 1), 0.0);
-  EXPECT_EQ(t.out.queued_phits(0, 2), 16u);
+  EXPECT_DOUBLE_EQ(t.out.occupancy(0, 2, 0), 0.25);
+  EXPECT_DOUBLE_EQ(t.out.occupancy(0, 1, 0), 0.5);
+  EXPECT_DOUBLE_EQ(t.out.occupancy(1, 1, 0), 0.0);
+  EXPECT_EQ(t.out.queued_phits(0, 2, 0), 16u);
+}
+
+TEST(OutputPort, RampLandsOneCreditPerCycle) {
+  // credits[] holds the value once the ramp landed; the ramp's last
+  // credit lands at 57, one per cycle before it.
+  TestOutput t({24}, {32});
+  t.ramp_store[0] = 57;
+  EXPECT_EQ(t.out.credit(0, 50), 17u);
+  for (u32 c = 50; c < 57; ++c)
+    EXPECT_EQ(t.out.credit(0, c + 1), t.out.credit(0, c) + 1) << c;
+  EXPECT_EQ(t.out.credit(0, 57), 24u);
+  EXPECT_EQ(t.out.pending(0, 57), 0u);
+  EXPECT_EQ(t.out.credit(0, 1000), 24u);  // landed long ago
+  EXPECT_DOUBLE_EQ(t.out.occupancy(0, 1, 56), 1.0 - 23.0 / 32.0);
+  EXPECT_EQ(t.out.queued_phits(0, 1, 56), 9u);
 }
 
 // ----------------------------------------------------------- input port ----
