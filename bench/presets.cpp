@@ -757,7 +757,18 @@ const Preset* find_preset(const std::string& name) {
 }
 
 int run_units(const PresetRun& run) {
-  // An output that cannot be written stops the run before its banner.
+  // A spec the kernel cannot hold (a preset's --h can make one) stops the
+  // run before its banner, and so does an output that cannot be written.
+  for (const PresetUnit& u : run.units) {
+    for (const ExperimentSpec& spec : u.specs) {
+      const std::string err = spec.validate();
+      if (!err.empty()) {
+        std::fprintf(stderr, "error: %s: %s\n", spec.name.c_str(),
+                     err.c_str());
+        return 1;
+      }
+    }
+  }
   // Per-point trace files are named in --trace-out's directory, so checking
   // that directory covers them too; CSV tables go into --csv-dir ("" writes
   // none).

@@ -51,6 +51,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown option --%s\n", key.c_str());
     return 1;
   }
+  if (const std::string err = cfg.validate(); !err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return 1;
+  }
 
   std::printf("config: %s\n", cfg.summary().c_str());
   std::printf("offering %s traffic at %.3f phits/(node*cycle)...\n",

@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace ofar {
@@ -58,6 +59,19 @@ std::string SimConfig::validate() const {
     return "VCT requires every FIFO to hold at least one whole packet";
   if (vcs_local < 1 || vcs_global < 1 || vcs_injection < 1)
     return "at least one VC per port class required";
+  // The kernel keeps one bit per output port of a router in a u64, and one
+  // bit per VC of an input port in a u8. A router has p node, a - 1 local
+  // and h global ports, plus one on the physical ring.
+  const u64 ports = 4 * u64{h} - 1 + (ring == RingKind::kPhysical ? 1 : 0);
+  if (ports > 64)
+    return "a router has " + std::to_string(ports) +
+           " ports, more than the 64 the kernel holds (h <= 16)";
+  const u64 widest = std::max({vcs_injection, vcs_local, vcs_global}) +
+                     u64{ring == RingKind::kEmbedded ? 1u : 0u};
+  if (widest > 8)
+    return "an input port has " + std::to_string(widest) +
+           " VCs, more than the 8 the kernel holds (the embedded ring adds "
+           "one)";
   if (vc_ordered()) {
     // The hop-ordered discipline needs VC = hop level of that link class:
     // up to 3 local hops (l1,l2,l3) and 2 global hops (g1,g2); MIN gets by

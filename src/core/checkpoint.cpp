@@ -29,7 +29,9 @@ constexpr u64 kMagic = 0x31504B435241464FULL;
 /// has a credit ramp end; a router's buffered phit count is gone; the
 /// wheels hold one phit event per packet per hop and one credit event per
 /// ramp.
-constexpr u32 kFormatVersion = 5;
+/// v6: primary state only; every index restore can rebuild is gone (router
+/// flags, counts and masks, pool live bits, worklists, packet sizes).
+constexpr u32 kFormatVersion = 6;
 
 void set_error(std::string* error, const char* what) {
   if (error != nullptr) *error = what;
@@ -103,16 +105,23 @@ void CheckpointIO::io(CkptArchive& ar, Stats& s) {
     io(ar, *s.series_);
 }
 
-void CheckpointIO::io(CkptArchive& ar, Router& r, u32 packet_size,
-                      u32 cycle) {
-  for (InputPort& in : r.inputs) {
-    for (VcFifo& f : in.vcs) {
+// Loading replays the kernel's bookkeeping over what it read, which
+// rebuilds the router's indices and lists it: every queued entry is
+// enqueued again in order, then every transfer granted again, bar one
+// whose source does not exist (the auditor rejects it).
+void CheckpointIO::io(CkptArchive& ar, Network& net, Router& r, u32 cycle) {
+  const u32 packet_size = net.cfg_.packet_size;
+  for (PortId p = 0; p < r.inputs.size(); ++p) {
+    for (VcId v = 0; v < r.inputs[p].vcs.size(); ++v) {
+      VcFifo& f = r.inputs[p].vcs[v];
       io(ar, f, packet_size, cycle);
       if (!ar.ok()) return;
+      for (u32 i = 0; ar.loading() && i < f.num_packets(); ++i)
+        net.note_enqueued(r, p, v, i == 0);
     }
-    ar.fixed(in.head_busy);
   }
-  for (OutputPort& out : r.outputs) {
+  for (PortId port = 0; port < r.outputs.size(); ++port) {
+    OutputPort& out = r.outputs[port];
     ar.fixed(out.ramp_end);
     ar.fixed(out.credits);
     // A ramp whose first credit landed by `cycle` ends within a packet of
@@ -126,12 +135,14 @@ void CheckpointIO::io(CkptArchive& ar, Router& r, u32 packet_size,
         return;
     }
     ar.io(out.active, out.active_vc, out.src_port, out.src_vc,
-          out.phits_left, out.active_size);
+          out.phits_left);
+    if (ar.loading() && out.busy() && out.src_port < r.inputs.size() &&
+        out.src_vc < r.inputs[out.src_port].vcs.size())
+      net.note_granted(r, port, out.src_port, out.src_vc);
   }
   for (LrsArbiter& a : r.input_arb) ar.fixed(a.last_grant_);
   for (LrsArbiter& a : r.output_arb) ar.fixed(a.last_grant_);
-  ar.io(r.buffered_packets, r.routable_heads, r.throttled, r.active_out_mask);
-  ar.fixed(r.input_mask);
+  ar.io(r.throttled);
 }
 
 // The whole file: header, state, checksum. Sections whose stored form is
@@ -159,26 +170,27 @@ void CheckpointIO::io(CkptArchive& ar, Network& net) {
         net.pending_total_);
   // Saved between steps: the state is that of the cycle before now_.
   const u32 cycle = static_cast<u32>(net.state_cycle());
-  const u32 packet_size = net.cfg_.packet_size;
 
-  // ---- packet pool, verbatim (ids and future id reuse order) ----
+  // ---- packet pool, verbatim (ids and future id reuse order); a slot is
+  // live unless the free list names it (in range, once) ----
   PacketPool& pool = net.pool_;
   ar.sized(pool.slots_);
   for (const Packet& p : pool.slots_)
     if (!ar.check(flags_are_bools(p), "corrupt packet flags")) return;
-  pool.live_bits_.resize(pool.slots_.size());
-  for (auto live : pool.live_bits_) {  // one byte per slot
-    bool bit = live;
-    ar.io(bit);
-    live = bit;
-  }
   ar.sized(pool.free_list_);
-  ar.io(pool.live_);
-  if (!ar.check(pool.free_list_.size() <= pool.slots_.size(),
-                "corrupt packet free list"))
-    return;
+  if (ar.loading()) {
+    pool.live_bits_.assign(pool.slots_.size(), true);
+    for (const PacketId id : pool.free_list_) {
+      if (!ar.check(id < pool.slots_.size() && pool.live_bits_[id],
+                    "corrupt packet free list"))
+        return;
+      pool.live_bits_[id] = false;
+    }
+    pool.live_ = pool.slots_.size() - pool.free_list_.size();
+  }
 
-  // ---- per-node offer queues (sparse: almost all are empty) ----
+  // ---- per-node offer queues (sparse: almost all are empty), by node.
+  // Loading lists and probes each node: a failed probe changes nothing ----
   const u32 nodes = static_cast<u32>(net.pending_.size());
   u64 queues = 0;
   for (const auto& q : net.pending_) queues += q.empty() ? 0 : 1;
@@ -186,6 +198,7 @@ void CheckpointIO::io(CkptArchive& ar, Network& net) {
   if (!ar.check(queues <= nodes, "corrupt offer queue header")) return;
   std::vector<Network::Offer> offers;
   for (NodeId node = 0, i = 0; i < queues; ++node, ++i) {
+    const NodeId first = node;  // ascending: past the previous queue
     if (!ar.loading()) {
       while (net.pending_[node].empty()) ++node;
       const auto items = net.pending_[node].items();
@@ -193,12 +206,18 @@ void CheckpointIO::io(CkptArchive& ar, Network& net) {
     }
     ar.io(node);
     ar.sized(offers);
-    if (!ar.check(node < nodes, "corrupt offer queue")) return;
+    if (!ar.check(node >= first && node < nodes && !offers.empty(),
+                  "corrupt offer queue"))
+      return;
     for (const Network::Offer& o : offers) {
       if (!ar.check(o.dst < nodes && o.dst != node,
                     "corrupt offer destination"))
         return;
       if (ar.loading()) net.pending_[node].push_back(o);
+    }
+    if (ar.loading()) {
+      net.active_nodes_.push_back(node);
+      net.node_ready_[node] = 1;
     }
   }
 
@@ -214,34 +233,8 @@ void CheckpointIO::io(CkptArchive& ar, Network& net) {
     ar.io(rid);
     if (!ar.check(rid < net.routers_.size(), "corrupt router id")) return;
     if (ar.loading()) net.ensure_router_built(rid);
-    io(ar, net.routers_[rid], packet_size, cycle);
+    io(ar, net, net.routers_[rid], cycle);
     if (!ar.ok()) return;
-  }
-
-  // ---- activity worklists, verbatim (stale idle entries included: they
-  // drain through the next prune pass exactly as in the original run).
-  // Loading re-derives the membership flags ----
-  u32 shard_count = static_cast<u32>(net.shards_.size());
-  ar.io(shard_count);
-  if (!ar.check(shard_count == net.shards_.size(), "shard count mismatch"))
-    return;
-  for (auto& sh : net.shards_) {
-    ar.sized(sh.active_routers);
-    ar.io(sh.sorted);
-    for (const RouterId rid : sh.active_routers) {
-      if (!ar.check(rid < net.routers_.size(),
-                    "corrupt shard worklist entry"))
-        return;
-      if (ar.loading()) net.router_in_worklist_[rid] = 1;
-    }
-  }
-  ar.sized(net.active_nodes_);
-  ar.io(net.active_nodes_sorted_);
-  for (const NodeId n : net.active_nodes_) {
-    if (!ar.check(n < nodes, "corrupt node worklist entry")) return;
-    // Probe readiness is not saved: probing every backlogged node once
-    // more is exact (a probe that fails changes nothing).
-    if (ar.loading()) net.node_ready_[n] = 1;
   }
 
   // ---- event wheels, slot-verbatim (slot index = cycle % wheel size,

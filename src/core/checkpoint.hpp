@@ -5,9 +5,11 @@
 // behaviour — the cycle clock, every RNG stream (policy lanes, traffic
 // source), the packet pool verbatim (including the LIFO free list, whose
 // order decides future id assignment), per-node offer queues, every
-// built router's FIFO/credit/arbiter/transfer state, the activity
-// worklists, the in-flight event wheels, lifetime counters and the open
-// Stats window. Restoring into a freshly constructed Network of the SAME
+// built router's FIFO/credit/arbiter/transfer state, the in-flight event
+// wheels, lifetime counters and the open Stats window — and no index of
+// it: restore rebuilds the pool's live bits from the free list, and the
+// routers' flags, counts, masks and worklists with the kernel's own
+// bookkeeping. Restoring into a freshly constructed Network of the SAME
 // config (validated via spec's canonical config signature + seed) and then
 // stepping produces the bit-identical continuation of the original run, at
 // any sim_threads.
@@ -68,7 +70,7 @@ class CheckpointIO {
   // A router's and a FIFO's stamps are checked against `cycle`, the cycle
   // the saved state reflects; a restored FIFO's packets are
   // `packet_size` phits.
-  static void io(CkptArchive& ar, Router& r, u32 packet_size, u32 cycle);
+  static void io(CkptArchive& ar, Network& net, Router& r, u32 cycle);
   static void io(CkptArchive& ar, VcFifo& f, u32 packet_size, u32 cycle);
   static void io(CkptArchive& ar, Stats& s);
   static void io(CkptArchive& ar, TimeSeries& ts);

@@ -340,7 +340,6 @@ class Network {
   /// serial commit reads the pool only for traced packets and to free ids.
   struct Delivery {
     PacketId id;
-    u16 size;
     Cycle birth;
     u8 hops;
     bool traced;
@@ -530,14 +529,32 @@ class Network {
   OFAR_SERIAL_ONLY void commit_shard_staging();
 
   // ---- activity worklists ----
-  /// Adds router r to the active worklist (idempotent). Called whenever a
-  /// packet enters one of r's input FIFOs; r leaves the list via the prune
-  /// pass fused into advance_transfers() once it holds no packet and
-  /// streams nothing.
-  /// Parallel-legal: a shard only ever marks routers it owns, and both the
-  /// membership flag and the worklist it appends to live in that shard's
-  /// slice (router_in_worklist_[r] / shards_[shard_of_router_[r]]).
-  OFAR_PARALLEL_PHASE void mark_router_active(RouterId r);
+  /// Bookkeeping of a packet just queued in FIFO (port, vc) of r, empty
+  /// before it when `was_empty`; injection, delivery and restore call it.
+  /// It lists r (idempotent); the prune fused into advance_transfers()
+  /// drops r once it holds no packet and streams nothing. Parallel-legal:
+  /// a shard only queues into routers it owns, and the flag and worklist
+  /// it writes live in that shard's slice.
+  OFAR_PARALLEL_PHASE void note_enqueued(Router& r, PortId port, VcId vc,
+                                         bool was_empty) {
+    if (was_empty) ++r.routable_heads;
+    ++r.buffered_packets;
+    r.input_mask[port] |= static_cast<u8>(1u << vc);
+    if (router_in_worklist_[r.id] != 0) return;
+    router_in_worklist_[r.id] = 1;
+    ShardState& sh = shards_[shard_of_router_[r.id]];
+    if (!sh.active_routers.empty() && r.id < sh.active_routers.back())
+      sh.sorted = false;
+    sh.active_routers.push_back(r.id);
+  }
+  /// Bookkeeping of a grant of the head of (in_port, in_vc) onto output
+  /// out_port. commit_grant and restore call it.
+  OFAR_PARALLEL_PHASE void note_granted(Router& r, PortId out_port,
+                                        PortId in_port, VcId in_vc) {
+    r.active_out_mask |= u64{1} << out_port;
+    r.inputs[in_port].head_busy[in_vc] = 1;
+    --r.routable_heads;
+  }
   /// Creates the packet object for an accepted injection.
   OFAR_SERIAL_ONLY void place_packet(NodeId src, const Offer& offer);
   /// Final delivery at the destination node.
@@ -593,6 +610,9 @@ class Network {
   // refresh/drain re-sorts before any phase iterates. The router worklist
   // lives inside ShardState (one list per shard); the node worklist stays
   // global because injection is always a serial phase.
+  // Restore relists what note_enqueued sees, but not a router that drained
+  // in the saved cycle: exact, as update_throttle released its latch then
+  // and the next prune drops it before any phase reads the list.
   OFAR_SHARD_LOCAL std::vector<ShardState> shards_;
   std::vector<u32> shard_of_router_;  // built once, read-only afterwards
   OFAR_SHARD_LOCAL std::vector<u8> router_in_worklist_;

@@ -1,7 +1,8 @@
 // Packet model.
 //
 // The simulator is phit-accurate but allocates at packet granularity
-// (virtual cut-through with a batch allocator, paper §V). A Packet carries
+// (virtual cut-through with a batch allocator, paper §V). Every packet is
+// SimConfig::packet_size phits, so a Packet stores no size. It carries
 // the routing state the mechanisms need: hop counters for the hop-ordered VC
 // discipline, the Valiant intermediate destination for VAL/PB/UGAL, and the
 // OFAR misroute header flags + escape-ring state (paper §IV-A).
@@ -62,8 +63,7 @@ struct alignas(64) Packet {
   /// VC-ordered mechanisms deadlock-free.
   u8 local_hops_in_group = 0;
 
-  u16 size = 0;          ///< phits
-  u16 zero_pad2 = 0;     ///< always 0, like zero_pad
+  u32 zero_pad2 = 0;  ///< always 0, like zero_pad
 
   // ---- cold fields (grant commit / delivery only) ----
   Cycle birth = 0;       ///< generation cycle (latency baseline, paper §VI-B)

@@ -49,8 +49,6 @@ struct OutputPort {
   PortId src_port = 0;
   VcId src_vc = 0;
   u32 phits_left = 0;
-  u16 active_size = 0;  ///< cached Packet::size of `active` (set at grant),
-                        ///< so the transfer loop never touches the pool
 
   bool wired() const noexcept { return channel != kInvalidChannel; }
   bool busy() const noexcept { return active != kInvalidPacket; }
@@ -167,6 +165,7 @@ struct OFAR_SHARD_LOCAL Router {
   // — exactly the candidates the allocation scan could request for — so
   // do_allocation skips routers that are only streaming (a granted packet
   // occupies its head for packet_size cycles with nothing to route).
+  // Network::note_enqueued and note_granted set them; restore replays both.
   u32 buffered_packets = 0;
   u32 routable_heads = 0;
   u32 parked_heads = 0;  ///< routable heads the allocation scan skips

@@ -56,8 +56,8 @@ enum class Invariant : u8 {
 const char* to_string(Invariant inv) noexcept;
 
 /// kPacketConservation's header relation: src and dst are nodes, dst_router
-/// is dst's router, every group or router field is one or unset, and size
-/// is the packet size. Topology lookups on a header need it to hold.
+/// is dst's router, and every group or router field is one or unset.
+/// Topology lookups on a header need it to hold.
 bool header_valid(const Network& net, const Packet& pkt) noexcept;
 
 struct Violation {

@@ -205,6 +205,25 @@ TEST(SimConfig, OrderedMechanismsNeedEnoughVcs) {
   EXPECT_EQ(cfg.validate(), "");
 }
 
+TEST(SimConfig, RejectsWhatTheKernelCannotHold) {
+  // A router's output ports fill a 64-bit mask: h=16 on the physical ring
+  // is exactly 64 ports, h=17 has 68.
+  SimConfig cfg;
+  cfg.h = 16;
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.h = 17;
+  EXPECT_NE(cfg.validate().find("68 ports"), std::string::npos)
+      << cfg.validate();
+  // An input port's VCs fill an 8-bit mask; the embedded ring adds one VC
+  // to the port that receives it.
+  cfg = SimConfig{};
+  cfg.vcs_local = 8;
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.ring = RingKind::kEmbedded;
+  EXPECT_NE(cfg.validate().find("9 VCs"), std::string::npos)
+      << cfg.validate();
+}
+
 TEST(SimConfig, RoutingKindRoundTrip) {
   for (RoutingKind k :
        {RoutingKind::kMin, RoutingKind::kVal, RoutingKind::kPb,

@@ -240,6 +240,20 @@ TEST(Spec, RejectsTyposLoudly) {
       << error;
 }
 
+TEST(Spec, RejectsConfigsTheKernelCannotHold) {
+  // h=17 routers have 68 ports, past the kernel's 64-bit port masks: the
+  // load fails, before any run builds a router.
+  const JsonValue doc =
+      parse_ok(R"({"kind": "steady", "h": 17, "patterns": ["UN"],
+                   "loads": [0.1], "mechanisms": [{"routing": "OFAR"}]})");
+  ExperimentSpec spec;
+  std::string error;
+  EXPECT_FALSE(spec_from_json(doc, spec, error));
+  EXPECT_NE(error.find("mechanism OFAR: a router has 68 ports"),
+            std::string::npos)
+      << error;
+}
+
 TEST(Spec, RejectsUnknownKeysAtEveryLevel) {
   // Each typo below used to be ignored, and the run used the default the
   // key was meant to override. A member of another spec kind is unknown
