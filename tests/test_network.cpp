@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "sim/network.hpp"
 #include "traffic/generator.hpp"
@@ -99,6 +100,24 @@ TEST(Network, CreditsMatchDownstreamCapacity) {
           break;
       }
     }
+  }
+}
+
+TEST(Network, EjectionOutputsStayAtTheirCap) {
+  // An ejection output is a sink: no grant takes its credits, so a node
+  // can receive for ever without its port running dry.
+  Network net(base_cfg(RoutingKind::kOfar));
+  net.set_traffic(std::make_unique<BernoulliSource>(
+      TrafficPattern::uniform(), 0.5, net.config().seed));
+  net.run(2000);
+  ASSERT_GT(net.delivered_total(), 0u);
+  for (RouterId r = 0; r < net.topo().routers(); ++r) {
+    if (!net.router_built(r)) continue;
+    const Router& router = std::as_const(net).router(r);
+    for (PortId p = 0; p < net.topo().p(); ++p)
+      EXPECT_EQ(router.outputs[p].credits[0],
+                router.outputs[p].credit_cap[0])
+          << "r" << r << ".p" << p;
   }
 }
 
